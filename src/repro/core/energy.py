@@ -44,6 +44,7 @@ from repro.tensor.tensor import no_grad
 __all__ = [
     "EnergyStats",
     "local_energies",
+    "local_energy_path",
     "energy_statistics",
     "grad_via_autograd",
     "grad_from_per_sample",
@@ -88,6 +89,23 @@ class EnergyStats:
         if self.is_empty:
             return "E = <empty batch> (B=0)"
         return f"E = {self.mean:.6f} ± {self.sem:.6f} (std {self.std:.4f}, B={self.count})"
+
+
+def _fused_flips(model: WaveFunction, hamiltonian: Hamiltonian):
+    """The Hamiltonian's structured flip list if the fused kernel serves this
+    (hamiltonian, model) pair, else ``None``."""
+    from repro.perf.flips import supports_flip_kernel
+
+    flips = hamiltonian.single_flips()
+    return flips if flips is not None and supports_flip_kernel(model) else None
+
+
+def local_energy_path(model: WaveFunction, hamiltonian: Hamiltonian) -> str:
+    """``'fused'`` or ``'dense'`` — the path :func:`local_energies` picks for
+    this pair when ``fast`` is left to it. ``VQMC.step`` reports it (span
+    attribute, ``StepResult.energy_path``, ``energy.dense_fallback`` counter)
+    so a run's artifacts say which kernel measured its energies."""
+    return "dense" if _fused_flips(model, hamiltonian) is None else "fused"
 
 
 def local_energies(
@@ -138,10 +156,10 @@ def local_energies(
                 f"log_psi_x must have shape ({x.shape[0]},), got {log_psi_x.shape}"
             )
 
-    from repro.perf.flips import flip_log_ratios, supports_flip_kernel
+    from repro.perf.flips import flip_log_ratios
 
-    flips = hamiltonian.single_flips()
-    fused_ok = flips is not None and supports_flip_kernel(model)
+    flips = _fused_flips(model, hamiltonian)
+    fused_ok = flips is not None
     if fast is None:
         use_fused = fused_ok
     elif fast and not fused_ok:

@@ -33,6 +33,7 @@ from repro.core.energy import (
     grad_from_per_sample,
     grad_via_autograd,
     local_energies,
+    local_energy_path,
 )
 from repro.hamiltonians.base import Hamiltonian
 from repro.models.base import WaveFunction
@@ -120,6 +121,10 @@ class StepResult:
     #: ``gradient`` / ``update``) — *local* to this rank, unlike ``stats``.
     #: The elastic supervisor's straggler rebalancing feeds on it.
     phase_seconds: dict = field(repr=False, default_factory=dict)
+    #: which kernel measured this step's local energies: ``'fused'``
+    #: (:mod:`repro.perf.flips`) or ``'dense'`` (one forward pass over all
+    #: neighbours). Dense steps also bump the ``energy.dense_fallback`` counter.
+    energy_path: str = ""
 
 
 class VQMC:
@@ -305,6 +310,10 @@ class VQMC:
             # the energy step reuses it instead of its own forward pass.
             mode = self._gradient_mode()
             self.model.zero_grad()
+            # No fast path falls back without leaving a counter behind.
+            energy_path = local_energy_path(self.model, self.hamiltonian)
+            if energy_path == "dense" and self.metrics is not None:
+                self.metrics.counter("energy.dense_fallback").inc()
             if mode == "autograd":
                 with tracer.span("gradient", mode=mode), self.clock.measure("gradient"):
                     plan = self._plan(x, cmode, "autograd")
@@ -315,7 +324,10 @@ class VQMC:
                     else:
                         log_psi = self.model.log_psi(x)
                         log_psi_x = log_psi.data
-                with tracer.span("local_energy"), self.clock.measure("energy"):
+                with (
+                    tracer.span("local_energy", path=energy_path),
+                    self.clock.measure("energy"),
+                ):
                     local = local_energies(
                         self.model, self.hamiltonian, x, log_psi_x=log_psi_x
                     )
@@ -346,7 +358,10 @@ class VQMC:
                             lp, o = plan.per_sample(x)
                     else:
                         lp, o = self.model.log_psi_and_grads(x)
-                with tracer.span("local_energy"), self.clock.measure("energy"):
+                with (
+                    tracer.span("local_energy", path=energy_path),
+                    self.clock.measure("energy"),
+                ):
                     local = local_energies(
                         self.model, self.hamiltonian, x, log_psi_x=lp
                     )
@@ -383,6 +398,7 @@ class VQMC:
             step_time=time.perf_counter() - t0,
             acceptance=acceptance,
             vqmc=self,
+            energy_path=energy_path,
             phase_seconds={
                 k: self.clock.totals.get(k, 0.0) - v
                 for k, v in clock_before.items()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hamiltonians.base import Hamiltonian, index_to_bits
+from repro.hamiltonians.base import Hamiltonian, index_to_bits, quadratic_form
 
 __all__ = ["brute_force_max_cut", "brute_force_ground_state"]
 
@@ -18,7 +18,7 @@ def brute_force_max_cut(adjacency: np.ndarray) -> tuple[float, np.ndarray]:
     states = index_to_bits(np.arange(2**n), n)
     z = 1.0 - 2.0 * states
     total = np.triu(adjacency, 1).sum()
-    agree = np.einsum("bi,ij,bj->b", z, adjacency, z)
+    agree = quadratic_form(z, adjacency)
     cuts = 0.5 * (total - 0.5 * agree)
     best = int(np.argmax(cuts))
     return float(cuts[best]), states[best]

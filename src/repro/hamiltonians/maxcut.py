@@ -28,7 +28,7 @@ import numpy as np
 
 import networkx as nx
 
-from repro.hamiltonians.base import bits_to_spins
+from repro.hamiltonians.base import bits_to_spins, quadratic_form
 from repro.hamiltonians.zzx import ZZXHamiltonian
 from repro.utils.rng import as_generator
 
@@ -98,7 +98,7 @@ class MaxCut(ZZXHamiltonian):
         """Cut weight of each configuration in the batch — equals ``-H_xx``."""
         x = self._check_batch(x)
         z = bits_to_spins(x)
-        agree = np.einsum("bi,ij,bj->b", z, self.adjacency, z)  # Σ_ij w_ij z_i z_j
+        agree = quadratic_form(z, self.adjacency)  # Σ_ij w_ij z_i z_j
         return 0.5 * (self.total_weight - 0.5 * agree)
 
     def num_edges(self) -> int:

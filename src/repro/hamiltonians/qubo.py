@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hamiltonians.base import quadratic_form
 from repro.hamiltonians.zzx import ZZXHamiltonian
 
 __all__ = ["IsingQUBO"]
@@ -66,4 +67,4 @@ class IsingQUBO(ZZXHamiltonian):
     def objective(self, x: np.ndarray) -> np.ndarray:
         """Direct evaluation of ``xᵀQx + qᵀx + c`` (sanity check vs. diagonal)."""
         x = self._check_batch(x)
-        return np.einsum("bi,ij,bj->b", x, self.Q, x) + x @ self.q + self.const
+        return quadratic_form(x, self.Q) + x @ self.q + self.const

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hamiltonians.base import Hamiltonian, SingleFlipRows, bits_to_spins
+from repro.hamiltonians.base import (
+    Hamiltonian,
+    SingleFlipRows,
+    bits_to_spins,
+    quadratic_form,
+)
 
 __all__ = ["ZZXHamiltonian"]
 
@@ -81,7 +86,7 @@ class ZZXHamiltonian(Hamiltonian):
         z = bits_to_spins(x)
         field = z @ self.beta
         # Each unordered pair counted once: ½ zᵀ C z with C symmetric, 0 diag.
-        pair = 0.5 * np.einsum("bi,ij,bj->b", z, self.couplings, z)
+        pair = 0.5 * quadratic_form(z, self.couplings)
         return -field - pair + self.offset
 
     def single_flips(self) -> SingleFlipRows:

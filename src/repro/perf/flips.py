@@ -11,14 +11,22 @@ flip barely perturbs a MADE:
   of the sites ``i < s`` cancel from the log-ratio, and site ``s`` itself
   only swaps its target bit under an unchanged logit;
 - the first hidden layer moves by the masked weight column ``±W1[:, s]``
-  (rank-1), and only output rows ``i > s`` need recomputing.
+  (rank-1), and only on the units whose mask degree is ≥ ``s+1``; deeper
+  layers likewise, and only output rows ``i > s`` need recomputing.
 
-So the kernel runs ONE cached forward pass on the batch and then, per flip
-site ``s``, applies the column update, re-activates, propagates post-ReLU
-deltas through any deeper hidden layers, and evaluates only the logit tail
-``z_{>s}`` — skipping the O(n·h) input matmul entirely and halving the
-output matmul on average. The result is mathematically identical to the
-dense path (same log-ratio, same clipping), to floating-point roundoff.
+So the kernel runs ONE cached forward pass on the batch, sorts each hidden
+layer's units by mask degree (so "the units a flip can move" is a contiguous
+slice), and walks the flip sites in ascending order in blocks of ``S``. A
+block starting at site ``s0`` forms the post-ReLU deltas ``Δh`` of its
+sites on the slice of degree ≥ ``s0+1`` only, propagates them through any
+deeper hidden layers on their slices, and gets all its logit tails
+``z_{>s0}`` from ONE GEMM ``Δh @ W_out[s0+1:, slice].T`` added to the cached
+logits — no O(n·h) input matmul, no work on units or outputs the masks
+prove untouched, and a Python iteration per block, not per site. ``S`` is
+whatever keeps a block's largest array at ``BLOCK_ELEMS`` float64 (256 KB).
+The result is mathematically identical to the dense path (same log-ratio,
+same clipping), to floating-point roundoff: cached logit + ``Δh·W`` sums in
+a different order than ``h'·W + b``, so log-ratios agree to ~1e-13.
 
 The cached pass also yields ``log ψ(x)`` for free, which
 :func:`repro.core.energy.local_energies` returns to the training loop so
@@ -44,9 +52,29 @@ __all__ = [
 ]
 
 
+#: float64 elements in a block's widest array (256 KB): the kernel's working
+#: set whatever the batch and ``n``. Measured, not guessed: 16–32 Ki is the
+#: flat optimum from (n=10, B=256) to (n=256, B=256); from 64 Ki up each
+#: block's temporaries are big enough that the allocator hands them back to
+#: the OS between calls, and small shapes pay more in page faults than the
+#: per-site loop ever cost (docs/performance.md has the table).
+BLOCK_ELEMS = 32 * 1024
+
+
+def _log_sigmoid_inplace(u: np.ndarray) -> np.ndarray:
+    """``log σ(u) = min(u, 0) − log1p(exp(−|u|))``, overwriting ``u``."""
+    e = np.abs(u)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    np.minimum(u, 0.0, out=u)
+    u -= e
+    return u
+
+
 def log_bernoulli(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Elementwise ``log Bern(t; σ(z)) = t·logσ(z) + (1-t)·logσ(-z)``, stable."""
-    log_p = np.minimum(logits, 0.0) - np.log1p(np.exp(-np.abs(logits)))
+    log_p = _log_sigmoid_inplace(np.array(logits, dtype=np.float64))
     log_q = log_p - logits  # log σ(-z) = log σ(z) - z, exactly
     return targets * log_p + (1.0 - targets) * log_q
 
@@ -73,17 +101,24 @@ def supports_flip_kernel(model) -> bool:
     return supports_incremental(model)
 
 
-def forward_cache(model, x: np.ndarray) -> MADEForwardCache:
-    """One batched forward pass of a MADE, retaining every intermediate."""
+def _require_support(model) -> None:
     if not supports_flip_kernel(model):
         raise TypeError(
             f"flip kernel requires a MADE-style layer stack; got {type(model).__name__}"
         )
-    x = validate_configurations(x, model.n)
+
+
+def _masked_weights(model) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per layer, the masked weight matrix and the bias the forward pass applies."""
     with no_grad():
         layers = model.fc_layers
-        effs = [layer.effective_weight() for layer in layers]
-        biases = [layer.bias.data for layer in layers]
+        return (
+            [layer.effective_weight() for layer in layers],
+            [layer.bias.data for layer in layers],
+        )
+
+
+def _forward(x: np.ndarray, effs, biases) -> MADEForwardCache:
     pre_acts: list[np.ndarray] = []
     hiddens: list[np.ndarray] = []
     cur = x
@@ -104,6 +139,29 @@ def forward_cache(model, x: np.ndarray) -> MADEForwardCache:
     )
 
 
+def forward_cache(model, x: np.ndarray) -> MADEForwardCache:
+    """One batched forward pass of a MADE, retaining every intermediate."""
+    _require_support(model)
+    x = validate_configurations(x, model.n)
+    return _forward(x, *_masked_weights(model))
+
+
+def _hidden_degrees(masks) -> list[np.ndarray]:
+    """Per hidden layer, each unit's degree as the masks define it: the
+    largest 1-based input index with a path to the unit (0 if none).
+
+    Flipping input ``s`` can move a unit only if its degree is ≥ ``s+1``.
+    Read off ``layer.mask`` — not the ``'cycle'`` formula — so ``'random'``
+    masks and deep stacks are sliced by the connectivity they really have.
+    """
+    reach = np.arange(1, masks[0].shape[1] + 1)
+    degrees = []
+    for mask in masks[:-1]:
+        reach = np.where(mask != 0.0, reach, 0).max(axis=1)
+        degrees.append(reach)
+    return degrees
+
+
 def flip_log_ratios(
     model,
     sites: np.ndarray,
@@ -122,55 +180,81 @@ def flip_log_ratios(
 
     Returns the ratio matrix and the cache (so callers reuse ``log_psi``).
     """
+    if cache is None and x is None:
+        raise ValueError("need x or a forward cache")
+    _require_support(model)
+    effs, biases = _masked_weights(model)
     if cache is None:
-        if x is None:
-            raise ValueError("need x or a forward cache")
-        cache = forward_cache(model, x)
+        cache = _forward(validate_configurations(x, model.n), effs, biases)
     x = cache.x
     sites = np.asarray(sites, dtype=np.int64)
     if sites.ndim != 1:
         raise ValueError(f"sites must be 1-D, got shape {sites.shape}")
-    n = model.n
+    bsz, n = x.shape
     if sites.size and (sites.min() < 0 or sites.max() >= n):
         raise ValueError(f"flip sites must lie in [0, {n})")
 
-    bsz = x.shape[0]
-    deltas = np.empty((bsz, sites.size))
-    if sites.size == 0:
-        return deltas, cache
+    # Site s keeps its logit (it depends on inputs < s only) and swaps its
+    # target bit: log Bern(1−x_s; z_s) − log Bern(x_s; z_s) = (1−2x_s)·z_s.
+    sign = 1.0 - 2.0 * x  # bit 0 → +W1[:, s], bit 1 → −W1[:, s]
+    deltas = sign[:, sites] * cache.logits[:, sites]
 
-    with no_grad():
-        layers = model.fc_layers
-        effs = [layer.effective_weight() for layer in layers]
-        biases = [layer.bias.data for layer in layers]
-    hidden_effs, out_eff = effs[:-1], effs[-1]
-    out_bias = biases[-1]
+    # Sort every hidden layer's units by degree, so that the units a block
+    # of flips can move are one contiguous slice [lo:]. Rebuilt per call:
+    # the weights are updated in place between calls.
+    degrees = _hidden_degrees([layer.mask for layer in model.fc_layers])
+    orders = [np.argsort(deg, kind="stable") for deg in degrees]
+    degrees = [deg[order] for deg, order in zip(degrees, orders)]
+    pre = [a[:, order] for a, order in zip(cache.pre_acts, orders)]
+    hid = [h[:, order] for h, order in zip(cache.hiddens, orders)]
+    weights = list(effs)
+    for l, order in enumerate(orders):
+        weights[l] = weights[l][order]  # the layer's units are its rows …
+        weights[l + 1] = weights[l + 1][:, order]  # … and the next one's columns
+    # log Bern(x_i; z_i) = log σ(u_i) with u = (2x−1)·z. The cached terms are
+    # re-evaluated by the formula the blocks use, so that a logit a flip
+    # leaves alone (Δz = 0 exactly: the masked weights are exact zeros)
+    # cancels to exactly 0.0 — which is what covers a block's corner of
+    # outputs s0 < i ≤ s without masking it out.
+    spin = -sign
+    spin_logits = spin * cache.logits
+    terms = _log_sigmoid_inplace(spin_logits.copy())
 
-    # Suffix sums of the cached per-site terms: tail_terms[:, s] = Σ_{i>s} t_i.
-    tail = np.concatenate(
-        [np.cumsum(cache.site_terms[:, ::-1], axis=1)[:, ::-1][:, 1:],
-         np.zeros((bsz, 1))],
-        axis=1,
-    )
-
-    for k, s in enumerate(sites):
-        s = int(s)
-        # Rank-1 column update: bit 0 → +W1[:, s], bit 1 → −W1[:, s].
-        sign = 1.0 - 2.0 * x[:, s]
-        h = np.maximum(cache.pre_acts[0] + sign[:, None] * effs[0][:, s], 0.0)
-        delta_h = h - cache.hiddens[0]
-        for l in range(1, len(hidden_effs)):
-            h = np.maximum(cache.pre_acts[l] + delta_h @ hidden_effs[l].T, 0.0)
-            delta_h = h - cache.hiddens[l]
-        # Site s keeps its logit (depends on inputs < s only); sites > s get
-        # recomputed logits; sites < s cancel exactly.
-        term_s = log_bernoulli(1.0 - x[:, s], cache.logits[:, s])
-        if s + 1 < n:
-            z_tail = h @ out_eff[s + 1 :].T + out_bias[s + 1 :]
-            new_tail = log_bernoulli(x[:, s + 1 :], z_tail).sum(axis=1)
-        else:
-            new_tail = np.zeros(bsz)
-        deltas[:, k] = 0.5 * (
-            term_s - cache.site_terms[:, s] + new_tail - tail[:, s]
-        )
+    # Ascending sites in blocks of S: one block shares its first site's
+    # slices and logit tail z_{>s0}, so its S tails come from ONE GEMM.
+    # Sites from `horizon` on move no unit of some hidden layer (and the last
+    # site has no tail): their own term, already in `deltas`, is all of it.
+    by_site = np.argsort(sites, kind="stable")
+    ascending = sites[by_site]
+    horizon = min(n - 1, *(int(deg[-1]) for deg in degrees))
+    live = int(np.searchsorted(ascending, horizon))
+    j = 0
+    while j < live:
+        s0 = int(ascending[j])
+        tail = n - s0 - 1
+        los = [int(np.searchsorted(deg, s0 + 1)) for deg in degrees]
+        # S sites a block, sized so its widest array is BLOCK_ELEMS.
+        widest = max(tail, *(deg.size - lo for lo, deg in zip(los, degrees)))
+        stop = min(live, j + max(1, BLOCK_ELEMS // (bsz * widest)))
+        blk = ascending[j:stop]
+        # Rank-1 column updates of the block's sites, on the slice only.
+        dh = sign[:, blk, None] * weights[0][los[0] :, blk].T
+        dh += pre[0][:, None, los[0] :]
+        np.maximum(dh, 0.0, out=dh)
+        dh -= hid[0][:, None, los[0] :]
+        for l in range(1, len(los)):
+            w = weights[l][los[l] :, los[l - 1] :]
+            dh = (dh.reshape(-1, dh.shape[2]) @ w.T).reshape(bsz, blk.size, -1)
+            dh += pre[l][:, None, los[l] :]
+            np.maximum(dh, 0.0, out=dh)
+            dh -= hid[l][:, None, los[l] :]
+        w = weights[-1][s0 + 1 :, los[-1] :]
+        u = (dh.reshape(-1, dh.shape[2]) @ w.T).reshape(bsz, blk.size, tail)
+        u *= spin[:, None, s0 + 1 :]
+        u += spin_logits[:, None, s0 + 1 :]
+        _log_sigmoid_inplace(u)
+        u -= terms[:, None, s0 + 1 :]
+        deltas[:, by_site[j:stop]] += u.sum(axis=2)
+        j = stop
+    deltas *= 0.5
     return deltas, cache

@@ -107,6 +107,28 @@ class TestStepMechanics:
         r2 = vqmc.step(batch_size=64)
         assert r2.step == 2
 
+    @pytest.mark.parametrize("ansatz,path", [("made", "fused"), ("rbm", "dense")])
+    def test_local_energy_path_is_reported(self, small_tim, rng, ansatz, path):
+        """Which local-energy kernel ran is on the span, the step result and —
+        for the dense fallback — a counter, like ``jit.fallback``."""
+        from repro.obs import Metrics, Tracer
+
+        if ansatz == "made":
+            model, sampler = MADE(6, rng=rng), AutoregressiveSampler()
+        else:
+            model, sampler = RBM(6, rng=rng), MetropolisSampler()
+        metrics, tracer = Metrics(), Tracer()
+        vqmc = VQMC(
+            model, small_tim, sampler, Adam(model.parameters()), seed=1,
+            metrics=metrics, tracer=tracer,
+        )
+        results = [vqmc.step(batch_size=16) for _ in range(3)]
+        assert [r.energy_path for r in results] == [path] * 3
+        spans = [e for e in tracer.events if e.name == "local_energy"]
+        assert [e.attrs["path"] for e in spans] == [path] * 3
+        dense_steps = metrics.snapshot()["counters"].get("energy.dense_fallback", 0)
+        assert dense_steps == (3 if path == "dense" else 0)
+
     def test_mismatched_sizes_rejected(self, small_tim, rng):
         model = MADE(5, rng=rng)
         with pytest.raises(ValueError):

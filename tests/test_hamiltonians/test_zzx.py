@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.hamiltonians import TransverseFieldIsing, ZZXHamiltonian
-from repro.hamiltonians.base import bits_to_index, bits_to_spins, index_to_bits, spins_to_bits
+from repro.hamiltonians.base import (
+    bits_to_index,
+    bits_to_spins,
+    index_to_bits,
+    quadratic_form,
+    spins_to_bits,
+)
 
 
 def pauli_matrix(alpha, beta, couplings):
@@ -124,3 +130,54 @@ class TestDisorder:
         b = TransverseFieldIsing.random(10, seed=5)
         assert np.array_equal(a.alpha, b.alpha)
         assert np.array_equal(a.couplings, b.couplings)
+
+
+class TestQuadraticForm:
+    """``quadratic_form`` (GEMM + row dot) against the three-operand einsum
+    it replaced, at the helper and at each of its four call sites."""
+
+    EINSUM = "bi,ij,bj->b"
+
+    @staticmethod
+    def _close(got, want):
+        return np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n,batch", [(1, 1), (7, 5), (64, 33), (256, 8)])
+    def test_helper_matches_einsum(self, n, batch):
+        rng = np.random.default_rng(n)
+        z = rng.choice([-1.0, 1.0], size=(batch, n))
+        m = rng.normal(size=(n, n))  # not symmetric: the helper must not assume it
+        got = quadratic_form(z, m)
+        assert got.shape == (batch,)
+        assert self._close(got, np.einsum(self.EINSUM, z, m, z))
+
+    def test_call_sites_match_einsum(self):
+        from repro.exact.brute_force import brute_force_max_cut
+        from repro.hamiltonians import IsingQUBO, MaxCut
+
+        rng = np.random.default_rng(3)
+        n = 12
+        x = (rng.random((40, n)) < 0.5).astype(np.float64)
+        z = bits_to_spins(x)
+
+        tim = TransverseFieldIsing.random(n, seed=4)
+        pair = 0.5 * np.einsum(self.EINSUM, z, tim.couplings, z)
+        assert self._close(tim.diagonal(x), -(z @ tim.beta) - pair + tim.offset)
+
+        cut = MaxCut.random(n, seed=5)
+        agree = np.einsum(self.EINSUM, z, cut.adjacency, z)
+        want = 0.5 * (cut.total_weight - 0.5 * agree)
+        assert self._close(cut.cut_value(x), want)
+        states = index_to_bits(np.arange(2**n), n)
+        all_cuts = 0.5 * (
+            cut.total_weight
+            - 0.5 * np.einsum(self.EINSUM, 1 - 2 * states, cut.adjacency, 1 - 2 * states)
+        )
+        assert brute_force_max_cut(cut.adjacency)[0] == pytest.approx(
+            all_cuts.max(), rel=1e-12
+        )
+
+        q_mat, q_vec = rng.normal(size=(n, n)), rng.normal(size=n)
+        qubo = IsingQUBO(q_mat, q_vec, const=0.5)
+        want = np.einsum(self.EINSUM, x, qubo.Q, x) + x @ qubo.q + qubo.const
+        assert self._close(qubo.objective(x), want)

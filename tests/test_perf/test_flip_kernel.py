@@ -1,12 +1,16 @@
 """Property tests: fused single-flip log-ψ deltas match dense evaluation.
 
-The kernel's log-ratios ``log ψ(x^{(s)}) − log ψ(x)`` must agree with the
-from-scratch dense computation to 1e-10 across random deep-MADE widths,
-and ``local_energies`` must give identical answers on its fused and dense
-paths.
+The blocked, mask-aware kernel's log-ratios ``log ψ(x^{(s)}) − log ψ(x)``
+must agree to 1e-10 with the per-site loop it replaced (kept in
+``flip_oracle.py``) and with the from-scratch dense computation, across
+depths, widths on both sides of ``n−1``, both mask strategies, any list of
+sites and any block size; and ``local_energies`` must give identical
+answers on its fused and dense paths.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,24 +21,40 @@ from repro.core.energy import local_energies
 from repro.hamiltonians import MaxCut, TransverseFieldIsing
 from repro.hamiltonians.base import SingleFlipRows
 from repro.models import MADE
-from repro.perf import flip_log_ratios, forward_cache, supports_flip_kernel
+from repro.perf import flip_log_ratios, flips, forward_cache, supports_flip_kernel
 from repro.tensor.tensor import no_grad
+from tests.test_perf.flip_oracle import per_site_flip_log_ratios
 
-SETTINGS = dict(max_examples=25, deadline=None, derandomize=True)
+SETTINGS = dict(max_examples=100, deadline=None, derandomize=True)
 
 
 @st.composite
 def made_specs(draw):
     n = draw(st.integers(min_value=1, max_value=14))
     depth = draw(st.integers(min_value=1, max_value=3))
+    # Widths straddle n−1: below it some inputs feed no hidden unit, at or
+    # above it the 'cycle' degrees repeat and the layer needs a real sort.
     widths = [draw(st.integers(min_value=1, max_value=20)) for _ in range(depth)]
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    return n, widths, seed
+    strategy = draw(st.sampled_from(["cycle", "random"]))
+    return n, widths, seed, strategy
 
 
-def _build(n, widths, seed, spread=0.7):
+def any_sites(n):
+    """Unsorted, possibly repeated, possibly empty flip sites."""
+    return st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n).map(
+        lambda sites: np.array(sites, dtype=np.int64)
+    )
+
+
+def _build(n, widths, seed, strategy="cycle", spread=0.7):
     rng = np.random.default_rng(seed)
-    model = MADE(n, hidden=widths if len(widths) > 1 else widths[0], rng=rng)
+    model = MADE(
+        n,
+        hidden=widths if len(widths) > 1 else widths[0],
+        rng=rng,
+        mask_strategy=strategy,
+    )
     for p in model.parameters():
         p.data += rng.normal(size=p.shape) * spread
     return model
@@ -57,13 +77,14 @@ class TestRatioIdentity:
     @settings(**SETTINGS)
     @given(spec=made_specs(), batch=st.integers(min_value=1, max_value=16))
     def test_matches_dense_all_sites(self, spec, batch):
-        n, widths, seed = spec
-        model = _build(n, widths, seed)
+        n, widths, seed, strategy = spec
+        model = _build(n, widths, seed, strategy)
         x = (np.random.default_rng(seed + 1).random((batch, n)) < 0.5).astype(float)
         sites = np.arange(n)
         got, cache = flip_log_ratios(model, sites, x=x)
         expect = _dense_ratios(model, x, sites)
         assert np.allclose(got, expect, atol=1e-10)
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
         # The cache's log ψ is the one the training loop reuses.
         with no_grad():
             assert np.allclose(cache.log_psi, model.log_psi(x).data, atol=1e-10)
@@ -71,24 +92,63 @@ class TestRatioIdentity:
     @settings(**SETTINGS)
     @given(spec=made_specs(), data=st.data())
     def test_matches_dense_site_subsets(self, spec, data):
-        n, widths, seed = spec
-        model = _build(n, widths, seed)
+        n, widths, seed, strategy = spec
+        model = _build(n, widths, seed, strategy)
         x = (np.random.default_rng(seed + 2).random((4, n)) < 0.5).astype(float)
-        sites = np.array(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=n - 1),
-                    unique=True,
-                    max_size=n,
-                ),
-                label="sites",
-            ),
-            dtype=np.int64,
-        )
+        sites = data.draw(any_sites(n), label="sites")
         got, _ = flip_log_ratios(model, sites, x=x)
-        expect = _dense_ratios(model, x, sites)
         assert got.shape == (4, sites.size)
-        assert np.allclose(got, expect, atol=1e-10)
+        assert np.allclose(got, _dense_ratios(model, x, sites), atol=1e-10)
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
+
+    @settings(**SETTINGS)
+    @given(
+        spec=made_specs(),
+        batch=st.integers(min_value=1, max_value=16),
+        data=st.data(),
+    )
+    def test_any_block_size_gives_the_same_ratios(self, spec, batch, data):
+        """``BLOCK_ELEMS`` only sets how many sites share a GEMM: one site a
+        block (S=1), a few, or — the default at these sizes — all K of them."""
+        n, widths, seed, strategy = spec
+        model = _build(n, widths, seed, strategy)
+        x = (np.random.default_rng(seed + 3).random((batch, n)) < 0.5).astype(float)
+        sites = data.draw(any_sites(n), label="sites")
+        whole, _ = flip_log_ratios(model, sites, x=x)
+        assert np.allclose(whole, _dense_ratios(model, x, sites), atol=1e-10)
+        for block_elems in (1, 3 * batch * n):
+            with mock.patch.object(flips, "BLOCK_ELEMS", block_elems):
+                blocked, _ = flip_log_ratios(model, sites, x=x)
+            assert np.allclose(blocked, whole, atol=1e-10)
+
+    @pytest.mark.parametrize("block_elems", [1, flips.BLOCK_ELEMS])
+    def test_unmoved_logits_cancel_exactly(self, block_elems):
+        """With every ReLU dead no flip moves any logit, so each ratio is
+        the flipped site's own term — to the bit, not to roundoff: the
+        kernel must not difference two evaluations of one unchanged term."""
+        model = _build(9, [12, 7], seed=4, spread=0.1)
+        model.fc1.bias.data[:] = -50.0
+        x = (np.random.default_rng(5).random((6, 9)) < 0.5).astype(float)
+        sites = np.arange(9)
+        with mock.patch.object(flips, "BLOCK_ELEMS", block_elems):
+            got, cache = flip_log_ratios(model, sites, x=x)
+        assert np.array_equal(got, 0.5 * (1.0 - 2.0 * x) * cache.logits)
+
+    def test_inputs_no_hidden_unit_sees_cost_only_their_own_term(self):
+        """Paper shape: h = 154 < n−1 leaves inputs ≥ h feeding no hidden
+        unit, so flipping one swaps its own Bernoulli target and nothing
+        else — returned exactly, with no GEMM roundoff."""
+        n, batch = 256, 8
+        model = MADE(n, rng=np.random.default_rng(0))
+        h = model.hidden
+        assert h < n - 1
+        x = (np.random.default_rng(1).random((batch, n)) < 0.5).astype(float)
+        sites = np.arange(n)
+        got, cache = flip_log_ratios(model, sites, x=x)
+        own_term = 0.5 * (1.0 - 2.0 * x) * cache.logits
+        assert np.array_equal(got[:, h:], own_term[:, h:])
+        assert not np.array_equal(got[:, :h], own_term[:, :h])
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
 
     def test_cache_reuse(self, rng):
         model = _build(8, [30], 3)
@@ -119,6 +179,25 @@ class TestLocalEnergyPaths:
         model = _build(n, [3 * n], seed)
         ham = TransverseFieldIsing.random(n, seed=seed)
         x = (np.random.default_rng(seed).random((8, n)) < 0.5).astype(float)
+        fused = local_energies(model, ham, x, fast=True)
+        dense = local_energies(model, ham, x, fast=False)
+        assert np.allclose(fused, dense, atol=1e-9)
+
+    @settings(**SETTINGS)
+    @given(
+        n=st.integers(min_value=2, max_value=10),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_fused_equals_dense_on_pure_x_pauli(self, n, seed):
+        from repro.hamiltonians.pauli import PauliStringHamiltonian
+
+        rng = np.random.default_rng(seed)
+        flipped = rng.permutation(n)[: max(1, n // 2)]  # a subset, out of order
+        terms = [(f"X{i}", -float(rng.random())) for i in flipped]
+        terms.append((f"Z0 Z{n - 1}", 0.7))
+        ham = PauliStringHamiltonian(n, terms)
+        model = _build(n, [3 * n], seed, "random")
+        x = (rng.random((8, n)) < 0.5).astype(float)
         fused = local_energies(model, ham, x, fast=True)
         dense = local_energies(model, ham, x, fast=False)
         assert np.allclose(fused, dense, atol=1e-9)
