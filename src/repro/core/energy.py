@@ -26,6 +26,10 @@ Two equivalent estimators are provided:
   log-derivative matrix ``O`` with the centred local energies; this path is
   shared with stochastic reconfiguration which needs ``O`` anyway.
 
+Both are the serial reference forms. ``VQMC.step`` computes the same two
+estimators centred on the *global* mean (so they distribute) and is pinned
+to these bit-for-bit in ``tests/test_core/test_step_contract.py``.
+
 The centring by ``l̄`` is the standard control variate: it leaves the
 expectation unchanged (``E[∇ log ψ] = ∇ Σπ/2 = 0`` for normalised models)
 but removes the dominant variance term.

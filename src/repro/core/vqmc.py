@@ -21,6 +21,7 @@ import hashlib
 import json
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,12 +31,11 @@ from repro.core.callbacks import Callback, StopTraining
 from repro.core.energy import (
     EnergyStats,
     energy_statistics,
-    grad_from_per_sample,
-    grad_via_autograd,
     local_energies,
     local_energy_path,
 )
 from repro.hamiltonians.base import Hamiltonian
+from repro.jit import StepCompiler
 from repro.models.base import WaveFunction
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -43,7 +43,6 @@ from repro.optim.base import Optimizer
 from repro.optim.sr import StochasticReconfiguration
 from repro.samplers.base import Sampler
 from repro.utils.rng import as_generator
-from repro.utils.timer import WallClock
 
 __all__ = ["VQMC", "VQMCConfig", "StepResult", "StepDriver"]
 
@@ -82,9 +81,11 @@ class VQMCConfig:
     compile:
         ``'auto'`` (default) traces the gradient hot path once per
         (shape, dtype, parameter-structure) guard key and replays it as a
-        fused :class:`repro.jit.CompiledPlan`, silently falling back to the
-        interpreter for models the tracer cannot handle; ``'on'`` makes an
-        untraceable step an error; ``'off'`` always interprets.
+        fused :class:`repro.jit.CompiledPlan`, falling back to the
+        interpreter (counted as ``jit.fallback``) for models the tracer
+        cannot handle; ``'on'`` makes an untraceable step an error; ``'off'``
+        always interprets. The policy lives in
+        :meth:`repro.jit.StepCompiler.plan`.
     max_grad_norm:
         Optional global-norm gradient clipping (applied after SR). The
         paper clips nothing; this is the standard guard for the unstable
@@ -117,9 +118,11 @@ class StepResult:
     step_time: float
     acceptance: float
     vqmc: "VQMC" = field(repr=False, default=None)
-    #: this step's wall seconds per phase (``sample`` / ``energy`` /
-    #: ``gradient`` / ``update``) — *local* to this rank, unlike ``stats``.
-    #: The elastic supervisor's straggler rebalancing feeds on it.
+    #: this step's wall seconds per phase, keyed by the phase's span name
+    #: (``sample`` / ``gradient`` / ``local_energy`` / ``sr_solve`` /
+    #: ``optimizer``; only the phases that ran) — *local* to this rank,
+    #: unlike ``stats``. The elastic supervisor's straggler rebalancing
+    #: feeds on it.
     phase_seconds: dict = field(repr=False, default_factory=dict)
     #: which kernel measured this step's local energies: ``'fused'``
     #: (:mod:`repro.perf.flips`) or ``'dense'`` (one forward pass over all
@@ -151,16 +154,22 @@ class VQMC:
     tracer:
         Optional :class:`repro.obs.Tracer`. When given, every step emits
         nested phase spans (``step`` > ``sample`` / ``local_energy`` /
-        ``gradient`` / ``sr_solve`` / ``optimizer``) and the tracer is
-        attached to ``comm`` (collective spans), to the sampler
-        (fast-path spans) and to ``sr`` (solve sub-spans) so one per-rank
-        timeline covers the whole step.
+        ``gradient`` / ``sr_solve`` / ``optimizer``; ``sample`` and
+        ``local_energy`` carry the kernel that ran as ``path``, and each
+        plan stage inside ``gradient`` is a span the plan names —
+        ``jit.replay`` compiled, ``jit.interpret`` interpreted — with
+        ``phase`` / ``stage`` / ``batch``) and the tracer is attached to
+        ``comm`` (collective spans), to the sampler (fast-path spans) and
+        to ``sr`` (solve sub-spans) so one per-rank timeline covers the
+        whole step.
         Default: the shared disabled tracer — near-zero overhead.
     metrics:
-        Optional :class:`repro.obs.Metrics` registry. Currently forwarded
-        to ``sr`` (per-solve ``sr.*`` counters: CG iterations, collective
-        bytes, incomplete solves); snapshot it after a run and merge
-        across ranks with :func:`repro.obs.merge_snapshots`.
+        Optional :class:`repro.obs.Metrics` registry. Takes the driver's
+        path-taken counters (``energy.dense_fallback``,
+        ``sampler.naive_fallback``) and is forwarded to the step compiler
+        (``jit.*``) and to ``sr`` (per-solve ``sr.*`` counters: CG
+        iterations, collective bytes, incomplete solves); snapshot it after
+        a run and merge across ranks with :func:`repro.obs.merge_snapshots`.
     """
 
     def __init__(
@@ -199,18 +208,11 @@ class VQMC:
         self.config = config or VQMCConfig()
         self.global_step = 0
         self.diverged_steps = 0
-        #: per-phase wall-clock accounting (sample / energy / gradient /
-        #: update), cumulated over all steps — read via
-        #: ``vqmc.clock.snapshot()`` / ``vqmc.clock.summary()``.
-        self.clock = WallClock()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        #: lazily created :class:`repro.jit.StepCompiler`; one per driver.
-        self._compiler = None
-        #: sticky fallback reasons keyed by gradient path ('autograd' /
-        #: 'per_sample'): once a path proves untraceable for this model the
-        #: driver stops re-attempting compilation (compile='auto' only).
-        self._jit_fallback: dict[str, str] = {}
+        #: picks the plan (compiled or interpreted) each step's gradient
+        #: phase runs; its ``stats`` / ``fallbacks`` say which and why.
+        self.compiler = StepCompiler(model, metrics=metrics, tracer=tracer)
         if tracer is not None:
             # One timeline per rank: collectives, sampler fast paths and
             # SR solve sub-spans nest inside the step's phase spans.
@@ -241,139 +243,91 @@ class VQMC:
             )
         return mode
 
-    # -- step compilation --------------------------------------------------------
-
-    def _plan(self, x: np.ndarray, compile_mode: str, path: str):
-        """Return a :class:`repro.jit.CompiledPlan` for batch ``x`` or
-        ``None`` to run the interpreter.
-
-        ``path`` is ``'autograd'`` (scalar adjoint sweep) or ``'per_sample'``
-        (batched O-matrix). Under ``compile='auto'`` an untraceable path is
-        remembered and never re-attempted; under ``'on'`` it raises.
-        """
-        if compile_mode == "off" or path in self._jit_fallback:
-            return None
-        from repro.jit import StepCompiler, TapeDivergenceError, TraceError
-
-        if self._compiler is None:
-            self._compiler = StepCompiler(
-                self.model,
-                metrics=self.metrics,
-                tracer=None if self.tracer is NULL_TRACER else self.tracer,
-            )
-        try:
-            if path == "per_sample":
-                return self._compiler.per_sample_plan(x)
-            return self._compiler.plan_for(x)
-        except (TraceError, TapeDivergenceError) as exc:
-            if compile_mode == "on":
-                raise
-            self._jit_fallback[path] = str(exc)
-            if self.metrics is not None:
-                self.metrics.counter("jit.fallback").inc()
-            return None
-
     # -- one optimisation step -------------------------------------------------------
+
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
+
+    @contextmanager
+    def _phase(self, seconds: dict, name: str, **attrs):
+        """One phase of a step: a tracer span, and its wall seconds added to
+        ``seconds[name]`` — one timer and one name for the trace and for
+        ``StepResult.phase_seconds``."""
+        t0 = time.perf_counter()
+        try:
+            with self.tracer.span(name, **attrs) as span:
+                yield span
+        finally:
+            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
 
     def step(
         self, batch_size: int | None = None, compile: str | None = None
     ) -> StepResult:
         """Sample, estimate energy and gradient, update parameters.
 
-        ``compile`` overrides ``config.compile`` for this step
-        (``'auto'``/``'on'``/``'off'``). When the compiled path runs, the
-        forward and backward replays are wrapped in ``jit.replay`` spans
-        (with a ``phase`` attribute naming the interpreted-phase
-        equivalent) nested inside the usual phase spans.
-
-        With a tracer attached, the step emits one ``step`` span wrapping
-        the phase spans ``sample`` / ``local_energy`` / ``gradient`` /
-        ``sr_solve`` / ``optimizer`` — the decomposition behind the
-        paper's scaling tables (read it back with ``tools/trace.py``).
+        ``compile`` overrides ``config.compile`` for this step;
+        :meth:`repro.jit.StepCompiler.plan` turns it into the plan (compiled
+        or interpreted) that runs the gradient phase. The phase spans under
+        ``step`` and the keys of ``phase_seconds`` share their names: ``sample``
+        / ``local_energy`` / ``gradient`` / ``sr_solve`` / ``optimizer``.
         """
         t0 = time.perf_counter()
-        bsz = batch_size or self.config.batch_size
+        bsz = self.config.batch_size if batch_size is None else batch_size
         cmode = compile if compile is not None else self.config.compile
         if cmode not in ("auto", "on", "off"):
             raise ValueError(f"unknown compile mode {cmode!r}")
-        clock_before = {
-            k: self.clock.totals.get(k, 0.0)
-            for k in ("sample", "energy", "gradient", "update")
-        }
-        tracer = self.tracer
-        with tracer.span("step", step=self.global_step, batch=bsz):
-            with tracer.span("sample", batch=bsz), self.clock.measure("sample"):
+        phases: dict[str, float] = {}
+        with self.tracer.span("step", step=self.global_step, batch=bsz):
+            with self._phase(phases, "sample", batch=bsz) as span:
                 x = self.sampler.sample(self.model, bsz, self.rng)
-
+                sampled = self.sampler.last_stats.extras
+                self.tracer.end(span, path=sampled.get("fast_path", ""))
+            # No fast path falls back without leaving a counter behind.
+            if sampled.get("fallback"):
+                self._count("sampler.naive_fallback")
+            energy_path = local_energy_path(self.model, self.hamiltonian)
+            if energy_path == "dense":
+                self._count("energy.dense_fallback")
+            mode = self._gradient_mode()
+            per_sample = mode == "per_sample"
+            attrs = dict(phase="gradient", batch=bsz)
+            self.model.zero_grad()
             # Evaluate the amplitudes ONCE: the gradient path computes
             # log ψ(x) anyway (with a graph or alongside the O matrix), so
             # the energy step reuses it instead of its own forward pass.
-            mode = self._gradient_mode()
-            self.model.zero_grad()
-            # No fast path falls back without leaving a counter behind.
-            energy_path = local_energy_path(self.model, self.hamiltonian)
-            if energy_path == "dense" and self.metrics is not None:
-                self.metrics.counter("energy.dense_fallback").inc()
-            if mode == "autograd":
-                with tracer.span("gradient", mode=mode), self.clock.measure("gradient"):
-                    plan = self._plan(x, cmode, "autograd")
-                    if plan is not None:
-                        with tracer.span("jit.replay", phase="gradient",
-                                         stage="forward", batch=bsz):
-                            log_psi_x = plan.forward(x)
-                    else:
-                        log_psi = self.model.log_psi(x)
-                        log_psi_x = log_psi.data
-                with (
-                    tracer.span("local_energy", path=energy_path),
-                    self.clock.measure("energy"),
-                ):
-                    local = local_energies(
-                        self.model, self.hamiltonian, x, log_psi_x=log_psi_x
-                    )
-                    stats = self._combine_stats(local)
-                with tracer.span("gradient", mode=mode), self.clock.measure("gradient"):
-                    # Centre with the *global* mean and normalise by the
-                    # *global* count so distributed gradients average to the
-                    # exact big-batch estimator even with unequal per-rank
-                    # batches (e.g. after an elastic shrink).
-                    weights = 2.0 * (local - stats.mean) / stats.count
-                    if plan is not None:
-                        # Seeding the adjoint sweep with the weights is the
-                        # surrogate loss ``(log_psi * weights).sum()`` by the
-                        # chain rule — no surrogate graph is ever built.
-                        with tracer.span("jit.replay", phase="gradient",
-                                         stage="backward", batch=bsz):
-                            grad = plan.gradient(weights).copy()
-                    else:
-                        (log_psi * weights).sum().backward(free_graph=True)
-                        grad = self.model.flat_grad()
+            with self._phase(phases, "gradient", mode=mode):
+                plan = self.compiler.plan(x, per_sample, cmode)
+                if per_sample:
+                    with self.tracer.span(plan.span, stage="per_sample", **attrs):
+                        lp, o = plan.per_sample(x)
+                else:
+                    with self.tracer.span(plan.span, stage="forward", **attrs):
+                        lp = plan.forward(x)
+            with self._phase(phases, "local_energy", path=energy_path):
+                local = local_energies(self.model, self.hamiltonian, x, log_psi_x=lp)
+                stats = self._combine_stats(local)
+            # ∇L = 2⟨(l − L̄) O⟩, centred with the *global* mean and normalised
+            # by the *global* count so distributed gradients average to the
+            # exact big-batch estimator even with unequal per-rank batches.
+            with self._phase(phases, "gradient", mode=mode):
+                centred = local - stats.mean
+                if per_sample:
+                    grad = self._allreduce(2.0 * (centred @ o)) / stats.count
+                else:
+                    # the weights seed the adjoint sweep: by the chain rule
+                    # that is the surrogate loss (log_psi * weights).sum()
+                    weights = 2.0 * centred / stats.count
+                    with self.tracer.span(plan.span, stage="backward", **attrs):
+                        # copy: a compiled plan reuses its gradient buffer
+                        grad = plan.gradient(weights).copy()
                     grad = self._allreduce(grad)
-            else:
-                with tracer.span("gradient", mode=mode), self.clock.measure("gradient"):
-                    plan = self._plan(x, cmode, "per_sample")
-                    if plan is not None:
-                        with tracer.span("jit.replay", phase="gradient",
-                                         stage="per_sample", batch=bsz):
-                            lp, o = plan.per_sample(x)
-                    else:
-                        lp, o = self.model.log_psi_and_grads(x)
-                with (
-                    tracer.span("local_energy", path=energy_path),
-                    self.clock.measure("energy"),
-                ):
-                    local = local_energies(
-                        self.model, self.hamiltonian, x, log_psi_x=lp
-                    )
-                    stats = self._combine_stats(local)
-                with self.clock.measure("gradient"):
-                    with tracer.span("gradient", mode=mode):
-                        grad = self._combined_gradient(o, local, stats)
-                    if self.sr is not None:
-                        with tracer.span("sr_solve"):
-                            grad = self._natural_gradient(o, grad)
-
-            with tracer.span("optimizer"), self.clock.measure("update"):
+            if per_sample and self.sr is not None:
+                # Communicator-aware: every rank solves the identical global
+                # system, allreducing only d-vectors on the CG path.
+                with self._phase(phases, "sr_solve"):
+                    grad = self.sr.natural_gradient(o, grad, comm=self.comm)
+            with self._phase(phases, "optimizer"):
                 if self.config.max_grad_norm is not None:
                     norm = float(np.linalg.norm(grad))
                     if norm > self.config.max_grad_norm:
@@ -383,28 +337,20 @@ class VQMC:
                     self.optimizer.step()
                 else:
                     # Divergence guard: a non-finite gradient (overflowing
-                    # amplitude ratios, singular SR solve) would
-                    # irreversibly poison the parameters. Skip the update;
-                    # the step is still reported so callbacks see the
-                    # divergence in grad_norm.
+                    # ratios, singular SR solve) would poison the parameters.
+                    # Skip the update; callbacks see it in grad_norm.
                     self.diverged_steps += 1
         self.global_step += 1
-
-        acceptance = self.sampler.last_stats.acceptance_rate
-        result = StepResult(
+        return StepResult(
             step=self.global_step,
             stats=stats,
             grad_norm=float(np.linalg.norm(grad)),
             step_time=time.perf_counter() - t0,
-            acceptance=acceptance,
+            acceptance=self.sampler.last_stats.acceptance_rate,
             vqmc=self,
             energy_path=energy_path,
-            phase_seconds={
-                k: self.clock.totals.get(k, 0.0) - v
-                for k, v in clock_before.items()
-            },
+            phase_seconds=phases,
         )
-        return result
 
     # -- distributed reductions ------------------------------------------------------
 
@@ -436,23 +382,6 @@ class VQMC:
             count=int(total),
         )
 
-    def _combined_gradient(
-        self, o: np.ndarray, local: np.ndarray, stats: EnergyStats
-    ) -> np.ndarray:
-        """Globally-centred ``∇L = 2⟨(l − L̄) O⟩`` across all ranks."""
-        if self._world_size() == 1:
-            return grad_from_per_sample(o, local)
-        centred = local - stats.mean
-        partial = 2.0 * (centred @ o)
-        return self._allreduce(partial) / stats.count
-
-    def _natural_gradient(self, o: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Apply SR. The engine is communicator-aware: in parallel runs it
-        solves the identical global system on every rank, allreducing only
-        d-vectors on the CG path (see :mod:`repro.optim.sr`)."""
-        assert self.sr is not None
-        return self.sr.natural_gradient(o, grad, comm=self.comm)
-
     # -- training loop -----------------------------------------------------------------
 
     def run(
@@ -477,46 +406,12 @@ class VQMC:
         ``run`` is a convenience façade over :class:`StepDriver`; callers
         that need to pause, checkpoint, cancel, or interleave work between
         steps (the ``repro.serve`` worker pool, the elastic supervisor's
-        successor loops) should drive a :class:`StepDriver` — or the
-        :meth:`steps` generator — directly.
+        successor loops) should drive a :class:`StepDriver` directly.
         """
         driver = StepDriver(
             self, iterations, batch_size=batch_size, callbacks=callbacks
         )
         return driver.run()
-
-    def steps(
-        self,
-        iterations: int,
-        batch_size: int | None = None,
-        callbacks: Sequence[Callback] = (),
-    ):
-        """Generator form of :meth:`run`: yields each :class:`StepResult`.
-
-        Callback lifecycle matches :meth:`run` exactly (``on_run_begin``
-        before the first step, isolated ``on_crash``/``on_run_end`` on
-        exhaustion, error, *or* ``generator.close()``), so a consumer can
-        abandon the loop at any yield point and sinks still flush.
-        """
-        driver = StepDriver(
-            self, iterations, batch_size=batch_size, callbacks=callbacks
-        )
-        exc: BaseException | None = None
-        try:
-            while True:
-                result = driver.step_once()
-                if result is None:
-                    break
-                yield result
-        except GeneratorExit:
-            # generator.close() — an abandoned loop, not a crash: sinks
-            # flush their footers but on_crash is not delivered.
-            raise
-        except BaseException as err:
-            exc = err
-            raise
-        finally:
-            driver.finish(exc)
 
     # -- evaluation ---------------------------------------------------------------------
 

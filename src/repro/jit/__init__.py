@@ -10,10 +10,12 @@ package records it once and replays it as preallocated NumPy:
 - :mod:`repro.jit.fuse` — collapse (masked) linear-layer chains into
   single fused nodes with closed-form backwards;
 - :mod:`repro.jit.plan` — :class:`CompiledPlan`: buffer-arena replay,
-  flat-gradient adjoint sweep and the batched per-sample O-matrix;
+  flat-gradient adjoint sweep and the batched per-sample O-matrix — and
+  :class:`InterpretedPlan`, the same three calls run by the interpreter;
 - :mod:`repro.jit.compiler` — :class:`StepCompiler`: guard keys
-  (shape/dtype/parameter structure), transparent re-trace on miss, and
-  compiled-vs-interpreted verification.
+  (shape/dtype/parameter structure), transparent re-trace on miss,
+  compiled-vs-interpreted verification, and the ``'auto'|'on'|'off'``
+  policy (:meth:`StepCompiler.plan`) that picks which plan a step runs.
 
 Drivers normally reach this through ``VQMC.step(compile='auto'|'on'|'off')``
 rather than using the compiler directly. See ``docs/performance.md``
@@ -23,12 +25,13 @@ rather than using the compiler directly. See ``docs/performance.md``
 from repro.jit.compiler import StepCompiler
 from repro.jit.errors import TapeDivergenceError, TraceError
 from repro.jit.fuse import FusedLinear, fuse_tape
-from repro.jit.plan import CompiledPlan
+from repro.jit.plan import CompiledPlan, InterpretedPlan
 from repro.jit.tape import StepTape, TapeOp, TapeRecorder, trace
 
 __all__ = [
     "CompiledPlan",
     "FusedLinear",
+    "InterpretedPlan",
     "StepCompiler",
     "StepTape",
     "TapeDivergenceError",

@@ -1,15 +1,24 @@
 """Guarded step compilation: trace once, replay until a guard fails.
 
-:class:`StepCompiler` owns the trace → fuse → plan pipeline for one model.
+:class:`StepCompiler` owns the trace → fuse → plan pipeline for one model
+and the policy of *whether* a step is compiled. Drivers call
+:meth:`StepCompiler.plan` once per step and execute whatever it returns:
+
+- ``mode='off'`` → the :class:`~repro.jit.plan.InterpretedPlan`;
+- ``mode='auto'`` → a :class:`~repro.jit.plan.CompiledPlan`, or the
+  interpreted plan once the path (``'autograd'`` / ``'per_sample'``) has
+  proved untraceable — the reason is kept in :attr:`StepCompiler.fallbacks`,
+  ``jit.fallback`` is counted once, and compilation is never re-attempted;
+- ``mode='on'`` → a compiled plan, or the :class:`TraceError` /
+  :class:`TapeDivergenceError` that prevented one.
+
 Each call to :meth:`plan_for` checks the current **guard key** — input
 shape and dtype plus the parameter structure (object identity, shape,
 dtype per parameter) — against the cached plan:
 
 - key matches → cache hit, replay the existing plan (parameter *values*
   are read live from ``Parameter.data``, so optimizer updates never miss);
-- key differs → guard miss, transparently re-trace and re-compile;
-- the step is untraceable (:class:`TraceError`) → the caller falls back to
-  the interpreter.
+- key differs → guard miss, transparently re-trace and re-compile.
 
 Every freshly built plan is verified before first use: the forward replay
 is compared node-by-node against the interpreter's traced activations, and
@@ -19,7 +28,8 @@ and call site. With ``verify_replay=True`` the comparison re-runs on
 *every* replay (slow; for tests and debugging data-dependent control flow).
 
 Metrics (when a registry is attached): counters ``jit.trace``,
-``jit.cache_hit``, ``jit.guard_miss``; gauge ``jit.arena_bytes``.
+``jit.cache_hit``, ``jit.guard_miss``, ``jit.fallback``; gauge
+``jit.arena_bytes``.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.jit.errors import TapeDivergenceError, TraceError
-from repro.jit.plan import CompiledPlan
+from repro.jit.plan import CompiledPlan, InterpretedPlan
 from repro.jit.tape import trace
 
 __all__ = ["StepCompiler"]
@@ -71,7 +81,11 @@ class StepCompiler:
         self._fn = fn if fn is not None else model.log_psi
         self._plan: CompiledPlan | None = None
         self._guard = None
+        self._interpreted = InterpretedPlan(model)
         self.stats = {"traces": 0, "cache_hits": 0, "guard_misses": 0}
+        #: why a gradient path ('autograd' / 'per_sample') stopped being
+        #: compiled under ``mode='auto'``; sticky for the compiler's life.
+        self.fallbacks: dict[str, str] = {}
 
     # -- guards ------------------------------------------------------------------
 
@@ -103,6 +117,23 @@ class StepCompiler:
             self.metrics.counter(name).inc()
 
     # -- compilation --------------------------------------------------------------
+
+    def plan(self, x, per_sample: bool, mode: str = "auto"):
+        """The plan that executes this step's gradient phase on batch ``x``:
+        ``forward`` + ``gradient`` (scalar adjoint sweep), or ``per_sample``
+        (batched O-matrix) when ``per_sample`` is set. See the module
+        docstring for what each ``mode`` returns."""
+        path = "per_sample" if per_sample else "autograd"
+        if mode == "off" or path in self.fallbacks:
+            return self._interpreted
+        try:
+            return self.per_sample_plan(x) if per_sample else self.plan_for(x)
+        except (TraceError, TapeDivergenceError) as exc:
+            if mode == "on":
+                raise
+            self.fallbacks[path] = str(exc)
+            self._count("jit.fallback")
+            return self._interpreted
 
     def plan_for(self, x) -> CompiledPlan:
         """Return a verified plan for batch ``x``, re-tracing on guard miss.

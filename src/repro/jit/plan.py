@@ -35,7 +35,7 @@ from repro.jit.errors import TapeDivergenceError, TraceError
 from repro.jit.fuse import FusedLinear, fuse_tape
 from repro.jit.tape import StepTape
 
-__all__ = ["CompiledPlan"]
+__all__ = ["CompiledPlan", "InterpretedPlan"]
 
 _LOG2 = float(np.log(2.0))
 
@@ -84,6 +84,9 @@ class CompiledPlan:
     (``model.parameters()`` order) and may be a superset of the parameters
     the tape touches — untouched coordinates stay zero.
     """
+
+    #: name of the span a driver wraps each executed stage in
+    span = "jit.replay"
 
     def __init__(self, tape: StepTape, params):
         self.tape = tape
@@ -861,3 +864,37 @@ class CompiledPlan:
                     f"compiled replay diverged from the interpreter by {diff:.3e}",
                     op_index=node.index, op=node.op, call_site=node.call_site,
                 )
+
+
+class InterpretedPlan:
+    """The degenerate plan: :class:`CompiledPlan`'s three calls, run by the
+    interpreter on ``model`` — what :meth:`StepCompiler.plan` hands out
+    when a step is not compiled, so drivers execute one code path.
+
+    :meth:`gradient` assumes the caller zeroed the parameter gradients
+    since the last sweep (``VQMC.step`` does, once per step).
+    """
+
+    span = "jit.interpret"
+
+    def __init__(self, model):
+        self.model = model
+        self._log_psi = None  # graph-carrying output of the last forward()
+
+    def forward(self, x) -> np.ndarray:
+        """``log_psi(x)`` values; the graph is kept for :meth:`gradient`."""
+        self._log_psi = self.model.log_psi(x)
+        return self._log_psi.data
+
+    def gradient(self, seed) -> np.ndarray:
+        """Backpropagate the surrogate ``(log_psi * seed).sum()`` through
+        the last :meth:`forward`'s graph (freed here)."""
+        if self._log_psi is None:
+            raise RuntimeError("InterpretedPlan backward invoked before forward")
+        log_psi, self._log_psi = self._log_psi, None
+        (log_psi * seed).sum().backward(free_graph=True)
+        return self.model.flat_grad()
+
+    def per_sample(self, x):
+        """``(log_psi (B,), O (B, d))`` from ``model.log_psi_and_grads``."""
+        return self.model.log_psi_and_grads(x)

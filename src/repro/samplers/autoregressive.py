@@ -14,8 +14,9 @@ Two execution paths produce identical samples from identical RNG streams:
 ``last_stats`` reports both the nominal pass count and the measured
 ``forward_pass_equivalents`` so cost models see the true price, and
 ``extras['fast_path']`` records which kernel ran. A MADE that cannot take
-the fast path (``method='auto'``) falls back loudly via ``warnings.warn``
-— never silently.
+the fast path (``method='auto'``) falls back loudly — ``warnings.warn``
+plus ``extras['fallback'] = True``, which ``VQMC.step`` turns into the
+``sampler.naive_fallback`` counter — never silently.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class AutoregressiveSampler(Sampler):
             )
             return result.samples
 
-        if self.method == "auto" and _is_made(model):
+        fallback = self.method == "auto" and _is_made(model)
+        if fallback:
             warnings.warn(
                 f"{type(model).__name__} looks like a MADE but its layer "
                 "stack is not supported by the incremental kernel; falling "
@@ -115,7 +117,7 @@ class AutoregressiveSampler(Sampler):
         self._stats = SamplerStats(
             forward_passes=model.n,
             forward_pass_equivalents=float(model.n),
-            extras={"fast_path": "naive"},
+            extras={"fast_path": "naive", "fallback": fallback},
         )
         return x
 

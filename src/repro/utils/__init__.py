@@ -1,7 +1,7 @@
 """Shared utilities: RNG management, timing, table formatting."""
 
 from repro.utils.rng import RngPool, as_generator, spawn_generators
-from repro.utils.timer import Timer, WallClock
+from repro.utils.timer import Timer
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -9,6 +9,5 @@ __all__ = [
     "as_generator",
     "spawn_generators",
     "Timer",
-    "WallClock",
     "format_table",
 ]

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-__all__ = ["Timer", "WallClock"]
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -31,68 +30,3 @@ class Timer:
         assert self._start is not None
         self.elapsed = time.perf_counter() - self._start
         self._start = None
-
-
-@dataclass
-class WallClock:
-    """Accumulating named stopwatch (total seconds per label).
-
-    Read results through :meth:`snapshot` (and clear with :meth:`reset`) —
-    the same read/run/diff idiom as
-    :class:`repro.distributed.comm.CommStats`. Poking the ``totals`` dict
-    directly still works but is deprecated for external callers; snapshots
-    are plain copies, so diffing two of them is race-free even while the
-    clock keeps accumulating.
-    """
-
-    totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def measure(self, label: str) -> "_Section":
-        return _Section(self, label)
-
-    def add(self, label: str, seconds: float) -> None:
-        self.totals[label] = self.totals.get(label, 0.0) + seconds
-        self.counts[label] = self.counts.get(label, 0) + 1
-
-    def mean(self, label: str) -> float:
-        return self.totals[label] / max(1, self.counts.get(label, 0))
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """Per-label ``{"total", "count", "mean"}`` copies, sorted by label."""
-        return {
-            label: {
-                "total": self.totals[label],
-                "count": float(self.counts.get(label, 0)),
-                "mean": self.mean(label),
-            }
-            for label in sorted(self.totals)
-        }
-
-    def reset(self) -> None:
-        """Zero every label (the counterpart of ``CommStats.reset``)."""
-        self.totals.clear()
-        self.counts.clear()
-
-    def summary(self) -> str:
-        lines = []
-        for label in sorted(self.totals):
-            lines.append(
-                f"{label:<28s} total={self.totals[label]:10.4f}s "
-                f"calls={self.counts[label]:6d} mean={self.mean(label):10.6f}s"
-            )
-        return "\n".join(lines)
-
-
-class _Section:
-    def __init__(self, clock: WallClock, label: str):
-        self._clock = clock
-        self._label = label
-        self._start = 0.0
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._clock.add(self._label, time.perf_counter() - self._start)

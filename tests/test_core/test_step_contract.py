@@ -1,0 +1,129 @@
+"""The contract of ``VQMC.step``, as one table.
+
+Every way the step can run — gradient path × plan × world — is held to a
+reference step assembled from the kept oracles (``grad_via_autograd``,
+``grad_from_per_sample``, ``StochasticReconfiguration.natural_gradient``),
+none of which the driver calls:
+
+- serial + interpreted plan: bit-equal parameters;
+- compiled plan: ≤ 1e-10 (fusion may reorder float ops);
+- 2 thread ranks: the reference is the big-batch oracle on the union of the
+  ranks' samples (N-rank ≡ big-batch), equal up to summation order, so those
+  rows are held to 1e-10 as well.
+
+The same rows pin the timer contract: the keys of ``phase_seconds`` are the
+step's depth-1 span names, and the phases fit inside ``step_time``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import VQMC, VQMCConfig
+from repro.core.energy import grad_from_per_sample, grad_via_autograd, local_energies
+from repro.distributed.threads import run_threaded
+from repro.hamiltonians import TransverseFieldIsing
+from repro.models import MADE
+from repro.obs import Tracer
+from repro.optim import SGD, StochasticReconfiguration
+from repro.samplers import AutoregressiveSampler
+from repro.utils.rng import spawn_generators
+
+N, BATCH, STEPS, SEED = 6, 32, 3, 5
+
+#: row name -> (config.gradient_mode, SR on)
+PATHS = {
+    "autograd": ("autograd", False),
+    "per_sample": ("per_sample", False),
+    "per_sample+sr": ("per_sample", True),
+}
+
+
+def _parts(sr_on: bool):
+    model = MADE(N, hidden=8, rng=np.random.default_rng(7))
+    ham = TransverseFieldIsing.random(N, seed=99)
+    sr = StochasticReconfiguration() if sr_on else None
+    return model, ham, sr, SGD(model.parameters(), lr=0.05)
+
+
+def _reference(path: str, world: int) -> np.ndarray:
+    """``STEPS`` big-batch oracle steps over the ranks' sampling streams."""
+    mode, sr_on = PATHS[path]
+    model, ham, sr, opt = _parts(sr_on)
+    sampler = AutoregressiveSampler()
+    streams = spawn_generators(SEED, world)
+    for _ in range(STEPS):
+        x = np.concatenate([sampler.sample(model, BATCH, g) for g in streams])
+        local = local_energies(model, ham, x)
+        model.zero_grad()
+        if mode == "autograd":
+            grad_via_autograd(model, x, local)
+            grad = model.flat_grad()
+        else:
+            _, o = model.log_psi_and_grads(x)
+            grad = grad_from_per_sample(o, local)
+            if sr is not None:
+                grad = sr.natural_gradient(o, grad)
+        model.set_flat_grad(grad)
+        opt.step()
+    return model.flat_parameters()
+
+
+def _drive(comm, rank, path: str, compile_mode: str, world: int):
+    """``STEPS`` driver steps on one rank: final parameters, plus per step
+    (phase_seconds, step_time, that step's depth-1 span names)."""
+    mode, sr_on = PATHS[path]
+    model, ham, sr, opt = _parts(sr_on)
+    tracer = Tracer(rank=rank)
+    vq = VQMC(
+        model, ham, AutoregressiveSampler(), opt, sr=sr, comm=comm,
+        seed=spawn_generators(SEED, world)[rank],
+        config=VQMCConfig(batch_size=BATCH, gradient_mode=mode, compile=compile_mode),
+        tracer=tracer,
+    )
+    steps = []
+    for _ in range(STEPS):
+        tracer.clear()
+        result = vq.step()
+        names = {e.name for e in tracer.events if e.depth == 1}
+        steps.append((result.phase_seconds, result.step_time, names))
+    return model.flat_parameters(), steps
+
+
+@pytest.mark.parametrize("world", [1, 2], ids=["serial", "threads2"])
+@pytest.mark.parametrize("compile_mode", ["on", "off"])
+@pytest.mark.parametrize("path", list(PATHS))
+def test_step_matches_the_oracle_step(path, compile_mode, world):
+    want = _reference(path, world)
+    args = (path, compile_mode, world)
+    if world == 1:
+        ranks = [_drive(None, 0, *args)]
+    else:
+        ranks = run_threaded(_drive, world, args=args)
+    for got, steps in ranks:
+        if world == 1 and compile_mode == "off":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        for phase_seconds, step_time, span_names in steps:
+            expected = {"sample", "gradient", "local_energy", "optimizer"}
+            if path == "per_sample+sr":
+                expected.add("sr_solve")
+            assert set(phase_seconds) == span_names == expected
+            assert sum(phase_seconds.values()) <= step_time
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_non_positive_batch_size_raises(bad):
+    # `batch_size or config.batch_size` used to turn 0 into the configured
+    # size and train on it silently.
+    model, ham, _, opt = _parts(False)
+    vq = VQMC(model, ham, AutoregressiveSampler(), opt, seed=1,
+              config=VQMCConfig(batch_size=48))
+    before = model.flat_parameters()
+    with pytest.raises(ValueError, match="batch_size"):
+        vq.step(batch_size=bad)
+    with pytest.raises(ValueError, match="batch_size"):
+        vq.run(2, batch_size=bad)
+    np.testing.assert_array_equal(model.flat_parameters(), before)

@@ -294,14 +294,16 @@ class TestStepDriver:
         with pytest.raises(RuntimeError, match="finish"):
             driver.step_once()
 
-    def test_steps_generator_closes_cleanly(self, small_tim):
+    def test_abandoned_with_block_closes_cleanly(self, small_tim):
         log: list = []
         vqmc = make_vqmc(small_tim)
         history = History()
-        gen = vqmc.steps(10, batch_size=32, callbacks=[history, Recorder(log=log)])
-        next(gen)
-        next(gen)
-        gen.close()  # abandoned loop: footer yes, crash no
+        with StepDriver(
+            vqmc, 10, batch_size=32, callbacks=[history, Recorder(log=log)]
+        ) as driver:
+            driver.step_once()
+            driver.step_once()
+            # leaving early — an abandoned loop: footer yes, crash no
         assert ("cb", "end") in log
         assert not any(e[1] == "crash" for e in log)
         assert len(history) == 2

@@ -44,11 +44,15 @@ class TestParity:
         )
 
     def test_per_step_override_wins(self):
-        vq, _ = _driver("on")
+        tracer = Tracer()
+        vq, _ = _driver("on", tracer=tracer)
         vq.step(batch_size=32, compile="off")
-        assert vq._compiler is None  # 'off' never touched the compiler
+        assert vq.compiler.stats["traces"] == 0  # 'off' never traced
         vq.step(batch_size=32)
-        assert vq._compiler is not None
+        assert vq.compiler.stats["traces"] == 1
+        # ...and the trace says which plan ran each step's stages.
+        ran = [e.name for e in tracer.events if e.attrs and "stage" in e.attrs]
+        assert ran == ["jit.interpret"] * 2 + ["jit.replay"] * 2
 
 
 class TestAutoFallback:
@@ -58,8 +62,9 @@ class TestAutoFallback:
         model.log_psi = model.log_psi  # instance override → untraceable
         for _ in range(3):
             vq.step(batch_size=32)
-        assert "autograd" in vq._jit_fallback
-        assert "overrides" in vq._jit_fallback["autograd"]
+        assert list(vq.compiler.fallbacks) == ["autograd"]
+        assert "overrides" in vq.compiler.fallbacks["autograd"]
+        assert vq.compiler.stats["traces"] == 0
         # Fallback decided once, then sticky — one counter bump, not three.
         assert metrics.snapshot()["counters"]["jit.fallback"] == 1
 

@@ -103,6 +103,7 @@ class TestFallback:
         x = sampler.sample(MeanField(4, rng=rng), 16, rng)
         assert x.shape == (16, 4)
         assert sampler.last_stats.extras["fast_path"] == "naive"
+        assert not sampler.last_stats.extras["fallback"]  # naive is its path
         assert not any(
             isinstance(w.message, RuntimeWarning) for w in recwarn.list
         )
@@ -119,3 +120,4 @@ class TestFallback:
             x = sampler.sample(made, 16, rng)
         assert x.shape == (16, 4)
         assert sampler.last_stats.extras["fast_path"] == "naive"
+        assert sampler.last_stats.extras["fallback"]

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils import RngPool, Timer, WallClock, as_generator, format_table, spawn_generators
+from repro.utils import RngPool, Timer, as_generator, format_table, spawn_generators
 from repro.utils.rng import check_seeds_distinct
 from repro.utils.tables import format_cell
 
@@ -68,34 +68,6 @@ class TestTimers:
         with Timer() as t:
             time.sleep(0.01)
         assert 0.005 < t.elapsed < 1.0
-
-    def test_wallclock_accumulates(self):
-        clock = WallClock()
-        for _ in range(3):
-            with clock.measure("work"):
-                time.sleep(0.002)
-        assert clock.counts["work"] == 3
-        assert clock.totals["work"] >= 0.006
-        assert clock.mean("work") >= 0.002
-        assert "work" in clock.summary()
-
-    def test_wallclock_snapshot_is_a_detached_copy(self):
-        clock = WallClock()
-        clock.add("sample", 0.5)
-        clock.add("sample", 0.25)
-        clock.add("update", 1.0)
-        snap = clock.snapshot()
-        assert list(snap) == ["sample", "update"]  # sorted by label
-        assert snap["sample"] == {"total": 0.75, "count": 2.0, "mean": 0.375}
-        clock.add("sample", 1.0)  # later accumulation must not mutate it
-        assert snap["sample"]["total"] == 0.75
-
-    def test_wallclock_reset_zeroes_everything(self):
-        clock = WallClock()
-        clock.add("work", 1.0)
-        clock.reset()
-        assert clock.snapshot() == {}
-        assert clock.totals == {} and clock.counts == {}
 
 
 class TestTables:

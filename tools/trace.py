@@ -75,15 +75,16 @@ def _span_name(ev: dict) -> str:
     """Summary row for a span; compiled-step replay spans are attributed to
     the interpreted phase they replace.
 
-    ``VQMC.step(compile=...)`` nests ``jit.replay`` spans (with a ``phase``
-    argument naming the interpreted-phase equivalent) inside the usual phase
-    spans, so a compiled run's ``gradient`` total already *contains* the
-    replay time. Qualifying the row as ``<phase>/jit.replay`` keeps the
-    phase tables of compiled and interpreted runs directly comparable while
-    still exposing how much of the phase ran compiled.
+    ``VQMC.step`` nests one span per executed plan stage — ``jit.replay``
+    for a compiled plan, ``jit.interpret`` for the interpreter, each with a
+    ``phase`` argument — inside the usual phase spans, so a run's
+    ``gradient`` total already *contains* that time. Qualifying the row as
+    ``<phase>/jit.replay`` keeps the phase tables of compiled and
+    interpreted runs directly comparable while still exposing how much of
+    the phase ran compiled.
     """
     name = ev["name"]
-    if name in ("jit.replay", "jit.trace"):
+    if name in ("jit.replay", "jit.interpret", "jit.trace"):
         phase = ev.get("args", {}).get("phase")
         if phase:
             return f"{phase}/{name}"
