@@ -49,7 +49,7 @@ __all__ = [
 #: ``rules.distributed._COLLECTIVES``); call sites with these attribute
 #: names are protocol events and are never resolved into user code.
 COLLECTIVES = frozenset(
-    {"allreduce", "broadcast", "allgather", "reduce", "barrier", "split"}
+    {"allreduce", "broadcast", "allgather", "alltoall", "reduce", "barrier", "split"}
 )
 
 #: point-to-point / control primitives, likewise treated as atomic.

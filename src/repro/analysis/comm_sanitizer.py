@@ -84,6 +84,7 @@ _KIND_IDS = {
     "allgather": 3.0,
     "reduce": 4.0,
     "barrier": 5.0,
+    "alltoall": 6.0,
 }
 _KIND_NAMES = {v: k for k, v in _KIND_IDS.items()}
 _OP_IDS = {"": 0.0, "sum": 1.0, "mean": 2.0, "max": 3.0, "min": 4.0, "prod": 5.0}
@@ -102,6 +103,7 @@ _FRAME_MAGIC = float(np.frombuffer(b"REPROSAN", dtype=np.float64)[0])
 #: collectives safe for deferred validation: ring traffic flows strictly
 #: rank -> rank+1, so completion implies every rank entered, and the
 #: right-neighbour frame channel (rank -> rank-1) carries only frames.
+#: (``alltoall`` sends payload on every channel, so it validates eagerly.)
 _DEFERRED_KINDS = frozenset({"allreduce", "allgather"})
 
 
@@ -391,6 +393,11 @@ class CommSanitizer(Communicator):
                     self._deferred.append(raw)
         except NotImplementedError:
             return False
+        except CommTimeoutError:
+            # A channel whose peer is gone polls as ready and fails the
+            # read; the collective's own hops hit the same wall and
+            # _diagnose then names the silent peer.
+            pass
         return True
 
     def _await_frame(self, record: CollectiveRecord) -> None:
@@ -484,6 +491,12 @@ class CommSanitizer(Communicator):
     def allgather(self, array: np.ndarray) -> list[np.ndarray]:
         record = self._record("allgather", array)
         return self._run(record, lambda: Communicator.allgather(self, array))
+
+    def alltoall(self, blocks) -> np.ndarray:
+        # Block shapes legitimately differ between ranks; what must agree
+        # is that every rank brought one block per rank.
+        record = self._record("alltoall", np.empty(len(blocks)))
+        return self._run(record, lambda: Communicator.alltoall(self, blocks))
 
     def reduce(
         self, array: np.ndarray, root: int = 0, op: str = "sum"

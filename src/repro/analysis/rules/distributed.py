@@ -17,7 +17,7 @@ from typing import Iterable
 from repro.analysis.lint import Finding, LintContext, ProjectRule, Rule, register
 
 #: Communicator methods that are collective (every rank must participate)
-_COLLECTIVES = {"allreduce", "broadcast", "allgather", "reduce", "barrier", "split"}
+_COLLECTIVES = {"allreduce", "broadcast", "allgather", "alltoall", "reduce", "barrier", "split"}
 
 
 def _mentions_rank(node: ast.AST) -> bool:

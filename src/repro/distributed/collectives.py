@@ -13,6 +13,8 @@ These mirror the classic MPI/NCCL algorithms:
 - :func:`tree_broadcast` / :func:`tree_reduce` — binomial trees,
   ``log₂ L`` rounds.
 - :func:`ring_allgather`.
+- :func:`pairwise_alltoall` — ``L-1`` shifted pairwise exchanges, each
+  block streamed as bounded row frames straight into the stacked result.
 
 All functions assume ``comm.send`` is eager (non-blocking w.r.t. the peer's
 sends) as documented on :class:`repro.distributed.comm.Communicator`, so
@@ -23,9 +25,11 @@ ring steps where every rank sends before receiving cannot deadlock.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 
-from repro.distributed.comm import Communicator, ReduceOp
+from repro.distributed.comm import Communicator, OwnedFrame, ReduceOp
 
 __all__ = [
     "ring_allreduce",
@@ -34,9 +38,19 @@ __all__ = [
     "tree_broadcast",
     "tree_reduce",
     "ring_allgather",
+    "pairwise_alltoall",
     "gather",
     "scatter",
 ]
+
+
+#: alltoall streams a block as row frames of at most this many bytes, so the
+#: copies in flight (the sender's, the pickled one, the receiver's) stay
+#: small against the block. Measured on 2 process ranks exchanging 2.9 MB
+#: each way: whole-block messages raise a step's peak RSS by a quarter,
+#: 512 KiB frames by 1 %; 256 KiB frames cost 3 ms more per exchange (11 vs
+#: 7.6 ms) for 0.7 % less.
+ALLTOALL_FRAME_BYTES = 1 << 19
 
 
 def _chunks(n_elems: int, parts: int) -> list[slice]:
@@ -218,3 +232,51 @@ def ring_allgather(comm: Communicator, array: np.ndarray) -> list[np.ndarray]:
         current = comm.recv(left)
         out[(rank - t - 1) % size] = current.copy()
     return out  # type: ignore[return-value]
+
+
+def _row_frames(block: np.ndarray) -> list[slice]:
+    """Row ranges of ``block`` holding at most ``ALLTOALL_FRAME_BYTES`` each
+    (at least one row; none for an empty block)."""
+    if block.size == 0:
+        return []
+    rows = max(1, ALLTOALL_FRAME_BYTES // block[0].nbytes)
+    return [slice(a, a + rows) for a in range(0, len(block), rows)]
+
+
+def pairwise_alltoall(comm: Communicator, blocks: list[np.ndarray]) -> np.ndarray:
+    """``blocks[p]`` to every rank ``p``; returns what arrived, stacked along
+    axis 0 in rank order.
+
+    Row counts travel first (one float per peer), so the result is
+    allocated once and every frame lands in its final place. Step ``t``
+    sends to ``rank + t`` while receiving from ``rank - t``, frame by
+    frame, so neither side queues a whole block.
+    """
+    size, rank = comm.size, comm.rank
+    own = blocks[rank]
+    for t in range(1, size):
+        dest = (rank + t) % size
+        comm.send(dest, np.array([float(len(blocks[dest]))]))
+    counts = [len(own)] * size
+    for t in range(1, size):
+        src = (rank - t) % size
+        counts[src] = int(comm.recv(src)[0])
+    ends = np.cumsum(counts)
+    out = np.empty((ends[-1], *own.shape[1:]))
+    out[ends[rank] - counts[rank] : ends[rank]] = own
+
+    for t in range(1, size):
+        dest, src = (rank + t) % size, (rank - t) % size
+        outgoing = blocks[dest]
+        incoming = out[ends[src] - counts[src] : ends[src]]
+        for send_rows, recv_rows in zip_longest(
+            _row_frames(outgoing), _row_frames(incoming)
+        ):
+            if send_rows is not None:
+                # The frame is this function's own copy, so the backend
+                # need not copy it again.
+                frame = np.array(outgoing[send_rows], order="C")
+                comm.send(dest, frame.view(OwnedFrame))
+            if recv_rows is not None:
+                incoming[recv_rows] = comm.recv(src)
+    return out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -261,8 +261,7 @@ class Communicator:
 
     # -- collectives (default implementations) ----------------------------------
 
-    def _count_collective(self, array: np.ndarray) -> int:
-        nbytes = int(array.nbytes)
+    def _count_collective(self, nbytes: int) -> int:
         s = self.stats
         s.collective_calls += 1
         s.collective_bytes += nbytes
@@ -272,7 +271,7 @@ class Communicator:
         from repro.distributed import collectives
 
         array = np.ascontiguousarray(array, dtype=np.float64)
-        nbytes = self._count_collective(array)
+        nbytes = self._count_collective(array.nbytes)
         with self.tracer.span(
             "comm.allreduce", bytes=nbytes, op=op, algorithm=self.algorithm
         ):
@@ -296,7 +295,7 @@ class Communicator:
         from repro.distributed import collectives
 
         array = np.ascontiguousarray(array, dtype=np.float64)
-        nbytes = self._count_collective(array)
+        nbytes = self._count_collective(array.nbytes)
         with self.tracer.span("comm.broadcast", bytes=nbytes, root=root):
             if self.size == 1:
                 return array.copy()
@@ -306,18 +305,45 @@ class Communicator:
         from repro.distributed import collectives
 
         array = np.ascontiguousarray(array, dtype=np.float64)
-        nbytes = self._count_collective(array)
+        nbytes = self._count_collective(array.nbytes)
         with self.tracer.span("comm.allgather", bytes=nbytes):
             if self.size == 1:
                 return [array.copy()]
             return collectives.ring_allgather(self, array)
+
+    def alltoall(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Personalised exchange: ``blocks[p]`` goes to rank ``p``.
+
+        Returns the blocks addressed to this rank, stacked along axis 0 in
+        rank order (``MPI_Alltoallv`` with rank-ordered displacements).
+        Blocks may differ in rows, and be empty; the blocks addressed to
+        one rank — its own ``blocks[rank]`` among them — must agree in
+        every other dimension. With ``blocks[p] = local_rows[:, cols_p]``
+        this turns a row-sharded matrix into a column-sharded one.
+        ``collective_bytes`` counts what goes to peers, not the own block.
+        """
+        from repro.distributed import collectives
+
+        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        if len(blocks) != self.size or any(b.ndim == 0 for b in blocks):
+            raise ValueError(
+                f"alltoall needs one array of >= 1 dimension per rank "
+                f"({self.size}), got {[b.shape for b in blocks]}"
+            )
+        nbytes = self._count_collective(
+            sum(b.nbytes for p, b in enumerate(blocks) if p != self.rank)
+        )
+        with self.tracer.span("comm.alltoall", bytes=nbytes):
+            if self.size == 1:
+                return blocks[0].copy()
+            return collectives.pairwise_alltoall(self, blocks)
 
     def reduce(self, array: np.ndarray, root: int = 0, op: str = "sum") -> np.ndarray | None:
         """Reduce to ``root``; other ranks return None."""
         from repro.distributed import collectives
 
         array = np.ascontiguousarray(array, dtype=np.float64)
-        nbytes = self._count_collective(array)
+        nbytes = self._count_collective(array.nbytes)
         with self.tracer.span("comm.reduce", bytes=nbytes, op=op, root=root):
             if self.size == 1:
                 return array.copy()

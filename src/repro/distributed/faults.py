@@ -337,6 +337,7 @@ class MismatchedCollectiveInjector(Communicator):
         "allreduce": "broadcast",
         "broadcast": "allreduce",
         "allgather": "allreduce",
+        "alltoall": "allreduce",
         "reduce": "broadcast",
         "barrier": "allreduce",
     }
@@ -391,13 +392,17 @@ class MismatchedCollectiveInjector(Communicator):
         target = swapped or kind
         if target == "barrier":
             return self.inner.barrier()
-        payload = np.zeros(1) if array is None else array
+        payload = array
+        if array is None or (swapped and kind == "alltoall"):
+            payload = np.zeros(1)  # a list of blocks is no array to swap in
         if target == "allreduce":
             return self.inner.allreduce(payload, op=kwargs.get("op", "sum"))
         if target == "broadcast":
             return self.inner.broadcast(payload, root=kwargs.get("root", 0))
         if target == "allgather":
             return self.inner.allgather(payload)
+        if target == "alltoall":
+            return self.inner.alltoall(payload)
         if target == "reduce":
             return self.inner.reduce(
                 payload, root=kwargs.get("root", 0), op=kwargs.get("op", "sum")
@@ -412,6 +417,9 @@ class MismatchedCollectiveInjector(Communicator):
 
     def allgather(self, array: np.ndarray) -> list[np.ndarray]:
         return self._run("allgather", array)
+
+    def alltoall(self, blocks) -> np.ndarray:
+        return self._run("alltoall", blocks)
 
     def reduce(
         self, array: np.ndarray, root: int = 0, op: str = "sum"

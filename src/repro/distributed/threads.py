@@ -30,6 +30,10 @@ from repro.distributed.comm import (
 
 __all__ = ["ThreadCommunicator", "make_thread_group", "run_threaded"]
 
+#: what :func:`run_threaded` leaves in every peer's mailbox when a rank's
+#: worker function has returned or raised: nothing more will come from it
+_PEER_EXITED = object()
+
 
 class ThreadCommunicator(Communicator):
     """One rank's endpoint of a thread group (see :func:`make_thread_group`).
@@ -92,6 +96,14 @@ class ThreadCommunicator(Communicator):
                 f"rank {self._rank}: no message from rank {source} "
                 f"within {timeout}s"
             ) from None
+        if out is _PEER_EXITED:
+            # Same instant diagnosis as the pipe backend's EOF; the marker
+            # goes back (it is the channel's last item) for later receives.
+            inbox.put(_PEER_EXITED)
+            raise CommTimeoutError(
+                f"rank {self._rank}: rank {source} will send nothing more "
+                "(peer exited)"
+            )
         self._count_recv(out)
         return out
 
@@ -159,8 +171,14 @@ def run_threaded(
     :class:`WorkerFailure`, which attributes every traceback to its rank
     instead of hiding the root cause behind a generic timeout. A timeout
     with *no* failed rank stays a :class:`CommTimeoutError`.
+
+    A rank whose ``fn`` has returned or raised marks its outgoing channels,
+    so a peer still receiving from it gets everything sent before the exit,
+    in order, and then an immediate :class:`CommTimeoutError` instead of
+    waiting out its timeout.
     """
     comms = make_thread_group(world_size)
+    mailboxes = comms[0]._mailboxes
     results: list[Any] = [None] * world_size
     errors: list[BaseException | None] = [None] * world_size
     tracebacks: list[str | None] = [None] * world_size
@@ -171,6 +189,10 @@ def run_threaded(
         except BaseException as exc:  # noqa: BLE001 — propagated to caller
             errors[rank] = exc
             tracebacks[rank] = traceback.format_exc()
+        finally:
+            for peer in range(world_size):
+                if peer != rank:
+                    mailboxes[peer][rank].put(_PEER_EXITED)
 
     threads = [
         threading.Thread(target=target, args=(r,), daemon=True)

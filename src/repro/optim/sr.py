@@ -19,11 +19,34 @@ Two solver paths:
 
 - ``dense``: build S explicitly, ``scipy.linalg.solve`` (assume_a='pos').
   Right choice when ``d ≲ 2000``.
-- ``cg``: matrix-free conjugate gradient with the centred matvec
-  ``S v = Ocᵀ (Oc v) / B`` — O(Bd) per iteration, never forms S. Right
-  choice for large models.
+- ``cg``: conjugate gradients that never form S. One loop (:func:`_cg`),
+  run in whichever coordinates make the problem smaller (see below).
 
 ``solver='auto'`` switches on dimension.
+
+Two coordinate systems for CG
+-----------------------------
+``S + λI = λI + OcᵀOc/N`` has rank ``N`` plus a multiple of the identity,
+and with ``Q = [Oc; F]`` (the ``N`` centred rows, and the right-hand side
+``F`` as one more row so that *any* ``F`` is representable) every CG vector
+lies in the row space of ``Q``:
+
+- **parameter space** — vectors are d-vectors, the matvec is
+  ``Ocᵀ(Oc v)/N + λv``: two passes over the (N×d) ``Oc`` per iteration.
+- **sample space** — vectors are ``Qᵀw`` with ``w`` an (N+1)-vector. After
+  *one* Gram product ``G = QQᵀ`` the matvec is ``A(Qᵀw) = Qᵀ(E·Gw/N + λw)``
+  (``E`` zeroes the last row) and inner products are ``w₁ᵀGw₂``, so an
+  iteration costs a few (N+1)² products and the result ``δ = Qᵀw`` is one
+  more pass over ``Oc``. In exact arithmetic the iterates are those of
+  parameter space; in floating point the two drift apart as fast as CG
+  drifts from itself under a last-digit change of ``O`` (≈1e-14 after a
+  dozen iterations, ≈1e-3 after 32 on an ill-conditioned VQMC system).
+
+The Gram product costs about ``N/2`` parameter-space iterations, so sample
+space is taken iff ``N < d`` and ``N ≤ 16·cg_maxiter`` (any ``N < d`` when
+``cg_maxiter`` is None) — both read off the solve's own inputs;
+:data:`SAMPLE_ROWS_PER_ITERATION` sits at the low end of the measured
+break-even (see docs/performance.md). The space a solve took is ``SRSolveInfo.space``.
 
 Distributed solves
 ------------------
@@ -37,18 +60,22 @@ shard:
   count in a single collective;
 - the dense path allreduces the local ``Ocᵀ Oc`` (d×d — inherent to
   materialising S, and only ever chosen when ``d`` is small);
-- the CG path is **matrix-free end to end**: each matvec computes the
-  local ``Ocᵀ(Oc v)`` and allreduces that *d-vector* — per-solve
-  communication is O(d·iters), never O(d²). This is the jVMC /
-  scalable-NQS scheme and the reason SR scales to the paper's
-  10,000-dimensional problems.
+- parameter-space CG allreduces one *d-vector* per matvec — O(d·iters)
+  per solve, never O(d²);
+- sample-space CG transposes the sharding instead: one ``alltoall`` gives
+  each rank the column block ``[lo:hi)`` of **all** ``N`` rows, the ranks
+  allreduce their partial ``(N+1)²`` Gram matrices, run the identical
+  small recurrence, and assemble ``δ`` by one allreduce of the
+  zero-padded shard — four collectives per solve whatever the iteration
+  count, ``N_r·(d − d/L) + (N+1)² + 2d`` floats, and the Gram product is
+  split ``L`` ways.
 
 Every rank receives identical allreduce results (the collective algorithms
 are cross-rank bit-reproducible for ``sum``), so all ranks run the same CG
 iterates, terminate at the same iteration, and issue congruent collective
 sequences — checked under :class:`repro.analysis.CommSanitizer` in the
-tests. Solver resolution (``'auto'``) depends only on ``d``, which is
-identical everywhere by construction.
+tests. Solver and space resolution depend only on ``d`` and the global
+sample count, which are identical everywhere by construction.
 
 Every solve records an :class:`SRSolveInfo` in :attr:`last_solve`
 (resolved solver, CG iterations, relative residual, incomplete flag,
@@ -58,38 +85,62 @@ is attached, bumps the ``sr.*`` counters.
 
 from __future__ import annotations
 
-import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["StochasticReconfiguration", "SRSolveInfo"]
 
+#: sample-space CG pays one Gram product up front, worth about N/2 of the
+#: parameter-space iterations it replaces, so it wins while the iteration
+#: budget is not small against N. Measured break-even at d = 11 158 is
+#: N/k ≈ 24–40 rows per iteration with one BLAS thread and ≈ 16 with two
+#: (docs/performance.md). 16 sits at the low end: at the boundary the two
+#: cost about the same, below it sample space is up to 2–4× cheaper.
+SAMPLE_ROWS_PER_ITERATION = 16
 
-def _cg(op, b: np.ndarray, tol: float, maxiter: int | None):
-    """``scipy.sparse.linalg.cg`` with an iteration counter and a version shim.
 
-    SciPy renamed the relative tolerance from ``tol`` to ``rtol`` in 1.12;
-    passing the wrong keyword TypeErrors, so the name is resolved from the
-    live signature. Returns ``(solution, info, iterations)``.
+def _cg(apply, inner, b: np.ndarray, tol: float, maxiter: int | None):
+    """Conjugate gradients from ``x₀ = 0`` in any coordinate system.
+
+    ``apply(v)`` is the operator and ``inner(u, v)`` the inner product it is
+    symmetric positive definite under — ``np.dot`` for d-vectors, ``uᵀGv``
+    for sample-space coefficients. Stops once ``‖r‖ ≤ tol·‖b‖`` or after
+    ``maxiter`` iterations (default ``10·len(b)``); the recurrence is
+    SciPy's ``sparse.linalg.cg`` operation for operation.
+
+    Returns ``(x, iterations, relative residual, converged)``; the residual
+    is the recurrence's own ``‖r‖/‖b‖``, which costs no extra matvec.
     """
+    if maxiter is None:
+        maxiter = 10 * b.size
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = b.copy()
+    rho = rho0 = inner(r, r)
+    stop = tol * tol * rho0
     iterations = 0
-
-    def _count(_xk) -> None:
-        nonlocal iterations
+    while rho > stop and iterations < maxiter:
+        q = apply(p)
+        curvature = inner(p, q)
+        if curvature <= 0.0:
+            # The operator is positive definite, so only rounding gets here:
+            # the residual is below what these coordinates can resolve.
+            break
+        alpha = rho / curvature
+        x += alpha * p
+        r -= alpha * q
+        rho_next = inner(r, r)
+        p *= rho_next / rho
+        p += r
+        rho = rho_next
         iterations += 1
-
-    kwargs = {"atol": 0.0, "maxiter": maxiter, "callback": _count}
-    if "rtol" in inspect.signature(scipy.sparse.linalg.cg).parameters:
-        kwargs["rtol"] = tol
-    else:  # SciPy < 1.12 spelled the relative tolerance 'tol'
-        kwargs["tol"] = tol
-    sol, info = scipy.sparse.linalg.cg(op, b, **kwargs)
-    return sol, info, iterations
+    residual = math.sqrt(max(rho, 0.0) / rho0) if rho0 > 0.0 else 0.0
+    return x, iterations, residual, rho <= stop
 
 
 @dataclass(frozen=True)
@@ -109,13 +160,18 @@ class SRSolveInfo:
         CG iterations taken (0 on the dense path).
     residual:
         Relative residual ``‖(S + λI)δ − F‖ / ‖F‖`` of the returned
-        direction against the global system.
+        direction against the global system (computed for dense solves,
+        the recurrence's own for CG).
     incomplete:
         CG stopped at ``cg_maxiter`` before reaching ``cg_tol`` (the
         partial iterate is still a descent direction and is returned).
     comm_bytes:
         Collective payload bytes this solve moved (0 in serial solves):
-        O(d·iters) for CG, O(d²) for dense.
+        O(d²) for dense, O(d·iters) for parameter-space CG, and
+        ``N_r·(d − d/L) + (N+1)² + 2d`` floats for sample-space CG.
+    space:
+        Coordinates the CG ran in — ``'sample'`` or ``'parameter'`` — and
+        ``''`` for dense solves.
     """
 
     solver: str
@@ -126,6 +182,7 @@ class SRSolveInfo:
     residual: float
     incomplete: bool
     comm_bytes: int
+    space: str = ""
 
 
 class StochasticReconfiguration:
@@ -141,7 +198,10 @@ class StochasticReconfiguration:
     dense_threshold:
         Parameter-count crossover for ``'auto'``.
     cg_tol, cg_maxiter:
-        Conjugate-gradient stopping controls (matrix-free path).
+        Conjugate-gradient stopping controls: relative residual and
+        iteration budget (default ten times the dimension of the
+        coordinates the solve runs in). They mean the same in sample and
+        parameter space, which share one recurrence.
 
     Attributes
     ----------
@@ -158,8 +218,9 @@ class StochasticReconfiguration:
         :meth:`attach_tracer` — the VQMC driver does this for you.
     metrics:
         Optional :class:`repro.obs.Metrics`; when set, each solve bumps
-        ``sr.solves`` / ``sr.cg_iterations`` / ``sr.cg_incomplete`` /
-        ``sr.comm_bytes`` and gauges ``sr.residual``.
+        ``sr.solves`` / ``sr.sample_space_solves`` / ``sr.cg_iterations``
+        / ``sr.cg_incomplete`` / ``sr.comm_bytes`` and gauges
+        ``sr.residual``.
     """
 
     tracer: Tracer = NULL_TRACER
@@ -201,21 +262,20 @@ class StochasticReconfiguration:
     # -- centring and the matrix-free operator -----------------------------------
 
     @staticmethod
-    def _center(o: np.ndarray, comm) -> tuple[np.ndarray, int]:
-        """Centre ``O`` with the (global) mean; return ``(Oc, total_count)``.
+    def _mean(o: np.ndarray, comm) -> tuple[np.ndarray, int]:
+        """The (global) column mean of ``O`` and the (global) row count.
 
-        With a communicator the mean is the **global** one — allreducing
-        the length-``d+1`` vector ``[Σ_local O, B_local]`` yields both the
-        column sums and the global sample count in one collective.
+        With a communicator, allreducing the length-``d+1`` vector
+        ``[Σ_local O, B_local]`` yields both in one collective.
         """
         bsz, d = o.shape
         if comm is None or comm.size == 1:
-            return o - o.mean(axis=0, keepdims=True), bsz
+            return o.mean(axis=0), bsz
         sums = comm.allreduce(
             np.concatenate([o.sum(axis=0), [float(bsz)]]), op="sum"
         )
         total = int(round(sums[-1]))
-        return o - sums[:d] / total, total
+        return sums[:d] / total, total
 
     def fisher_operator(self, per_sample_o: np.ndarray, comm=None):
         """The action of ``(S + λI)`` on d-vectors, matrix-free.
@@ -227,9 +287,8 @@ class StochasticReconfiguration:
         ``tests/test_optim/test_sr_distributed.py``) at O(d) communication.
         """
         o = np.asarray(per_sample_o, dtype=np.float64)
-        oc, total = self._center(o, comm)
-        matvec = self._matvec_from(oc, total, comm)
-        return matvec, total
+        mean, total = self._mean(o, comm)
+        return self._matvec_from(o - mean, total, comm), total
 
     def _matvec_from(self, oc: np.ndarray, total: int, comm):
         distributed = comm is not None and comm.size > 1
@@ -241,6 +300,55 @@ class StochasticReconfiguration:
             return sv / total + self.diag_shift * v
 
         return matvec
+
+    def _solve_in_sample_space(
+        self, o: np.ndarray, mean: np.ndarray, total: int, grad: np.ndarray, comm
+    ):
+        """CG on the coefficients ``w`` of ``Qᵀw``, ``Q = [Oc; grad]``.
+
+        A rank of a distributed solve works on its column block of all
+        ``total`` rows (``alltoall`` of the raw columns, centred in place on
+        arrival, so the full ``Oc`` never exists); the partial Gram
+        matrices and the zero-padded shards of ``δ`` are summed over ranks.
+        Same return as :func:`_cg`.
+        """
+        d = o.shape[1]
+        distributed = comm is not None and comm.size > 1
+        if distributed:
+            bounds = np.linspace(0, d, comm.size + 1).astype(int)
+            lo, hi = bounds[comm.rank], bounds[comm.rank + 1]
+            rows = comm.alltoall([o[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])])
+            rows -= mean[lo:hi]
+            f = grad[lo:hi]
+        else:
+            rows, f = o - mean, grad
+
+        n = total
+        gram = np.empty((n + 1, n + 1))
+        gram[:n, :n] = rows @ rows.T
+        gram[:n, n] = gram[n, :n] = rows @ f
+        gram[n, n] = f @ f
+        if distributed:
+            gram = comm.allreduce(gram, op="sum")
+
+        def apply(w: np.ndarray) -> np.ndarray:
+            out = gram @ w
+            out[n] = 0.0  # Oc has no row for the right-hand side
+            out /= n
+            out += self.diag_shift * w
+            return out
+
+        rhs = np.zeros(n + 1)
+        rhs[n] = 1.0
+        w, iterations, residual, converged = _cg(
+            apply, lambda u, v: u @ (gram @ v), rhs, self.cg_tol, self.cg_maxiter
+        )
+        sol = rows.T @ w[:n] + w[n] * f
+        if distributed:
+            padded = np.zeros(d)
+            padded[lo:hi] = sol
+            sol = comm.allreduce(padded, op="sum")
+        return sol, iterations, residual, converged
 
     # -- solve -------------------------------------------------------------------
 
@@ -259,10 +367,12 @@ class StochasticReconfiguration:
         comm:
             Optional communicator. When given (and ``size > 1``), the
             solve targets the global system over all ranks' samples:
-            the CG path allreduces only d-vectors (one per iteration);
-            the dense path allreduces the d×d moment matrix. All solver
-            selection (``'auto'``/``'dense'``/``'cg'``) and CG controls
-            behave identically in serial and parallel.
+            parameter-space CG allreduces one d-vector per iteration,
+            sample-space CG exchanges column blocks once and allreduces
+            an ``(N+1)²`` Gram matrix; the dense path allreduces the d×d
+            moment matrix. All solver selection
+            (``'auto'``/``'dense'``/``'cg'``) and CG controls behave
+            identically in serial and parallel.
         """
         o = np.asarray(per_sample_o, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
@@ -281,10 +391,12 @@ class StochasticReconfiguration:
             solver = "dense" if d <= self.dense_threshold else "cg"
 
         with tracer.span("sr.center", d=d, distributed=distributed):
-            oc, total = self._center(o, comm)
+            mean, total = self._mean(o, comm)
 
         if solver == "dense":
+            space = ""
             with tracer.span("sr.dense", d=d, distributed=distributed):
+                oc = o - mean
                 s = oc.T @ oc
                 if distributed:
                     s = comm.allreduce(s, op="sum")
@@ -297,19 +409,25 @@ class StochasticReconfiguration:
                 )
             iterations, incomplete = 0, False
         else:
-            matvec = self._matvec_from(oc, total, comm)
-            op = scipy.sparse.linalg.LinearOperator((d, d), matvec=matvec)
-            with tracer.span("sr.cg", d=d, distributed=distributed):
-                sol, info, iterations = _cg(op, grad, self.cg_tol, self.cg_maxiter)
-                # One extra matvec for the residual — 1/iters overhead,
-                # and it keeps "incomplete" quantified, not just flagged.
-                residual = float(
-                    np.linalg.norm(matvec(sol) - grad)
-                    / max(np.linalg.norm(grad), np.finfo(np.float64).tiny)
-                )
-            # info > 0: CG hit maxiter; the partial solution is still a
-            # descent direction (S is PSD + λI), so use it but record it.
-            incomplete = info > 0
+            # The global count, like d, is the same on every rank.
+            budget = self.cg_maxiter
+            sample = total < d and (
+                budget is None or total <= SAMPLE_ROWS_PER_ITERATION * budget
+            )
+            space = "sample" if sample else "parameter"
+            with tracer.span("sr.cg", d=d, distributed=distributed, space=space):
+                if sample:
+                    sol, iterations, residual, converged = (
+                        self._solve_in_sample_space(o, mean, total, grad, comm)
+                    )
+                else:
+                    sol, iterations, residual, converged = _cg(
+                        self._matvec_from(o - mean, total, comm),
+                        np.dot, grad, self.cg_tol, budget,
+                    )
+            # Out of budget: the partial solution is still a descent
+            # direction (S is PSD + λI), so use it but record it.
+            incomplete = not converged
 
         self.last_cg_incomplete = incomplete
         comm_bytes = (
@@ -324,10 +442,13 @@ class StochasticReconfiguration:
             residual=residual,
             incomplete=incomplete,
             comm_bytes=comm_bytes,
+            space=space,
         )
         metrics = self.metrics
         if metrics is not None:
             metrics.inc("sr.solves")
+            if space == "sample":
+                metrics.inc("sr.sample_space_solves")
             metrics.inc("sr.cg_iterations", iterations)
             if incomplete:
                 metrics.inc("sr.cg_incomplete")

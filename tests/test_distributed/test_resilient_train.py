@@ -189,10 +189,12 @@ def _raise_on_rank_1(comm, rank):
     return "ok"
 
 
-def _wedge_rank_0(comm, rank):
+def _wedge_ranks_0_and_2(comm, rank):
     if rank == 1:
         raise ValueError("boom-42")
-    comm.recv(1, timeout=30.0)  # blocks far past the runner's deadline
+    # Ranks 0 and 2 wait on each other, far past the runner's deadline. (A
+    # wait on rank 1 would not wedge: its exit fails that recv at once.)
+    comm.recv(2 - rank, timeout=30.0)
     return None
 
 
@@ -203,10 +205,10 @@ class TestWorkerFailureAttribution:
 
     def test_threads_wedged_rank_reported_alongside_failure(self):
         with pytest.raises(WorkerFailure) as info:
-            run_threaded(_wedge_rank_0, 2, timeout=2.0)
+            run_threaded(_wedge_ranks_0_and_2, 3, timeout=2.0)
         assert list(info.value.failures) == [1]
         assert "boom-42" in info.value.failures[1]
-        assert info.value.wedged == [0]
+        assert info.value.wedged == [0, 2]
         assert "rank 1" in str(info.value)
 
     def test_processes_attribute_rank_and_traceback(self):
@@ -218,11 +220,10 @@ class TestWorkerFailureAttribution:
 
     def test_threads_pure_wedge_times_out(self):
         def worker(comm, rank):
-            if rank == 0:
-                comm.recv(1, timeout=30.0)
-            return None
+            # each waits on the other: nobody fails, nobody exits
+            comm.recv(1 - rank, timeout=30.0)
 
-        with pytest.raises(CommTimeoutError, match=r"ranks \[0\]"):
+        with pytest.raises(CommTimeoutError, match=r"ranks \[0, 1\]"):
             run_threaded(worker, 2, timeout=1.0)
 
 

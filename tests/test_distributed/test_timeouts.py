@@ -9,7 +9,9 @@ exact shape of the timeout message, so these contracts are pinned here:
 - threads/mp: recv raises :class:`CommTimeoutError` only after the
   deadline, with the ``"rank {r}: no message from rank {s} within {t}s"``
   message; a closed pipe (dead peer) maps onto the same error type so the
-  retry path treats silence and death uniformly.
+  retry path treats silence and death uniformly — and so does a
+  ``run_threaded`` peer whose worker function is over: everything it sent
+  is still delivered in order, then every recv fails at once.
 """
 
 from __future__ import annotations
@@ -40,14 +42,35 @@ class TestSerial:
 
 
 def _thread_timeout_worker(comm, rank):
+    out = None
     if rank == 1:
         t0 = time.perf_counter()
         try:
             comm.recv(0, timeout=0.2)
         except CommTimeoutError as exc:
-            return time.perf_counter() - t0, str(exc)
+            out = time.perf_counter() - t0, str(exc)
+    comm.barrier()  # rank 0 is silent, not gone, while rank 1 waits
+    return out
+
+
+def _exited_peer_worker(comm, rank, peer_raises):
+    if rank == 0:
+        for value in (1.0, 2.0, 3.0):
+            comm.send(1, np.full(2, value))
+        if peer_raises:
+            raise RuntimeError("rank 0 is done for")
         return None
-    return None
+    time.sleep(0.1)  # let rank 0 finish first
+    got = [comm.recv(0, timeout=30.0)[0] for _ in range(3)]
+    failures = []
+    t0 = time.perf_counter()
+    for _ in range(2):  # the marker stays for later receives
+        assert comm.poll(0)  # like a closed pipe: ready, and recv tells why
+        try:
+            comm.recv(0, timeout=30.0)
+        except CommTimeoutError as exc:
+            failures.append(str(exc))
+    return got, failures, time.perf_counter() - t0
 
 
 class TestThreads:
@@ -65,6 +88,19 @@ class TestThreads:
             return comm.recv(0, timeout=5.0)
 
         assert run_threaded(worker, 2)[1][0] == 5.0
+
+    def test_returned_peer_surfaces_as_instant_timeout(self):
+        got, failures, waited = run_threaded(_exited_peer_worker, 2, args=(False,))[1]
+        assert got == [1.0, 2.0, 3.0]  # queued before the exit: still delivered
+        assert len(failures) == 2 and all("peer exited" in f for f in failures)
+        assert waited < 1.0  # not the 30 s asked for
+
+    def test_raised_peer_surfaces_as_instant_timeout(self):
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="done for"):
+            # rank 1 finishes (instantly) too, so the root cause propagates
+            run_threaded(_exited_peer_worker, 2, args=(True,))
+        assert time.perf_counter() - t0 < 5.0
 
 
 def _mp_timeout_worker(comm, rank):

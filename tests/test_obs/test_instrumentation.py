@@ -10,6 +10,7 @@ flush their footers when training dies mid-run.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -156,7 +157,12 @@ class TestCommSpans:
             return (outcome, tracer.open_spans(), spans[0].attrs if spans else None)
 
         results = dict()
-        for rank, (outcome, open_count, attrs) in enumerate(run_threaded(worker, 2)):
+        t0 = time.perf_counter()
+        ranks = run_threaded(worker, 2)
+        # the survivor hears of the crashed peer's exit at once; it used to
+        # wait out the 60 s default recv timeout
+        assert time.perf_counter() - t0 < 5.0
+        for rank, (outcome, open_count, attrs) in enumerate(ranks):
             assert open_count == 0, "fault must not leak an open span"
             results[rank] = (outcome, attrs)
         outcome, attrs = results[1]

@@ -112,6 +112,10 @@ class TestSolveDiagnostics:
         assert info.d == 10 and info.samples == 64
         assert info.iterations > 0 and info.residual < 1e-6
         assert info.incomplete is False
+        assert info.space == "parameter"  # 64 samples >= 10 parameters
+        sr.solver = "dense"
+        sr.natural_gradient(o_matrix, g)
+        assert sr.last_solve.space == ""  # no CG, no coordinates
 
     def test_incomplete_solve_still_returns_descent_direction(self, o_matrix, rng):
         g = rng.normal(size=10)
@@ -132,47 +136,6 @@ class TestSolveDiagnostics:
         snap = sr.metrics.snapshot()
         assert snap["counters"]["sr.solves"] == 1
         assert snap["counters"]["sr.cg_iterations"] == sr.last_solve.iterations
-
-
-class TestScipyCompat:
-    """The CG tolerance keyword is `rtol` only from SciPy 1.12; older
-    releases spell it `tol`. The shim resolves it from the live signature."""
-
-    def test_new_scipy_gets_rtol(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        from repro.optim import sr as sr_mod
-
-        seen = {}
-
-        def fake_cg(op, b, *, rtol, atol, maxiter, callback=None):
-            seen["rtol"] = rtol
-            return np.zeros_like(b), 0
-
-        monkeypatch.setattr(scipy.sparse.linalg, "cg", fake_cg)
-        sol, info, iters = sr_mod._cg(None, np.ones(3), tol=1e-7, maxiter=5)
-        assert seen["rtol"] == 1e-7 and info == 0 and iters == 0
-
-    def test_old_scipy_falls_back_to_tol(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        from repro.optim import sr as sr_mod
-
-        seen = {}
-
-        def fake_cg(op, b, *, tol, atol, maxiter, callback=None):
-            seen["tol"] = tol
-            return np.zeros_like(b), 0
-
-        monkeypatch.setattr(scipy.sparse.linalg, "cg", fake_cg)
-        sol, info, iters = sr_mod._cg(None, np.ones(3), tol=1e-7, maxiter=5)
-        assert seen["tol"] == 1e-7
-
-    def test_real_scipy_accepts_the_resolved_keyword(self, o_matrix, rng):
-        # Whatever this environment's SciPy is, the solve must not TypeError.
-        sr = StochasticReconfiguration(solver="cg")
-        delta = sr.natural_gradient(o_matrix, rng.normal(size=10))
-        assert np.all(np.isfinite(delta))
 
 
 class TestEnergyGradient:

@@ -6,7 +6,8 @@ The acceptance bar of the communicator-aware engine (`repro.optim.sr`):
   solve within 1e-6 relative error, on threads and processes backends,
   with equal and unequal per-rank shards;
 - with `solver='cg'` no d×d array is ever allreduced — per-solve
-  collective volume is O(d·iters), measured from `CommStats`;
+  collective volume is O(d·iters) in parameter space and independent of
+  the iteration count in sample space, counted exactly from `CommStats`;
 - the distributed matrix-free matvec equals the dense global-S matvec
   (hypothesis property);
 - every rank issues a congruent collective sequence (CommSanitizer).
@@ -112,27 +113,53 @@ class TestDistributedParity:
 class TestCommVolume:
     def test_cg_never_moves_dxd(self):
         """Acceptance criterion: with solver='cg' the per-solve collective
-        volume is O(d·iters) — strictly below the d×d matrix — while the
-        dense path pays the full O(d²)."""
-        d = 200
-        # Large shift ⇒ well-conditioned system ⇒ few CG iterations, so
-        # the O(d·iters) volume sits far below d² at this size.
-        o, g = _problem(d=d, batch=128, seed=2)
-        shards = _shards(o, WORLD)
+        volume never reaches the d×d matrix the dense path pays for — on
+        either side of the coordinate rule, counted from ``CommStats``:
 
-        def worker(comm, rank, solver):
-            sr = StochasticReconfiguration(diag_shift=1.0, solver=solver)
+        - N ≥ d, parameter space: the centring vector plus one d-vector
+          per iteration, O(d·iters);
+        - N < d, sample space: the centring vector, the column blocks this
+          rank sends its peers, one (N+1)² Gram matrix and one d-vector —
+          whatever the iteration count.
+        """
+        d = 200
+        dxd = d * d * 8
+
+        def worker(comm, rank, shards, g, solver, budget):
+            # Large shift ⇒ well-conditioned system ⇒ few CG iterations, so
+            # the O(d·iters) volume sits far below d² at this size.
+            sr = StochasticReconfiguration(
+                diag_shift=1.0, solver=solver, cg_maxiter=budget
+            )
             sr.natural_gradient(shards[rank], g, comm=comm)
             return sr.last_solve
 
-        cg = run_threaded(worker, WORLD, args=("cg",))[0]
-        dense = run_threaded(worker, WORLD, args=("dense",))[0]
-        dxd = d * d * 8
+        o, g = _problem(d=d, batch=256, seed=2)
+        shards = _shards(o, WORLD)
+        cg = run_threaded(worker, WORLD, args=(shards, g, "cg", None))[0]
+        dense = run_threaded(worker, WORLD, args=(shards, g, "dense", None))[0]
+        assert cg.space == "parameter" and 0 < cg.iterations < d // 8
+        assert cg.comm_bytes == ((d + 1) + cg.iterations * d) * 8
         assert cg.comm_bytes < dxd / 4
-        # centring (d+1) + one d-vector per matvec (iters + initial
-        # residual + final residual check) — nothing else.
-        assert cg.comm_bytes <= (d + 1) * 8 + (cg.iterations + 2) * d * 8
         assert dense.comm_bytes >= dxd  # the dense path is inherently O(d²)
+
+        n = 128
+        o, g = _problem(d=d, batch=n, seed=2)
+        shards = _shards(o, WORLD, unequal=True)
+        bounds = np.linspace(0, d, WORLD + 1).astype(int)
+        for budget in (8, None):
+            infos = run_threaded(worker, WORLD, args=(shards, g, "cg", budget))
+            assert infos[0].iterations == 8 or budget is None
+            for rank, info in enumerate(infos):
+                own_width = bounds[rank + 1] - bounds[rank]
+                floats = (
+                    (d + 1)
+                    + len(shards[rank]) * (d - own_width)
+                    + (n + 1) ** 2
+                    + d
+                )
+                assert info.space == "sample"
+                assert info.comm_bytes == floats * 8 < dxd
 
     def test_metrics_record_iterations_and_bytes(self):
         from repro.obs import Metrics
