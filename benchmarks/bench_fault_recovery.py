@@ -15,7 +15,7 @@ Two questions decide whether the fault-tolerant stack is usable in anger:
    (2M float64 ≈ 16 MB), target <= 10 %. Small payloads are latency-bound
    and show a higher ratio on a single-core host, where every per-message
    pass serializes; the table reports the full sweep.
-2. **What does a failure cost?** A world-3 resilient training run has one
+2. **What does a failure cost?** A world-3 supervised training run has one
    rank crash mid-run (deterministic :class:`FaultPlan`); survivors detect
    the death, shrink to world 2, restore the agreed checkpoint and finish.
    We report detection+restore wall time (``recovery_seconds``) and the
@@ -37,17 +37,15 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _harness import emit_json, format_table, parse_args  # noqa: E402
 
-from repro.core.vqmc import VQMC  # noqa: E402
 from repro.distributed import (  # noqa: E402
     ElasticConfig,
     FaultEvent,
-    FaultInjectionCallback,
     FaultPlan,
-    ResilientCommunicator,
     RetryPolicy,
+    build_comm,
+    run_data_parallel,
     run_processes,
     run_threaded,
-    train_resilient,
 )
 from repro.hamiltonians import TransverseFieldIsing  # noqa: E402
 from repro.models import MADE  # noqa: E402
@@ -63,7 +61,7 @@ MP_PAYLOADS = (16_384, 131_072, 2_097_152)
 
 def _paired_worker(comm, rank, payload, repeats, trials):
     """Time raw and resilient allreduce back-to-back, per trial."""
-    res = ResilientCommunicator(comm, RetryPolicy())
+    res = build_comm(comm, retry=RetryPolicy())
     arr = np.ones(payload)
     comm.allreduce(arr)
     res.allreduce(arr)  # warm-up both paths: allocators, first-touch
@@ -110,48 +108,29 @@ def _measure_overhead(backend: str, payload: int, repeats: int = 3,
 # -- recovery cost -------------------------------------------------------------
 
 
-def _train_worker(comm, rank, ckpt_dir, iterations, crash_step):
-    """One rank of a resilient run; the last rank crashes after crash_step."""
-    policy = RetryPolicy(max_attempts=2, backoff_base=0.01, attempt_timeout=0.25)
-    rcomm = ResilientCommunicator(comm, policy)
+def _builder(rank):
     model = MADE(6, hidden=8, rng=np.random.default_rng(3))
     ham = TransverseFieldIsing.random(6, seed=1)
-    vqmc = VQMC(
-        model, ham, AutoregressiveSampler(),
-        SGD(model.parameters(), lr=0.05),
-        comm=rcomm, seed=100 + rank,
-    )
-    callbacks = []
+    return model, ham, AutoregressiveSampler(), SGD(model.parameters(), lr=0.05)
+
+
+def _timed_run(ckpt_dir, iterations, crash_step):
+    """A supervised world-3 run; the last rank crashes after crash_step."""
+    plan = None
     if crash_step is not None:
-        plan = FaultPlan(
-            [FaultEvent(kind="crash", rank=comm.size - 1, step=crash_step)]
-        )
-        callbacks.append(FaultInjectionCallback(plan, rank))
-    report = train_resilient(
-        vqmc, iterations,
-        batch_size=16,
-        checkpoint_dir=ckpt_dir,
-        checkpoint_every=2,
-        callbacks=callbacks,
+        plan = FaultPlan([FaultEvent(kind="crash", rank=2, step=crash_step)])
+    t0 = time.perf_counter()
+    result = run_data_parallel(
+        _builder, 3, iterations, 16, seed=100, timeout=120.0,
+        checkpoint_dir=ckpt_dir, plan=plan, checkpoint_every=2,
         elastic=ElasticConfig(),
     )
-    return report
+    return time.perf_counter() - t0, result.reports
 
 
 def _measure_recovery(tmp_root: pathlib.Path, iterations: int = 8) -> dict:
-    t0 = time.perf_counter()
-    run_threaded(
-        _train_worker, 3, args=(str(tmp_root / "clean"), iterations, None),
-        timeout=120.0,
-    )
-    clean_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    faulty = run_threaded(
-        _train_worker, 3, args=(str(tmp_root / "faulty"), iterations, 4),
-        timeout=120.0,
-    )
-    faulty_s = time.perf_counter() - t0
+    clean_s, _ = _timed_run(tmp_root / "clean", iterations, None)
+    faulty_s, faulty = _timed_run(tmp_root / "faulty", iterations, 4)
 
     survivors = [r for r in faulty if not r.crashed]
     assert all(r.completed_steps == iterations for r in survivors)

@@ -32,8 +32,9 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _harness import emit_json, format_table, parse_args  # noqa: E402
 
-from repro.analysis import CommSanitizer, GraphSanitizer  # noqa: E402
-from repro.distributed import run_processes, run_threaded  # noqa: E402
+from repro.analysis import GraphSanitizer  # noqa: E402
+from repro.distributed import build_comm, run_processes, run_threaded  # noqa: E402
+from repro.distributed.comm import DEFAULT_TIMEOUT  # noqa: E402
 from repro.models import MADE  # noqa: E402
 
 WORLD = 4
@@ -45,7 +46,7 @@ MP_PAYLOADS = (16_384, 131_072, 2_097_152)
 
 def _paired_worker(comm, rank, payload, repeats, trials):
     """Time raw and sanitized allreduce back-to-back, per trial."""
-    sane = CommSanitizer(comm)
+    sane = build_comm(comm, sanitize=DEFAULT_TIMEOUT)
     arr = np.ones(payload)
     comm.allreduce(arr)
     sane.allreduce(arr)  # warm-up both paths: allocators, first-touch

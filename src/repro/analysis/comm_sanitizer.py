@@ -54,10 +54,11 @@ eats payload).
 
 Scope: route *all* traffic of the wrapped communicator through the wrapper
 (fingerprint frames share the underlying channels; raw point-to-point
-interleaved from outside would mis-slot them). When stacking with fault
-injection, put the sanitizer *below* the injector (so injected divergence
-is visible) and *above* the resilience layer (so frames are checksummed
-and retransmitted like any payload — an unprotected dropped frame would
+interleaved from outside would mis-slot them). Stack it with
+:func:`repro.distributed.comm.build_comm` (``sanitize=<timeout>``), which
+puts the sanitizer *below* a mismatch injector (so injected divergence is
+visible) and *above* the resilience layer (so frames are checksummed and
+retransmitted like any payload — an unprotected dropped frame would
 desynchronise the fingerprint stream).
 """
 
@@ -70,6 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributed.comm import (
+    CommLayer,
     Communicator,
     CommTimeoutError,
     DEFAULT_TIMEOUT,
@@ -241,16 +243,14 @@ def _call_site(skip_file: str) -> str:
     return f"{tail}:{frame.f_lineno}"
 
 
-class CommSanitizer(Communicator):
+class CommSanitizer(CommLayer):
     """Wrap a communicator; cross-validate every collective it runs.
 
     Parameters
     ----------
     inner:
-        The communicator to wrap (any backend, or a fault-injection stack —
-        put the sanitizer *below* the injector so injected divergence is
-        seen, and *above* the resilience layer so fingerprint frames are
-        checksummed like any payload).
+        The communicator to wrap (any backend, or the layers
+        :func:`~repro.distributed.comm.build_comm` puts beneath it).
     timeout:
         Progress deadline: bounds both the wait for a peer's fingerprint
         (a peer that issued *no* collective within it is reported as a
@@ -268,9 +268,8 @@ class CommSanitizer(Communicator):
         timeout: float = DEFAULT_TIMEOUT,
         history: int = 256,
     ):
-        self.inner = inner
+        super().__init__(inner)
         self.timeout = float(timeout)
-        self.algorithm = inner.algorithm
         self.seq = 0
         self.records: list[CollectiveRecord] = []
         self._history = int(history)
@@ -291,23 +290,6 @@ class CommSanitizer(Communicator):
         #: that can probe; degrades (permanently) to eager on the first
         #: NotImplementedError from ``inner.poll``
         self._can_defer = inner.algorithm == "ring"
-
-    # -- delegation -----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    def send(self, dest: int, array: np.ndarray) -> None:
-        self.inner.send(dest, array)
 
     def recv(self, source: int, timeout: float = DEFAULT_TIMEOUT) -> np.ndarray:
         if self._in_collective:

@@ -1,8 +1,9 @@
 """Protocol scenarios for the schedule explorer.
 
 Each :class:`Scenario` is a small multi-rank program over the real
-distributed stack (``ThreadCommunicator`` → ``ResilientCommunicator`` →
-elastic handshakes), written so a *correct* protocol completes cleanly
+distributed stack (``ThreadCommunicator`` → the layers
+:func:`~repro.distributed.comm.build_comm` puts on it → elastic
+handshakes), written so a *correct* protocol completes cleanly
 under every schedule, while a seeded fault hook re-introduces one of the
 historical elastic bugs:
 
@@ -16,8 +17,9 @@ historical elastic bugs:
   already past, interleaving mismatched collectives on the grown group
   (the explorer reports crossed payloads or a deadlock).
 
-The ``allreduce`` and ``shrink`` scenarios carry no bug; they are the
-regression surface proving the *fixed* protocol is schedule-clean, and
+The ``allreduce``, ``shrink`` and ``full-stack`` scenarios carry no bug;
+they are the regression surface proving the *fixed* protocol — and the
+layer order ``build_comm`` emits — is schedule-clean, and
 the CI gate runs them (plus the two seeded scenarios un-seeded) under a
 bounded exploration budget.
 """
@@ -86,13 +88,14 @@ def _sc_allreduce(comm, rank: int, shared: dict) -> None:
 def _sc_shrink(comm, rank: int, shared: dict) -> None:
     """Rank 2 dies before the detection round; 0 and 1 agree on the
     shrunken world and keep training on it."""
+    from repro.distributed.comm import build_comm
     from repro.distributed.elastic import ElasticConfig, shrink_world
-    from repro.distributed.resilient import ResilientCommunicator, RetryPolicy
+    from repro.distributed.resilient import RetryPolicy
 
     if rank == 2:
         return  # crashed: never heartbeats, never answers
     policy = RetryPolicy(max_attempts=2, backoff_base=0.01, attempt_timeout=0.2)
-    rcomm = ResilientCommunicator(comm, policy)
+    rcomm = build_comm(comm, retry=policy)
     cfg = ElasticConfig(heartbeat_timeout=1.0, consensus_timeout=1.0)
     sub = shrink_world(rcomm, [0, 1, 2], epoch=1, config=cfg)
     assert sub.group == [0, 1], f"wrong survivor set: {sub.group}"
@@ -105,15 +108,11 @@ def _sc_recv_livelock(comm, rank: int, shared: dict) -> None:
     a data receive. Discarded frames consume no retry attempt; the overall
     escalation deadline (the fix) is what turns the flood into a bounded
     ``RankFailure`` instead of an eternal receive."""
-    from repro.distributed.comm import RankFailure
-    from repro.distributed.resilient import (
-        JOIN_TAG,
-        ResilientCommunicator,
-        RetryPolicy,
-    )
+    from repro.distributed.comm import RankFailure, build_comm
+    from repro.distributed.resilient import JOIN_TAG, RetryPolicy
 
     policy = RetryPolicy(max_attempts=2, backoff_base=0.05, attempt_timeout=0.25)
-    rcomm = ResilientCommunicator(comm, policy)
+    rcomm = build_comm(comm, retry=policy)
     if rank == 0:
         try:
             rcomm.recv(1, timeout=0.25)  # expects data; none will ever come
@@ -130,6 +129,35 @@ def _sc_recv_livelock(comm, rank: int, shared: dict) -> None:
         while not shared.get("stop"):  # a joiner re-announces until invited
             rcomm.send_ctrl(0, announce)
             time.sleep(0.1)
+
+
+def _sc_full_stack(comm, rank: int, shared: dict) -> None:
+    """Every static layer ``build_comm`` can put beneath user code — fault
+    injector, resilient framing, sanitizer, in the order it emits them —
+    riding out a duplicated and a transiently corrupted message under
+    allreduce → alltoall → barrier."""
+    from repro.distributed.comm import build_comm
+    from repro.distributed.faults import FaultEvent, FaultPlan
+    from repro.distributed.resilient import RetryPolicy
+
+    plan = FaultPlan(
+        [
+            FaultEvent(kind="duplicate", rank=0, index=1),
+            FaultEvent(kind="corrupt", rank=1, index=2, transient=True),
+        ],
+        seed=5,
+    )
+    policy = RetryPolicy(max_attempts=3, backoff_base=0.01, attempt_timeout=0.2)
+    stack = build_comm(comm, plan=plan, retry=policy, sanitize=2.0)
+    out = stack.allreduce(np.full(4, float(rank + 1)))
+    assert np.allclose(out, 6.0), f"allreduce sum wrong: {out}"
+    got = stack.alltoall([np.full((1, 2), 10.0 * rank + p) for p in range(3)])
+    want = np.array([[10.0 * p + rank] * 2 for p in range(3)])
+    assert np.array_equal(got, want), f"alltoall blocks crossed: {got}"
+    stack.barrier()
+    injector = stack.inner.inner  # sanitizer → resilient → fault injector
+    expect = {0: {"duplicate": 1}, 1: {"corrupt": 1}, 2: {}}[rank]
+    assert injector.injected == expect, f"faults injected: {injector.injected}"
 
 
 def _sc_double_sync(comm, rank: int, shared: dict) -> None:
@@ -183,6 +211,14 @@ SCENARIOS: dict[str, Scenario] = {
             "shrink handshake and allreduce on the survivor world",
             world_size=3,
             fn=_sc_shrink,
+        ),
+        Scenario(
+            name="full-stack",
+            description="allreduce, alltoall and barrier through the whole "
+            "build_comm stack (faults → retry → sanitizer) while a message "
+            "is duplicated and another transiently corrupted",
+            world_size=3,
+            fn=_sc_full_stack,
         ),
         Scenario(
             name="recv-livelock",

@@ -405,8 +405,9 @@ class VQMC:
 
         ``run`` is a convenience façade over :class:`StepDriver`; callers
         that need to pause, checkpoint, cancel, or interleave work between
-        steps (the ``repro.serve`` worker pool, the elastic supervisor's
-        successor loops) should drive a :class:`StepDriver` directly.
+        steps (the ``repro.serve`` worker pool, the elastic
+        :class:`~repro.distributed.supervisor.TrainingSupervisor`) drive a
+        :class:`StepDriver` directly.
         """
         driver = StepDriver(
             self, iterations, batch_size=batch_size, callbacks=callbacks
@@ -479,7 +480,8 @@ class StepDriver:
     A driver owns one run's worth of callback lifecycle but hands control
     back to the caller between steps, which is what long-lived consumers
     need: the ``repro.serve`` worker pool pauses, checkpoints, cancels and
-    resumes jobs at step boundaries; tests single-step through training.
+    resumes jobs at step boundaries; the elastic supervisor syncs, recovers
+    and rebalances between steps; tests single-step through training.
 
     Usage::
 
@@ -513,8 +515,11 @@ class StepDriver:
         if iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {iterations}")
         self.vqmc = vqmc
-        self.iterations = iterations
-        self.batch_size = batch_size
+        #: the loop ends when ``vqmc.global_step`` reaches this — counted on
+        #: the trainer's own step counter, so a checkpoint restore that
+        #: rewinds it (elastic recovery) makes the driver replay the lost steps
+        self.stop_step = vqmc.global_step + iterations
+        self.batch_size = batch_size  #: of the next step; settable between steps
         self.callbacks = tuple(callbacks)
         self.results: list[StepResult] = []
         self.stopped = False  #: a callback raised StopTraining
@@ -533,7 +538,7 @@ class StepDriver:
             self._finished
             or self.stopped
             or self.cancelled
-            or self.steps_done >= self.iterations
+            or self.vqmc.global_step >= self.stop_step
         )
 
     def begin(self) -> None:

@@ -18,10 +18,16 @@ Collective algorithms (ring allreduce, reduce-scatter + allgather, tree
 broadcast, recursive doubling) are implemented once over the point-to-point
 layer in :mod:`repro.distributed.collectives`, mirroring how NCCL builds its
 collectives over device-to-device copies.
+
+Above the backends there is one of each: :func:`build_comm` stacks a rank's
+communicator layers, :class:`TrainingSupervisor` drives training (elastic
+with a ``checkpoint_dir``, static without), :func:`run_data_parallel`
+launches it on every rank.
 """
 
 from repro.distributed.comm import (
     ChecksumError,
+    CommLayer,
     Communicator,
     CommTimeoutError,
     OwnedFrame,
@@ -29,6 +35,7 @@ from repro.distributed.comm import (
     ReduceOp,
     SubCommunicator,
     WorkerFailure,
+    build_comm,
 )
 from repro.distributed.serial import SerialCommunicator
 from repro.distributed.threads import ThreadCommunicator, run_threaded, make_thread_group
@@ -54,20 +61,18 @@ from repro.distributed.elastic import (
 from repro.distributed.ledger import BatchLedger
 from repro.distributed.supervisor import (
     PolicyObservation,
+    ResilientRunReport,
     ScalingPolicy,
     TargetSNRPolicy,
     TargetStepTimePolicy,
     TrainingSupervisor,
 )
-from repro.distributed.resilient_train import ResilientRunReport, train_resilient
-from repro.distributed.data_parallel import (
-    DataParallelResult,
-    run_data_parallel,
-    run_elastic_data_parallel,
-)
+from repro.distributed.data_parallel import DataParallelResult, run_data_parallel
 
 __all__ = [
     "Communicator",
+    "CommLayer",
+    "build_comm",
     "CommTimeoutError",
     "ChecksumError",
     "OwnedFrame",
@@ -102,8 +107,6 @@ __all__ = [
     "TargetSNRPolicy",
     "TrainingSupervisor",
     "ResilientRunReport",
-    "train_resilient",
     "DataParallelResult",
     "run_data_parallel",
-    "run_elastic_data_parallel",
 ]

@@ -11,7 +11,9 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 __all__ = [
     "ReduceOp",
     "Communicator",
+    "CommLayer",
     "SubCommunicator",
+    "build_comm",
     "CommStats",
     "CommTimeoutError",
     "ChecksumError",
@@ -251,7 +253,16 @@ class Communicator:
         raise NotImplementedError
 
     def barrier(self) -> None:
-        raise NotImplementedError
+        """Dissemination barrier over this communicator's *own* ``send`` /
+        ``recv``: what a layer does to point-to-point traffic (framing,
+        faults, rank translation) applies to barrier traffic too, and a dead
+        peer fails a recv instead of wedging a backend-native barrier."""
+        token = np.zeros(1)
+        distance = 1
+        while distance < self.size:
+            self.send((self.rank + distance) % self.size, token)
+            self.recv((self.rank - distance) % self.size, timeout=DEFAULT_TIMEOUT)
+            distance <<= 1
 
     def _check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.size:
@@ -378,7 +389,42 @@ class Communicator:
         return SubCommunicator(self, group)
 
 
-class SubCommunicator(Communicator):
+class CommLayer(Communicator):
+    """One layer of a communicator stack (assembled by :func:`build_comm`):
+    shares ``inner``'s world, traffic counters, ``algorithm`` and tracer,
+    and passes point-to-point through; a layer overrides what it changes.
+    Collectives and ``barrier`` are the base-class algorithms over the
+    layer's own ``send``/``recv``, so spans and ``collective_*`` counters
+    fire once, on the layer the caller holds."""
+
+    def __init__(self, inner: Communicator):
+        self.inner = inner
+        self.algorithm = inner.algorithm
+        self.tracer = inner.tracer  # layers stay on the inner timeline
+
+    @property
+    def size(self) -> int:
+        return self.inner.size
+
+    @property
+    def rank(self) -> int:
+        return self.inner.rank
+
+    @property
+    def stats(self) -> CommStats:
+        return self.inner.stats
+
+    def send(self, dest: int, array: np.ndarray) -> None:
+        self.inner.send(dest, array)
+
+    def recv(self, source: int, timeout: float = DEFAULT_TIMEOUT) -> np.ndarray:
+        return self.inner.recv(source, timeout=timeout)
+
+    def poll(self, source: int, timeout: float = 0.0) -> bool:
+        return self.inner.poll(source, timeout=timeout)
+
+
+class SubCommunicator(CommLayer):
     """A communicator over a subset of a parent's ranks (rank-translated)."""
 
     def __init__(self, parent: Communicator, group: list[int]):
@@ -388,11 +434,9 @@ class SubCommunicator(Communicator):
             )
         if len(set(group)) != len(group):
             raise ValueError(f"duplicate ranks in group {group}")
-        self.parent = parent
+        super().__init__(parent)
         self.group = list(group)
         self._rank = self.group.index(parent.rank)
-        self.algorithm = parent.algorithm
-        self.tracer = parent.tracer  # sub-collectives stay on the same timeline
 
     @property
     def size(self) -> int:
@@ -404,22 +448,51 @@ class SubCommunicator(Communicator):
 
     def send(self, dest: int, array: np.ndarray) -> None:
         self._check_peer(dest)
-        self.parent.send(self.group[dest], array)
+        self.inner.send(self.group[dest], array)
 
     def recv(self, source: int, timeout: float = DEFAULT_TIMEOUT) -> np.ndarray:
         self._check_peer(source)
-        return self.parent.recv(self.group[source], timeout=timeout)
+        return self.inner.recv(self.group[source], timeout=timeout)
 
     def poll(self, source: int, timeout: float = 0.0) -> bool:
         self._check_peer(source)
-        return self.parent.poll(self.group[source], timeout=timeout)
+        return self.inner.poll(self.group[source], timeout=timeout)
 
-    def barrier(self) -> None:
-        # Dissemination barrier within the group (cannot reuse the parent's
-        # global barrier — it would wait for non-members).
-        token = np.zeros(1)
-        distance = 1
-        while distance < self.size:
-            self.send((self._rank + distance) % self.size, token)
-            self.recv((self._rank - distance) % self.size, timeout=DEFAULT_TIMEOUT)
-            distance <<= 1
+
+def build_comm(backend_comm: Communicator, *, plan=None, retry=None, sanitize=None):
+    """Assemble one rank's communicator stack in its only legal order::
+
+        backend → FaultyCommunicator → ResilientCommunicator
+                → CommSanitizer → MismatchedCollectiveInjector
+
+    A ``plan``'s (:class:`~repro.distributed.faults.FaultPlan`) op-scoped
+    events put the fault injector on the backend, so corruption hits framed
+    bytes like a flaky link; its ``mismatch`` events put the collective
+    swapper on top, where the sanitizer beneath sees the swap. ``retry`` (a
+    :class:`~repro.distributed.resilient.RetryPolicy`) adds checksummed
+    retrying framing, below the sanitizer so its fingerprint frames are
+    protected like payload. ``sanitize`` (seconds: a :class:`~repro.analysis
+    .comm_sanitizer.CommSanitizer`'s progress deadline) adds congruence
+    checking. All ``None`` returns ``backend_comm`` itself.
+    """
+    from repro.distributed.faults import (
+        FaultyCommunicator,
+        MismatchedCollectiveInjector,
+    )
+
+    comm = backend_comm
+    events = plan.events if plan is not None else ()
+    op_scoped_kinds = {e.kind for e in events if e.index is not None}
+    if op_scoped_kinds - {"mismatch"}:
+        comm = FaultyCommunicator(comm, plan)
+    if retry is not None:
+        from repro.distributed.resilient import ResilientCommunicator
+
+        comm = ResilientCommunicator(comm, retry)
+    if sanitize is not None:
+        from repro.analysis.comm_sanitizer import CommSanitizer
+
+        comm = CommSanitizer(comm, timeout=sanitize)
+    if "mismatch" in op_scoped_kinds:
+        comm = MismatchedCollectiveInjector(comm, plan)
+    return comm

@@ -6,71 +6,97 @@ samples per step from its *own* random stream, and the
 :class:`repro.core.VQMC` driver allreduces gradients/statistics so all
 replicas stay in lock-step. The effective batch size is
 ``bs = world_size × mbs`` — Figure 4's x-axis.
+
+:func:`run_data_parallel` is the one launcher: every rank runs a
+:class:`~repro.distributed.supervisor.TrainingSupervisor`, which without a
+``checkpoint_dir`` has nothing to supervise — the static scheme above, on
+the bare backend communicator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.callbacks import History
 from repro.core.vqmc import VQMC
+from repro.distributed.comm import build_comm
+from repro.distributed.faults import FaultInjectionCallback
+from repro.distributed.ledger import BatchLedger
+from repro.distributed.resilient import RetryPolicy
+from repro.distributed.supervisor import TrainingSupervisor
 from repro.utils.rng import spawn_generators
 
-__all__ = ["DataParallelResult", "run_data_parallel", "run_elastic_data_parallel"]
+__all__ = ["DataParallelResult", "run_data_parallel"]
 
 Builder = Callable[[int], tuple]
 
 
 @dataclass
 class DataParallelResult:
-    """Rank-0 view of a data-parallel training run."""
+    """A data-parallel training run: rank 0's curve, every rank's account."""
 
-    energy: np.ndarray  # per-step global mean energy
+    energy: np.ndarray  # per-step global mean energy (replayed steps repeat)
     std: np.ndarray  # per-step global std of local energies
-    final_energy: float
+    final_energy: float  # NaN if rank 0 did not finish the run
     final_std: float
     world_size: int
     effective_batch_size: int
     wall_time: float
+    #: every rank's :class:`~repro.distributed.supervisor.ResilientRunReport`
+    reports: list = field(default_factory=list)
+    #: every rank's final flat parameter vector
+    final_params: list = field(default_factory=list)
 
 
-def _dp_worker(comm, rank, builder, iterations, mini_batch_size, seed):
-    import time
-
-    parts = builder(rank)
-    if len(parts) == 4:
-        model, hamiltonian, sampler, optimizer = parts
-        sr = None
-    else:
-        model, hamiltonian, sampler, optimizer, sr = parts
-    rank_rng = spawn_generators(seed, comm.size)[rank]
+def _worker(comm, rank, builder, iterations, mini_batch_size, seed, opts):
+    """One rank: ``(rank's view of the run, its report, final parameters)``."""
+    opts = dict(opts)
+    plan, retry = opts.pop("plan"), opts.pop("retry")
+    ledger_opts, ledger_log = opts.pop("ledger_opts"), opts.pop("ledger_log")
+    if opts["checkpoint_dir"] is not None and retry is None:
+        retry = RetryPolicy(max_attempts=2, backoff_base=0.01, attempt_timeout=0.25)
+    world = comm.size
+    model, hamiltonian, sampler, optimizer, *sr = builder(rank)
     vqmc = VQMC(
         model,
         hamiltonian,
         sampler,
         optimizer,
-        sr=sr,
-        comm=comm,
-        seed=rank_rng,
+        sr=sr[0] if sr else None,
+        comm=build_comm(comm, plan=plan, retry=retry),
+        seed=spawn_generators(seed, world)[rank],
     )
     history = History()
+    callbacks = [history, *opts.pop("callbacks", ())]
+    if plan is not None:
+        callbacks.append(FaultInjectionCallback(plan, rank))
+    ledger = None
+    if ledger_opts is not None:
+        ledger = BatchLedger(world * mini_batch_size, world, **ledger_opts)
+    supervisor = TrainingSupervisor(vqmc, callbacks=callbacks, ledger=ledger, **opts)
     t0 = time.perf_counter()
-    vqmc.run(iterations, batch_size=mini_batch_size, callbacks=[history])
+    report = supervisor.run(iterations, batch_size=mini_batch_size)
     wall = time.perf_counter() - t0
-    final = vqmc.evaluate(batch_size=mini_batch_size)
-    arrays = history.as_arrays()
-    return DataParallelResult(
-        energy=arrays["energy"],
-        std=arrays["std"],
-        final_energy=final.mean,
-        final_std=final.std,
-        world_size=comm.size,
-        effective_batch_size=comm.size * mini_batch_size,
+    if ledger_log is not None and rank == 0:
+        ledger.dump(ledger_log)
+    final_energy = final_std = float("nan")
+    if not (report.crashed or report.evicted):
+        final = vqmc.evaluate(batch_size=mini_batch_size)
+        final_energy, final_std = final.mean, final.std
+    view = DataParallelResult(
+        energy=np.asarray(history.energy),
+        std=np.asarray(history.std),
+        final_energy=final_energy,
+        final_std=final_std,
+        world_size=world,
+        effective_batch_size=world * mini_batch_size,
         wall_time=wall,
     )
+    return view, report, model.flat_parameters()
 
 
 def run_data_parallel(
@@ -81,8 +107,16 @@ def run_data_parallel(
     seed: int = 0,
     backend: str = "threads",
     timeout: float = 600.0,
+    *,
+    checkpoint_dir=None,
+    plan=None,
+    retry: RetryPolicy | None = None,
+    ledger_opts: dict | None = None,
+    ledger_log=None,
+    **supervisor_opts: Any,
 ) -> DataParallelResult:
-    """Train VQMC data-parallel over ``world_size`` ranks; return rank 0's view.
+    """Train VQMC data-parallel over ``world_size`` ranks; returns rank 0's
+    view of the run plus every rank's report and final parameters.
 
     Parameters
     ----------
@@ -93,6 +127,26 @@ def run_data_parallel(
     backend:
         ``'threads'`` (default, cheap) or ``'processes'`` (fork; honest
         address-space separation).
+    checkpoint_dir:
+        ``None``: static data parallelism — no checkpoint, a rank failure
+        fails the run. A directory: elastic supervision — per-rank
+        crash-safe checkpoints there, checksummed retrying channels
+        (``retry``, default a fast-escalating
+        :class:`~repro.distributed.resilient.RetryPolicy`), dead ranks
+        shrunk away.
+    plan:
+        A :class:`~repro.distributed.faults.FaultPlan` to inject (chaos
+        testing): op-scoped events through :func:`~repro.distributed.comm
+        .build_comm`, step-scoped ones through a callback.
+    ledger_opts:
+        When given (``{}`` for defaults), a
+        :class:`~repro.distributed.ledger.BatchLedger` over the global batch
+        ``world_size × mini_batch_size`` owns the per-rank split; rank 0
+        dumps its history to ``ledger_log`` (for ``tools/trace.py summary``).
+    **supervisor_opts:
+        Forwarded to :class:`~repro.distributed.supervisor
+        .TrainingSupervisor` (``callbacks``, ``checkpoint_every``,
+        ``elastic``, ``accept_joins``, ``sync_every``, ``policy`` …).
     """
     if backend not in ("threads", "processes"):
         # Validate before the world_size == 1 shortcut: a typo'd backend
@@ -100,136 +154,28 @@ def run_data_parallel(
         raise ValueError(
             f"unknown backend {backend!r}; expected 'threads' or 'processes'"
         )
+    opts = dict(
+        supervisor_opts,
+        checkpoint_dir=checkpoint_dir,
+        plan=plan,
+        retry=retry,
+        ledger_opts=ledger_opts,
+        ledger_log=ledger_log,
+    )
+    args = (builder, iterations, mini_batch_size, seed, opts)
     if world_size == 1:
         from repro.distributed.serial import SerialCommunicator
 
-        return _dp_worker(
-            SerialCommunicator(), 0, builder, iterations, mini_batch_size, seed
-        )
-    if backend == "threads":
+        per_rank = [_worker(SerialCommunicator(), 0, *args)]
+    elif backend == "threads":
         from repro.distributed.threads import run_threaded
 
-        results = run_threaded(
-            _dp_worker,
-            world_size,
-            args=(builder, iterations, mini_batch_size, seed),
-            timeout=timeout,
-        )
+        per_rank = run_threaded(_worker, world_size, args=args, timeout=timeout)
     else:
         from repro.distributed.mp import run_processes
 
-        results = run_processes(
-            _dp_worker,
-            world_size,
-            args=(builder, iterations, mini_batch_size, seed),
-            timeout=timeout,
-        )
-    return results[0]
-
-
-def _elastic_worker(
-    comm,
-    rank,
-    builder,
-    iterations,
-    global_batch,
-    seed,
-    checkpoint_dir,
-    plan,
-    supervisor_opts,
-    ledger_opts,
-    ledger_log,
-):
-    from repro.distributed.faults import FaultInjectionCallback, FaultyCommunicator
-    from repro.distributed.ledger import BatchLedger
-    from repro.distributed.resilient import ResilientCommunicator, RetryPolicy
-    from repro.distributed.supervisor import TrainingSupervisor
-
-    opts = dict(supervisor_opts)
-    retry = opts.pop("retry", None) or RetryPolicy(
-        max_attempts=2, backoff_base=0.01, attempt_timeout=0.25
-    )
-    inner = FaultyCommunicator(comm, plan) if plan is not None else comm
-    rcomm = ResilientCommunicator(inner, retry)
-
-    parts = builder(rank)
-    if len(parts) == 4:
-        model, hamiltonian, sampler, optimizer = parts
-        sr = None
-    else:
-        model, hamiltonian, sampler, optimizer, sr = parts
-    rank_rng = spawn_generators(seed, comm.size)[rank]
-    vqmc = VQMC(
-        model, hamiltonian, sampler, optimizer, sr=sr, comm=rcomm, seed=rank_rng
-    )
-    callbacks = list(opts.pop("callbacks", ()))
-    if plan is not None:
-        callbacks.append(FaultInjectionCallback(plan, rank))
-    ledger = BatchLedger(global_batch, comm.size, **dict(ledger_opts or {}))
-    supervisor = TrainingSupervisor(
-        vqmc,
-        checkpoint_dir=checkpoint_dir,
-        callbacks=callbacks,
-        ledger=ledger,
-        **opts,
-    )
-    report = supervisor.run(iterations)
-    if ledger_log is not None and rank == 0:
-        ledger.dump(ledger_log)
-    return report, vqmc.model.flat_parameters()
-
-
-def run_elastic_data_parallel(
-    builder: Builder,
-    world_size: int,
-    iterations: int,
-    global_batch: int,
-    *,
-    checkpoint_dir,
-    seed: int = 0,
-    backend: str = "threads",
-    timeout: float = 600.0,
-    plan=None,
-    ledger_opts: dict | None = None,
-    ledger_log=None,
-    **supervisor_opts: Any,
-) -> list:
-    """Train under full elastic supervision; returns every rank's
-    ``(report, final_params)``.
-
-    The elastic sibling of :func:`run_data_parallel`: each rank's
-    communicator is wrapped in a
-    :class:`~repro.distributed.resilient.ResilientCommunicator` (over a
-    :class:`~repro.distributed.faults.FaultyCommunicator` when a ``plan``
-    is given — chaos testing), the per-rank batch comes from a shared
-    :class:`~repro.distributed.ledger.BatchLedger` over ``global_batch``,
-    and each rank runs a
-    :class:`~repro.distributed.supervisor.TrainingSupervisor`. Extra
-    keyword arguments (``accept_joins``, ``sync_every``, ``policy``,
-    ``elastic``, ``retry`` …) forward to the supervisor; ``ledger_log``
-    names a JSON file rank 0 dumps the ledger history to (read by
-    ``tools/trace.py summary``).
-    """
-    if backend not in ("threads", "processes"):
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'threads' or 'processes'"
-        )
-    args = (
-        builder,
-        iterations,
-        global_batch,
-        seed,
-        str(checkpoint_dir),
-        plan,
-        supervisor_opts,
-        ledger_opts,
-        ledger_log,
-    )
-    if backend == "threads":
-        from repro.distributed.threads import run_threaded
-
-        return run_threaded(_elastic_worker, world_size, args=args, timeout=timeout)
-    from repro.distributed.mp import run_processes
-
-    return run_processes(_elastic_worker, world_size, args=args, timeout=timeout)
-
+        per_rank = run_processes(_worker, world_size, args=args, timeout=timeout)
+    result = per_rank[0][0]
+    result.reports = [report for _, report, _ in per_rank]
+    result.final_params = [params for _, _, params in per_rank]
+    return result

@@ -17,10 +17,10 @@ This module provides that schedule:
   delay at a scheduled optimisation step) from inside the training loop, so
   faults can be injected even where no communication happens (serial runs).
 
-The wrapper sits *below* the resilience layer: stack as
-``ResilientCommunicator(FaultyCommunicator(backend_comm, plan))`` so that
-corruption hits the framed bytes and is caught by the checksum, exactly as
-a flaky link would be.
+The wrapper sits *below* the resilience layer —
+``build_comm(backend_comm, plan=plan, retry=policy)`` puts it there — so
+that corruption hits the framed bytes and is caught by the checksum,
+exactly as a flaky link would be.
 
 Corruption is **transient** by default: the corrupted frame is followed by
 a clean copy, modelling a link-layer retransmission. The resilient receiver
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distributed.comm import Communicator, DEFAULT_TIMEOUT
+from repro.distributed.comm import DEFAULT_TIMEOUT, CommLayer, Communicator
 
 __all__ = [
     "FaultEvent",
@@ -180,7 +180,7 @@ class FaultPlan:
         return len(self.events)
 
 
-class FaultyCommunicator(Communicator):
+class FaultyCommunicator(CommLayer):
     """Wrap a communicator and inject a :class:`FaultPlan`'s op-scoped events.
 
     Transparent when the plan has no events for this rank. Traffic counters
@@ -189,29 +189,14 @@ class FaultyCommunicator(Communicator):
     """
 
     def __init__(self, inner: Communicator, plan: FaultPlan):
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
-        self.algorithm = inner.algorithm
         self._events = plan.events_for(inner.rank, step_scoped=False)
         self._fired: set[int] = set()
         self._counts: dict[tuple[str, int | None], int] = {}
         self._dead = False
         #: kind -> number of events actually injected on this rank
         self.injected: dict[str, int] = {}
-
-    # -- delegation -----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def stats(self):
-        return self.inner.stats
 
     # -- event matching -------------------------------------------------------
 
@@ -300,20 +285,8 @@ class FaultyCommunicator(Communicator):
         self._check_dead()
         return self.inner.poll(source, timeout=timeout)
 
-    def barrier(self) -> None:
-        # Dissemination over the faulted send/recv so (a) faults apply to
-        # barrier traffic too and (b) a dead peer surfaces as a recv timeout
-        # instead of wedging a backend-native barrier forever.
-        self._check_dead()
-        token = np.zeros(1)
-        distance = 1
-        while distance < self.size:
-            self.send((self.rank + distance) % self.size, token)
-            self.recv((self.rank - distance) % self.size, timeout=DEFAULT_TIMEOUT)
-            distance <<= 1
 
-
-class MismatchedCollectiveInjector(Communicator):
+class MismatchedCollectiveInjector(CommLayer):
     """Swap the victim's N-th collective for a different one (``mismatch``).
 
     Models the divergence bug class — one rank calling ``broadcast`` where
@@ -327,9 +300,10 @@ class MismatchedCollectiveInjector(Communicator):
     collectives to ``inner``, so a
     :class:`~repro.analysis.comm_sanitizer.CommSanitizer` stacked *below*
     it sees the swapped call and converts the would-be deadlock into an
-    immediate ``CollectiveMismatchError``. Stack as::
-
-        MismatchedCollectiveInjector(CommSanitizer(backend_comm), plan)
+    immediate ``CollectiveMismatchError`` —
+    ``build_comm(backend_comm, plan=plan, sanitize=timeout)`` stacks them so.
+    Because the collectives run on ``inner``, that is also where a tracer
+    attached to this layer goes.
     """
 
     #: deliberately wrong-but-runnable substitute per collective kind
@@ -343,9 +317,8 @@ class MismatchedCollectiveInjector(Communicator):
     }
 
     def __init__(self, inner: Communicator, plan: FaultPlan):
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
-        self.algorithm = inner.algorithm
         self._events = [
             (pos, e)
             for pos, e in plan.events_for(inner.rank, step_scoped=False)
@@ -355,26 +328,8 @@ class MismatchedCollectiveInjector(Communicator):
         self._collective_count = 0
         self.injected: dict[str, int] = {}
 
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    def send(self, dest: int, array: np.ndarray) -> None:
-        self.inner.send(dest, array)
-
-    def recv(self, source: int, timeout: float = DEFAULT_TIMEOUT) -> np.ndarray:
-        return self.inner.recv(source, timeout=timeout)
-
-    def poll(self, source: int, timeout: float = 0.0) -> bool:
-        return self.inner.poll(source, timeout=timeout)
+    def attach_tracer(self, tracer) -> None:
+        self.inner.attach_tracer(tracer)
 
     def _swap(self, kind: str) -> str | None:
         """The substitute kind when this collective call is the victim."""

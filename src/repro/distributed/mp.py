@@ -121,24 +121,23 @@ class PipeCommunicator(Communicator):
             # dead-peer diagnosis instead of poll masking it as "no data".
             return True
 
-    def barrier(self) -> None:
-        # Dissemination barrier: log2(L) rounds of token exchange.
-        token = np.zeros(1)
-        distance = 1
-        while distance < self._size:
-            dest = (self._rank + distance) % self._size
-            src = (self._rank - distance) % self._size
-            self.send(dest, token)
-            self.recv(src, timeout=DEFAULT_TIMEOUT)
-            distance <<= 1
-
     def close(self) -> None:
         for sender in self._senders.values():
             sender.close()
 
 
-def _worker(rank, size, conn_map, result_conn, fn, args):
-    comm = PipeCommunicator(rank, size, conn_map)
+def _worker(rank, conns, result_conns, fn, args):
+    # Fork hands every rank a copy of every pipe end. A pipe reports EOF
+    # only once *all* holders of the far end are gone, so keep this rank's
+    # own ends and close the rest: then a rank that exits is seen by its
+    # peers (and the parent) at once, not when the last sibling exits.
+    for other, peer_ends in enumerate(conns):
+        if other != rank:
+            for conn in peer_ends.values():
+                conn.close()
+            result_conns[other].close()
+    result_conn = result_conns[rank]
+    comm = PipeCommunicator(rank, len(conns), conns[rank])
     try:
         result = fn(comm, rank, *args)
         result_conn.send((rank, "ok", result))
@@ -187,7 +186,7 @@ def run_processes(
     procs = [
         ctx.Process(
             target=_worker,
-            args=(r, world_size, conns[r], result_children[r], fn, tuple(args)),
+            args=(r, conns, result_children, fn, tuple(args)),
             daemon=True,
         )
         for r in range(world_size)

@@ -45,6 +45,7 @@ import numpy as np
 from repro.distributed.comm import (
     DEFAULT_TIMEOUT,
     ChecksumError,
+    CommLayer,
     Communicator,
     CommTimeoutError,
     OwnedFrame,
@@ -211,7 +212,7 @@ class RetryPolicy:
         )
 
 
-class ResilientCommunicator(Communicator):
+class ResilientCommunicator(CommLayer):
     """Checksummed, retrying wrapper over any point-to-point backend.
 
     Both endpoints of every channel must be wrapped (frames on the wire).
@@ -220,26 +221,11 @@ class ResilientCommunicator(Communicator):
     """
 
     def __init__(self, inner: Communicator, policy: RetryPolicy | None = None):
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy or RetryPolicy()
-        self.algorithm = inner.algorithm
         self._send_seq: dict[int, int] = {}
         self._recv_seq: dict[int, int] = {}
         self._pushback: dict[int, deque] = {}
-
-    # -- delegation -----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def stats(self):
-        return self.inner.stats
 
     # -- framing --------------------------------------------------------------
 
@@ -474,15 +460,3 @@ class ResilientCommunicator(Communicator):
             pass
         except Exception:  # noqa: BLE001 — a closed pipe to a dead peer is expected
             pass
-
-    # -- barrier --------------------------------------------------------------
-
-    def barrier(self) -> None:
-        # Dissemination over the framed channels, so a dead peer escalates
-        # to RankFailure instead of wedging a backend-native barrier.
-        token = np.zeros(1)
-        distance = 1
-        while distance < self.size:
-            self.send((self.rank + distance) % self.size, token)
-            self.recv((self.rank - distance) % self.size, timeout=DEFAULT_TIMEOUT)
-            distance <<= 1

@@ -29,6 +29,3 @@ class SerialCommunicator(Communicator):
 
     def recv(self, source: int, timeout: float = 60.0) -> np.ndarray:
         raise RuntimeError("point-to-point recv in a world of size 1")
-
-    def barrier(self) -> None:
-        pass

@@ -1,7 +1,7 @@
 """The self-healing training supervisor: detect → shrink/grow → rebalance.
 
-:class:`TrainingSupervisor` is the explicit state machine that used to be
-inlined in ``train_resilient``. One rank's run moves through:
+:class:`TrainingSupervisor` is the one distributed training driver: an
+explicit state machine around the step loop. One rank's run moves through:
 
 .. code-block:: text
 
@@ -13,11 +13,14 @@ inlined in ``train_resilient``. One rank's run moves through:
           ├── sync boundary ──▶ [REBALANCE] ──▶ RUN
           └── join consensus ─▶ GROW (invite + state broadcast) ──▶ RUN
 
-- **RUN** steps the trainer; every ``sync_every`` steps it passes a *sync
-  boundary*: per-rank sampling/energy costs, local step times, and the
-  locally-observed join announcements are allgathered, so every member
-  reaches the same conclusions from the same data (no extra agreement
-  round — consensus rides the step-boundary collective).
+- **RUN** steps the trainer through a :class:`~repro.core.vqmc.StepDriver`
+  — ``VQMC.run``'s loop, callback lifecycle and isolated teardown; the
+  supervisor is its first callback, which is where it checkpoints. Every
+  ``sync_every`` steps it passes a *sync boundary*: per-rank sampling
+  costs, local step times, and the locally-observed join announcements
+  are allgathered, so every member reaches the same conclusions from the
+  same data (no extra agreement round — consensus rides the
+  step-boundary collective).
 - **DETECT / RESTORE** is the PR-2 shrink contract (heartbeats + bitmap
   consensus + agreed-checkpoint restore), now *re-entrant*: a second
   failure during recovery — the case that used to escape the handler —
@@ -45,6 +48,15 @@ treated as the run's black box: every shrink/grow/rejoin is noted on it
 with epoch tags, and it is dumped on rank failure, eviction, and injected
 crashes (so each surviving rank leaves a ``flight.rankNNN.json`` naming
 the failed ranks and the agreed restore step).
+
+Exits. An injected crash (:class:`~repro.distributed.faults
+.InjectedRankCrash`) and an eviction both model process death: the rank
+falls silent — no teardown hooks, no further communication — and returns
+its report (``crashed`` / ``evicted``). Every other exit, normal or
+exceptional, delivers the driver's teardown. Serial runs have no peer to
+shrink with; their story is crash/restart (``resume="auto"``). With
+``checkpoint_dir=None`` there is nothing to supervise — no checkpoint is
+written, a ``RankFailure`` propagates: static data parallelism.
 """
 
 from __future__ import annotations
@@ -57,8 +69,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.callbacks import StopTraining
+from repro.core.callbacks import Callback
 from repro.core.checkpoint import CheckpointCallback, CheckpointCorruptError
+from repro.core.vqmc import StepDriver
 from repro.distributed.comm import CommTimeoutError, RankFailure, SubCommunicator
 from repro.distributed.elastic import (
     ElasticConfig,
@@ -177,7 +190,7 @@ class TargetSNRPolicy(ScalingPolicy):
         return "grow" if snr < self.target_snr else "hold"
 
 
-class TrainingSupervisor:
+class TrainingSupervisor(Callback):
     """Run a :class:`repro.core.VQMC` trainer under elastic supervision.
 
     Parameters
@@ -188,7 +201,11 @@ class TrainingSupervisor:
         *root* world — the supervisor swaps ``vqmc.comm`` to
         :class:`SubCommunicator` views of it as membership changes).
     checkpoint_dir, checkpoint_every, keep_last, resume:
-        The PR-2 crash-safe checkpoint knobs (see ``train_resilient``).
+        Shared directory of the per-rank crash-safe checkpoints (``None``,
+        the default, switches supervision off), their cadence in steps (the
+        starting step is always written, so recovery has a floor) and
+        retention; ``resume="auto"`` restores the newest verifying one
+        before training, ``False`` starts fresh.
     callbacks:
         Regular :class:`repro.core.Callback` objects; after a restore,
         replayed steps fire ``on_step`` again.
@@ -206,7 +223,7 @@ class TrainingSupervisor:
         :class:`ScalingPolicy` gating join admission (default: admit all).
     accept_joins:
         Poll for join announcements at sync boundaries. Off by default —
-        the plain ``train_resilient`` path is then bit-exactly PR 2.
+        the run is then shrink-only.
     sync_every:
         Step cadence of the sync boundary (cost allgather + join poll).
     rejoin_seed:
@@ -219,7 +236,7 @@ class TrainingSupervisor:
         self,
         vqmc,
         *,
-        checkpoint_dir: str | Path,
+        checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 5,
         keep_last: int = 5,
         callbacks: Sequence = (),
@@ -246,6 +263,10 @@ class TrainingSupervisor:
             raise ValueError(
                 f"ledger world_size {ledger.world_size} != comm size {self.world}"
             )
+        if checkpoint_dir is None and (ledger is not None or accept_joins):
+            raise ValueError(
+                "a ledger and join admission need supervision: set checkpoint_dir"
+            )
         self.checkpoint_every = checkpoint_every
         self.callbacks = list(callbacks)
         self.elastic = elastic
@@ -256,14 +277,16 @@ class TrainingSupervisor:
         self.accept_joins = accept_joins
         self.sync_every = sync_every
         self.rejoin_seed = rejoin_seed
-        self.ckpt = CheckpointCallback(
-            checkpoint_dir,
-            every=checkpoint_every,
-            keep_last=keep_last,
-            rank=self.rank,
-        )
+        self.ckpt = None
+        if checkpoint_dir is not None:
+            self.ckpt = CheckpointCallback(
+                checkpoint_dir, checkpoint_every, keep_last, rank=self.rank
+            )
+        #: recover from rank failures (needs peers and a checkpoint floor)
+        self.supervised = self.ckpt is not None and self.world > 1
         self.report = ResilientRunReport(
-            rank=self.rank, checkpoint_dir=str(self.ckpt.directory)
+            rank=self.rank,
+            checkpoint_dir=str(self.ckpt.directory) if self.ckpt else "",
         )
 
         self.group: list[int] = list(range(self.world))
@@ -310,8 +333,11 @@ class TrainingSupervisor:
         self._win_steps = 0
         self._last_stats = None
 
-    def _record_step(self, result, batch: int) -> None:
+    def on_step(self, step: int, result) -> None:
+        """As the driver's first callback: feed the cost window, then
+        checkpoint — before a later callback can end the run on this step."""
         phases = result.phase_seconds
+        batch = self._driver.batch_size or self.vqmc.config.batch_size
         # Only the sampling phase feeds the cost model: it is the
         # communication-free phase, so its wall-clock is a clean per-rank
         # signal. The energy phase ends in the global stats allreduce,
@@ -322,21 +348,20 @@ class TrainingSupervisor:
         self._win_step_seconds += result.step_time
         self._win_steps += 1
         self._last_stats = result.stats
+        if self.ckpt is not None and step % self.checkpoint_every == 0:
+            self.ckpt.write(self.vqmc, step)
 
     # -- the state machine ----------------------------------------------------
 
     def run(self, iterations: int, batch_size: int | None = None) -> ResilientRunReport:
-        """Train to ``iterations`` total steps under supervision; returns
-        this rank's report (same contract as ``train_resilient``)."""
+        """Train to ``iterations`` total steps; returns this rank's report."""
         vqmc = self.vqmc
-        if self.resume == "auto":
-            self.ckpt.restore_latest(vqmc)
-        if self.ckpt.newest_verified_step() is None:
-            self.ckpt.write(vqmc, vqmc.global_step)
-        for cb in self.callbacks:
-            cb.on_run_begin(vqmc)
-        outcome = self._loop(iterations, batch_size)
-        return self._finalise(outcome)
+        if self.ckpt is not None:
+            if self.resume == "auto":
+                self.ckpt.restore_latest(vqmc)
+            if self.ckpt.newest_verified_step() is None:
+                self.ckpt.write(vqmc, vqmc.global_step)
+        return self._drive(iterations, batch_size)
 
     def rejoin(
         self,
@@ -356,6 +381,8 @@ class TrainingSupervisor:
         ``rejoined=False`` if no invite ever arrived (e.g. the run ended).
         """
         vqmc = self.vqmc
+        if self.ckpt is None:
+            raise ValueError("rejoin needs supervision: set checkpoint_dir")
         t0 = time.perf_counter()
         with self.tracer.span("elastic.rejoin", rank=self.rank):
             for peer in range(self.root.size):
@@ -402,66 +429,54 @@ class TrainingSupervisor:
             )
             self._gauge_world()
             self._flight_event("rejoin", group=list(self.group))
-        for cb in self.callbacks:
-            cb.on_run_begin(vqmc)
-        outcome = self._loop(iterations, batch_size)
-        return self._finalise(outcome)
+        return self._drive(iterations, batch_size)
 
-    def _loop(self, iterations: int, batch_size: int | None) -> str:
-        """RUN state: step until done, dispatching to recovery/grow/rebalance.
-        Returns ``"completed"`` / ``"crashed"`` / ``"evicted"``."""
-        vqmc = self.vqmc
-        supervised = self.root is not None and self.world > 1
-        while vqmc.global_step < iterations:
-            try:
-                if supervised and self._sync_due():
-                    if self._skip_sync_once:
-                        self._skip_sync_once = False
-                    else:
-                        self._sync()
-                batch = self._batch_for_me(batch_size)
-                result = vqmc.step(batch)
-                self._record_step(result, batch or vqmc.config.batch_size)
-                if vqmc.global_step % self.checkpoint_every == 0:
-                    self.ckpt.write(vqmc, vqmc.global_step)
-                for cb in self.callbacks:
-                    cb.on_step(result.step, result)
-            except StopTraining:
-                break
-            except InjectedRankCrash as exc:
-                # Process death: fall silent immediately (no on_run_end, no
-                # further communication) and let the survivors detect it.
-                # Local disk is not communication — the dying rank still
-                # leaves its black box.
-                self._flight_event("injected_crash", error=type(exc).__name__)
-                self._flight_dump("injected_crash")
-                return "crashed"
-            except RankFailure:
-                if not supervised:
-                    raise
-                if not self._recover():
-                    return "evicted"
-        return "completed"
-
-    def _finalise(self, outcome: str) -> ResilientRunReport:
-        report = self.report
-        report.completed_steps = self.vqmc.global_step
+    def _drive(self, iterations: int, batch_size: int | None) -> ResilientRunReport:
+        """RUN state: step a :class:`StepDriver` until ``vqmc.global_step``
+        reaches ``iterations``, dispatching to sync/recovery between steps."""
+        vqmc, report = self.vqmc, self.report
+        driver = self._driver = StepDriver(
+            vqmc,
+            max(0, iterations - vqmc.global_step),
+            callbacks=[self, *self.callbacks],
+        )
+        try:
+            driver.begin()
+            while not driver.done:
+                try:
+                    if self._sync_due():
+                        if self._skip_sync_once:
+                            self._skip_sync_once = False
+                        else:
+                            self._sync()
+                    driver.batch_size = self._batch_for_me(batch_size)
+                    driver.step_once()
+                except RankFailure:
+                    if not self.supervised:
+                        raise
+                    if not self._recover():
+                        report.evicted = True  # falls silent, like a crash
+                        break
+        except InjectedRankCrash as exc:
+            # Process death: fall silent immediately (no teardown hooks, no
+            # further communication) and let the survivors detect it.
+            # Local disk is not communication — the dying rank still
+            # leaves its black box.
+            self._flight_event("injected_crash", error=type(exc).__name__)
+            self._flight_dump("injected_crash")
+            report.crashed = True
+        except BaseException as exc:
+            driver.finish(exc)
+            raise
+        report.completed_steps = vqmc.global_step
         if self.ledger is not None:
             report.rebalances = self.ledger.rebalances
-        if outcome == "crashed":
-            report.crashed = True
-            report.final_group = list(self.group)
-            return report
-        if outcome == "evicted":
-            report.evicted = True
-            report.final_group = []
-            return report
-        for cb in self.callbacks:
-            cb.on_run_end(self.vqmc)
-        report.final_group = list(self.group)
-        report.comm_stats = (
-            self.root.stats.snapshot() if self.root is not None else {}
-        )
+        report.final_group = [] if report.evicted else list(self.group)
+        if not (report.crashed or report.evicted):
+            driver.finish(None)
+            report.comm_stats = (
+                self.root.stats.snapshot() if self.root is not None else {}
+            )
         return report
 
     # -- batch assignment ----------------------------------------------------
@@ -474,7 +489,7 @@ class TrainingSupervisor:
     # -- sync boundary: costs, joins, rebalance -------------------------------
 
     def _sync_due(self) -> bool:
-        if not (self.accept_joins or self.ledger is not None):
+        if not (self.supervised and (self.accept_joins or self.ledger is not None)):
             return False
         return self.vqmc.global_step % self.sync_every == 0
 

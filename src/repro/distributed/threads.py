@@ -126,6 +126,7 @@ class ThreadCommunicator(Communicator):
         return not inbox.empty()
 
     def barrier(self) -> None:
+        """The group's ``threading.Barrier`` (or the explorer's commit point)."""
         if self._controller is not None:
             self._controller.barrier_commit(self._rank, self._barrier.parties)
             return

@@ -10,9 +10,11 @@ CRC-stamped — the moment the run dies.
 
 Dump triggers, mirroring how runs actually end:
 
-- **Crash**: ``VQMC.run`` raises → its ``finally`` block delivers
-  ``on_crash`` to every callback that defines it before ``on_run_end``;
-  the recorder dumps with the exception type as the reason.
+- **Crash**: a step or callback raises → the step loop's teardown
+  (:class:`~repro.core.vqmc.StepDriver`, shared by ``VQMC.run`` and
+  ``TrainingSupervisor.run``) delivers ``on_crash`` to every callback that
+  defines it before ``on_run_end``; the recorder dumps with the exception
+  type as the reason.
 - **RankFailure / elastic events**: :class:`~repro.distributed.supervisor.
   TrainingSupervisor` finds a recorder among its callbacks and (a) notes
   every shrink/grow/rejoin with epoch tags, (b) dumps after each recovery
@@ -238,7 +240,7 @@ class FlightRecorder:
         self.last_step = int(step)
 
     def on_crash(self, vqmc, exc: BaseException) -> None:
-        """Delivered by ``VQMC.run``'s ``finally`` when a step or callback
+        """Delivered by the step loop's teardown when a step or callback
         raised; dumps the black box with the exception as the reason."""
         del vqmc
         self.note_event(

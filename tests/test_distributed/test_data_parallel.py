@@ -8,11 +8,13 @@ import pytest
 from repro.core.vqmc import VQMC, VQMCConfig
 from repro.distributed import run_threaded
 from repro.distributed.data_parallel import run_data_parallel
+from repro.distributed.mp import run_processes
 from repro.distributed.serial import SerialCommunicator
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import MADE
 from repro.optim import SGD, Adam, StochasticReconfiguration
 from repro.samplers import AutoregressiveSampler
+from repro.utils.rng import spawn_generators
 
 
 def _builder_factory(n=6, seed=7, lr=0.05, sr=False):
@@ -263,7 +265,55 @@ class TestGradientExactness:
             assert np.allclose(r, expect, atol=atol)
 
 
+def _hand_built_worker(comm, rank, builder, iterations, mbs, seed):
+    """What ``run_data_parallel`` must equal: a bare ``VQMC.run`` per rank."""
+    model, ham, sampler, opt, *sr = builder(rank)
+    vqmc = VQMC(
+        model, ham, sampler, opt, sr=sr[0] if sr else None, comm=comm,
+        seed=spawn_generators(seed, comm.size)[rank],
+    )
+    vqmc.run(iterations, batch_size=mbs)
+    return model.flat_parameters()
+
+
 class TestRunDataParallel:
+    @pytest.mark.parametrize("sr", [False, True], ids=["adam", "sgd+sr"])
+    @pytest.mark.parametrize(
+        "backend,world",
+        [("threads", 1), ("threads", 2), ("threads", 4), ("processes", 2)],
+    )
+    def test_static_equals_hand_built_equals_idle_supervision(
+        self, backend, world, sr, tmp_path
+    ):
+        """One worker serves both modes: the static run is a hand-built
+        ``VQMC(comm=…).run(…)`` per rank, bit for bit, and a supervised run
+        in which nothing fails is the static run, bit for bit."""
+        builder, iters, mbs, seed = _builder_factory(sr=sr), 4, 16, 11
+        args = (builder, iters, mbs, seed)
+        if world == 1:
+            hand = [_hand_built_worker(SerialCommunicator(), 0, *args)]
+        else:
+            runner = run_threaded if backend == "threads" else run_processes
+            hand = runner(_hand_built_worker, world, args=args, timeout=120.0)
+
+        static = run_data_parallel(
+            builder, world, iters, mbs, seed=seed, backend=backend
+        )
+        supervised = run_data_parallel(
+            builder, world, iters, mbs, seed=seed, backend=backend,
+            checkpoint_dir=tmp_path / "ckpt", checkpoint_every=2,
+        )
+        assert len(static.final_params) == len(static.reports) == world
+        for rank in range(world):
+            assert np.array_equal(static.final_params[rank], hand[rank])
+            assert np.array_equal(supervised.final_params[rank], hand[rank])
+            assert static.reports[rank].completed_steps == iters
+            assert supervised.reports[rank].restores == []
+        assert np.array_equal(static.energy, supervised.energy)
+        assert static.final_energy == supervised.final_energy
+        assert static.reports[0].checkpoint_dir == ""
+        assert list((tmp_path / "ckpt").glob("checkpoint_*.npz"))
+
     def test_world_size_one_uses_serial(self):
         res = run_data_parallel(_builder_factory(), 1, iterations=5, mini_batch_size=32)
         assert res.world_size == 1

@@ -6,8 +6,7 @@ dump on every surviving rank, and ``tools/monitor.py`` reads those dumps
 and names the failing rank and the last completed step.
 
 Also covered: the supervisor's epoch-tagged ``shrink`` event lands in the
-survivors' dumps, and ``train_resilient(flight_dir=...)`` wires a
-recorder without any explicit callback plumbing.
+survivors' dumps, and a serial supervised run leaves its black box too.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ from repro.distributed import (
     FaultEvent,
     FaultInjectionCallback,
     FaultPlan,
-    FaultyCommunicator,
-    ResilientCommunicator,
     RetryPolicy,
+    TrainingSupervisor,
+    build_comm,
     run_threaded,
-    train_resilient,
 )
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import MADE
@@ -64,20 +62,17 @@ def _worker(comm, rank, ckpt_dir, flight_dir):
         [FaultEvent(kind="crash", rank=WORLD - 1, step=CRASH_STEP)]
     )
     policy = RetryPolicy(max_attempts=2, backoff_base=0.01, attempt_timeout=0.25)
-    rcomm = ResilientCommunicator(FaultyCommunicator(comm, plan), policy)
-    vqmc = _make_vqmc(rcomm, rank)
+    vqmc = _make_vqmc(build_comm(comm, plan=plan, retry=policy), rank)
     # Recorder first so the crash-step frame is captured before the fault
     # callback raises on the same step.
     flight = FlightRecorder(flight_dir, capacity=16)
-    report = train_resilient(
-        vqmc, ITERATIONS,
-        batch_size=16,
+    return TrainingSupervisor(
+        vqmc,
         checkpoint_dir=ckpt_dir,
         checkpoint_every=2,
         callbacks=[flight, FaultInjectionCallback(plan, rank)],
         elastic=ElasticConfig(),
-    )
-    return report
+    ).run(ITERATIONS, batch_size=16)
 
 
 class TestInjectedCrashLeavesBlackBoxes:
@@ -142,30 +137,19 @@ class TestInjectedCrashLeavesBlackBoxes:
         assert payload["restored_step"] == CRASH_STEP
 
 
-class TestFlightDirConvenience:
-    def test_serial_injected_crash_dumps_via_flight_dir(self, tmp_path):
+class TestSerialRun:
+    def test_serial_injected_crash_dumps(self, tmp_path):
         plan = FaultPlan([FaultEvent(kind="crash", rank=0, step=3)])
         vqmc = _make_vqmc(None, 0)
-        report = train_resilient(
-            vqmc, ITERATIONS,
-            batch_size=16,
+        report = TrainingSupervisor(
+            vqmc,
             checkpoint_dir=tmp_path / "ckpt",
             checkpoint_every=2,
-            callbacks=[FaultInjectionCallback(plan, 0)],
-            flight_dir=tmp_path / "flight",
-        )
+            callbacks=[
+                FlightRecorder(tmp_path / "flight", rank=0),
+                FaultInjectionCallback(plan, 0),
+            ],
+        ).run(ITERATIONS, batch_size=16)
         assert report.crashed
         body = load_flight_dump(tmp_path / "flight" / flight_file_name(0))["body"]
         assert body["reason"] == "injected_crash"
-
-    def test_existing_recorder_not_duplicated(self, tmp_path):
-        flight = FlightRecorder(tmp_path / "flight", rank=0)
-        vqmc = _make_vqmc(None, 0)
-        train_resilient(
-            vqmc, 2,
-            batch_size=16,
-            checkpoint_dir=tmp_path / "ckpt",
-            callbacks=[flight],
-            flight_dir=tmp_path / "other",
-        )
-        assert not (tmp_path / "other").exists()

@@ -9,8 +9,8 @@ The acceptance contract pinned here (on all three backends):
   checkpoint and finishes the remaining steps) — recovery is a replay,
   not an approximation.
 - Serial runs have no peers to shrink with; their story is crash/restart:
-  a fresh ``train_resilient(resume="auto")`` after an injected crash must
-  reproduce the uninterrupted run bit-exactly.
+  a fresh ``resume="auto"`` run after an injected crash must reproduce the
+  uninterrupted run bit-exactly.
 - Worker failures in ``run_threaded``/``run_processes`` surface with rank
   attribution and the original traceback, never as an anonymous hang.
 """
@@ -24,19 +24,14 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.vqmc import VQMC
 from repro.distributed import (
     CommTimeoutError,
     ElasticConfig,
     FaultEvent,
-    FaultInjectionCallback,
     FaultPlan,
-    FaultyCommunicator,
-    ResilientCommunicator,
-    RetryPolicy,
     WorkerFailure,
+    run_data_parallel,
     run_threaded,
-    train_resilient,
 )
 from repro.distributed.mp import run_processes
 from repro.hamiltonians import TransverseFieldIsing
@@ -51,32 +46,20 @@ CRASH_STEP = 4
 CHECKPOINT_EVERY = 2
 
 
-def _make_vqmc(comm, rank):
+def _builder(rank):
     model = MADE(6, hidden=8, rng=np.random.default_rng(3))
     ham = TransverseFieldIsing.random(6, seed=1)
-    return VQMC(
-        model, ham, AutoregressiveSampler(),
-        SGD(model.parameters(), lr=0.05),
-        comm=comm, seed=100 + rank,
-    )
+    return model, ham, AutoregressiveSampler(), SGD(model.parameters(), lr=0.05)
 
 
-def _e2e_worker(comm, rank, ckpt_dir, iterations, plan):
-    """One rank of a resilient run; returns (report, final flat params)."""
-    policy = RetryPolicy(max_attempts=2, backoff_base=0.01, attempt_timeout=0.25)
-    inner = FaultyCommunicator(comm, plan) if plan is not None else comm
-    rcomm = ResilientCommunicator(inner, policy)
-    vqmc = _make_vqmc(rcomm, rank)
-    callbacks = [FaultInjectionCallback(plan, rank)] if plan is not None else []
-    report = train_resilient(
-        vqmc, iterations,
-        batch_size=16,
-        checkpoint_dir=ckpt_dir,
-        checkpoint_every=CHECKPOINT_EVERY,
-        callbacks=callbacks,
-        elastic=ElasticConfig(),
+def _run(backend, world, ckpt_dir, plan=None, iterations=ITERATIONS):
+    """A supervised run through the one launcher (its default retry policy
+    escalates in well under a second)."""
+    return run_data_parallel(
+        _builder, world, iterations, 16, seed=100, backend=backend, timeout=120.0,
+        checkpoint_dir=ckpt_dir, plan=plan,
+        checkpoint_every=CHECKPOINT_EVERY, elastic=ElasticConfig(),
     )
-    return report, vqmc.model.flat_parameters()
 
 
 def _faulty_plan(world_size):
@@ -98,14 +81,10 @@ def _seed_reference_dir(src, dst, max_step):
             shutil.copy2(f, dst / f.name)
 
 
-def _check_recovery_run(runner, tmp_path):
+def _check_recovery_run(backend, tmp_path):
     faulty_dir = tmp_path / "faulty"
-    results = runner(
-        _e2e_worker, 3,
-        args=(str(faulty_dir), ITERATIONS, _faulty_plan(3)),
-        timeout=120.0,
-    )
-    reports = [r[0] for r in results]
+    faulty = _run(backend, 3, faulty_dir, _faulty_plan(3))
+    reports = faulty.reports
 
     # the scheduled victim crashed; the survivors finished every step
     assert reports[2].crashed and reports[2].completed_steps == CRASH_STEP
@@ -125,59 +104,36 @@ def _check_recovery_run(runner, tmp_path):
     # restore the same agreed checkpoint, finish the remaining steps
     ref_dir = tmp_path / "reference"
     _seed_reference_dir(faulty_dir, ref_dir, max_step=CRASH_STEP)
-    reference = runner(
-        _e2e_worker, 2, args=(str(ref_dir), ITERATIONS, None), timeout=120.0,
-    )
+    reference = _run(backend, 2, ref_dir)
     for rank in (0, 1):
-        assert reference[rank][0].completed_steps == ITERATIONS
-        assert np.array_equal(results[rank][1], reference[rank][1]), (
-            f"rank {rank}: post-recovery parameters diverge from the "
-            "fault-free resume path"
-        )
+        assert reference.reports[rank].completed_steps == ITERATIONS
+        assert np.array_equal(
+            faulty.final_params[rank], reference.final_params[rank]
+        ), f"rank {rank}: post-recovery parameters diverge from the fault-free resume path"
+    assert np.isfinite(faulty.final_energy)  # survivors evaluated on the shrunken world
 
 
 class TestEndToEndRecovery:
     def test_threads_crash_and_corruption_bit_exact(self, tmp_path):
-        _check_recovery_run(run_threaded, tmp_path)
+        _check_recovery_run("threads", tmp_path)
 
     def test_processes_crash_and_corruption_bit_exact(self, tmp_path):
-        _check_recovery_run(run_processes, tmp_path)
+        _check_recovery_run("processes", tmp_path)
 
     def test_serial_crash_restart_bit_exact(self, tmp_path):
         # run 1: injected crash at step 3 (last checkpoint is step 2)
         plan = FaultPlan([FaultEvent(kind="crash", rank=0, step=3)])
-        vqmc = _make_vqmc(None, 0)
-        report = train_resilient(
-            vqmc, ITERATIONS,
-            batch_size=16,
-            checkpoint_dir=tmp_path / "run",
-            checkpoint_every=CHECKPOINT_EVERY,
-            callbacks=[FaultInjectionCallback(plan, 0)],
-        )
+        report = _run("threads", 1, tmp_path / "run", plan).reports[0]
         assert report.crashed and report.completed_steps == 3
 
         # run 2: restart in the same directory; resume="auto" restores the
         # newest verifying checkpoint and replays steps 3..6
-        vqmc2 = _make_vqmc(None, 0)
-        report2 = train_resilient(
-            vqmc2, ITERATIONS,
-            batch_size=16,
-            checkpoint_dir=tmp_path / "run",
-            checkpoint_every=CHECKPOINT_EVERY,
-        )
-        assert report2.completed_steps == ITERATIONS
+        restarted = _run("threads", 1, tmp_path / "run")
+        assert restarted.reports[0].completed_steps == ITERATIONS
 
         # reference: the same training uninterrupted
-        vqmc3 = _make_vqmc(None, 0)
-        train_resilient(
-            vqmc3, ITERATIONS,
-            batch_size=16,
-            checkpoint_dir=tmp_path / "clean",
-            checkpoint_every=CHECKPOINT_EVERY,
-        )
-        assert np.array_equal(
-            vqmc2.model.flat_parameters(), vqmc3.model.flat_parameters()
-        )
+        clean = _run("threads", 1, tmp_path / "clean")
+        assert np.array_equal(restarted.final_params[0], clean.final_params[0])
 
 
 # -- worker failure attribution ------------------------------------------------
@@ -240,23 +196,17 @@ def _soak_plan():
     ], seed=7)
 
 
-def _soak_worker(comm, rank, ckpt_dir):
-    return _e2e_worker(comm, rank, ckpt_dir, 10, _soak_plan())
-
-
 @pytest.mark.slow
 class TestSoak:
     def test_processes_multi_fault_schedule(self, tmp_path):
         """A process-backed world rides out stragglers, duplicates, repeated
         transient corruption and a crash, and the surviving replicas stay in
         lock-step (identical parameters — the data-parallel invariant)."""
-        results = run_processes(
-            _soak_worker, 3, args=(str(tmp_path / "soak"),), timeout=300.0
-        )
-        reports = [r[0] for r in results]
+        result = _run("processes", 3, tmp_path / "soak", _soak_plan(), iterations=10)
+        reports = result.reports
         assert reports[2].crashed
         for rep in reports[:2]:
             assert rep.completed_steps == 10
             assert rep.final_group == [0, 1]
             assert rep.restores
-        assert np.array_equal(results[0][1], results[1][1])
+        assert np.array_equal(result.final_params[0], result.final_params[1])

@@ -1,6 +1,6 @@
 """The self-healing training supervisor: policies, repeated failures, rejoin.
 
-Three contracts pinned here:
+Four contracts pinned here:
 
 - **Scaling policies** are pure functions of a congruent observation
   (unit-tested without any communicator).
@@ -14,6 +14,9 @@ Three contracts pinned here:
   with *bit-identical* parameters (the lock-step invariant holds through
   the grow). The faulty run's final energy agrees with a no-fault run
   within statistical tolerance.
+- **One loop, one teardown**: a supervised run that dies on an ordinary
+  exception tears down exactly as ``VQMC.run`` does — black box dumped,
+  every sink closed, the original error propagated.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.callbacks import Callback
 from repro.core.vqmc import VQMC
 from repro.distributed import (
     BatchLedger,
@@ -28,18 +32,20 @@ from repro.distributed import (
     FaultEvent,
     FaultInjectionCallback,
     FaultPlan,
-    FaultyCommunicator,
     PolicyObservation,
-    ResilientCommunicator,
     RetryPolicy,
     ScalingPolicy,
     TargetSNRPolicy,
     TargetStepTimePolicy,
     TrainingSupervisor,
+    build_comm,
+    run_data_parallel,
     run_threaded,
 )
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import MADE
+from repro.obs import flight_file_name, load_flight_dump
+from repro.obs.flight import FlightRecorder
 from repro.optim import SGD
 from repro.samplers import AutoregressiveSampler
 
@@ -83,37 +89,85 @@ class TestScalingPolicies:
         assert policy.decide(_obs(energy_sem=0.0)) == "hold"
 
 
+# -- one loop, one teardown ------------------------------------------------------
+
+
+class _RaiseAtStep(Callback):
+    def __init__(self, step):
+        self.step = step
+
+    def on_step(self, step, result):
+        if step == self.step:
+            raise ValueError(f"callback blew up at step {step}")
+
+
+class _RaiseInRunEnd(Callback):
+    def on_run_end(self, vqmc):
+        raise OSError("sink failed to close")
+
+
+class _Tail(Callback):
+    ended = False
+
+    def on_run_end(self, vqmc):
+        self.ended = True
+
+
+_RUNNERS = {
+    "VQMC.run": lambda vqmc, cbs, tmp: vqmc.run(6, batch_size=16, callbacks=cbs),
+    "TrainingSupervisor.run": lambda vqmc, cbs, tmp: TrainingSupervisor(
+        vqmc, checkpoint_dir=tmp / "ckpt", callbacks=cbs
+    ).run(6, batch_size=16),
+}
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("runner", _RUNNERS)
+    def test_dying_run_dumps_and_closes_every_sink(self, runner, tmp_path):
+        """Regression: the supervisor's private loop had no teardown — a
+        callback raising at step 3 left no flight dump and never closed the
+        remaining callbacks. Same row for ``VQMC.run``: one loop, no drift."""
+        tail = _Tail()
+        callbacks = [
+            _RaiseAtStep(3),
+            FlightRecorder(tmp_path / "flight", rank=0),
+            _RaiseInRunEnd(),  # neither starves `tail` nor masks the ValueError
+            tail,
+        ]
+        vqmc = _make_vqmc(None, 0)
+        with pytest.raises(ValueError, match="blew up at step 3"):
+            with pytest.warns(RuntimeWarning, match="_RaiseInRunEnd.on_run_end"):
+                _RUNNERS[runner](vqmc, callbacks, tmp_path)
+        assert vqmc.global_step == 3
+        body = load_flight_dump(tmp_path / "flight" / flight_file_name(0))["body"]
+        assert body["reason"] == "ValueError"
+        assert [e["kind"] for e in body["events"]] == ["crash"]
+        assert tail.ended
+
+
 # -- repeated failures ----------------------------------------------------------
 
 
-def _two_crash_worker(comm, rank, ckpt_dir):
-    """World 4; rank 3 dies at step 3, rank 2 dies at step 6 — two shrinks
-    in separate epochs."""
-    plan = FaultPlan([
-        FaultEvent(kind="crash", rank=3, step=3),
-        FaultEvent(kind="crash", rank=2, step=6),
-    ])
-    rcomm = ResilientCommunicator(
-        FaultyCommunicator(comm, plan), RetryPolicy(**_RETRY)
-    )
-    vqmc = _make_vqmc(rcomm, rank)
-    supervisor = TrainingSupervisor(
-        vqmc,
-        checkpoint_dir=ckpt_dir,
-        checkpoint_every=2,
-        callbacks=[FaultInjectionCallback(plan, rank)],
-        elastic=ElasticConfig(),
-    )
-    report = supervisor.run(10, batch_size=16)
-    return report, vqmc.model.flat_parameters()
+def _builder(rank):
+    model = MADE(6, hidden=8, rng=np.random.default_rng(3))
+    ham = TransverseFieldIsing.random(6, seed=1)
+    return model, ham, AutoregressiveSampler(), SGD(model.parameters(), lr=0.05)
 
 
 class TestRepeatedFailures:
     def test_two_crashes_in_separate_epochs_shrink_twice(self, tmp_path):
-        results = run_threaded(
-            _two_crash_worker, 4, args=(str(tmp_path / "ckpt"),), timeout=120.0,
+        """World 4; rank 3 dies at step 3, rank 2 dies at step 6 — two
+        shrinks in separate epochs."""
+        plan = FaultPlan([
+            FaultEvent(kind="crash", rank=3, step=3),
+            FaultEvent(kind="crash", rank=2, step=6),
+        ])
+        result = run_data_parallel(
+            _builder, 4, 10, 16, seed=100, timeout=120.0,
+            checkpoint_dir=tmp_path / "ckpt", plan=plan,
+            retry=RetryPolicy(**_RETRY), checkpoint_every=2, elastic=ElasticConfig(),
         )
-        reports = [r[0] for r in results]
+        reports = result.reports
         assert reports[3].crashed and reports[3].completed_steps == 3
         assert reports[2].crashed and reports[2].completed_steps == 6
         for rep in reports[:2]:
@@ -122,7 +176,7 @@ class TestRepeatedFailures:
             assert [r["group"] for r in rep.restores] == [[0, 1, 2], [0, 1]]
             assert rep.restores[0]["epoch"] < rep.restores[1]["epoch"]
         # the survivors stayed in lock-step through both shrinks
-        assert np.array_equal(results[0][1], results[1][1])
+        assert np.array_equal(result.final_params[0], result.final_params[1])
 
 
 # -- crash, shrink, rejoin -------------------------------------------------------
@@ -138,7 +192,7 @@ def _rejoin_worker(comm, rank, ckpt_dir):
     plan = FaultPlan([FaultEvent(kind="crash", rank=2, step=_REJOIN_CRASH)])
     retry = RetryPolicy(**_RETRY)
     cfg = ElasticConfig(heartbeat_timeout=1.0, consensus_timeout=1.0)
-    rcomm = ResilientCommunicator(FaultyCommunicator(comm, plan), retry)
+    rcomm = build_comm(comm, plan=plan, retry=retry)
     vqmc = _make_vqmc(rcomm, rank)
     supervisor = TrainingSupervisor(
         vqmc,
@@ -155,7 +209,7 @@ def _rejoin_worker(comm, rank, ckpt_dir):
 
     # -- restart: fresh resilient stack, fresh trainer (comm=None so the
     # constructor does not broadcast against the shrunken world), rejoin.
-    rcomm2 = ResilientCommunicator(comm, retry)
+    rcomm2 = build_comm(comm, retry=retry)
     vqmc2 = _make_vqmc(None, rank)
     supervisor2 = TrainingSupervisor(
         vqmc2,
@@ -172,7 +226,7 @@ def _rejoin_worker(comm, rank, ckpt_dir):
 
 
 def _nofault_worker(comm, rank, ckpt_dir):
-    rcomm = ResilientCommunicator(comm, RetryPolicy(**_RETRY))
+    rcomm = build_comm(comm, retry=RetryPolicy(**_RETRY))
     vqmc = _make_vqmc(rcomm, rank)
     supervisor = TrainingSupervisor(
         vqmc,
@@ -230,7 +284,7 @@ class TestRejoin:
         from repro.distributed.threads import make_thread_group
 
         comms = make_thread_group(2)
-        rcomm = ResilientCommunicator(comms[0], RetryPolicy(**_RETRY))
+        rcomm = build_comm(comms[0], retry=RetryPolicy(**_RETRY))
         vqmc = _make_vqmc(None, 0)
         supervisor = TrainingSupervisor(
             vqmc,

@@ -10,8 +10,9 @@ exact shape of the timeout message, so these contracts are pinned here:
   deadline, with the ``"rank {r}: no message from rank {s} within {t}s"``
   message; a closed pipe (dead peer) maps onto the same error type so the
   retry path treats silence and death uniformly — and so does a
-  ``run_threaded`` peer whose worker function is over: everything it sent
-  is still delivered in order, then every recv fails at once.
+  ``run_threaded`` peer whose worker function is over. On both backends
+  everything an exited peer sent is still delivered in order, then every
+  recv fails at once ("peer exited"), however long the timeout asked for.
 """
 
 from __future__ import annotations
@@ -54,18 +55,21 @@ def _thread_timeout_worker(comm, rank):
 
 
 def _exited_peer_worker(comm, rank, peer_raises):
+    """Rank 0 sends to every peer and exits; each peer gets what was queued,
+    then an immediate dead-peer diagnosis instead of the 30 s it asked for."""
     if rank == 0:
-        for value in (1.0, 2.0, 3.0):
-            comm.send(1, np.full(2, value))
+        for peer in range(1, comm.size):
+            for value in (1.0, 2.0, 3.0):
+                comm.send(peer, np.full(2, value))
         if peer_raises:
             raise RuntimeError("rank 0 is done for")
         return None
-    time.sleep(0.1)  # let rank 0 finish first
+    time.sleep(0.3)  # let rank 0 finish first
     got = [comm.recv(0, timeout=30.0)[0] for _ in range(3)]
     failures = []
     t0 = time.perf_counter()
-    for _ in range(2):  # the marker stays for later receives
-        assert comm.poll(0)  # like a closed pipe: ready, and recv tells why
+    for _ in range(2):  # the marker (or EOF) stays for later receives
+        assert comm.poll(0)  # ready, and recv tells why
         try:
             comm.recv(0, timeout=30.0)
         except CommTimeoutError as exc:
@@ -110,19 +114,13 @@ def _mp_timeout_worker(comm, rank):
             comm.recv(0, timeout=0.2)
         except CommTimeoutError as exc:
             return time.perf_counter() - t0, str(exc)
+        finally:
+            comm.send(0, np.zeros(1))  # release rank 0
         return None
+    # Silent, not gone, while rank 1 waits: an exited rank 0 would be the
+    # dead-peer contract below, not a timeout.
+    comm.recv(1, timeout=30.0)
     return None
-
-
-def _mp_dead_peer_worker(comm, rank):
-    if rank == 0:
-        return None  # exits immediately; its pipes close
-    time.sleep(0.3)  # let rank 0 die first
-    try:
-        while True:
-            comm.recv(0, timeout=5.0)
-    except CommTimeoutError as exc:
-        return str(exc)
 
 
 class TestProcesses:
@@ -134,7 +132,14 @@ class TestProcesses:
     def test_dead_peer_surfaces_as_timeout(self):
         """A peer that exits closes its pipes; the EOF must surface as
         CommTimeoutError (an instant timeout) so the resilient retry path
-        handles death and silence uniformly."""
-        msg = run_processes(_mp_dead_peer_worker, 2, timeout=60.0)[1]
-        assert msg is not None
-        assert "closed" in msg or "no message" in msg
+        handles death and silence uniformly. Regression: forked ranks
+        inherited every pipe end, so an exited rank's channel stayed open in
+        its siblings and a recv on it waited out the whole timeout."""
+        for world in (2, 3):
+            results = run_processes(
+                _exited_peer_worker, world, args=(False,), timeout=60.0
+            )
+            for got, failures, waited in results[1:]:
+                assert got == [1.0, 2.0, 3.0]  # queued before the exit: delivered
+                assert len(failures) == 2 and all("peer exited" in f for f in failures)
+                assert waited < 5.0  # not the 30 s asked for
