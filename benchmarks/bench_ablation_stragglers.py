@@ -2,8 +2,9 @@
 
 The paper's Figure 3 shows flat weak scaling on a healthy homogeneous
 cluster. Synchronous data parallelism is only as fast as its slowest rank,
-so this harness uses the discrete-event simulator to quantify the two
-real-world failure modes the closed-form model can't see:
+so this harness evaluates the cost model's barrier (the max over per-rank
+arrival times, ``MadeAutoCostModel.simulate``) to quantify the two
+real-world failure modes Fig. 3's homogeneous cluster hides:
 
 1. a single straggler GPU (thermal throttling, bad host): job slowdown
    tracks the straggler's slowdown almost 1:1, independent of L;
@@ -22,37 +23,32 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _harness import format_table, parse_args  # noqa: E402
 
-from repro.cluster.simulator import DataParallelSimulator  # noqa: E402
+from repro.cluster import MadeAutoCostModel  # noqa: E402
 
 
-def bench_simulator_iteration(benchmark):
-    sim = DataParallelSimulator(n=500, mini_batch=64, n_nodes=6, gpus_per_node=4,
-                                jitter=0.1)
-    benchmark(lambda: sim.run(iterations=5))
+def bench_straggler_timeline(benchmark):
+    model = MadeAutoCostModel()
+    benchmark(lambda: model.simulate(500, 64, np.ones((6, 4)), jitter=0.1,
+                                     iterations=5))
 
 
 def main() -> None:
     parse_args(__doc__.splitlines()[0])
     n, mbs = 1000, 128
+    model = MadeAutoCostModel()
 
     # ---- 1. single straggler -------------------------------------------------
     rows = []
     for n_nodes, gpn in ((1, 4), (2, 4), (6, 4)):
-        L = n_nodes * gpn
-        base = DataParallelSimulator(
-            n=n, mini_batch=mbs, n_nodes=n_nodes, gpus_per_node=gpn
-        ).run(3)
+        base = model.iteration_time(n, mbs, n_nodes, gpn)
         for slow in (1.25, 1.5, 2.0):
-            factors = np.ones(L)
-            factors[0] = slow
-            res = DataParallelSimulator(
-                n=n, mini_batch=mbs, n_nodes=n_nodes, gpus_per_node=gpn,
-                speed_factors=factors,
-            ).run(3)
+            factors = np.ones((n_nodes, gpn))
+            factors[0, 0] = slow
+            (wall,), (arrive,) = model.simulate(n, mbs, factors)
             rows.append([
                 f"{n_nodes}x{gpn}", f"{slow:.2f}x",
-                res.slowdown_vs(base),
-                float(np.mean([t.idle for t in res.timelines[1:]])) * 1e3,
+                wall / base,
+                float(np.mean(arrive.max() - arrive[1:])) * 1e3,
             ])
     print(format_table(
         ["config", "straggler", "job slowdown", "mean idle of healthy ranks (ms)"],
@@ -63,15 +59,13 @@ def main() -> None:
 
     # ---- 2. jitter vs L --------------------------------------------------------
     rows = []
+    base = model.iteration_time(n, mbs)
     for L in (1, 4, 8, 16, 24):
-        base = DataParallelSimulator(n=n, mini_batch=mbs, n_nodes=1,
-                                     gpus_per_node=1).run(30)
-        noisy = DataParallelSimulator(
-            n=n, mini_batch=mbs,
-            n_nodes=max(1, L // 4), gpus_per_node=min(L, 4),
-            jitter=0.2,
-        ).run(30, rng=np.random.default_rng(1))
-        rows.append([L, noisy.mean_iteration / base.mean_iteration])
+        noisy, _ = model.simulate(
+            n, mbs, np.ones((max(1, L // 4), min(L, 4))),
+            jitter=0.2, iterations=30, rng=np.random.default_rng(1),
+        )
+        rows.append([L, noisy.mean() / base])
     print()
     print(format_table(
         ["ranks L", "mean iter time vs 1-rank noiseless"],

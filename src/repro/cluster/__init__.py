@@ -9,7 +9,9 @@ cost model rather than silicon:
   RBM+MCMC built from the paper's own §4 complexity analysis
   (n forward passes of O(hn) each; k + bs/c chain steps for MCMC), with two
   scalar constants (per-kernel launch overhead, achieved FLOP rate)
-  calibrated against the paper's measured Table 1 row.
+  calibrated against the paper's measured Table 1 row; its ``simulate``
+  is the same iteration with stragglers and jitter (the allreduce barrier
+  waits for the slowest rank).
 - :mod:`repro.cluster.memory` — activation-memory model → the
   memory-saturating mini-batch ladder of Table 7.
 - :mod:`repro.cluster.comm_model` — hierarchical (NVLink ring + InfiniBand
@@ -33,19 +35,11 @@ from repro.cluster.comm_model import allreduce_time, hierarchical_allreduce_time
 from repro.cluster.efficiency import mcmc_parallel_efficiency, auto_parallel_efficiency
 from repro.cluster.planner import ParallelPlan, plan_parallelism
 from repro.cluster.report import scaling_report
-from repro.cluster.simulator import (
-    DataParallelSimulator,
-    RankTimeline,
-    SimulationResult,
-)
 
 __all__ = [
     "ParallelPlan",
     "plan_parallelism",
     "scaling_report",
-    "DataParallelSimulator",
-    "RankTimeline",
-    "SimulationResult",
     "DeviceSpec",
     "NodeSpec",
     "ClusterSpec",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from repro.cluster.device import DeviceSpec, V100
-from repro.models.made import default_hidden_size
+from repro.models.made import default_hidden_size, made_num_parameters
 
 __all__ = ["MemoryModel", "PAPER_MBS_LADDER"]
 
@@ -51,8 +51,7 @@ class MemoryModel:
         return self.overhead * raw
 
     def model_bytes(self, n: int, hidden: int | None = None) -> float:
-        h = hidden if hidden is not None else default_hidden_size(n)
-        return self.bytes_per_float * (2 * h * n + h + n)
+        return self.bytes_per_float * made_num_parameters(n, hidden)
 
     def max_mini_batch(self, n: int, hidden: int | None = None) -> int:
         """Largest power-of-two mbs with model + batch memory ≤ capacity."""

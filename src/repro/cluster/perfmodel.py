@@ -2,7 +2,7 @@
 
 Both models follow the paper's §4 accounting. One VQMC iteration is:
 
-  sampling  →  local-energy measurement  →  backward  →  allreduce  →  update
+  sampling  →  local-energy measurement  →  backward  →  allreduce
 
 and each network forward pass costs a fixed *kernel/dispatch overhead*
 ``t₀`` plus ``flops / effective_rate``. These two scalars are the only free
@@ -16,6 +16,12 @@ every scaling table:
   configurations, because the only L-dependent term (hierarchical
   allreduce of d = 2hn + h + n floats) is microseconds against
   hundreds of milliseconds of sampling.
+
+The allreduce is a barrier, so on an inhomogeneous cluster the iteration
+ends when the *slowest* rank has arrived:
+:meth:`MadeAutoCostModel.simulate` is that ``max`` over per-rank speed
+factors and lognormal jitter — what breaks weak scaling in practice
+(``benchmarks/bench_ablation_stragglers.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import numpy as np
 
 from repro.cluster.comm_model import hierarchical_allreduce_time
 from repro.cluster.device import DGX_NODE, ClusterSpec, DeviceSpec, V100
-from repro.models.made import default_hidden_size
+from repro.models.made import default_hidden_size, made_num_parameters
+from repro.utils.rng import init_rng
 
 __all__ = [
     "MadeAutoCostModel",
@@ -79,11 +86,23 @@ class MadeAutoCostModel:
 
     def allreduce_time(self, n: int, n_nodes: int, gpus_per_node: int,
                        hidden: int | None = None) -> float:
-        h = hidden if hidden is not None else default_hidden_size(n)
-        d = 2 * h * n + h + n  # paper §4's gradient length
+        d = made_num_parameters(n, hidden)
         return hierarchical_allreduce_time(d, n_nodes, gpus_per_node, self.cluster)
 
     # -- aggregates ------------------------------------------------------------------
+
+    def _compute_phases(
+        self, n: int, mbs: int, hidden: int | None
+    ) -> tuple[float, float, float]:
+        return (
+            self.sampling_time(n, mbs, hidden),
+            self.measurement_time(n, mbs, hidden),
+            self.backward_time(n, mbs, hidden),
+        )
+
+    def compute_time(self, n: int, mbs: int, hidden: int | None = None) -> float:
+        """A rank's time to the allreduce: sampling + measurement + backward."""
+        return sum(self._compute_phases(n, mbs, hidden))
 
     def iteration_time(
         self,
@@ -93,12 +112,57 @@ class MadeAutoCostModel:
         gpus_per_node: int = 1,
         hidden: int | None = None,
     ) -> float:
-        return (
-            self.sampling_time(n, mbs, hidden)
-            + self.measurement_time(n, mbs, hidden)
-            + self.backward_time(n, mbs, hidden)
-            + self.allreduce_time(n, n_nodes, gpus_per_node, hidden)
+        return self.compute_time(n, mbs, hidden) + self.allreduce_time(
+            n, n_nodes, gpus_per_node, hidden
         )
+
+    def simulate(
+        self,
+        n: int,
+        mbs: int,
+        speed_factors: np.ndarray,
+        hidden: int | None = None,
+        jitter: float = 0.0,
+        iterations: int = 1,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Synchronous iterations on an inhomogeneous cluster.
+
+        ``speed_factors`` is laid out as the cluster is — shape
+        ``(n_nodes, gpus_per_node)``, one multiplier on compute time per
+        rank (1.0 nominal, 2.0 a 2× straggler); ``jitter`` is the σ of
+        lognormal noise drawn per rank and compute phase each iteration
+        from ``rng`` (default: seed 0). Rank r reaches the allreduce at
+        ``f_r · Σ(phase · noise)`` and the barrier releases at the
+        slowest arrival.
+
+        Returns ``(iteration_times, arrive)`` of shapes ``(T,)`` and
+        ``(T, L)``, ranks in node-major order:
+        ``iteration_times = arrive.max(axis=1) + allreduce_time(…)``, and
+        rank r idles ``arrive.max(axis=1) - arrive[:, r]`` at the barrier.
+        All-ones factors without jitter give :meth:`iteration_time` exactly.
+        """
+        if n < 1 or mbs < 1:
+            raise ValueError("n and mbs must be positive")
+        factors = np.asarray(speed_factors, dtype=np.float64)
+        if factors.ndim != 2 or factors.size == 0:
+            raise ValueError(
+                "speed_factors must have shape (n_nodes, gpus_per_node), "
+                f"got {factors.shape}"
+            )
+        if np.any(factors <= 0):
+            raise ValueError("speed factors must be positive")
+        if jitter < 0:
+            raise ValueError(f"jitter must be >= 0, got {jitter}")
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        phases = np.array(self._compute_phases(n, mbs, hidden))
+        noise = np.ones((iterations, factors.size, 3))
+        if jitter > 0:
+            noise = init_rng(rng).lognormal(0.0, jitter, size=noise.shape)
+        arrive = (noise * phases).sum(axis=2) * factors.ravel()
+        comm = self.allreduce_time(n, *factors.shape, hidden)
+        return arrive.max(axis=1) + comm, arrive
 
     def training_time(
         self,

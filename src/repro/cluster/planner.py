@@ -30,7 +30,7 @@ from repro.cluster.comm_model import allreduce_time, hierarchical_allreduce_time
 from repro.cluster.device import DGX_NODE, ClusterSpec
 from repro.cluster.memory import MemoryModel
 from repro.cluster.perfmodel import MadeAutoCostModel
-from repro.models.made import default_hidden_size
+from repro.models.made import default_hidden_size, made_num_parameters
 
 __all__ = ["ParallelPlan", "plan_parallelism"]
 
@@ -103,13 +103,9 @@ def plan_parallelism(
             memory_ok = model_bytes + batch_bytes <= mem.device.mem_bytes
 
             # Compute over the local shard & local batch.
-            compute = (
-                cost.sampling_time(n, mbs, hidden=h_local)
-                + cost.measurement_time(n, mbs, hidden=h_local)
-                + cost.backward_time(n, mbs, hidden=h_local)
-            )
+            compute = cost.compute_time(n, mbs, hidden=h_local)
             # DP allreduce of the local-shard gradient across data ranks.
-            d_local = (2 * h_local * n + h_local + n)
+            d_local = made_num_parameters(n, h_local)
             n_nodes = max(1, int(np.ceil(data_ranks * shards / cluster.node.gpus)))
             gpn = min(data_ranks * shards, cluster.node.gpus) // shards or 1
             dp_comm = hierarchical_allreduce_time(d_local, n_nodes, gpn, cluster)

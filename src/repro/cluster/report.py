@@ -1,7 +1,7 @@
 """Human-readable scaling report for a problem/cluster combination.
 
 Combines the calibrated cost model, the memory model, the parallelism
-planner and the straggler simulator into one text report — the "should I
+planner and the straggler timeline into one text report — the "should I
 ask for more GPUs" answer sheet. Exposed as ``python -m repro plan``.
 """
 
@@ -16,8 +16,7 @@ from repro.cluster.efficiency import auto_parallel_efficiency, mcmc_parallel_eff
 from repro.cluster.memory import MemoryModel
 from repro.cluster.perfmodel import MadeAutoCostModel, RbmMcmcCostModel
 from repro.cluster.planner import plan_parallelism
-from repro.cluster.simulator import DataParallelSimulator
-from repro.models.made import default_hidden_size
+from repro.models.made import default_hidden_size, made_num_parameters
 from repro.utils.tables import format_table
 
 __all__ = ["scaling_report"]
@@ -48,7 +47,7 @@ def scaling_report(
       f"{cluster.node.device.name}\n\n")
 
     # -- single-device picture ---------------------------------------------------
-    d = 2 * h * n + h + n
+    d = made_num_parameters(n, h)
     try:
         max_mbs = mem.max_mini_batch(n, h)
         mem_line = f"memory-saturating mini-batch 2^{int(np.log2(max_mbs))}"
@@ -99,19 +98,13 @@ def scaling_report(
     L = best.data_ranks * best.model_shards
     gpn = min(L, cluster.node.gpus)
     nodes = max(1, L // gpn)
-    base = DataParallelSimulator(
-        n=n, mini_batch=best.mini_batch, n_nodes=nodes, gpus_per_node=gpn,
-        hidden=h, cluster=cluster, cost_model=made,
-    ).run(3)
-    factors = np.ones(nodes * gpn)
-    factors[0] = 1.5
-    slow = DataParallelSimulator(
-        n=n, mini_batch=best.mini_batch, n_nodes=nodes, gpus_per_node=gpn,
-        hidden=h, cluster=cluster, cost_model=made, speed_factors=factors,
-    ).run(3)
-    w("Robustness (discrete-event simulation of the best plan):\n")
-    w(f"  homogeneous iteration: {base.mean_iteration*1e3:.2f} ms\n")
-    w(f"  with one 1.5x straggler: {slow.mean_iteration*1e3:.2f} ms "
-      f"({slow.slowdown_vs(base):.2f}x — synchronous steps are gated by "
+    factors = np.ones((nodes, gpn))
+    (base,), _ = made.simulate(n, best.mini_batch, factors, hidden=h)
+    factors[0, 0] = 1.5
+    (slow,), _ = made.simulate(n, best.mini_batch, factors, hidden=h)
+    w("Robustness (the best plan's iteration timeline):\n")
+    w(f"  homogeneous iteration: {base*1e3:.2f} ms\n")
+    w(f"  with one 1.5x straggler: {slow*1e3:.2f} ms "
+      f"({slow / base:.2f}x — synchronous steps are gated by "
       "the slowest rank)\n")
     return out.getvalue()

@@ -77,7 +77,9 @@ class VQMCConfig:
     gradient_mode:
         ``'autograd'`` (tape), ``'per_sample'`` (closed-form O matrix), or
         ``'auto'`` — per-sample whenever SR is active (it needs O anyway),
-        autograd otherwise.
+        autograd otherwise. ``'autograd'`` together with ``sr`` is rejected
+        by :class:`VQMC`: the tape path never forms the O matrix SR
+        preconditions with.
     compile:
         ``'auto'`` (default) traces the gradient hot path once per
         (shape, dtype, parameter-structure) guard key and replays it as a
@@ -206,6 +208,11 @@ class VQMC:
         #: resumed runs replay evaluation draws too.
         self.eval_rng = derive_eval_rng(self.rng)
         self.config = config or VQMCConfig()
+        if sr is not None and self.config.gradient_mode == "autograd":
+            raise ValueError(
+                "gradient_mode='autograd' never forms the O matrix, so sr "
+                "would be ignored; use 'auto' or 'per_sample' with SR"
+            )
         self.global_step = 0
         self.diverged_steps = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -521,15 +528,14 @@ class StepDriver:
         self.stop_step = vqmc.global_step + iterations
         self.batch_size = batch_size  #: of the next step; settable between steps
         self.callbacks = tuple(callbacks)
-        self.results: list[StepResult] = []
+        #: steps this driver ran. Their results go to the caller and the
+        #: callbacks and are not kept: a served job or a supervised run may
+        #: be arbitrarily long.
+        self.steps_done = 0
         self.stopped = False  #: a callback raised StopTraining
         self.cancelled = False  #: cancel() was called
         self._begun = False
         self._finished = False
-
-    @property
-    def steps_done(self) -> int:
-        return len(self.results)
 
     @property
     def done(self) -> bool:
@@ -549,6 +555,23 @@ class StepDriver:
         for cb in self.callbacks:
             cb.on_run_begin(self.vqmc)
 
+    def _step(self) -> StepResult | None:
+        """One step plus ``on_step`` delivery — the step's result even when
+        a callback answers it with :class:`StopTraining`."""
+        if self._finished:
+            raise RuntimeError("StepDriver.finish() already ran")
+        self.begin()
+        if self.done:
+            return None
+        result = self.vqmc.step(self.batch_size)
+        self.steps_done += 1
+        try:
+            for cb in self.callbacks:
+                cb.on_step(result.step, result)
+        except StopTraining:
+            self.stopped = True
+        return result
+
     def step_once(self) -> StepResult | None:
         """Run one step and deliver ``on_step``; ``None`` when done.
 
@@ -557,20 +580,8 @@ class StepDriver:
         any other exception propagates — the caller's ``finally`` (or the
         context manager) routes it into :meth:`finish`.
         """
-        if self._finished:
-            raise RuntimeError("StepDriver.finish() already ran")
-        self.begin()
-        if self.done:
-            return None
-        try:
-            result = self.vqmc.step(self.batch_size)
-            self.results.append(result)
-            for cb in self.callbacks:
-                cb.on_step(result.step, result)
-        except StopTraining:
-            self.stopped = True
-            return None
-        return result
+        result = self._step()
+        return None if self.stopped else result
 
     def cancel(self) -> None:
         """Mark the loop done; the trainer stays restorable (checkpoint it
@@ -587,15 +598,16 @@ class StepDriver:
 
     def run(self) -> list[StepResult]:
         """Drive to completion with :meth:`VQMC.run` semantics."""
+        results: list[StepResult] = []
         self.begin()
         try:
             while not self.done:
-                self.step_once()
+                results.append(self._step())
         except BaseException as exc:
             self.finish(exc)
             raise
         self.finish(None)
-        return self.results
+        return results
 
     def __enter__(self) -> "StepDriver":
         self.begin()

@@ -35,12 +35,19 @@ from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.rng import init_rng
 
-__all__ = ["MADE", "default_hidden_size"]
+__all__ = ["MADE", "default_hidden_size", "made_num_parameters"]
 
 
 def default_hidden_size(n: int) -> int:
     """The paper's default latent size ``h = 5 (log n)²`` (§5.1, natural log)."""
     return max(1, int(round(5.0 * np.log(n) ** 2)))
+
+
+def made_num_parameters(n: int, hidden: int | None = None) -> int:
+    """The paper's gradient length ``d = 2hn + h + n`` (§4) for one hidden
+    layer of width ``hidden`` (default: :func:`default_hidden_size`)."""
+    h = hidden if hidden is not None else default_hidden_size(n)
+    return 2 * h * n + h + n
 
 
 class MADE(WaveFunction):

@@ -14,7 +14,6 @@ from repro.samplers.autoregressive import AutoregressiveSampler
 from repro.samplers.metropolis import MetropolisSampler, default_burn_in
 from repro.samplers.tempering import ParallelTemperingSampler, geometric_temperatures
 from repro.samplers.enumeration import EnumerationSampler
-from repro.samplers.adaptive import AdaptiveBurnInSampler
 from repro.samplers import diagnostics
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "ParallelTemperingSampler",
     "geometric_temperatures",
     "EnumerationSampler",
-    "AdaptiveBurnInSampler",
     "default_burn_in",
     "diagnostics",
 ]

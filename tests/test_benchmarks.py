@@ -72,19 +72,6 @@ class TestHarnessHelpers:
         assert doc["results"] == [1]
 
 
-class TestKernelFastpathsHarness:
-    def test_speedup_rows_are_machine_readable(self):
-        """A tiny end-to-end run of the fast-path harness: the fused/
-        incremental kernels must beat the naive paths even at toy scale."""
-        import bench_kernel_fastpaths as bench
-
-        (row,) = bench.run(dims=(24,), batch=64, repeats=1)
-        assert row["n"] == 24
-        assert row["sample_speedup"] > 1.0
-        assert row["combined_speedup"] > 1.0
-        assert 0.0 < row["sample_pass_equivalents"] < 24
-
-
 class TestRunAll:
     def test_discovers_all_harnesses(self):
         import run_all
@@ -100,7 +87,6 @@ class TestRunAll:
             "bench_table6_raw_scaling",
             "bench_table7_memory_saturated",
             "bench_fig1_sampling_cost",
-            "bench_kernel_fastpaths",
             "bench_fig2_training_curves",
             "bench_fig3_weak_scaling",
             "bench_fig4_batch_convergence",

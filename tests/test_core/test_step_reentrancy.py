@@ -280,6 +280,30 @@ class TestStepDriver:
         results = driver.run()
         assert driver.stopped and len(results) == 2
 
+    def test_long_lived_driver_retains_no_step_results(self, small_tim):
+        """The serve worker and the supervisor step one driver for the life
+        of a job and never read its results: memory must not grow with the
+        step count."""
+        driver = StepDriver(make_vqmc(small_tim), 200, batch_size=4)
+
+        def container_sizes():
+            return {
+                name: len(value) for name, value in vars(driver).items()
+                if hasattr(value, "__len__")
+            }
+
+        before = container_sizes()
+        with driver:
+            last = None
+            while not driver.done:
+                last = driver.step_once()
+        assert driver.steps_done == 200 and last.step == 200
+        assert container_sizes() == before
+
+    def test_run_returns_every_result_in_order(self, small_tim):
+        results = make_vqmc(small_tim).run(5, batch_size=32)
+        assert [r.step for r in results] == [1, 2, 3, 4, 5]
+
     def test_zero_iteration_run_still_brackets_callbacks(self, small_tim):
         log: list = []
         driver = StepDriver(

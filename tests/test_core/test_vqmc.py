@@ -189,6 +189,17 @@ class TestStepMechanics:
         with pytest.raises(ValueError):
             VQMCConfig(gradient_mode="magic")
 
+    def test_autograd_mode_with_sr_is_rejected(self, small_tim, rng):
+        """The tape path never forms O, so SR used to be skipped silently."""
+        model = MADE(6, rng=rng)
+        with pytest.raises(ValueError, match="autograd"):
+            VQMC(
+                model, small_tim, AutoregressiveSampler(),
+                SGD(model.parameters(), lr=0.1),
+                sr=StochasticReconfiguration(),
+                config=VQMCConfig(gradient_mode="autograd"),
+            )
+
 
 class TestCallbacks:
     def test_history_records_all_steps(self, small_tim, rng):

@@ -85,16 +85,11 @@ class Metric:
 # paired timings — noisy in the extreme, gate only on blowups.
 DET, TIME, PCT = 0.02, 0.60, 2.0
 
+# Not gated on purpose: ``sanitizer_overhead`` (its paired-timing percentage
+# ranges −10 … +16 % run to run on one host, so any band either flaps or
+# catches nothing). Its bench still writes BENCH_sanitizer_overhead.json,
+# which ``check`` lists as untracked.
 HEADLINES: dict[str, list[Metric]] = {
-    "compiled_step": [
-        Metric("grad_speedup", "results[-1].grad_speedup", "higher", TIME),
-        Metric("per_sample_speedup", "results[-1].per_sample_speedup", "higher", TIME),
-    ],
-    "kernel_fastpaths": [
-        Metric("sample_speedup", "results[-1].sample_speedup", "higher", TIME),
-        Metric("local_energy_speedup", "results[-1].local_energy_speedup", "higher", TIME),
-        Metric("combined_speedup", "results[-1].combined_speedup", "higher", TIME),
-    ],
     "obs_overhead": [
         Metric("enabled_overhead_pct", "step.enabled_overhead_pct", "lower", PCT,
                abs_tol=5.0),
@@ -102,9 +97,6 @@ HEADLINES: dict[str, list[Metric]] = {
                "lower", PCT, abs_tol=5.0),
         Metric("enabled_ns_per_span", "span_cost.enabled_ns_per_span", "lower", TIME,
                abs_tol=2000.0),
-    ],
-    "sanitizer_overhead": [
-        Metric("comm_overhead_pct", "overhead_pct", "lower", PCT, abs_tol=5.0),
     ],
     "fault_recovery": [
         Metric("comm_overhead_pct", "overhead_pct", "lower", PCT, abs_tol=10.0),
