@@ -75,7 +75,8 @@ def main() -> None:
     print(
         "\nThe naive AUTO pass count is exactly n regardless of batch size —\n"
         "every pass advances the whole batch one site — and the incremental\n"
-        "kernel shrinks the measured cost to ~1 pass-equivalent. MCMC pays\n"
+        "kernel multiplies every unmasked weight once per sample: exactly\n"
+        "half a pass for one hidden layer, for any batch or draw. MCMC pays\n"
         "the k burn-in serially and then bs/c collection steps; all counts\n"
         "match the k + bs/c formula annotated in the paper's Figure 1."
     )

@@ -63,7 +63,7 @@ def main() -> None:
         rbm = train_once(ham, "rbm", "mcmc", "adam", iterations, batch, seed=0)
         # Fig. 1's hardware-independent cost: forward passes per iteration
         # (n for the naive AUTO sampler; the incremental kernel the driver
-        # actually runs measures ~1 pass-equivalent — ``samplers.pass_equiv``
+        # actually runs measures 0.5 pass-equivalents — ``samplers.pass_equiv``
         # in benchmarks/step_profile).
         auto_passes = n
         mcmc_passes = (3 * n + 100) + batch // 2 + 1

@@ -289,7 +289,11 @@ class VQMC:
             with self._phase(phases, "sample", batch=bsz) as span:
                 x = self.sampler.sample(self.model, bsz, self.rng)
                 sampled = self.sampler.last_stats.extras
-                self.tracer.end(span, path=sampled.get("fast_path", ""))
+                self.tracer.end(
+                    span,
+                    path=sampled.get("fast_path", ""),
+                    pass_equiv=self.sampler.last_stats.pass_equivalents,
+                )
             # No fast path falls back without leaving a counter behind.
             if sampled.get("fallback"):
                 self._count("sampler.naive_fallback")

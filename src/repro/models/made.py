@@ -203,8 +203,8 @@ class MADE(WaveFunction):
         Batched version of the paper's Algorithm 1. Two implementations:
 
         - ``method='incremental'`` (the ``'auto'`` default): the
-          :mod:`repro.perf.incremental` kernel — cached pre-activations
-          advanced by masked rank-1 column updates, O(n·h) per batch row;
+          :mod:`repro.perf.incremental` kernel — every hidden unit computed
+          once, when its last input is drawn, O(n·h) per batch row;
         - ``method='naive'``: the literal Algorithm 1, ``n`` full forward
           passes (O(n²·h) per row). Kept as the reference implementation
           the fast path is property-tested against.

@@ -34,9 +34,14 @@ def hidden_degrees(
 ) -> np.ndarray:
     """Assign a degree in ``{1, …, n-1}`` to each hidden unit.
 
-    ``cycle`` (default, deterministic) spreads degrees evenly; ``random``
-    samples them uniformly as in the original MADE paper's mask-agnostic
-    training. For ``n == 1`` there are no usable degrees — the single
+    ``cycle`` (default, deterministic) hands out ``1, 2, …, n-1, 1, 2, …``:
+    an even spread over all degrees only for ``hidden >= n-1``. A narrower
+    layer gets degrees ``1 … hidden`` and nothing above, so inputs
+    ``hidden+1 … n-1`` feed no hidden unit and no conditional can depend
+    on them (at the paper's ``h = 5·ln²n`` that is 101 of 256 inputs;
+    ROADMAP "Close the MADE degree hole"). ``random`` samples degrees
+    uniformly as in the original MADE paper's mask-agnostic training.
+    For ``n == 1`` there are no usable degrees — the single
     conditional is the output bias — so we return degree 1 everywhere
     (connections are still cut by the output rule ``m(out) > m(hidden)``
     since the only output has degree 1).

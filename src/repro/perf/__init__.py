@@ -2,9 +2,9 @@
 
 This package holds the performance layer the rest of the stack opts into:
 
-- :mod:`repro.perf.incremental` — O(n·h) ancestral sampling for MADE via
-  cached pre-activations and masked rank-1 column updates (vs the naive
-  O(n²·h) of ``n`` full forward passes);
+- :mod:`repro.perf.incremental` — O(n·h) ancestral sampling for MADE:
+  every hidden unit computed once, from per-block GEMMs over the units the
+  masks prove final (vs the naive O(n²·h) of ``n`` full forward passes);
 - :mod:`repro.perf.flips` — fused single-flip ``log ψ`` delta kernel that
   evaluates all connected-row amplitude ratios from one cached forward
   pass (used by ``local_energies`` for Hamiltonians exposing a structured

@@ -40,8 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.models.base import validate_configurations
-from repro.perf.incremental import supports_incremental
-from repro.tensor.tensor import no_grad
+from repro.perf.incremental import (
+    masked_weights,
+    sort_by_reach,
+    supports_incremental,
+)
 
 __all__ = [
     "MADEForwardCache",
@@ -108,16 +111,6 @@ def _require_support(model) -> None:
         )
 
 
-def _masked_weights(model) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per layer, the masked weight matrix and the bias the forward pass applies."""
-    with no_grad():
-        layers = model.fc_layers
-        return (
-            [layer.effective_weight() for layer in layers],
-            [layer.bias.data for layer in layers],
-        )
-
-
 def _forward(x: np.ndarray, effs, biases) -> MADEForwardCache:
     pre_acts: list[np.ndarray] = []
     hiddens: list[np.ndarray] = []
@@ -143,23 +136,7 @@ def forward_cache(model, x: np.ndarray) -> MADEForwardCache:
     """One batched forward pass of a MADE, retaining every intermediate."""
     _require_support(model)
     x = validate_configurations(x, model.n)
-    return _forward(x, *_masked_weights(model))
-
-
-def _hidden_degrees(masks) -> list[np.ndarray]:
-    """Per hidden layer, each unit's degree as the masks define it: the
-    largest 1-based input index with a path to the unit (0 if none).
-
-    Flipping input ``s`` can move a unit only if its degree is ≥ ``s+1``.
-    Read off ``layer.mask`` — not the ``'cycle'`` formula — so ``'random'``
-    masks and deep stacks are sliced by the connectivity they really have.
-    """
-    reach = np.arange(1, masks[0].shape[1] + 1)
-    degrees = []
-    for mask in masks[:-1]:
-        reach = np.where(mask != 0.0, reach, 0).max(axis=1)
-        degrees.append(reach)
-    return degrees
+    return _forward(x, *masked_weights(model))
 
 
 def flip_log_ratios(
@@ -183,7 +160,7 @@ def flip_log_ratios(
     if cache is None and x is None:
         raise ValueError("need x or a forward cache")
     _require_support(model)
-    effs, biases = _masked_weights(model)
+    effs, biases = masked_weights(model)
     if cache is None:
         cache = _forward(validate_configurations(x, model.n), effs, biases)
     x = cache.x
@@ -199,18 +176,11 @@ def flip_log_ratios(
     sign = 1.0 - 2.0 * x  # bit 0 → +W1[:, s], bit 1 → −W1[:, s]
     deltas = sign[:, sites] * cache.logits[:, sites]
 
-    # Sort every hidden layer's units by degree, so that the units a block
-    # of flips can move are one contiguous slice [lo:]. Rebuilt per call:
-    # the weights are updated in place between calls.
-    degrees = _hidden_degrees([layer.mask for layer in model.fc_layers])
-    orders = [np.argsort(deg, kind="stable") for deg in degrees]
-    degrees = [deg[order] for deg, order in zip(degrees, orders)]
+    # Every hidden layer's units sorted by reach, so that the units a block of
+    # flips can move are one contiguous slice [lo:].
+    orders, degrees, weights = sort_by_reach(model, effs)
     pre = [a[:, order] for a, order in zip(cache.pre_acts, orders)]
     hid = [h[:, order] for h, order in zip(cache.hiddens, orders)]
-    weights = list(effs)
-    for l, order in enumerate(orders):
-        weights[l] = weights[l][order]  # the layer's units are its rows …
-        weights[l + 1] = weights[l + 1][:, order]  # … and the next one's columns
     # log Bern(x_i; z_i) = log σ(u_i) with u = (2x−1)·z. The cached terms are
     # re-evaluated by the formula the blocks use, so that a logit a flip
     # leaves alone (Δz = 0 exactly: the masked weights are exact zeros)

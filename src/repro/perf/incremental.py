@@ -1,36 +1,43 @@
-"""Incremental ancestral sampling for MADE — the O(n·h) fast path.
+"""Blocked ancestral sampling for MADE — every hidden unit computed once.
 
 The naive sampler (``MADE.sample(method='naive')``, paper Algorithm 1) runs
 ``n`` *full* forward passes per batch: at step ``i`` it computes all ``n``
 conditionals but consumes only column ``i`` — O(n²·h) work for O(n·h)
-information. The autoregressive masks make almost all of that work
-redundant:
+information. Conditional ``i`` needs only ``x_<i``, and the masks say more
+than that: a hidden unit whose *reach* (the largest 1-based input index with
+a path to it) is ``m`` is a function of ``x[:, :m]`` alone and is read only
+by outputs ``≥ m``. So nothing is ever updated. Each hidden layer's units
+are sorted by reach (:func:`sort_by_reach`, shared with the flip kernel) —
+"the units final before site ``i``" is then a prefix — and each unit is
+computed **exactly once**, at the site where its last input has been drawn.
 
-- setting bit ``i`` changes the first-layer pre-activations by exactly the
-  masked weight column ``±W1[:, i]`` (a rank-1 column update, and only for
-  the batch rows whose sampled bit is 1 — a zero bit contributes nothing);
-- at step ``i`` only *logit row* ``i`` of the output layer is needed, an
-  O(h) dot product instead of the full O(n·h) output matmul.
+The sites are walked in blocks of ``BLOCK``. Per block, ONE GEMM per hidden
+layer gives the base pre-activations of the block's own units from
+everything final before the block, and ONE GEMM gives the block's base
+logits; inside the block a site only finalises the units of reach ``i``
+(a product over the ≤ ``BLOCK`` in-block columns, ReLU written straight
+into the activation buffer), adds the in-block part to its base logit and
+draws. Only finalised prefixes are ever read, so the zero-masked weights
+inside a prefix (deep ``'random'`` stacks, where reach < assigned degree)
+multiply real activations into exact zeros, never stale values.
 
-This module maintains cached per-layer pre-activations for the whole batch
-and advances them site by site. For the paper's single-hidden-layer
-architecture the per-batch cost drops from ``n`` full passes (O(n²·h)
-multiply-adds per row) to O(n·h) total — asymptotically *less than two*
-full forward passes. Deep MADEs are supported exactly by propagating the
-post-ReLU deltas through the hidden stack (the n-dependent input and
-output matmuls are still skipped; the hidden-to-hidden work is shared with
-the naive path).
+Every unmasked weight is multiplied once per sample: a one-hidden-layer
+MADE costs **exactly half** a dense forward pass for any degree assignment,
+batch or ``BLOCK`` (a unit of degree ``m`` has ``m`` input and ``n − m``
+output connections), where Algorithm 1 pays ``n`` passes.
 
-The kernel draws from the RNG in exactly the same order and with the same
-comparison (``u < p``) as the naive sampler, so the produced 0/1 samples
-are bit-identical to ``MADE.sample(method='naive')`` under the same stream
-(the conditionals themselves may differ by a few ULP because the
-accumulation order differs from the BLAS matmul; a sample bit could only
-flip if a uniform draw landed inside that ~1e-15 window).
+The kernel draws from the RNG in exactly the same order — one uniform per
+unclamped site per row, a block's worth per call, which is the same stream
+as one call per site — and makes the same comparison (``u < σ(z)``) as the
+naive sampler, so the produced 0/1 samples are bit-identical to
+``MADE.sample(method='naive')`` under the same stream (the conditionals
+themselves may differ by a few ULP because the sums are split differently
+from the dense matmul; a sample bit could only flip if a uniform draw
+landed inside that ~1e-15 window).
 
-Cost accounting: the kernel counts the multiply-accumulate operations it
-actually performs and reports them in units of naive batched forward
-passes (``forward_pass_equivalents``), which is what
+Cost accounting: the kernel reports the multiply-accumulates its GEMMs
+perform in units of naive batched forward passes
+(``forward_pass_equivalents``), which is what
 :class:`repro.samplers.base.SamplerStats` surfaces.
 """
 
@@ -46,29 +53,23 @@ __all__ = [
     "IncrementalSampleResult",
     "supports_incremental",
     "incremental_sample",
-    "stable_sigmoid",
 ]
 
-
-def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Sign-split sigmoid on raw arrays — same formula as ``Tensor.sigmoid``."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ex = np.exp(z[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+#: Sites per block. Measured, not guessed: flat from 8 to 64 between
+#: (n=10, B=256) and (n=2000, B=32) — 16 is within 17 % of the best column on
+#: every row; larger blocks lose once their (BLOCK × B) arrays outgrow the
+#: cache — so it is a constant, not a knob (docs/performance.md has the table).
+BLOCK = 16
 
 
 @dataclass(frozen=True)
 class IncrementalSampleResult:
     """Samples plus the operation count the kernel actually paid.
 
-    ``macs`` counts multiply-accumulates (column adds counted as one MAC per
-    element); ``full_pass_macs`` is the dense cost of ONE naive batched
-    forward pass, so ``forward_pass_equivalents`` is directly comparable to
-    the naive sampler's pass count of ``n``.
+    ``macs`` counts the multiply-accumulates of the kernel's GEMMs;
+    ``full_pass_macs`` is the dense cost of ONE naive batched forward pass,
+    so ``forward_pass_equivalents`` is directly comparable to the naive
+    sampler's pass count of ``n``.
     """
 
     samples: np.ndarray
@@ -94,13 +95,49 @@ def supports_incremental(model) -> bool:
     return all(isinstance(l, MaskedLinear) and l.bias is not None for l in layers)
 
 
+def masked_weights(model) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per layer, the masked weight matrix and the bias the forward pass applies."""
+    with no_grad():
+        layers = model.fc_layers
+        return (
+            [layer.effective_weight() for layer in layers],
+            [layer.bias.data for layer in layers],
+        )
+
+
+def sort_by_reach(model, effs):
+    """Sort every hidden layer's units by the reach the masks give them.
+
+    A unit's reach is the largest 1-based input index with a path to it (0 if
+    none): the unit is a function of ``x[:, :reach]`` alone, and flipping
+    input ``s`` can move it only if its reach is ≥ ``s+1``. Read off
+    ``layer.mask`` — not the ``'cycle'`` formula — so ``'random'`` masks and
+    deep stacks are sliced by the connectivity they really have.
+
+    Returns, per hidden layer, the stable argsort and the sorted reaches, and
+    ``effs`` with every hidden layer's units in that order, so that "the units
+    of reach below (or from) a site" is a contiguous slice. Rebuilt per call:
+    the weights are updated in place between calls.
+    """
+    orders, reaches, weights = [], [], list(effs)
+    reach = np.arange(1, model.n + 1)
+    for l, layer in enumerate(model.fc_layers[:-1]):
+        reach = np.where(layer.mask != 0.0, reach, 0).max(axis=1)
+        order = np.argsort(reach, kind="stable")
+        orders.append(order)
+        reaches.append(reach[order])
+        weights[l] = weights[l][order]  # the layer's units are its rows …
+        weights[l + 1] = weights[l + 1][:, order]  # … and the next one's columns
+    return orders, reaches, weights
+
+
 def incremental_sample(
     model,
     batch_size: int,
     rng: np.random.Generator,
     clamp: np.ndarray | None = None,
 ) -> IncrementalSampleResult:
-    """Draw exact i.i.d. samples from a MADE via incremental state updates.
+    """Draw exact i.i.d. samples from a MADE, computing each hidden unit once.
 
     Semantics (including ``clamp`` handling and RNG consumption order) match
     ``MADE.sample`` exactly; see :mod:`repro.perf.incremental` for the
@@ -115,61 +152,73 @@ def incremental_sample(
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     n = model.n
     clamp = _validate_clamp(clamp, n)
+    free = np.ones(n, dtype=bool) if clamp is None else np.isnan(clamp)
 
-    with no_grad():
-        layers = model.fc_layers
-        effs = [layer.effective_weight() for layer in layers]
-        biases = [layer.bias.data for layer in layers]
-    hidden_effs, out_eff = effs[:-1], effs[-1]
-    hidden_biases, out_bias = biases[:-1], biases[-1]
-    n_hidden = len(hidden_effs)
-    widths = [w.shape[0] for w in hidden_effs]
-
-    macs = 0
+    effs, biases = masked_weights(model)
+    orders, reaches, weights = sort_by_reach(model, effs)
+    biases = [b[order] for b, order in zip(biases, orders)] + biases[-1:]
+    depth = len(orders)
+    # The inputs are layer 0: x_j has reach j+1. A unit of reach r — input or
+    # hidden — is readable from site r on, and cut[l][i] counts the units of
+    # layer l with reach < i: a hidden unit is finalised at site == reach.
+    reaches = [np.arange(1, n + 1), *reaches]
+    cut = [np.searchsorted(r, np.arange(n + 1)) for r in reaches]
+    # Each finalised unit (reach < n; one of reach n feeds no output) meets
+    # the prefix of the layer below readable at its site, each drawn logit
+    # the finalised prefix of the last hidden layer: independent of BLOCK.
+    macs = batch_size * int(
+        sum(c[r[r < n] + 1].sum() for c, r in zip(cut, reaches[1:]))
+        + cut[-1][1:][free].sum()
+    )
     # Dense MAC count of one naive batched forward pass (`MADE.logits`).
-    dims = [n, *widths, n]
+    dims = [n, *(w.shape[0] for w in weights)]
     full_pass_macs = batch_size * sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+    cut = [c.tolist() for c in cut]
 
-    # All rows start from the all-zero prefix, so the initial state is a
-    # single-row forward pass, tiled across the batch.
-    pre_row = hidden_biases[0].copy()
-    pre_acts = [np.repeat(pre_row[None, :], batch_size, axis=0)]
-    hiddens = [np.maximum(pre_acts[0], 0.0)]
-    for l in range(1, n_hidden):
-        pre_row = hidden_effs[l] @ np.maximum(pre_row, 0.0) + hidden_biases[l]
-        macs += widths[l - 1] * widths[l]
-        pre_acts.append(np.repeat(pre_row[None, :], batch_size, axis=0))
-        hiddens.append(np.maximum(pre_acts[-1], 0.0))
-
-    x = np.zeros((batch_size, n))
-    for i in range(n):
-        if clamp is not None and not np.isnan(clamp[i]):
-            x[:, i] = clamp[i]
-        else:
-            # Only logit row i — an O(h) dot per batch row.
-            logit = hiddens[-1] @ out_eff[i] + out_bias[i]
-            macs += batch_size * widths[-1]
-            p = stable_sigmoid(logit)
-            x[:, i] = (rng.random(batch_size) < p).astype(np.float64)
-        if i == n - 1:
-            break
-        # Fold bit i into the cached state: rows with bit 0 are unchanged.
-        rows = np.nonzero(x[:, i] == 1.0)[0]
-        if rows.size == 0:
-            continue
-        pre_acts[0][rows] += effs[0][:, i]
-        macs += rows.size * widths[0]
-        new_h = np.maximum(pre_acts[0][rows], 0.0)
-        delta = new_h - hiddens[0][rows]
-        hiddens[0][rows] = new_h
-        for l in range(1, n_hidden):
-            pre_acts[l][rows] += delta @ hidden_effs[l].T
-            macs += rows.size * widths[l - 1] * widths[l]
-            new_h = np.maximum(pre_acts[l][rows], 0.0)
-            delta = new_h - hiddens[l][rows]
-            hiddens[l][rows] = new_h
+    # Unit-major: a unit's activations over the batch are one contiguous row,
+    # hid[0] being the samples themselves. Rows are written once, when final.
+    hid = [np.empty((d, batch_size)) for d in dims[:-1]]
+    w_out, b_out = weights[-1], biases[-1]
+    with np.errstate(over="ignore"):  # exp(-z) → inf gives σ = 0 exactly
+        for s0 in range(0, n, BLOCK):
+            s1 = min(s0 + BLOCK, n)
+            # Everything final before the block enters through one GEMM per
+            # layer: the block's own units' pre-activations, and its logits.
+            lo = [done[s0] for done in cut]
+            base = [None] * (depth + 1)
+            for l in range(1, depth + 1):
+                a, c, p = lo[l], cut[l][s1], lo[l - 1]
+                base[l] = weights[l - 1][a:c, :p] @ hid[l - 1][:p]
+                base[l] += biases[l - 1][a:c, None]
+            draw = s0 + np.flatnonzero(free[s0:s1])
+            logits = w_out[draw, : lo[-1]] @ hid[-1][: lo[-1]] + b_out[draw, None]
+            # One call per block is the same stream as one per drawn site.
+            uniforms = rng.random((draw.size, batch_size))
+            k = 0
+            for i in range(s0, s1):
+                for l in range(1, depth + 1):
+                    a, c = cut[l][i], cut[l][i + 1]
+                    if c > a:  # the units of reach i: their last input is drawn
+                        p, r = lo[l - 1], cut[l - 1][i + 1]
+                        pre = base[l][a - lo[l] : c - lo[l]]
+                        pre += weights[l - 1][a:c, p:r] @ hid[l - 1][p:r]
+                        np.maximum(pre, 0.0, out=hid[l][a:c])
+                if not free[i]:
+                    hid[0][i] = clamp[i]
+                    continue
+                p, r = lo[-1], cut[-1][i + 1]
+                z = logits[k]
+                z += w_out[i, p:r] @ hid[-1][p:r]
+                np.negative(z, out=z)
+                np.exp(z, out=z)
+                z += 1.0
+                np.reciprocal(z, out=z)
+                hid[0][i] = uniforms[k] < z
+                k += 1
     return IncrementalSampleResult(
-        samples=x, macs=macs, full_pass_macs=full_pass_macs
+        samples=np.ascontiguousarray(hid[0].T),
+        macs=macs,
+        full_pass_macs=full_pass_macs,
     )
 
 

@@ -3,9 +3,9 @@
 Two execution paths produce identical samples from identical RNG streams:
 
 - **incremental** (default for MADE): the :mod:`repro.perf.incremental`
-  kernel advances cached hidden pre-activations with masked rank-1 column
-  updates — O(n·h) work per batch row, equivalent to *less than two* full
-  forward passes for the paper's architecture;
+  kernel computes every hidden unit once, at the site where its last input
+  is drawn, from per-block GEMMs — O(n·h) work per batch row, exactly
+  *half* a full forward pass for the paper's architecture;
 - **naive**: ``model.sample(method='naive')`` — ``n`` full forward passes
   per batch (each pass advances the whole batch one site). This is the
   burn-in-free cost Figure 1 annotates, and remains the path for

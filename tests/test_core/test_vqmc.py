@@ -138,9 +138,9 @@ class TestStepMechanics:
     def test_sampling_path_is_reported(
         self, small_tim, rng, monkeypatch, method, broken, path, fallbacks
     ):
-        """Which sampling kernel ran is on the ``sample`` span; a MADE that
-        fell back to the naive sampler also leaves a counter, not just a
-        warning."""
+        """Which sampling kernel ran, and what it cost in the paper's Fig. 1
+        unit, is on the ``sample`` span; a MADE that fell back to the naive
+        sampler also leaves a counter, not just a warning."""
         import warnings
 
         import repro.samplers.autoregressive as auto_mod
@@ -163,6 +163,8 @@ class TestStepMechanics:
                 vqmc.step(batch_size=16)
         spans = [e for e in tracer.events if e.name == "sample"]
         assert [e.attrs["path"] for e in spans] == [path] * 3
+        cost = 0.5 if path == "incremental" else float(model.n)
+        assert [e.attrs["pass_equiv"] for e in spans] == [cost] * 3
         counters = metrics.snapshot()["counters"]
         assert counters.get("sampler.naive_fallback", 0) == fallbacks
 

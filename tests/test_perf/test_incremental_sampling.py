@@ -1,11 +1,15 @@
 """Property tests: the incremental sampler is bit-identical to Algorithm 1.
 
 The incremental kernel must reproduce the naive sampler's 0/1 output
-exactly for the same RNG stream — with and without ancestral clamping,
-for shallow and deep MADEs, across mask strategies.
+exactly for the same RNG stream, and leave the stream where the naive
+sampler leaves it — with and without ancestral clamping, for shallow and
+deep MADEs, across mask strategies, whatever the block size.
 """
 
 from __future__ import annotations
+
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import MADE
-from repro.perf import incremental_sample, supports_incremental
+from repro.perf import incremental, incremental_sample, supports_incremental
 
 SETTINGS = dict(max_examples=30, deadline=None, derandomize=True)
 
@@ -38,15 +42,31 @@ def made_specs(draw):
     return n, widths, seed, spread
 
 
+BLOCKS = (1, 3, incremental.BLOCK)
+
+
+def _assert_matches_naive(model, batch, seed, clamp=None):
+    """Same samples as Algorithm 1, and the generator left at the same stream
+    position — at every block size: the hypothesis specs draw n ≤ 16, so only
+    a forced size makes them cross block boundaries."""
+    slow = np.random.default_rng(seed)
+    x_slow = model.sample(batch, slow, clamp=clamp, method="naive")
+    next_draw = slow.random()
+    for block in BLOCKS:
+        fast = np.random.default_rng(seed)
+        with mock.patch.object(incremental, "BLOCK", block):
+            x_fast = model.sample(batch, fast, clamp=clamp, method="incremental")
+        assert np.array_equal(x_fast, x_slow), block
+        assert fast.random() == next_draw, block
+    return x_slow
+
+
 class TestBitIdentical:
     @settings(**SETTINGS)
     @given(spec=made_specs(), batch=st.integers(min_value=1, max_value=64))
     def test_matches_naive_without_clamp(self, spec, batch):
         n, widths, seed, spread = spec
-        model = _build_made(n, widths, seed, spread)
-        x_fast = model.sample(batch, np.random.default_rng(seed), method="incremental")
-        x_slow = model.sample(batch, np.random.default_rng(seed), method="naive")
-        assert np.array_equal(x_fast, x_slow)
+        _assert_matches_naive(_build_made(n, widths, seed, spread), batch, seed)
 
     @settings(**SETTINGS)
     @given(
@@ -63,13 +83,7 @@ class TestBitIdentical:
                 for i in range(n)
             ]
         )
-        x_fast = model.sample(
-            batch, np.random.default_rng(seed), clamp=clamp, method="incremental"
-        )
-        x_slow = model.sample(
-            batch, np.random.default_rng(seed), clamp=clamp, method="naive"
-        )
-        assert np.array_equal(x_fast, x_slow)
+        x_fast = _assert_matches_naive(model, batch, seed, clamp)
         fixed = ~np.isnan(clamp)
         assert np.array_equal(
             x_fast[:, fixed], np.broadcast_to(clamp[fixed], (batch, fixed.sum()))
@@ -86,9 +100,97 @@ class TestBitIdentical:
             rng=rng,
             mask_strategy="random",
         )
-        x_fast = model.sample(32, np.random.default_rng(seed), method="incremental")
-        x_slow = model.sample(32, np.random.default_rng(seed), method="naive")
-        assert np.array_equal(x_fast, x_slow)
+        _assert_matches_naive(model, 32, seed)
+
+    @pytest.mark.parametrize("fixed", ["all", "one-block", "none"])
+    def test_stream_position_under_clamps(self, fixed):
+        """No uniform is drawn for a clamped site — also when a whole block
+        (the second, at the default size) or every site is clamped."""
+        n = 2 * incremental.BLOCK + 8
+        model = _build_made(n, [12], seed=3, spread=0.8)
+        clamp = np.full(n, np.nan)
+        if fixed == "all":
+            clamp[:] = np.arange(n) % 2
+        elif fixed == "one-block":
+            clamp[incremental.BLOCK : 2 * incremental.BLOCK] = 1.0
+        _assert_matches_naive(model, 8, seed=5, clamp=clamp)
+
+    @pytest.mark.parametrize("masks", ["cycle", "spread"])
+    def test_narrow_hidden_layer(self, masks):
+        """h ≪ n. 'cycle' hands out degrees 1…h only, so sites > h finalise
+        nothing; 'spread' is the degree assignment the ROADMAP's fix for that
+        hole will produce, written into ``layer.mask`` by hand."""
+        n, h = 40, 6
+        model = _build_made(n, [h], seed=11, spread=0.8)
+        if masks == "spread":
+            sites = np.arange(1, n + 1)
+            degrees = 1 + (np.arange(h) * (n - 1)) // h
+            first, last = model.fc_layers
+            first.mask[...] = degrees[:, None] >= sites[None, :]
+            last.mask[...] = sites[:, None] > degrees[None, :]
+        _assert_matches_naive(model, 16, seed=13)
+
+    def test_saturated_conditionals(self):
+        """Parameters × 50: logits in the hundreds, σ exactly 0 or 1 — and no
+        overflow warning escapes the kernel."""
+        model = _build_made(12, [20, 20], seed=17, spread=1.0)
+        for p in model.parameters():
+            p.data *= 50.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_matches_naive(model, 64, seed=19)
+
+
+def test_benchmark_shape_smoke():
+    """One block-boundary-crossing run at the `maxcut256` shape, tier-1 sized."""
+    model = _build_made(256, [154], seed=0, spread=0.05)
+    _assert_matches_naive(model, 8, seed=1)
+
+
+def _unmasked_weights(model) -> int:
+    return sum(int(np.count_nonzero(layer.mask)) for layer in model.fc_layers)
+
+
+class TestCostAccounting:
+    """Every unmasked weight is multiplied once per sample."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("strategy", ["cycle", "random"])
+    @pytest.mark.parametrize("batch,seed", [(1, 0), (7, 1), (64, 2)])
+    def test_one_hidden_layer_costs_half_a_pass(self, block, strategy, batch, seed):
+        model = MADE(
+            23, hidden=17, rng=np.random.default_rng(seed), mask_strategy=strategy
+        )
+        with mock.patch.object(incremental, "BLOCK", block):
+            result = incremental_sample(model, batch, np.random.default_rng(seed))
+        assert result.macs == batch * _unmasked_weights(model)
+        assert result.forward_pass_equivalents == 0.5
+
+    @pytest.mark.parametrize("strategy", ["cycle", "random"])
+    @pytest.mark.parametrize("widths", [[154, 154], [40, 40, 40]])
+    def test_deep_stacks_stay_near_the_mask_floor(self, strategy, widths):
+        """The parent kernel paid a full h×h product per site: 30 passes."""
+        model = MADE(
+            256, hidden=widths, rng=np.random.default_rng(0), mask_strategy=strategy
+        )
+        result = incremental_sample(model, 4, np.random.default_rng(1))
+        # ≥: a deep stack also multiplies the zero-masked weights inside a prefix
+        assert result.macs >= 4 * _unmasked_weights(model)
+        assert result.forward_pass_equivalents < 0.6
+
+    def test_clamped_sites_cost_no_logit(self, rng):
+        model = MADE(9, hidden=14, rng=rng)
+        first, last = model.fc_layers
+        free = np.full(9, np.nan)
+        half = free.copy()
+        half[::2] = 1.0
+        cost = {
+            name: incremental_sample(model, 5, rng, clamp=clamp).macs
+            for name, clamp in [("free", free), ("half", half), ("all", np.ones(9))]
+        }
+        assert cost["all"] == 5 * np.count_nonzero(first.mask)
+        assert cost["half"] == cost["all"] + 5 * np.count_nonzero(last.mask[1::2])
+        assert cost["free"] == cost["all"] + 5 * np.count_nonzero(last.mask)
 
 
 class TestKernelInterface:
