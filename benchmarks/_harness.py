@@ -63,11 +63,11 @@ PAPER_DIMS = (20, 50, 100, 200, 500)
 OUT_DIR = Path(__file__).parent / "out"
 
 
-def _git_sha() -> str | None:
-    """Short commit SHA of the working tree, or None outside a checkout."""
+def _git(*args: str) -> str | None:
+    """Stripped stdout of ``git <args>`` in this checkout, or None outside one."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=Path(__file__).parent,
             capture_output=True,
             text=True,
@@ -75,8 +75,21 @@ def _git_sha() -> str | None:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_sha() -> str | None:
+    """Short commit SHA of the working tree, or None outside a checkout."""
+    return _git("rev-parse", "--short", "HEAD") or None
+
+
+def _git_dirty() -> bool | None:
+    """Whether the measured code differs from ``git_sha`` (``git status
+    --porcelain`` non-empty), or None outside a checkout. ``benchmarks/out``
+    is left out: the harnesses' own outputs would make every run but a
+    session's first read dirty."""
+    status = _git("status", "--porcelain", "--", ":/", ":(exclude,top)benchmarks/out")
+    return None if status is None else bool(status)
 
 
 def emit_json(name: str, payload: dict, out_dir: Path | str | None = None) -> Path:
@@ -90,7 +103,9 @@ def emit_json(name: str, payload: dict, out_dir: Path | str | None = None) -> Pa
     envelope adds provenance: schema version, wall timestamp, interpreter
     and numpy versions, and — since schema v2 — the git SHA and hostname,
     so ``tools/bench_track.py`` can attribute every trajectory point to a
-    commit and a machine.
+    commit and a machine, and ``dirty``: whether the tree that was measured
+    *is* that commit (a PR's numbers are taken before it is committed, so
+    its ``git_sha`` is its parent's — ``dirty`` says so).
     """
     out = Path(out_dir) if out_dir is not None else OUT_DIR
     out.mkdir(parents=True, exist_ok=True)
@@ -101,6 +116,7 @@ def emit_json(name: str, payload: dict, out_dir: Path | str | None = None) -> Pa
         "python": platform.python_version(),
         "numpy": np.__version__,
         "git_sha": _git_sha(),
+        "dirty": _git_dirty(),
         "hostname": platform.node(),
         **payload,
     }
@@ -114,8 +130,9 @@ def read_bench_json(path: str | Path) -> dict:
     """Load a ``BENCH_*.json`` envelope, backfilling pre-v2 files.
 
     The committed corpus still contains schema-v1 documents (no
-    ``git_sha`` / ``hostname``); those keys are normalised to ``None`` so
-    readers (the bench observatory, tests) never need per-version paths.
+    ``git_sha`` / ``hostname``) and v2 ones from before ``dirty``; those keys
+    are normalised to ``None`` so readers (the bench observatory, tests)
+    never need per-version paths.
     """
     path = Path(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -123,8 +140,8 @@ def read_bench_json(path: str | Path) -> dict:
         raise ValueError(f"{path}: not a benchmark envelope")
     doc.setdefault("benchmark", path.stem.removeprefix("BENCH_"))
     doc.setdefault("schema_version", 1)
-    doc.setdefault("git_sha", None)
-    doc.setdefault("hostname", None)
+    for key in ("git_sha", "dirty", "hostname"):
+        doc.setdefault(key, None)
     return doc
 
 

@@ -5,14 +5,14 @@ This package holds the performance layer the rest of the stack opts into:
 - :mod:`repro.perf.incremental` — O(n·h) ancestral sampling for MADE:
   every hidden unit computed once, from per-block GEMMs over the units the
   masks prove final (vs the naive O(n²·h) of ``n`` full forward passes);
-- :mod:`repro.perf.flips` — fused single-flip ``log ψ`` delta kernel that
-  evaluates all connected-row amplitude ratios from one cached forward
-  pass (used by ``local_energies`` for Hamiltonians exposing a structured
-  flip list).
+- :mod:`repro.perf.flips` — fused single-flip ``log ψ`` delta kernel: all
+  connected-row amplitude ratios from one cached forward pass, each flip's
+  tail a product of Bernoulli odds over the outputs the masks let it move
+  (used by ``local_energies`` for Hamiltonians with a structured flip list).
 
-Everything here is exact (same math, same clipping as the naive paths) —
-see ``docs/performance.md`` for the complexity table and the dispatch
-rules.
+Everything here is exact (same math, same clipping as the naive paths; the
+flip kernel to roundoff while no single flip moves a logit by > 709) — see
+``docs/performance.md`` for the complexity table and the dispatch rules.
 """
 
 from repro.perf.flips import (

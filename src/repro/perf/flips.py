@@ -14,23 +14,24 @@ flip barely perturbs a MADE:
   (rank-1), and only on the units whose mask degree is ≥ ``s+1``; deeper
   layers likewise, and only output rows ``i > s`` need recomputing.
 
-So the kernel runs ONE cached forward pass on the batch, sorts each hidden
-layer's units by mask degree (so "the units a flip can move" is a contiguous
-slice), and walks the flip sites in ascending order in blocks of ``S``. A
-block starting at site ``s0`` forms the post-ReLU deltas ``Δh`` of its
-sites on the slice of degree ≥ ``s0+1`` only, propagates them through any
-deeper hidden layers on their slices, and gets all its logit tails
-``z_{>s0}`` from ONE GEMM ``Δh @ W_out[s0+1:, slice].T`` added to the cached
-logits — no O(n·h) input matmul, no work on units or outputs the masks
-prove untouched, and a Python iteration per block, not per site. ``S`` is
-whatever keeps a block's largest array at ``BLOCK_ELEMS`` float64 (256 KB).
-The result is mathematically identical to the dense path (same log-ratio,
-same clipping), to floating-point roundoff: cached logit + ``Δh·W`` sums in
-a different order than ``h'·W + b``, so log-ratios agree to ~1e-13.
+So the kernel runs ONE cached forward pass (its ``log ψ(x)`` goes back to the
+training loop through :func:`repro.core.energy.local_energies`), sorts each
+hidden layer's units by mask degree (so "the units a flip can move" is a
+contiguous slice), and walks the flip sites in ascending order in blocks of
+``S``. A block starting at ``s0`` forms the post-ReLU deltas ``Δh`` of its
+sites on the slice of degree ≥ ``s0+1`` only, pushes them through any deeper
+layers on their slices, and gets all its logit moves ``Δz_{>s0}`` from ONE
+matmul ``W_out[s0+1:, slice] @ Δh``: no work on units or outputs the masks
+prove untouched, a Python iteration per block. Arrays are unit-major, ``(units,
+B)`` per call and ``(S, units, B)`` per block, so every broadcast operand is a
+contiguous slab; ``S`` keeps a block's widest array at ``BLOCK_ELEMS`` float64.
 
-The cached pass also yields ``log ψ(x)`` for free, which
-:func:`repro.core.energy.local_energies` returns to the training loop so
-amplitudes are never evaluated twice per step.
+A tail is a product of Bernoulli odds, not a difference of log-sigmoids: with
+``p = σ(u)``, ``q = σ(−u)`` tabulated once per call (``u = (2x−1)·z``), moving
+logit ``i`` by ``Δz`` changes its term by ``−log(p + q·e^{−δ})``, ``δ =
+(2x−1)·Δz`` — one ``exp`` per (flip, output), one ``log`` per ``CHUNK``. Equal
+to the dense path to roundoff, ~1e-13, until ``e^{−δ}`` overflows (ONE flip
+moves ONE logit by > 709): a finite ratio may then read ±inf, never NaN.
 """
 
 from __future__ import annotations
@@ -56,12 +57,15 @@ __all__ = [
 
 
 #: float64 elements in a block's widest array (256 KB): the kernel's working
-#: set whatever the batch and ``n``. Measured, not guessed: 16–32 Ki is the
-#: flat optimum from (n=10, B=256) to (n=256, B=256); from 64 Ki up each
-#: block's temporaries are big enough that the allocator hands them back to
-#: the OS between calls, and small shapes pay more in page faults than the
-#: per-site loop ever cost (docs/performance.md has the table).
+#: set whatever the batch and ``n``. Measured, not guessed (docs/performance.md
+#: has the table): within 12 % of the best column from (n=10, B=256) to (n=1000,
+#: B=32) — smaller blocks pay Python iterations, larger ones loosen the slices.
 BLOCK_ELEMS = 32 * 1024
+
+#: A block's ``Σ log f`` is the log of products of ≤ CHUNK outputs; a block with
+#: one outside e^±667 (8× past ``MAX_LOG_RATIO``, NaN included) sums logs instead.
+CHUNK = 32
+PROD_MIN, PROD_MAX = 1e-290, 1e290
 
 
 def _log_sigmoid_inplace(u: np.ndarray) -> np.ndarray:
@@ -73,6 +77,16 @@ def _log_sigmoid_inplace(u: np.ndarray) -> np.ndarray:
     np.minimum(u, 0.0, out=u)
     u -= e
     return u
+
+
+def _bernoulli_odds(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p = σ(u)``, ``q = σ(−u)``, each accurate and ``p + q == 1.0`` to the bit:
+    the smaller directly, the larger as its complement (``q = 1 − p`` loses
+    every digit of ``q`` as ``p → 1``); the floor keeps ``0·inf`` out of ``f``."""
+    e = np.exp(-np.abs(u))
+    small = np.maximum(e / (1.0 + e), np.finfo(np.float64).smallest_subnormal)
+    big = 1.0 - small
+    return np.where(u >= 0.0, big, small), np.where(u >= 0.0, small, big)
 
 
 def log_bernoulli(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
@@ -173,58 +187,64 @@ def flip_log_ratios(
 
     # Site s keeps its logit (it depends on inputs < s only) and swaps its
     # target bit: log Bern(1−x_s; z_s) − log Bern(x_s; z_s) = (1−2x_s)·z_s.
-    sign = 1.0 - 2.0 * x  # bit 0 → +W1[:, s], bit 1 → −W1[:, s]
-    deltas = sign[:, sites] * cache.logits[:, sites]
+    # Every other site's term is log σ(u), u = (2x−1)·z = −own.
+    sign = np.ascontiguousarray((1.0 - 2.0 * x).T)  # bit 0 → +W1[:, s], 1 → −
+    own = sign * cache.logits.T
+    deltas = own[sites]
+    q, p = _bernoulli_odds(own)
 
     # Every hidden layer's units sorted by reach, so that the units a block of
-    # flips can move are one contiguous slice [lo:].
+    # flips can move are one contiguous slice [lo:], lo = cut[l][s0 + 1].
     orders, degrees, weights = sort_by_reach(model, effs)
-    pre = [a[:, order] for a, order in zip(cache.pre_acts, orders)]
-    hid = [h[:, order] for h, order in zip(cache.hiddens, orders)]
-    # log Bern(x_i; z_i) = log σ(u_i) with u = (2x−1)·z. The cached terms are
-    # re-evaluated by the formula the blocks use, so that a logit a flip
-    # leaves alone (Δz = 0 exactly: the masked weights are exact zeros)
-    # cancels to exactly 0.0 — which is what covers a block's corner of
-    # outputs s0 < i ≤ s without masking it out.
-    spin = -sign
-    spin_logits = spin * cache.logits
-    terms = _log_sigmoid_inplace(spin_logits.copy())
+    pre = [np.ascontiguousarray(a.T[order]) for a, order in zip(cache.pre_acts, orders)]
+    hid = [np.ascontiguousarray(h.T[order]) for h, order in zip(cache.hiddens, orders)]
+    cut = [np.searchsorted(deg, np.arange(n + 1)).tolist() for deg in degrees]
+    w_in = np.ascontiguousarray(weights[0].T)  # a site's column is one row
 
     # Ascending sites in blocks of S: one block shares its first site's
-    # slices and logit tail z_{>s0}, so its S tails come from ONE GEMM.
+    # slices and logit tail z_{>s0}, so its S tails come from ONE matmul.
     # Sites from `horizon` on move no unit of some hidden layer (and the last
     # site has no tail): their own term, already in `deltas`, is all of it.
     by_site = np.argsort(sites, kind="stable")
     ascending = sites[by_site]
     horizon = min(n - 1, *(int(deg[-1]) for deg in degrees))
     live = int(np.searchsorted(ascending, horizon))
+    tails = np.empty((live, bsz))
     j = 0
     while j < live:
         s0 = int(ascending[j])
         tail = n - s0 - 1
-        los = [int(np.searchsorted(deg, s0 + 1)) for deg in degrees]
+        los = [c[s0 + 1] for c in cut]
         # S sites a block, sized so its widest array is BLOCK_ELEMS.
         widest = max(tail, *(deg.size - lo for lo, deg in zip(los, degrees)))
         stop = min(live, j + max(1, BLOCK_ELEMS // (bsz * widest)))
         blk = ascending[j:stop]
         # Rank-1 column updates of the block's sites, on the slice only.
-        dh = sign[:, blk, None] * weights[0][los[0] :, blk].T
-        dh += pre[0][:, None, los[0] :]
-        np.maximum(dh, 0.0, out=dh)
-        dh -= hid[0][:, None, los[0] :]
-        for l in range(1, len(los)):
-            w = weights[l][los[l] :, los[l - 1] :]
-            dh = (dh.reshape(-1, dh.shape[2]) @ w.T).reshape(bsz, blk.size, -1)
-            dh += pre[l][:, None, los[l] :]
+        dh = np.einsum("sk,sb->skb", w_in[blk, los[0] :], sign[blk])
+        for l, lo in enumerate(los):
+            if l:
+                dh = np.matmul(weights[l][lo:, los[l - 1] :], dh)
+            dh += pre[l][lo:]
             np.maximum(dh, 0.0, out=dh)
-            dh -= hid[l][:, None, los[l] :]
-        w = weights[-1][s0 + 1 :, los[-1] :]
-        u = (dh.reshape(-1, dh.shape[2]) @ w.T).reshape(bsz, blk.size, tail)
-        u *= spin[:, None, s0 + 1 :]
-        u += spin_logits[:, None, s0 + 1 :]
-        _log_sigmoid_inplace(u)
-        u -= terms[:, None, s0 + 1 :]
-        deltas[:, by_site[j:stop]] += u.sum(axis=2)
+            dh -= hid[l][lo:]
+        # f = p + q·e^{−δ}. A logit the flip leaves alone (Δz = 0 exactly: the
+        # masked weights are exact zeros) gives p + q = 1.0 to the bit, which
+        # covers a block's corner of outputs s0 < i ≤ s without masking it out.
+        # Σ log f = log of g interleaved (so contiguous) products. exp or a
+        # product may overflow, underflow or meet 0·inf: the range check sees all.
+        f = np.matmul(weights[-1][s0 + 1 :, los[-1] :], dh)
+        f *= sign[s0 + 1 :]
+        g = -(-tail // CHUNK)
+        m = tail - tail % g
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(f, out=f)
+            f *= q[s0 + 1 :]
+            f += p[s0 + 1 :]
+            prod = f[:, :m].reshape(blk.size, m // g, g, bsz).prod(axis=1)
+            prod[:, : tail - m] *= f[:, m:]
+        if not (prod.min() > PROD_MIN and prod.max() < PROD_MAX):
+            prod = f
+        np.log(prod, out=prod).sum(axis=1, out=tails[j:stop])
         j = stop
-    deltas *= 0.5
-    return deltas, cache
+    deltas[by_site[:live]] -= tails
+    return np.multiply(deltas.T, 0.5, order="C"), cache

@@ -45,11 +45,50 @@ class TestHarnessHelpers:
         assert doc["benchmark"] == "unit_test"
         assert doc["schema_version"] == BENCH_SCHEMA_VERSION == 2
         assert doc["results"] == [{"n": 8, "seconds": 0.5}]
-        for key in ("unix_time", "python", "numpy", "git_sha", "hostname"):
+        for key in ("unix_time", "python", "numpy", "git_sha", "dirty", "hostname"):
             assert key in doc
         # Provenance stamps are real values in a git checkout.
         assert doc["hostname"]
         assert doc["git_sha"] is None or len(doc["git_sha"]) >= 7
+        assert (doc["dirty"] is None) == (doc["git_sha"] is None)
+        assert doc["dirty"] in (None, True, False)
+
+    def test_dirty_means_the_measured_tree_is_not_the_stamped_commit(
+        self, tmp_path, monkeypatch
+    ):
+        import shutil
+        import subprocess
+
+        import _harness
+
+        if shutil.which("git") is None:
+            pytest.skip("needs git")
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        out = tmp_path / "benchmarks" / "out"
+        out.mkdir(parents=True)
+        (out / "BENCH_x.json").write_text("{}")
+        (tmp_path / "code.py").write_text("x = 1\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        monkeypatch.setattr(_harness, "__file__", str(tmp_path / "benchmarks" / "_harness.py"))
+        assert _harness._git_dirty() is False
+        (out / "BENCH_x.json").write_text('{"rerun": 1}')  # a harness's own output
+        (out / "BENCH_new.json").write_text("{}")
+        assert _harness._git_dirty() is False
+        (tmp_path / "code.py").write_text("x = 2\n")
+        assert _harness._git_dirty() is True
+        git("commit", "-q", "-am", "change")
+        (tmp_path / "untracked.py").write_text("")
+        assert _harness._git_dirty() is True
+        monkeypatch.setattr(_harness, "__file__", str(tmp_path.parent / "nowhere" / "_harness.py"))
+        assert _harness._git_dirty() is None and _harness._git_sha() is None
 
     def test_read_bench_json_backfills_v1(self, tmp_path):
         import json
@@ -61,6 +100,7 @@ class TestHarnessHelpers:
         doc = read_bench_json(legacy)
         assert doc["schema_version"] == 1
         assert doc["git_sha"] is None and doc["hostname"] is None
+        assert doc["dirty"] is None
         assert doc["benchmark"] == "old"  # recovered from the file name
 
     def test_read_bench_json_passes_v2_through(self, tmp_path):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core import VQMC
-from repro.core.energy import MAX_LOG_RATIO, local_energies
+from repro.core.energy import MAX_LOG_RATIO, local_energies, local_energy_path
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import RBM, MADE
 from repro.optim import SGD
@@ -24,6 +26,37 @@ class TestRatioClipping:
         local = local_energies(rbm, small_tim, x)
         assert np.all(np.isfinite(local))
         assert np.all(np.abs(local) < np.exp(MAX_LOG_RATIO) * 100)
+
+    @pytest.mark.parametrize("layers", ["output", "all"])
+    def test_collapsed_made_gives_finite_local_energies_on_the_fused_path(
+        self, small_tim, layers
+    ):
+        """The MADE twin of the RBM case: the fused flip kernel, not the dense
+        path, measures a MADE. Output weights of ±500 saturate every logit
+        (|z| to 1.8e3, the kernel's odds on their floor) and make the ratios
+        astronomically large; a flip still moves a logit by < 709, so the
+        kernel is inside its contract and must equal the dense path after the
+        clip. With EVERY layer at ±500 single logits move by 1e5, ``e^{−δ}``
+        itself overflows and the kernel may answer ±inf where the dense path
+        is finite (docs/performance.md, "numerical contract"): still finite
+        after the clip, still warning-free."""
+        made = MADE(6, hidden=8, rng=np.random.default_rng(0))
+        signs = np.random.default_rng(0)
+        for layer in made.fc_layers if layers == "all" else made.fc_layers[-1:]:
+            layer.weight.data[...] = 500.0 * signs.choice([-1.0, 1.0], layer.weight.shape)
+        assert local_energy_path(made, small_tim) == "fused"
+        x = (np.random.default_rng(3).random((16, 6)) < 0.5).astype(float)
+        x[:4] = 0.0
+        x[:4, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            local = local_energies(made, small_tim, x)
+        assert np.all(np.isfinite(local))
+        assert np.abs(local).max() > 1e30  # the clip is what kept them finite
+        assert np.all(np.abs(local) < np.exp(MAX_LOG_RATIO) * 100)
+        if layers == "output":
+            dense = local_energies(made, small_tim, x, fast=False)
+            assert np.allclose(local, dense, rtol=1e-9, atol=0.0)
 
     def test_clip_inactive_for_normal_models(self, small_tim, rng):
         """For a healthy model the clip must not alter the exact values."""

@@ -94,6 +94,25 @@ class TestIngest:
         ledger = json.loads((tmp_path / "TRAJECTORY.json").read_text())
         assert len(ledger["entries"]) == 2
 
+    def test_dirty_flag_is_carried_into_the_ledger_and_shown(self, tmp_path, capsys):
+        """``git_sha`` names HEAD; a PR's numbers are measured before it is
+        committed, on its parent's SHA plus changes. ``dirty`` records that
+        instead of leaving it to a convention, and ``show`` marks it."""
+        _write_bench(tmp_path, "sr_distributed", _sr_doc())  # predates `dirty`
+        bench_track.main(["ingest", "--out-dir", str(tmp_path)])
+        _write_bench(tmp_path, "sr_distributed", {**_sr_doc(volume=11.0), "dirty": True})
+        bench_track.main(["ingest", "--out-dir", str(tmp_path)])
+        _write_bench(tmp_path, "sr_distributed", {**_sr_doc(volume=12.0), "dirty": False})
+        bench_track.main(["ingest", "--out-dir", str(tmp_path)])
+        ledger = json.loads((tmp_path / "TRAJECTORY.json").read_text())
+        assert [e["dirty"] for e in ledger["entries"]] == [None, True, False]
+        capsys.readouterr()
+        assert bench_track.main(["show", "--out-dir", str(tmp_path)]) == 0
+        shown = [[cell.strip() for cell in line.split("|")]
+                 for line in capsys.readouterr().out.splitlines()
+                 if "volume_reduction" in line]
+        assert [cells[3] for cells in shown] == ["abc1234", "abc1234*", "abc1234"]
+
     def test_untracked_benchmark_skipped(self, tmp_path, capsys):
         _write_bench(tmp_path, "mystery", {"value": 1})
         assert bench_track.main(["ingest", "--out-dir", str(tmp_path)]) == 0

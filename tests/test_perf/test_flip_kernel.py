@@ -6,10 +6,24 @@ must agree to 1e-10 with the per-site loop it replaced (kept in
 depths, widths on both sides of ``n−1``, both mask strategies, any list of
 sites and any block size; and ``local_energies`` must give identical
 answers on its fused and dense paths.
+
+The kernel evaluates a flip's tail as a product of Bernoulli odds,
+``−Σ log(p + q·e^{−δ})`` (``TestOddsNumerics``). Mutations tried against
+these tests, each of which fails them: ``q = 1 − p`` in ``_bernoulli_odds``
+(``test_each_accurate_to_a_few_ulp``, the oracle comparison on uniform ``x``
+at spreads 2 and 5, ``test_extreme_weights_never_nan``); the product range
+guard removed (``log(0)`` raises under this module's warning filter: the
+oracle comparison at spread 5, ``test_guard_branch_equals_product_branch``,
+``test_extreme_weights_never_nan``); ``small`` left unfloored (``0·inf``:
+the floor assertion, the oracle comparison at (256, spread 5),
+``test_extreme_weights_never_nan``). The whole module turns every
+``RuntimeWarning`` into an error, so an ``errstate`` in the kernel that is
+scoped too narrowly cannot hide.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,13 +31,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.energy import local_energies
+from repro.core.energy import MAX_LOG_RATIO, local_energies
 from repro.hamiltonians import MaxCut, TransverseFieldIsing
 from repro.hamiltonians.base import SingleFlipRows
 from repro.models import MADE
 from repro.perf import flip_log_ratios, flips, forward_cache, supports_flip_kernel
 from repro.tensor.tensor import no_grad
 from tests.test_perf.flip_oracle import per_site_flip_log_ratios
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SETTINGS = dict(max_examples=100, deadline=None, derandomize=True)
 
@@ -167,6 +183,138 @@ class TestRatioIdentity:
         x = np.zeros((2, 4))
         with pytest.raises(ValueError):
             flip_log_ratios(model, np.array([4]), x=x)
+
+
+def _clipped_ratios(log_ratios):
+    """What ``local_energies`` makes of the kernel's output."""
+    return np.exp(np.clip(log_ratios, -MAX_LOG_RATIO, MAX_LOG_RATIO))
+
+
+def _configurations(model, kind, batch, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "model":
+        return model.sample(batch, rng)
+    return (rng.random((batch, model.n)) < 0.5).astype(float)
+
+
+def _largest_logit_move(model, x):
+    """(B, n): the most any one logit moves when bit ``s`` of row ``b`` flips."""
+    base = forward_cache(model, x).logits
+    moved = np.empty(x.shape)
+    for s in range(model.n):
+        y = x.copy()
+        y[:, s] = 1.0 - y[:, s]
+        moved[:, s] = np.abs(forward_cache(model, y).logits - base).max(axis=1)
+    return moved
+
+
+SHAPES = [(14, 20), (64, 86), (256, 154)]
+
+
+class TestOddsNumerics:
+    """``log σ(u+δ) − log σ(u) = −log(p + q·e^{−δ})`` with ``p = σ(u)``,
+    ``q = σ(−u)``: exact cancellation needs ``p + q == 1.0`` to the bit, and
+    accuracy at large weights needs BOTH of them accurate however small."""
+
+    @staticmethod
+    def _logits():
+        rng = np.random.default_rng(0)
+        edge = np.array([0.0, 5e-324, 1e-300, 1e-17, 36.7, 37.5, 709.7, 745.2, 800.0])
+        u = np.concatenate(
+            [np.linspace(-800.0, 800.0, 400_001), rng.uniform(-800, 800, 100_000),
+             rng.normal(size=100_000) * 5.0, edge]
+        )
+        return np.concatenate([u, -u])  # −0.0 included
+
+    def test_p_plus_q_is_exactly_one(self):
+        u = self._logits()
+        p, q = flips._bernoulli_odds(u)
+        assert np.array_equal(p + q, np.ones_like(u))
+        assert p.min() > 0.0 and q.min() > 0.0  # floored: never 0·inf
+        flipped = flips._bernoulli_odds(-u)
+        assert np.array_equal(flipped[0], q) and np.array_equal(flipped[1], p)
+
+    def test_each_accurate_to_a_few_ulp(self):
+        u = self._logits()
+        u = u[np.abs(u) < 700.0]
+        p, q = flips._bernoulli_odds(u)
+        wide = u.astype(np.longdouble)
+        for got, ref in ((p, 1.0 / (1.0 + np.exp(-wide))), (q, 1.0 / (1.0 + np.exp(wide)))):
+            ulps = np.abs(got - ref) / np.spacing(ref.astype(np.float64))
+            assert ulps.max() < 4.0
+
+    @pytest.mark.parametrize("n, h", SHAPES)
+    @pytest.mark.parametrize("spread", [0.1, 0.7, 2.0, 5.0])
+    @pytest.mark.parametrize("kind", ["model", "uniform"])
+    def test_matches_oracle_after_the_clip(self, n, h, spread, kind):
+        """Log-ratios reach ±1.2e3 at (64, spread 5) — far past the ±80 clip
+        and, in some blocks, past the product guard — and what the energy sees
+        still agrees with the per-site loop to 1e-9 relative. The contract
+        ends where ``e^{−δ}`` itself overflows, i.e. where ONE flip moves ONE
+        logit by more than 709: only (256, spread 5) gets there, on < 2 % of
+        its flips, and there the kernel may answer ±inf, never NaN."""
+        model = _build(n, [h], seed=n, spread=spread)
+        x = _configurations(model, kind, 8, seed=n + 1)
+        sites = np.arange(n)
+        got, _ = flip_log_ratios(model, sites, x=x)
+        expect, _ = per_site_flip_log_ratios(model, sites, x=x)
+        inside = _largest_logit_move(model, x) < 709.0
+        assert inside.all() or ((n, spread) == (256, 5.0) and inside.mean() > 0.98)
+        assert np.allclose(
+            _clipped_ratios(got)[inside], _clipped_ratios(expect)[inside], rtol=1e-9, atol=0.0
+        )
+        assert not np.isnan(got).any()
+
+    @pytest.mark.parametrize("n, h", SHAPES)
+    @pytest.mark.parametrize("spread", [20.0, 100.0])
+    @pytest.mark.parametrize("kind", ["model", "uniform"])
+    def test_extreme_weights_never_nan(self, n, h, spread, kind):
+        """Single logits move by thousands: exp overflows, odds hit their
+        floor, products meet 0·inf. Log-ratios may be ±inf, never NaN."""
+        model = _build(n, [h], seed=n, spread=spread)
+        x = _configurations(model, kind, 8, seed=n + 1)
+        got, _ = flip_log_ratios(model, np.arange(n), x=x)
+        assert not np.isnan(got).any()
+        assert np.all(np.isfinite(_clipped_ratios(got)))
+
+    @pytest.mark.parametrize("n, h", SHAPES)
+    @pytest.mark.parametrize("spread", [0.7, 2.0])
+    def test_guard_branch_equals_product_branch(self, n, h, spread):
+        """A block whose chunk products leave [PROD_MIN, PROD_MAX] reduces the
+        same ``f`` as ``Σ log f``; forced on every block (at spreads where no
+        block needs it) it moves the answer by roundoff and no more."""
+        model = _build(n, [h], seed=n, spread=spread)
+        x = _configurations(model, "model", 8, seed=n + 1)
+        sites = np.arange(n)
+        normal, _ = flip_log_ratios(model, sites, x=x)
+        with mock.patch.object(flips, "PROD_MIN", np.inf):
+            forced, _ = flip_log_ratios(model, sites, x=x)
+        assert not np.array_equal(forced, normal)
+        assert np.allclose(forced, normal, rtol=1e-12, atol=1e-12)
+
+
+class TestWorkingSet:
+    def test_peak_allocation_is_bounded_by_the_block_not_the_problem(self):
+        """One call at ``tim256``'s shape stays under 6 MB (the dense path's
+        neighbour tensor alone is 33.6 MB), and four times the batch costs
+        less than three times the memory: blocks are ``BLOCK_ELEMS``, only the
+        per-call tables grow with ``B``."""
+        n = 256
+        model = MADE(n, rng=np.random.default_rng(0))
+        assert model.hidden == 154  # the paper's h = 5·ln²n
+        sites = np.arange(n)
+        peaks = {}
+        for batch in (64, 256):
+            x = _configurations(model, "model", batch, seed=1)
+            flip_log_ratios(model, sites, x=x)
+            tracemalloc.start()
+            try:
+                flip_log_ratios(model, sites, x=x)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] < 6e6
+        assert peaks[256] < 3 * peaks[64]
 
 
 class TestLocalEnergyPaths:

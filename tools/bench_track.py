@@ -7,9 +7,10 @@ This tool turns those one-off snapshots into an enforced time series:
 
 - ``ingest``  — normalise each benchmark's *headline metrics* (the spec
   below) into ``benchmarks/out/TRAJECTORY.json``, a provenance-stamped
-  append-only ledger (one entry per benchmark per change: git SHA,
-  hostname, timestamp, metrics). Re-ingesting unchanged results is a
-  no-op, so the ledger only grows when the numbers move.
+  append-only ledger (one entry per benchmark per change: git SHA and
+  whether the tree was dirty, hostname, timestamp, metrics). Re-ingesting
+  unchanged results is a no-op, so the ledger only grows when the numbers
+  move.
 - ``check``   — gate a PR: compare the current ``BENCH_*.json`` files
   against each benchmark's latest ledger entry and fail (exit 1) when a
   metric regressed beyond its tolerance band
@@ -127,16 +128,16 @@ HEADLINES: dict[str, list[Metric]] = {
 
 
 def _read_bench(path: pathlib.Path) -> dict:
-    """Backfill-tolerant envelope reader (v1 files lack git_sha/hostname);
-    mirrors ``benchmarks/_harness.read_bench_json`` without importing the
-    harness (which pulls in the full training stack)."""
+    """Backfill-tolerant envelope reader (v1 files lack git_sha/hostname,
+    older v2 ones ``dirty``); mirrors ``benchmarks/_harness.read_bench_json``
+    without importing the harness (which pulls in the full training stack)."""
     doc = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a benchmark envelope")
     doc.setdefault("benchmark", path.stem[len("BENCH_"):])
     doc.setdefault("schema_version", 1)
-    doc.setdefault("git_sha", None)
-    doc.setdefault("hostname", None)
+    for key in ("git_sha", "dirty", "hostname"):
+        doc.setdefault(key, None)
     return doc
 
 
@@ -196,6 +197,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 "benchmark": name,
                 "schema_version": doc["schema_version"],
                 "git_sha": doc["git_sha"],
+                "dirty": doc["dirty"],
                 "hostname": doc["hostname"],
                 "unix_time": doc.get("unix_time"),
                 "metrics": values,
@@ -285,10 +287,13 @@ def cmd_show(args: argparse.Namespace) -> int:
     for entry in ledger["entries"]:
         if args.benchmark and entry["benchmark"] != args.benchmark:
             continue
+        # "sha*": measured on a tree that was not that commit (its parent's
+        # SHA plus uncommitted changes — how every PR's numbers are taken).
+        sha = (entry.get("git_sha") or "-") + ("*" if entry.get("dirty") else "")
         for metric, value in sorted(entry["metrics"].items()):
             rows.append(
                 [entry["benchmark"], metric, f"{value:.5g}",
-                 entry.get("git_sha") or "-", entry.get("hostname") or "-"]
+                 sha, entry.get("hostname") or "-"]
             )
     print(format_table(
         ["benchmark", "metric", "value", "git", "host"],
