@@ -1,29 +1,26 @@
-"""Ablation — stochastic-reconfiguration solver: dense vs matrix-free CG.
+"""Ablation — stochastic-reconfiguration solver: d×d against N×N.
 
-DESIGN.md calls out the solver crossover as a design choice: the dense
-path builds the d×d Fisher matrix (O(Bd² + d³)); the CG path only does
-O(Bd)-cost matvecs. This bench locates the crossover empirically and
-verifies the two solvers agree on the natural-gradient direction.
+Both solvers are direct: the dense path builds the d×d Fisher matrix
+(O(Nd² + d³)); the sample-space path (`solver='cg'`) builds the N×N Gram
+matrix, factorises it and applies Woodbury's identity (O(N²d + N³) on an
+array `O`). This bench locates the crossover empirically and verifies the
+two agree on the natural-gradient direction.
 
-The coordinate arm times the one CG loop in both of its coordinate systems
-on the same (N, d, k) inputs — sample space pays one N²d Gram product and
-then iterates on (N+1)-vectors, parameter space streams the N×d matrix
-twice per iteration — which is where `SAMPLE_ROWS_PER_ITERATION` comes
-from. It reaches below the public API (the rule picks one space per
-input; measuring the rule needs both).
+The Gram arm times the one product that dominates the sample-space solve
+both ways on the same MADE batch: from layer statistics
+(`FactoredO.gram()`: thin GEMMs, Hadamard products and explicit features
+for the staircase edge only — no N×d object) against materialising `O` and
+multiplying it out (`O Oᵀ`, N²d), on the `sr64` model over a grid of batch
+sizes and at three more widths.
 
 The distributed arm measures the claim that motivated the
 communicator-aware engine (`repro.optim.sr`): with `solver='cg'` no SR step
-moves the d×d moment matrix the dense path must (O(d²)). Two regimes, both
-counted exactly from `CommStats.collective_bytes` (ground truth, not a
-model): parameter-space CG (N ≥ d, or a budget small against N) allreduces
-the (d+1) centring vector and one d-vector per iteration, `d+1 + k·d`
-floats; sample-space CG moves the centring vector, the column blocks a
-rank owes its peers, one (N+1)² Gram matrix and one d-vector,
-`d+1 + N_r·(d − d/L) + (N+1)² + d` floats whatever k — more than
-parameter space when `N_r·(1 − 1/L) > k`, in 4 collectives instead of
-k + 1. Both are checked against the serial big-batch dense solve,
-including at d beyond `dense_threshold`. Emits `BENCH_sr_distributed.json`.
+moves the d×d moment matrix the dense path must (O(d²)). Counted exactly
+from `CommStats.collective_bytes` (ground truth, not a model): one
+allgather of this rank's rows of `O`, `N_r·d` floats for an array (the
+layers' factors of a MADE are `N_r·2(n + h)`; `tests/test_optim/
+test_sr_factored.py` counts those). Checked against the serial big-batch
+dense solve. Emits `BENCH_sr_distributed.json`.
 """
 
 from __future__ import annotations
@@ -38,11 +35,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _harness import emit_json, format_table, parse_args  # noqa: E402
 
 from repro.distributed import run_threaded  # noqa: E402
+from repro.models.made import MADE  # noqa: E402
 from repro.optim import StochasticReconfiguration  # noqa: E402
-from repro.optim import sr as sr_module  # noqa: E402
 
-#: parameter count of the step profile's sr64 workload (MADE, n = 64)
-SR64_D = 11_158
+#: the step profile's sr64 model (MADE, h = 5 ln²n = 86, d = 11 158)
+SR64_N = 64
 
 
 def _one_solve(d: int, solver: str, batch: int = 256, seed: int = 0) -> tuple[float, str]:
@@ -55,41 +52,37 @@ def _one_solve(d: int, solver: str, batch: int = 256, seed: int = 0) -> tuple[fl
     return time.perf_counter() - t0, sr.last_solve.space
 
 
-def _solve_in(space: str, o: np.ndarray, g: np.ndarray, budget: int) -> float:
-    """Seconds of one budgeted CG solve forced into ``space``."""
-    sr = StochasticReconfiguration(diag_shift=1e-3, solver="cg", cg_maxiter=budget)
-    t0 = time.perf_counter()
-    mean, total = sr._mean(o, None)
-    if space == "sample":
-        sr._solve_in_sample_space(o, mean, total, g, None)
-    else:
-        matvec = sr._matvec_from(o - mean, total, None)
-        sr_module._cg(matvec, np.dot, g, sr.cg_tol, budget)
-    return time.perf_counter() - t0
+def _best_ms(fn, reps: int) -> float:
+    fn()  # warm: block plan, BLAS
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
 
 
-def run_coordinate_arm(d: int, batches, budgets, reps: int = 2) -> list[dict]:
-    """Sample- vs parameter-space CG on identical inputs, and what the rule
-    picks: the crossover behind ``SAMPLE_ROWS_PER_ITERATION``."""
+def run_gram_arm(shapes, reps: int = 5) -> list[dict]:
+    """``O Oᵀ`` of one MADE batch from layer statistics and from the dense
+    matrix (its build included: that is what the dense route pays)."""
     rows = []
-    rng = np.random.default_rng(d)
-    g = rng.normal(size=d)
-    for n in batches:
-        o = rng.normal(size=(n, d))
-        for k in budgets:
-            seconds = {
-                space: min(_solve_in(space, o, g, k) for _ in range(reps))
-                for space in ("sample", "parameter")
-            }
-            sr = StochasticReconfiguration(solver="cg", cg_maxiter=k)
-            sr.natural_gradient(o, g)
-            rows.append({
-                "N": n, "d": d, "k": k,
-                "sample_ms": seconds["sample"] * 1e3,
-                "parameter_ms": seconds["parameter"] * 1e3,
-                "rows_per_iteration": n / k,
-                "space": sr.last_solve.space,
-            })
+    for n, batch in shapes:
+        model = MADE(n, rng=np.random.default_rng(n))
+        x = (np.random.default_rng(batch).random((batch, n)) < 0.5).astype(np.float64)
+        o = model.log_psi_and_grads(x)[1]
+
+        def dense_gram():
+            dense = np.asarray(o)
+            return dense @ dense.T
+
+        err = np.max(np.abs(o.gram() - dense_gram())) / np.max(np.abs(o.gram()))
+        rows.append({
+            "n": n, "h": model.hidden, "N": batch, "d": o.shape[1],
+            "layers_ms": _best_ms(o.gram, reps),
+            "dense_ms": _best_ms(dense_gram, reps),
+            "o_bytes": batch * o.shape[1] * 8,
+            "rel_err": float(err),
+        })
     return rows
 
 
@@ -123,28 +116,25 @@ def bench_sr_cg_large(benchmark):
 def _distributed_solve(o: np.ndarray, g: np.ndarray, world: int, solver: str):
     """One distributed SR solve over `world` thread ranks sharding `o`.
 
-    Returns (solution, per-rank collective bytes, CG iterations, seconds,
-    space). Every rank computes the identical solution; rank 0's view is
-    returned.
+    Returns (solution, per-rank collective bytes, seconds, space). Every
+    rank computes the identical solution; rank 0's view is returned.
     """
     shards = np.array_split(o, world)
 
     def worker(comm, rank):
-        sr = StochasticReconfiguration(
-            diag_shift=1e-3, solver=solver, cg_maxiter=500
-        )
+        sr = StochasticReconfiguration(diag_shift=1e-3, solver=solver)
         t0 = time.perf_counter()
         sol = sr.natural_gradient(shards[rank], g, comm=comm)
         elapsed = time.perf_counter() - t0
         info = sr.last_solve
-        return sol, info.comm_bytes, info.iterations, elapsed, info.space
+        return sol, info.comm_bytes, elapsed, info.space
 
     return run_threaded(worker, world)[0]
 
 
 def run_distributed_arm(dims, world: int, batch: int) -> list[dict]:
-    """Comm-volume + parity table: distributed dense vs distributed CG,
-    both against the serial big-batch dense solve."""
+    """Comm-volume + parity table: distributed dense vs distributed
+    sample-space solve, both against the serial big-batch dense solve."""
     results = []
     for d in dims:
         rng = np.random.default_rng(d)
@@ -155,21 +145,20 @@ def run_distributed_arm(dims, world: int, batch: int) -> list[dict]:
         ).natural_gradient(o, g)
         ref_norm = np.linalg.norm(ref)
 
-        sol_c, bytes_c, iters, t_c, space = _distributed_solve(o, g, world, "cg")
+        sol_c, bytes_c, t_c, space = _distributed_solve(o, g, world, "cg")
         err_c = float(np.linalg.norm(sol_c - ref) / ref_norm)
         row = {
             "d": d,
             "world": world,
             "batch": batch,
             "space": space,
-            "cg_iterations": iters,
             "cg_bytes_per_rank": bytes_c,
             "cg_seconds": t_c,
             "cg_rel_err": err_c,
             "dxd_bytes": d * d * 8,
         }
         if d <= 1500:  # the dense d×d allreduce gets slow fast — cap it
-            sol_d, bytes_d, _, t_d, _ = _distributed_solve(o, g, world, "dense")
+            sol_d, bytes_d, t_d, _ = _distributed_solve(o, g, world, "dense")
             row["dense_bytes_per_rank"] = bytes_d
             row["dense_seconds"] = t_d
             row["dense_rel_err"] = float(np.linalg.norm(sol_d - ref) / ref_norm)
@@ -194,28 +183,29 @@ def main() -> None:
         err = np.max(np.abs(sd.natural_gradient(o, g) - sc.natural_gradient(o, g)))
         rows.append([d, t_dense * 1e3, t_cg * 1e3, space, t_dense / t_cg, f"{err:.1e}"])
     print(format_table(
-        ["d", "dense (ms)", "CG (ms)", "space", "dense/CG", "max |Δdirection|"],
+        ["d", "dense (ms)", "N×N (ms)", "space", "dense/N×N", "max |Δdirection|"],
         rows,
         title="SR solver ablation (B = 256 samples)",
     ))
-    print("\nThe 'auto' mode switches to CG above d = 2000 — consistent with "
-          "the crossover above.")
+    print("\nBoth are direct solves; 'auto' takes the smaller system "
+          "(dense iff d <= N).")
 
-    # -- coordinate arm: where does the Gram product pay for itself? ------------
-    batches = (128, 256, 512, 1024)
-    coords = run_coordinate_arm(SR64_D, batches, budgets=(8, 32))
+    # -- Gram arm: layer statistics against the dense product -------------------
+    shapes = [(SR64_N, batch) for batch in (128, 256, 512, 1024)]
+    shapes += [(12, 32), (256, 64), (1000, 64)]
+    grams = run_gram_arm(shapes)
     print()
     print(format_table(
-        ["N", "k", "sample (ms)", "parameter (ms)", "N/k", "rule picks"],
-        [[r["N"], r["k"], r["sample_ms"], r["parameter_ms"],
-          r["rows_per_iteration"], r["space"]] for r in coords],
-        title=f"CG coordinates at d = {SR64_D} (serial, fixed budget k)",
+        ["n", "h", "N", "d", "layers (ms)", "O + O·Oᵀ (ms)", "dense/layers", "O (MB)", "rel err"],
+        [[r["n"], r["h"], r["N"], r["d"], r["layers_ms"], r["dense_ms"],
+          r["dense_ms"] / r["layers_ms"], r["o_bytes"] / 1e6, f"{r['rel_err']:.1e}"]
+         for r in grams],
+        title="Gram matrix of one MADE batch (serial, one BLAS thread if pinned)",
     ))
     print(
-        "\nSample space is the smaller problem while N/k stays under the "
-        "break-even\n(≈ 24–40 rows per iteration with one BLAS thread, ≈ 16 "
-        "with two, on this class\nof host); the rule takes it up to "
-        f"N/k = {sr_module.SAMPLE_ROWS_PER_ITERATION}, and never when N ≥ d."
+        "\nLayer statistics cost O(N²·(n + h)) plus the staircase edge's "
+        "explicit features\nand never hold more than a few N×256 "
+        "temporaries; the dense route is N²·d and\nmust hold O."
     )
 
     # -- distributed arm: comm volume is the story, not flops ------------------
@@ -227,7 +217,6 @@ def main() -> None:
         table.append([
             r["d"],
             r["space"],
-            r["cg_iterations"],
             f"{r['cg_bytes_per_rank'] / 1e3:.1f}",
             f"{r.get('dense_bytes_per_rank', r['dxd_bytes']) / 1e3:.1f}",
             f"{r.get('dense_bytes_per_rank', r['dxd_bytes']) / r['cg_bytes_per_rank']:.1f}×",
@@ -235,33 +224,25 @@ def main() -> None:
         ])
     print()
     print(format_table(
-        ["d", "space", "CG iters", "CG kB/rank", "dense kB/rank", "dense/CG", "rel err vs serial dense"],
+        ["d", "space", "N×N kB/rank", "dense kB/rank", "dense/N×N", "rel err vs serial dense"],
         table,
         title=f"Distributed SR comm volume per solve (L = {world} thread ranks)",
     ))
     print(
-        "\nParameter-space CG allreduces the (d+1) centring vector + one "
-        "d-vector per\niteration — O(d·iters). Sample-space CG moves the "
-        "centring vector, N_r·(d − d/L)\nfloats of column blocks, one "
-        "(N+1)² Gram matrix and one d-vector — independent\nof the "
-        "iteration count, in 4 collectives. Dense must move the d×d moment "
-        "matrix —\nO(d²). All match the serial big-batch dense solve, "
-        "including beyond the\ndense_threshold crossover."
+        "\nThe sample-space solve allgathers this rank's N_r rows of O — "
+        "N_r·d floats for\nan array, N_r·2(n + h) for a MADE's layer "
+        "factors — in 1 collective, and every\nrank then solves the same "
+        "N×N system. Dense must move the d×d moment matrix —\nO(d²). Both "
+        "match the serial big-batch dense solve."
     )
-    # Acceptance floor: every CG row moved exactly its regime's volume, and
+    # Acceptance floor: every sample-space row moved exactly its rows, and
     # at the largest d that undercuts the d×d matrix by a wide margin while
     # still matching the dense direction.
     for r in dist:
-        d, n = r["d"], r["batch"]
-        if r["space"] == "parameter":
-            floats = (d + 1) + r["cg_iterations"] * d
-        else:  # rank 0's shard and column block
-            n_0 = len(np.array_split(np.arange(n), world)[0])
-            own = int(np.linspace(0, d, world + 1).astype(int)[1])
-            floats = (d + 1) + n_0 * (d - own) + (n + 1) ** 2 + d
-        assert r["cg_bytes_per_rank"] == floats * 8, (
-            f"d={d} ({r['space']} space): moved {r['cg_bytes_per_rank']} B, "
-            f"regime predicts {floats * 8} B"
+        rows_0 = len(np.array_split(np.arange(r["batch"]), world)[0])
+        assert r["cg_bytes_per_rank"] == rows_0 * r["d"] * 8, (
+            f"d={r['d']}: moved {r['cg_bytes_per_rank']} B, "
+            f"one allgather of {rows_0} rows predicts {rows_0 * r['d'] * 8} B"
         )
     big = dist[-1]
     assert big["cg_bytes_per_rank"] < big["dxd_bytes"] / 10, (
@@ -282,7 +263,7 @@ def main() -> None:
             "cg_rel_err_vs_serial_dense": big["cg_rel_err"],
         },
         "results": dist,
-        "coordinates": coords,
+        "gram": grams,
     })
 
 

@@ -23,8 +23,9 @@ Two equivalent estimators are provided:
   ``2 · mean(stop_grad(l − l̄) · log ψ(x))`` and backpropagates; exercises
   the tape engine exactly like the PyTorch original.
 - ``grad_from_per_sample`` — contracts the hand-vectorised per-sample
-  log-derivative matrix ``O`` with the centred local energies; this path is
-  shared with stochastic reconfiguration which needs ``O`` anyway.
+  log-derivative matrix ``O`` (an array, or the layers' factors of one)
+  with the centred local energies; this path is shared with stochastic
+  reconfiguration which needs ``O`` anyway.
 
 Both are the serial reference forms. ``VQMC.step`` computes the same two
 estimators centred on the *global* mean (so they distribute) and is pinned
@@ -240,9 +241,11 @@ def grad_via_autograd(
     return float(surrogate.data)
 
 
-def grad_from_per_sample(per_sample_o: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """Flat ∇L from per-sample log-derivatives: ``2 ⟨(l − l̄) O⟩`` — shape (d,)."""
-    o = np.asarray(per_sample_o, dtype=np.float64)
+def grad_from_per_sample(per_sample_o, local: np.ndarray) -> np.ndarray:
+    """Flat ∇L from per-sample log-derivatives: ``2 ⟨(l − l̄) O⟩`` — shape (d,).
+
+    ``per_sample_o`` is the (B, d) matrix as an array or in factored form
+    (:class:`~repro.nn.factored.FactoredO`): only ``weights @ O`` is taken."""
     local = np.asarray(local, dtype=np.float64)
     centred = local - local.mean()
-    return 2.0 * (centred @ o) / o.shape[0]
+    return 2.0 * (centred @ per_sample_o) / per_sample_o.shape[0]

@@ -61,7 +61,7 @@ def gradient_noise(
         )
     x = np.asarray(x, dtype=np.float64)
     local = local_energies(model, hamiltonian, x)
-    _, o = model.log_psi_and_grads(x)
+    o = np.asarray(model.log_psi_and_grads(x)[1])  # dense: per-coordinate variances
     bsz = x.shape[0]
     if bsz < 2:
         raise ValueError("need at least two samples to estimate variance")

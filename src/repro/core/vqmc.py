@@ -75,7 +75,8 @@ class VQMCConfig:
         Samples per step *per rank* (the paper's ``mbs``; with L ranks the
         effective batch is ``L × batch_size``).
     gradient_mode:
-        ``'autograd'`` (tape), ``'per_sample'`` (closed-form O matrix), or
+        ``'autograd'`` (tape), ``'per_sample'`` (closed-form O matrix, in
+        factored form where the model supplies it), or
         ``'auto'`` — per-sample whenever SR is active (it needs O anyway),
         autograd otherwise. ``'autograd'`` together with ``sr`` is rejected
         by :class:`VQMC`: the tape path never forms the O matrix SR
@@ -157,7 +158,8 @@ class VQMC:
         Optional :class:`repro.obs.Tracer`. When given, every step emits
         nested phase spans (``step`` > ``sample`` / ``local_energy`` /
         ``gradient`` / ``sr_solve`` / ``optimizer``; ``sample`` and
-        ``local_energy`` carry the kernel that ran as ``path``, and each
+        ``local_energy`` carry the kernel that ran as ``path``, ``sr_solve``
+        how the Gram matrix was built as ``gram``, and each
         plan stage inside ``gradient`` is a span the plan names —
         ``jit.replay`` compiled, ``jit.interpret`` interpreted — with
         ``phase`` / ``stage`` / ``batch``) and the tracer is attached to
@@ -169,8 +171,8 @@ class VQMC:
         Optional :class:`repro.obs.Metrics` registry. Takes the driver's
         path-taken counters (``energy.dense_fallback``,
         ``sampler.naive_fallback``) and is forwarded to the step compiler
-        (``jit.*``) and to ``sr`` (per-solve ``sr.*`` counters: CG
-        iterations, collective bytes, incomplete solves); snapshot it after
+        (``jit.*``) and to ``sr`` (per-solve ``sr.*`` counters: solves by
+        path, dense Jacobians, collective bytes); snapshot it after
         a run and merge across ranks with :func:`repro.obs.merge_snapshots`.
     """
 
@@ -335,9 +337,10 @@ class VQMC:
                     grad = self._allreduce(grad)
             if per_sample and self.sr is not None:
                 # Communicator-aware: every rank solves the identical global
-                # system, allreducing only d-vectors on the CG path.
-                with self._phase(phases, "sr_solve"):
+                # system, from one allgather of O's rows (or layer factors).
+                with self._phase(phases, "sr_solve") as span:
                     grad = self.sr.natural_gradient(o, grad, comm=self.comm)
+                    self.tracer.end(span, gram=self.sr.last_solve.gram)
             with self._phase(phases, "optimizer"):
                 if self.config.max_grad_norm is not None:
                     norm = float(np.linalg.norm(grad))

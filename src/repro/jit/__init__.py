@@ -10,7 +10,8 @@ package records it once and replays it as preallocated NumPy:
 - :mod:`repro.jit.fuse` — collapse (masked) linear-layer chains into
   single fused nodes with closed-form backwards;
 - :mod:`repro.jit.plan` — :class:`CompiledPlan`: buffer-arena replay,
-  flat-gradient adjoint sweep and the batched per-sample O-matrix — and
+  flat-gradient adjoint sweep and the per-sample O-matrix in factored
+  form — and
   :class:`InterpretedPlan`, the same three calls run by the interpreter;
 - :mod:`repro.jit.compiler` — :class:`StepCompiler`: guard keys
   (shape/dtype/parameter structure), transparent re-trace on miss,

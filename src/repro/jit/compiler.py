@@ -121,7 +121,7 @@ class StepCompiler:
     def plan(self, x, per_sample: bool, mode: str = "auto"):
         """The plan that executes this step's gradient phase on batch ``x``:
         ``forward`` + ``gradient`` (scalar adjoint sweep), or ``per_sample``
-        (batched O-matrix) when ``per_sample`` is set. See the module
+        (O-matrix in factored form) when ``per_sample`` is set. See the module
         docstring for what each ``mode`` returns."""
         path = "per_sample" if per_sample else "autograd"
         if mode == "off" or path in self.fallbacks:
@@ -159,7 +159,7 @@ class StepCompiler:
 
     def per_sample_plan(self, x) -> CompiledPlan:
         """Like :meth:`plan_for`, but additionally requires (and eagerly
-        builds) the batched per-sample O-matrix path."""
+        builds) the per-sample sweep behind the factored O-matrix."""
         plan = self.plan_for(x)
         if plan._ps_error is not None:
             raise plan._ps_error
@@ -212,16 +212,23 @@ class StepCompiler:
             )
 
     def _verify_per_sample(self, plan: CompiledPlan, lp, o) -> None:
-        """Check the einsum O-matrix against the scalar sweep contracted
-        with a probe vector: ``probe @ O == gradient(probe)``."""
+        """Check the factored O-matrix against the scalar sweep contracted
+        with a probe vector — ``probe @ O == gradient(probe)`` — and its
+        Gram matrix against itself: ``probeᵀ(O Oᵀ)probe == ‖probe @ O‖²``."""
         rng = np.random.default_rng(1)
         probe = rng.standard_normal(plan.out_shape)
         contracted = probe @ o
-        direct = plan.gradient(probe)
+        quadratic = probe @ o.gram() @ probe
+        direct = plan.gradient(probe)  # overwrites the buffers ``o`` views
         if not np.allclose(contracted, direct, rtol=VERIFY_RTOL, atol=1e-10):
             raise TapeDivergenceError(
                 "per-sample O-matrix disagrees with the scalar adjoint sweep "
                 f"(max |Δ| = {np.max(np.abs(contracted - direct)):.3e})"
+            )
+        if not np.isclose(quadratic, contracted @ contracted, rtol=VERIFY_RTOL, atol=1e-10):
+            raise TapeDivergenceError(
+                "Gram matrix from layer statistics disagrees with O Oᵀ "
+                f"(probe form {quadratic:.17g} against {contracted @ contracted:.17g})"
             )
 
     def _verified_replay_plan(self, plan: CompiledPlan, x) -> CompiledPlan:

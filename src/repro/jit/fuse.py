@@ -11,8 +11,8 @@ reads. :func:`fuse_tape` pattern-matches the chain (mask and bias both
 optional, so plain ``Linear`` folds too) into one :class:`FusedLinear` node
 whose forward is a single BLAS call on the effective weight and whose
 backward is the closed-form ``(δᵀx)·M`` / ``Σδ`` / ``δ·W_eff`` family —
-including the batched per-sample variant (``einsum('bo,bi->boi', δ, x)``)
-that turns the whole O-matrix into one matmul family.
+and whose per-sample variant stops at ``(x, δ)``, the layer's factor of
+the O-matrix (:mod:`repro.nn.factored`).
 
 Fusion only fires when the intermediate slots have no other consumer, so
 any program that *observes* an intermediate keeps interpreter semantics.

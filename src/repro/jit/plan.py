@@ -16,9 +16,11 @@ straight-line NumPy with every buffer preallocated:
 - **Batched-adjoint backward** — :meth:`gradient` seeds the step's
   per-sample weights and accumulates straight into one flat ``(d,)``
   vector through parameter views (no per-parameter concatenation);
-  :meth:`per_sample` seeds ones and keeps the batch axis at every
-  parameter, emitting the whole per-sample O-matrix as one
-  ``einsum``/matmul family that feeds matrix-free SR directly.
+  :meth:`per_sample` seeds ones and stops before parameter accumulation:
+  each fused linear layer's inputs and output adjoints *are* its share of
+  the per-sample O-matrix in factored form
+  (:class:`~repro.nn.factored.FactoredO`), which is what SR consumes — the
+  (B, d) array is never built.
 
 Parameter slots are rebound from ``Parameter.data`` on every replay, so
 in-place optimizer updates need no re-trace; shape/dtype/identity changes
@@ -34,6 +36,7 @@ import numpy as np
 from repro.jit.errors import TapeDivergenceError, TraceError
 from repro.jit.fuse import FusedLinear, fuse_tape
 from repro.jit.tape import StepTape
+from repro.nn.factored import FactoredO, LinearFactor
 
 __all__ = ["CompiledPlan", "InterpretedPlan"]
 
@@ -92,7 +95,6 @@ class CompiledPlan:
         self.tape = tape
         self.params = list(params)
         self._nodes, self._dead = fuse_tape(tape)
-        self.batch = int(tape.input_shape[0])
 
         self.arena_bytes = 0
         self._vals: list = [None] * tape.n_slots
@@ -104,7 +106,7 @@ class CompiledPlan:
         self._ps_steps = None  # per-sample backward (built lazily)
         self._ps_error: TraceError | None = None
         self._ps_ones: np.ndarray | None = None
-        self._O: np.ndarray | None = None
+        self._ps_factors: list = []  # (LinearFactor, src slot, out slot)
         self._forward_ready = False
 
         self._leaves = {leaf.slot: leaf for leaf in tape.leaves}
@@ -394,7 +396,8 @@ class CompiledPlan:
         on a batch-diagonal tape the per-sample adjoints *are* the scalar
         adjoints under a ones seed — and differ only at parameter
         accumulation: scalar mode contracts the batch into the flat
-        gradient, per-sample mode keeps it and writes O-matrix blocks.
+        gradient, per-sample mode stops short of it and records which
+        buffers hold each layer's factor of O.
         """
         steps = []
         if per_sample:
@@ -408,8 +411,8 @@ class CompiledPlan:
             if any(c > 1 for c in counts.values()):
                 raise TraceError(
                     "per-sample compilation requires each parameter to be "
-                    "consumed exactly once (shared weights would overwrite "
-                    "their O block)"
+                    "consumed exactly once (shared weights would sum two "
+                    "factors into one O block)"
                 )
         for node in reversed(self._nodes):
             if not node.requires_grad:
@@ -494,35 +497,20 @@ class CompiledPlan:
 
             return step
 
-        # Per-sample: keep the batch axis at the parameters — one einsum
-        # per layer writes the layer's O block in place.
-        ow_view = self._o_block(w)
-        ob_view = self._o_block(b) if b is not None else None
+        # Per-sample: stop before parameter accumulation — the layer's
+        # inputs and output adjoints are its share of the factored O.
+        woff = self._offsets[id(self._leaves[w].param)][0]
+        boff = self._offsets[id(self._leaves[b].param)][0] if b is not None else None
+        self._ps_factors.append((LinearFactor(self._shapes[w], woff, boff, mask), src, o))
 
         def step():
             if not written[o]:
-                return
-            g = grads[o]
-            np.einsum("bo,bi->boi", g, vals[src], out=ow_view)
-            if mask is not None:
-                np.multiply(ow_view, mask, out=ow_view)
-            if ob_view is not None:
-                np.copyto(ob_view, g)
-            if x_rec:
-                np.matmul(g, weff(), out=sx)
+                grads[o].fill(0.0)  # off the seeded path: a zero factor
+            elif x_rec:
+                np.matmul(grads[o], weff(), out=sx)
                 acc_src(sx)
 
         return step
-
-    def _o_block(self, slot: int):
-        """View of the O matrix covering one parameter, shaped
-        ``(B, *param_shape)``. Splitting the contiguous last axis of the
-        column slice is always expressible as a view; assert it."""
-        off, size, pshape = self._offsets[id(self._leaves[slot].param)]
-        block = self._O[:, off:off + size].reshape(self.batch, *pshape)
-        if not np.shares_memory(block, self._O):  # pragma: no cover
-            raise TraceError("O-matrix block view would copy; cannot compile per-sample")
-        return block
 
     def _generic_backward(self, node, rec, per_sample):
         vals = self._vals
@@ -825,27 +813,28 @@ class CompiledPlan:
 
     def per_sample(self, x):
         """Replay forward plus the batched per-sample adjoint: returns
-        ``(log_psi (B,), O (B, d))``. ``O`` is owned by the plan and
-        overwritten by the next call. Raises :class:`TraceError` for tapes
-        that are not batch-diagonal (the error is sticky — callers should
-        fall back to the interpreter for good)."""
+        ``(log_psi (B,), O)`` with ``O`` the (B, d) matrix in factored form
+        (:class:`~repro.nn.factored.FactoredO`). Its factors are views of
+        the plan's buffers, overwritten by the next replay or sweep. Raises
+        :class:`TraceError` for tapes that are not batch-diagonal (the
+        error is sticky — callers should fall back to the interpreter for
+        good)."""
         if self._ps_error is not None:
             raise self._ps_error
         if self._ps_steps is None:
             try:
-                self._O = np.zeros((self.batch, self.n_params))
-                self.arena_bytes += self._O.nbytes
                 self._ps_steps = self._build_backward(per_sample=True)
                 self._ps_ones = np.ones(self.out_shape)
             except TraceError as exc:
-                self._O = None
                 self._ps_error = exc
                 raise
         lp = self.forward(x)
         self._seed_backward(self._ps_ones)
         for step in self._ps_steps:
             step()
-        return lp, self._O
+        vals, grads = self._vals, self._grads
+        factors = [(layer, vals[src], grads[out]) for layer, src, out in self._ps_factors]
+        return lp, FactoredO(factors[::-1], self.n_params)
 
     # -- verification -----------------------------------------------------------------
 
@@ -896,5 +885,7 @@ class InterpretedPlan:
         return self.model.flat_grad()
 
     def per_sample(self, x):
-        """``(log_psi (B,), O (B, d))`` from ``model.log_psi_and_grads``."""
+        """``(log_psi (B,), O (B, d))`` from ``model.log_psi_and_grads``.
+
+        ``O`` is factored where the model supplies that form."""
         return self.model.log_psi_and_grads(x)

@@ -75,7 +75,10 @@ class WaveFunction(Module):
 
         ``O[b, k] = ∂ log ψθ(x_b) / ∂ θ_k`` with ``k`` indexing parameters in
         ``named_parameters`` flattening order (the same order as
-        :meth:`repro.nn.Module.flat_grad`).
+        :meth:`repro.nn.Module.flat_grad`). ``O`` is an array, or — for
+        models that are stacks of linear layers — the layers' factors of
+        one (:class:`repro.nn.factored.FactoredO`); consumers take
+        ``w @ O``, ``O @ v`` and ``O.shape`` from either.
         """
         raise NotImplementedError(f"{type(self).__name__} has no per-sample gradients")
 

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.models.base import WaveFunction, validate_configurations
+from repro.nn.factored import FactoredO, LinearFactor
 from repro.nn.linear import MaskedLinear
 from repro.nn.masks import check_autoregressive_deep, made_masks_deep
 from repro.tensor import functional as F
@@ -101,6 +102,13 @@ class MADE(WaveFunction):
             # in a deterministic order: fc1, fc2, ..., fc{L+1}.
             setattr(self, f"fc{i + 1}", layer)
             self._layers.append(layer)
+        # Each layer's slot in the flat parameter vector (weight, then bias).
+        self._factors: list[LinearFactor] = []
+        for layer in self._layers:
+            off = self._factors[-1].b.stop if self._factors else 0
+            self._factors.append(
+                LinearFactor(layer.mask.shape, off, off + layer.mask.size, layer.mask)
+            )
 
     # Backwards-compatible aliases for the paper's 2-matrix architecture.
     @property
@@ -138,16 +146,18 @@ class MADE(WaveFunction):
 
     # -- per-sample gradients (manual vectorised backprop) ----------------------------
 
-    def log_psi_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def log_psi_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, FactoredO]:
         """Per-sample ``O(x) = ∇θ log ψθ(x)`` without building a graph.
 
         Closed-form backprop through the masked layer stack; the Bernoulli
         log-likelihood has the classic logit gradient ``∂L/∂z = x − σ(z)``.
-        Returns ``(log_psi (B,), O (B, d))`` with parameters flattened in
-        ``named_parameters`` order (fc1.weight, fc1.bias, fc2.weight, ...).
+        Returns ``(log_psi (B,), O)`` with ``O`` the (B, d) matrix in
+        factored form — each layer's inputs and output adjoints
+        (:class:`~repro.nn.factored.FactoredO`; ``np.asarray(O)`` is the
+        dense matrix) — parameters flattened in ``named_parameters`` order
+        (fc1.weight, fc1.bias, fc2.weight, ...).
         """
         x = validate_configurations(x, self.n)
-        bsz = x.shape[0]
 
         # Forward, caching inputs to every layer.
         inputs = [x]
@@ -167,27 +177,15 @@ class MADE(WaveFunction):
         log_prob = (x * log_p + (1.0 - x) * log_q).sum(axis=1)
         sig = np.exp(log_p)
 
-        # Backward, batched per sample.
-        delta = x - sig  # gradient at the logits (B, n)
-        grads_per_layer: list[tuple[np.ndarray, np.ndarray]] = []
+        # Backward, batched per sample. log ψ = ½ log π  ⇒  O = ½ ∇ log π.
+        delta = 0.5 * (x - sig)  # adjoint of the logits (B, n)
+        factors = []
         for idx in range(len(self._layers) - 1, -1, -1):
-            layer = self._layers[idx]
-            inp = inputs[idx]
-            d_w = delta[:, :, None] * inp[:, None, :] * layer.mask[None]
-            d_b = delta
-            grads_per_layer.append((d_w, d_b))
+            factors.append((self._factors[idx], inputs[idx], delta))
             if idx > 0:
-                delta = delta @ layer.effective_weight()
+                delta = delta @ self._layers[idx].effective_weight()
                 delta = delta * (pre_acts[idx - 1] > 0.0)
-        grads_per_layer.reverse()
-
-        flat = [
-            part
-            for d_w, d_b in grads_per_layer
-            for part in (d_w.reshape(bsz, -1), d_b)
-        ]
-        # log ψ = ½ log π  ⇒  O = ½ ∇ log π.
-        return 0.5 * log_prob, 0.5 * np.concatenate(flat, axis=1)
+        return 0.5 * log_prob, FactoredO(factors[::-1], self._factors[-1].b.stop)
 
     # -- exact sampling (Algorithm 1, batched) ------------------------------------------
 

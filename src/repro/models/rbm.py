@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import WaveFunction, validate_configurations
+from repro.nn.factored import FactoredO, LinearFactor
 from repro.nn.linear import Linear
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
@@ -65,6 +66,11 @@ class RBM(WaveFunction):
         self.visible = Linear(n, 1, rng=rng, weight_std=init_std)
         self.visible.bias.data[...] = 0.0  # repro-lint: disable=ag-tensor-mutation -- construction-time init, no live graph
         self.visible.bias.bump_version()
+        at = self.hidden * n + self.hidden  # fc.weight, fc.bias, then the visible layer
+        self._factors = (
+            LinearFactor((self.hidden, n), 0, self.hidden * n),
+            LinearFactor((1, n), at, at + n),
+        )
 
     def forward(self, x: np.ndarray) -> Tensor:
         return self.log_psi(x)
@@ -79,15 +85,16 @@ class RBM(WaveFunction):
 
     # -- per-sample gradients ----------------------------------------------------
 
-    def log_psi_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form per-sample log-derivatives.
+    def log_psi_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, FactoredO]:
+        """Closed-form per-sample log-derivatives, in factored form.
 
         ``∂logψ/∂W_jk = tanh(θ_j) x_k``, ``∂/∂c_j = tanh(θ_j)``,
-        ``∂/∂a_k = x_k``, ``∂/∂a₀ = 1``. Flattening order matches
-        ``named_parameters``: fc.weight, fc.bias, visible.weight, visible.bias.
+        ``∂/∂a_k = x_k``, ``∂/∂a₀ = 1``: two unmasked layers reading ``x``,
+        with output adjoints ``tanh θ`` and a constant 1. Flattening order
+        matches ``named_parameters``: fc.weight, fc.bias, visible.weight,
+        visible.bias.
         """
         x = validate_configurations(x, self.n)
-        bsz = x.shape[0]
         w = self.fc.weight.data
         c = self.fc.bias.data
         a = self.visible.weight.data.ravel()
@@ -98,16 +105,9 @@ class RBM(WaveFunction):
         log_cosh = ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
         log_psi = log_cosh.sum(axis=1) + x @ a + a0
 
-        th = np.tanh(theta)  # (B, h)
-        d_w = th[:, :, None] * x[:, None, :]  # (B, h, n)
-        d_c = th
-        d_a = x  # (B, n)
-        d_a0 = np.ones((bsz, 1))
-
-        grads = np.concatenate(
-            [d_w.reshape(bsz, -1), d_c, d_a, d_a0], axis=1
-        )
-        return log_psi, grads
+        hidden, visible = self._factors
+        factors = [(hidden, x, np.tanh(theta)), (visible, x, np.ones((len(x), 1)))]
+        return log_psi, FactoredO(factors, visible.b.stop)
 
     def exact_distribution(self) -> np.ndarray:
         """Normalised |ψ|² over all 2^n states (small n only; testing)."""

@@ -2,12 +2,14 @@
 
 Provides the Module/Parameter system plus the two layer types the paper's
 architectures need: plain fully-connected layers (RBM) and masked
-fully-connected layers (MADE).
+fully-connected layers (MADE) — and :class:`FactoredO`, the per-sample
+log-derivatives of a stack of them kept as per-layer factors.
 """
 
 from repro.nn.module import Module, Parameter
 from repro.nn.sequential import Sequential
 from repro.nn.linear import Linear, MaskedLinear
+from repro.nn.factored import FactoredO
 from repro.nn.activations import ReLU, Sigmoid, Tanh, LogSigmoid, Softplus
 from repro.nn.masks import made_masks, check_autoregressive
 from repro.nn import init
@@ -18,6 +20,7 @@ __all__ = [
     "Sequential",
     "Linear",
     "MaskedLinear",
+    "FactoredO",
     "ReLU",
     "Sigmoid",
     "Tanh",

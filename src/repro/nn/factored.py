@@ -1,0 +1,180 @@
+"""Per-sample log-derivatives in factored form.
+
+For a stack of (masked) linear layers, row ``s`` of the per-sample
+log-derivative matrix ``O`` (N × d) restricted to layer ``l`` is
+
+    (δ_l[s] ⊗ a_l[s]) ∘ M_l      for the weight,      δ_l[s]  for the bias,
+
+with ``a_l`` (N × in) the layer's inputs and ``δ_l`` (N × out) the
+ones-seeded per-sample adjoints of its outputs. :class:`FactoredO` keeps
+those two thin matrices per layer instead of the N × d array — at the
+paper's headline size (n = 10⁴, N = 64) that array alone would be 4.3 GB —
+and supplies what stochastic reconfiguration and the energy gradient need:
+
+- ``w @ O`` — one weighted backward, ``((δ_l ∘ w)ᵀ a_l) ∘ M_l`` per layer;
+- ``O @ v`` — one GEMM per layer, ``rowsum((a_l (M_l ∘ V_l)ᵀ) ∘ δ_l) + δ_l v_b``;
+- :meth:`FactoredO.gram` — ``O Oᵀ`` from layer statistics (below);
+- :meth:`FactoredO.allgather` — every rank's rows, ``N_r · Σ(in + out)`` floats;
+- ``np.asarray(O)`` — the dense matrix, for oracles and diagnostics.
+
+The Gram matrix from layer statistics
+-------------------------------------
+``⟨O[s], O[t]⟩ = Σ_{k,j} M[k,j] · δ[s,k] δ[t,k] · a[s,j] a[t,j]`` is the
+Gram-of-outer-products identity of Goodfellow (arXiv:1510.01799) with a
+mask in it. Over a block ``J`` of inputs, the rows ``K`` connected to all
+of ``J`` contribute ``(Δ_K Δ_Kᵀ) ∘ (A_J A_Jᵀ)`` — two thin GEMMs and a
+Hadamard product — and only rows connected to part of ``J`` need explicit
+feature columns ``δ[:, k] · a[:, j]``, multiplied :data:`FEATURE_CHUNK` at
+a time rather than block by block. MADE masks are staircases, so with the
+inputs ordered by connectivity and taken :data:`GRAM_BLOCK` at a time a
+row is partial in one block at most (≤ out · GRAM_BLOCK / 2 feature
+columns per layer); an unmasked layer is one Hadamard product. The split
+is read off ``mask`` itself and is exact for any 0/1 mask, staircase or
+not.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+import numpy as np
+
+__all__ = ["FactoredO", "LinearFactor", "GRAM_BLOCK", "FEATURE_CHUNK"]
+
+#: Inputs per Gram block. Measured at (n, h, N) = (64, 86, 128) and
+#: (256, 154, 64): 12–24 is flat within 15 %, 8 and 32 are 25–45 % slower
+#: (docs/performance.md has the table) — a constant, not a knob.
+GRAM_BLOCK = 16
+#: Explicit feature columns per ``F Fᵀ`` product: from 128 to 512 the Gram
+#: build is flat and 20–30 % cheaper than one product over all of a layer's
+#: features, whose 0.6 MB temporaries cost more to fault in than to fill.
+FEATURE_CHUNK = 256
+
+
+class LinearFactor:
+    """Where one linear layer's parameters sit in the flat vector, its mask,
+    and (built once — masks never change) how its Gram term splits."""
+
+    def __init__(self, shape, w_offset: int, b_offset: int | None = None, mask=None):
+        self.shape = out, in_ = tuple(int(s) for s in shape)
+        self.w = slice(w_offset, w_offset + out * in_)
+        self.b = None if b_offset is None else slice(b_offset, b_offset + out)
+        if mask is not None and not np.isin(mask, (0.0, 1.0)).all():
+            raise ValueError("per-sample factors need a 0/1 mask")
+        self.mask = mask
+
+    @cached_property
+    def gram_blocks(self):
+        """``(hadamard, rows, cols)``: ``hadamard`` lists ``(J, K)`` index
+        pairs with ``K`` the outputs connected to every input of ``J``;
+        ``(rows[i], cols[i])`` are the live weights of the partial blocks."""
+        if self.mask is None:
+            every = slice(None)
+            return [(every, every)], np.empty(0, np.intp), np.empty(0, np.intp)
+        live = self.mask != 0
+        order = np.argsort(-live.sum(axis=0), kind="stable")
+        hadamard, rows, cols = [], [], []
+        for start in range(0, order.size, GRAM_BLOCK):
+            block = order[start:start + GRAM_BLOCK]
+            sub = live[:, block]
+            count = sub.sum(axis=1)
+            full = np.flatnonzero(count == block.size)
+            if full.size:
+                hadamard.append((block, full))
+            partial = np.flatnonzero((count > 0) & (count < block.size))
+            k, j = np.nonzero(sub[partial])
+            rows.append(partial[k])
+            cols.append(block[j])
+        return hadamard, np.concatenate(rows), np.concatenate(cols)
+
+
+class FactoredO:
+    """``O`` (N × d) as per-layer ``(LinearFactor, a_l, δ_l)`` triples.
+
+    The arrays are used as given (a compiled plan hands out views of its
+    own buffers, overwritten by its next replay). Coordinates no layer
+    covers are zero columns.
+    """
+
+    #: ``ndarray @ O`` must reach :meth:`__rmatmul__`, not broadcast over us
+    __array_ufunc__ = None
+
+    def __init__(self, factors, d: int):
+        self.factors = list(factors)
+        self.shape = (len(self.factors[0][1]), int(d))
+
+    def __rmatmul__(self, w) -> np.ndarray:
+        """``w @ O`` for a weight per sample, ``w`` of shape (N,)."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != self.shape[:1]:
+            raise ValueError(f"weights of shape {w.shape} against O of shape {self.shape}")
+        out = np.zeros(self.shape[1])
+        for layer, a, delta in self.factors:
+            weighted = delta * w[:, None]
+            block = out[layer.w].reshape(layer.shape)
+            np.matmul(weighted.T, a, out=block)
+            if layer.mask is not None:
+                block *= layer.mask
+            if layer.b is not None:
+                weighted.sum(axis=0, out=out[layer.b])
+        return out
+
+    def __matmul__(self, v) -> np.ndarray:
+        """``O @ v`` for a parameter-space vector ``v`` of shape (d,)."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"vector of shape {v.shape} against O of shape {self.shape}")
+        out = np.zeros(self.shape[0])
+        for layer, a, delta in self.factors:
+            weight = v[layer.w].reshape(layer.shape)
+            if layer.mask is not None:
+                weight = weight * layer.mask
+            out += np.einsum("so,so->s", a @ weight.T, delta)
+            if layer.b is not None:
+                out += delta @ v[layer.b]
+        return out
+
+    def gram(self) -> np.ndarray:
+        """``O Oᵀ`` (N × N) from layer statistics — no N × d intermediate."""
+        n = self.shape[0]
+        gram = np.zeros((n, n))
+        dd, aa = np.empty((n, n)), np.empty((n, n))
+        for layer, a, delta in self.factors:
+            if layer.b is not None:
+                gram += np.matmul(delta, delta.T, out=dd)
+            hadamard, rows, cols = layer.gram_blocks
+            for inputs, outputs in hadamard:
+                d_k, a_j = delta[:, outputs], a[:, inputs]
+                np.matmul(d_k, d_k.T, out=dd)
+                dd *= np.matmul(a_j, a_j.T, out=aa)
+                gram += dd
+            for at in range(0, rows.size, FEATURE_CHUNK):
+                features = delta[:, rows[at:at + FEATURE_CHUNK]]
+                features *= a[:, cols[at:at + FEATURE_CHUNK]]
+                gram += np.matmul(features, features.T, out=dd)
+        return gram
+
+    def allgather(self, comm) -> "FactoredO":
+        """Every rank's rows, in rank order.
+
+        One ``comm.allgather`` of the layers' ``(a_l, δ_l)`` packed side by
+        side: ``N_r · Σ_l(in_l + out_l)`` floats from this rank."""
+        packed = np.concatenate([m for _, a, delta in self.factors for m in (a, delta)], axis=1)
+        rows = np.concatenate(comm.allgather(packed), axis=0)
+        factors, at = [], 0
+        for layer, a, delta in self.factors:
+            mid, end = at + a.shape[1], at + a.shape[1] + delta.shape[1]
+            factors.append((layer, rows[:, at:mid], rows[:, mid:end]))
+            at = end
+        return FactoredO(factors, self.shape[1])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=dtype or np.float64)
+        for layer, a, delta in self.factors:
+            block = delta[:, :, None] * a[:, None, :]
+            if layer.mask is not None:
+                block *= layer.mask
+            dense[:, layer.w] = block.reshape(len(a), -1)
+            if layer.b is not None:
+                dense[:, layer.b] = delta
+        return dense

@@ -111,6 +111,31 @@ class TestCongruentPassThrough:
             assert seq == 2
 
 
+class TestAllgatherOfRows:
+    """``allgather`` is fingerprinted by its trailing dimensions: ranks may
+    bring different numbers of rows (a row-sharded matrix is gathered),
+    nothing else may differ."""
+
+    def test_unequal_row_counts_are_congruent(self):
+        def worker(comm, rank):
+            sane = CommSanitizer(comm, timeout=10.0)
+            parts = sane.allgather(np.full((rank, 3), float(rank)))  # rank 0 brings none
+            sane.barrier()
+            return [p.shape for p in parts]
+
+        for shapes in run_threaded(worker, WORLD):
+            assert shapes == [(r, 3) for r in range(WORLD)]
+
+    def test_a_different_row_width_is_a_mismatch(self):
+        def worker(comm, rank):
+            sane = CommSanitizer(comm, timeout=2.0)
+            sane.allgather(np.zeros((2, 3 + (rank == 1))))  # the seeded divergence
+            sane.barrier()
+
+        with pytest.raises((CollectiveMismatchError, WorkerFailure), match="allgather"):
+            run_threaded(worker, WORLD, timeout=60.0)
+
+
 class TestMismatchDetection:
     def test_injected_mismatch_raises_within_one_step(self):
         plan = FaultPlan(

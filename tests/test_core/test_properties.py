@@ -96,4 +96,4 @@ def test_per_sample_grads_consistent_with_autograd_property(n, seed):
     for b in range(x.shape[0]):
         model.zero_grad()
         model.log_psi(x[b : b + 1]).sum().backward()
-        assert np.allclose(o[b], model.flat_grad(), atol=1e-9)
+        assert np.allclose(np.asarray(o)[b], model.flat_grad(), atol=1e-9)

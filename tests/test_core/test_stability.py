@@ -87,7 +87,7 @@ class TestDivergenceGuard:
 
         def poisoned(x):
             lp, o = original(x)
-            o = o.copy()
+            o = np.array(o)  # the dense matrix: a plain array O is accepted too
             o[0, 0] = np.nan
             return lp, o
 

@@ -11,6 +11,11 @@ none of which the driver calls:
   ranks' samples (N-rank ≡ big-batch), equal up to summation order, so those
   rows are held to 1e-10 as well.
 
+The ``per_sample+sr`` rows are held to the same bounds as the others: the
+natural-gradient solve is direct (``O`` in factored form, an exact N×N
+system; on 2 ranks one allgather of layer factors), so SR amplifies
+roundoff by the system's condition number and by nothing else.
+
 The same rows pin the timer contract: the keys of ``phase_seconds`` are the
 step's depth-1 span names, and the phases fit inside ``step_time``.
 """

@@ -82,7 +82,7 @@ class TestEquivalence:
         per-sample gradient of the reference model (up to reordering)."""
         ref = reference_made()
         x = (rng.random((5, N)) < 0.5).astype(float)
-        _, o_ref = ref.log_psi_and_grads(x)
+        o_ref = np.asarray(ref.log_psi_and_grads(x)[1])
         # Reference layout: [W1 (h,n) | b1 (h) | W2 (n,h) | b2 (n)].
         h, n = HIDDEN, N
         w1_ref = o_ref[:, : h * n].reshape(5, h, n)

@@ -74,7 +74,7 @@ class TestDeepModel:
         for b in range(3):
             deep_made.zero_grad()
             deep_made.log_psi(x[b : b + 1]).sum().backward()
-            assert np.allclose(o[b], deep_made.flat_grad(), atol=1e-10), f"sample {b}"
+            assert np.allclose(np.asarray(o)[b], deep_made.flat_grad(), atol=1e-10), f"sample {b}"
 
     def test_sampling_exact(self, deep_made, rng):
         from repro.samplers.diagnostics import total_variation_distance

@@ -93,7 +93,7 @@ class TestPerSampleGrads:
         for b in range(4):
             made.zero_grad()
             made.log_psi(x[b : b + 1]).sum().backward()
-            assert np.allclose(o[b], made.flat_grad(), atol=1e-10), f"sample {b}"
+            assert np.allclose(np.asarray(o)[b], made.flat_grad(), atol=1e-10), f"sample {b}"
 
     def test_grad_matrix_shape(self, made, rng):
         x = (rng.random((3, 5)) < 0.5).astype(float)

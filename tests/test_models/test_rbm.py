@@ -54,12 +54,12 @@ class TestPerSampleGrads:
         for b in range(4):
             rbm.zero_grad()
             rbm.log_psi(x[b : b + 1]).sum().backward()
-            assert np.allclose(o[b], rbm.flat_grad(), atol=1e-10), f"sample {b}"
+            assert np.allclose(np.asarray(o)[b], rbm.flat_grad(), atol=1e-10), f"sample {b}"
 
     def test_visible_bias_gradient_is_one(self, rbm, rng):
         x = (rng.random((3, 6)) < 0.5).astype(float)
         _, o = rbm.log_psi_and_grads(x)
-        assert np.allclose(o[:, -1], 1.0)  # a0 is the last flat parameter
+        assert np.allclose(np.asarray(o)[:, -1], 1.0)  # a0 is the last flat parameter
 
 
 class TestSamplingInterface:
