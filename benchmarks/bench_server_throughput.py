@@ -87,7 +87,7 @@ def _run_arm(entry: CacheEntry, window: int, b: int) -> tuple[float, int]:
     Returns (seconds, forwards). The executor starts only after all
     requests are pending, so ``forwards == ceil(b / window)`` exactly.
     """
-    batcher = RequestBatcher(window=window, linger_s=0.0, autostart=False)
+    batcher = RequestBatcher(window=window, autostart=False)
     pending = [batcher.submit(_query(entry), entry) for _ in range(b)]
     t0 = time.perf_counter()
     batcher.start()

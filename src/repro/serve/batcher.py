@@ -12,10 +12,10 @@ Batching-window semantics (documented contract, asserted by tests):
   exactly ``ceil(B / window)`` model forwards — observable via the
   ``serve.batcher.forwards`` counter (and :attr:`RequestBatcher.forwards`),
   never inferred from timing.
-- ``linger_s`` is how long the executor waits, after picking up the first
-  pending request for a key, for more requests to join its batch. A lone
-  request pays at most ``linger_s`` extra latency; a full window departs
-  immediately.
+- A request departs as soon as the executor is free: a lone request on an
+  idle batcher is served at once (``coalesced == 1``), and whatever queued
+  behind a busy executor leaves together, up to ``window``. Coalescing
+  under load comes from that queue, never from a timer.
 - Requests for *different* model keys never share a forward; keys are
   served oldest-first.
 
@@ -30,7 +30,6 @@ every client sees statistics over exactly the samples it paid for.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict, deque
 
 from repro.core.energy import energy_statistics, local_energies
@@ -81,8 +80,6 @@ class RequestBatcher:
     ----------
     window:
         Max requests per coalesced forward (see module docstring).
-    linger_s:
-        Max extra wait for a batch to fill once a request is pending.
     metrics:
         Optional :class:`repro.obs.Metrics`: ``serve.batcher.forwards`` /
         ``.requests`` / ``.samples`` counters.
@@ -92,19 +89,10 @@ class RequestBatcher:
         ``ceil(B/window)`` forward count deterministic).
     """
 
-    def __init__(
-        self,
-        window: int = 8,
-        linger_s: float = 0.002,
-        metrics=None,
-        autostart: bool = True,
-    ):
+    def __init__(self, window: int = 8, metrics=None, autostart: bool = True):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if linger_s < 0:
-            raise ValueError(f"linger_s must be >= 0, got {linger_s}")
         self.window = window
-        self.linger_s = linger_s
         self.metrics = metrics
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -160,26 +148,13 @@ class RequestBatcher:
     # -- executor -----------------------------------------------------------------
 
     def _take_group(self) -> list[PendingQuery] | None:
-        """Block until a batch is ready; None when stopped and drained."""
+        """Block until a request is pending; None when stopped and drained."""
         with self._cond:
             while not self._pending and not self._stopped:
                 self._cond.wait(0.05)
             if not self._pending:
                 return None  # stopped and drained
-            key = next(iter(self._pending))  # oldest key first
-            if not self._stopped and self.linger_s > 0:
-                deadline = time.monotonic() + self.linger_s
-                while (
-                    len(self._pending.get(key, ())) < self.window
-                    and not self._stopped
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-            queue = self._pending.get(key)
-            if not queue:
-                return []
+            key, queue = next(iter(self._pending.items()))  # oldest key first
             group = [queue.popleft() for _ in range(min(self.window, len(queue)))]
             if not queue:
                 del self._pending[key]
@@ -190,8 +165,7 @@ class RequestBatcher:
             group = self._take_group()
             if group is None:
                 return
-            if group:
-                self._execute(group)
+            self._execute(group)
 
     def _execute(self, group: list[PendingQuery]) -> None:
         entry = group[0].entry
@@ -242,7 +216,6 @@ class RequestBatcher:
     def stats(self) -> dict:
         return {
             "window": self.window,
-            "linger_s": self.linger_s,
             "forwards": self.forwards,
             "requests": self.requests,
             "samples": self.samples,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,6 +58,9 @@ from repro.serve.protocol import (
 )
 
 __all__ = ["Job", "VQMCServer", "build_trainer"]
+
+#: seconds a handler waits on a quiet keep-alive connection before closing it
+IDLE_TIMEOUT_S = 30.0
 
 
 def build_trainer(
@@ -157,7 +161,7 @@ class VQMCServer:
         Working directory: per-model-key checkpoints, per-job flight dumps.
     workers:
         Training worker threads (concurrent jobs).
-    cache_capacity, batch_window, batch_linger_s:
+    cache_capacity, batch_window:
         Warm-cache and batcher knobs (see their modules).
     max_pending, max_job_seconds, max_backlog_seconds:
         Admission-control bounds (see :mod:`repro.serve.jobqueue`).
@@ -169,7 +173,6 @@ class VQMCServer:
         workers: int = 2,
         cache_capacity: int = 8,
         batch_window: int = 8,
-        batch_linger_s: float = 0.002,
         max_pending: int = 64,
         max_job_seconds: float | None = None,
         max_backlog_seconds: float | None = None,
@@ -180,9 +183,7 @@ class VQMCServer:
         self.root.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics if metrics is not None else Metrics()
         self.cache = WarmModelCache(capacity=cache_capacity, metrics=self.metrics)
-        self.batcher = RequestBatcher(
-            window=batch_window, linger_s=batch_linger_s, metrics=self.metrics
-        )
+        self.batcher = RequestBatcher(window=batch_window, metrics=self.metrics)
         self.queue = JobQueue(
             max_pending=max_pending,
             max_job_seconds=max_job_seconds,
@@ -204,6 +205,10 @@ class VQMCServer:
             t.start()
         self._http: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
+        #: accepted sockets, so that shutdown can wake their idle handlers
+        self._connections: set[socket.socket] = set()
+        #: guards ``_connections`` and the ``serve.http.*`` counters
+        self._http_lock = threading.Lock()
 
     # -- job API -------------------------------------------------------------------
 
@@ -452,6 +457,15 @@ class VQMCServer:
             self._http.shutdown()
             self._http.server_close()
             self._http = None
+            # server_close() leaves accepted sockets open. End their read
+            # side: an idle keep-alive handler sees EOF and exits, a busy
+            # one still writes its reply first.
+            with self._http_lock:
+                for conn in self._connections:
+                    try:
+                        conn.shutdown(socket.SHUT_RD)
+                    except OSError:
+                        pass  # the peer already closed it
         if self._http_thread is not None:
             self._http_thread.join(5.0)
             self._http_thread = None
@@ -467,6 +481,25 @@ def _make_handler(app: VQMCServer):
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-serve/1"
         protocol_version = "HTTP/1.1"
+        # One segment per reply: headers and body leave in one buffered
+        # write, and Nagle never holds a segment back for a delayed ACK.
+        wbufsize = -1
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
+
+        def setup(self) -> None:
+            super().setup()
+            threading.current_thread().name = "serve-http-connection"
+            with app._http_lock:
+                app._connections.add(self.connection)
+                app.metrics.counter("serve.http.connections").inc()
+                if app._stop.is_set():  # accepted as shutdown() ran: wake it here
+                    self.connection.shutdown(socket.SHUT_RD)
+
+        def finish(self) -> None:
+            with app._http_lock:
+                app._connections.discard(self.connection)
+            super().finish()
 
         def log_message(self, fmt, *args):  # noqa: D102 — silence stderr chatter
             del fmt, args
@@ -480,12 +513,12 @@ def _make_handler(app: VQMCServer):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
 
-        def _read_json(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length == 0:
+        @staticmethod
+        def _parse_json(raw: bytes) -> dict:
+            if not raw:
                 return {}
-            raw = self.rfile.read(length)
             try:
                 parsed = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -496,8 +529,18 @@ def _make_handler(app: VQMCServer):
 
         def _route(self, method: str) -> None:
             parts = [p for p in self.path.split("?")[0].split("/") if p]
+            with app._http_lock:
+                app.metrics.counter("serve.http.requests").inc()
+            length = self.headers.get("Content-Length") or "0"
+            if not (length.isascii() and length.isdigit()):
+                self.close_connection = True  # where the next request starts is unknown
+                self._send(400, {"error": f"invalid Content-Length {length!r}"})
+                return
+            # Drained whatever the route: on a persistent connection, bytes
+            # left unread would be parsed as the next request line.
+            body = self.rfile.read(int(length))
             try:
-                self._dispatch(method, parts)
+                self._dispatch(method, parts, body)
             except ProtocolError as exc:
                 self._send(400, {"error": str(exc)})
             except AdmissionError as exc:
@@ -509,7 +552,7 @@ def _make_handler(app: VQMCServer):
             except Exception as exc:  # noqa: BLE001 — HTTP boundary
                 self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-        def _dispatch(self, method: str, parts: list[str]) -> None:
+        def _dispatch(self, method: str, parts: list[str], body: bytes) -> None:
             if method == "GET" and parts == ["healthz"]:
                 self._send(200, app.healthz())
             elif method == "GET" and parts == ["metrics"]:
@@ -532,7 +575,7 @@ def _make_handler(app: VQMCServer):
                 else:
                     self._send(200, {"id": job.id, "result": job.result})
             elif method == "POST" and parts == ["jobs"]:
-                job = app.submit(self._read_json())
+                job = app.submit(self._parse_json(body))
                 self._send(201, {"id": job.id, "state": job.state,
                                  "estimated_seconds": job.estimated_seconds})
             elif (
@@ -544,7 +587,7 @@ def _make_handler(app: VQMCServer):
                 job = app.cancel(parts[1])
                 self._send(200, {"id": job.id, "state": job.state})
             elif method == "POST" and parts in (["sample"], ["energy"]):
-                self._send(200, app.query(self._read_json(), kind=parts[0]))
+                self._send(200, app.query(self._parse_json(body), kind=parts[0]))
             elif method == "POST" and parts == ["shutdown"]:
                 self._send(200, {"status": "shutting down"})
                 threading.Thread(target=app.shutdown, daemon=True).start()

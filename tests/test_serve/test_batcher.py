@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 
 import pytest
 
@@ -32,6 +33,14 @@ def query(kind="energy", batch_size=8, seed=3) -> QuerySpec:
     )
 
 
+def wait_until(predicate, timeout: float = 30.0) -> None:
+    """Poll a counter-valued condition; the deadline only bounds a hang."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.001)
+
+
 def serve_staged(batcher: RequestBatcher, staged: list) -> list[dict]:
     """Start the (held) executor and wait out every staged future."""
     batcher.start()
@@ -44,7 +53,7 @@ def serve_staged(batcher: RequestBatcher, staged: list) -> list[dict]:
 @pytest.mark.parametrize("b,window", [(16, 8), (16, 16), (5, 2), (3, 4), (1, 1)])
 def test_forward_count_is_ceil_b_over_window(entry, b, window):
     """THE acceptance criterion, asserted via the counter — never timing."""
-    batcher = RequestBatcher(window=window, linger_s=0.0, autostart=False)
+    batcher = RequestBatcher(window=window, autostart=False)
     staged = [batcher.submit(query(), entry) for _ in range(b)]
     results = serve_staged(batcher, staged)
     assert batcher.forwards == math.ceil(b / window)
@@ -54,7 +63,7 @@ def test_forward_count_is_ceil_b_over_window(entry, b, window):
 
 def test_each_request_gets_exactly_its_own_slice(entry):
     sizes = [4, 9, 1, 16]
-    batcher = RequestBatcher(window=8, linger_s=0.0, autostart=False)
+    batcher = RequestBatcher(window=8, autostart=False)
     staged = [batcher.submit(query(batch_size=s), entry) for s in sizes]
     results = serve_staged(batcher, staged)
     assert batcher.forwards == 1
@@ -64,7 +73,7 @@ def test_each_request_gets_exactly_its_own_slice(entry):
 
 
 def test_sample_queries_return_configurations(entry):
-    batcher = RequestBatcher(window=4, linger_s=0.0, autostart=False)
+    batcher = RequestBatcher(window=4, autostart=False)
     staged = [
         batcher.submit(query(kind="sample", batch_size=5), entry)
         for _ in range(2)
@@ -77,7 +86,7 @@ def test_sample_queries_return_configurations(entry):
 
 
 def test_mixed_kinds_share_one_forward(entry):
-    batcher = RequestBatcher(window=4, linger_s=0.0, autostart=False)
+    batcher = RequestBatcher(window=4, autostart=False)
     staged = [
         batcher.submit(query(kind="sample", batch_size=4), entry),
         batcher.submit(query(kind="energy", batch_size=4), entry),
@@ -94,7 +103,7 @@ def test_different_model_keys_never_share_a_forward(entry):
     other = CacheEntry(
         other_spec.model_key(), build_trainer("tim", N, 0, "made", HIDDEN, 4)
     )
-    batcher = RequestBatcher(window=8, linger_s=0.0, autostart=False)
+    batcher = RequestBatcher(window=8, autostart=False)
     staged = [
         batcher.submit(query(seed=3), entry),
         batcher.submit(query(seed=4), other),
@@ -105,7 +114,7 @@ def test_different_model_keys_never_share_a_forward(entry):
 
 
 def test_forward_failure_rejects_the_whole_group(entry):
-    batcher = RequestBatcher(window=4, linger_s=0.0, autostart=False)
+    batcher = RequestBatcher(window=4, autostart=False)
     bad_spec = JobSpec.from_json({"problem": "tim", "n": N, "arch": "made",
                                   "hidden": HIDDEN, "seed": 99})
 
@@ -128,15 +137,48 @@ def test_forward_failure_rejects_the_whole_group(entry):
 
 
 def test_closed_batcher_refuses_submissions(entry):
-    batcher = RequestBatcher(window=2, linger_s=0.0)
+    batcher = RequestBatcher(window=2)
     batcher.close()
     with pytest.raises(BatcherClosed):
         batcher.submit(query(), entry)
 
 
+def test_lone_request_on_an_idle_batcher_departs_at_once(entry):
+    """Nothing to wait for: one request, one forward, no company."""
+    batcher = RequestBatcher(window=8)
+    try:
+        for served in (1, 2, 3):
+            reply = batcher.submit(query(), entry).wait(timeout=30.0)
+            assert reply["coalesced"] == 1
+            assert batcher.forwards == batcher.requests == served
+    finally:
+        batcher.close()
+
+
+def test_requests_queued_behind_a_busy_executor_share_forwards(entry):
+    """Coalescing comes from the queue: what piles up while the executor
+    is busy (here: blocked on the model's lock) leaves together."""
+    window, b = 4, 11
+    batcher = RequestBatcher(window=window)
+    try:
+        with entry.lock:
+            first = batcher.submit(query(), entry)
+            wait_until(lambda: batcher.pending_count() == 0)  # taken: busy now
+            rest = [batcher.submit(query(), entry) for _ in range(b - 1)]
+            assert batcher.forwards == 0
+        replies = [p.wait(timeout=30.0) for p in [first, *rest]]
+    finally:
+        batcher.close()
+    assert batcher.forwards == 1 + math.ceil((b - 1) / window)
+    assert [r["coalesced"] for r in replies] == [1, 4, 4, 4, 4, 4, 4, 4, 4, 2, 2]
+
+
 def test_concurrent_submitters_all_get_correct_slices(entry):
-    """Thread-hammered version of the slice contract (autostarted executor)."""
-    batcher = RequestBatcher(window=4, linger_s=0.005)
+    """Thread-hammered version of the slice contract on a running
+    executor, staged by counter: one request makes the executor busy, the
+    others queue behind it from their own threads."""
+    window = 4
+    batcher = RequestBatcher(window=window)
     sizes = [1 + (i % 7) for i in range(20)]
     results: list[dict | None] = [None] * len(sizes)
 
@@ -144,14 +186,17 @@ def test_concurrent_submitters_all_get_correct_slices(entry):
         pending = batcher.submit(query(batch_size=sizes[i]), entry)
         results[i] = pending.wait(timeout=30.0)
 
-    threads = [threading.Thread(target=fire, args=(i,)) for i in range(len(sizes))]
+    threads = [threading.Thread(target=fire, args=(i,)) for i in range(1, len(sizes))]
+    with entry.lock:
+        first = batcher.submit(query(batch_size=sizes[0]), entry)
+        wait_until(lambda: batcher.pending_count() == 0)
+        for t in threads:
+            t.start()
+        wait_until(lambda: batcher.pending_count() == len(threads))
+    results[0] = first.wait(timeout=30.0)
     for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+        t.join(30.0)
     batcher.close()
     assert [r["count"] for r in results] == sizes
     assert batcher.requests == len(sizes)
-    assert batcher.forwards <= len(sizes)  # some coalescing happened or not —
-    # correctness never depends on timing; the deterministic count is pinned
-    # by test_forward_count_is_ceil_b_over_window.
+    assert batcher.forwards == 1 + math.ceil(len(threads) / window)

@@ -10,6 +10,8 @@ tier-1 budget.
 from __future__ import annotations
 
 import json
+import math
+import socket
 import subprocess
 import sys
 import threading
@@ -29,6 +31,7 @@ from repro.serve import (
     VQMCServer,
     build_trainer,
 )
+from tests.test_serve.test_batcher import wait_until
 
 SPEC = {
     "problem": "tim", "n": 6, "arch": "made", "hidden": 8,
@@ -48,6 +51,10 @@ def wait_terminal(server: VQMCServer, job_id: str, timeout: float = 60.0):
     return job
 
 
+def counter(server: VQMCServer, name: str) -> float:
+    return server.metrics.counter(name).value
+
+
 def wait_step(server: VQMCServer, job_id: str, step: int, timeout: float = 60.0):
     deadline = time.monotonic() + timeout
     job = server.job(job_id)
@@ -60,8 +67,7 @@ def wait_step(server: VQMCServer, job_id: str, step: int, timeout: float = 60.0)
 
 @pytest.fixture
 def server(tmp_path):
-    srv = VQMCServer(tmp_path / "serve", workers=2, batch_window=4,
-                     batch_linger_s=0.01)
+    srv = VQMCServer(tmp_path / "serve", workers=2, batch_window=4)
     yield srv
     srv.shutdown()
 
@@ -153,8 +159,7 @@ class TestCancelAndResume:
 class TestCachePinning:
     def test_running_jobs_model_survives_cache_pressure(self, tmp_path):
         """LRU must never evict the model under a running job."""
-        srv = VQMCServer(tmp_path / "s", workers=1, cache_capacity=1,
-                         batch_linger_s=0.0)
+        srv = VQMCServer(tmp_path / "s", workers=1, cache_capacity=1)
         try:
             job = srv.submit(dict(SPEC, iterations=600))
             wait_step(srv, job.id, 1)
@@ -211,7 +216,8 @@ class TestHTTP:
     @pytest.fixture
     def client(self, server):
         port = server.start_http()
-        return ServeClient(f"http://127.0.0.1:{port}", timeout=30.0)
+        with ServeClient(f"http://127.0.0.1:{port}", timeout=30.0) as client:
+            yield client
 
     def test_full_lifecycle_over_http(self, client):
         assert client.healthz()["status"] == "ok"
@@ -236,11 +242,13 @@ class TestHTTP:
     def test_concurrent_clients_get_per_request_correct_results(
         self, server, client
     ):
-        """The satellite e2e: B threaded HTTP clients, distinct batch
+        """The satellite e2e: B threads sharing one client, distinct batch
         sizes, every reply sliced from a coalesced forward is correct."""
         job = client.submit(dict(SPEC))
         client.wait(job["id"], timeout=60.0)
+        entry = server.cache.get(server.job(job["id"]).spec.model_key())
         before = server.batcher.forwards
+        queries = counter(server, "serve.queries.energy")
 
         sizes = [2 + i for i in range(8)]
         replies: list[dict | None] = [None] * len(sizes)
@@ -256,16 +264,25 @@ class TestHTTP:
 
         threads = [threading.Thread(target=fire, args=(i,))
                    for i in range(len(sizes))]
+        # Staged by counter, not by clock: with the model's lock held, the
+        # first request makes the executor busy and the rest queue behind it.
+        with entry.lock:
+            threads[0].start()
+            wait_until(
+                lambda: counter(server, "serve.queries.energy") == queries + 1
+                and server.batcher.pending_count() == 0
+            )
+            for t in threads[1:]:
+                t.start()
+            wait_until(lambda: server.batcher.pending_count() == len(sizes) - 1)
         for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            t.join(30.0)
         assert not errors
         assert [r["count"] for r in replies] == sizes
-        # Coalescing happened through real concurrent HTTP requests: fewer
-        # forwards than requests (the exact ceil(B/window) count is pinned
-        # deterministically in test_batcher.py).
-        assert server.batcher.forwards - before < len(sizes)
+        window = server.batcher.window
+        assert server.batcher.forwards - before == 1 + math.ceil(
+            (len(sizes) - 1) / window
+        )
 
     def test_sample_endpoint_round_trips_configurations(self, client):
         reply = client.sample(
@@ -291,3 +308,157 @@ class TestHTTP:
         np.testing.assert_array_equal(
             local.model.flat_parameters(), entry.vqmc.model.flat_parameters()
         )
+
+
+class TestConnections:
+    """Persistent connections: reuse, the replay rule, bounded shutdown."""
+
+    QUERY = {"problem": "tim", "n": 6, "arch": "made", "hidden": 8,
+             "seed": 7, "batch_size": 3}
+
+    @pytest.fixture
+    def url(self, server):
+        return f"http://127.0.0.1:{server.start_http()}"
+
+    @staticmethod
+    def drop_server_side(server):
+        """Close every accepted connection the way an idle timeout would."""
+        with server._http_lock:
+            for conn in server._connections:
+                conn.shutdown(socket.SHUT_RDWR)
+        wait_until(lambda: not server._connections)
+
+    def test_sequential_queries_share_one_connection(self, server, url):
+        with ServeClient(url, timeout=30.0) as client:
+            client.healthz()
+            connections = counter(server, "serve.http.connections")
+            requests = counter(server, "serve.http.requests")
+            for i in range(20):
+                (client.energy if i % 2 else client.sample)(self.QUERY)
+            assert counter(server, "serve.http.connections") == connections
+            assert counter(server, "serve.http.requests") == requests + 20
+        fresh = ServeClient(url, timeout=30.0)
+        for _ in range(20):
+            fresh.energy(self.QUERY)
+        fresh.close()
+        assert counter(server, "serve.http.connections") == connections + 1
+
+    @staticmethod
+    def raw_exchange(sock: socket.socket, reader, request: bytes) -> tuple[int, dict]:
+        sock.sendall(request)
+        status = int(reader.readline().split()[1])
+        length = 0
+        while line := reader.readline().strip():
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        return status, json.loads(reader.read(length))
+
+    def test_unread_bodies_do_not_poison_the_connection(self, url):
+        """One raw socket: a route that ignores its body, then a GET."""
+        host, port = url.removeprefix("http://").split(":")
+        body = json.dumps({"left": "over"}).encode()
+        post = b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+        with socket.create_connection((host, int(port)), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            status, _ = self.raw_exchange(sock, reader, post % (len(body), body))
+            assert status == 404
+            status, doc = self.raw_exchange(
+                sock, reader, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert (status, doc["status"]) == (200, "ok")
+
+    @pytest.mark.parametrize("length", [b"-5", b"many"])
+    def test_untrustworthy_content_length_is_a_400(self, url, length):
+        host, port = url.removeprefix("http://").split(":")
+        request = (b"POST /sample HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                   + length + b"\r\n\r\n")
+        with socket.create_connection((host, int(port)), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            status, doc = self.raw_exchange(sock, reader, request)
+            assert status == 400 and "Content-Length" in doc["error"]
+            # where the next request would start is unknown: the server hangs up
+            assert reader.read() == b""
+
+    def test_shutdown_is_bounded_with_an_idle_client_attached(self, tmp_path):
+        srv = VQMCServer(tmp_path / "s", workers=1)
+        client = ServeClient(f"http://127.0.0.1:{srv.start_http()}", timeout=30.0)
+        client.healthz()  # its keep-alive handler now idles in readline()
+        begin = time.monotonic()
+        srv.shutdown()
+        assert time.monotonic() - begin < 5.0
+        time.sleep(1.0)
+        alive = [t.name for t in threading.enumerate()
+                 if t.name.startswith("serve-http")]
+        assert alive == []
+        client.close()
+
+    def test_stale_connection_is_replayed_once_for_safe_requests(self, server, url):
+        with ServeClient(url, timeout=30.0) as client:
+            client.energy(self.QUERY)
+            connections = counter(server, "serve.http.connections")
+            self.drop_server_side(server)
+            assert client.energy(self.QUERY)["count"] == 3
+            self.drop_server_side(server)
+            assert client.healthz()["status"] == "ok"
+            assert counter(server, "serve.http.connections") == connections + 2
+            # Once, not for ever: with the server gone the replay fails too.
+            server.shutdown()
+            with pytest.raises(OSError):
+                client.healthz()
+
+    def test_idle_connection_times_out_and_the_client_recovers(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.server.IDLE_TIMEOUT_S", 0.2)
+        url = f"http://127.0.0.1:{server.start_http()}"
+        with ServeClient(url, timeout=30.0) as client:
+            client.healthz()
+            wait_until(lambda: not server._connections)  # the handler gave up
+            assert client.healthz()["status"] == "ok"
+
+    def test_job_control_never_rides_a_used_connection(self, server, url):
+        with ServeClient(url, timeout=30.0) as client:
+            client.healthz()
+            connections = counter(server, "serve.http.connections")
+            self.drop_server_side(server)  # a replay here could submit twice
+            job = client.submit(dict(SPEC, iterations=2000))
+            assert [j.id for j in server.jobs()] == [job["id"]]
+            assert client.status(job["id"])["id"] == job["id"]  # reuses submit's
+            assert client.cancel(job["id"])["id"] == job["id"]
+            assert counter(server, "serve.http.connections") == connections + 2
+            assert client.wait(job["id"], timeout=60.0)["state"] == "cancelled"
+
+    def test_transport_failures_are_oserrors(self):
+        """Callers catch OSError; http.client.HTTPException is not one."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+
+            def babble() -> None:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.makefile("rb").readline()
+                    conn.sendall(b"not http at all\r\n\r\n")
+
+            thread = threading.Thread(target=babble)
+            thread.start()
+            with ServeClient(f"http://127.0.0.1:{port}", timeout=30.0) as client:
+                with pytest.raises(OSError):
+                    client.healthz()
+            thread.join(30.0)
+        with ServeClient(f"http://127.0.0.1:{port}", timeout=30.0) as client:
+            with pytest.raises(ConnectionRefusedError):
+                client.energy(self.QUERY)
+
+    def test_api_errors_keep_their_fields(self, tmp_path):
+        srv = VQMCServer(tmp_path / "s", workers=1, max_job_seconds=1e-12)
+        try:
+            url = f"http://127.0.0.1:{srv.start_http()}"
+            with ServeClient(url, timeout=30.0) as client:
+                with pytest.raises(ServeAPIError) as exc_info:
+                    client.submit(dict(SPEC))
+                err = exc_info.value
+                assert (err.status, err.error) == (429, "job too large")
+                assert err.detail and isinstance(err.detail, dict)
+                assert client.healthz()["status"] == "ok"  # connection survives
+        finally:
+            srv.shutdown()

@@ -19,9 +19,12 @@ prints the server's JSON response.
 
 ``smoke`` is the CI entry point: it boots a server on an ephemeral port,
 trains a tiny job over HTTP, fires concurrent energy queries, and asserts
-the documented coalescing contract (``ceil(B/window)`` forwards, counted
-via ``serve.batcher.forwards`` — never timing) plus cancel-and-resume
-behaviour. Exit codes: 0 ok, 1 assertion failure, 2 usage error.
+the documented coalescing contract (one request departs alone, the
+``B - 1`` queued behind it leave in ``ceil((B - 1)/window)`` forwards,
+counted via ``serve.batcher.forwards`` — never timing), cancel-and-resume
+behaviour, and that the client's connections were reused
+(``serve.http.requests / serve.http.connections > 1``). Exit codes: 0 ok,
+1 assertion failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ def cmd_start(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_capacity=args.cache_capacity,
         batch_window=args.batch_window,
-        batch_linger_s=args.batch_linger,
         max_pending=args.max_pending,
         max_job_seconds=args.max_job_seconds,
         max_backlog_seconds=args.max_backlog_seconds,
@@ -157,9 +159,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
 
     window = 4
     root = args.root or tempfile.mkdtemp(prefix="serve-smoke-")
-    server = VQMCServer(
-        root, workers=2, batch_window=window, batch_linger_s=0.02
-    )
+    server = VQMCServer(root, workers=2, batch_window=window)
     failures: list[str] = []
 
     def check(ok: bool, what: str) -> None:
@@ -185,8 +185,12 @@ def cmd_smoke(args: argparse.Namespace) -> int:
         result = client.result(job["id"])
         check("mean" in result["result"], "result carries final energy stats")
 
-        # Coalescing: B concurrent energy queries -> ceil(B/window) forwards.
+        # Coalescing, staged by counter: with the model's lock held, one
+        # query makes the executor busy and the other B - 1 queue behind it.
+        entry = server.cache.get(server.job(job["id"]).spec.model_key())
         before = server.batcher.forwards
+        queries = server.metrics.counter("serve.queries.energy")
+        sent = queries.value
         b = 8
         replies: list[dict | None] = [None] * b
         errors: list[BaseException] = []
@@ -199,14 +203,24 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             except BaseException as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
+        def wait_until(predicate) -> None:
+            deadline = time.monotonic() + 30.0
+            while not predicate() and time.monotonic() < deadline:
+                time.sleep(0.001)
+
         threads = [threading.Thread(target=fire, args=(i,)) for i in range(b)]
-        for t in threads:
-            t.start()
+        with entry.lock:
+            threads[0].start()
+            wait_until(lambda: queries.value == sent + 1
+                       and server.batcher.pending_count() == 0)
+            for t in threads[1:]:
+                t.start()
+            wait_until(lambda: server.batcher.pending_count() == b - 1)
         for t in threads:
             t.join()
         check(not errors, f"concurrent queries succeeded ({errors[:1]})")
         forwards = server.batcher.forwards - before
-        check(forwards <= math.ceil(b / window) + 1,
+        check(forwards == 1 + math.ceil((b - 1) / window),
               f"coalesced: {b} queries in {forwards} forwards (window={window})")
         check(all(r and r["count"] == 16 for r in replies),
               "every client got stats over exactly its own batch")
@@ -227,6 +241,10 @@ def cmd_smoke(args: argparse.Namespace) -> int:
                                      resume=True))
         status3 = client.wait(resumed["id"], timeout=120.0)
         check(status3["state"] == "completed", "resume from cancel completed")
+
+        counters = client.metrics()["counters"]
+        reuse = counters["serve.http.requests"] / counters["serve.http.connections"]
+        check(reuse > 1, f"connections were reused ({reuse:.1f} requests each)")
     finally:
         server.shutdown()
     print(f"[smoke] {'PASS' if not failures else 'FAIL'} "
@@ -249,7 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--cache-capacity", type=int, default=8)
     p.add_argument("--batch-window", type=int, default=8)
-    p.add_argument("--batch-linger", type=float, default=0.002)
     p.add_argument("--max-pending", type=int, default=64)
     p.add_argument("--max-job-seconds", type=float, default=None)
     p.add_argument("--max-backlog-seconds", type=float, default=None)
