@@ -53,7 +53,6 @@ from repro.analysis.lint import (
     lint_file,
     lint_paths,
     register,
-    rule_ids,
 )
 
 from repro.analysis import explore, scenarios
@@ -73,7 +72,6 @@ __all__ = [
     "register",
     "get_rule",
     "iter_rules",
-    "rule_ids",
     "lint_file",
     "lint_paths",
     "explore",

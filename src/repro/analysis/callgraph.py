@@ -45,12 +45,11 @@ __all__ = [
     "ordered_calls",
 ]
 
-#: collective operations every rank must issue congruently (mirrors
-#: ``rules.distributed._COLLECTIVES``); call sites with these attribute
-#: names are protocol events and are never resolved into user code.
-COLLECTIVES = frozenset(
-    {"allreduce", "broadcast", "allgather", "alltoall", "reduce", "barrier", "split"}
-)
+#: collective operations every rank must issue congruently — the one
+#: definition the rules, the fault injector's swap table and the sanitizer's
+#: kind table are pinned to; call sites with these attribute names are
+#: protocol events and are never resolved into user code.
+COLLECTIVES = frozenset({"allreduce", "broadcast", "allgather", "barrier", "split"})
 
 #: point-to-point / control primitives, likewise treated as atomic.
 P2P_PRIMITIVES = frozenset(

@@ -38,10 +38,10 @@ deferred drain only ever reads frames that already arrived, so the
 steady-state cost is the frame send plus a poll — see
 ``benchmarks/bench_sanitizer_overhead.py`` for current numbers.
 
-Collectives whose progress does not imply world-wide entry (``broadcast``,
-``reduce`` — a tree root completes before leaves even start) and
-``barrier`` (backends may use native primitives that cannot time out)
-validate *eagerly* instead: frame sent, then a blocking wait for the right
+Collectives whose progress does not imply world-wide entry (``broadcast``
+— a tree root completes before leaves even start) and ``barrier``
+(backends may use native primitives that cannot time out) validate
+*eagerly* instead: frame sent, then a blocking wait for the right
 neighbour's frame before touching the collective. Divergence there is
 detected before any payload moves. The same eager path is the fallback
 when the wrapped backend cannot ``poll`` or uses a non-ring algorithm.
@@ -84,9 +84,7 @@ _KIND_IDS = {
     "allreduce": 1.0,
     "broadcast": 2.0,
     "allgather": 3.0,
-    "reduce": 4.0,
-    "barrier": 5.0,
-    "alltoall": 6.0,
+    "barrier": 4.0,
 }
 _KIND_NAMES = {v: k for k, v in _KIND_IDS.items()}
 _OP_IDS = {"": 0.0, "sum": 1.0, "mean": 2.0, "max": 3.0, "min": 4.0, "prod": 5.0}
@@ -105,7 +103,6 @@ _FRAME_MAGIC = float(np.frombuffer(b"REPROSAN", dtype=np.float64)[0])
 #: collectives safe for deferred validation: ring traffic flows strictly
 #: rank -> rank+1, so completion implies every rank entered, and the
 #: right-neighbour frame channel (rank -> rank-1) carries only frames.
-#: (``alltoall`` sends payload on every channel, so it validates eagerly.)
 _DEFERRED_KINDS = frozenset({"allreduce", "allgather"})
 
 
@@ -154,9 +151,9 @@ class CollectiveRecord:
 
     def describe(self) -> str:
         detail = []
-        if self.kind in ("allreduce", "reduce"):
+        if self.kind == "allreduce":
             detail.append(f"op={self.op}")
-        if self.kind in ("broadcast", "reduce"):
+        if self.kind == "broadcast":
             detail.append(f"root={self.root}")
         if self.kind != "barrier":
             detail.append(f"shape={self.shape}")
@@ -475,20 +472,6 @@ class CommSanitizer(CommLayer):
         # gathered, MPI_Allgatherv); every other dimension must agree.
         record = self._record("allgather", np.atleast_1d(array)[:0])
         return self._run(record, lambda: Communicator.allgather(self, array))
-
-    def alltoall(self, blocks) -> np.ndarray:
-        # Block shapes legitimately differ between ranks; what must agree
-        # is that every rank brought one block per rank.
-        record = self._record("alltoall", np.empty(len(blocks)))
-        return self._run(record, lambda: Communicator.alltoall(self, blocks))
-
-    def reduce(
-        self, array: np.ndarray, root: int = 0, op: str = "sum"
-    ) -> np.ndarray | None:
-        record = self._record("reduce", array, op=op, root=root)
-        return self._run(
-            record, lambda: Communicator.reduce(self, array, root=root, op=op)
-        )
 
     def barrier(self) -> None:
         record = self._record("barrier", None)

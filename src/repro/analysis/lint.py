@@ -79,7 +79,6 @@ __all__ = [
     "register",
     "iter_rules",
     "get_rule",
-    "rule_ids",
     "lint_file",
     "lint_paths",
 ]
@@ -279,11 +278,6 @@ def iter_rules() -> list[Rule]:
     return [_REGISTRY[i] for i in sorted(_REGISTRY)]
 
 
-def rule_ids() -> list[str]:
-    _load_builtin_rules()
-    return sorted(_REGISTRY)
-
-
 def get_rule(rule_id: str) -> Rule:
     _load_builtin_rules()
     return _REGISTRY[rule_id]
@@ -388,7 +382,7 @@ def _run_rules(
                 deliver(finding, by_path.get(finding.path))
 
 
-def lint_file(
+def lint_file(  # repro-lint: disable=api-unreachable-export -- documented user entry point: docs/static_analysis.md runs a rule under development on one file with it
     path: str | Path,
     rules: Sequence[Rule] | None = None,
     source: str | None = None,
@@ -421,7 +415,10 @@ def _iter_python_files(root: Path) -> Iterator[Path]:
             yield root
         return
     for path in sorted(root.rglob("*.py")):
-        if any(part.startswith(".") or part == "__pycache__" for part in path.parts):
+        # Hidden and cache directories *inside* the tree; where the tree
+        # itself lives (``../checkout/src``, ``/tmp/.work/src``) is not ours.
+        inside = path.relative_to(root).parts
+        if any(part.startswith(".") or part == "__pycache__" for part in inside):
             continue
         yield path
 

@@ -18,6 +18,8 @@ Split by invariant family:
   :mod:`repro.obs` (a leaked ``begin`` silently corrupts trace totals).
 - :mod:`repro.analysis.rules.jit` — tape safety for the step compiler
   (data-dependent control flow on the traced forward surface).
+- :mod:`repro.analysis.rules.surface` — public surface is what something
+  reaches: exports no module, benchmark, tool or example refers to.
 """
 
 from repro.analysis.rules import (  # noqa: F401
@@ -27,4 +29,5 @@ from repro.analysis.rules import (  # noqa: F401
     interprocedural,
     jit,
     observability,
+    surface,
 )

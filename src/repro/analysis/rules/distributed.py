@@ -14,10 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
+from repro.analysis.callgraph import COLLECTIVES
 from repro.analysis.lint import Finding, LintContext, ProjectRule, Rule, register
-
-#: Communicator methods that are collective (every rank must participate)
-_COLLECTIVES = {"allreduce", "broadcast", "allgather", "alltoall", "reduce", "barrier", "split"}
 
 
 def _mentions_rank(node: ast.AST) -> bool:
@@ -53,7 +51,7 @@ class _RankBranchVisitor(ast.NodeVisitor):
         if (
             self.rank_depth > 0
             and isinstance(func, ast.Attribute)
-            and func.attr in _COLLECTIVES
+            and func.attr in COLLECTIVES
         ):
             self.hits.append((node, func.attr))
         self.generic_visit(node)
@@ -66,8 +64,8 @@ class RankDependentCollective(Rule):
     description = (
         "collective call lexically nested under a rank-dependent branch; "
         "unless every rank takes a congruent path this deadlocks the world "
-        "— hoist the collective out of the branch (reduce/broadcast already "
-        "handle root-vs-rest asymmetry internally)"
+        "— hoist the collective out of the branch (broadcast already "
+        "handles root-vs-rest asymmetry internally)"
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 from repro.analysis.dataflow import DataflowAnalysis
 from repro.analysis.callgraph import FunctionNode, Project
 from repro.analysis.lint import Finding, ProjectRule, register
-from repro.analysis.rules.distributed import _COLLECTIVES, _mentions_rank
+from repro.analysis.rules.distributed import _mentions_rank
 
 
 def _tainted_branches(
@@ -126,7 +126,3 @@ class CollectiveOrderDivergence(ProjectRule):
                     "pair mismatched collectives — make the sequences "
                     "congruent",
                 )
-
-
-# re-exported so the catalogue table can introspect the primitive set
-COLLECTIVE_OPS = frozenset(_COLLECTIVES)

@@ -135,7 +135,7 @@ def _sc_full_stack(comm, rank: int, shared: dict) -> None:
     """Every static layer ``build_comm`` can put beneath user code — fault
     injector, resilient framing, sanitizer, in the order it emits them —
     riding out a duplicated and a transiently corrupted message under
-    allreduce → alltoall → barrier."""
+    allreduce → allgather → barrier."""
     from repro.distributed.comm import build_comm
     from repro.distributed.faults import FaultEvent, FaultPlan
     from repro.distributed.resilient import RetryPolicy
@@ -151,9 +151,9 @@ def _sc_full_stack(comm, rank: int, shared: dict) -> None:
     stack = build_comm(comm, plan=plan, retry=policy, sanitize=2.0)
     out = stack.allreduce(np.full(4, float(rank + 1)))
     assert np.allclose(out, 6.0), f"allreduce sum wrong: {out}"
-    got = stack.alltoall([np.full((1, 2), 10.0 * rank + p) for p in range(3)])
-    want = np.array([[10.0 * p + rank] * 2 for p in range(3)])
-    assert np.array_equal(got, want), f"alltoall blocks crossed: {got}"
+    got = stack.allgather(np.full(2, 10.0 * rank))
+    want = [[10.0 * p] * 2 for p in range(3)]
+    assert np.array_equal(got, want), f"allgather blocks crossed: {got}"
     stack.barrier()
     injector = stack.inner.inner  # sanitizer → resilient → fault injector
     expect = {0: {"duplicate": 1}, 1: {"corrupt": 1}, 2: {}}[rank]
@@ -214,7 +214,7 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="full-stack",
-            description="allreduce, alltoall and barrier through the whole "
+            description="allreduce, allgather and barrier through the whole "
             "build_comm stack (faults → retry → sanitizer) while a message "
             "is duplicated and another transiently corrupted",
             world_size=3,

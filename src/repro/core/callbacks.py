@@ -12,7 +12,6 @@ __all__ = [
     "Callback",
     "History",
     "HittingTime",
-    "EarlyStopping",
     "ProgressPrinter",
     "StopTraining",
 ]
@@ -116,43 +115,6 @@ class HittingTime(Callback):
                 f"target {self.target} reached at step {step} "
                 f"(training time {self._train_time:.2f}s)"
             )
-
-
-class EarlyStopping(Callback):
-    """Stop when the (smoothed) energy stops improving.
-
-    Tracks the running mean of the last ``window`` step energies; if it
-    fails to improve by at least ``min_delta`` for ``patience`` consecutive
-    steps, raises :class:`StopTraining`.
-    """
-
-    def __init__(self, patience: int = 20, min_delta: float = 1e-4, window: int = 10):
-        if patience < 1 or window < 1:
-            raise ValueError("patience and window must be >= 1")
-        self.patience = patience
-        self.min_delta = min_delta
-        self.window = window
-        self.best: float = np.inf
-        self.stale = 0
-        self._recent: list[float] = []
-        self.stopped_at: int | None = None
-
-    def on_step(self, step: int, result) -> None:
-        self._recent.append(result.stats.mean)
-        if len(self._recent) > self.window:
-            self._recent.pop(0)
-        smoothed = float(np.mean(self._recent))
-        if smoothed < self.best - self.min_delta:
-            self.best = smoothed
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.patience:
-                self.stopped_at = step
-                raise StopTraining(
-                    f"no improvement for {self.patience} steps "
-                    f"(best smoothed energy {self.best:.6f})"
-                )
 
 
 class ProgressPrinter(Callback):

@@ -193,7 +193,7 @@ def load_checkpoint(vqmc: VQMC, path: str | Path) -> None:
 _RANKED = re.compile(r"^checkpoint_(\d{8})\.rank(\d{3})\.npz$")
 
 
-def restore_elastic(
+def restore_elastic(  # repro-lint: disable=api-unreachable-export -- fault-recovery code: restart at a different world size (docs/fault_tolerance.md)
     vqmc: VQMC,
     directory: str | Path,
     *,

@@ -225,7 +225,7 @@ def energy_statistics(local: np.ndarray) -> EnergyStats:
     return EnergyStats(mean=mean, std=std, sem=sem, count=count)
 
 
-def grad_via_autograd(
+def grad_via_autograd(  # repro-lint: disable=api-unreachable-export -- test oracle: the tape's REINFORCE gradient every plan's gradient is checked against
     model: WaveFunction, x: np.ndarray, local: np.ndarray
 ) -> float:
     """Backpropagate the REINFORCE surrogate; leaves ∇L in ``p.grad``.

@@ -63,8 +63,6 @@ from repro.distributed.supervisor import (
     PolicyObservation,
     ResilientRunReport,
     ScalingPolicy,
-    TargetSNRPolicy,
-    TargetStepTimePolicy,
     TrainingSupervisor,
 )
 from repro.distributed.data_parallel import DataParallelResult, run_data_parallel
@@ -103,8 +101,6 @@ __all__ = [
     "BatchLedger",
     "PolicyObservation",
     "ScalingPolicy",
-    "TargetStepTimePolicy",
-    "TargetSNRPolicy",
     "TrainingSupervisor",
     "ResilientRunReport",
     "DataParallelResult",

@@ -10,11 +10,8 @@ These mirror the classic MPI/NCCL algorithms:
   (falls back to ring otherwise).
 - :func:`naive_allreduce` — gather-to-root + broadcast; reference
   implementation the tests compare the fast paths against.
-- :func:`tree_broadcast` / :func:`tree_reduce` — binomial trees,
-  ``log₂ L`` rounds.
+- :func:`tree_broadcast` — binomial tree, ``log₂ L`` rounds.
 - :func:`ring_allgather`.
-- :func:`pairwise_alltoall` — ``L-1`` shifted pairwise exchanges, each
-  block streamed as bounded row frames straight into the stacked result.
 
 All functions assume ``comm.send`` is eager (non-blocking w.r.t. the peer's
 sends) as documented on :class:`repro.distributed.comm.Communicator`, so
@@ -25,32 +22,17 @@ ring steps where every rank sends before receiving cannot deadlock.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 import numpy as np
 
-from repro.distributed.comm import Communicator, OwnedFrame, ReduceOp
+from repro.distributed.comm import Communicator, ReduceOp
 
 __all__ = [
     "ring_allreduce",
     "recursive_doubling_allreduce",
     "naive_allreduce",
     "tree_broadcast",
-    "tree_reduce",
     "ring_allgather",
-    "pairwise_alltoall",
-    "gather",
-    "scatter",
 ]
-
-
-#: alltoall streams a block as row frames of at most this many bytes, so the
-#: copies in flight (the sender's, the pickled one, the receiver's) stay
-#: small against the block. Measured on 2 process ranks exchanging 2.9 MB
-#: each way: whole-block messages raise a step's peak RSS by a quarter,
-#: 512 KiB frames by 1 %; 256 KiB frames cost 3 ms more per exchange (11 vs
-#: 7.6 ms) for 0.7 % less.
-ALLTOALL_FRAME_BYTES = 1 << 19
 
 
 def _chunks(n_elems: int, parts: int) -> list[slice]:
@@ -156,69 +138,6 @@ def tree_broadcast(comm: Communicator, array: np.ndarray, root: int = 0) -> np.n
     return array.copy()
 
 
-def tree_reduce(
-    comm: Communicator, array: np.ndarray, root: int = 0, op: str = "sum"
-) -> np.ndarray | None:
-    """Binomial-tree reduce to ``root``; non-root ranks return None."""
-    fn = ReduceOp.get(op)
-    parent, children = _tree_peers(comm.rank, comm.size, root)
-    buf = array.copy()
-    # Children in _tree_peers order send after completing their own subtree;
-    # receive in reverse order (deepest subtrees complete first).
-    for child in reversed(children):
-        buf = fn(buf, comm.recv(child))
-    if parent is not None:
-        comm.send(parent, buf)
-        return None
-    return buf
-
-
-def gather(
-    comm: Communicator, array: np.ndarray, root: int = 0
-) -> list[np.ndarray] | None:
-    """Collect one array per rank at ``root`` (rank order); others get None.
-
-    Binomial tree: each subtree leader forwards its accumulated list,
-    log₂(L) rounds. Arrays may differ in shape across ranks.
-    """
-    parent, children = _tree_peers(comm.rank, comm.size, root)
-    # Collect own + subtree contributions, keyed by source rank.
-    bucket: dict[int, np.ndarray] = {comm.rank: array.copy()}
-    for child in reversed(children):
-        count = int(comm.recv(child)[0])
-        for _ in range(count):
-            src = int(comm.recv(child)[0])
-            bucket[src] = comm.recv(child)
-    if parent is not None:
-        comm.send(parent, np.array([float(len(bucket))]))
-        for src, payload in bucket.items():
-            comm.send(parent, np.array([float(src)]))
-            comm.send(parent, payload)
-        return None
-    return [bucket[r] for r in range(comm.size)]
-
-
-def scatter(
-    comm: Communicator, arrays: list[np.ndarray] | None, root: int = 0
-) -> np.ndarray:
-    """Distribute ``arrays[r]`` from ``root`` to each rank ``r``.
-
-    Simple root-sends-direct implementation (scatter is latency-bound and
-    rare in this workload; a tree variant buys little).
-    """
-    if comm.rank == root:
-        if arrays is None or len(arrays) != comm.size:
-            raise ValueError(
-                f"root must supply exactly {comm.size} arrays, got "
-                f"{None if arrays is None else len(arrays)}"
-            )
-        for dest in range(comm.size):
-            if dest != root:
-                comm.send(dest, arrays[dest])
-        return np.array(arrays[root], copy=True)
-    return comm.recv(root)
-
-
 def ring_allgather(comm: Communicator, array: np.ndarray) -> list[np.ndarray]:
     """Each rank contributes one array; all ranks get the full list."""
     size, rank = comm.size, comm.rank
@@ -232,51 +151,3 @@ def ring_allgather(comm: Communicator, array: np.ndarray) -> list[np.ndarray]:
         current = comm.recv(left)
         out[(rank - t - 1) % size] = current.copy()
     return out  # type: ignore[return-value]
-
-
-def _row_frames(block: np.ndarray) -> list[slice]:
-    """Row ranges of ``block`` holding at most ``ALLTOALL_FRAME_BYTES`` each
-    (at least one row; none for an empty block)."""
-    if block.size == 0:
-        return []
-    rows = max(1, ALLTOALL_FRAME_BYTES // block[0].nbytes)
-    return [slice(a, a + rows) for a in range(0, len(block), rows)]
-
-
-def pairwise_alltoall(comm: Communicator, blocks: list[np.ndarray]) -> np.ndarray:
-    """``blocks[p]`` to every rank ``p``; returns what arrived, stacked along
-    axis 0 in rank order.
-
-    Row counts travel first (one float per peer), so the result is
-    allocated once and every frame lands in its final place. Step ``t``
-    sends to ``rank + t`` while receiving from ``rank - t``, frame by
-    frame, so neither side queues a whole block.
-    """
-    size, rank = comm.size, comm.rank
-    own = blocks[rank]
-    for t in range(1, size):
-        dest = (rank + t) % size
-        comm.send(dest, np.array([float(len(blocks[dest]))]))
-    counts = [len(own)] * size
-    for t in range(1, size):
-        src = (rank - t) % size
-        counts[src] = int(comm.recv(src)[0])
-    ends = np.cumsum(counts)
-    out = np.empty((ends[-1], *own.shape[1:]))
-    out[ends[rank] - counts[rank] : ends[rank]] = own
-
-    for t in range(1, size):
-        dest, src = (rank + t) % size, (rank - t) % size
-        outgoing = blocks[dest]
-        incoming = out[ends[src] - counts[src] : ends[src]]
-        for send_rows, recv_rows in zip_longest(
-            _row_frames(outgoing), _row_frames(incoming)
-        ):
-            if send_rows is not None:
-                # The frame is this function's own copy, so the backend
-                # need not copy it again.
-                frame = np.array(outgoing[send_rows], order="C")
-                comm.send(dest, frame.view(OwnedFrame))
-            if recv_rows is not None:
-                incoming[recv_rows] = comm.recv(src)
-    return out

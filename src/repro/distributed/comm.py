@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class OwnedFrame(np.ndarray):
 
 
 class ReduceOp:
-    """Elementwise reduction operators for allreduce/reduce."""
+    """Elementwise reduction operators for allreduce."""
 
     _OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
         "sum": lambda a, b: a + b,
@@ -321,47 +321,6 @@ class Communicator:
             if self.size == 1:
                 return [array.copy()]
             return collectives.ring_allgather(self, array)
-
-    def alltoall(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Personalised exchange: ``blocks[p]`` goes to rank ``p``.
-
-        Returns the blocks addressed to this rank, stacked along axis 0 in
-        rank order (``MPI_Alltoallv`` with rank-ordered displacements).
-        Blocks may differ in rows, and be empty; the blocks addressed to
-        one rank — its own ``blocks[rank]`` among them — must agree in
-        every other dimension. With ``blocks[p] = local_rows[:, cols_p]``
-        this turns a row-sharded matrix into a column-sharded one.
-        ``collective_bytes`` counts what goes to peers, not the own block.
-        """
-        from repro.distributed import collectives
-
-        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-        if len(blocks) != self.size or any(b.ndim == 0 for b in blocks):
-            raise ValueError(
-                f"alltoall needs one array of >= 1 dimension per rank "
-                f"({self.size}), got {[b.shape for b in blocks]}"
-            )
-        nbytes = self._count_collective(
-            sum(b.nbytes for p, b in enumerate(blocks) if p != self.rank)
-        )
-        with self.tracer.span("comm.alltoall", bytes=nbytes):
-            if self.size == 1:
-                return blocks[0].copy()
-            return collectives.pairwise_alltoall(self, blocks)
-
-    def reduce(self, array: np.ndarray, root: int = 0, op: str = "sum") -> np.ndarray | None:
-        """Reduce to ``root``; other ranks return None."""
-        from repro.distributed import collectives
-
-        array = np.ascontiguousarray(array, dtype=np.float64)
-        nbytes = self._count_collective(array.nbytes)
-        with self.tracer.span("comm.reduce", bytes=nbytes, op=op, root=root):
-            if self.size == 1:
-                return array.copy()
-            out = collectives.tree_reduce(self, array, root, op)
-        if op == "mean" and out is not None:
-            out = out / self.size
-        return out
 
     # -- subcommunicators -----------------------------------------------------------
 

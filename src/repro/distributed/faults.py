@@ -311,8 +311,6 @@ class MismatchedCollectiveInjector(CommLayer):
         "allreduce": "broadcast",
         "broadcast": "allreduce",
         "allgather": "allreduce",
-        "alltoall": "allreduce",
-        "reduce": "broadcast",
         "barrier": "allreduce",
     }
 
@@ -343,25 +341,16 @@ class MismatchedCollectiveInjector(CommLayer):
         return None
 
     def _run(self, kind: str, array: np.ndarray | None, **kwargs):
-        swapped = self._swap(kind)
-        target = swapped or kind
+        target = self._swap(kind) or kind
         if target == "barrier":
             return self.inner.barrier()
-        payload = array
-        if array is None or (swapped and kind == "alltoall"):
-            payload = np.zeros(1)  # a list of blocks is no array to swap in
+        payload = np.zeros(1) if array is None else array
         if target == "allreduce":
             return self.inner.allreduce(payload, op=kwargs.get("op", "sum"))
         if target == "broadcast":
             return self.inner.broadcast(payload, root=kwargs.get("root", 0))
         if target == "allgather":
             return self.inner.allgather(payload)
-        if target == "alltoall":
-            return self.inner.alltoall(payload)
-        if target == "reduce":
-            return self.inner.reduce(
-                payload, root=kwargs.get("root", 0), op=kwargs.get("op", "sum")
-            )
         raise AssertionError(f"unknown collective {target!r}")
 
     def allreduce(self, array: np.ndarray, op: str = "sum") -> np.ndarray:
@@ -372,14 +361,6 @@ class MismatchedCollectiveInjector(CommLayer):
 
     def allgather(self, array: np.ndarray) -> list[np.ndarray]:
         return self._run("allgather", array)
-
-    def alltoall(self, blocks) -> np.ndarray:
-        return self._run("alltoall", blocks)
-
-    def reduce(
-        self, array: np.ndarray, root: int = 0, op: str = "sum"
-    ) -> np.ndarray | None:
-        return self._run("reduce", array, root=root, op=op)
 
     def barrier(self) -> None:
         self._run("barrier", None)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributed.comm import Communicator
+from repro.distributed.comm import DEFAULT_TIMEOUT, Communicator
 
 __all__ = ["SerialCommunicator"]
 
@@ -27,5 +27,5 @@ class SerialCommunicator(Communicator):
     def send(self, dest: int, array: np.ndarray) -> None:
         raise RuntimeError("point-to-point send in a world of size 1")
 
-    def recv(self, source: int, timeout: float = 60.0) -> np.ndarray:
+    def recv(self, source: int, timeout: float = DEFAULT_TIMEOUT) -> np.ndarray:
         raise RuntimeError("point-to-point recv in a world of size 1")

@@ -158,38 +158,6 @@ class ScalingPolicy:
         return "grow"
 
 
-@dataclass
-class TargetStepTimePolicy(ScalingPolicy):
-    """Grow while the synchronous step time exceeds ``target_seconds``
-    (more ranks → smaller per-rank batches → faster steps); advise shrink
-    when the world is faster than ``shrink_below`` × target."""
-
-    target_seconds: float
-    shrink_below: float = 0.5
-
-    def decide(self, obs: PolicyObservation) -> str:
-        if obs.step_seconds > self.target_seconds:
-            return "grow"
-        if obs.step_seconds < self.shrink_below * self.target_seconds:
-            return "shrink"
-        return "hold"
-
-
-@dataclass
-class TargetSNRPolicy(ScalingPolicy):
-    """Grow while the energy signal-to-noise ratio ``|mean| / sem`` is
-    below ``target_snr`` (more ranks → bigger effective statistics per
-    wall-second; the batch-size/SNR trade-off of ``bench_ablation_batch_snr``)."""
-
-    target_snr: float
-
-    def decide(self, obs: PolicyObservation) -> str:
-        if obs.energy_sem <= 0:
-            return "hold"
-        snr = abs(obs.energy_mean) / obs.energy_sem
-        return "grow" if snr < self.target_snr else "hold"
-
-
 class TrainingSupervisor(Callback):
     """Run a :class:`repro.core.VQMC` trainer under elastic supervision.
 

@@ -11,13 +11,12 @@ we can compute exact ground states:
   yardstick for the Goemans–Williamson approximation-ratio tests).
 """
 
-from repro.exact.eigensolver import ground_state, spectral_gap, ExactResult
+from repro.exact.eigensolver import ground_state, ExactResult
 from repro.exact.lanczos import Lanczos, lanczos_ground_state
 from repro.exact.brute_force import brute_force_max_cut, brute_force_ground_state
 
 __all__ = [
     "ground_state",
-    "spectral_gap",
     "ExactResult",
     "Lanczos",
     "lanczos_ground_state",

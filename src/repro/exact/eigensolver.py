@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 
 from repro.hamiltonians.base import Hamiltonian
 
-__all__ = ["ExactResult", "ground_state", "spectral_gap"]
+__all__ = ["ExactResult", "ground_state"]
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,3 @@ def ground_state(hamiltonian: Hamiltonian, k: int = 1) -> ExactResult:
     vals, vecs = scipy.sparse.linalg.eigsh(mat, k=k, which="SA")
     order = np.argsort(vals)
     return ExactResult(energy=float(vals[order[0]]), vector=vecs[:, order[0]])
-
-
-def spectral_gap(hamiltonian: Hamiltonian) -> float:
-    """Gap ``E₁ − E₀`` between the two lowest eigenvalues (n ≤ 20).
-
-    The quantity controlling annealing schedules and MCMC mixing at low
-    temperature; returns 0.0 for a degenerate ground space (e.g. the two
-    symmetric optima of an unbroken Max-Cut instance).
-    """
-    dim = 2**hamiltonian.n
-    if dim <= 32:
-        vals = np.linalg.eigvalsh(hamiltonian.to_dense())
-        return float(vals[1] - vals[0])
-    mat = hamiltonian.to_sparse()
-    vals = scipy.sparse.linalg.eigsh(mat, k=2, which="SA",
-                                     return_eigenvectors=False)
-    vals = np.sort(vals)
-    return float(max(vals[1] - vals[0], 0.0))

@@ -7,7 +7,7 @@ and efficiently row computable" interface, and is all the local-energy
 estimator (Eq. 3) needs.
 """
 
-from repro.hamiltonians.base import Hamiltonian, bits_to_spins, spins_to_bits
+from repro.hamiltonians.base import Hamiltonian, bits_to_spins
 from repro.hamiltonians.zzx import ZZXHamiltonian
 from repro.hamiltonians.ising import TransverseFieldIsing
 from repro.hamiltonians.maxcut import MaxCut, bernoulli_adjacency
@@ -18,7 +18,6 @@ from repro.hamiltonians.problems import (
     sherrington_kirkpatrick,
     number_partitioning,
     max_independent_set,
-    vertex_cover,
 )
 from repro.hamiltonians.serialization import (
     from_dict,
@@ -35,7 +34,6 @@ __all__ = [
     "sherrington_kirkpatrick",
     "number_partitioning",
     "max_independent_set",
-    "vertex_cover",
     "to_dict",
     "from_dict",
     "save_instance",
@@ -47,5 +45,4 @@ __all__ = [
     "IsingQUBO",
     "bernoulli_adjacency",
     "bits_to_spins",
-    "spins_to_bits",
 ]

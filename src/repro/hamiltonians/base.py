@@ -20,7 +20,6 @@ __all__ = [
     "Hamiltonian",
     "SingleFlipRows",
     "bits_to_spins",
-    "spins_to_bits",
     "index_to_bits",
     "bits_to_index",
     "quadratic_form",
@@ -30,11 +29,6 @@ __all__ = [
 def bits_to_spins(x: np.ndarray) -> np.ndarray:
     """Map bits {0,1} to spins {+1,-1} via ``z = 1 - 2x``."""
     return 1.0 - 2.0 * np.asarray(x, dtype=np.float64)
-
-
-def spins_to_bits(z: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bits_to_spins`."""
-    return (1.0 - np.asarray(z, dtype=np.float64)) / 2.0
 
 
 def index_to_bits(idx: np.ndarray | int, n: int) -> np.ndarray:

@@ -20,7 +20,6 @@ __all__ = [
     "sherrington_kirkpatrick",
     "number_partitioning",
     "max_independent_set",
-    "vertex_cover",
 ]
 
 
@@ -84,32 +83,3 @@ def max_independent_set(
         Q[i, j] += penalty / 2.0
         Q[j, i] += penalty / 2.0
     return IsingQUBO(Q=Q, q=-np.ones(n))
-
-
-def vertex_cover(
-    graph: "nx.Graph", penalty: float = 2.0
-) -> IsingQUBO:
-    """Minimum vertex cover: ``min Σ_i x_i + penalty · Σ_{(i,j)∈E}
-    (1-x_i)(1-x_j)`` — the penalty punishes uncovered edges.
-
-    For ``penalty > 1`` the optimum equals the true cover size.
-    """
-    if penalty <= 1.0:
-        raise ValueError(f"penalty must exceed 1 for exactness, got {penalty}")
-    nodes = sorted(graph.nodes())
-    index = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
-    if n < 1:
-        raise ValueError("graph has no nodes")
-    Q = np.zeros((n, n))
-    q = np.ones(n)
-    const = 0.0
-    for u, v in graph.edges():
-        i, j = index[u], index[v]
-        # penalty(1 - x_i - x_j + x_i x_j)
-        const += penalty
-        q[i] -= penalty
-        q[j] -= penalty
-        Q[i, j] += penalty / 2.0
-        Q[j, i] += penalty / 2.0
-    return IsingQUBO(Q=Q, q=q, const=const)

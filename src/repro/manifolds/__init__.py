@@ -3,27 +3,19 @@
 The paper's Burer–Monteiro baseline solves the Max-Cut SDP via the
 "Riemannian Trust-Region method" on the manifold of unit-norm-column
 matrices (the *oblique* manifold). This subpackage provides that manifold
-plus three solvers:
-
-- :class:`RiemannianGradientDescent` — Armijo backtracking line search.
-- :class:`RiemannianConjugateGradient` — Polak–Ribière+ with restarts.
-- :class:`RiemannianTrustRegion` — Steihaug–Toint truncated-CG subproblem
-  solver (the Manopt/Absil-Baker-Gallivan algorithm the paper cites).
+plus that solver: :class:`RiemannianTrustRegion`, with the Steihaug–Toint
+truncated-CG subproblem solver (the Manopt/Absil-Baker-Gallivan algorithm
+the paper cites).
 """
 
-from repro.manifolds.manifold import ObliqueManifold, SphereManifold
+from repro.manifolds.manifold import ObliqueManifold
 from repro.manifolds.problem import ManifoldProblem
-from repro.manifolds.gradient_descent import RiemannianGradientDescent
-from repro.manifolds.conjugate_gradient import RiemannianConjugateGradient
 from repro.manifolds.trust_region import RiemannianTrustRegion
 from repro.manifolds.result import OptimizeResult
 
 __all__ = [
     "ObliqueManifold",
-    "SphereManifold",
     "ManifoldProblem",
-    "RiemannianGradientDescent",
-    "RiemannianConjugateGradient",
     "RiemannianTrustRegion",
     "OptimizeResult",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ObliqueManifold", "SphereManifold"]
+__all__ = ["ObliqueManifold"]
 
 
 class ObliqueManifold:
@@ -75,44 +75,3 @@ class ObliqueManifold:
         ``Proj(ehess) − ξ · ddiag(vᵀ egrad)`` (per-column Weingarten term)."""
         radial = (v * egrad).sum(axis=0, keepdims=True)
         return self.proj(v, ehess - xi * radial)
-
-
-class SphereManifold(ObliqueManifold):
-    """S^{p-1} — the oblique manifold with a single column, vector-shaped.
-
-    Accepts/returns 1-D arrays of length p.
-    """
-
-    def __init__(self, p: int):
-        super().__init__(p, 1)
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return super().random_point(rng).ravel()
-
-    def check_point(self, v: np.ndarray, atol: float = 1e-8) -> None:
-        super().check_point(np.atleast_2d(v).reshape(self.p, 1), atol=atol)
-
-    def proj(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        v2, u2 = v.reshape(self.p, 1), u.reshape(self.p, 1)
-        return super().proj(v2, u2).reshape(v.shape)
-
-    def retract(self, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        v2, xi2 = v.reshape(self.p, 1), xi.reshape(self.p, 1)
-        return super().retract(v2, xi2).reshape(v.shape)
-
-    def random_tangent(self, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        v2 = v.reshape(self.p, 1)
-        return super().random_tangent(v2, rng).reshape(v.shape)
-
-    def egrad_to_rgrad(self, v: np.ndarray, egrad: np.ndarray) -> np.ndarray:
-        return self.proj(v, egrad)
-
-    def ehess_to_rhess(self, v, egrad, ehess, xi):
-        shp = v.shape
-        out = super().ehess_to_rhess(
-            v.reshape(self.p, 1),
-            egrad.reshape(self.p, 1),
-            ehess.reshape(self.p, 1),
-            xi.reshape(self.p, 1),
-        )
-        return out.reshape(shp)

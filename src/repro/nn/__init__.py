@@ -7,25 +7,17 @@ log-derivatives of a stack of them kept as per-layer factors.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.sequential import Sequential
 from repro.nn.linear import Linear, MaskedLinear
 from repro.nn.factored import FactoredO
-from repro.nn.activations import ReLU, Sigmoid, Tanh, LogSigmoid, Softplus
 from repro.nn.masks import made_masks, check_autoregressive
 from repro.nn import init
 
 __all__ = [
     "Module",
     "Parameter",
-    "Sequential",
     "Linear",
     "MaskedLinear",
     "FactoredO",
-    "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "LogSigmoid",
-    "Softplus",
     "made_masks",
     "check_autoregressive",
     "init",

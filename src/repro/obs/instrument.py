@@ -42,7 +42,7 @@ from repro.obs.tracer import Tracer
 __all__ = ["ObsCallback"]
 
 
-class ObsCallback:
+class ObsCallback:  # repro-lint: disable=api-unreachable-export -- documented user entry point: docs/observability.md quick start
     """Callback exporting a tracer's spans as JSONL + Chrome trace files.
 
     Parameters

@@ -6,7 +6,10 @@ hits, local-energy batch latencies. The design constraints mirror the
 tracer's:
 
 - ``inc``/``set``/``observe`` are cheap enough for hot paths (attribute
-  bumps, one bisect for histograms — no locks, no allocation);
+  bumps, one bisect for histograms — no allocation), and ``inc`` /
+  ``observe`` are atomic: the job server bumps one counter from many HTTP
+  handler threads, and an unlocked ``+=`` loses counts whenever a thread
+  switch lands between its read and its write;
 - snapshots are plain dicts, JSON-ready, and **merge associatively**:
   ``merge(merge(a, b), c) == merge(a, merge(b, c))`` for any grouping, so
   per-rank snapshots can be folded in any order (tree reductions included)
@@ -21,6 +24,7 @@ property that makes cross-rank merging exact instead of approximate.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 
 __all__ = [
@@ -38,6 +42,12 @@ DEFAULT_BUCKETS = (
 )
 
 
+#: serialises every read-modify-write below; one lock for all instruments
+#: (a bump holds it for an attribute update), so instruments stay plain
+#: picklable slot objects.
+_UPDATE = threading.Lock()
+
+
 class Counter:
     """Monotonically increasing count (events, bytes, retries)."""
 
@@ -49,7 +59,8 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only increase, got {amount}")
-        self.value += amount
+        with _UPDATE:
+            self.value += amount
 
 
 class Gauge:
@@ -87,11 +98,13 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        self.counts[bisect_right(self.boundaries, value)] += 1
-        self.sum += value
-        self.count += 1
-        if self.max is None or value > self.max:
-            self.max = value
+        bucket = bisect_right(self.boundaries, value)
+        with _UPDATE:
+            self.counts[bucket] += 1
+            self.sum += value
+            self.count += 1
+            if self.max is None or value > self.max:
+                self.max = value
 
     def quantile(self, q: float) -> float:
         """Upper-edge estimate of the ``q``-quantile (conservative).
@@ -151,21 +164,21 @@ class Metrics:
         c = self._counters.get(name)
         if c is None:
             self._check_unique(name, "counter")
-            c = self._counters[name] = Counter()
+            c = self._counters.setdefault(name, Counter())
         return c
 
     def gauge(self, name: str) -> Gauge:
         g = self._gauges.get(name)
         if g is None:
             self._check_unique(name, "gauge")
-            g = self._gauges[name] = Gauge()
+            g = self._gauges.setdefault(name, Gauge())
         return g
 
     def histogram(self, name: str, boundaries=DEFAULT_BUCKETS) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
             self._check_unique(name, "histogram")
-            h = self._histograms[name] = Histogram(boundaries)
+            h = self._histograms.setdefault(name, Histogram(boundaries))
         elif h.boundaries != tuple(float(b) for b in boundaries):
             raise ValueError(
                 f"histogram {name!r} already registered with boundaries "

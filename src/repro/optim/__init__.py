@@ -8,19 +8,12 @@ diagonal shift λ = 0.001 and lr 0.1 (§5.1 "Training").
 from repro.optim.base import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.rmsprop import RMSprop, AdaGrad
 from repro.optim.sr import SRSolveInfo, StochasticReconfiguration
-from repro.optim.lr_scheduler import ConstantLR, StepLR, CosineAnnealingLR
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "RMSprop",
-    "AdaGrad",
     "StochasticReconfiguration",
     "SRSolveInfo",
-    "ConstantLR",
-    "StepLR",
-    "CosineAnnealingLR",
 ]

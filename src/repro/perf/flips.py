@@ -146,7 +146,7 @@ def _forward(x: np.ndarray, effs, biases) -> MADEForwardCache:
     )
 
 
-def forward_cache(model, x: np.ndarray) -> MADEForwardCache:
+def forward_cache(model, x: np.ndarray) -> MADEForwardCache:  # repro-lint: disable=api-unreachable-export -- test oracle: tests/test_perf/flip_oracle.py builds its reference ratios from this cache
     """One batched forward pass of a MADE, retaining every intermediate."""
     _require_support(model)
     x = validate_configurations(x, model.n)

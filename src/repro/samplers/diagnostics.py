@@ -5,8 +5,6 @@ dimension (burn-in and correlations grow). These diagnostics quantify that:
 
 - :func:`autocorrelation` / :func:`integrated_autocorr_time` — how correlated
   successive chain states are (Sokal's windowing estimator).
-- :func:`effective_sample_size` — how many independent samples a chain is
-  worth.
 - :func:`gelman_rubin` — the multi-chain R̂ convergence statistic.
 - :func:`total_variation_distance` — exact distance between an empirical
   histogram and a target distribution (used in tests on enumerable spaces).
@@ -19,7 +17,6 @@ import numpy as np
 __all__ = [
     "autocorrelation",
     "integrated_autocorr_time",
-    "effective_sample_size",
     "gelman_rubin",
     "total_variation_distance",
 ]
@@ -59,12 +56,6 @@ def integrated_autocorr_time(series: np.ndarray, window_c: float = 5.0) -> float
         if m >= window_c * tau:
             break
     return max(tau, 1.0)
-
-
-def effective_sample_size(series: np.ndarray) -> float:
-    """ESS = T / τ_int for a scalar chain statistic."""
-    series = np.asarray(series, dtype=np.float64)
-    return series.size / integrated_autocorr_time(series)
 
 
 def gelman_rubin(chains: np.ndarray) -> float:

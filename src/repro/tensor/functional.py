@@ -20,8 +20,6 @@ from repro.tensor.tensor import (
 __all__ = [
     "relu",
     "sigmoid",
-    "log_sigmoid",
-    "softplus",
     "tanh",
     "exp",
     "log",
@@ -32,8 +30,6 @@ __all__ = [
     "sin",
     "cos",
     "clip",
-    "logsumexp",
-    "softmax",
     "linear",
     "masked_linear",
     "bernoulli_log_prob",
@@ -57,14 +53,6 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     return x.sigmoid()
-
-
-def log_sigmoid(x: Tensor) -> Tensor:
-    return x.log_sigmoid()
-
-
-def softplus(x: Tensor) -> Tensor:
-    return x.softplus()
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -105,14 +93,6 @@ def cos(x: Tensor) -> Tensor:
 
 def clip(x: Tensor, low: float | None = None, high: float | None = None) -> Tensor:
     return x.clip(low, high)
-
-
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    return x.logsumexp(axis=axis, keepdims=keepdims)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.softmax(axis=axis)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

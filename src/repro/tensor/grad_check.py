@@ -15,7 +15,7 @@ from repro.tensor.tensor import Tensor
 __all__ = ["numerical_grad", "gradcheck", "per_sample_jacobian"]
 
 
-def per_sample_jacobian(model, x: np.ndarray) -> np.ndarray:
+def per_sample_jacobian(model, x: np.ndarray) -> np.ndarray:  # repro-lint: disable=api-unreachable-export -- test oracle: one backward pass per sample, the reference for every log_psi_and_grads
     """Per-sample gradients via the autograd tape — the slow generic path.
 
     Computes ``J[b, k] = ∂ log ψ(x_b) / ∂ θ_k`` with one backward pass per

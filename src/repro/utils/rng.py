@@ -9,11 +9,9 @@ which is the numpy-recommended way to obtain non-overlapping streams.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-__all__ = ["as_generator", "init_rng", "spawn_generators", "RngPool"]
+__all__ = ["as_generator", "init_rng", "spawn_generators"]
 
 #: seed of the fallback initialisation stream (see :func:`init_rng`)
 DEFAULT_INIT_SEED = 0
@@ -62,47 +60,3 @@ def spawn_generators(
     else:
         ss = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-class RngPool:
-    """A reproducible pool of named random streams.
-
-    Components often need several logically distinct streams (parameter
-    initialisation, sampling, proposal noise, ...). Keying streams by name
-    keeps runs reproducible even when the call order between components
-    changes.
-
-    Examples
-    --------
-    >>> pool = RngPool(123)
-    >>> rng_init = pool["init"]
-    >>> rng_samp = pool["sampling"]
-    >>> pool["init"] is rng_init  # same stream on repeat lookup
-    True
-    """
-
-    def __init__(self, seed: int | None = None):
-        self._root = np.random.SeedSequence(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def __getitem__(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            # Hash the name into spawn-key space for order independence.
-            key = np.frombuffer(name.encode("utf-8"), dtype=np.uint8)
-            entropy = list(self._root.entropy if isinstance(self._root.entropy, tuple)
-                           else [self._root.entropy or 0]) + key.tolist()
-            self._streams[name] = np.random.default_rng(np.random.SeedSequence(entropy))
-        return self._streams[name]
-
-    def spawn(self, name: str, n: int) -> list[np.random.Generator]:
-        """Return ``n`` independent generators under the given name."""
-        return spawn_generators(self[name], n)
-
-    def names(self) -> Iterable[str]:
-        return tuple(self._streams)
-
-
-def check_seeds_distinct(seeds: Sequence[int]) -> None:
-    """Raise if any two seeds coincide (guard for experiment sweeps)."""
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"duplicate seeds in {seeds!r}")

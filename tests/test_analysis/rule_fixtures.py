@@ -9,11 +9,21 @@ lockstep with the live catalogue: adding a rule without a fixture pair
 These are *smoke* fixtures — the minimal canonical trigger and its
 minimal fix. Edge-case coverage lives in ``test_lint_rules.py`` and
 ``test_dataflow_rules.py``.
+
+A fixture is the source of the linted file, ``src/repro/models/fixture.py``
+of a scratch project — or, for a rule that reads the files around it, a
+``{path: source}`` dict whose first entry is that file. A key
+``<rule-id>/<case>`` is a further row for the same rule; such a row may
+show one side only and leave the other ``None``.
 """
 
 from __future__ import annotations
 
-FIXTURES: dict[str, tuple[str, str]] = {
+FIXTURE_PATH = "src/repro/models/fixture.py"
+
+Fixture = str | dict[str, str] | None
+
+FIXTURES: dict[str, tuple[Fixture, Fixture]] = {
     "ag-float-eq": (
         "def check(x):\n    return compute(x) == 1.5\n",
         "def check(x):\n    return abs(compute(x) - 1.5) < 1e-9\n",
@@ -120,5 +130,48 @@ FIXTURES: dict[str, tuple[str, str]] = {
         "def timed(tracer, work):\n"
         "    with tracer.span('phase'):\n"
         "        work()\n",
+    ),
+    "api-unreachable-export": (
+        "def orphan(x):\n    return x\n",
+        "def helper(x):\n    return x\nDEFAULT = helper(1)\n",
+    ),
+    "api-unreachable-export/reexport-only": (
+        # the package __init__ and __all__ keep nothing alive
+        {
+            FIXTURE_PATH: "__all__ = ['orphan']\ndef orphan(x):\n    return x\n",
+            "src/repro/models/__init__.py": (
+                "from repro.models.fixture import orphan\n__all__ = ['orphan']\n"
+            ),
+        },
+        # ... an import by a package it does not live in does
+        {
+            FIXTURE_PATH: "def shared(x):\n    return x\n",
+            "src/repro/core/__init__.py": "from repro.models.fixture import shared\n",
+        },
+    ),
+    "api-unreachable-export/sibling-trees": (
+        # tests/ is not a reacher; benchmarks/ is, though only src/ is linted
+        {
+            FIXTURE_PATH: "def probe(x):\n    return x\n",
+            "tests/test_probe.py": "from repro.models.fixture import probe\n",
+        },
+        {
+            FIXTURE_PATH: "def probe(x):\n    return x\n",
+            "benchmarks/bench_probe.py": (
+                "from repro.models import fixture\nfixture.probe(1)\n"
+            ),
+        },
+    ),
+    "api-unreachable-export/decorated": (
+        # a stdlib decorator files the class nowhere; a project one may
+        "from dataclasses import dataclass\n@dataclass\nclass Record:\n    x: int = 0\n",
+        "from repro.analysis.lint import Rule, register\n"
+        "@register\n"
+        "class Probe(Rule):\n"
+        "    id = 'probe'\n",
+    ),
+    "api-unreachable-export/recursion": (
+        "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n",
+        None,
     ),
 }

@@ -15,7 +15,6 @@ from repro.analysis.lint import (
     iter_rules,
     lint_file,
     lint_paths,
-    rule_ids,
 )
 
 pytestmark = pytest.mark.analysis
@@ -32,12 +31,13 @@ EXPECTED_RULES = {
     "dist-rank-divergent-collective",
     "dist-collective-order",
     "dist-epoch-tag",
+    "api-unreachable-export",
 }
 
 
 class TestRegistry:
     def test_builtin_catalogue_registered(self):
-        assert EXPECTED_RULES <= set(rule_ids())
+        assert EXPECTED_RULES <= {rule.id for rule in iter_rules()}
 
     def test_rules_carry_metadata(self):
         for rule in iter_rules():
@@ -178,12 +178,16 @@ class TestLintContext:
 
 class TestLintPaths:
     def test_walks_directories_and_skips_caches(self, tmp_path):
-        (tmp_path / "pkg").mkdir()
-        (tmp_path / "pkg" / "a.py").write_text("import random\n")
-        (tmp_path / "pkg" / "__pycache__").mkdir()
-        (tmp_path / "pkg" / "__pycache__" / "b.py").write_text("import random\n")
-        (tmp_path / "pkg" / "note.txt").write_text("import random\n")
-        report = lint_paths([tmp_path])
+        # Hidden and cache directories inside the tree are skipped; a
+        # hidden directory *above* it (where the checkout lives) is not.
+        root = tmp_path / ".work"
+        (root / "pkg").mkdir(parents=True)
+        (root / "pkg" / "a.py").write_text("import random\n")
+        for skipped in ("__pycache__", ".venv"):
+            (root / "pkg" / skipped).mkdir()
+            (root / "pkg" / skipped / "b.py").write_text("import random\n")
+        (root / "pkg" / "note.txt").write_text("import random\n")
+        report = lint_paths([root])
         assert report.files_scanned == 1
         assert [f.rule_id for f in report.findings] == ["det-stdlib-random"]
 

@@ -1,4 +1,4 @@
-"""Annealing schedules, early stopping, gradient clipping, MCMC proposals."""
+"""Annealing schedules, gradient clipping, MCMC proposals."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import VQMC, History
 from repro.core.annealing import AnnealingCallback, AnnealingSchedule, transverse_driver
-from repro.core.callbacks import EarlyStopping, StopTraining
 from repro.core.vqmc import VQMCConfig
 from repro.exact import brute_force_max_cut, ground_state
 from repro.hamiltonians import MaxCut
@@ -64,34 +63,6 @@ class TestAnnealingSchedule:
         assert vqmc.hamiltonian.offset == ham.offset
         x = AutoregressiveSampler().sample(model, 512, np.random.default_rng(0))
         assert ham.cut_value(x).max() >= opt_cut - 1e-9
-
-
-class TestEarlyStopping:
-    def test_stops_on_plateau(self, small_tim, rng):
-        model = MADE(6, rng=rng)
-        vqmc = VQMC(
-            model, small_tim, AutoregressiveSampler(),
-            SGD(model.parameters(), lr=1e-9),  # effectively frozen → plateau
-            seed=1,
-        )
-        cb = EarlyStopping(patience=5, min_delta=1e-3, window=3)
-        results = vqmc.run(200, batch_size=64, callbacks=[cb])
-        assert cb.stopped_at is not None
-        assert len(results) < 200
-
-    def test_does_not_stop_while_improving(self, small_tim, rng):
-        model = MADE(6, rng=rng)
-        vqmc = VQMC(
-            model, small_tim, AutoregressiveSampler(),
-            Adam(model.parameters(), lr=0.02), seed=1,
-        )
-        cb = EarlyStopping(patience=25, min_delta=1e-6, window=5)
-        results = vqmc.run(40, batch_size=256, callbacks=[cb])
-        assert len(results) == 40
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(patience=0)
 
 
 class TestGradClipping:

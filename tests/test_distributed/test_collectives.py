@@ -110,17 +110,6 @@ class TestOtherCollectives:
             for r, part in enumerate(parts):
                 assert np.allclose(part, [r, r**2])
 
-    def test_reduce_only_root_gets_result(self):
-        def worker(comm, rank):
-            return comm.reduce(np.ones(3) * (rank + 1), root=2, op="sum")
-
-        results = run_threaded(worker, 4)
-        for r, res in enumerate(results):
-            if r == 2:
-                assert np.allclose(res, 10.0)
-            else:
-                assert res is None
-
     def test_barrier_runs(self):
         def worker(comm, rank):
             comm.barrier()

@@ -50,7 +50,7 @@ class TestSplit:
             assert got == float(rank % 2)  # group roots are ranks 0 and 1
 
     def test_hierarchical_allreduce_equals_global(self):
-        """Reduce within node-groups, allreduce across leaders, broadcast
+        """Allreduce within node-groups, allreduce across leaders, broadcast
         down — must equal one global allreduce."""
 
         def worker(comm, rank):
@@ -58,7 +58,7 @@ class TestSplit:
             expect = comm.allreduce(data.copy())
 
             node = comm.split(color=rank // 2)  # 2 ranks per "node"
-            partial = node.reduce(data.copy(), root=0)
+            partial = node.allreduce(data.copy())
             leaders = comm.split(color=0 if node.rank == 0 else 1)
             if node.rank == 0:
                 total = leaders.allreduce(partial)

@@ -10,7 +10,9 @@ Pinned here, for every subset of ``{plan, retry, sanitize}``:
   beneath it;
 
 and, by an AST walk, that nothing in ``src/ benchmarks/ examples/ tools/``
-constructs one of the four static wrappers except ``build_comm`` itself.
+constructs one of the four static wrappers except ``build_comm`` itself;
+and that the layers' per-collective tables name exactly the collectives of
+``repro.analysis.callgraph.COLLECTIVES``, the one definition.
 """
 
 from __future__ import annotations
@@ -123,6 +125,23 @@ def test_step_scoped_plan_adds_no_layer():
     backend = make_thread_group(2)[0]
     plan = FaultPlan([FaultEvent(kind="crash", rank=1, step=3)])
     assert build_comm(backend, plan=plan) is backend
+
+
+def test_every_layer_names_the_one_collective_set():
+    """A collective added or removed shows up here, not as drift between
+    the lint rules, the mismatch injector and the sanitizer."""
+    from repro.analysis import comm_sanitizer
+    from repro.analysis.callgraph import COLLECTIVES
+    from repro.distributed import Communicator
+
+    wrapped = COLLECTIVES - {"split"}  # split is an allgather underneath
+    assert set(MismatchedCollectiveInjector._SWAPS) == wrapped
+    assert set(MismatchedCollectiveInjector._SWAPS.values()) <= wrapped
+    assert set(comm_sanitizer._KIND_IDS) == wrapped
+    for name in COLLECTIVES:
+        assert callable(vars(Communicator)[name]), name
+    for layer in (MismatchedCollectiveInjector, CommSanitizer):
+        assert wrapped <= set(vars(layer)), layer
 
 
 def _wrapper_calls(tree):

@@ -35,8 +35,6 @@ from repro.distributed import (
     PolicyObservation,
     RetryPolicy,
     ScalingPolicy,
-    TargetSNRPolicy,
-    TargetStepTimePolicy,
     TrainingSupervisor,
     build_comm,
     run_data_parallel,
@@ -74,19 +72,6 @@ def _obs(**kw):
 class TestScalingPolicies:
     def test_base_policy_admits_everyone(self):
         assert ScalingPolicy().decide(_obs()) == "grow"
-
-    def test_target_step_time(self):
-        policy = TargetStepTimePolicy(target_seconds=1.0, shrink_below=0.5)
-        assert policy.decide(_obs(step_seconds=2.0)) == "grow"
-        assert policy.decide(_obs(step_seconds=0.7)) == "hold"
-        assert policy.decide(_obs(step_seconds=0.3)) == "shrink"
-
-    def test_target_snr(self):
-        policy = TargetSNRPolicy(target_snr=20.0)
-        assert policy.decide(_obs(energy_mean=-5.0, energy_sem=1.0)) == "grow"
-        assert policy.decide(_obs(energy_mean=-5.0, energy_sem=0.1)) == "hold"
-        # degenerate sem: no signal, keep the current world
-        assert policy.decide(_obs(energy_sem=0.0)) == "hold"
 
 
 # -- one loop, one teardown ------------------------------------------------------

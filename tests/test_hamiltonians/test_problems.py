@@ -6,12 +6,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.exact import brute_force_ground_state, spectral_gap
+from repro.exact import brute_force_ground_state
 from repro.hamiltonians import (
     max_independent_set,
     number_partitioning,
     sherrington_kirkpatrick,
-    vertex_cover,
 )
 from tests.conftest import enumerate_states
 
@@ -92,45 +91,3 @@ class TestMaxIndependentSet:
             max_independent_set(nx.path_graph(3), penalty=1.0)
         with pytest.raises(ValueError):
             max_independent_set(nx.Graph())
-
-
-class TestVertexCover:
-    def test_star_graph(self):
-        ham = vertex_cover(nx.star_graph(5))  # centre covers everything
-        e, bits = brute_force_ground_state(ham)
-        assert e == pytest.approx(1.0)
-
-    def test_cover_complements_independent_set(self):
-        """König-free identity: |min VC| = n − |MIS| on any graph."""
-        for seed in range(3):
-            g = nx.gnp_random_graph(9, 0.35, seed=seed)
-            vc_e, _ = brute_force_ground_state(vertex_cover(g))
-            mis_e, _ = brute_force_ground_state(max_independent_set(g))
-            assert vc_e == pytest.approx(9 + mis_e)  # mis_e = -|MIS|
-
-    def test_cover_is_valid(self):
-        g = nx.gnp_random_graph(8, 0.5, seed=1)
-        _, bits = brute_force_ground_state(vertex_cover(g))
-        covered = {v for v in range(8) if bits[v] == 1.0}
-        assert all(u in covered or v in covered for u, v in g.edges())
-
-
-class TestSpectralGap:
-    def test_gap_of_known_two_level_system(self):
-        from repro.hamiltonians import ZZXHamiltonian
-
-        # Single spin in transverse field Γ: spectrum ±Γ → gap 2Γ.
-        ham = ZZXHamiltonian(
-            alpha=np.array([0.7]), beta=np.zeros(1), couplings=np.zeros((1, 1))
-        )
-        assert spectral_gap(ham) == pytest.approx(1.4)
-
-    def test_degenerate_ground_space_gap_zero(self):
-        from repro.hamiltonians import MaxCut
-
-        # Max-Cut always has the x ↔ 1-x symmetry → doubly degenerate.
-        ham = MaxCut.random(8, seed=2)
-        assert spectral_gap(ham) == pytest.approx(0.0, abs=1e-9)
-
-    def test_tfim_gap_positive(self, small_tim):
-        assert spectral_gap(small_tim) > 0.0

@@ -12,7 +12,6 @@ from repro.hamiltonians.base import (
     bits_to_spins,
     index_to_bits,
     quadratic_form,
-    spins_to_bits,
 )
 
 
@@ -101,10 +100,6 @@ class TestRowInterface:
 
 
 class TestConventions:
-    def test_bits_spins_roundtrip(self, rng):
-        x = (rng.random((5, 7)) < 0.5).astype(float)
-        assert np.array_equal(spins_to_bits(bits_to_spins(x)), x)
-
     def test_bit_zero_is_spin_up(self):
         assert bits_to_spins(np.array([0.0]))[0] == 1.0
 

@@ -159,14 +159,15 @@ class TestCrashDump:
         assert (tmp_path / flight_file_name(0)).exists()
 
     def test_stop_training_is_not_a_crash(self, tmp_path):
-        from repro.core.callbacks import EarlyStopping
+        from repro.core.callbacks import HittingTime
 
         fr = FlightRecorder(tmp_path, capacity=8, rank=0)
         vqmc = _make_vqmc()
-        vqmc.run(
+        results = vqmc.run(
             8, batch_size=16,
-            callbacks=[fr, EarlyStopping(patience=1, min_delta=1e9)],
+            callbacks=[fr, HittingTime(target=-np.inf, eval_batch_size=16)],
         )
+        assert len(results) == 1  # the callback did stop the run
         assert not (tmp_path / flight_file_name(0)).exists()
 
 

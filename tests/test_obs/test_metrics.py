@@ -9,6 +9,8 @@ so associativity is a strict equality check rather than approximate.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +149,42 @@ class TestInstruments:
         assert m.snapshot()["counters"]["events"] == 3.5
         with pytest.raises(ValueError, match="only increase"):
             m.inc("events", -1.0)
+
+    def test_concurrent_increments_are_not_lost(self):
+        """``serve.queries.*`` is bumped from many HTTP handler threads: 8
+        threads x 20 000 bumps must read exactly 160 000. The amount's
+        ``__radd__`` is a Python frame, so with a tiny switch interval a
+        thread switch lands inside the ``+=`` on every few bumps; plain
+        floats would only race on interpreters that check for switches
+        between bytecodes."""
+
+        class One(float):
+            def __radd__(self, other):
+                return other + 1.0
+
+        m = Metrics()
+
+        def bump():
+            one = One(1.0)
+            for _ in range(20_000):
+                m.inc("serve.queries", one)
+                m.observe("serve.query_s", one)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        snap = m.snapshot()
+        assert snap["counters"]["serve.queries"] == 160_000
+        hist = snap["histograms"]["serve.query_s"]
+        assert hist["count"] == sum(hist["counts"]) == hist["sum"] == 160_000
 
     def test_gauge_last_write_wins(self):
         m = Metrics()

@@ -1,4 +1,4 @@
-"""SGD / Adam / schedulers against reference behaviour."""
+"""SGD / Adam against reference behaviour."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, ConstantLR, CosineAnnealingLR, StepLR
+from repro.optim import SGD, Adam
 
 
 def quadratic_param(start=5.0):
@@ -114,39 +114,3 @@ class TestAdam:
     def test_validation(self):
         with pytest.raises(ValueError):
             Adam([quadratic_param()], betas=(1.0, 0.9))
-
-
-class TestSchedulers:
-    def test_constant(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1)
-        sched = ConstantLR(opt)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == 0.1
-
-    def test_step_lr(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(6):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01, 0.01, 0.001])
-
-    def test_cosine(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_midpoint(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(0.5)

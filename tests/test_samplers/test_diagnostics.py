@@ -7,7 +7,6 @@ import pytest
 
 from repro.samplers.diagnostics import (
     autocorrelation,
-    effective_sample_size,
     gelman_rubin,
     integrated_autocorr_time,
     total_variation_distance,
@@ -59,15 +58,6 @@ class TestTauAndESS:
         tau = integrated_autocorr_time(ar1(rng, phi, 400000))
         theory = (1 + phi) / (1 - phi)  # = 19
         assert abs(tau - theory) / theory < 0.25
-
-    def test_ess_less_than_length_for_correlated(self, rng):
-        series = ar1(rng, 0.95, 50000)
-        ess = effective_sample_size(series)
-        assert ess < 50000 / 10
-
-    def test_ess_close_to_length_for_iid(self, rng):
-        ess = effective_sample_size(rng.normal(size=10000))
-        assert ess > 10000 / 2
 
 
 class TestGelmanRubin:

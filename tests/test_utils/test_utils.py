@@ -1,14 +1,11 @@
-"""Utility modules: RNG management, timers, table formatting."""
+"""Utility modules: RNG management, table formatting."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
-from repro.utils import RngPool, Timer, as_generator, format_table, spawn_generators
-from repro.utils.rng import check_seeds_distinct
+from repro.utils import as_generator, format_table, spawn_generators
 from repro.utils.tables import format_cell
 
 
@@ -39,35 +36,6 @@ class TestRng:
     def test_spawn_validation(self):
         with pytest.raises(ValueError):
             spawn_generators(0, -1)
-
-    def test_pool_streams_stable_by_name(self):
-        pool = RngPool(7)
-        first = pool["sampling"]
-        assert pool["sampling"] is first
-
-    def test_pool_names_independent_of_order(self):
-        p1, p2 = RngPool(7), RngPool(7)
-        a1 = p1["a"].random(5)
-        _ = p2["b"].random(5)
-        a2 = p2["a"].random(5)
-        assert np.array_equal(a1, a2)
-
-    def test_pool_spawn(self):
-        pool = RngPool(3)
-        gens = pool.spawn("workers", 3)
-        assert len(gens) == 3
-
-    def test_check_seeds_distinct(self):
-        check_seeds_distinct([1, 2, 3])
-        with pytest.raises(ValueError):
-            check_seeds_distinct([1, 2, 1])
-
-
-class TestTimers:
-    def test_timer_measures(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert 0.005 < t.elapsed < 1.0
 
 
 class TestTables:

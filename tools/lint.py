@@ -20,7 +20,8 @@ Schedule exploration (the dynamic prong)::
 
 Exit codes (both subcommands): 0 clean / replay verified, 1 findings /
 schedule failure / replay divergence, 2 usage or internal error. CI runs
-the lint over ``src/ tools/ benchmarks/`` and a bounded explore smoke
+the lint over ``src/ tools/ benchmarks/ examples/`` (one call: project
+rules see what one call is given) and a bounded explore smoke
 (also enforced in-process by ``tests/test_analysis/``, so plain pytest
 gates the same invariants).
 
