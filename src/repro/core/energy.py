@@ -43,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
-from repro.models.base import WaveFunction
+from repro.models.base import WaveFunction, validate_configurations
 from repro.tensor.tensor import no_grad
+from repro.utils.rows import DistinctRows, distinct_rows
 
 __all__ = [
     "EnergyStats",
@@ -120,8 +121,14 @@ def local_energies(
     log_psi_x: np.ndarray | None = None,
     return_log_psi: bool = False,
     fast: bool | None = None,
+    rows: DistinctRows | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Evaluate ``l(x)`` for a batch — shape (B,). No autograd graph is built.
+
+    ``l`` is a function of the configuration alone, so each distinct row of
+    ``x`` is evaluated once and the results are scattered back through the
+    inverse index (:func:`~repro.utils.rows.distinct_rows`); a batch without
+    repeats takes no gather and no scatter.
 
     Two execution paths:
 
@@ -148,6 +155,9 @@ def local_energies(
         Force (True) or forbid (False) the fused kernel; ``None`` picks
         automatically. Forcing it on an unsupported model/Hamiltonian pair
         raises ``ValueError``.
+    rows:
+        ``distinct_rows(x == 1)`` when the caller has already grouped the
+        batch (``VQMC.step`` reports the count); computed here otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != hamiltonian.n:
@@ -160,7 +170,31 @@ def local_energies(
             raise ValueError(
                 f"log_psi_x must have shape ({x.shape[0]},), got {log_psi_x.shape}"
             )
+    # grouping by bits is exact only for 0/1 rows
+    x = validate_configurations(x, hamiltonian.n)
+    if rows is None:
+        rows = distinct_rows(x == 1.0)
+    elif rows.inverse.shape != (x.shape[0],):
+        raise ValueError(f"rows group {rows.inverse.size} rows, x has {x.shape[0]}")
+    if not rows.repeats:
+        return _local_energies(model, hamiltonian, x, log_psi_x, return_log_psi, fast)
+    first, inverse = rows
+    out = _local_energies(
+        model,
+        hamiltonian,
+        x[first],
+        None if log_psi_x is None else log_psi_x[first],
+        return_log_psi,
+        fast,
+    )
+    if not return_log_psi:
+        return out[inverse]
+    energies, log_psi = out
+    return energies[inverse], log_psi[inverse] if log_psi_x is None else log_psi_x
 
+
+def _local_energies(model, hamiltonian, x, log_psi_x, return_log_psi, fast):
+    """:func:`local_energies` of a batch as given, repeats and all."""
     from repro.perf.flips import flip_log_ratios
 
     flips = _fused_flips(model, hamiltonian)

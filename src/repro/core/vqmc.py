@@ -43,6 +43,7 @@ from repro.optim.base import Optimizer
 from repro.optim.sr import StochasticReconfiguration
 from repro.samplers.base import Sampler
 from repro.utils.rng import as_generator
+from repro.utils.rows import distinct_rows
 
 __all__ = ["VQMC", "VQMCConfig", "StepResult", "StepDriver"]
 
@@ -131,6 +132,9 @@ class StepResult:
     #: (:mod:`repro.perf.flips`) or ``'dense'`` (one forward pass over all
     #: neighbours). Dense steps also bump the ``energy.dense_fallback`` counter.
     energy_path: str = ""
+    #: distinct configurations among this rank's samples — the rows its
+    #: local energies were evaluated on (also the ``energy.distinct_rows`` gauge)
+    distinct_rows: int = 0
 
 
 class VQMC:
@@ -158,8 +162,10 @@ class VQMC:
         Optional :class:`repro.obs.Tracer`. When given, every step emits
         nested phase spans (``step`` > ``sample`` / ``local_energy`` /
         ``gradient`` / ``sr_solve`` / ``optimizer``; ``sample`` and
-        ``local_energy`` carry the kernel that ran as ``path``, ``sr_solve``
-        how the Gram matrix was built as ``gram``, and each
+        ``local_energy`` carry the kernel that ran as ``path``,
+        ``local_energy`` the distinct configurations it evaluated as
+        ``distinct``, ``sr_solve`` how the Gram matrix was built as
+        ``gram``, and each
         plan stage inside ``gradient`` is a span the plan names —
         ``jit.replay`` compiled, ``jit.interpret`` interpreted — with
         ``phase`` / ``stage`` / ``batch``) and the tracer is attached to
@@ -170,7 +176,8 @@ class VQMC:
     metrics:
         Optional :class:`repro.obs.Metrics` registry. Takes the driver's
         path-taken counters (``energy.dense_fallback``,
-        ``sampler.naive_fallback``) and is forwarded to the step compiler
+        ``sampler.naive_fallback``), the ``energy.distinct_rows`` gauge,
+        and is forwarded to the step compiler
         (``jit.*``) and to ``sr`` (per-solve ``sr.*`` counters: solves by
         path, dense Jacobians, collective bytes); snapshot it after
         a run and merge across ranks with :func:`repro.obs.merge_snapshots`.
@@ -317,9 +324,15 @@ class VQMC:
                 else:
                     with self.tracer.span(plan.span, stage="forward", **attrs):
                         lp = plan.forward(x)
-            with self._phase(phases, "local_energy", path=energy_path):
-                local = local_energies(self.model, self.hamiltonian, x, log_psi_x=lp)
+            with self._phase(phases, "local_energy", path=energy_path) as span:
+                rows = distinct_rows(x == 1.0)
+                local = local_energies(
+                    self.model, self.hamiltonian, x, log_psi_x=lp, rows=rows
+                )
                 stats = self._combine_stats(local)
+                self.tracer.end(span, distinct=rows.count)
+            if self.metrics is not None:
+                self.metrics.set("energy.distinct_rows", rows.count)
             # ∇L = 2⟨(l − L̄) O⟩, centred with the *global* mean and normalised
             # by the *global* count so distributed gradients average to the
             # exact big-batch estimator even with unequal per-rank batches.
@@ -363,6 +376,7 @@ class VQMC:
             acceptance=self.sampler.last_stats.acceptance_rate,
             vqmc=self,
             energy_path=energy_path,
+            distinct_rows=rows.count,
             phase_seconds=phases,
         )
 

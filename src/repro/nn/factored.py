@@ -13,7 +13,8 @@ and supplies what stochastic reconfiguration and the energy gradient need:
 
 - ``w @ O`` — one weighted backward, ``((δ_l ∘ w)ᵀ a_l) ∘ M_l`` per layer;
 - ``O @ v`` — one GEMM per layer, ``rowsum((a_l (M_l ∘ V_l)ᵀ) ∘ δ_l) + δ_l v_b``;
-- :meth:`FactoredO.gram` — ``O Oᵀ`` from layer statistics (below);
+- :meth:`FactoredO.gram` — ``O Oᵀ`` from layer statistics (below), built
+  on the :attr:`~FactoredO.distinct` rows and scattered back;
 - :meth:`FactoredO.allgather` — every rank's rows, ``N_r · Σ(in + out)`` floats;
 - ``np.asarray(O)`` — the dense matrix, for oracles and diagnostics.
 
@@ -38,6 +39,8 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+
+from repro.utils.rows import DistinctRows, distinct_rows
 
 __all__ = ["FactoredO", "LinearFactor", "GRAM_BLOCK", "FEATURE_CHUNK"]
 
@@ -134,12 +137,33 @@ class FactoredO:
                 out += delta @ v[layer.b]
         return out
 
+    @cached_property
+    def distinct(self) -> DistinctRows:
+        """The rows whose every layer factor is bit-identical, grouped."""
+        return distinct_rows(self._packed())
+
+    def _packed(self) -> np.ndarray:
+        """Every layer's ``(a_l, δ_l)`` side by side: one row per sample."""
+        return np.concatenate([m for _, a, delta in self.factors for m in (a, delta)], axis=1)
+
     def gram(self) -> np.ndarray:
-        """``O Oᵀ`` (N × N) from layer statistics — no N × d intermediate."""
-        n = self.shape[0]
+        """``O Oᵀ`` (N × N) from layer statistics — no N × d intermediate.
+
+        Built on the :attr:`distinct` rows and scattered back; a batch
+        without repeats is built as it is."""
+        first, inverse = rows = self.distinct
+        if not rows.repeats:
+            return self._gram(self.factors)
+        distinct = [(layer, a[first], delta[first]) for layer, a, delta in self.factors]
+        return self._gram(distinct)[inverse][:, inverse]
+
+    @staticmethod
+    def _gram(factors) -> np.ndarray:
+        """The Gram matrix of the rows ``factors`` hold, every one of them."""
+        n = len(factors[0][1])
         gram = np.zeros((n, n))
         dd, aa = np.empty((n, n)), np.empty((n, n))
-        for layer, a, delta in self.factors:
+        for layer, a, delta in factors:
             if layer.b is not None:
                 gram += np.matmul(delta, delta.T, out=dd)
             hadamard, rows, cols = layer.gram_blocks
@@ -159,8 +183,7 @@ class FactoredO:
 
         One ``comm.allgather`` of the layers' ``(a_l, δ_l)`` packed side by
         side: ``N_r · Σ_l(in_l + out_l)`` floats from this rank."""
-        packed = np.concatenate([m for _, a, delta in self.factors for m in (a, delta)], axis=1)
-        rows = np.concatenate(comm.allgather(packed), axis=0)
+        rows = np.concatenate(comm.allgather(self._packed()), axis=0)
         factors, at = [], 0
         for layer, a, delta in self.factors:
             mid, end = at + a.shape[1], at + a.shape[1] + delta.shape[1]

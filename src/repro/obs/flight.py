@@ -88,7 +88,7 @@ class StepFrameBuilder:
     A frame is a flat dict of plain scalars::
 
         {"step", "energy", "std", "sem", "grad_norm", "acceptance",
-         "step_time", "phases": {...},
+         "step_time", "distinct_rows", "phases": {...},
          "sr": {"solver", "iterations", "residual", "incomplete"},   # if SR ran
          "metric_deltas": {...},   # counter movement since the last frame
          "gauges": {...},          # absolute gauge levels (jit.arena_bytes, ...)
@@ -117,6 +117,9 @@ class StepFrameBuilder:
                 # NaN is preserved on purpose: a NaN grad_norm/energy is a
                 # health signal, not a serialisation accident.
                 frame[name] = float(raw)
+        distinct = getattr(result, "distinct_rows", None)
+        if distinct:
+            frame["distinct_rows"] = int(distinct)
         phases = getattr(result, "phase_seconds", None)
         if phases:
             frame["phases"] = {k: float(v) for k, v in sorted(phases.items())}

@@ -224,7 +224,7 @@ class StochasticReconfiguration:
         Returns ``(δ, global N, residual)``."""
         factored = isinstance(o, FactoredO)
         shift = self.diag_shift
-        with self.tracer.span("sr.gram", gram="layers" if factored else "dense"):
+        with self.tracer.span("sr.gram", gram="layers" if factored else "dense") as span:
             if comm is not None:
                 o = o.allgather(comm) if factored else np.concatenate(comm.allgather(o))
             n = o.shape[0]
@@ -232,6 +232,8 @@ class StochasticReconfiguration:
             a -= a.mean(axis=0)  # Gc = HGH, H = I - 11ᵀ/N
             a -= a.mean(axis=1, keepdims=True)
             a /= n
+            # the rows G was built on: a factored O's distinct rows, over all ranks
+            self.tracer.end(span, rows=o.distinct.count if factored else n)
         with self.tracer.span("sr.cholesky", n=n):
             rhs = o @ grad
             rhs -= rhs.mean()

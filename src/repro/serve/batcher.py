@@ -16,8 +16,10 @@ Batching-window semantics (documented contract, asserted by tests):
   idle batcher is served at once (``coalesced == 1``), and whatever queued
   behind a busy executor leaves together, up to ``window``. Coalescing
   under load comes from that queue, never from a timer.
-- Requests for *different* model keys never share a forward; keys are
-  served oldest-first.
+- Requests for *different* model keys never share a forward; keys take
+  turns (round-robin): a key with requests left after its forward goes to
+  the back of the line, so a steady stream on one model cannot starve
+  queries on another.
 
 One coalesced forward draws ``sum(batch_size)`` samples from the entry's
 dedicated ``query_rng`` (never a training stream — the RNG-sharing fix in
@@ -154,9 +156,11 @@ class RequestBatcher:
                 self._cond.wait(0.05)
             if not self._pending:
                 return None  # stopped and drained
-            key, queue = next(iter(self._pending.items()))  # oldest key first
+            key, queue = next(iter(self._pending.items()))
             group = [queue.popleft() for _ in range(min(self.window, len(queue)))]
-            if not queue:
+            if queue:
+                self._pending.move_to_end(key)  # round-robin: the others go first
+            else:
                 del self._pending[key]
             return group
 

@@ -14,7 +14,12 @@ none of which the driver calls:
 The ``per_sample+sr`` rows are held to the same bounds as the others: the
 natural-gradient solve is direct (``O`` in factored form, an exact N×N
 system; on 2 ranks one allgather of layer factors), so SR amplifies
-roundoff by the system's condition number and by nothing else.
+roundoff by the system's condition number and by nothing else. The
+``+collapsed`` row runs it on a model that draws at most eight distinct
+configurations, so local energies and the Gram matrix are evaluated on the
+distinct rows and scattered back (on 2 ranks: grouped across both ranks'
+rows after the allgather); the step's ``distinct`` / ``rows`` span
+attributes must say so.
 
 The same rows pin the timer contract: the keys of ``phase_seconds`` are the
 step's depth-1 span names, and the phases fit inside ``step_time``.
@@ -36,17 +41,25 @@ from repro.samplers import AutoregressiveSampler
 from repro.utils.rng import spawn_generators
 
 N, BATCH, STEPS, SEED = 6, 32, 3, 5
+#: sites a collapsed model leaves random: at most 2**3 distinct configurations
+FREE_SITES = 3
 
-#: row name -> (config.gradient_mode, SR on)
+#: row name -> (config.gradient_mode, SR on, collapsed model)
 PATHS = {
-    "autograd": ("autograd", False),
-    "per_sample": ("per_sample", False),
-    "per_sample+sr": ("per_sample", True),
+    "autograd": ("autograd", False, False),
+    "per_sample": ("per_sample", False, False),
+    "per_sample+sr": ("per_sample", True, False),
+    # Samples of this size almost never repeat a row; a collapsed model
+    # repeats most of them, so local energies and the Gram matrix run on
+    # the distinct rows and are scattered back.
+    "per_sample+sr+collapsed": ("per_sample", True, True),
 }
 
 
-def _parts(sr_on: bool):
+def _parts(sr_on: bool, collapsed: bool = False):
     model = MADE(N, hidden=8, rng=np.random.default_rng(7))
+    if collapsed:  # σ(30) rounds to 1 in sampling: sites ≥ FREE_SITES are 1
+        model.fc_layers[-1].bias.data[FREE_SITES:] = 30.0
     ham = TransverseFieldIsing.random(N, seed=99)
     sr = StochasticReconfiguration() if sr_on else None
     return model, ham, sr, SGD(model.parameters(), lr=0.05)
@@ -54,8 +67,8 @@ def _parts(sr_on: bool):
 
 def _reference(path: str, world: int) -> np.ndarray:
     """``STEPS`` big-batch oracle steps over the ranks' sampling streams."""
-    mode, sr_on = PATHS[path]
-    model, ham, sr, opt = _parts(sr_on)
+    mode, sr_on, collapsed = PATHS[path]
+    model, ham, sr, opt = _parts(sr_on, collapsed)
     sampler = AutoregressiveSampler()
     streams = spawn_generators(SEED, world)
     for _ in range(STEPS):
@@ -77,9 +90,10 @@ def _reference(path: str, world: int) -> np.ndarray:
 
 def _drive(comm, rank, path: str, compile_mode: str, world: int):
     """``STEPS`` driver steps on one rank: final parameters, plus per step
-    (phase_seconds, step_time, that step's depth-1 span names)."""
-    mode, sr_on = PATHS[path]
-    model, ham, sr, opt = _parts(sr_on)
+    (phase_seconds, step_time, that step's depth-1 span names, the rows
+    its local energies and its Gram matrix were evaluated on)."""
+    mode, sr_on, collapsed = PATHS[path]
+    model, ham, sr, opt = _parts(sr_on, collapsed)
     tracer = Tracer(rank=rank)
     vq = VQMC(
         model, ham, AutoregressiveSampler(), opt, sr=sr, comm=comm,
@@ -92,7 +106,10 @@ def _drive(comm, rank, path: str, compile_mode: str, world: int):
         tracer.clear()
         result = vq.step()
         names = {e.name for e in tracer.events if e.depth == 1}
-        steps.append((result.phase_seconds, result.step_time, names))
+        attrs = {e.name: e.attrs for e in tracer.events}
+        rows = (attrs["local_energy"]["distinct"], attrs.get("sr.gram", {}).get("rows"))
+        assert rows[0] == result.distinct_rows
+        steps.append((result.phase_seconds, result.step_time, names, rows))
     return model.flat_parameters(), steps
 
 
@@ -111,12 +128,14 @@ def test_step_matches_the_oracle_step(path, compile_mode, world):
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
-        for phase_seconds, step_time, span_names in steps:
+        for phase_seconds, step_time, span_names, (distinct, gram_rows) in steps:
             expected = {"sample", "gradient", "local_energy", "optimizer"}
-            if path == "per_sample+sr":
+            if PATHS[path][1]:
                 expected.add("sr_solve")
             assert set(phase_seconds) == span_names == expected
             assert sum(phase_seconds.values()) <= step_time
+            if PATHS[path][2]:
+                assert distinct <= 2**FREE_SITES and gram_rows <= 2**FREE_SITES
 
 
 @pytest.mark.parametrize("bad", [0, -3])

@@ -96,6 +96,9 @@ class TestRingBuffer:
         # jit counters move every step -> deltas present, and they are
         # per-step deltas, not cumulative totals
         assert "gauges" in frame and "jit.arena_bytes" in frame["gauges"]
+        # which rows the local energies ran on: the frame and the gauge agree
+        assert 1 <= frame["distinct_rows"] <= 16
+        assert frame["gauges"]["energy.distinct_rows"] == frame["distinct_rows"]
 
 
 class TestStepFrameBuilder:

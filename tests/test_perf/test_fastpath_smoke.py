@@ -82,7 +82,7 @@ class TestLogPsiReuse:
         from repro.models import RBM
 
         model = RBM(6, rng=rng, init_std=0.1)
-        x = (rng.random((4, 6)) < 0.5).astype(float)
+        x = np.eye(6)[:4]  # distinct rows: a repeat would be evaluated once
         with no_grad():
             lp = model.log_psi(x).data
         calls = []

@@ -113,6 +113,30 @@ def test_different_model_keys_never_share_a_forward(entry):
     assert batcher.forwards == 2  # one per key despite window room
 
 
+def test_model_keys_take_turns(entry):
+    """A key with requests left after its forward goes to the back: two
+    windows' worth on A and one request on B are served A, B, A."""
+    other_spec = JobSpec.from_json(
+        {"problem": "tim", "n": N, "arch": "made", "hidden": HIDDEN, "seed": 4}
+    )
+    other = CacheEntry(
+        other_spec.model_key(), build_trainer("tim", N, 0, "made", HIDDEN, 4)
+    )
+    served: list = []
+
+    class Recording(RequestBatcher):
+        def _execute(self, group):
+            served.append((group[0].entry.key, len(group)))
+            super()._execute(group)
+
+    window = 3
+    batcher = Recording(window=window, autostart=False)
+    staged = [batcher.submit(query(seed=3), entry) for _ in range(2 * window)]
+    staged.append(batcher.submit(query(seed=4), other))
+    serve_staged(batcher, staged)
+    assert served == [(entry.key, window), (other.key, 1), (entry.key, window)]
+
+
 def test_forward_failure_rejects_the_whole_group(entry):
     batcher = RequestBatcher(window=4, autostart=False)
     bad_spec = JobSpec.from_json({"problem": "tim", "n": N, "arch": "made",
