@@ -169,6 +169,18 @@ class Project:
             self._index_file(ctx)
         self._call_cache: dict[str, tuple[CallSite, ...]] = {}
         self._callers: dict[str, list[CallSite]] | None = None
+        self._dataflow = None
+
+    @property
+    def dataflow(self):
+        """This project's :class:`~repro.analysis.dataflow.DataflowAnalysis`,
+        built on first use — its fixpoints are a lint call's largest cost —
+        and shared by the rules that read it."""
+        if self._dataflow is None:
+            from repro.analysis.dataflow import DataflowAnalysis  # it imports this module
+
+            self._dataflow = DataflowAnalysis(self)
+        return self._dataflow
 
     # -- indexing ---------------------------------------------------------
 

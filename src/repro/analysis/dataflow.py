@@ -78,6 +78,10 @@ class DataflowAnalysis:
         #: qualname -> transitive ordered collective summary
         self.summaries: dict[str, tuple[str, ...]] = {}
         self._chain_cache: dict[str, tuple[str, ...] | None] = {}
+        #: qualname -> its ``(target, value)`` assignments and returned
+        #: expressions, in body order: read on every fixpoint pass, walked once
+        self._assigns: dict[str, list[tuple[str, ast.AST]]] = {}
+        self._returns: dict[str, list[ast.AST]] = {}
         self._run_taint_fixpoint()
         self._run_summary_fixpoint()
 
@@ -89,6 +93,18 @@ class DataflowAnalysis:
             self.param_taint[fn.qualname] = set()
             self.returns_taint[fn.qualname] = False
             self.tainted_names[fn.qualname] = set()
+            body = list(body_nodes(fn.node))
+            self._assigns[fn.qualname] = [
+                (name, value)
+                for node in body
+                for name, value in _assignments(node)
+                if value is not None
+            ]
+            self._returns[fn.qualname] = [
+                node.value
+                for node in body
+                if isinstance(node, ast.Return) and node.value is not None
+            ]
         # Bounded: each pass can only grow param_taint/returns_taint, both
         # finite; len(fns)+2 passes dominates any call-chain depth.
         for _ in range(len(fns) + 2):
@@ -103,14 +119,11 @@ class DataflowAnalysis:
         # Local fixpoint: assignments propagate taint between names.
         for _ in range(32):
             grew = False
-            for node in body_nodes(fn.node):
-                for target_name, value in _assignments(node):
-                    if value is not None and self._expr_tainted_set(
-                        fn, value, tainted
-                    ):
-                        if target_name not in tainted:
-                            tainted.add(target_name)
-                            grew = True
+            for target_name, value in self._assigns[fn.qualname]:
+                if self._expr_tainted_set(fn, value, tainted):
+                    if target_name not in tainted:
+                        tainted.add(target_name)
+                        grew = True
             if not grew:
                 break
         changed = tainted != self.tainted_names[fn.qualname]
@@ -118,12 +131,11 @@ class DataflowAnalysis:
 
         # Returns.
         if not self.returns_taint[fn.qualname]:
-            for node in body_nodes(fn.node):
-                if isinstance(node, ast.Return) and node.value is not None:
-                    if self._expr_tainted_set(fn, node.value, tainted):
-                        self.returns_taint[fn.qualname] = True
-                        changed = True
-                        break
+            for value in self._returns[fn.qualname]:
+                if self._expr_tainted_set(fn, value, tainted):
+                    self.returns_taint[fn.qualname] = True
+                    changed = True
+                    break
 
         # Push taint into callee parameters at resolved call sites.
         for site in self.project.call_sites(fn):

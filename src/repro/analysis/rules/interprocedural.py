@@ -64,7 +64,7 @@ class RankDivergentCollective(ProjectRule):
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        df = DataflowAnalysis(project)
+        df = project.dataflow
         reported: set[int] = set()
         for fn in project.iter_functions():
             for branch in _tainted_branches(df, fn):
@@ -108,7 +108,7 @@ class CollectiveOrderDivergence(ProjectRule):
     )
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        df = DataflowAnalysis(project)
+        df = project.dataflow
         for fn in project.iter_functions():
             for branch in _tainted_branches(df, fn):
                 if isinstance(branch, ast.While):

@@ -168,7 +168,8 @@ class VQMC:
         ``gram``, and each
         plan stage inside ``gradient`` is a span the plan names —
         ``jit.replay`` compiled, ``jit.interpret`` interpreted — with
-        ``phase`` / ``stage`` / ``batch``) and the tracer is attached to
+        ``phase`` / ``stage`` / ``batch`` and the distinct rows it ran on
+        as ``rows``) and the tracer is attached to
         ``comm`` (collective spans), to the sampler (fast-path spans) and
         to ``sr`` (solve sub-spans) so one per-rank timeline covers the
         whole step.
@@ -311,21 +312,23 @@ class VQMC:
                 self._count("energy.dense_fallback")
             mode = self._gradient_mode()
             per_sample = mode == "per_sample"
-            attrs = dict(phase="gradient", batch=bsz)
             self.model.zero_grad()
             # Evaluate the amplitudes ONCE: the gradient path computes
             # log ψ(x) anyway (with a graph or alongside the O matrix), so
             # the energy step reuses it instead of its own forward pass.
+            # Every per-row quantity is evaluated once per distinct row,
+            # grouped here once for the plan and the local energies.
             with self._phase(phases, "gradient", mode=mode):
+                rows = distinct_rows(x == 1.0)
+                attrs = dict(phase="gradient", batch=bsz, rows=rows.count)
                 plan = self.compiler.plan(x, per_sample, cmode)
                 if per_sample:
                     with self.tracer.span(plan.span, stage="per_sample", **attrs):
-                        lp, o = plan.per_sample(x)
+                        lp, o = plan.per_sample(x, rows)
                 else:
                     with self.tracer.span(plan.span, stage="forward", **attrs):
-                        lp = plan.forward(x)
+                        lp = plan.forward(x, rows)
             with self._phase(phases, "local_energy", path=energy_path) as span:
-                rows = distinct_rows(x == 1.0)
                 local = local_energies(
                     self.model, self.hamiltonian, x, log_psi_x=lp, rows=rows
                 )

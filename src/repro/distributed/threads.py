@@ -126,11 +126,20 @@ class ThreadCommunicator(Communicator):
         return not inbox.empty()
 
     def barrier(self) -> None:
-        """The group's ``threading.Barrier`` (or the explorer's commit point)."""
+        """The group's ``threading.Barrier`` (or the explorer's commit point).
+
+        A barrier that :func:`run_threaded` broke because a rank raised
+        fails at once, as a receive from an exited peer does."""
         if self._controller is not None:
             self._controller.barrier_commit(self._rank, self._barrier.parties)
             return
-        self._barrier.wait()
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            raise CommTimeoutError(
+                f"rank {self._rank}: a rank raised before reaching the barrier "
+                "(peer exited)"
+            ) from None
 
 
 def make_thread_group(
@@ -176,7 +185,9 @@ def run_threaded(
     A rank whose ``fn`` has returned or raised marks its outgoing channels,
     so a peer still receiving from it gets everything sent before the exit,
     in order, and then an immediate :class:`CommTimeoutError` instead of
-    waiting out its timeout.
+    waiting out its timeout. A rank that *raised* also breaks the group's
+    barrier, so a peer waiting there fails the same way; a rank that returned
+    does not, since a peer may still be on its way out of the last barrier.
     """
     comms = make_thread_group(world_size)
     mailboxes = comms[0]._mailboxes
@@ -190,6 +201,7 @@ def run_threaded(
         except BaseException as exc:  # noqa: BLE001 — propagated to caller
             errors[rank] = exc
             tracebacks[rank] = traceback.format_exc()
+            comms[rank]._barrier.abort()
         finally:
             for peer in range(world_size):
                 if peer != rank:

@@ -22,7 +22,10 @@ dtype per parameter) — against the cached plan:
 
 Every freshly built plan is verified before first use: the forward replay
 is compared node-by-node against the interpreter's traced activations, and
-the compiled gradient against an autograd backward on the traced graph.
+the compiled gradient against an autograd backward on the traced graph;
+then the traced batch with repeats (:func:`~repro.jit.plan.halved`) is
+replayed and swept on its distinct rows and compared against the same
+batch on every row.
 Divergence raises :class:`TapeDivergenceError` with the offending op index
 and call site. With ``verify_replay=True`` the comparison re-runs on
 *every* replay (slow; for tests and debugging data-dependent control flow).
@@ -37,8 +40,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.jit.errors import TapeDivergenceError, TraceError
-from repro.jit.plan import CompiledPlan, InterpretedPlan
+from repro.jit.plan import CompiledPlan, InterpretedPlan, halved
 from repro.jit.tape import trace
+from repro.utils.rows import every_row
 
 __all__ = ["StepCompiler"]
 
@@ -164,9 +168,12 @@ class StepCompiler:
         if plan._ps_error is not None:
             raise plan._ps_error
         if plan._ps_steps is None:
-            # Build and verify the per-sample sweep on the traced batch.
-            lp, o = plan.per_sample(plan.tape.x)
-            self._verify_per_sample(plan, lp, o)
+            # Build and verify the per-sample sweep on the traced batch,
+            # every row of it, then on a batch with repeats.
+            x = plan.tape.x
+            for batch, rows in ((x, every_row(len(x))), (halved(x), None)):
+                lp, o = plan.per_sample(batch, rows)
+                self._verify_per_sample(plan, lp, o)
         return plan
 
     def _compile(self, x: np.ndarray) -> CompiledPlan:
@@ -191,7 +198,8 @@ class StepCompiler:
 
     def _verify_gradient(self, plan: CompiledPlan) -> None:
         """Compare the compiled adjoint sweep against an autograd backward
-        on the traced graph (then free that graph)."""
+        on the traced graph (then free that graph), and the sweep over a
+        batch's distinct rows against the sweep over all of its rows."""
         tape = plan.tape
         if tape.out is None or not tape.out.requires_grad:
             return
@@ -203,13 +211,16 @@ class StepCompiler:
         )
         want = self.model.flat_grad()
         self.model.zero_grad()
-        got = plan.gradient(seed)
-        if not np.allclose(got, want, rtol=VERIFY_RTOL, atol=VERIFY_ATOL):
-            idx = int(np.argmax(np.abs(got - want)))
-            raise TapeDivergenceError(
-                "compiled gradient diverged from autograd "
-                f"(max |Δ| = {np.max(np.abs(got - want)):.3e} at coordinate {idx})"
-            )
+        # selftest() left every row of the traced batch replayed
+        _check_gradient(plan.gradient(seed), want, "autograd")
+        x = tape.x
+        if len(x) > 1:
+            # halved(x) takes traced row i // 2 as its row i: its sweep with
+            # ``seed`` is the traced batch's with the seeds summed that way
+            summed = np.bincount(np.arange(len(x)) // 2, weights=seed, minlength=len(x))
+            want = plan.gradient(summed).copy()
+            plan.forward(halved(x))
+            _check_gradient(plan.gradient(seed), want, "the sweep over every row")
 
     def _verify_per_sample(self, plan: CompiledPlan, lp, o) -> None:
         """Check the factored O-matrix against the scalar sweep contracted
@@ -242,7 +253,8 @@ class StepCompiler:
         if np.allclose(got, want, rtol=VERIFY_RTOL, atol=VERIFY_ATOL):
             return plan
         # Drift: re-trace to find where the recorded program and the live
-        # program first disagree.
+        # program first disagree, against a replay of every row.
+        plan.forward(x, every_row(len(x)))
         fresh = trace(self._fn, x)
         old_ops = plan.tape.ops
         for i, new_op in enumerate(fresh.ops):
@@ -267,6 +279,15 @@ class StepCompiler:
             "guarded replay drifted from the interpreter "
             f"(op count {len(old_ops)} -> {len(fresh.ops)})",
             op_index=min(len(old_ops), len(fresh.ops)),
+        )
+
+
+def _check_gradient(got, want, against: str) -> None:
+    if not np.allclose(got, want, rtol=VERIFY_RTOL, atol=VERIFY_ATOL):
+        idx = int(np.argmax(np.abs(got - want)))
+        raise TapeDivergenceError(
+            f"compiled gradient diverged from {against} "
+            f"(max |Δ| = {np.max(np.abs(got - want)):.3e} at coordinate {idx})"
         )
 
 

@@ -21,12 +21,20 @@ straight-line NumPy with every buffer preallocated:
   the per-sample O-matrix in factored form
   (:class:`~repro.nn.factored.FactoredO`), which is what SR consumes — the
   (B, d) array is never built.
+- **Distinct rows** — every op of a traced ``log ψ`` acts on each batch row
+  alone, so a batch is replayed on its ``U`` distinct rows
+  (:func:`~repro.utils.rows.distinct_rows`) and the results are scattered
+  back; the adjoint sweep takes each distinct row's summed seed. The arena
+  keeps the traced batch ``B`` as its capacity: a replay on ``m ≤ B`` rows
+  runs the same steps on the first ``m`` rows of every *batch-led* buffer —
+  one that dataflow reaches from the input — which the closures read
+  through slot lists, never as captured arrays. A tape whose ops mix rows
+  is refused at build (:class:`TraceError`).
 
 Parameter slots are rebound from ``Parameter.data`` on every replay, so
 in-place optimizer updates need no re-trace; shape/dtype/identity changes
-are caught by the compiler's guards. Value-level input validation (e.g.
-the binary-configuration check) runs only at trace time — replay assumes
-inputs drawn from the same pipeline as the traced batch.
+are caught by the compiler's guards. The guard key stays the traced
+shape: no grouping retraces or grows the arena.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ import numpy as np
 from repro.jit.errors import TapeDivergenceError, TraceError
 from repro.jit.fuse import FusedLinear, fuse_tape
 from repro.jit.tape import StepTape
+from repro.models.base import validate_configurations
 from repro.nn.factored import FactoredO, LinearFactor
+from repro.utils.rows import DistinctRows, distinct_rows, every_row
 
 __all__ = ["CompiledPlan", "InterpretedPlan"]
 
@@ -79,6 +89,50 @@ def _reduce_axes(from_shape, to_shape):
     )
 
 
+def _reshaper(shape, led: bool):
+    """``arr -> arr.reshape(shape)``; axis 0 follows the replay's rows when
+    the array is batch-led."""
+    shape = tuple(shape)
+    if not led:
+        return lambda arr: arr.reshape(shape)
+    rest = shape[1:]
+    return lambda arr: arr.reshape((len(arr),) + rest)
+
+
+def _rows_alike(array, batch: int) -> bool:
+    """A constant with one identical row per batch row (a broadcast written
+    out): its first ``m`` rows serve a replay on ``m`` rows."""
+    return (
+        batch > 1 and array.ndim >= 1 and array.shape[0] == batch
+        and bool((array == array[:1]).all())
+    )
+
+
+def _grouped(x: np.ndarray, rows: DistinctRows | None) -> DistinctRows:
+    """``rows``, checked against ``x``; or ``x``'s own grouping, once its
+    entries are known to be 0/1 (grouping by bits is exact only then)."""
+    if rows is None:
+        x = validate_configurations(x, x.shape[-1])
+        return distinct_rows(x == 1.0)
+    if rows.inverse.shape != (len(x),):
+        raise ValueError(f"rows group {rows.inverse.size} rows, x has {len(x)}")
+    return rows
+
+
+def _scattered(run, x, rows: DistinctRows) -> np.ndarray:
+    """``run`` (a batch → one value per row) on the distinct rows of ``x``,
+    scattered back to every row; on ``x`` as given when no row repeats."""
+    if not rows.repeats:
+        return run(x)
+    return run(np.asarray(x, dtype=np.float64)[rows.first])[rows.inverse]
+
+
+def halved(x: np.ndarray) -> np.ndarray:
+    """``x`` with its first half's rows each taken twice — a batch of the
+    same size with repeats, for verifying the replay on distinct rows."""
+    return x[np.arange(len(x)) // 2]
+
+
 class CompiledPlan:
     """Executable compiled form of one traced step.
 
@@ -95,10 +149,16 @@ class CompiledPlan:
         self.tape = tape
         self.params = list(params)
         self._nodes, self._dead = fuse_tape(tape)
+        #: the traced batch: the arena's row capacity
+        self.batch = tape.input_shape[0]
 
         self.arena_bytes = 0
         self._vals: list = [None] * tape.n_slots
         self._grads: list = [None] * tape.n_slots
+        self._scratch: list = []  # per-op scratch, read by index
+        self._rowwise: list = []  # (list, index, full buffer) of batch-led buffers
+        self._m = self.batch  # rows the batch-led entries currently expose
+        self._rows: DistinctRows | None = None  # grouping of the last forward
         self._written = [False] * tape.n_slots
         self._aux: dict[int, dict] = {}  # node.index -> kernel state
         self._binders = []  # per-replay leaf rebinding closures
@@ -116,6 +176,7 @@ class CompiledPlan:
         self._rec = {leaf.slot: leaf.requires_grad for leaf in tape.leaves}
         for op in tape.ops:
             self._rec[op.slot] = op.requires_grad
+        self._led = self._batch_led()
 
         offsets, off = {}, 0
         for p in self.params:
@@ -144,6 +205,91 @@ class CompiledPlan:
             self._grad_buf(tape.out_slot, out_shape)
         self.out_shape = out_shape
 
+    # -- rows ------------------------------------------------------------------------
+
+    def _batch_led(self) -> set[int]:
+        """The slots whose axis 0 is the batch: dataflow from the input (and
+        from constants whose rows are all alike). Raises :class:`TraceError`
+        at an op that mixes rows — a replay on a subset of them would be
+        wrong — or when the output is not one value per row."""
+        batch, shapes = self.batch, self._shapes
+        led = {
+            leaf.slot for leaf in self.tape.leaves
+            if leaf.kind == "input"
+            or (leaf.kind == "const" and _rows_alike(leaf.array, batch))
+        }
+        for node in self._nodes:
+            if not any(s in led for s in node.inputs):
+                continue
+            why = self._mixes_rows(node, led)
+            if why:
+                raise TraceError(
+                    f"op {node.op!r} (recorded at {node.call_site}) {why}; the "
+                    "plan replays a batch on its distinct rows, which needs "
+                    "every op to act on each row alone"
+                )
+            led.add(node.slot)
+        out = self.tape.out_slot
+        if out not in led or len(shapes[out]) != 1:
+            raise TraceError(
+                f"traced output of shape {shapes[out]} is not one value per "
+                f"row of the ({batch}, ...) input"
+            )
+        return led
+
+    def _mixes_rows(self, node, led) -> str:
+        """Why ``node``, which reads a batch-led slot, is not row-wise
+        (empty when it is)."""
+        shapes, shape = self._shapes, tuple(node.shape)
+        if not shape or shape[0] != self.batch:
+            return "moves the batch off axis 0"
+        if isinstance(node, FusedLinear):
+            return ""
+        op, ins = node.op, node.inputs
+        if op == "sum" and 0 in _norm_axes(node.attrs["axis"], len(shapes[ins[0]])):
+            return "sums over the batch axis"
+        if op == "transpose":
+            axes = node.attrs["axes"]
+            if (axes is None and len(shape) > 1) or (axes is not None and axes[0] != 0):
+                return "moves the batch off axis 0"
+        if op == "matmul":
+            a, b = ins
+            if (a in led and len(shapes[a]) < 2) or (b in led and len(shapes[b]) < 3):
+                return "contracts the batch axis"
+            outside = [s for s in ins if s not in led and len(shapes[s]) >= 3]
+        else:
+            outside = [s for s in ins if s not in led]
+        if any(len(shapes[s]) == len(shape) and shapes[s][0] != 1 for s in outside):
+            return "pairs each batch row with a row of an operand not drawn from the batch"
+        return ""
+
+    def _place(self, store: list, index: int, shape, dtype=np.float64, led: bool = False):
+        """Allocate a buffer into ``store[index]``; a batch-led one is
+        registered so replays on fewer rows see its first rows."""
+        buf = self._alloc(shape, dtype)
+        store[index] = buf
+        if led:
+            self._rowwise.append((store, index, buf))
+            if self._m != self.batch:
+                store[index] = buf[: self._m]
+        return buf
+
+    def _scratch_buf(self, shape, dtype=np.float64, led: bool = False) -> int:
+        """Index of a new scratch buffer in ``self._scratch``."""
+        self._scratch.append(None)
+        index = len(self._scratch) - 1
+        self._place(self._scratch, index, shape, dtype, led)
+        return index
+
+    def _set_rows(self, m: int) -> None:
+        """Point every batch-led entry at the first ``m`` rows of its buffer."""
+        if m == self._m:
+            return
+        every = m == self.batch
+        for store, index, buf in self._rowwise:
+            store[index] = buf if every else buf[:m]
+        self._m = m
+
     # -- arena ---------------------------------------------------------------------
 
     def _alloc(self, shape, dtype=np.float64):
@@ -159,6 +305,8 @@ class CompiledPlan:
             slot = leaf.slot
             if leaf.kind == "const":
                 vals[slot] = leaf.array
+                if slot in self._led:
+                    self._rowwise.append((vals, slot, leaf.array))
             elif leaf.kind == "param":
 
                 def bind(x, *, slot=slot, param=leaf.param):
@@ -179,20 +327,21 @@ class CompiledPlan:
     # -- forward kernels ------------------------------------------------------------
 
     def _forward_step(self, node):
-        vals = self._vals
+        vals, scr = self._vals, self._scratch
         op = node.op
         o = node.slot
         ins = node.inputs
+        led = o in self._led
 
         if op in _VIEW_OPS:
             # Views are re-derived per replay (their base may be a rebound
             # leaf); a view costs an array header, not a data buffer.
             i = ins[0]
             if op == "reshape":
-                shape = tuple(node.attrs["shape"])
+                reshape = _reshaper(node.attrs["shape"], led)
 
                 def step():
-                    vals[o] = vals[i].reshape(shape)
+                    vals[o] = reshape(vals[i])
 
             else:
                 axes = node.attrs["axes"]
@@ -202,7 +351,7 @@ class CompiledPlan:
 
             return step
 
-        out = vals[o] = self._alloc(node.shape, node.dtype)
+        self._place(vals, o, node.shape, node.dtype, led)
 
         if isinstance(node, FusedLinear):
             src, w, b = node.src_slot, node.w_slot, node.bias_slot
@@ -213,53 +362,53 @@ class CompiledPlan:
 
                 def step():
                     np.multiply(vals[w], mask, out=weff)
-                    np.matmul(vals[src], weff.T, out=out)
+                    np.matmul(vals[src], weff.T, out=vals[o])
                     if b is not None:
-                        np.add(out, vals[b], out=out)
+                        np.add(vals[o], vals[b], out=vals[o])
 
             else:
                 self._aux[node.index] = {"weff": lambda: vals[w]}
 
                 def step():
-                    np.matmul(vals[src], vals[w].T, out=out)
+                    np.matmul(vals[src], vals[w].T, out=vals[o])
                     if b is not None:
-                        np.add(out, vals[b], out=out)
+                        np.add(vals[o], vals[b], out=vals[o])
 
             return step
 
         if op == "add":
             a, b = ins
-            return lambda: np.add(vals[a], vals[b], out=out)
+            return lambda: np.add(vals[a], vals[b], out=vals[o])
         if op == "mul":
             a, b = ins
-            return lambda: np.multiply(vals[a], vals[b], out=out)
+            return lambda: np.multiply(vals[a], vals[b], out=vals[o])
         if op == "neg":
             (a,) = ins
-            return lambda: np.negative(vals[a], out=out)
+            return lambda: np.negative(vals[a], out=vals[o])
         if op == "truediv":
             a, b = ins
-            return lambda: np.divide(vals[a], vals[b], out=out)
+            return lambda: np.divide(vals[a], vals[b], out=vals[o])
         if op == "pow":
             (a,) = ins
             e = node.attrs["exponent"]
-            return lambda: np.power(vals[a], e, out=out)
+            return lambda: np.power(vals[a], e, out=vals[o])
         if op == "matmul":
             a, b = ins
-            return lambda: np.matmul(vals[a], vals[b], out=out)
+            return lambda: np.matmul(vals[a], vals[b], out=vals[o])
         if op == "relu":
             (a,) = ins
-            return lambda: np.maximum(vals[a], 0.0, out=out)
+            return lambda: np.maximum(vals[a], 0.0, out=vals[o])
         if op in _UNARY_UFUNC:
             (a,) = ins
             fn = _UNARY_UFUNC[op]
-            return lambda: fn(vals[a], out=out)
+            return lambda: fn(vals[a], out=vals[o])
         if op == "sigmoid":
             (a,) = ins
-            s = self._alloc(node.shape)
-            neg = self._alloc(node.shape, bool)
+            si = self._scratch_buf(node.shape, led=led)
+            ni = self._scratch_buf(node.shape, bool, led)
 
             def step():
-                x = vals[a]
+                x, out, s, neg = vals[a], vals[o], scr[si], scr[ni]
                 np.abs(x, out=s)
                 np.negative(s, out=s)
                 np.exp(s, out=s)  # s = e^{-|x|}
@@ -272,12 +421,12 @@ class CompiledPlan:
             return step
         if op in ("log_sigmoid", "softplus"):
             (a,) = ins
-            s = self._alloc(node.shape)
+            si = self._scratch_buf(node.shape, led=led)
             clamp = np.minimum if op == "log_sigmoid" else np.maximum
             combine = np.subtract if op == "log_sigmoid" else np.add
 
             def step():
-                x = vals[a]
+                x, out, s = vals[a], vals[o], scr[si]
                 np.abs(x, out=s)
                 np.negative(s, out=s)
                 np.exp(s, out=s)
@@ -288,9 +437,10 @@ class CompiledPlan:
             return step
         if op == "log_cosh":
             (a,) = ins
-            s = self._alloc(node.shape)
+            si = self._scratch_buf(node.shape, led=led)
 
             def step():
+                out, s = vals[o], scr[si]
                 np.abs(vals[a], out=out)
                 np.multiply(out, -2.0, out=s)
                 np.exp(s, out=s)
@@ -306,14 +456,15 @@ class CompiledPlan:
             # instead of the interpreter's two-branch evaluation (values
             # agree to rounding; the tolerance is pinned in tests).
             z, t = ins
-            s = self._alloc(node.shape)
-            ez = self._alloc(node.shape)
-            sig = self._alloc(node.shape)
-            neg = self._alloc(node.shape, bool)
-            self._aux[node.index] = {"sig": sig}
+            si = self._scratch_buf(node.shape, led=led)
+            ei = self._scratch_buf(node.shape, led=led)
+            gi = self._scratch_buf(node.shape, led=led)
+            ni = self._scratch_buf(node.shape, bool, led)
+            self._aux[node.index] = {"sig": gi}
 
             def step():
-                zz, tt = vals[z], vals[t]
+                zz, tt, out = vals[z], vals[t], vals[o]
+                s, ez, sig, neg = scr[si], scr[ei], scr[gi], scr[ni]
                 np.abs(zz, out=s)
                 np.negative(s, out=s)
                 np.exp(s, out=ez)  # ez = e^{-|z|}
@@ -335,7 +486,7 @@ class CompiledPlan:
             (a,) = ins
             axis = node.attrs["axis"]
             keepdims = node.attrs["keepdims"]
-            return lambda: np.sum(vals[a], axis=axis, keepdims=keepdims, out=out)
+            return lambda: np.sum(vals[a], axis=axis, keepdims=keepdims, out=vals[o])
 
         raise TraceError(
             f"op {op!r} (recorded at {node.call_site}) has no compiled kernel; "
@@ -353,14 +504,15 @@ class CompiledPlan:
                 off, size, pshape = self._offsets[id(leaf.param)]
                 self._grads[slot] = self._grad_flat[off:off + size].reshape(pshape)
             else:
-                self._grads[slot] = self._alloc(shape)
+                self._place(self._grads, slot, shape, led=slot in self._led)
         return self._grads[slot]
 
     def _acc(self, slot, contrib_shape, per_sample=False, call_site=""):
         """Closure accumulating a ``contrib_shape`` adjoint term into a
         slot, reducing broadcast axes (the interpreter's ``_unbroadcast``)."""
         target_shape = self._shapes[slot]
-        buf = self._grad_buf(slot, target_shape)
+        self._grad_buf(slot, target_shape)
+        grads = self._grads
         written = self._written
         axes = _reduce_axes(contrib_shape, target_shape)
         if per_sample and axes is not None and 0 in axes:
@@ -371,6 +523,7 @@ class CompiledPlan:
         if axes is None:
 
             def acc(val):
+                buf = grads[slot]
                 if written[slot]:
                     np.add(buf, val, out=buf)
                 else:
@@ -380,6 +533,7 @@ class CompiledPlan:
         else:
 
             def acc(val):
+                buf = grads[slot]
                 v = val.sum(axis=axes).reshape(buf.shape)
                 if written[slot]:
                     np.add(buf, v, out=buf)
@@ -444,8 +598,7 @@ class CompiledPlan:
         return steps
 
     def _linear_backward(self, node: FusedLinear, per_sample: bool):
-        vals = self._vals
-        grads = self._grads
+        vals, grads, scr = self._vals, self._grads, self._scratch
         written = self._written
         o = node.slot
         src, w, b = node.src_slot, node.w_slot, node.bias_slot
@@ -456,7 +609,7 @@ class CompiledPlan:
         x_rec = self._rec.get(src, False)
         if x_rec:
             acc_src = self._acc(src, (B, in_dim), per_sample, node.call_site)
-            sx = self._alloc((B, in_dim))
+            sx = self._scratch_buf((B, in_dim), led=src in self._led)
 
         if not per_sample:
             woff, wsize, wshape = self._offsets[id(self._leaves[w].param)]
@@ -492,8 +645,8 @@ class CompiledPlan:
                         np.multiply(wview, mask, out=wview)
                     written[w] = True
                 if x_rec:
-                    np.matmul(g, weff(), out=sx)
-                    acc_src(sx)
+                    np.matmul(g, weff(), out=scr[sx])
+                    acc_src(scr[sx])
 
             return step
 
@@ -507,19 +660,19 @@ class CompiledPlan:
             if not written[o]:
                 grads[o].fill(0.0)  # off the seeded path: a zero factor
             elif x_rec:
-                np.matmul(grads[o], weff(), out=sx)
-                acc_src(sx)
+                np.matmul(grads[o], weff(), out=scr[sx])
+                acc_src(scr[sx])
 
         return step
 
     def _generic_backward(self, node, rec, per_sample):
-        vals = self._vals
-        grads = self._grads
+        vals, grads, scr = self._vals, self._grads, self._scratch
         written = self._written
         o = node.slot
         op = node.op
         ins = node.inputs
         site = node.call_site
+        led = o in self._led
 
         def guard(fn):
             def step():
@@ -533,7 +686,8 @@ class CompiledPlan:
             in_shape = self._shapes[a]
             acc = self._acc(a, in_shape, per_sample, site)
             if op == "reshape":
-                return guard(lambda: acc(grads[o].reshape(in_shape)))
+                reshape = _reshaper(in_shape, a in self._led)
+                return guard(lambda: acc(reshape(grads[o])))
             axes = node.attrs["axes"]
             inv = None if axes is None else tuple(int(i) for i in np.argsort(axes))
             return guard(lambda: acc(grads[o].transpose(inv)))
@@ -549,19 +703,21 @@ class CompiledPlan:
                     f"(recorded at {site})"
                 )
             keep_shape = tuple(1 if i in axes else d for i, d in enumerate(in_shape))
+            reshape = _reshaper(keep_shape, a in self._led)
             acc = self._acc(a, in_shape, per_sample, site)
-            return guard(lambda: acc(grads[o].reshape(keep_shape)))
+            return guard(lambda: acc(reshape(grads[o])))
 
         if op == "bernoulli_log_prob":
             z, t = ins
             if z not in rec:
                 return None
             sig = self._aux[node.index]["sig"]
-            s = self._alloc(node.shape)
+            si = self._scratch_buf(node.shape, led=led)
             acc = self._acc(z, node.shape, per_sample, site)
 
             def fb():
-                np.subtract(vals[t], sig, out=s)
+                s = scr[si]
+                np.subtract(vals[t], scr[sig], out=s)
                 np.multiply(s, grads[o], out=s)
                 acc(s)
 
@@ -579,24 +735,25 @@ class CompiledPlan:
                 sa_shape = np.broadcast_shapes(
                     node.shape[:-2], self._shapes[b][:-2]
                 ) + (node.shape[-2], self._shapes[b][-2])
-                sa = self._alloc(sa_shape)
+                sa = self._scratch_buf(sa_shape, led=led)
                 acc_a = self._acc(a, sa_shape, per_sample, site)
 
                 def fa():
-                    np.matmul(grads[o], np.swapaxes(vals[b], -1, -2), out=sa)
-                    acc_a(sa)
+                    np.matmul(grads[o], np.swapaxes(vals[b], -1, -2), out=scr[sa])
+                    acc_a(scr[sa])
 
                 fns.append(fa)
             if self._rec.get(b, False):
                 sb_shape = np.broadcast_shapes(
                     node.shape[:-2], self._shapes[a][:-2]
                 ) + (self._shapes[a][-1], node.shape[-1])
-                sb = self._alloc(sb_shape)
+                # 2-D: the rows are contracted away; deeper, axis 0 is the batch
+                sb = self._scratch_buf(sb_shape, led=led and len(node.shape) > 2)
                 acc_b = self._acc(b, sb_shape, per_sample, site)
 
                 def fb():
-                    np.matmul(np.swapaxes(vals[a], -1, -2), grads[o], out=sb)
-                    acc_b(sb)
+                    np.matmul(np.swapaxes(vals[a], -1, -2), grads[o], out=scr[sb])
+                    acc_b(scr[sb])
 
                 fns.append(fb)
             if len(fns) == 1:
@@ -605,10 +762,11 @@ class CompiledPlan:
 
         # Elementwise family: one scratch of the output's shape per term.
         def term(target, compute):
-            s = self._alloc(node.shape)
+            si = self._scratch_buf(node.shape, led=led)
             acc = self._acc(target, node.shape, per_sample, site)
 
             def fn():
+                s = scr[si]
                 compute(s)
                 acc(s)
 
@@ -651,11 +809,11 @@ class CompiledPlan:
             fns.append(term(a, fpow))
         elif op == "relu":
             (a,) = ins
-            mb = self._alloc(node.shape, bool)
+            mi = self._scratch_buf(node.shape, bool, led)
 
             def frelu(s, a=a):
-                np.greater(vals[a], 0.0, out=mb)
-                np.multiply(grads[o], mb, out=s)
+                np.greater(vals[a], 0.0, out=scr[mi])
+                np.multiply(grads[o], scr[mi], out=s)
 
             fns.append(term(a, frelu))
         elif op == "exp":
@@ -773,16 +931,28 @@ class CompiledPlan:
             )
         return x
 
-    def forward(self, x) -> np.ndarray:
-        """Replay the traced forward on a new batch; returns a copy of the
-        output array."""
-        x = self._check_input(x)
+    def _replay(self, x: np.ndarray) -> np.ndarray:
+        """The forward steps on every row of ``x`` (at most the arena's
+        ``B``); returns the plan's own output buffer."""
+        self._set_rows(len(x))
         for bind in self._binders:
             bind(x)
         for step in self._fsteps:
             step()
         self._forward_ready = True
-        return self._vals[self.tape.out_slot].copy()
+        return self._vals[self.tape.out_slot]
+
+    def forward(self, x, rows: DistinctRows | None = None) -> np.ndarray:
+        """Replay the traced forward on a new batch of 0/1 rows; returns a
+        new array, one value per row.
+
+        The replay runs on the batch's distinct rows — ``rows``, when the
+        caller has grouped it (``distinct_rows(x == 1)``), else grouped
+        here — and scatters back; a batch without repeats is replayed as
+        given. :meth:`gradient` and :meth:`per_sample` keep the grouping."""
+        x = self._check_input(x)
+        self._rows = _grouped(x, rows)
+        return _scattered(lambda batch: self._replay(batch).copy(), x, self._rows)
 
     def _seed_backward(self, seed) -> None:
         # No memset: every sweep runs the same straight-line steps, so the
@@ -800,22 +970,29 @@ class CompiledPlan:
 
     def gradient(self, seed) -> np.ndarray:
         """Compiled adjoint sweep: seed the output adjoint (e.g. the VQMC
-        surrogate's weights) and return the flat ``(d,)`` gradient. The
-        returned buffer is owned by the plan and overwritten by the next
-        sweep."""
+        surrogate's weights), one weight per row of the last forward's
+        batch, and return the flat ``(d,)`` gradient. A grouped forward
+        sweeps its distinct rows, each seeded with the sum of its copies'
+        weights. The returned buffer is owned by the plan and overwritten
+        by the next sweep."""
         seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != self.out_shape:
             raise ValueError(f"seed shape {seed.shape} != output shape {self.out_shape}")
+        rows = self._rows
+        if rows is not None and rows.repeats:
+            seed = rows.sums(seed)
         self._seed_backward(seed)
         for step in self._bsteps:
             step()
         return self._grad_flat
 
-    def per_sample(self, x):
+    def per_sample(self, x, rows: DistinctRows | None = None):
         """Replay forward plus the batched per-sample adjoint: returns
         ``(log_psi (B,), O)`` with ``O`` the (B, d) matrix in factored form
-        (:class:`~repro.nn.factored.FactoredO`). Its factors are views of
-        the plan's buffers, overwritten by the next replay or sweep. Raises
+        (:class:`~repro.nn.factored.FactoredO`), holding the distinct rows
+        and the grouping when the batch repeats (``rows`` as in
+        :meth:`forward`). Its factors are views of the plan's buffers,
+        overwritten by the next replay or sweep. Raises
         :class:`TraceError` for tapes that are not batch-diagonal (the
         error is sticky — callers should fall back to the interpreter for
         good)."""
@@ -828,21 +1005,34 @@ class CompiledPlan:
             except TraceError as exc:
                 self._ps_error = exc
                 raise
-        lp = self.forward(x)
-        self._seed_backward(self._ps_ones)
+        lp = self.forward(x, rows)
+        self._seed_backward(self._ps_ones[: self._m])
         for step in self._ps_steps:
             step()
         vals, grads = self._vals, self._grads
         factors = [(layer, vals[src], grads[out]) for layer, src, out in self._ps_factors]
-        return lp, FactoredO(factors[::-1], self.n_params)
+        rows = self._rows
+        return lp, FactoredO(factors[::-1], self.n_params, rows if rows.repeats else None)
 
     # -- verification -----------------------------------------------------------------
 
     def selftest(self, rtol: float = 1e-9, atol: float = 1e-12) -> None:
-        """Replay the traced batch and compare every live op output against
-        the interpreter's recorded arrays; raises
-        :class:`TapeDivergenceError` at the first mismatch."""
-        self.forward(self.tape.x)
+        """Replay the batch with repeats :func:`halved` builds from the
+        traced one on its distinct rows and compare the output, then replay
+        every row of the traced batch and compare every live op output
+        against the interpreter's recorded arrays; raises
+        :class:`TapeDivergenceError` at the first mismatch. Leaves the
+        traced batch replayed, every row of it."""
+        x = self.tape.x
+        out = next((n.ref for n in self._nodes if n.slot == self.tape.out_slot), None)
+        if out is not None and self.batch > 1:
+            got, want = self.forward(halved(x)), halved(out)
+            if not np.allclose(got, want, rtol=rtol, atol=atol):
+                raise TapeDivergenceError(
+                    "compiled replay on a batch's distinct rows diverged from the "
+                    f"interpreter by {float(np.max(np.abs(got - want))):.3e}"
+                )
+        self.forward(x, every_row(self.batch))
         for node in self._nodes:
             if node.ref is None:
                 continue
@@ -858,7 +1048,8 @@ class CompiledPlan:
 class InterpretedPlan:
     """The degenerate plan: :class:`CompiledPlan`'s three calls, run by the
     interpreter on ``model`` — what :meth:`StepCompiler.plan` hands out
-    when a step is not compiled, so drivers execute one code path.
+    when a step is not compiled, so drivers execute one code path. Like
+    the compiled plan, it evaluates a batch's distinct rows once.
 
     :meth:`gradient` assumes the caller zeroed the parameter gradients
     since the last sweep (``VQMC.step`` does, once per step).
@@ -869,11 +1060,18 @@ class InterpretedPlan:
     def __init__(self, model):
         self.model = model
         self._log_psi = None  # graph-carrying output of the last forward()
+        self._rows: DistinctRows | None = None  # its grouping
 
-    def forward(self, x) -> np.ndarray:
-        """``log_psi(x)`` values; the graph is kept for :meth:`gradient`."""
-        self._log_psi = self.model.log_psi(x)
-        return self._log_psi.data
+    def forward(self, x, rows: DistinctRows | None = None) -> np.ndarray:
+        """``log_psi(x)`` values; the graph is kept for :meth:`gradient`.
+        ``rows`` as in :meth:`CompiledPlan.forward`."""
+        self._rows = _grouped(x, rows)
+
+        def run(batch):
+            self._log_psi = self.model.log_psi(batch)
+            return self._log_psi.data
+
+        return _scattered(run, x, self._rows)
 
     def gradient(self, seed) -> np.ndarray:
         """Backpropagate the surrogate ``(log_psi * seed).sum()`` through
@@ -881,11 +1079,20 @@ class InterpretedPlan:
         if self._log_psi is None:
             raise RuntimeError("InterpretedPlan backward invoked before forward")
         log_psi, self._log_psi = self._log_psi, None
+        if self._rows.repeats:
+            seed = self._rows.sums(np.asarray(seed, dtype=np.float64))
         (log_psi * seed).sum().backward(free_graph=True)
         return self.model.flat_grad()
 
-    def per_sample(self, x):
-        """``(log_psi (B,), O (B, d))`` from ``model.log_psi_and_grads``.
-
-        ``O`` is factored where the model supplies that form."""
-        return self.model.log_psi_and_grads(x)
+    def per_sample(self, x, rows: DistinctRows | None = None):
+        """``(log_psi (B,), O (B, d))`` from ``model.log_psi_and_grads`` on
+        the distinct rows. ``O`` is factored where the model supplies that
+        form, and then holds the distinct rows and the grouping; an array
+        ``O`` is scattered back to one row per sample."""
+        rows = _grouped(x, rows)
+        if not rows.repeats:
+            return self.model.log_psi_and_grads(x)
+        lp, o = self.model.log_psi_and_grads(np.asarray(x, dtype=np.float64)[rows.first])
+        if isinstance(o, FactoredO):
+            return lp[rows.inverse], FactoredO(o.factors, o.shape[1], rows)
+        return lp[rows.inverse], np.asarray(o)[rows.inverse]

@@ -15,8 +15,18 @@ and supplies what stochastic reconfiguration and the energy gradient need:
 - ``O @ v`` — one GEMM per layer, ``rowsum((a_l (M_l ∘ V_l)ᵀ) ∘ δ_l) + δ_l v_b``;
 - :meth:`FactoredO.gram` — ``O Oᵀ`` from layer statistics (below), built
   on the :attr:`~FactoredO.distinct` rows and scattered back;
-- :meth:`FactoredO.allgather` — every rank's rows, ``N_r · Σ(in + out)`` floats;
+- :meth:`FactoredO.counted` — the distinct rows as their own ``O`` and how
+  many samples each stands for, what the count-weighted SR solve takes;
+- :meth:`FactoredO.allgather` — every rank's distinct rows and their
+  counts, ``U_r · (Σ(in + out) + 1)`` floats;
 - ``np.asarray(O)`` — the dense matrix, for oracles and diagnostics.
+
+A batch's repeated configurations have identical rows of ``O``. A
+``FactoredO`` may therefore hold only the U distinct rows together with
+the :class:`~repro.utils.rows.DistinctRows` grouping of the N samples onto
+them (what the plans hand out): ``w @ O`` sums ``w`` over each row's
+copies first, ``O @ v`` scatters its U values back, and ``.shape``,
+``gram()`` and ``np.asarray`` are those of the N-row matrix.
 
 The Gram matrix from layer statistics
 -------------------------------------
@@ -94,6 +104,8 @@ class LinearFactor:
 class FactoredO:
     """``O`` (N × d) as per-layer ``(LinearFactor, a_l, δ_l)`` triples.
 
+    The factors hold the *stored* rows: all N of them, or — when ``rows``
+    is given — the U distinct rows that grouping maps the N samples onto.
     The arrays are used as given (a compiled plan hands out views of its
     own buffers, overwritten by its next replay). Coordinates no layer
     covers are zero columns.
@@ -102,15 +114,20 @@ class FactoredO:
     #: ``ndarray @ O`` must reach :meth:`__rmatmul__`, not broadcast over us
     __array_ufunc__ = None
 
-    def __init__(self, factors, d: int):
+    def __init__(self, factors, d: int, rows: DistinctRows | None = None):
         self.factors = list(factors)
-        self.shape = (len(self.factors[0][1]), int(d))
+        #: the grouping of the N samples onto the stored rows (None: one each)
+        self.rows = rows
+        stored = len(self.factors[0][1])
+        self.shape = (stored if rows is None else rows.inverse.size, int(d))
 
     def __rmatmul__(self, w) -> np.ndarray:
         """``w @ O`` for a weight per sample, ``w`` of shape (N,)."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != self.shape[:1]:
             raise ValueError(f"weights of shape {w.shape} against O of shape {self.shape}")
+        if self.rows is not None:
+            w = self.rows.sums(w)
         out = np.zeros(self.shape[1])
         for layer, a, delta in self.factors:
             weighted = delta * w[:, None]
@@ -127,7 +144,7 @@ class FactoredO:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != self.shape[1:]:
             raise ValueError(f"vector of shape {v.shape} against O of shape {self.shape}")
-        out = np.zeros(self.shape[0])
+        out = np.zeros(len(self.factors[0][1]))
         for layer, a, delta in self.factors:
             weight = v[layer.w].reshape(layer.shape)
             if layer.mask is not None:
@@ -135,15 +152,28 @@ class FactoredO:
             out += np.einsum("so,so->s", a @ weight.T, delta)
             if layer.b is not None:
                 out += delta @ v[layer.b]
-        return out
+        return out if self.rows is None else out[self.rows.inverse]
 
     @cached_property
     def distinct(self) -> DistinctRows:
-        """The rows whose every layer factor is bit-identical, grouped."""
-        return distinct_rows(self._packed())
+        """The N samples grouped onto distinct rows: the grouping this ``O``
+        carries, else the rows whose every layer factor is bit-identical."""
+        return self.rows if self.rows is not None else distinct_rows(self._packed())
+
+    def counted(self) -> tuple["FactoredO", np.ndarray | None]:
+        """``(O_U, counts)``: the U :attr:`distinct` rows as a (U × d)
+        ``O`` of their own, and how many samples each stands for —
+        ``(self, None)`` when no row repeats."""
+        rows = self.distinct
+        if not rows.repeats:
+            return self, None
+        stored = self.factors
+        if self.rows is None:
+            stored = [(layer, a[rows.first], delta[rows.first]) for layer, a, delta in stored]
+        return FactoredO(stored, self.shape[1]), rows.counts
 
     def _packed(self) -> np.ndarray:
-        """Every layer's ``(a_l, δ_l)`` side by side: one row per sample."""
+        """Every layer's ``(a_l, δ_l)`` side by side: one stored row each."""
         return np.concatenate([m for _, a, delta in self.factors for m in (a, delta)], axis=1)
 
     def gram(self) -> np.ndarray:
@@ -151,11 +181,11 @@ class FactoredO:
 
         Built on the :attr:`distinct` rows and scattered back; a batch
         without repeats is built as it is."""
-        first, inverse = rows = self.distinct
-        if not rows.repeats:
+        distinct, counts = self.counted()
+        if counts is None:
             return self._gram(self.factors)
-        distinct = [(layer, a[first], delta[first]) for layer, a, delta in self.factors]
-        return self._gram(distinct)[inverse][:, inverse]
+        inverse = self.distinct.inverse
+        return self._gram(distinct.factors)[inverse][:, inverse]
 
     @staticmethod
     def _gram(factors) -> np.ndarray:
@@ -179,20 +209,39 @@ class FactoredO:
         return gram
 
     def allgather(self, comm) -> "FactoredO":
-        """Every rank's rows, in rank order.
+        """Every rank's samples, as one ``O``.
 
-        One ``comm.allgather`` of the layers' ``(a_l, δ_l)`` packed side by
-        side: ``N_r · Σ_l(in_l + out_l)`` floats from this rank."""
-        rows = np.concatenate(comm.allgather(self._packed()), axis=0)
+        One ``comm.allgather`` of this rank's stored rows — the layers'
+        ``(a_l, δ_l)`` packed side by side, and how many samples each row
+        stands for as one more column: ``U_r · (Σ_l(in_l + out_l) + 1)``
+        floats. Rows that repeat, within a rank or across ranks, are merged
+        and their counts add; the result holds the distinct rows, grouped
+        rank-agnostically (each row's samples in a run) when any repeats."""
+        stored = len(self.factors[0][1])
+        counts = np.ones(stored) if self.rows is None else self.rows.counts.astype(np.float64)
+        gathered = np.concatenate(
+            comm.allgather(np.concatenate([self._packed(), counts[:, None]], axis=1)), axis=0
+        )
+        body, counts = gathered[:, :-1], gathered[:, -1]
+        merged = distinct_rows(body)
+        if merged.repeats:
+            body, counts = body[merged.first], merged.sums(counts)
+        else:
+            body = np.ascontiguousarray(body)
+        rows = None
+        if np.any(counts != 1.0):
+            counts = counts.astype(np.intp)
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            rows = DistinctRows(starts, np.repeat(np.arange(counts.size), counts))
         factors, at = [], 0
         for layer, a, delta in self.factors:
             mid, end = at + a.shape[1], at + a.shape[1] + delta.shape[1]
-            factors.append((layer, rows[:, at:mid], rows[:, mid:end]))
+            factors.append((layer, body[:, at:mid], body[:, mid:end]))
             at = end
-        return FactoredO(factors, self.shape[1])
+        return FactoredO(factors, self.shape[1], rows)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense = np.zeros(self.shape, dtype=dtype or np.float64)
+        dense = np.zeros((len(self.factors[0][1]), self.shape[1]), dtype=dtype or np.float64)
         for layer, a, delta in self.factors:
             block = delta[:, :, None] * a[:, None, :]
             if layer.mask is not None:
@@ -200,4 +249,4 @@ class FactoredO:
             dense[:, layer.w] = block.reshape(len(a), -1)
             if layer.b is not None:
                 dense[:, layer.b] = delta
-        return dense
+        return dense if self.rows is None else dense[self.rows.inverse]

@@ -37,6 +37,22 @@ solved in whichever space is smaller:
   accepted and have no effect on a direct solve.
 - ``auto`` picks ``dense`` iff ``d ≤ N`` (the global ``N``).
 
+Repeated samples
+----------------
+Draws from a concentrated ``|ψ|²`` repeat, and repeated samples have equal
+rows of ``O``. With the U distinct rows ``O_U``, their counts, ``s =
+√counts``, ``S = diag(s)`` and ``Π = I − s sᵀ/N`` (``sᵀs = N``), the
+indicator ``P`` of each sample's distinct row gives ``O = P O_U`` and
+``H P S⁻¹ = P S⁻¹ Π``; ``P S⁻¹`` has orthonormal columns, so the N×N
+system's solution is ``c = P S⁻¹ c'`` with
+
+    (Π S G_U S Π / N + λI) c' = Π S O_U F / N ,   δθ = (F − O_Uᵀ S Π c') / λ ,
+
+one U×U Cholesky, one U-row ``O @ F`` and one U-row back-projection. The
+``λ = 0`` branch takes the same substitution. A factored ``O`` supplies
+``O_U`` and the counts (:meth:`~repro.nn.factored.FactoredO.counted`);
+without repeats the N×N system above is solved as written.
+
 ``O`` may be a plain (N, d) array (``G`` is then ``O Oᵀ``, counted as
 ``sr.dense_jacobian``) or the layers' factors of one
 (:class:`~repro.nn.factored.FactoredO`, what MADE, deep MADE, RBM and the
@@ -58,10 +74,11 @@ from the concatenated batch — from every rank's local rows of ``O``:
 ============  =================================  ===================================
 solver        collectives per solve              payload per rank
 ============  =================================  ===================================
-sample space  1 allgather                        ``N_r·Σ_l(in_l + out_l)`` floats of
-                                                 layer factors — ``N_r·2(n + h)`` for
-                                                 the paper's MADE — or ``N_r·d`` for
-                                                 an array ``O``
+sample space  1 allgather                        ``U_r·(Σ_l(in_l + out_l) + 1)`` floats
+                                                 of layer factors and row counts —
+                                                 ``U_r·(2(n + h) + 1)`` for the
+                                                 paper's MADE — or ``N_r·d`` for an
+                                                 array ``O``
 dense         2 allreduces                       ``d + 1`` (centring) and ``d²``
 ``auto``      + 1 allreduce of the row count     1 float
 ============  =================================  ===================================
@@ -115,12 +132,13 @@ class SRSolveInfo:
     residual:
         Relative residual of the linear system actually factorised: the
         d×d ``‖(S + λI)δ − F‖ / ‖F‖`` for dense, the N×N
-        ``‖(Gc/N + λI)c − OcF/N‖ / ‖OcF/N‖`` in sample space.
+        ``‖(Gc/N + λI)c − OcF/N‖ / ‖OcF/N‖`` in sample space (its U×U
+        count-weighted form when samples repeat).
     comm_bytes:
         Collective payload bytes this solve moved (0 in serial solves);
         see the module's table.
     space:
-        ``'sample'`` for the N×N solve, ``''`` for dense.
+        ``'sample'`` for the sample-space solve, ``''`` for dense.
     gram:
         How the sample-space solve built ``G``: ``'layers'`` (from a
         factored ``O``), ``'dense'`` (``O Oᵀ`` of an array), ``''`` for the
@@ -147,7 +165,7 @@ class StochasticReconfiguration:
     diag_shift:
         Regularisation λ added to the diagonal of S (paper: 0.001).
     solver:
-        ``'dense'`` (d×d), ``'cg'`` (the N×N sample-space solve) or
+        ``'dense'`` (d×d), ``'cg'`` (the sample-space solve) or
         ``'auto'`` (the smaller of the two). Honoured identically in serial
         and distributed solves.
     cg_tol, cg_maxiter:
@@ -220,24 +238,36 @@ class StochasticReconfiguration:
         return sol, total, float(residual)
 
     def _solve_in_sample_space(self, o, grad: np.ndarray, comm):
-        """N×N: Woodbury through the centred Gram matrix (module docstring).
-        Returns ``(δ, global N, residual)``."""
+        """U×U: Woodbury through the centred Gram matrix of the distinct
+        rows, count-weighted (module docstring). Returns ``(δ, global N,
+        residual)``."""
         factored = isinstance(o, FactoredO)
         shift = self.diag_shift
         with self.tracer.span("sr.gram", gram="layers" if factored else "dense") as span:
             if comm is not None:
                 o = o.allgather(comm) if factored else np.concatenate(comm.allgather(o))
             n = o.shape[0]
-            a = o.gram() if factored else o @ o.T
-            a -= a.mean(axis=0)  # Gc = HGH, H = I - 11ᵀ/N
-            a -= a.mean(axis=1, keepdims=True)
+            # the distinct rows over all ranks, and how many samples each is
+            o, counts = o.counted() if factored else (o, None)
+            a = FactoredO._gram(o.factors) if factored else o @ o.T
+            if counts is None:
+                a -= a.mean(axis=0)  # Gc = HGH, H = I - 11ᵀ/N
+                a -= a.mean(axis=1, keepdims=True)
+            else:
+                s = np.sqrt(counts)  # ΠSG_USΠ, S = diag(s), Π = I - ssᵀ/N
+                a *= s[:, None] * s
+                a -= np.outer(s, s @ a) / n
+                a -= np.outer(a @ s, s) / n
             a /= n
-            # the rows G was built on: a factored O's distinct rows, over all ranks
-            self.tracer.end(span, rows=o.distinct.count if factored else n)
-        with self.tracer.span("sr.cholesky", n=n):
+            self.tracer.end(span, rows=len(a))
+        with self.tracer.span("sr.cholesky", n=len(a)):
             rhs = o @ grad
-            rhs -= rhs.mean()
-            rhs /= n  # Oc F / N
+            if counts is None:
+                rhs -= rhs.mean()
+            else:
+                rhs *= s
+                rhs -= s * (s @ rhs) / n
+            rhs /= n  # Oc F / N, or ΠS O_U F / N
             if not np.isfinite(a.sum() + rhs.sum()):
                 # non-finite in, non-finite out: the driver's divergence
                 # guard skips the update and counts the step
@@ -247,14 +277,14 @@ class StochasticReconfiguration:
                 try:
                     factor = scipy.linalg.cho_factor(a, check_finite=False)
                 except np.linalg.LinAlgError as exc:
+                    m = len(a)
                     raise ValueError(
-                        f"diag_shift={shift} leaves the {n}x{n} sample-space "
+                        f"diag_shift={shift} leaves the {m}x{m} sample-space "
                         "system numerically singular; increase it"
                     ) from exc
                 c = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
                 residual = np.linalg.norm(a @ c - rhs) / max(np.linalg.norm(rhs), _TINY)
-                c -= c.mean()
-                return (grad - c @ o) / shift, n, float(residual)
+                return (grad - self._centred(c, counts, n) @ o) / shift, n, float(residual)
             # λ = 0: the minimum-norm δ = Ocᵀ (Gc/N)⁺² u, u = Oc F/N, defined
             # only for F in the row space of Oc, where |F|² = N·uᵀ(Gc/N)⁺u.
             vals, vecs = np.linalg.eigh(a)
@@ -269,8 +299,16 @@ class StochasticReconfiguration:
                 )
             c = vecs @ (coef / vals)
             residual = np.linalg.norm(a @ (a @ c) - rhs) / max(np.linalg.norm(rhs), _TINY)
-            c -= c.mean()
-            return c @ o, n, float(residual)
+            return self._centred(c, counts, n) @ o, n, float(residual)
+
+    @staticmethod
+    def _centred(c: np.ndarray, counts, n: int) -> np.ndarray:
+        """The weights that back-project ``c`` onto the centred rows:
+        ``Hc`` — or, on distinct rows with their counts, ``SΠc``."""
+        if counts is None:
+            return c - c.mean()
+        s = np.sqrt(counts)
+        return s * (c - s * (s @ c) / n)
 
     # -- solve -------------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Exact grouping of a batch's repeated rows.
 
 Draws from a concentrated ``|ψ|²`` repeat, and every quantity the step
-computes per row — a local energy, a row of the Gram matrix — is a
-function of that row alone. :func:`distinct_rows` finds the distinct rows
-once, so those quantities are evaluated on them and scattered back through
-the inverse index: ``value[first][inverse]`` has one entry per row.
+computes per row — ``log ψ``, a local energy, a row of ``O`` or of the Gram
+matrix — is a function of that row alone. :func:`distinct_rows` finds the
+distinct rows once, so those quantities are evaluated on them and
+scattered back through the inverse index (``value[first][inverse]`` has
+one entry per row), and a batch sum weighted per row becomes a sum over
+the distinct rows weighted by :meth:`DistinctRows.sums`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["DistinctRows", "distinct_rows"]
+__all__ = ["DistinctRows", "distinct_rows", "every_row"]
 
 
 class DistinctRows(NamedTuple):
@@ -33,6 +35,22 @@ class DistinctRows(NamedTuple):
     def repeats(self) -> bool:
         """Whether any row occurs more than once (``U < B``)."""
         return self.first.size < self.inverse.size
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(U,) how many rows each distinct row stands for."""
+        return np.bincount(self.inverse, minlength=self.count)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """(U,) the sum of a per-row ``values`` (B,) over each distinct row's
+        copies: what a batch sum weighted by ``values`` puts on that row."""
+        return np.bincount(self.inverse, weights=values, minlength=self.count)
+
+
+def every_row(size: int) -> DistinctRows:
+    """The grouping of ``size`` rows that are all distinct: each its own row."""
+    index = np.arange(size)
+    return DistinctRows(index, index)
 
 
 def _multipliers(width: int) -> np.ndarray:

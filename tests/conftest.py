@@ -7,6 +7,30 @@ import pytest
 
 from repro.hamiltonians import MaxCut, TransverseFieldIsing
 
+#: wall seconds a test not marked ``slow`` may spend in setup and call together
+TEST_BUDGET_S = 10.0
+_SETUP_S = pytest.StashKey[float]()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Fail a passing test that is not marked ``slow`` but whose setup plus
+    call took longer than :data:`TEST_BUDGET_S`."""
+    report = (yield).get_result()
+    if call.when == "setup":
+        item.stash[_SETUP_S] = call.duration
+        return
+    if call.when != "call" or not report.passed or item.get_closest_marker("slow"):
+        return
+    took = item.stash.get(_SETUP_S, 0.0) + call.duration
+    if took > TEST_BUDGET_S:
+        report.outcome = "failed"
+        report.longrepr = (
+            f"{item.nodeid} took {took:.1f} s (setup + call), over the "
+            f"{TEST_BUDGET_S:g} s per-test wall budget; make it faster or "
+            "mark it @pytest.mark.slow"
+        )
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

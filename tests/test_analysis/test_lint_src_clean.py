@@ -38,21 +38,26 @@ def test_src_tree_lints_clean():
     )
 
 
-def test_gated_trees_lint_clean_in_one_call():
-    # One call, as in CI: a project rule sees only what one call is given.
-    report = lint_paths(list(GATED_TREES))
+@pytest.fixture(scope="module")
+def gated_report():
+    """One call over the gated trees, as in CI — a project rule sees only
+    what one call is given — shared by the tests that read it."""
+    return lint_paths(list(GATED_TREES))
+
+
+def test_gated_trees_lint_clean_in_one_call(gated_report):
+    report = gated_report
     assert report.files_scanned > 150, "lint walked an unexpectedly small tree"
     assert report.ok, "lint findings in the gated trees:\n" + "\n".join(
         f.format() for f in report.findings
     )
 
 
-def test_suppressions_in_src_are_audited():
+def test_suppressions_in_src_are_audited(gated_report):
     # Suppressed findings stay visible in the report: a rule being silenced
     # cannot disappear without trace. Guard against suppression creep by
     # requiring every suppression to carry a justification.
-    report = lint_paths(list(GATED_TREES))
-    for finding in report.suppressed:
+    for finding in gated_report.suppressed:
         source = Path(finding.path).read_text().splitlines()
         file_text = "\n".join(source)
         assert "repro-lint:" in file_text

@@ -226,6 +226,9 @@ def _nofault_worker(comm, rank, ckpt_dir):
 
 
 class TestRejoin:
+    # 2.2 s on some thread schedules, 9.2–9.5 s on others (an elastic wait,
+    # not work): too close to the per-test budget to run unmarked
+    @pytest.mark.slow
     def test_crash_shrink_rejoin_converges(self, tmp_path):
         results = run_threaded(
             _rejoin_worker, 3, args=(str(tmp_path / "chaos"),), timeout=180.0,

@@ -13,6 +13,8 @@ exact shape of the timeout message, so these contracts are pinned here:
   ``run_threaded`` peer whose worker function is over. On both backends
   everything an exited peer sent is still delivered in order, then every
   recv fails at once ("peer exited"), however long the timeout asked for.
+  A thread rank that raises also breaks the group's barrier, so a peer
+  parked there fails at once too.
 """
 
 from __future__ import annotations
@@ -105,6 +107,28 @@ class TestThreads:
             # rank 1 finishes (instantly) too, so the root cause propagates
             run_threaded(_exited_peer_worker, 2, args=(True,))
         assert time.perf_counter() - t0 < 5.0
+
+    def test_raised_peer_breaks_the_barrier(self):
+        """Rank 1 waits in ``barrier()`` for a rank 0 that raises instead:
+        the barrier fails at once as a dead peer, and rank 0's error is the
+        one that surfaces — long before run_threaded's own timeout."""
+        barrier_errors = []
+
+        def worker(comm, rank):
+            if rank == 0:
+                time.sleep(0.2)  # rank 1 is parked in the barrier by then
+                raise RuntimeError("rank 0 is done for")
+            try:
+                comm.barrier()
+            except CommTimeoutError as exc:
+                barrier_errors.append(str(exc))
+                raise
+
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="done for"):
+            run_threaded(worker, 2, timeout=60.0)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(barrier_errors) == 1 and "peer exited" in barrier_errors[0]
 
 
 def _mp_timeout_worker(comm, rank):

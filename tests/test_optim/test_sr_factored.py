@@ -289,8 +289,8 @@ def test_ranks_match_the_serial_big_batch_solve_on_one_allgather(world, widths):
     for rank, (sol, kinds, info) in enumerate(results):
         assert kinds == ["allgather"]
         assert info.distributed and info.samples == batch and info.gram == "layers"
-        if width is not None:  # N_r · 2(n + h) floats
-            assert info.comm_bytes == (bounds[rank + 1] - bounds[rank]) * width * 8
+        if width is not None:  # N_r · (2(n + h) + 1) floats: factors and row counts
+            assert info.comm_bytes == (bounds[rank + 1] - bounds[rank]) * (width + 1) * 8
         assert np.linalg.norm(sol - want) <= 1e-10 * np.linalg.norm(want)
         assert np.array_equal(sol, results[0][0])  # lock-step without a broadcast
 

@@ -105,7 +105,8 @@ class TestLogPsiReuse:
 
     def test_vqmc_evaluates_amplitudes_once_per_step(self, rng):
         """The driver passes the gradient path's log ψ into the energy
-        estimator: in autograd mode `model.log_psi(x)` runs exactly once."""
+        estimator: in autograd mode `model.log_psi` runs exactly once, on
+        the batch's distinct rows."""
         n = 6
         model = MADE(n, rng=rng)
         ham = TransverseFieldIsing.random(n, seed=1)
@@ -123,5 +124,5 @@ class TestLogPsiReuse:
             return original(batch)
 
         model.log_psi = counting
-        vqmc.step(batch_size=32)
-        assert calls == [32]
+        result = vqmc.step(batch_size=32)
+        assert calls == [result.distinct_rows]
