@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
-from repro.models.base import WaveFunction, validate_configurations
+from repro.models.base import WaveFunction, group_configurations
 from repro.tensor.tensor import no_grad
-from repro.utils.rows import DistinctRows, distinct_rows
+from repro.utils.rows import DistinctRows
 
 __all__ = [
     "EnergyStats",
@@ -170,27 +170,15 @@ def local_energies(
             raise ValueError(
                 f"log_psi_x must have shape ({x.shape[0]},), got {log_psi_x.shape}"
             )
-    # grouping by bits is exact only for 0/1 rows
-    x = validate_configurations(x, hamiltonian.n)
-    if rows is None:
-        rows = distinct_rows(x == 1.0)
-    elif rows.inverse.shape != (x.shape[0],):
-        raise ValueError(f"rows group {rows.inverse.size} rows, x has {x.shape[0]}")
-    if not rows.repeats:
-        return _local_energies(model, hamiltonian, x, log_psi_x, return_log_psi, fast)
-    first, inverse = rows
-    out = _local_energies(
-        model,
-        hamiltonian,
-        x[first],
-        None if log_psi_x is None else log_psi_x[first],
-        return_log_psi,
-        fast,
-    )
-    if not return_log_psi:
-        return out[inverse]
-    energies, log_psi = out
-    return energies[inverse], log_psi[inverse] if log_psi_x is None else log_psi_x
+    x, rows = group_configurations(x, hamiltonian.n, rows)
+
+    def run(batch, log_psi):
+        return _local_energies(model, hamiltonian, batch, log_psi, return_log_psi, fast)
+
+    out = rows.apply(run, x, log_psi_x)
+    if return_log_psi and log_psi_x is not None:
+        return out[0], log_psi_x  # as given, not its distinct rows scattered back
+    return out
 
 
 def _local_energies(model, hamiltonian, x, log_psi_x, return_log_psi, fast):

@@ -211,9 +211,9 @@ class StepCompiler:
         )
         want = self.model.flat_grad()
         self.model.zero_grad()
-        # selftest() left every row of the traced batch replayed
-        _check_gradient(plan.gradient(seed), want, "autograd")
         x = tape.x
+        plan.forward(x, every_row(len(x)))
+        _check_gradient(plan.gradient(seed), want, "autograd")
         if len(x) > 1:
             # halved(x) takes traced row i // 2 as its row i: its sweep with
             # ``seed`` is the traced batch's with the seeds summed that way

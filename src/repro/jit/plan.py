@@ -44,9 +44,9 @@ import numpy as np
 from repro.jit.errors import TapeDivergenceError, TraceError
 from repro.jit.fuse import FusedLinear, fuse_tape
 from repro.jit.tape import StepTape
-from repro.models.base import validate_configurations
+from repro.models.base import group_configurations
 from repro.nn.factored import FactoredO, LinearFactor
-from repro.utils.rows import DistinctRows, distinct_rows, every_row
+from repro.utils.rows import DistinctRows, every_row
 
 __all__ = ["CompiledPlan", "InterpretedPlan"]
 
@@ -106,25 +106,6 @@ def _rows_alike(array, batch: int) -> bool:
         batch > 1 and array.ndim >= 1 and array.shape[0] == batch
         and bool((array == array[:1]).all())
     )
-
-
-def _grouped(x: np.ndarray, rows: DistinctRows | None) -> DistinctRows:
-    """``rows``, checked against ``x``; or ``x``'s own grouping, once its
-    entries are known to be 0/1 (grouping by bits is exact only then)."""
-    if rows is None:
-        x = validate_configurations(x, x.shape[-1])
-        return distinct_rows(x == 1.0)
-    if rows.inverse.shape != (len(x),):
-        raise ValueError(f"rows group {rows.inverse.size} rows, x has {len(x)}")
-    return rows
-
-
-def _scattered(run, x, rows: DistinctRows) -> np.ndarray:
-    """``run`` (a batch → one value per row) on the distinct rows of ``x``,
-    scattered back to every row; on ``x`` as given when no row repeats."""
-    if not rows.repeats:
-        return run(x)
-    return run(np.asarray(x, dtype=np.float64)[rows.first])[rows.inverse]
 
 
 def halved(x: np.ndarray) -> np.ndarray:
@@ -265,13 +246,12 @@ class CompiledPlan:
 
     def _place(self, store: list, index: int, shape, dtype=np.float64, led: bool = False):
         """Allocate a buffer into ``store[index]``; a batch-led one is
-        registered so replays on fewer rows see its first rows."""
+        registered so replays on fewer rows see its first rows. Buffers are
+        placed while every row is exposed."""
         buf = self._alloc(shape, dtype)
         store[index] = buf
         if led:
             self._rowwise.append((store, index, buf))
-            if self._m != self.batch:
-                store[index] = buf[: self._m]
         return buf
 
     def _scratch_buf(self, shape, dtype=np.float64, led: bool = False) -> int:
@@ -951,8 +931,8 @@ class CompiledPlan:
         here — and scatters back; a batch without repeats is replayed as
         given. :meth:`gradient` and :meth:`per_sample` keep the grouping."""
         x = self._check_input(x)
-        self._rows = _grouped(x, rows)
-        return _scattered(lambda batch: self._replay(batch).copy(), x, self._rows)
+        x, self._rows = group_configurations(x, x.shape[-1], rows)
+        return self._rows.apply(lambda batch: self._replay(batch).copy(), x)
 
     def _seed_backward(self, seed) -> None:
         # No memset: every sweep runs the same straight-line steps, so the
@@ -999,6 +979,7 @@ class CompiledPlan:
         if self._ps_error is not None:
             raise self._ps_error
         if self._ps_steps is None:
+            self._set_rows(self.batch)  # its buffers are placed at full size
             try:
                 self._ps_steps = self._build_backward(per_sample=True)
                 self._ps_ones = np.ones(self.out_shape)
@@ -1021,8 +1002,7 @@ class CompiledPlan:
         traced one on its distinct rows and compare the output, then replay
         every row of the traced batch and compare every live op output
         against the interpreter's recorded arrays; raises
-        :class:`TapeDivergenceError` at the first mismatch. Leaves the
-        traced batch replayed, every row of it."""
+        :class:`TapeDivergenceError` at the first mismatch."""
         x = self.tape.x
         out = next((n.ref for n in self._nodes if n.slot == self.tape.out_slot), None)
         if out is not None and self.batch > 1:
@@ -1065,13 +1045,13 @@ class InterpretedPlan:
     def forward(self, x, rows: DistinctRows | None = None) -> np.ndarray:
         """``log_psi(x)`` values; the graph is kept for :meth:`gradient`.
         ``rows`` as in :meth:`CompiledPlan.forward`."""
-        self._rows = _grouped(x, rows)
+        x, self._rows = group_configurations(x, np.shape(x)[-1], rows)
 
         def run(batch):
             self._log_psi = self.model.log_psi(batch)
             return self._log_psi.data
 
-        return _scattered(run, x, self._rows)
+        return self._rows.apply(run, x)
 
     def gradient(self, seed) -> np.ndarray:
         """Backpropagate the surrogate ``(log_psi * seed).sum()`` through
@@ -1089,10 +1069,10 @@ class InterpretedPlan:
         the distinct rows. ``O`` is factored where the model supplies that
         form, and then holds the distinct rows and the grouping; an array
         ``O`` is scattered back to one row per sample."""
-        rows = _grouped(x, rows)
+        x, rows = group_configurations(x, np.shape(x)[-1], rows)
         if not rows.repeats:
             return self.model.log_psi_and_grads(x)
-        lp, o = self.model.log_psi_and_grads(np.asarray(x, dtype=np.float64)[rows.first])
+        lp, o = self.model.log_psi_and_grads(x[rows.first])
         if isinstance(o, FactoredO):
             return lp[rows.inverse], FactoredO(o.factors, o.shape[1], rows)
         return lp[rows.inverse], np.asarray(o)[rows.inverse]

@@ -21,8 +21,9 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor
+from repro.utils.rows import DistinctRows, distinct_rows
 
-__all__ = ["WaveFunction", "validate_configurations"]
+__all__ = ["WaveFunction", "group_configurations", "validate_configurations"]
 
 
 def validate_configurations(x: np.ndarray, n: int) -> np.ndarray:
@@ -35,6 +36,21 @@ def validate_configurations(x: np.ndarray, n: int) -> np.ndarray:
     if not np.all((x == 0.0) | (x == 1.0)):
         raise ValueError("configurations must be binary (entries in {0, 1})")
     return x
+
+
+def group_configurations(
+    x: np.ndarray, n: int, rows: DistinctRows | None = None
+) -> tuple[np.ndarray, DistinctRows]:
+    """:func:`validate_configurations` of ``x`` with its distinct rows:
+    ``rows`` when the caller has grouped the batch (``distinct_rows(x ==
+    1)``), checked against its length, else grouped here by bits — exact
+    because the entries are 0/1."""
+    x = validate_configurations(x, n)
+    if rows is None:
+        return x, distinct_rows(x == 1.0)
+    if rows.inverse.shape != (len(x),):
+        raise ValueError(f"rows group {rows.inverse.size} rows, x has {len(x)}")
+    return x, rows
 
 
 class WaveFunction(Module):

@@ -46,6 +46,18 @@ class DistinctRows(NamedTuple):
         copies: what a batch sum weighted by ``values`` puts on that row."""
         return np.bincount(self.inverse, weights=values, minlength=self.count)
 
+    def apply(self, fn, *arrays):
+        """``fn`` on the distinct rows of ``arrays`` (a ``None`` passes
+        through), its result — an array, or a tuple of them, one row per
+        distinct row — scattered back to every row; ``fn(*arrays)`` as
+        given when no row repeats."""
+        if not self.repeats:
+            return fn(*arrays)
+        out = fn(*(a if a is None else a[self.first] for a in arrays))
+        if isinstance(out, tuple):
+            return tuple(o[self.inverse] for o in out)
+        return out[self.inverse]
+
 
 def every_row(size: int) -> DistinctRows:
     """The grouping of ``size`` rows that are all distinct: each its own row."""

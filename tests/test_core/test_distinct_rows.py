@@ -20,10 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import energy
 from repro.core.energy import MAX_LOG_RATIO, local_energies, local_energy_path
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import MADE, RBM
+from repro.models import base as models_base
 from repro.nn.factored import FactoredO
 from repro.perf.flips import flip_log_ratios
 from repro.samplers import MetropolisSampler
@@ -172,7 +172,7 @@ def test_a_non_binary_row_raises_before_grouping(monkeypatch, bad):
     def never(rows):
         raise AssertionError("grouped before validating")
 
-    monkeypatch.setattr(energy, "distinct_rows", never)
+    monkeypatch.setattr(models_base, "distinct_rows", never)
     x = np.zeros((4, n))
     x[2, 1] = bad
     with pytest.raises(ValueError, match="binary"):
