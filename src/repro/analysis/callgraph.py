@@ -92,15 +92,6 @@ class CallSite:
     #: atomic primitive (collective / p2p).
     targets: tuple[FunctionNode, ...] = ()
 
-    @property
-    def callee_name(self) -> str | None:
-        func = self.call.func
-        if isinstance(func, ast.Name):
-            return func.id
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        return None
-
 
 def body_nodes(scope: ast.AST) -> Iterator[ast.AST]:
     """Walk a function (or module) body without descending into nested
@@ -164,7 +155,6 @@ class Project:
         self.functions: dict[str, FunctionNode] = {}
         self._by_name: dict[str, list[FunctionNode]] = {}
         self._modules: dict[str, _ModuleInfo] = {}
-        self._ctx_module: dict[str, str] = {}
         for ctx in self.contexts:
             self._index_file(ctx)
         self._call_cache: dict[str, tuple[CallSite, ...]] = {}
@@ -193,7 +183,6 @@ class Project:
 
     def _index_file(self, ctx: LintContext) -> None:
         module = self._module_key(ctx)
-        self._ctx_module[ctx.path] = module
         info = self._modules.setdefault(module, _ModuleInfo())
 
         def add(fn: FunctionNode) -> None:
@@ -249,17 +238,6 @@ class Project:
                     info.from_imports[bound] = (node.module, alias.name)
 
     # -- lookup -----------------------------------------------------------
-
-    def module_of(self, ctx_or_path: LintContext | str) -> str:
-        path = (
-            ctx_or_path.path
-            if isinstance(ctx_or_path, LintContext)
-            else ctx_or_path
-        )
-        return self._ctx_module[path]
-
-    def lookup(self, qualname: str) -> FunctionNode | None:
-        return self.functions.get(qualname)
 
     def _module_function(self, module: str, name: str) -> FunctionNode | None:
         return self.functions.get(f"{module}.{name}")

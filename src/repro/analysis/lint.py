@@ -295,11 +295,6 @@ class LintReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def merge(self, other: "LintReport") -> None:
-        self.findings.extend(other.findings)
-        self.suppressed.extend(other.suppressed)
-        self.files_scanned += other.files_scanned
-
     def sort(self) -> None:
         key = lambda f: (f.path, f.line, f.col, f.rule_id)  # noqa: E731
         self.findings.sort(key=key)

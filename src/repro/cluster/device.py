@@ -65,14 +65,6 @@ class ClusterSpec:
     def total_gpus(self) -> int:
         return self.nodes * self.node.gpus
 
-    def configurations(self) -> list[tuple[int, int]]:
-        """The paper's GPU configurations (L₁ nodes × L₂ GPUs/node)."""
-        configs = []
-        for n_nodes in range(1, self.nodes + 1):
-            for gpn in range(1, self.node.gpus + 1):
-                configs.append((n_nodes, gpn))
-        return configs
-
 
 V100 = DeviceSpec(
     name="V100-32GB",

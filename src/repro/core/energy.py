@@ -119,10 +119,9 @@ def local_energies(
     hamiltonian: Hamiltonian,
     x: np.ndarray,
     log_psi_x: np.ndarray | None = None,
-    return_log_psi: bool = False,
     fast: bool | None = None,
     rows: DistinctRows | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Evaluate ``l(x)`` for a batch — shape (B,). No autograd graph is built.
 
     ``l`` is a function of the configuration alone, so each distinct row of
@@ -147,10 +146,6 @@ def local_energies(
         Optional precomputed ``log ψ(x)`` (shape ``(B,)``) — e.g. the value
         ``log_psi_and_grads`` already returned to the training loop — so
         amplitudes of ``x`` are never evaluated twice per step.
-    return_log_psi:
-        When True, return ``(energies, log_psi_x)`` — the provided or
-        computed log-amplitudes of ``x`` (evaluated on demand if a purely
-        diagonal Hamiltonian made them unnecessary for the energies).
     fast:
         Force (True) or forbid (False) the fused kernel; ``None`` picks
         automatically. Forcing it on an unsupported model/Hamiltonian pair
@@ -173,15 +168,12 @@ def local_energies(
     x, rows = group_configurations(x, hamiltonian.n, rows)
 
     def run(batch, log_psi):
-        return _local_energies(model, hamiltonian, batch, log_psi, return_log_psi, fast)
+        return _local_energies(model, hamiltonian, batch, log_psi, fast)
 
-    out = rows.apply(run, x, log_psi_x)
-    if return_log_psi and log_psi_x is not None:
-        return out[0], log_psi_x  # as given, not its distinct rows scattered back
-    return out
+    return rows.apply(run, x, log_psi_x)
 
 
-def _local_energies(model, hamiltonian, x, log_psi_x, return_log_psi, fast):
+def _local_energies(model, hamiltonian, x, log_psi_x, fast):
     """:func:`local_energies` of a batch as given, repeats and all."""
     from repro.perf.flips import flip_log_ratios
 
@@ -206,11 +198,9 @@ def _local_energies(model, hamiltonian, x, log_psi_x, return_log_psi, fast):
     # would have saturated at e^88 anyway.)
     if use_fused:
         if flips.k:
-            deltas, cache = flip_log_ratios(model, flips.sites, x=x)
+            deltas, _ = flip_log_ratios(model, flips.sites, x=x)
             ratios = np.exp(np.clip(deltas, -MAX_LOG_RATIO, MAX_LOG_RATIO))
             energies += ratios @ flips.amplitudes
-            if log_psi_x is None:
-                log_psi_x = cache.log_psi
     else:
         nbrs, amps = hamiltonian.connected(x)
         bsz, k, _ = nbrs.shape
@@ -223,12 +213,7 @@ def _local_energies(model, hamiltonian, x, log_psi_x, return_log_psi, fast):
                 np.clip(lp_n - log_psi_x[:, None], -MAX_LOG_RATIO, MAX_LOG_RATIO)
             )
             energies += (amps * ratios).sum(axis=1)
-    if not return_log_psi:
-        return energies
-    if log_psi_x is None:
-        with no_grad():
-            log_psi_x = model.log_psi(x).data
-    return energies, log_psi_x
+    return energies
 
 
 def energy_statistics(local: np.ndarray) -> EnergyStats:

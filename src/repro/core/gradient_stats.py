@@ -37,11 +37,6 @@ class GradientNoise:
     critical_batch: float  # tr Σ / ‖mean‖²
     batch_size: int
 
-    def noise_fraction(self) -> float:
-        """Fraction of the squared gradient norm expected to be noise at
-        this batch size — ``1/(1 + snr)``."""
-        return 1.0 / (1.0 + self.snr)
-
 
 def gradient_noise(
     model: WaveFunction,

@@ -185,21 +185,3 @@ class ShardedMADE(WaveFunction):
             parts.append(np.zeros((bsz, self.n)))
         grads = np.concatenate(parts, axis=1)
         return 0.5 * log_prob, 0.5 * grads
-
-    def gather_full_logits_weights(self) -> dict[str, np.ndarray]:
-        """Reassemble the full weight matrices on every rank (testing /
-        checkpointing). Uses allgather of the shards."""
-        if self.comm.size == 1:
-            return {
-                "w1": self.w1.data.copy(),
-                "b1": self.b1.data.copy(),
-                "w2": self.w2.data.copy(),
-                "b2": self.b2.data.copy(),
-            }
-        w1 = np.concatenate(self.comm.allgather(self.w1.data), axis=0)
-        b1 = np.concatenate(self.comm.allgather(self.b1.data), axis=0)
-        w2 = np.concatenate(self.comm.allgather(self.w2.data), axis=1)
-        b2 = self.comm.allreduce(
-            self.b2.data if self.owns_output_bias else np.zeros(self.n), op="sum"
-        )
-        return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}

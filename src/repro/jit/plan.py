@@ -56,9 +56,8 @@ _VIEW_OPS = ("reshape", "transpose")
 
 _PS_GENERIC_OPS = frozenset(
     ("add", "mul", "neg", "truediv", "pow", "exp", "log", "sqrt", "abs",
-     "tanh", "relu", "sigmoid", "log_sigmoid", "softplus", "log_cosh",
-     "log1p", "expm1", "sin", "cos", "sum", "reshape", "transpose",
-     "bernoulli_log_prob", "matmul")
+     "tanh", "relu", "sigmoid", "log_cosh", "log1p", "expm1", "sin", "cos",
+     "sum", "reshape", "transpose", "bernoulli_log_prob", "matmul")
 )
 
 _UNARY_UFUNC = {
@@ -397,22 +396,6 @@ class CompiledPlan:
                 np.divide(1.0, out, out=out)  # branch for x >= 0
                 np.less(x, 0.0, out=neg)
                 np.copyto(out, s, where=neg)
-
-            return step
-        if op in ("log_sigmoid", "softplus"):
-            (a,) = ins
-            si = self._scratch_buf(node.shape, led=led)
-            clamp = np.minimum if op == "log_sigmoid" else np.maximum
-            combine = np.subtract if op == "log_sigmoid" else np.add
-
-            def step():
-                x, out, s = vals[a], vals[o], scr[si]
-                np.abs(x, out=s)
-                np.negative(s, out=s)
-                np.exp(s, out=s)
-                np.log1p(s, out=s)  # s = log1p(e^{-|x|})
-                clamp(x, 0.0, out=out)
-                combine(out, s, out=out)
 
             return step
         if op == "log_cosh":
@@ -847,23 +830,6 @@ class CompiledPlan:
                 np.multiply(s, grads[o], out=s)
 
             fns.append(term(ins[0], fsig))
-        elif op == "log_sigmoid":
-
-            def flsig(s):
-                np.exp(vals[o], out=s)  # sigma(z) = e^{log sigma(z)}
-                np.subtract(1.0, s, out=s)
-                np.multiply(s, grads[o], out=s)
-
-            fns.append(term(ins[0], flsig))
-        elif op == "softplus":
-
-            def fsp(s):
-                np.negative(vals[o], out=s)
-                np.exp(s, out=s)
-                np.subtract(1.0, s, out=s)  # sigma(x) = 1 - e^{-softplus(x)}
-                np.multiply(s, grads[o], out=s)
-
-            fns.append(term(ins[0], fsp))
         elif op == "log_cosh":
             (a,) = ins
 

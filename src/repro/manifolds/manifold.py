@@ -31,7 +31,7 @@ class ObliqueManifold:
         v = rng.normal(size=(self.p, self.n))
         return v / np.linalg.norm(v, axis=0, keepdims=True)
 
-    def check_point(self, v: np.ndarray, atol: float = 1e-8) -> None:
+    def check_point(self, v: np.ndarray, atol: float = 1e-8) -> None:  # repro-lint: disable=api-unreachable-export -- test oracle: the membership check every retraction in the tests must pass
         if v.shape != (self.p, self.n):
             raise ValueError(f"point shape {v.shape} != ({self.p}, {self.n})")
         norms = np.linalg.norm(v, axis=0)

@@ -55,7 +55,7 @@ class ManifoldProblem:
         g_plus = self.manifold.proj(v, self.rgrad(v_plus))
         return (g_plus - self.rgrad(v)) / h
 
-    def check_gradient(
+    def check_gradient(  # repro-lint: disable=api-unreachable-export -- test oracle: the finite-difference derivative each Riemannian gradient is held against
         self, v: np.ndarray, rng: np.random.Generator, h: float = 1e-7
     ) -> float:
         """Directional-derivative check; returns max relative error over a

@@ -97,14 +97,3 @@ class WaveFunction(Module):
         ``w @ O``, ``O @ v`` and ``O.shape`` from either.
         """
         raise NotImplementedError(f"{type(self).__name__} has no per-sample gradients")
-
-    # -- convenience ------------------------------------------------------------------
-
-    def psi_ratio(self, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        """``ψ(x_new)/ψ(x_old)`` computed in log space (no_grad)."""
-        from repro.tensor.tensor import no_grad
-
-        with no_grad():
-            lp_new = self.log_psi(x_new).data
-            lp_old = self.log_psi(x_old).data
-        return np.exp(lp_new - lp_old)

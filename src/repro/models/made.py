@@ -10,7 +10,7 @@ The sigmoid outputs are the autoregressive conditionals
 ``πθ(x) = Π_i p_i^{x_i} (1-p_i)^{1-x_i}`` and the wavefunction is
 ``ψθ(x) = sqrt(πθ(x))`` (non-negative ground state, §2.1). We keep the
 network output in *logit* space internally and evaluate Bernoulli
-log-probabilities through ``log_sigmoid`` for numerical stability; the
+log-probabilities through ``bernoulli_log_prob`` for numerical stability; the
 sigmoid of the paper's diagram is applied only where actual probabilities
 are required (sampling).
 

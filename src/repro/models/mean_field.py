@@ -80,7 +80,7 @@ class MeanField(WaveFunction):
         grads = 0.5 * (x - np.exp(log_p))
         return 0.5 * log_prob, grads
 
-    def exact_fisher(self) -> np.ndarray:
+    def exact_fisher(self) -> np.ndarray:  # repro-lint: disable=api-unreachable-export -- test oracle: the closed form the SR Fisher estimate is checked against
         """Closed-form quantum Fisher S = ¼ diag(p(1−p)) (population form)."""
         p = self.probabilities()
         return 0.25 * np.diag(p * (1.0 - p))

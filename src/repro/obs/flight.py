@@ -89,7 +89,7 @@ class StepFrameBuilder:
 
         {"step", "energy", "std", "sem", "grad_norm", "acceptance",
          "step_time", "distinct_rows", "phases": {...},
-         "sr": {"solver", "iterations", "residual", "incomplete"},   # if SR ran
+         "sr": {"solver", "residual"},   # if SR ran
          "metric_deltas": {...},   # counter movement since the last frame
          "gauges": {...},          # absolute gauge levels (jit.arena_bytes, ...)
          "comm_deltas": {...},     # CommStats movement since the last frame
@@ -132,9 +132,7 @@ class StepFrameBuilder:
         if info is not None:
             frame["sr"] = {
                 "solver": info.solver,
-                "iterations": int(info.iterations),
                 "residual": float(info.residual),
-                "incomplete": bool(info.incomplete),
             }
         metrics = getattr(vqmc, "metrics", None)
         if metrics is not None:
@@ -309,7 +307,7 @@ class FlightRecorder:
 
     # -- signals --------------------------------------------------------------------
 
-    def install_signal_handlers(self, signums=(signal.SIGTERM,)) -> list[int]:
+    def install_signal_handlers(self, signums=(signal.SIGTERM,)) -> list[int]:  # repro-lint: disable=api-unreachable-export -- documented user entry point: docs/observability.md (flight recorder) dumps on SIGTERM with it
         """Dump on delivery of ``signums`` (default SIGTERM — preemption).
 
         Chains to the previously-installed handler (or re-raises the

@@ -20,7 +20,6 @@ Rule catalogue (defaults chosen so a clean run never reaches CRIT):
 ``energy_variance``    energy std collapsed or spiked vs. a rolling baseline
 ``acceptance_collapse``sampler acceptance below an absolute floor (MCMC runs)
 ``snr_drop``           energy |mean|/sem dropped far below its rolling baseline
-``cg_stall``           consecutive incomplete SR-CG solves (``SRSolveInfo``)
 ``straggler_drift``    step time beyond the trace CLI's straggler threshold
                        (1.25×) of its rolling median
 ``arena_growth``       ``jit.arena_bytes`` gauge growing every step (leak-like)
@@ -53,7 +52,6 @@ __all__ = [
     "EnergyVarianceRule",
     "AcceptanceCollapseRule",
     "SNRDropRule",
-    "CGStallRule",
     "StragglerDriftRule",
     "ArenaGrowthRule",
     "HealthMonitor",
@@ -244,23 +242,6 @@ class SNRDropRule(HealthRule):
         return None
 
 
-class CGStallRule(HealthRule):
-    """Consecutive incomplete SR-CG solves: the natural-gradient system
-    has become too ill-conditioned for the iteration budget, and every
-    update direction is a truncated guess."""
-
-    name = "cg_stall"
-
-    def check(self, frame: dict) -> str | None:
-        sr = frame.get("sr")
-        if not isinstance(sr, dict) or not sr.get("incomplete"):
-            return None
-        return (
-            f"CG incomplete at {sr.get('iterations')} iterations "
-            f"(residual {sr.get('residual', float('nan')):.3g})"
-        )
-
-
 class StragglerDriftRule(HealthRule):
     """This rank's step time drifted beyond the trace CLI's straggler
     threshold (default 1.25×) of its own rolling median — the live,
@@ -324,7 +305,6 @@ def default_rules() -> list[HealthRule]:
         EnergyVarianceRule(),
         AcceptanceCollapseRule(),
         SNRDropRule(),
-        CGStallRule(),
         StragglerDriftRule(),
         ArenaGrowthRule(),
     ]
@@ -439,9 +419,6 @@ class HealthMonitor:
     def verdict(self) -> str:
         """Overall verdict: the worst of the per-rule verdicts."""
         return worst_verdict(rt.verdict for rt in self._runtimes)
-
-    def rule_verdicts(self) -> dict[str, str]:
-        return {rt.rule.name: rt.verdict for rt in self._runtimes}
 
     def report(self) -> dict:
         """JSON-ready :class:`HealthReport`: overall + per-rule verdicts,

@@ -106,7 +106,7 @@ class Histogram:
             if self.max is None or value > self.max:
                 self.max = value
 
-    def quantile(self, q: float) -> float:
+    def quantile(self, q: float) -> float:  # repro-lint: disable=api-unreachable-export -- documented user entry point: docs/observability.md (metrics) promises conservative histogram quantiles
         """Upper-edge estimate of the ``q``-quantile (conservative).
 
         Within the finite buckets this returns the bucket's upper edge.

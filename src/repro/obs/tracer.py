@@ -220,34 +220,12 @@ class Tracer:
             )
         )
 
-    def instant(self, name: str, **attrs) -> None:
-        """Record a zero-duration marker event."""
-        if not self.enabled:
-            return
-        if len(self._events) >= self.max_events:
-            self.dropped += 1
-            return
-        self._events.append(
-            SpanEvent(
-                name,
-                time.perf_counter_ns() - self._origin_ns,
-                0,
-                len(self._stack()),
-                self._tid(),
-                attrs or None,
-            )
-        )
-
     # -- inspection ---------------------------------------------------------------
 
     @property
     def events(self) -> list[SpanEvent]:
         """Completed spans, in completion order (children before parents)."""
         return self._events
-
-    def open_spans(self) -> int:
-        """Open spans on the *calling* thread (0 after clean unwinding)."""
-        return len(self._stack())
 
     def clear(self) -> None:
         """Drop all completed events (open spans stay open)."""

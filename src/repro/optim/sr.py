@@ -33,8 +33,8 @@ solved in whichever space is smaller:
 
   one Cholesky factorisation of an N×N matrix (N = 128: under a megaflop)
   — exact, with no iteration budget — between one ``O @ F`` and one
-  weighted backward ``(Hc) @ O``. ``cg_tol`` and ``cg_maxiter`` are
-  accepted and have no effect on a direct solve.
+  weighted backward ``(Hc) @ O``. ``cg_maxiter`` is accepted and has no
+  effect on a direct solve.
 - ``auto`` picks ``dense`` iff ``d ≤ N`` (the global ``N``).
 
 Repeated samples
@@ -168,9 +168,9 @@ class StochasticReconfiguration:
         ``'dense'`` (d×d), ``'cg'`` (the sample-space solve) or
         ``'auto'`` (the smaller of the two). Honoured identically in serial
         and distributed solves.
-    cg_tol, cg_maxiter:
+    cg_maxiter:
         Accepted for the callers of the conjugate-gradient solver the
-        direct sample-space solve replaced; they have no effect.
+        direct sample-space solve replaced; it has no effect.
 
     Attributes
     ----------
@@ -193,7 +193,6 @@ class StochasticReconfiguration:
         self,
         diag_shift: float = 1e-3,
         solver: str = "auto",
-        cg_tol: float = 1e-10,
         cg_maxiter: int | None = None,
     ):
         if diag_shift < 0:
@@ -210,7 +209,7 @@ class StochasticReconfiguration:
         self.tracer = tracer
 
     @staticmethod
-    def fisher_matrix(per_sample_o) -> np.ndarray:
+    def fisher_matrix(per_sample_o) -> np.ndarray:  # repro-lint: disable=api-unreachable-export -- test oracle: the dense S every natural gradient is checked against
         """Dense centred overlap matrix ``S`` from ``O`` of shape (B, d)."""
         o = np.asarray(per_sample_o, dtype=np.float64)
         oc = o - o.mean(axis=0, keepdims=True)
@@ -384,12 +383,3 @@ class StochasticReconfiguration:
             metrics.inc("sr.comm_bytes", comm_bytes)
             metrics.set("sr.residual", residual)
         return sol
-
-    # -- gradient assembly (shared with the VQMC driver) ---------------------------
-
-    @staticmethod
-    def energy_gradient(per_sample_o, local_energies: np.ndarray) -> np.ndarray:
-        """Covariance form ``F_k = ⟨(l - ⟨l⟩) O_k⟩`` — half the paper's Eq. 5."""
-        l = np.asarray(local_energies, dtype=np.float64)
-        centred = l - l.mean()
-        return centred @ per_sample_o / per_sample_o.shape[0]

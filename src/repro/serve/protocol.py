@@ -58,8 +58,6 @@ class JobState:
     CANCELLED = "cancelled"
 
     ALL = (QUEUED, RUNNING, COMPLETED, FAILED, CANCELLED)
-    #: states from which no transition is possible
-    TERMINAL = (COMPLETED, FAILED, CANCELLED)
 
 
 @dataclass(frozen=True)
@@ -75,13 +73,6 @@ class ModelKey:
     hamiltonian: tuple
     ansatz: tuple
     checkpoint: str | None = None
-
-    def as_json(self) -> dict:
-        return {
-            "hamiltonian": list(self.hamiltonian),
-            "ansatz": list(self.ansatz),
-            "checkpoint": self.checkpoint,
-        }
 
 
 def _require(cond: bool, message: str) -> None:

@@ -122,8 +122,8 @@ def masked_linear(
 def bernoulli_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Log-probability of binary ``targets`` under independent Bernoullis.
 
-    ``log p = t * log σ(z) + (1-t) * log σ(-z)``, computed with the stable
-    ``log_sigmoid`` so extreme logits never produce ``log(0)``. Returns the
+    ``log p = t * log σ(z) + (1-t) * log σ(-z)``, computed in a stable
+    closed form so extreme logits never produce ``log(0)``. Returns the
     elementwise log-probabilities (caller reduces over the site axis).
 
     This is a fused primitive: the forward evaluates both stable closed

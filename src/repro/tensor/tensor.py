@@ -257,16 +257,8 @@ class Tensor:
         label = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{label})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """A view of the same data cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -484,36 +476,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), bw, "sigmoid")
 
-    def log_sigmoid(self) -> "Tensor":
-        """Stable ``log(sigmoid(x)) = -softplus(-x) = min(x,0) - log1p(exp(-|x|))``."""
-        x = self.data
-        out_data = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-        sig = np.empty_like(x)
-        pos = x >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        sig[~pos] = ex / (1.0 + ex)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * (1.0 - sig))
-
-        return Tensor._make(out_data, (self,), bw, "log_sigmoid")
-
-    def softplus(self) -> "Tensor":
-        """Stable ``log(1 + exp(x)) = max(x,0) + log1p(exp(-|x|))``."""
-        x = self.data
-        out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-        sig = np.empty_like(x)
-        pos = x >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        sig[~pos] = ex / (1.0 + ex)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * sig)
-
-        return Tensor._make(out_data, (self,), bw, "softplus")
-
     def log_cosh(self) -> "Tensor":
         """Stable ``log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log 2``.
 
@@ -575,34 +537,6 @@ class Tensor:
             self._accum(g * inside)
 
         return Tensor._make(out_data, (self,), bw, "clip", {"low": low, "high": high})
-
-    def logsumexp(self, axis: int = -1, keepdims: bool = False) -> "Tensor":
-        """Numerically stable ``log Σ exp`` along an axis."""
-        m = self.data.max(axis=axis, keepdims=True)
-        shifted = self.data - m
-        sumexp = np.exp(shifted).sum(axis=axis, keepdims=True)
-        out_keep = m + np.log(sumexp)
-        out_data = out_keep if keepdims else np.squeeze(out_keep, axis=axis)
-        soft = np.exp(shifted) / sumexp  # softmax along axis
-
-        def bw(g: np.ndarray) -> None:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            self._accum(gg * soft)
-
-        return Tensor._make(
-            out_data, (self,), bw, "logsumexp", {"axis": axis, "keepdims": keepdims}
-        )
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        m = self.data.max(axis=axis, keepdims=True)
-        e = np.exp(self.data - m)
-        out_data = e / e.sum(axis=axis, keepdims=True)
-
-        def bw(g: np.ndarray) -> None:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            self._accum(out_data * (g - inner))
-
-        return Tensor._make(out_data, (self,), bw, "softmax", {"axis": axis})
 
     # -- reductions ------------------------------------------------------------------
 

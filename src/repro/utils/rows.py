@@ -48,15 +48,11 @@ class DistinctRows(NamedTuple):
 
     def apply(self, fn, *arrays):
         """``fn`` on the distinct rows of ``arrays`` (a ``None`` passes
-        through), its result — an array, or a tuple of them, one row per
-        distinct row — scattered back to every row; ``fn(*arrays)`` as
-        given when no row repeats."""
+        through), its result — one row per distinct row — scattered back to
+        every row; ``fn(*arrays)`` as given when no row repeats."""
         if not self.repeats:
             return fn(*arrays)
-        out = fn(*(a if a is None else a[self.first] for a in arrays))
-        if isinstance(out, tuple):
-            return tuple(o[self.inverse] for o in out)
-        return out[self.inverse]
+        return fn(*(a if a is None else a[self.first] for a in arrays))[self.inverse]
 
 
 def every_row(size: int) -> DistinctRows:

@@ -133,7 +133,7 @@ FIXTURES: dict[str, tuple[Fixture, Fixture]] = {
     ),
     "api-unreachable-export": (
         "def orphan(x):\n    return x\n",
-        "def helper(x):\n    return x\nDEFAULT = helper(1)\n",
+        "def helper(x):\n    return x\n_DEFAULT = helper(1)\n",
     ),
     "api-unreachable-export/reexport-only": (
         # the package __init__ and __all__ keep nothing alive
@@ -173,5 +173,62 @@ FIXTURES: dict[str, tuple[Fixture, Fixture]] = {
     "api-unreachable-export/recursion": (
         "def fact(n):\n    return 1 if n < 2 else n * fact(n - 1)\n",
         None,
+    ),
+    # members of classes — public or not — are judged like top-level names
+    "api-unreachable-export/method": (
+        "class _Box:\n    def open(self):\n        return 1\n",
+        # ... reached through an attribute
+        "class _Box:\n"
+        "    def open(self):\n"
+        "        return 1\n"
+        "def _use(box):\n"
+        "    return box.open()\n",
+    ),
+    "api-unreachable-export/property": (
+        "class _Box:\n    @property\n    def size(self):\n        return 1\n",
+        # ... reached only through getattr's constant string
+        "class _Box:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "def _use(box):\n"
+        "    return getattr(box, 'size')\n",
+    ),
+    "api-unreachable-export/class-constant": (
+        "class _Box:\n    LIMIT = 3\n",
+        "class _Box:\n    LIMIT = 3\n    _TWICE = 2 * LIMIT\n",
+    ),
+    "api-unreachable-export/module-constant": (
+        "LIMIT = 3\n",
+        "LIMIT = 3\n_TWICE = 2 * LIMIT\n",
+    ),
+    "api-unreachable-export/member-in-tests": (
+        # tests/ keeps a member alive no more than a top-level name
+        {
+            FIXTURE_PATH: "class _Box:\n    def open(self):\n        return 1\n",
+            "tests/test_box.py": "def test_open(box):\n    assert box.open() == 1\n",
+        },
+        {
+            FIXTURE_PATH: "class _Box:\n    def open(self):\n        return 1\n",
+            "examples/box.py": "def show(box):\n    print(box.open())\n",
+        },
+    ),
+    "api-unreachable-export/member-recursion": (
+        "class _Box:\n"
+        "    def walk(self, n):\n"
+        "        return self.walk(n - 1) if n else 0\n",
+        None,
+    ),
+    "api-unreachable-export/foreign-base": (
+        "class _Visitor:\n    def visit_Call(self, node):\n        return node\n",
+        # a framework calls these by names it builds at run time
+        "import ast\n"
+        "from http.server import BaseHTTPRequestHandler\n"
+        "class _Visitor(ast.NodeVisitor):\n"
+        "    def visit_Call(self, node):\n"
+        "        return node\n"
+        "class _Handler(BaseHTTPRequestHandler):\n"
+        "    def do_GET(self):\n"
+        "        return None\n",
     ),
 }

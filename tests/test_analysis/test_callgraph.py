@@ -172,7 +172,7 @@ class TestResolution:
             },
         )
         sites = project.call_sites(fn(project, "caller.go"))
-        resolved = {s.callee_name: [t.qualname for t in s.targets] for s in sites}
+        resolved = {s.call.func.id: [t.qualname for t in s.targets] for s in sites}
         assert len(resolved["unique_fn"]) == 1
         assert resolved["dup"] == []
 

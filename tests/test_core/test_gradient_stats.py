@@ -47,12 +47,6 @@ class TestGradientNoise:
         b = gradient_noise(model, small_tim, x[1024:8192]).critical_batch
         assert a == pytest.approx(b, rel=0.5)
 
-    def test_noise_fraction_bounds(self, small_tim, rng):
-        model = MADE(6, rng=rng)
-        x = model.sample(128, rng)
-        stats = gradient_noise(model, small_tim, x)
-        assert 0.0 <= stats.noise_fraction() <= 1.0
-
     def test_critical_batch_grows_with_problem_size(self, rng):
         """The Fig. 4 saturation story: larger problems have larger B_crit,
         so they keep benefiting from bigger effective batches."""

@@ -68,8 +68,16 @@ class TestEquivalence:
         ref = reference_made()
 
         def worker(comm, rank):
+            # the shards, reassembled: hidden units split w1/b1 by rows and
+            # w2 by columns; one rank owns the output bias
             model = ShardedMADE(N, HIDDEN, comm, seed=SEED)
-            return model.gather_full_logits_weights()
+            b2 = model.b2.data if model.owns_output_bias else np.zeros(N)
+            return {
+                "w1": np.concatenate(comm.allgather(model.w1.data), axis=0),
+                "b1": np.concatenate(comm.allgather(model.b1.data), axis=0),
+                "w2": np.concatenate(comm.allgather(model.w2.data), axis=1),
+                "b2": comm.allreduce(b2, op="sum"),
+            }
 
         for full in run_threaded(worker, 4):
             assert np.allclose(full["w1"], ref.fc1.weight.data)

@@ -68,11 +68,3 @@ class TestSamplingInterface:
 
         with pytest.raises(TypeError):
             AutoregressiveSampler().sample(rbm, 8, rng)
-
-    def test_psi_ratio(self, rbm, rng):
-        x = (rng.random((5, 6)) < 0.5).astype(float)
-        y = x.copy()
-        y[:, 0] = 1.0 - y[:, 0]
-        ratios = rbm.psi_ratio(y, x)
-        expect = np.exp(rbm.log_psi(y).data - rbm.log_psi(x).data)
-        assert np.allclose(ratios, expect)

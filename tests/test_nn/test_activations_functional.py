@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor
+from repro.tensor import Tensor, gradcheck
 from repro.tensor import functional as F
 
 
@@ -59,3 +59,9 @@ class TestFunctionalWrappers:
         p = 1 / (1 + np.exp(-logits))
         expect = targets * np.log(p) + (1 - targets) * np.log(1 - p)
         assert np.allclose(got, expect, atol=1e-10)
+
+    def test_bernoulli_log_prob_gradcheck(self, rng):
+        targets = (rng.random((4, 3)) < 0.5).astype(float)
+        assert gradcheck(
+            lambda z: F.bernoulli_log_prob(z, targets), [rng.normal(size=(4, 3)) * 2]
+        )

@@ -25,7 +25,6 @@ from repro.obs import CRIT, OK, WARN, HealthMonitor, replay_frames, worst_verdic
 from repro.obs.health import (
     AcceptanceCollapseRule,
     ArenaGrowthRule,
-    CGStallRule,
     EnergyVarianceRule,
     NonFiniteEnergyRule,
     SNRDropRule,
@@ -48,10 +47,13 @@ def clean_frame(step, rng):
         "grad_norm": 1.5 + 0.1 * rng.standard_normal(),
         "step_time": 0.01 + 0.0005 * rng.standard_normal(),
         "acceptance": 0.45 + 0.02 * rng.standard_normal(),
-        "sr": {"solver": "cg", "iterations": 12, "residual": 1e-8,
-               "incomplete": False},
+        "sr": {"solver": "cg", "residual": 1e-8},
         "gauges": {"jit.arena_bytes": 32768.0},
     }
+
+
+def rule_verdicts(monitor):
+    return {name: rule["verdict"] for name, rule in monitor.report()["rules"].items()}
 
 
 def run_stream(monitor, frames):
@@ -83,10 +85,10 @@ class TestCleanRunNoFalseAlarms:
         for step in range(1, 201):
             monitor.observe(clean_frame(step, rng))
             assert monitor.verdict != CRIT, (
-                f"false CRIT at step {step}: {monitor.rule_verdicts()}"
+                f"false CRIT at step {step}: {rule_verdicts(monitor)}"
             )
         assert monitor.verdict == OK
-        assert all(v == OK for v in monitor.rule_verdicts().values())
+        assert all(v == OK for v in rule_verdicts(monitor).values())
 
 
 ANOMALIES = {
@@ -94,8 +96,6 @@ ANOMALIES = {
     "energy_variance": lambda f: f.update(std=1e-6),
     "acceptance_collapse": lambda f: f.update(acceptance=0.001),
     "snr_drop": lambda f: f.update(sem=50.0),
-    "cg_stall": lambda f: f["sr"].update(incomplete=True, iterations=200,
-                                         residual=0.3),
     "straggler_drift": lambda f: f.update(step_time=0.05),
     "arena_growth": lambda f: f["gauges"].update(
         {"jit.arena_bytes": 32768.0 * (1 + f["step"])}
@@ -111,14 +111,14 @@ class TestEverySeededAnomalyTrips:
         assert crit_at - 60 < 5, (
             f"{rule_name} took {crit_at - 60 + 1} steps to trip"
         )
-        assert monitor.rule_verdicts()[rule_name] == CRIT, (
-            f"CRIT came from the wrong rule: {monitor.rule_verdicts()}"
+        assert rule_verdicts(monitor)[rule_name] == CRIT, (
+            f"CRIT came from the wrong rule: {rule_verdicts(monitor)}"
         )
 
     def test_variance_spike_also_trips(self):
         monitor, crit_at = seeded_run(lambda f: f.update(std=500.0))
         assert crit_at is not None
-        assert monitor.rule_verdicts()["energy_variance"] == CRIT
+        assert rule_verdicts(monitor)["energy_variance"] == CRIT
 
 
 class TestHysteresis:
@@ -130,7 +130,7 @@ class TestHysteresis:
         frame = clean_frame(40, rng)
         frame["acceptance"] = 0.001
         monitor.observe(frame)
-        assert monitor.rule_verdicts()["acceptance_collapse"] == WARN
+        assert rule_verdicts(monitor)["acceptance_collapse"] == WARN
 
     def test_recovery_decays_to_ok_after_clear_after(self):
         rule = AcceptanceCollapseRule()
@@ -175,7 +175,7 @@ class TestRuleUnits:
     def test_missing_keys_are_tolerated(self):
         rules = [
             NonFiniteEnergyRule(), EnergyVarianceRule(),
-            AcceptanceCollapseRule(), SNRDropRule(), CGStallRule(),
+            AcceptanceCollapseRule(), SNRDropRule(),
             StragglerDriftRule(), ArenaGrowthRule(),
         ]
         for rule in rules:
@@ -196,7 +196,7 @@ class TestRuleUnits:
 
     def test_duplicate_rule_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate rule names"):
-            HealthMonitor([CGStallRule(), CGStallRule()])
+            HealthMonitor([SNRDropRule(), SNRDropRule()])
 
     def test_worst_verdict(self):
         assert worst_verdict([]) == OK
@@ -212,18 +212,18 @@ class TestReplayAndReport:
             f["energy"] = float("nan")
         live = run_stream(HealthMonitor(), frames)
         replayed = replay_frames(frames)
-        assert replayed.rule_verdicts() == live.rule_verdicts()
+        assert rule_verdicts(replayed) == rule_verdicts(live)
         assert replayed.report()["verdict"] == live.report()["verdict"]
 
     def test_report_shape(self):
-        monitor, _ = seeded_run(ANOMALIES["cg_stall"])
+        monitor, _ = seeded_run(ANOMALIES["acceptance_collapse"])
         report = monitor.report()
         assert report["schema"] == "repro.health/1"
         assert report["verdict"] == CRIT
-        info = report["rules"]["cg_stall"]
+        info = report["rules"]["acceptance_collapse"]
         assert info["verdict"] == CRIT
         assert info["tripped_step"] is not None and info["bad_steps"] > 0
-        assert any(t["rule"] == "cg_stall" and t["to"] == CRIT
+        assert any(t["rule"] == "acceptance_collapse" and t["to"] == CRIT
                    for t in report["transitions"])
 
 
@@ -250,7 +250,7 @@ class TestMonitorCLI:
         rng = np.random.default_rng(2)
         frames = [clean_frame(s, rng) for s in range(1, 40)]
         for f in frames[20:]:
-            f["sr"]["incomplete"] = True
+            f["acceptance"] = 0.001
         self._write_jsonl(tmp_path / "run.jsonl", frames)
         r = subprocess.run(
             [sys.executable, str(MONITOR), "health", str(tmp_path), "--json"],
@@ -258,4 +258,4 @@ class TestMonitorCLI:
         )
         assert r.returncode == 1, r.stdout + r.stderr
         payload = json.loads(r.stdout)
-        assert payload["sources"]["run.jsonl"]["rules"]["cg_stall"]["verdict"] == CRIT
+        assert payload["sources"]["run.jsonl"]["rules"]["acceptance_collapse"]["verdict"] == CRIT

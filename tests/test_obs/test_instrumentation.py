@@ -61,7 +61,7 @@ class TestVQMCPhases:
         assert set(phases) == {
             "sample", "local_energy", "gradient", "sr_solve", "optimizer",
         }
-        assert tracer.open_spans() == 0
+        assert len(tracer._stack()) == 0
 
     def test_autograd_phases_present(self):
         tracer = Tracer()
@@ -124,7 +124,7 @@ class TestCommSpans:
             comm.attach_tracer(tracer)
             comm.allreduce(np.ones(32))
             (ev,) = [e for e in tracer.events if e.name == "comm.allreduce"]
-            return (tracer.open_spans(), ev.attrs["bytes"], ev.attrs["algorithm"])
+            return (len(tracer._stack()), ev.attrs["bytes"], ev.attrs["algorithm"])
 
         for open_count, nbytes, algorithm in run_threaded(worker, 4):
             assert open_count == 0 and nbytes == 32 * 8
@@ -154,7 +154,7 @@ class TestCommSpans:
             except Exception as exc:  # noqa: BLE001 — recording the kind
                 outcome = type(exc).__name__
             spans = [e for e in tracer.events if e.name == "comm.allreduce"]
-            return (outcome, tracer.open_spans(), spans[0].attrs if spans else None)
+            return (outcome, len(tracer._stack()), spans[0].attrs if spans else None)
 
         results = dict()
         t0 = time.perf_counter()

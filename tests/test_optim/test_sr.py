@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.energy import grad_from_per_sample
 from repro.optim import StochasticReconfiguration
 
 
@@ -85,9 +86,9 @@ class TestSolvers:
 class TestSolveDiagnostics:
     def test_solve_info_records_solver_and_residual(self, o_matrix, rng):
         g = rng.normal(size=10)
-        # the iteration controls are accepted and have no effect: the
+        # the iteration budget is accepted and has no effect: the
         # sample-space solve is direct, never truncated
-        sr = StochasticReconfiguration(solver="cg", cg_maxiter=1, cg_tol=0.5)
+        sr = StochasticReconfiguration(solver="cg", cg_maxiter=1)
         assert sr.last_solve is None
         sr.natural_gradient(o_matrix, g)
         info = sr.last_solve
@@ -116,14 +117,16 @@ class TestSolveDiagnostics:
 
 
 class TestEnergyGradient:
+    """The right-hand side SR preconditions: Eq. 5's ``2⟨(l − ⟨l⟩) O⟩``."""
+
     def test_covariance_form(self, o_matrix, rng):
         l = rng.normal(size=64)
-        f = StochasticReconfiguration.energy_gradient(o_matrix, l)
+        f = grad_from_per_sample(o_matrix, l)
         centred = l - l.mean()
-        assert np.allclose(f, centred @ o_matrix / 64)
+        assert np.allclose(f, 2.0 * centred @ o_matrix / 64)
 
     def test_zero_for_constant_local_energy(self, o_matrix):
         """Zero-variance principle: at an eigenstate (constant l) the
         gradient estimator vanishes identically, not just in expectation."""
-        f = StochasticReconfiguration.energy_gradient(o_matrix, np.full(64, 3.7))
+        f = grad_from_per_sample(o_matrix, np.full(64, 3.7))
         assert np.allclose(f, 0.0)

@@ -71,10 +71,9 @@ class TestLogPsiReuse:
         x = (rng.random((10, 6)) < 0.5).astype(float)
         with no_grad():
             lp = model.log_psi(x).data
-        base, lp_back = local_energies(model, small_tim, x, return_log_psi=True)
+        base = local_energies(model, small_tim, x)
         given = local_energies(model, small_tim, x, log_psi_x=lp)
         assert np.allclose(base, given, atol=1e-12)
-        assert np.allclose(lp_back, lp, atol=1e-12)
 
     def test_precomputed_log_psi_skips_model_eval(self, small_tim, rng):
         """On the dense path, passing log_psi_x must drop the ψ(x) forward

@@ -375,9 +375,6 @@ class TestLocalEnergyPaths:
         ham = MaxCut.random(8, seed=1)
         x = (rng.random((5, 8)) < 0.5).astype(float)
         assert np.allclose(local_energies(model, ham, x), ham.diagonal(x))
-        energies, lp = local_energies(model, ham, x, return_log_psi=True)
-        with no_grad():
-            assert np.allclose(lp, model.log_psi(x).data)
 
 
 class TestFlipStructure:

@@ -7,7 +7,6 @@ import pytest
 from repro.serve.protocol import (
     MAX_QUERY_BATCH,
     JobSpec,
-    JobState,
     ProtocolError,
     QuerySpec,
 )
@@ -58,10 +57,6 @@ class TestJobSpec:
         assert a.model_key() != a.model_key(checkpoint="ckpt.npz")
         assert a.model_key() != JobSpec.from_json({"n": 10, "seed": 4}).model_key()
 
-    def test_model_key_serialises(self):
-        doc = JobSpec.from_json({}).model_key().as_json()
-        assert set(doc) == {"hamiltonian", "ansatz", "checkpoint"}
-
 
 class TestQuerySpec:
     def test_kind_argument_overrides_payload(self):
@@ -87,9 +82,3 @@ class TestQuerySpec:
             {"n": 12, "arch": "made", "hidden": 8, "seed": 2}
         )
         assert query.model_key() == job.model_key()
-
-
-class TestJobState:
-    def test_terminal_states_are_states(self):
-        assert set(JobState.TERMINAL) < set(JobState.ALL)
-        assert JobState.QUEUED not in JobState.TERMINAL

@@ -62,40 +62,6 @@ class TestClip:
         assert np.array_equal(t.grad, [0.0, 1.0])
 
 
-class TestLogSumExpSoftmax:
-    def test_logsumexp_matches_scipy(self, rng):
-        import scipy.special
-
-        a = rng.normal(size=(4, 6)) * 3
-        got = Tensor(a).logsumexp(axis=1).data
-        assert np.allclose(got, scipy.special.logsumexp(a, axis=1))
-
-    def test_logsumexp_stable_for_huge_values(self):
-        a = np.array([[1000.0, 1000.0]])
-        out = Tensor(a).logsumexp(axis=1).data
-        assert out[0] == pytest.approx(1000.0 + np.log(2.0))
-
-    def test_logsumexp_gradcheck(self, rng):
-        a = rng.normal(size=(3, 5))
-        assert gradcheck(lambda x: x.logsumexp(axis=1), [a])
-        assert gradcheck(lambda x: x.logsumexp(axis=0, keepdims=True), [a])
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        a = rng.normal(size=(4, 7)) * 5
-        out = Tensor(a).softmax(axis=1).data
-        assert np.allclose(out.sum(axis=1), 1.0)
-
-    def test_softmax_gradcheck(self, rng):
-        a = rng.normal(size=(3, 4))
-        assert gradcheck(lambda x: x.softmax(axis=1) * np.arange(4.0), [a])
-
-    def test_softmax_is_gradient_of_logsumexp(self, rng):
-        a = rng.normal(size=(5,))
-        t = Tensor(a[None], requires_grad=True)
-        t.logsumexp(axis=1).sum().backward()
-        assert np.allclose(t.grad[0], Tensor(a[None]).softmax(axis=1).data[0])
-
-
 class TestMinimumMaximum:
     def test_values(self, rng):
         a, b = rng.normal(size=6), rng.normal(size=6)

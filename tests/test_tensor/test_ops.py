@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.tensor import Tensor, gradcheck
+from repro.tensor import functional as F
 from repro.tensor.tensor import concatenate, stack, where
 
 
@@ -89,7 +90,7 @@ class TestMatmul:
 class TestElementwise:
     @pytest.mark.parametrize(
         "name",
-        ["exp", "tanh", "relu", "sigmoid", "log_sigmoid", "softplus", "log_cosh", "abs"],
+        ["exp", "tanh", "relu", "sigmoid", "log_cosh", "abs"],
     )
     def test_unary(self, rng, name):
         a = rng.normal(size=(3, 5)) * 2.0
@@ -112,8 +113,9 @@ class TestElementwise:
         assert out[2] == pytest.approx(1.0)
 
     def test_log_sigmoid_extreme_values_stable(self):
+        # log σ(z) is the Bernoulli log-likelihood of a 1
         t = Tensor(np.array([-1000.0, 1000.0]))
-        out = t.log_sigmoid().data
+        out = F.bernoulli_log_prob(t, np.ones(2)).data
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(-1000.0)
         assert out[1] == pytest.approx(0.0)

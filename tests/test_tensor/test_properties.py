@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.tensor import Tensor, numerical_grad
+from repro.tensor import functional as F
 
 finite_floats = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -127,5 +128,7 @@ def test_sigmoid_symmetry(a):
 @settings(max_examples=30, deadline=None)
 @given(arrays())
 def test_log_sigmoid_consistent_with_sigmoid(a):
+    # log σ(z) is the Bernoulli log-likelihood of a 1
     t = Tensor(a)
-    assert np.allclose(t.log_sigmoid().data, np.log(t.sigmoid().data + 1e-300), atol=1e-8)
+    log_sig = F.bernoulli_log_prob(t, np.ones_like(a)).data
+    assert np.allclose(log_sig, np.log(t.sigmoid().data + 1e-300), atol=1e-8)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import re
 
 PACKAGES = [
     "repro.tensor",
@@ -45,11 +46,38 @@ def first_line(obj) -> str:
     return doc.split("\n")[0].strip()
 
 
+class _Shown:
+    """A default value that renders as the given text in a signature."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def shown(value) -> str:
+    """``repr(value)``, minus any memory address, so the page is the same on
+    every run: a function by its qualified name, another object as
+    ``<Type instance>``."""
+    text = repr(value)
+    if not re.search(r" at 0x[0-9a-fA-F]+", text):
+        return text
+    if inspect.isroutine(value):
+        return value.__qualname__
+    return f"<{type(value).__name__} instance>"
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(…)"
+    params = [
+        p if p.default is p.empty else p.replace(default=_Shown(shown(p.default)))
+        for p in sig.parameters.values()
+    ]
+    return str(sig.replace(parameters=params))
 
 
 def describe(name: str, obj) -> list[str]:
@@ -72,7 +100,7 @@ def describe(name: str, obj) -> list[str]:
         lines.append(f"{first_line(obj)}\n")
     else:
         lines.append(f"### `{name}`\n")
-        lines.append(f"Constant/value: `{obj!r}`\n")
+        lines.append(f"Constant/value: `{shown(obj)}`\n")
     return lines
 
 
