@@ -49,7 +49,7 @@ def _one_solve(d: int, solver: str, batch: int = 256, seed: int = 0) -> tuple[fl
     sr = StochasticReconfiguration(diag_shift=1e-3, solver=solver)
     t0 = time.perf_counter()
     sr.natural_gradient(o, g)
-    return time.perf_counter() - t0, sr.last_solve.space
+    return time.perf_counter() - t0, sr.last_solve.solver
 
 
 def _best_ms(fn, reps: int) -> float:
@@ -116,7 +116,7 @@ def bench_sr_cg_large(benchmark):
 def _distributed_solve(o: np.ndarray, g: np.ndarray, world: int, solver: str):
     """One distributed SR solve over `world` thread ranks sharding `o`.
 
-    Returns (solution, per-rank collective bytes, seconds, space). Every
+    Returns (solution, per-rank collective bytes, seconds, solver). Every
     rank computes the identical solution; rank 0's view is returned.
     """
     shards = np.array_split(o, world)
@@ -127,7 +127,7 @@ def _distributed_solve(o: np.ndarray, g: np.ndarray, world: int, solver: str):
         sol = sr.natural_gradient(shards[rank], g, comm=comm)
         elapsed = time.perf_counter() - t0
         info = sr.last_solve
-        return sol, info.comm_bytes, elapsed, info.space
+        return sol, info.comm_bytes, elapsed, info.solver
 
     return run_threaded(worker, world)[0]
 
@@ -145,13 +145,13 @@ def run_distributed_arm(dims, world: int, batch: int) -> list[dict]:
         ).natural_gradient(o, g)
         ref_norm = np.linalg.norm(ref)
 
-        sol_c, bytes_c, t_c, space = _distributed_solve(o, g, world, "cg")
+        sol_c, bytes_c, t_c, solver = _distributed_solve(o, g, world, "cg")
         err_c = float(np.linalg.norm(sol_c - ref) / ref_norm)
         row = {
             "d": d,
             "world": world,
             "batch": batch,
-            "space": space,
+            "solver": solver,
             "cg_bytes_per_rank": bytes_c,
             "cg_seconds": t_c,
             "cg_rel_err": err_c,
@@ -173,7 +173,7 @@ def main() -> None:
     rows = []
     for d in dims:
         t_dense = min(_one_solve(d, "dense", seed=s)[0] for s in range(3))
-        t_cg, space = min(_one_solve(d, "cg", seed=s) for s in range(3))
+        t_cg, solver = min(_one_solve(d, "cg", seed=s) for s in range(3))
         # agreement
         rng = np.random.default_rng(9)
         o = rng.normal(size=(256, d))
@@ -181,9 +181,9 @@ def main() -> None:
         sd = StochasticReconfiguration(diag_shift=1e-3, solver="dense")
         sc = StochasticReconfiguration(diag_shift=1e-3, solver="cg")
         err = np.max(np.abs(sd.natural_gradient(o, g) - sc.natural_gradient(o, g)))
-        rows.append([d, t_dense * 1e3, t_cg * 1e3, space, t_dense / t_cg, f"{err:.1e}"])
+        rows.append([d, t_dense * 1e3, t_cg * 1e3, solver, t_dense / t_cg, f"{err:.1e}"])
     print(format_table(
-        ["d", "dense (ms)", "N×N (ms)", "space", "dense/N×N", "max |Δdirection|"],
+        ["d", "dense (ms)", "N×N (ms)", "solver", "dense/N×N", "max |Δdirection|"],
         rows,
         title="SR solver ablation (B = 256 samples)",
     ))
@@ -216,7 +216,7 @@ def main() -> None:
     for r in dist:
         table.append([
             r["d"],
-            r["space"],
+            r["solver"],
             f"{r['cg_bytes_per_rank'] / 1e3:.1f}",
             f"{r.get('dense_bytes_per_rank', r['dxd_bytes']) / 1e3:.1f}",
             f"{r.get('dense_bytes_per_rank', r['dxd_bytes']) / r['cg_bytes_per_rank']:.1f}×",
@@ -224,7 +224,7 @@ def main() -> None:
         ])
     print()
     print(format_table(
-        ["d", "space", "N×N kB/rank", "dense kB/rank", "dense/N×N", "rel err vs serial dense"],
+        ["d", "solver", "N×N kB/rank", "dense kB/rank", "dense/N×N", "rel err vs serial dense"],
         table,
         title=f"Distributed SR comm volume per solve (L = {world} thread ranks)",
     ))

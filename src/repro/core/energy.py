@@ -126,8 +126,9 @@ def local_energies(
 
     ``l`` is a function of the configuration alone, so each distinct row of
     ``x`` is evaluated once and the results are scattered back through the
-    inverse index (:func:`~repro.utils.rows.distinct_rows`); a batch without
-    repeats takes no gather and no scatter.
+    inverse index (:func:`~repro.utils.rows.distinct_rows`). A batch without
+    repeats groups as every row its own, so the result is that of the batch
+    as given, bit for bit.
 
     Two execution paths:
 

@@ -138,7 +138,7 @@ class CompiledPlan:
         self._scratch: list = []  # per-op scratch, read by index
         self._rowwise: list = []  # (list, index, full buffer) of batch-led buffers
         self._m = self.batch  # rows the batch-led entries currently expose
-        self._rows: DistinctRows | None = None  # grouping of the last forward
+        self._rows = every_row(self.batch)  # grouping of the last forward
         self._written = [False] * tape.n_slots
         self._aux: dict[int, dict] = {}  # node.index -> kernel state
         self._binders = []  # per-replay leaf rebinding closures
@@ -894,11 +894,11 @@ class CompiledPlan:
 
         The replay runs on the batch's distinct rows — ``rows``, when the
         caller has grouped it (``distinct_rows(x == 1)``), else grouped
-        here — and scatters back; a batch without repeats is replayed as
-        given. :meth:`gradient` and :meth:`per_sample` keep the grouping."""
+        here — and scatters back. :meth:`gradient` and :meth:`per_sample`
+        keep the grouping."""
         x = self._check_input(x)
         x, self._rows = group_configurations(x, x.shape[-1], rows)
-        return self._rows.apply(lambda batch: self._replay(batch).copy(), x)
+        return self._rows.apply(self._replay, x)
 
     def _seed_backward(self, seed) -> None:
         # No memset: every sweep runs the same straight-line steps, so the
@@ -917,17 +917,14 @@ class CompiledPlan:
     def gradient(self, seed) -> np.ndarray:
         """Compiled adjoint sweep: seed the output adjoint (e.g. the VQMC
         surrogate's weights), one weight per row of the last forward's
-        batch, and return the flat ``(d,)`` gradient. A grouped forward
-        sweeps its distinct rows, each seeded with the sum of its copies'
+        batch, and return the flat ``(d,)`` gradient. The sweep runs on the
+        forward's distinct rows, each seeded with the sum of its copies'
         weights. The returned buffer is owned by the plan and overwritten
         by the next sweep."""
         seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != self.out_shape:
             raise ValueError(f"seed shape {seed.shape} != output shape {self.out_shape}")
-        rows = self._rows
-        if rows is not None and rows.repeats:
-            seed = rows.sums(seed)
-        self._seed_backward(seed)
+        self._seed_backward(self._rows.sums(seed))
         for step in self._bsteps:
             step()
         return self._grad_flat
@@ -936,9 +933,9 @@ class CompiledPlan:
         """Replay forward plus the batched per-sample adjoint: returns
         ``(log_psi (B,), O)`` with ``O`` the (B, d) matrix in factored form
         (:class:`~repro.nn.factored.FactoredO`), holding the distinct rows
-        and the grouping when the batch repeats (``rows`` as in
-        :meth:`forward`). Its factors are views of the plan's buffers,
-        overwritten by the next replay or sweep. Raises
+        and the grouping (``rows`` as in :meth:`forward`). Its factors are
+        views of the plan's buffers, overwritten by the next replay or
+        sweep. Raises
         :class:`TraceError` for tapes that are not batch-diagonal (the
         error is sticky — callers should fall back to the interpreter for
         good)."""
@@ -958,8 +955,7 @@ class CompiledPlan:
             step()
         vals, grads = self._vals, self._grads
         factors = [(layer, vals[src], grads[out]) for layer, src, out in self._ps_factors]
-        rows = self._rows
-        return lp, FactoredO(factors[::-1], self.n_params, rows if rows.repeats else None)
+        return lp, FactoredO(factors[::-1], self.n_params, self._rows)
 
     # -- verification -----------------------------------------------------------------
 
@@ -1021,13 +1017,16 @@ class InterpretedPlan:
 
     def gradient(self, seed) -> np.ndarray:
         """Backpropagate the surrogate ``(log_psi * seed).sum()`` through
-        the last :meth:`forward`'s graph (freed here)."""
+        the last :meth:`forward`'s graph (freed here); ``seed`` as in
+        :meth:`CompiledPlan.gradient`."""
         if self._log_psi is None:
             raise RuntimeError("InterpretedPlan backward invoked before forward")
+        seed = np.asarray(seed, dtype=np.float64)
+        out_shape = self._rows.inverse.shape
+        if seed.shape != out_shape:
+            raise ValueError(f"seed shape {seed.shape} != output shape {out_shape}")
         log_psi, self._log_psi = self._log_psi, None
-        if self._rows.repeats:
-            seed = self._rows.sums(np.asarray(seed, dtype=np.float64))
-        (log_psi * seed).sum().backward(free_graph=True)
+        (log_psi * self._rows.sums(seed)).sum().backward(free_graph=True)
         return self.model.flat_grad()
 
     def per_sample(self, x, rows: DistinctRows | None = None):
@@ -1036,8 +1035,6 @@ class InterpretedPlan:
         form, and then holds the distinct rows and the grouping; an array
         ``O`` is scattered back to one row per sample."""
         x, rows = group_configurations(x, np.shape(x)[-1], rows)
-        if not rows.repeats:
-            return self.model.log_psi_and_grads(x)
         lp, o = self.model.log_psi_and_grads(x[rows.first])
         if isinstance(o, FactoredO):
             return lp[rows.inverse], FactoredO(o.factors, o.shape[1], rows)

@@ -14,17 +14,18 @@ and supplies what stochastic reconfiguration and the energy gradient need:
 - ``w @ O`` — one weighted backward, ``((δ_l ∘ w)ᵀ a_l) ∘ M_l`` per layer;
 - ``O @ v`` — one GEMM per layer, ``rowsum((a_l (M_l ∘ V_l)ᵀ) ∘ δ_l) + δ_l v_b``;
 - :meth:`FactoredO.gram` — ``O Oᵀ`` from layer statistics (below), built
-  on the :attr:`~FactoredO.distinct` rows and scattered back;
-- :meth:`FactoredO.counted` — the distinct rows as their own ``O`` and how
+  on the stored rows and scattered back;
+- :meth:`FactoredO.counted` — the stored rows as their own ``O`` and how
   many samples each stands for, what the count-weighted SR solve takes;
 - :meth:`FactoredO.allgather` — every rank's distinct rows and their
   counts, ``U_r · (Σ(in + out) + 1)`` floats;
 - ``np.asarray(O)`` — the dense matrix, for oracles and diagnostics.
 
 A batch's repeated configurations have identical rows of ``O``. A
-``FactoredO`` may therefore hold only the U distinct rows together with
-the :class:`~repro.utils.rows.DistinctRows` grouping of the N samples onto
-them (what the plans hand out): ``w @ O`` sums ``w`` over each row's
+``FactoredO`` therefore holds U stored rows together with the
+:class:`~repro.utils.rows.DistinctRows` grouping of the N samples onto
+them — the distinct rows, as the plans hand out, or every row its own
+sample when built without a grouping: ``w @ O`` sums ``w`` over each row's
 copies first, ``O @ v`` scatters its U values back, and ``.shape``,
 ``gram()`` and ``np.asarray`` are those of the N-row matrix.
 
@@ -50,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.utils.rows import DistinctRows, distinct_rows
+from repro.utils.rows import DistinctRows, distinct_rows, every_row
 
 __all__ = ["FactoredO", "LinearFactor", "GRAM_BLOCK", "FEATURE_CHUNK"]
 
@@ -104,11 +105,11 @@ class LinearFactor:
 class FactoredO:
     """``O`` (N × d) as per-layer ``(LinearFactor, a_l, δ_l)`` triples.
 
-    The factors hold the *stored* rows: all N of them, or — when ``rows``
-    is given — the U distinct rows that grouping maps the N samples onto.
-    The arrays are used as given (a compiled plan hands out views of its
-    own buffers, overwritten by its next replay). Coordinates no layer
-    covers are zero columns.
+    The factors hold the *stored* rows, the U rows that ``rows`` maps the
+    N samples onto — without ``rows``, each stored row is one sample. The
+    arrays are used as given (a compiled plan hands out views of its own
+    buffers, overwritten by its next replay). Coordinates no layer covers
+    are zero columns.
     """
 
     #: ``ndarray @ O`` must reach :meth:`__rmatmul__`, not broadcast over us
@@ -116,18 +117,16 @@ class FactoredO:
 
     def __init__(self, factors, d: int, rows: DistinctRows | None = None):
         self.factors = list(factors)
-        #: the grouping of the N samples onto the stored rows (None: one each)
-        self.rows = rows
-        stored = len(self.factors[0][1])
-        self.shape = (stored if rows is None else rows.inverse.size, int(d))
+        #: the grouping of the N samples onto the stored rows
+        self.rows = every_row(len(self.factors[0][1])) if rows is None else rows
+        self.shape = (self.rows.inverse.size, int(d))
 
     def __rmatmul__(self, w) -> np.ndarray:
         """``w @ O`` for a weight per sample, ``w`` of shape (N,)."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != self.shape[:1]:
             raise ValueError(f"weights of shape {w.shape} against O of shape {self.shape}")
-        if self.rows is not None:
-            w = self.rows.sums(w)
+        w = self.rows.sums(w)
         out = np.zeros(self.shape[1])
         for layer, a, delta in self.factors:
             weighted = delta * w[:, None]
@@ -152,25 +151,12 @@ class FactoredO:
             out += np.einsum("so,so->s", a @ weight.T, delta)
             if layer.b is not None:
                 out += delta @ v[layer.b]
-        return out if self.rows is None else out[self.rows.inverse]
+        return out[self.rows.inverse]
 
-    @cached_property
-    def distinct(self) -> DistinctRows:
-        """The N samples grouped onto distinct rows: the grouping this ``O``
-        carries, else the rows whose every layer factor is bit-identical."""
-        return self.rows if self.rows is not None else distinct_rows(self._packed())
-
-    def counted(self) -> tuple["FactoredO", np.ndarray | None]:
-        """``(O_U, counts)``: the U :attr:`distinct` rows as a (U × d)
-        ``O`` of their own, and how many samples each stands for —
-        ``(self, None)`` when no row repeats."""
-        rows = self.distinct
-        if not rows.repeats:
-            return self, None
-        stored = self.factors
-        if self.rows is None:
-            stored = [(layer, a[rows.first], delta[rows.first]) for layer, a, delta in stored]
-        return FactoredO(stored, self.shape[1]), rows.counts
+    def counted(self) -> tuple["FactoredO", np.ndarray]:
+        """``(O_U, counts)``: the U stored rows as a (U × d) ``O`` of their
+        own, and how many samples each stands for."""
+        return FactoredO(self.factors, self.shape[1]), self.rows.counts
 
     def _packed(self) -> np.ndarray:
         """Every layer's ``(a_l, δ_l)`` side by side: one stored row each."""
@@ -178,14 +164,9 @@ class FactoredO:
 
     def gram(self) -> np.ndarray:
         """``O Oᵀ`` (N × N) from layer statistics — no N × d intermediate.
-
-        Built on the :attr:`distinct` rows and scattered back; a batch
-        without repeats is built as it is."""
-        distinct, counts = self.counted()
-        if counts is None:
-            return self._gram(self.factors)
-        inverse = self.distinct.inverse
-        return self._gram(distinct.factors)[inverse][:, inverse]
+        Built on the stored rows and scattered back."""
+        inverse = self.rows.inverse
+        return self._gram(self.factors)[inverse][:, inverse]
 
     @staticmethod
     def _gram(factors) -> np.ndarray:
@@ -216,23 +197,15 @@ class FactoredO:
         stands for as one more column: ``U_r · (Σ_l(in_l + out_l) + 1)``
         floats. Rows that repeat, within a rank or across ranks, are merged
         and their counts add; the result holds the distinct rows, grouped
-        rank-agnostically (each row's samples in a run) when any repeats."""
-        stored = len(self.factors[0][1])
-        counts = np.ones(stored) if self.rows is None else self.rows.counts.astype(np.float64)
+        rank-agnostically (each row's samples in a run)."""
+        counts = self.rows.counts.astype(np.float64)
         gathered = np.concatenate(
             comm.allgather(np.concatenate([self._packed(), counts[:, None]], axis=1)), axis=0
         )
-        body, counts = gathered[:, :-1], gathered[:, -1]
-        merged = distinct_rows(body)
-        if merged.repeats:
-            body, counts = body[merged.first], merged.sums(counts)
-        else:
-            body = np.ascontiguousarray(body)
-        rows = None
-        if np.any(counts != 1.0):
-            counts = counts.astype(np.intp)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            rows = DistinctRows(starts, np.repeat(np.arange(counts.size), counts))
+        merged = distinct_rows(gathered[:, :-1])
+        body, counts = gathered[merged.first, :-1], merged.sums(gathered[:, -1]).astype(np.intp)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        rows = DistinctRows(starts, np.repeat(np.arange(counts.size), counts))
         factors, at = [], 0
         for layer, a, delta in self.factors:
             mid, end = at + a.shape[1], at + a.shape[1] + delta.shape[1]
@@ -249,4 +222,4 @@ class FactoredO:
             dense[:, layer.w] = block.reshape(len(a), -1)
             if layer.b is not None:
                 dense[:, layer.b] = delta
-        return dense if self.rows is None else dense[self.rows.inverse]
+        return dense[self.rows.inverse]

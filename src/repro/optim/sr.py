@@ -50,8 +50,11 @@ system's solution is ``c = P S⁻¹ c'`` with
 
 one U×U Cholesky, one U-row ``O @ F`` and one U-row back-projection. The
 ``λ = 0`` branch takes the same substitution. A factored ``O`` supplies
-``O_U`` and the counts (:meth:`~repro.nn.factored.FactoredO.counted`);
-without repeats the N×N system above is solved as written.
+``O_U`` and the counts (:meth:`~repro.nn.factored.FactoredO.counted`); an
+array ``O`` is its N rows with unit counts. This is the only system
+solved: at unit counts ``s = 1``, ``Π = H``, and the centring sums are
+divided by ``N`` as a mean is, so the result is the N×N system above bit
+for bit.
 
 ``O`` may be a plain (N, d) array (``G`` is then ``O Oᵀ``, counted as
 ``sr.dense_jacobian``) or the layers' factors of one
@@ -132,13 +135,11 @@ class SRSolveInfo:
     residual:
         Relative residual of the linear system actually factorised: the
         d×d ``‖(S + λI)δ − F‖ / ‖F‖`` for dense, the N×N
-        ``‖(Gc/N + λI)c − OcF/N‖ / ‖OcF/N‖`` in sample space (its U×U
-        count-weighted form when samples repeat).
+        ``‖(Gc/N + λI)c − OcF/N‖ / ‖OcF/N‖`` in sample space (in its
+        count-weighted form on the U distinct rows).
     comm_bytes:
         Collective payload bytes this solve moved (0 in serial solves);
         see the module's table.
-    space:
-        ``'sample'`` for the sample-space solve, ``''`` for dense.
     gram:
         How the sample-space solve built ``G``: ``'layers'`` (from a
         factored ``O``), ``'dense'`` (``O Oᵀ`` of an array), ``''`` for the
@@ -153,7 +154,6 @@ class SRSolveInfo:
     residual: float
     incomplete: bool
     comm_bytes: int
-    space: str = ""
     gram: str = ""
 
 
@@ -247,26 +247,21 @@ class StochasticReconfiguration:
                 o = o.allgather(comm) if factored else np.concatenate(comm.allgather(o))
             n = o.shape[0]
             # the distinct rows over all ranks, and how many samples each is
-            o, counts = o.counted() if factored else (o, None)
+            o, counts = o.counted() if factored else (o, np.ones(n))
             a = FactoredO._gram(o.factors) if factored else o @ o.T
-            if counts is None:
-                a -= a.mean(axis=0)  # Gc = HGH, H = I - 11ᵀ/N
-                a -= a.mean(axis=1, keepdims=True)
-            else:
-                s = np.sqrt(counts)  # ΠSG_USΠ, S = diag(s), Π = I - ssᵀ/N
-                a *= s[:, None] * s
-                a -= np.outer(s, s @ a) / n
-                a -= np.outer(a @ s, s) / n
+            # ΠSG_USΠ, S = diag(s), Π = I - ssᵀ/N: at unit counts HGH with
+            # H = I - 11ᵀ/N, each sum divided by N as a mean is, bit for bit
+            s = np.sqrt(counts)
+            a *= s[:, None] * s
+            a -= s[:, None] * ((s[:, None] * a).sum(axis=0) / n)
+            a -= (a * s).sum(axis=1, keepdims=True) / n * s
             a /= n
             self.tracer.end(span, rows=len(a))
         with self.tracer.span("sr.cholesky", n=len(a)):
             rhs = o @ grad
-            if counts is None:
-                rhs -= rhs.mean()
-            else:
-                rhs *= s
-                rhs -= s * (s @ rhs) / n
-            rhs /= n  # Oc F / N, or ΠS O_U F / N
+            rhs *= s
+            rhs -= s * ((s * rhs).sum() / n)
+            rhs /= n  # ΠS O_U F / N: Oc F / N at unit counts
             if not np.isfinite(a.sum() + rhs.sum()):
                 # non-finite in, non-finite out: the driver's divergence
                 # guard skips the update and counts the step
@@ -283,7 +278,7 @@ class StochasticReconfiguration:
                     ) from exc
                 c = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
                 residual = np.linalg.norm(a @ c - rhs) / max(np.linalg.norm(rhs), _TINY)
-                return (grad - self._centred(c, counts, n) @ o) / shift, n, float(residual)
+                return (grad - self._centred(c, s, n) @ o) / shift, n, float(residual)
             # λ = 0: the minimum-norm δ = Ocᵀ (Gc/N)⁺² u, u = Oc F/N, defined
             # only for F in the row space of Oc, where |F|² = N·uᵀ(Gc/N)⁺u.
             vals, vecs = np.linalg.eigh(a)
@@ -298,16 +293,13 @@ class StochasticReconfiguration:
                 )
             c = vecs @ (coef / vals)
             residual = np.linalg.norm(a @ (a @ c) - rhs) / max(np.linalg.norm(rhs), _TINY)
-            return self._centred(c, counts, n) @ o, n, float(residual)
+            return self._centred(c, s, n) @ o, n, float(residual)
 
     @staticmethod
-    def _centred(c: np.ndarray, counts, n: int) -> np.ndarray:
-        """The weights that back-project ``c`` onto the centred rows:
-        ``Hc`` — or, on distinct rows with their counts, ``SΠc``."""
-        if counts is None:
-            return c - c.mean()
-        s = np.sqrt(counts)
-        return s * (c - s * (s @ c) / n)
+    def _centred(c: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+        """``SΠc``, the weights that back-project ``c`` onto the centred
+        rows (``s`` the square roots of the counts): ``Hc`` at unit counts."""
+        return s * (c - s * ((s * c).sum() / n))
 
     # -- solve -------------------------------------------------------------------
 
@@ -353,11 +345,11 @@ class StochasticReconfiguration:
             solver = "dense" if d <= rows else "cg"
 
         if solver == "dense":
-            space = gram = ""
+            gram = ""
             with self.tracer.span("sr.dense", d=d, distributed=distributed):
                 sol, total, residual = self._solve_dense(o, grad, comm)
         else:
-            space, gram = "sample", "layers" if factored else "dense"
+            gram = "layers" if factored else "dense"
             sol, total, residual = self._solve_in_sample_space(o, grad, comm)
 
         comm_bytes = comm.stats.collective_bytes - bytes_before if distributed else 0
@@ -370,13 +362,12 @@ class StochasticReconfiguration:
             residual=residual,
             incomplete=False,
             comm_bytes=comm_bytes,
-            space=space,
             gram=gram,
         )
         metrics = self.metrics
         if metrics is not None:
             metrics.inc("sr.solves")
-            if space == "sample":
+            if solver == "cg":
                 metrics.inc("sr.sample_space_solves")
             if gram == "dense":
                 metrics.inc("sr.dense_jacobian")

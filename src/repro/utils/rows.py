@@ -7,6 +7,11 @@ distinct rows once, so those quantities are evaluated on them and
 scattered back through the inverse index (``value[first][inverse]`` has
 one entry per row), and a batch sum weighted per row becomes a sum over
 the distinct rows weighted by :meth:`DistinctRows.sums`.
+
+Groups come in order of first occurrence, so a batch without repeats
+groups as :func:`every_row` — ``first = inverse = arange(B)`` — and the
+grouped computation is the ungrouped one bit for bit: every batch takes
+the one representation, repeats or not.
 """
 
 from __future__ import annotations
@@ -32,11 +37,6 @@ class DistinctRows(NamedTuple):
         return int(self.first.size)
 
     @property
-    def repeats(self) -> bool:
-        """Whether any row occurs more than once (``U < B``)."""
-        return self.first.size < self.inverse.size
-
-    @property
     def counts(self) -> np.ndarray:
         """(U,) how many rows each distinct row stands for."""
         return np.bincount(self.inverse, minlength=self.count)
@@ -49,9 +49,7 @@ class DistinctRows(NamedTuple):
     def apply(self, fn, *arrays):
         """``fn`` on the distinct rows of ``arrays`` (a ``None`` passes
         through), its result — one row per distinct row — scattered back to
-        every row; ``fn(*arrays)`` as given when no row repeats."""
-        if not self.repeats:
-            return fn(*arrays)
+        every row (a new array)."""
         return fn(*(a if a is None else a[self.first] for a in arrays))[self.inverse]
 
 
@@ -92,4 +90,5 @@ def distinct_rows(rows: np.ndarray) -> DistinctRows:
     if first.size < len(words) and not np.array_equal(words[first][inverse], words):
         keys = raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return DistinctRows(first, inverse.reshape(-1))
+    order = np.argsort(first)  # np.unique's groups, by first occurrence
+    return DistinctRows(first[order], np.argsort(order)[inverse.reshape(-1)])

@@ -104,8 +104,7 @@ def test_plans_on_distinct_rows_are_every_row(kind, case, trace_repeats):
         lp, o = plan.per_sample(x)
         _close(lp, want_lp)
         assert isinstance(o, FactoredO) and o.shape == want_o.shape
-        if count < len(x):
-            assert o.rows is not None and len(o.factors[0][1]) == count, name
+        assert o.rows.count == len(o.factors[0][1]) == count, name
         _close(np.asarray(o), want_o)
 
 

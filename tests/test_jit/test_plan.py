@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.jit import StepCompiler, TraceError
 from repro.jit.fuse import FusedLinear
+from repro.jit.plan import InterpretedPlan
 from repro.models import MADE, RBM, MeanField
 from repro.tensor import no_grad
 from repro.tensor.tensor import set_tape_recorder, tape_recorder_state
@@ -118,11 +119,17 @@ class TestPlanMechanics:
             plan.forward(_batch(6, 8))
 
     def test_gradient_seed_shape_checked(self):
+        """One seed per row of the last forward, on the compiled and the
+        interpreted plan alike: a scalar seed does not broadcast, and a
+        wrong-length one is refused."""
         model = MADE(6, hidden=8, rng=np.random.default_rng(0))
-        plan = StepCompiler(model).plan_for(_batch(6, 4))
-        plan.forward(_batch(6, 4))
-        with pytest.raises(ValueError, match="seed shape"):
-            plan.gradient(np.ones(7))
+        x = _batch(6, 4)
+        for plan in (StepCompiler(model).plan_for(x), InterpretedPlan(model)):
+            for seed, shape in ((0.5, r"\(\)"), (np.ones(7), r"\(7,\)")):
+                plan.forward(x)
+                message = rf"seed shape {shape} != output shape \(4,\)"
+                with pytest.raises(ValueError, match=message):
+                    plan.gradient(seed)
 
     def test_mean_field_compiles_scalar_path(self):
         model = MeanField(6, rng=np.random.default_rng(0))

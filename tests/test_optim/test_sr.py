@@ -92,7 +92,7 @@ class TestSolveDiagnostics:
         assert sr.last_solve is None
         sr.natural_gradient(o_matrix, g)
         info = sr.last_solve
-        assert info.solver == "cg" and info.space == "sample" and info.gram == "dense"
+        assert info.solver == "cg" and info.gram == "dense"
         assert not info.distributed and info.comm_bytes == 0
         assert info.d == 10 and info.samples == 64
         assert info.iterations == 0 and info.incomplete is False
@@ -100,7 +100,7 @@ class TestSolveDiagnostics:
         sr.solver = "dense"
         sr.natural_gradient(o_matrix, g)
         info = sr.last_solve
-        assert info.solver == "dense" and info.space == info.gram == ""
+        assert info.solver == "dense" and info.gram == ""
         assert info.residual < 1e-10
 
     def test_metrics_counters(self, o_matrix, rng):

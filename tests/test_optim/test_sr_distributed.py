@@ -130,7 +130,7 @@ class TestCommVolume:
             for budget in (8, None):
                 infos = run_threaded(worker, WORLD, args=(shards, g, "cg", budget))
                 for rank, info in enumerate(infos):
-                    assert info.space == "sample" and info.iterations == 0
+                    assert info.solver == "cg" and info.iterations == 0
                     assert info.comm_bytes == len(shards[rank]) * d * 8 < dxd
             dense = run_threaded(worker, WORLD, args=(shards, g, "dense", None))[0]
             assert dense.comm_bytes >= dxd  # the dense path is inherently O(d²)

@@ -9,7 +9,8 @@ consumes it, each against an oracle that builds the dense (N, d) matrix:
   included) and degree assignment, and RBM;
 - compiled ≡ interpreted factors;
 - natural gradient ≡ the dense d×d solve, and ≡ conjugate gradients run to
-  convergence at the benchmark's shape;
+  convergence at the benchmark's shape; at unit counts (an ``O`` without a
+  grouping, factored or array) ≡ the uncounted N×N solve bit for bit;
 - N ranks ≡ the serial big-batch solve, on exactly one allgather;
 - no N×d object exists during a training step (``tracemalloc``), and an
   array ``O`` reaching the solve leaves a counter behind.
@@ -21,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,7 +196,7 @@ class TestNaturalGradient:
             f = rng.normal(size=dense.shape[1])
         got, info = _solve(o, f, shift, "cg")
         want, _ = _solve(dense, f, shift, "dense")
-        assert info.space == "sample" and info.gram == "layers" and info.iterations == 0
+        assert info.solver == "cg" and info.gram == "layers" and info.iterations == 0
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
         auto, info = _solve(o, f, shift, "auto")
         assert info.solver == ("dense" if dense.shape[1] <= batch else "cg")
@@ -259,6 +261,46 @@ class TestNaturalGradient:
         o.factors[0][2][0, 0] = np.nan
         got, _ = _solve(o, np.ones(o.shape[1]), 1e-3, "cg")
         assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("shift", [1e-3, 0.0])
+    @pytest.mark.parametrize("form", ["factored", "array"])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_unit_counts_are_the_uncounted_solve_bit_for_bit(self, shift, form, duplicates):
+        """An ``O`` without a grouping is its N rows at unit counts — also
+        when rows repeat — and the count-weighted solve is then the N×N
+        system centred by means, as the solve was written before counts."""
+        model = _made(6, [5], "cycle", seed=8)
+        o = model.log_psi_and_grads(_batch(6, 12, 9, duplicates))[1]
+        if form == "array":
+            o = np.asarray(o)
+        dense = np.asarray(o)
+        f = np.random.default_rng(10).normal(size=12) @ (dense - dense.mean(axis=0)) / 12
+        got, _ = _solve(o, f, shift, "cg")
+        np.testing.assert_array_equal(got, _uncounted_solve(o, f, shift))
+
+
+def _uncounted_solve(o, f, shift):
+    """The sample-space solve without counts: ``HGH/N``, ``Oc F/N`` and the
+    back-projection ``Hc`` each centred by a mean."""
+    n = o.shape[0]
+    a = FactoredO._gram(o.factors) if isinstance(o, FactoredO) else o @ o.T
+    a -= a.mean(axis=0)
+    a -= a.mean(axis=1, keepdims=True)
+    a /= n
+    rhs = o @ f
+    rhs -= rhs.mean()
+    rhs /= n
+    if shift > 0.0:
+        a[np.diag_indices_from(a)] += shift
+        factor = scipy.linalg.cho_factor(a, check_finite=False)
+        c = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        return (f - (c - c.mean()) @ o) / shift
+    vals, vecs = np.linalg.eigh(a)
+    keep = vals > n * np.finfo(np.float64).eps * max(vals[-1], 0.0)
+    vals, vecs = vals[keep], vecs[:, keep]
+    coef = vecs.T @ rhs / vals
+    c = vecs @ (coef / vals)
+    return (c - c.mean()) @ o
 
 
 # -- N ranks ≡ the big batch ---------------------------------------------------------

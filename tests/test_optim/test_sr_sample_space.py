@@ -50,7 +50,7 @@ class TestOneLoop:
         sr = StochasticReconfiguration(solver="cg")
         delta = sr.natural_gradient(rng.normal(size=(6, 20)), np.zeros(20))
         info = sr.last_solve
-        assert not delta.any() and info.space == "sample"
+        assert not delta.any() and info.solver == "cg"
         assert info.iterations == 0 and info.residual == 0.0 and not info.incomplete
 
 
@@ -64,7 +64,7 @@ class TestSampleSpaceEquivalence:
         sr = StochasticReconfiguration(diag_shift=shift, solver="cg")
         delta = sr.natural_gradient(o, g)
         info = sr.last_solve
-        assert info.space == "sample" and info.gram == "dense" and not info.incomplete
+        assert info.solver == "cg" and info.gram == "dense" and not info.incomplete
         ref = _dense_solve(o, g, shift)
         assert np.linalg.norm(delta - ref) <= 1e-8 * np.linalg.norm(ref)
         assert info.residual <= 1e-10
@@ -79,7 +79,7 @@ class TestSampleSpaceEquivalence:
         sr = StochasticReconfiguration(diag_shift=0.0, solver="cg")
         delta = sr.natural_gradient(o, g)
         ref = np.linalg.pinv(oc.T @ oc / 2) @ g
-        assert sr.last_solve.space == "sample" and sr.last_solve.iterations == 0
+        assert sr.last_solve.solver == "cg" and sr.last_solve.iterations == 0
         np.testing.assert_allclose(delta, ref, rtol=1e-7)
         assert sr.last_solve.residual < 1e-6
 
@@ -92,7 +92,7 @@ class TestSampleSpaceEquivalence:
         sr = StochasticReconfiguration(diag_shift=1e-3, solver="cg")
         delta = sr.natural_gradient(o, g)
         ref = _dense_solve(o, g, 1e-3)
-        assert sr.last_solve.space == "sample" and not sr.last_solve.incomplete
+        assert sr.last_solve.solver == "cg" and not sr.last_solve.incomplete
         assert np.linalg.norm(delta - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
@@ -117,7 +117,7 @@ class TestDistributedSampleSpace:
         ref = StochasticReconfiguration(diag_shift=shift, solver="cg").natural_gradient(o, g)
         results = run_threaded(_distributed_worker, 4, args=(shards, g, shift))
         for sol, info in results:
-            assert info.space == "sample" and info.distributed and info.samples == n
+            assert info.solver == "cg" and info.distributed and info.samples == n
             assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
             assert np.array_equal(sol, results[0][0])  # bit-identical across ranks
 
@@ -129,7 +129,7 @@ class TestDistributedSampleSpace:
         ref = StochasticReconfiguration(diag_shift=1e-2, solver="cg").natural_gradient(o, g)
         results = run_processes(_distributed_worker, 2, args=(shards, g, 1e-2))
         for sol, info in results:
-            assert info.space == "sample"
+            assert info.solver == "cg"
             assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
         assert np.array_equal(results[0][0], results[1][0])
 
@@ -140,7 +140,7 @@ class TestDistributedSampleSpace:
         shards = [o[:1], o[1:], o[:0], o[:0]]
         ref = StochasticReconfiguration(diag_shift=0.1, solver="cg").natural_gradient(o, g)
         for sol, info in run_threaded(_distributed_worker, 4, args=(shards, g, 0.1)):
-            assert info.space == "sample" and info.samples == 2
+            assert info.solver == "cg" and info.samples == 2
             np.testing.assert_allclose(sol, ref, rtol=1e-10)
 
     def test_congruent_collectives_under_the_sanitizer(self):
@@ -177,7 +177,7 @@ class TestSpaceRule:
     def test_boundaries(self, n, d, budget, space, rng):
         sr = StochasticReconfiguration(solver="auto", cg_maxiter=budget)
         sr.natural_gradient(rng.normal(size=(n, d)), rng.normal(size=d))
-        assert sr.last_solve.space == space
+        assert (sr.last_solve.solver == "cg") == (space == "sample")
 
     def test_distributed_rule_reads_the_global_count(self):
         """Each rank holds fewer rows than d; together they hold more."""
