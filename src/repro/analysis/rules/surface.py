@@ -13,12 +13,16 @@ Like the call graph it is **under-approximate**: any identifier, attribute
 or import spelling the name counts as reaching it, whatever it resolves to,
 as does a constant string handed to ``getattr``/``hasattr``/``setattr``,
 and so does any project decorator (``@register`` files the object in a
-table someone reads). Members of a class deriving from a class outside the
-project are not judged: a framework calls them by names built at run time
-(``ast.NodeVisitor.visit_*``, ``BaseHTTPRequestHandler.do_*``). What does
-not count is the name keeping itself alive: references inside its own
-body, ``__all__`` strings, and the re-export in an ``__init__`` of a
-package that contains it.
+table someone reads). A spelling through a foreign binding does not
+count: an attribute chain rooted at a name a module-level import binds
+from outside the project (``np.where``, ``scipy.linalg.solve``), nor a
+name imported from outside it (``from numpy import where``) and its uses.
+A local-variable receiver still counts (``ops.where``). Members of a
+class deriving from a class outside the project are not judged: a
+framework calls them by names built at run time (``ast.NodeVisitor.visit_*``,
+``BaseHTTPRequestHandler.do_*``). What does not count is the name keeping
+itself alive: references inside its own body, ``__all__`` strings, and the
+re-export in an ``__init__`` of a package that contains it.
 
 The reachers are always the project root's ``src/``, ``benchmarks/``,
 ``tools/`` and ``examples/``, read from disk when the run was not given
@@ -54,17 +58,21 @@ def _project_root(path: Path) -> Path | None:
     return None
 
 
-def _spelled_names(tree: ast.AST) -> Counter:
+def _spelled_names(tree: ast.AST, foreign: set[str]) -> Counter:
     """How often each name is spelled as identifier, attribute, import or
-    ``getattr``-family string."""
+    ``getattr``-family string, not counting spellings through the
+    ``foreign`` bindings of :func:`_foreign_bindings`."""
     names: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names[node.id] += 1
+            if node.id not in foreign:
+                names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            if _chain_root(node.value) not in foreign:
+                names[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+            if _is_project_import(node):
+                names.update(alias.name for alias in node.names)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -77,6 +85,10 @@ def _spelled_names(tree: ast.AST) -> Counter:
     return names
 
 
+def _is_project_import(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".", 1)[0] == "repro"
+
+
 def _foreign_bindings(tree: ast.Module) -> set[str]:
     """Top-level names bound by an import from outside the project."""
     foreign: set[str] = set()
@@ -85,19 +97,22 @@ def _foreign_bindings(tree: ast.Module) -> set[str]:
             for alias in node.names:
                 if alias.name.split(".", 1)[0] != "repro":
                     foreign.add(alias.asname or alias.name.split(".", 1)[0])
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            if (node.module or "").split(".", 1)[0] != "repro":
-                foreign.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not _is_project_import(node):
+            foreign.update(alias.asname or alias.name for alias in node.names)
     return foreign
+
+
+def _chain_root(node: ast.AST) -> str | None:
+    """``a`` for ``a`` and ``a.b.c``; None for a chain that starts from
+    anything but a name (a call, a subscript)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def _root_name(node: ast.AST) -> str | None:
     """``a`` for ``a``, ``a.b.c`` and ``a.b(...)``."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
+    return _chain_root(node.func if isinstance(node, ast.Call) else node)
 
 
 def _has_project_decorator(node: ast.AST, foreign: set[str]) -> bool:
@@ -154,11 +169,11 @@ class UnreachableExport(ProjectRule):
                             tree = ast.parse(path.read_text())
                         except SyntaxError:
                             continue  # a run that lints the file reports it
-                    names = _spelled_names(tree)
+                    names = _spelled_names(tree, _foreign_bindings(tree))
                     if path.name == "__init__.py" and top == "src":
                         package = ".".join(path.parent.relative_to(root / top).parts)
                         for node in ast.walk(tree):
-                            if isinstance(node, ast.ImportFrom):
+                            if isinstance(node, ast.ImportFrom) and _is_project_import(node):
                                 for alias in node.names:
                                     names[alias.name] -= 1
                                     reexports.setdefault(alias.name, []).append(package)
@@ -184,7 +199,7 @@ class UnreachableExport(ProjectRule):
                     # does unless it is in the name's own body
                     count = spelled[name]
                     here = local.get(ctx.path, Counter())[name]
-                    if count > here or count > _spelled_names(node)[name]:
+                    if count > here or count > _spelled_names(node, foreign)[name]:
                         continue
                     if owner is None and any(
                         not (ctx.module + ".").startswith(package + ".")

@@ -54,18 +54,6 @@ _LOG2 = float(np.log(2.0))
 
 _VIEW_OPS = ("reshape", "transpose")
 
-_PS_GENERIC_OPS = frozenset(
-    ("add", "mul", "neg", "truediv", "pow", "exp", "log", "sqrt", "abs",
-     "tanh", "relu", "sigmoid", "log_cosh", "log1p", "expm1", "sin", "cos",
-     "sum", "reshape", "transpose", "bernoulli_log_prob", "matmul")
-)
-
-_UNARY_UFUNC = {
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-    "tanh": np.tanh, "log1p": np.log1p, "expm1": np.expm1,
-    "sin": np.sin, "cos": np.cos,
-}
-
 
 def _norm_axes(axis, ndim):
     if axis is None:
@@ -361,43 +349,12 @@ class CompiledPlan:
         if op == "mul":
             a, b = ins
             return lambda: np.multiply(vals[a], vals[b], out=vals[o])
-        if op == "neg":
-            (a,) = ins
-            return lambda: np.negative(vals[a], out=vals[o])
-        if op == "truediv":
-            a, b = ins
-            return lambda: np.divide(vals[a], vals[b], out=vals[o])
-        if op == "pow":
-            (a,) = ins
-            e = node.attrs["exponent"]
-            return lambda: np.power(vals[a], e, out=vals[o])
         if op == "matmul":
             a, b = ins
             return lambda: np.matmul(vals[a], vals[b], out=vals[o])
         if op == "relu":
             (a,) = ins
             return lambda: np.maximum(vals[a], 0.0, out=vals[o])
-        if op in _UNARY_UFUNC:
-            (a,) = ins
-            fn = _UNARY_UFUNC[op]
-            return lambda: fn(vals[a], out=vals[o])
-        if op == "sigmoid":
-            (a,) = ins
-            si = self._scratch_buf(node.shape, led=led)
-            ni = self._scratch_buf(node.shape, bool, led)
-
-            def step():
-                x, out, s, neg = vals[a], vals[o], scr[si], scr[ni]
-                np.abs(x, out=s)
-                np.negative(s, out=s)
-                np.exp(s, out=s)  # s = e^{-|x|}
-                np.add(s, 1.0, out=out)  # out = 1 + e^{-|x|}
-                np.divide(s, out, out=s)  # branch for x < 0
-                np.divide(1.0, out, out=out)  # branch for x >= 0
-                np.less(x, 0.0, out=neg)
-                np.copyto(out, s, where=neg)
-
-            return step
         if op == "log_cosh":
             (a,) = ins
             si = self._scratch_buf(node.shape, led=led)
@@ -542,11 +499,6 @@ class CompiledPlan:
             if not rec:
                 continue
             if per_sample:
-                if node.op not in _PS_GENERIC_OPS:
-                    raise TraceError(
-                        f"per-sample compilation does not support op "
-                        f"{node.op!r} (recorded at {node.call_site})"
-                    )
                 for s in rec:
                     if self._is_param(s):
                         raise TraceError(
@@ -746,30 +698,6 @@ class CompiledPlan:
                 fns.append(term(a, lambda s, b=b: np.multiply(grads[o], vals[b], out=s)))
             if self._rec.get(b, False):
                 fns.append(term(b, lambda s, a=a: np.multiply(grads[o], vals[a], out=s)))
-        elif op == "neg":
-            fns.append(term(ins[0], lambda s: np.negative(grads[o], out=s)))
-        elif op == "truediv":
-            a, b = ins
-            if self._rec.get(a, False):
-                fns.append(term(a, lambda s, b=b: np.divide(grads[o], vals[b], out=s)))
-            if self._rec.get(b, False):
-
-                def fdiv(s, b=b):
-                    np.multiply(grads[o], vals[o], out=s)
-                    np.divide(s, vals[b], out=s)
-                    np.negative(s, out=s)
-
-                fns.append(term(b, fdiv))
-        elif op == "pow":
-            (a,) = ins
-            e = node.attrs["exponent"]
-
-            def fpow(s, a=a, e=e):
-                np.power(vals[a], e - 1.0, out=s)
-                np.multiply(s, grads[o], out=s)
-                np.multiply(s, e, out=s)
-
-            fns.append(term(a, fpow))
         elif op == "relu":
             (a,) = ins
             mi = self._scratch_buf(node.shape, bool, led)
@@ -779,57 +707,6 @@ class CompiledPlan:
                 np.multiply(grads[o], scr[mi], out=s)
 
             fns.append(term(a, frelu))
-        elif op == "exp":
-            fns.append(term(ins[0], lambda s: np.multiply(grads[o], vals[o], out=s)))
-        elif op == "expm1":
-
-            def fexpm1(s):
-                np.add(vals[o], 1.0, out=s)
-                np.multiply(s, grads[o], out=s)
-
-            fns.append(term(ins[0], fexpm1))
-        elif op == "log":
-            (a,) = ins
-            fns.append(term(a, lambda s, a=a: np.divide(grads[o], vals[a], out=s)))
-        elif op == "log1p":
-            (a,) = ins
-
-            def flog1p(s, a=a):
-                np.add(vals[a], 1.0, out=s)
-                np.divide(grads[o], s, out=s)
-
-            fns.append(term(a, flog1p))
-        elif op == "sqrt":
-
-            def fsqrt(s):
-                np.divide(grads[o], vals[o], out=s)
-                np.multiply(s, 0.5, out=s)
-
-            fns.append(term(ins[0], fsqrt))
-        elif op == "abs":
-            (a,) = ins
-
-            def fabs(s, a=a):
-                np.sign(vals[a], out=s)
-                np.multiply(s, grads[o], out=s)
-
-            fns.append(term(a, fabs))
-        elif op == "tanh":
-
-            def ftanh(s):
-                np.multiply(vals[o], vals[o], out=s)
-                np.subtract(1.0, s, out=s)
-                np.multiply(s, grads[o], out=s)
-
-            fns.append(term(ins[0], ftanh))
-        elif op == "sigmoid":
-
-            def fsig(s):
-                np.subtract(1.0, vals[o], out=s)
-                np.multiply(s, vals[o], out=s)
-                np.multiply(s, grads[o], out=s)
-
-            fns.append(term(ins[0], fsig))
         elif op == "log_cosh":
             (a,) = ins
 
@@ -838,23 +715,6 @@ class CompiledPlan:
                 np.multiply(s, grads[o], out=s)
 
             fns.append(term(a, flc))
-        elif op == "sin":
-            (a,) = ins
-
-            def fsin(s, a=a):
-                np.cos(vals[a], out=s)
-                np.multiply(s, grads[o], out=s)
-
-            fns.append(term(a, fsin))
-        elif op == "cos":
-            (a,) = ins
-
-            def fcos(s, a=a):
-                np.sin(vals[a], out=s)
-                np.multiply(s, grads[o], out=s)
-                np.negative(s, out=s)
-
-            fns.append(term(a, fcos))
         else:
             raise TraceError(
                 f"op {op!r} (recorded at {site}) has no compiled backward kernel"

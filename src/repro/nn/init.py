@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "uniform_bias", "normal", "zeros"]
+__all__ = ["kaiming_uniform", "uniform_bias", "normal"]
 
 
 def kaiming_uniform(
@@ -38,7 +38,3 @@ def normal(
 ) -> np.ndarray:
     """Small-variance Gaussian init (standard for RBM couplings)."""
     return rng.normal(0.0, std, size=shape)
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)

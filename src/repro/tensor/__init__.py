@@ -2,7 +2,9 @@
 
 This subpackage stands in for the GPU deep-learning framework (PyTorch) the
 paper's implementation relied on. It provides a :class:`Tensor` wrapping a
-numpy array, ~30 differentiable primitives with full broadcasting support,
+numpy array, the twelve differentiable primitives the models record (add,
+mul, matmul, sum, reshape, transpose, concatenate, relu, sigmoid, tanh,
+log_cosh and the fused bernoulli_log_prob) with full broadcasting support,
 and a topological-sort backward pass. Everything is vectorised — a forward
 pass over a batch of configurations is a handful of BLAS calls, exactly the
 shape of work a GPU kernel would do.

@@ -1,98 +1,22 @@
 """Functional interface over :class:`repro.tensor.Tensor`.
 
-Mirrors the small slice of ``torch.nn.functional`` the paper's models need,
-so model code reads like the architectures in §5.1 of the paper.
+The layer-level primitives the paper's models are built from (§5.1): a
+linear layer, MADE's masked linear layer and the fused Bernoulli
+log-likelihood. Elementwise nonlinearities are :class:`Tensor` methods.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.tensor import (
-    Tensor,
-    concatenate,
-    maximum,
-    minimum,
-    stack,
-    where,
-)
+from repro.tensor.tensor import Tensor
 
-__all__ = [
-    "relu",
-    "sigmoid",
-    "tanh",
-    "exp",
-    "log",
-    "sqrt",
-    "log_cosh",
-    "log1p",
-    "expm1",
-    "sin",
-    "cos",
-    "clip",
-    "linear",
-    "masked_linear",
-    "bernoulli_log_prob",
-    "concatenate",
-    "stack",
-    "where",
-    "minimum",
-    "maximum",
-    "as_tensor",
-]
+__all__ = ["linear", "masked_linear", "bernoulli_log_prob", "as_tensor"]
 
 
 def as_tensor(x, requires_grad: bool = False) -> Tensor:
     """Coerce array-like input into a :class:`Tensor`."""
     return x if isinstance(x, Tensor) else Tensor(x, requires_grad=requires_grad)
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def exp(x: Tensor) -> Tensor:
-    return x.exp()
-
-
-def log(x: Tensor) -> Tensor:
-    return x.log()
-
-
-def sqrt(x: Tensor) -> Tensor:
-    return x.sqrt()
-
-
-def log_cosh(x: Tensor) -> Tensor:
-    return x.log_cosh()
-
-
-def log1p(x: Tensor) -> Tensor:
-    return x.log1p()
-
-
-def expm1(x: Tensor) -> Tensor:
-    return x.expm1()
-
-
-def sin(x: Tensor) -> Tensor:
-    return x.sin()
-
-
-def cos(x: Tensor) -> Tensor:
-    return x.cos()
-
-
-def clip(x: Tensor, low: float | None = None, high: float | None = None) -> Tensor:
-    return x.clip(low, high)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -158,6 +158,11 @@ class Tensor:
         "__weakref__",
     )
 
+    # An ndarray on the left of an operator (``np.ones(3) * t``) defers to
+    # the Tensor's reflected method instead of building an object array of
+    # 0-d Tensors, which would drop the graph without an error.
+    __array_ufunc__ = None
+
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
@@ -201,10 +206,10 @@ class Tensor:
         """Build an op output node; record graph only if grad is enabled.
 
         ``op`` names the primitive (``"add"``, ``"matmul"``, ...) and
-        ``attrs`` carries its non-tensor arguments (axes, exponents, index
-        objects). Both are only observed by an installed tape recorder
-        (:func:`set_tape_recorder`) — the interpreted path never reads
-        them, so the metadata costs nothing when no trace is running.
+        ``attrs`` carries its non-tensor arguments (axes, shapes). Both are
+        only observed by an installed tape recorder (:func:`set_tape_recorder`)
+        — the interpreted path never reads them, so the metadata costs
+        nothing when no trace is running.
         """
         needs = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs)
@@ -256,9 +261,6 @@ class Tensor:
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{label})"
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -357,43 +359,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor":
-        def bw(g: np.ndarray) -> None:
-            self._accum(-g)
-
-        return Tensor._make(-self.data, (self,), bw, "neg")
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
-
-    def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(_unbroadcast(g / other.data, self.shape))
-            other._accum(
-                _unbroadcast(-g * self.data / (other.data**2), other.shape)
-            )
-
-        return Tensor._make(out_data, (self, other), bw, "truediv")
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), bw, "pow", {"exponent": exponent})
-
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
         if self.ndim < 2 or other.ndim < 2:
@@ -412,38 +377,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), bw, "matmul")
 
     # -- elementwise nonlinearities ------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * out_data)
-
-        return Tensor._make(out_data, (self,), bw, "exp")
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g / self.data)
-
-        return Tensor._make(out_data, (self,), bw, "log")
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * 0.5 / out_data)
-
-        return Tensor._make(out_data, (self,), bw, "sqrt")
-
-    def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * np.sign(self.data))
-
-        return Tensor._make(out_data, (self,), bw, "abs")
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -491,53 +424,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), bw, "log_cosh")
 
-    def log1p(self) -> "Tensor":
-        out_data = np.log1p(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g / (1.0 + self.data))
-
-        return Tensor._make(out_data, (self,), bw, "log1p")
-
-    def expm1(self) -> "Tensor":
-        out_data = np.expm1(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * (out_data + 1.0))
-
-        return Tensor._make(out_data, (self,), bw, "expm1")
-
-    def sin(self) -> "Tensor":
-        out_data = np.sin(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * np.cos(self.data))
-
-        return Tensor._make(out_data, (self,), bw, "sin")
-
-    def cos(self) -> "Tensor":
-        out_data = np.cos(self.data)
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(-g * np.sin(self.data))
-
-        return Tensor._make(out_data, (self,), bw, "cos")
-
-    def clip(self, low: float | None = None, high: float | None = None) -> "Tensor":
-        """Clamp values; gradient is passed through only inside the bounds
-        (the subgradient convention used by deep-learning frameworks)."""
-        out_data = np.clip(self.data, low, high)
-        inside = np.ones_like(self.data, dtype=bool)
-        if low is not None:
-            inside &= self.data > low
-        if high is not None:
-            inside &= self.data < high
-
-        def bw(g: np.ndarray) -> None:
-            self._accum(g * inside)
-
-        return Tensor._make(out_data, (self,), bw, "clip", {"low": low, "high": high})
-
     # -- reductions ------------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -551,33 +437,6 @@ class Tensor:
 
         return Tensor._make(
             out_data, (self,), bw, "sum", {"axis": axis, "keepdims": keepdims}
-        )
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def bw(g: np.ndarray) -> None:
-            gg = g
-            od = out_data
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
-                od = np.expand_dims(od, axis)
-            mask = self.data == od
-            # Split gradient evenly across ties (numpy semantics don't define
-            # a winner; even split keeps gradcheck happy away from ties).
-            share = mask / mask.sum(axis=axis, keepdims=True)
-            self._accum(np.broadcast_to(gg, self.shape) * share)
-
-        return Tensor._make(
-            out_data, (self,), bw, "max", {"axis": axis, "keepdims": keepdims}
         )
 
     # -- shape manipulation --------------------------------------------------------------
@@ -605,16 +464,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), bw, "transpose", {"axes": axes})
 
-    def __getitem__(self, idx) -> "Tensor":
-        out_data = self.data[idx]
-
-        def bw(g: np.ndarray) -> None:
-            buf = np.zeros_like(self.data)
-            np.add.at(buf, idx, g)
-            self._accum(buf)
-
-        return Tensor._make(out_data, (self,), bw, "getitem", {"idx": idx})
-
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Differentiable ``np.concatenate``."""
@@ -630,57 +479,3 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             t._accum(g[tuple(sl)])
 
     return Tensor._make(out_data, ts, bw, "concatenate", {"axis": axis})
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable ``np.stack``."""
-    ts = list(tensors)
-    out_data = np.stack([t.data for t in ts], axis=axis)
-
-    def bw(g: np.ndarray) -> None:
-        for i, t in enumerate(ts):
-            t._accum(np.take(g, i, axis=axis))
-
-    return Tensor._make(out_data, ts, bw, "stack", {"axis": axis})
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min; ties split the gradient evenly."""
-    out_data = np.minimum(a.data, b.data)
-    a_wins = a.data < b.data
-    tie = a.data == b.data
-
-    def bw(g: np.ndarray) -> None:
-        ga = g * (a_wins + 0.5 * tie)
-        gb = g * (~a_wins & ~tie) + g * 0.5 * tie
-        a._accum(_unbroadcast(ga, a.shape))
-        b._accum(_unbroadcast(gb, b.shape))
-
-    return Tensor._make(out_data, (a, b), bw, "minimum")
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties split the gradient evenly."""
-    out_data = np.maximum(a.data, b.data)
-    a_wins = a.data > b.data
-    tie = a.data == b.data
-
-    def bw(g: np.ndarray) -> None:
-        ga = g * (a_wins + 0.5 * tie)
-        gb = g * (~a_wins & ~tie) + g * 0.5 * tie
-        a._accum(_unbroadcast(ga, a.shape))
-        b._accum(_unbroadcast(gb, b.shape))
-
-    return Tensor._make(out_data, (a, b), bw, "maximum")
-
-
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable ``np.where`` with a non-differentiable condition."""
-    cond = np.asarray(cond, dtype=bool)
-    out_data = np.where(cond, a.data, b.data)
-
-    def bw(g: np.ndarray) -> None:
-        a._accum(_unbroadcast(np.where(cond, g, 0.0), a.shape))
-        b._accum(_unbroadcast(np.where(cond, 0.0, g), b.shape))
-
-    return Tensor._make(out_data, (a, b), bw, "where", {"cond": cond})

@@ -231,4 +231,39 @@ FIXTURES: dict[str, tuple[Fixture, Fixture]] = {
         "    def do_GET(self):\n"
         "        return None\n",
     ),
+    # a spelling through a foreign binding reaches nothing in the project
+    "api-unreachable-export/foreign-receiver": (
+        "import numpy as np\n"
+        "def where(cond, a, b):\n"
+        "    return a\n"
+        "_PICK = np.where(True, 1, 2)\n",
+        # ... one through a project alias does
+        {
+            FIXTURE_PATH: "def where(cond, a, b):\n    return a\n",
+            "src/repro/core/pick.py": (
+                "import repro.models.fixture as F\n_PICK = F.where(True, 1, 2)\n"
+            ),
+        },
+    ),
+    "api-unreachable-export/foreign-import": (
+        {
+            FIXTURE_PATH: "def where(cond, a, b):\n    return a\n",
+            "src/repro/core/pick.py": "from numpy import where\n_PICK = where(True, 1, 2)\n",
+        },
+        {
+            FIXTURE_PATH: "def where(cond, a, b):\n    return a\n",
+            "src/repro/core/pick.py": (
+                "from repro.models.fixture import where\n_PICK = where(True, 1, 2)\n"
+            ),
+        },
+    ),
+    "api-unreachable-export/local-receiver": (
+        None,
+        # a local variable may hold anything: its attributes still count
+        "import numpy as np\n"
+        "def where(cond, a, b):\n"
+        "    return a\n"
+        "def _pick(ops):\n"
+        "    return ops.where(np.ones(1), 1, 2)\n",
+    ),
 }

@@ -105,20 +105,20 @@ class TestMutationDetection:
 
 class TestNonFinite:
     def test_nan_origin_raises_at_the_producing_op(self):
-        x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        x = Tensor(np.array([1e308, 1.0]), requires_grad=True)
         with GraphSanitizer():
             with pytest.raises(NonFiniteError) as excinfo:
-                with np.errstate(divide="ignore"):
-                    x.log()  # log(0) = -inf: first non-finite op
+                with np.errstate(over="ignore"):
+                    x * 10.0  # 1e309 overflows to inf: first non-finite op
         message = str(excinfo.value)
         assert "Inf" in message
         assert "test_graph_sanitizer.py" in message
 
     def test_record_mode_collects_origins_and_continues(self):
-        x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        x = Tensor(np.array([1e308, 1.0]), requires_grad=True)
         with GraphSanitizer(nonfinite="record") as sanitizer:
-            with np.errstate(divide="ignore"):
-                y = x.log()
+            with np.errstate(over="ignore"):
+                y = x * 10.0
             z = y * 2.0  # already non-finite input: not a fresh origin
         assert len(sanitizer.nonfinite_origins) == 1
         origin = sanitizer.nonfinite_origins[0]
@@ -130,14 +130,14 @@ class TestNonFinite:
     def test_finite_runs_record_nothing(self):
         x = Tensor(np.linspace(0.1, 1.0, 5), requires_grad=True)
         with GraphSanitizer(nonfinite="record") as sanitizer:
-            x.log().sum().backward()
+            (x * 10.0).sum().backward()
         assert sanitizer.nonfinite_origins == []
 
     def test_check_finite_false_disables_origin_tracking(self):
-        x = Tensor(np.array([0.0]), requires_grad=True)
+        x = Tensor(np.array([1e308]), requires_grad=True)
         with GraphSanitizer(check_finite=False) as sanitizer:
-            with np.errstate(divide="ignore"):
-                x.log()
+            with np.errstate(over="ignore"):
+                x * 10.0
         assert sanitizer.nonfinite_origins == []
 
 

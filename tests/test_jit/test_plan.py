@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.jit import StepCompiler, TraceError
 from repro.jit.fuse import FusedLinear
-from repro.jit.plan import InterpretedPlan
-from repro.models import MADE, RBM, MeanField
+from repro.jit.plan import CompiledPlan, InterpretedPlan
+from repro.models import MADE, RBM, MeanField, RNNWaveFunction
 from repro.tensor import no_grad
 from repro.tensor.tensor import set_tape_recorder, tape_recorder_state
 
@@ -204,3 +206,52 @@ class TestPerSampleFallback:
         compiler.plan_for(x)  # scalar path is fine
         with pytest.raises(TraceError):
             compiler.per_sample_plan(x)
+
+
+#: every op a compiled plan holds after fusion; a kernel outside this set
+#: serves no ansatz
+COMPILED_OPS = frozenset(
+    ("linear", "add", "mul", "matmul", "reshape", "sum", "relu", "log_cosh",
+     "bernoulli_log_prob")
+)
+
+ANSATZE = {
+    "made": lambda rng: MADE(6, hidden=8, rng=rng),
+    "deep_made": lambda rng: MADE(6, hidden=[9, 7], rng=rng),
+    "rbm": lambda rng: RBM(6, rng=rng),
+    "mean_field": lambda rng: MeanField(6, rng=rng),
+    "rnn": lambda rng: RNNWaveFunction(6, hidden=4, rng=rng),
+}
+
+_RNN_REASON = (
+    r"op 'add' \(recorded at .*rnn\.py:\d+\) pairs each batch row with a row "
+    r"of an operand not drawn from the batch; "
+)
+
+#: the fallback reason of each (ansatz, path) that runs interpreted; every
+#: other pair compiles
+FALLBACKS = {
+    ("mean_field", "per_sample"): (
+        r"per-sample compilation cannot differentiate the batch-contracting "
+        r"operand of matmul at .*mean_field\.py:\d+$"
+    ),
+    ("rnn", "autograd"): _RNN_REASON,
+    ("rnn", "per_sample"): _RNN_REASON,
+}
+
+
+class TestWhichAnsatzCompiles:
+    @pytest.mark.parametrize("path", ["autograd", "per_sample"])
+    @pytest.mark.parametrize("name", sorted(ANSATZE))
+    def test_compiled_or_interpreted(self, name, path):
+        compiler = StepCompiler(ANSATZE[name](np.random.default_rng(0)))
+        plan = compiler.plan(_batch(6, 8), path == "per_sample", "auto")
+        reason = FALLBACKS.get((name, path))
+        if reason is None:
+            assert isinstance(plan, CompiledPlan), compiler.fallbacks
+            assert compiler.fallbacks == {}
+            assert {node.op for node in plan._nodes} <= COMPILED_OPS
+        else:
+            assert isinstance(plan, InterpretedPlan)
+            assert list(compiler.fallbacks) == [path]
+            assert re.match(reason, compiler.fallbacks[path]), compiler.fallbacks

@@ -32,9 +32,6 @@ class TestInitializers:
         w = init.normal(rng, (200, 200), std=0.05)
         assert w.std() == pytest.approx(0.05, rel=0.05)
 
-    def test_zeros(self):
-        assert np.array_equal(init.zeros((3, 2)), np.zeros((3, 2)))
-
     def test_degenerate_fan_in(self, rng):
         # fan_in 0 must not divide by zero.
         w = init.kaiming_uniform(rng, 4, 0)

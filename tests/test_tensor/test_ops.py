@@ -7,7 +7,7 @@ import pytest
 
 from repro.tensor import Tensor, gradcheck
 from repro.tensor import functional as F
-from repro.tensor.tensor import concatenate, stack, where
+from repro.tensor.tensor import concatenate
 
 
 @pytest.fixture
@@ -20,35 +20,18 @@ class TestBinaryOps:
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         assert gradcheck(lambda x, y: x + y, [a, b])
 
-    def test_sub(self, rng):
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        assert gradcheck(lambda x, y: x - y, [a, b])
-
     def test_mul(self, rng):
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         assert gradcheck(lambda x, y: x * y, [a, b])
 
-    def test_div(self, rng):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(3, 4)) + 3.0  # keep away from 0
-        assert gradcheck(lambda x, y: x / y, [a, b])
-
-    def test_rsub_rdiv_scalars(self, rng):
-        a = rng.normal(size=(5,)) + 3.0
-        assert gradcheck(lambda x: 2.0 - x, [a])
-        assert gradcheck(lambda x: 2.0 / x, [a])
-
-    def test_pow(self, rng):
-        a = np.abs(rng.normal(size=(3, 4))) + 0.5
-        assert gradcheck(lambda x: x**3.0, [a])
-        assert gradcheck(lambda x: x**0.5, [a])
-
-    def test_pow_rejects_tensor_exponent(self):
+    def test_array_on_the_left_keeps_the_graph(self):
+        t = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        for out in (np.ones(3) * t, np.float64(2.0) * t, np.ones(3) + t):
+            assert isinstance(out, Tensor)
+        (np.full(3, 2.0) * t).sum().backward()
+        assert np.array_equal(t.grad, [2.0, 2.0, 2.0])
         with pytest.raises(TypeError):
-            Tensor([1.0]) ** Tensor([2.0])
-
-    def test_neg(self, rng):
-        assert gradcheck(lambda x: -x, [rng.normal(size=(4,))])
+            np.ones((2, 3)) @ Tensor(np.ones((3, 2)))
 
 
 class TestBroadcasting:
@@ -90,20 +73,12 @@ class TestMatmul:
 class TestElementwise:
     @pytest.mark.parametrize(
         "name",
-        ["exp", "tanh", "relu", "sigmoid", "log_cosh", "abs"],
+        ["tanh", "relu", "sigmoid", "log_cosh"],
     )
     def test_unary(self, rng, name):
         a = rng.normal(size=(3, 5)) * 2.0
-        a[np.abs(a) < 0.1] += 0.5  # keep relu/abs away from the kink
+        a[np.abs(a) < 0.1] += 0.5  # keep relu away from the kink
         assert gradcheck(lambda x: getattr(x, name)(), [a])
-
-    def test_log(self, rng):
-        a = np.abs(rng.normal(size=(3, 5))) + 0.5
-        assert gradcheck(lambda x: x.log(), [a])
-
-    def test_sqrt(self, rng):
-        a = np.abs(rng.normal(size=(3, 5))) + 0.5
-        assert gradcheck(lambda x: x.sqrt(), [a])
 
     def test_sigmoid_extreme_values_stable(self):
         t = Tensor(np.array([-1000.0, 0.0, 1000.0]))
@@ -141,18 +116,6 @@ class TestReductions:
     def test_sum_keepdims(self, rng):
         assert gradcheck(lambda x: x.sum(axis=0, keepdims=True), [rng.normal(size=(3, 4))])
 
-    def test_mean(self, rng):
-        assert gradcheck(lambda x: x.mean(), [rng.normal(size=(3, 4))])
-        assert gradcheck(lambda x: x.mean(axis=1), [rng.normal(size=(3, 4))])
-
-    def test_max(self, rng):
-        a = rng.normal(size=(3, 4))
-        assert gradcheck(lambda x: x.max(axis=1), [a])
-
-    def test_mean_value(self, rng):
-        a = rng.normal(size=(5, 7))
-        assert np.allclose(Tensor(a).mean(axis=0).data, a.mean(axis=0))
-
 
 class TestShapeOps:
     def test_reshape(self, rng):
@@ -169,30 +132,8 @@ class TestShapeOps:
             lambda x: x.transpose((2, 0, 1)) * 2.0, [rng.normal(size=(2, 3, 4))]
         )
 
-    def test_getitem_slice(self, rng):
-        assert gradcheck(lambda x: x[1:, :2], [rng.normal(size=(3, 4))])
-
-    def test_getitem_int_array(self, rng):
-        idx = np.array([0, 2, 2])
-        assert gradcheck(lambda x: x[idx], [rng.normal(size=(4, 3))])
-
-    def test_getitem_repeated_indices_accumulate(self):
-        t = Tensor(np.zeros(3), requires_grad=True)
-        out = t[np.array([1, 1, 1])]
-        out.sum().backward()
-        assert np.allclose(t.grad, [0.0, 3.0, 0.0])
-
 
 class TestCombinators:
     def test_concatenate(self, rng):
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
         assert gradcheck(lambda x, y: concatenate([x, y], axis=0) * 2.0, [a, b])
-
-    def test_stack(self, rng):
-        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-        assert gradcheck(lambda x, y: stack([x, y], axis=1) * 2.0, [a, b])
-
-    def test_where(self, rng):
-        cond = rng.random((3, 4)) < 0.5
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        assert gradcheck(lambda x, y: where(cond, x, y), [a, b])
