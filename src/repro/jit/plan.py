@@ -52,8 +52,6 @@ __all__ = ["CompiledPlan", "InterpretedPlan"]
 
 _LOG2 = float(np.log(2.0))
 
-_VIEW_OPS = ("reshape", "transpose")
-
 
 def _norm_axes(axis, ndim):
     if axis is None:
@@ -216,10 +214,6 @@ class CompiledPlan:
         op, ins = node.op, node.inputs
         if op == "sum" and 0 in _norm_axes(node.attrs["axis"], len(shapes[ins[0]])):
             return "sums over the batch axis"
-        if op == "transpose":
-            axes = node.attrs["axes"]
-            if (axes is None and len(shape) > 1) or (axes is not None and axes[0] != 0):
-                return "moves the batch off axis 0"
         if op == "matmul":
             a, b = ins
             if (a in led and len(shapes[a]) < 2) or (b in led and len(shapes[b]) < 3):
@@ -300,21 +294,14 @@ class CompiledPlan:
         ins = node.inputs
         led = o in self._led
 
-        if op in _VIEW_OPS:
-            # Views are re-derived per replay (their base may be a rebound
+        if op == "reshape":
+            # A view is re-derived per replay (its base may be a rebound
             # leaf); a view costs an array header, not a data buffer.
             i = ins[0]
-            if op == "reshape":
-                reshape = _reshaper(node.attrs["shape"], led)
+            reshape = _reshaper(node.attrs["shape"], led)
 
-                def step():
-                    vals[o] = reshape(vals[i])
-
-            else:
-                axes = node.attrs["axes"]
-
-                def step():
-                    vals[o] = vals[i].transpose(axes)
+            def step():
+                vals[o] = reshape(vals[i])
 
             return step
 
@@ -596,16 +583,12 @@ class CompiledPlan:
 
             return step
 
-        if op in _VIEW_OPS:
+        if op == "reshape":
             (a,) = ins
             in_shape = self._shapes[a]
             acc = self._acc(a, in_shape, per_sample, site)
-            if op == "reshape":
-                reshape = _reshaper(in_shape, a in self._led)
-                return guard(lambda: acc(reshape(grads[o])))
-            axes = node.attrs["axes"]
-            inv = None if axes is None else tuple(int(i) for i in np.argsort(axes))
-            return guard(lambda: acc(grads[o].transpose(inv)))
+            reshape = _reshaper(in_shape, a in self._led)
+            return guard(lambda: acc(reshape(grads[o])))
 
         if op == "sum":
             (a,) = ins

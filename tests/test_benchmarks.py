@@ -151,3 +151,14 @@ class TestRunAll:
         monkeypatch.setattr(run_all, "OUT_DIR", tmp_path)
         rc = run_all.main(["nonexistent-harness"])
         assert rc == 1
+
+
+class TestGraphBuildingHarnesses:
+    """Harnesses that build a tensor graph themselves, not through the
+    library, break silently when an engine op they spell is removed."""
+
+    def test_sanitizer_graph_overhead_runs(self):
+        from bench_sanitizer_overhead import _measure_graph_overhead
+
+        row = _measure_graph_overhead(n_sites=4, hidden=4, batch=8, trials=1)
+        assert row["bare_ms"] > 0 and row["sanitized_ms"] > 0
