@@ -11,7 +11,7 @@ backends:
 - thread backend (:func:`repro.distributed.threads.run_threaded`) — ranks are
   threads in one process, channels are queues; ideal for tests.
 - process backend (:func:`repro.distributed.mp.run_processes`) — ranks are OS
-  processes connected by pipes; real parallelism (numpy releases the GIL in
+  processes connected by Unix socketpairs; real parallelism (numpy releases the GIL in
   BLAS, but separate processes are the honest analogue of separate GPUs).
 
 Collective algorithms (ring allreduce, reduce-scatter + allgather, tree

@@ -22,6 +22,8 @@ ring steps where every rank sends before receiving cannot deadlock.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.distributed.comm import Communicator, ReduceOp
@@ -35,10 +37,16 @@ __all__ = [
 ]
 
 
-def _chunks(n_elems: int, parts: int) -> list[slice]:
-    """Split ``n_elems`` into ``parts`` contiguous near-equal slices."""
+@functools.lru_cache
+def _chunks(n_elems: int, parts: int) -> tuple[slice, ...]:
+    """Split ``n_elems`` into ``parts`` contiguous near-equal slices.
+
+    Cached: every ring collective asks for the same few splits, and the
+    slices (with them every chunk boundary and reduction order) depend on
+    nothing else.
+    """
     bounds = np.linspace(0, n_elems, parts + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    return tuple(slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 def ring_allreduce(comm: Communicator, array: np.ndarray, op: str = "sum") -> np.ndarray:

@@ -1,10 +1,18 @@
-"""Process-backed communicator (ranks are OS processes, channels are pipes).
+"""Process-backed communicator (ranks are OS processes, channels are sockets).
 
 This is the honest analogue of the paper's multi-GPU setup: each rank has
 its own address space and model replica; all coordination goes through
-explicit messages. Sends are made eager with a per-peer sender thread
-(MPI-style eager protocol), so the collective algorithms cannot deadlock on
-full pipe buffers even when every rank sends simultaneously.
+explicit messages over one duplex Unix socketpair per pair of ranks.
+
+Wire format: a message is a header (payload length, ndim, dtype string,
+shape) followed by the array's own memory, written with one non-blocking
+``sendmsg``. Nothing is pickled and, when the kernel takes the whole frame,
+nothing is copied. Sends are eager (MPI-style): the unsent remainder of a
+partial write is queued, in order, for a per-peer drain thread that runs
+only while that queue is non-empty, and later sends queue behind it — so
+the collective algorithms cannot deadlock on full socket buffers even when
+every rank sends simultaneously. The receiver reads the header, allocates
+the array and reads the payload straight into it.
 
 Entry point: :func:`run_processes` — forks ``world_size`` workers, runs
 ``fn(comm, rank, *args)`` in each, and returns the per-rank results.
@@ -14,8 +22,12 @@ method (module-level functions; closures work on Linux fork).
 
 from __future__ import annotations
 
+import collections
+import math
 import multiprocessing as mp
-import queue
+import select
+import socket
+import struct
 import threading
 import time
 import traceback
@@ -34,48 +46,135 @@ from repro.distributed.comm import (
 
 __all__ = ["PipeCommunicator", "run_processes"]
 
+# Header: payload bytes, ndim, len(dtype.str); then dtype.str and the shape.
+_PREFIX = struct.Struct("<QBB")
+_SEND_FLAGS = socket.MSG_DONTWAIT | socket.MSG_NOSIGNAL
 
-class _EagerSender:
-    """Background thread draining an outbox queue into a pipe connection."""
 
-    def __init__(self, conn):
-        self._conn = conn
-        self._outbox: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
+class _Channel:
+    """One rank's end of the socket to one peer: framed sends and receives.
+
+    A send writes the whole frame without blocking when the kernel buffer
+    has room. Otherwise the remainder is spilled (copied, or referenced for
+    an :class:`OwnedFrame`) to a drain thread that exists only until the
+    spill queue is empty; while it exists, later sends queue behind it.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
+        self._lock = threading.Lock()
+        self._spill: collections.deque = collections.deque()
+        self._drainer: threading.Thread | None = None
+
+    def send(self, array: np.ndarray) -> None:
+        owned = isinstance(array, OwnedFrame)
+        arr = np.asarray(array)
+        if arr.dtype.hasobject or arr.dtype.names is not None:
+            raise TypeError(f"cannot send arrays of dtype {arr.dtype}")
+        if not arr.flags.c_contiguous:
+            arr, owned = arr.copy(), True
+        descr = arr.dtype.str.encode()
+        header = (
+            _PREFIX.pack(arr.nbytes, arr.ndim, len(descr))
+            + descr
+            + struct.pack(f"<{arr.ndim}q", *arr.shape)
+        )
+        payload = arr.reshape(-1).view(np.uint8)
+        with self._lock:
+            sent = 0
+            if not self._spill:  # else queue behind the spill, in order
+                try:
+                    sent = self._sock.sendmsg([header, payload], (), _SEND_FLAGS)
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    # Peer exited: drop the message, as a queue to a dead
+                    # rank would; the next recv from it reports the exit.
+                    return
+            if sent < len(header):
+                self._spill.append(header[sent:])
+                sent = 0
+            else:
+                sent -= len(header)
+            if sent < payload.size:
+                rest = payload[sent:]
+                self._spill.append(rest if owned else rest.copy())
+            if self._spill and self._drainer is None:
+                self._drainer = threading.Thread(target=self._drain, daemon=True)
+                self._drainer.start()
 
     def _drain(self) -> None:
         while True:
-            item = self._outbox.get()
-            if item is None:
-                return
             try:
-                self._conn.send(item)
-            except (BrokenPipeError, OSError):
-                return
+                self._sock.sendall(self._spill[0])
+                failed = False
+            except OSError:
+                failed = True  # peer exited: nobody will read the rest
+            with self._lock:
+                if failed:
+                    self._spill.clear()
+                else:
+                    self._spill.popleft()
+                if not self._spill:
+                    self._drainer = None
+                    return
 
-    def send(self, array: np.ndarray) -> None:
-        if isinstance(array, OwnedFrame):
-            # Ownership was handed over — no copy; strip the marker subclass
-            # (a zero-copy view) so pickling takes the plain-ndarray path.
-            array = array.view(np.ndarray)
-        else:
-            array = np.array(array, copy=True)
-        self._outbox.put(array)
+    def poll(self, timeout: float) -> bool:
+        """Is a message (or the peer's exit) ready within ``timeout`` s?"""
+        return bool(self._poller.poll(max(0, math.ceil(timeout * 1000))))
+
+    def recv(self, timeout: float) -> np.ndarray | None:
+        """Next message, or ``None`` if none begins within ``timeout`` s.
+
+        Raises :exc:`EOFError` / :exc:`OSError` if the peer exited. The
+        timeout covers the wait for a message to begin; once its first
+        bytes are here the rest is read to the end, so the stream never
+        loses its frame boundaries.
+        """
+        prefix = bytearray(_PREFIX.size)
+        try:
+            got = self._sock.recv_into(prefix, 0, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            if not self.poll(timeout):
+                return None
+            got = 0
+        self._read(memoryview(prefix)[got:])
+        nbytes, ndim, dlen = _PREFIX.unpack(prefix)
+        tail = bytearray(dlen + 8 * ndim)
+        self._read(memoryview(tail))
+        out = np.empty(
+            struct.unpack_from(f"<{ndim}q", tail, dlen), np.dtype(tail[:dlen].decode())
+        )
+        if out.nbytes != nbytes:
+            raise RuntimeError(f"corrupt frame: header says {nbytes} B, shape {out.nbytes} B")
+        self._read(memoryview(out.reshape(-1).view(np.uint8)))
+        return out
+
+    def _read(self, view: memoryview) -> None:
+        """Fill ``view`` from the socket (blocking); EOFError on exit."""
+        while view.nbytes:
+            got = self._sock.recv_into(view)
+            if not got:
+                raise EOFError("socket closed")
+            view = view[got:]
 
     def close(self) -> None:
-        self._outbox.put(None)
-        self._thread.join(timeout=5.0)
+        """Flush the spill queue (bounded wait), so a message sent just
+        before the rank returns is still delivered."""
+        drainer = self._drainer
+        if drainer is not None:
+            drainer.join(timeout=5.0)
 
 
 class PipeCommunicator(Communicator):
-    """Communicator over pairwise ``multiprocessing.Pipe`` connections."""
+    """Communicator over pairwise duplex socketpairs (one per rank pair)."""
 
-    def __init__(self, rank: int, size: int, connections: dict[int, Any]):
+    def __init__(self, rank: int, size: int, connections: dict[int, socket.socket]):
         self._rank = rank
         self._size = size
-        self._conns = connections
-        self._senders: dict[int, _EagerSender] = {}
+        self._channels = {peer: _Channel(sock) for peer, sock in connections.items()}
 
     @property
     def size(self) -> int:
@@ -87,47 +186,41 @@ class PipeCommunicator(Communicator):
 
     def send(self, dest: int, array: np.ndarray) -> None:
         self._check_peer(dest)
-        if dest not in self._senders:
-            self._senders[dest] = _EagerSender(self._conns[dest])
         self._count_send(array)
-        self._senders[dest].send(array)
+        self._channels[dest].send(array)
 
     def recv(self, source: int, timeout: float = DEFAULT_TIMEOUT) -> np.ndarray:
         self._check_peer(source)
-        conn = self._conns[source]
         try:
-            if not conn.poll(timeout):
-                raise CommTimeoutError(
-                    f"rank {self._rank}: no message from rank {source} within {timeout}s"
-                )
-            out = conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            # Peer process exited and the pipe closed: surface it on the
+            out = self._channels[source].recv(timeout=timeout)
+        except (EOFError, OSError) as exc:
+            # Peer process exited and the socket closed: surface it on the
             # timeout path so the resilience layer's retry/escalation logic
             # applies uniformly (a dead peer is just an instant timeout).
             raise CommTimeoutError(
                 f"rank {self._rank}: connection to rank {source} closed "
                 f"(peer exited: {exc!r})"
             ) from exc
+        if out is None:
+            raise CommTimeoutError(
+                f"rank {self._rank}: no message from rank {source} within {timeout}s"
+            )
         self._count_recv(out)
         return out
 
     def poll(self, source: int, timeout: float = 0.0) -> bool:
         self._check_peer(source)
-        try:
-            return bool(self._conns[source].poll(timeout))
-        except (EOFError, BrokenPipeError, OSError):
-            # Closed pipe: report ready so the caller's recv surfaces the
-            # dead-peer diagnosis instead of poll masking it as "no data".
-            return True
+        # A closed socket polls readable, so the caller's recv surfaces the
+        # dead-peer diagnosis instead of poll masking it as "no data".
+        return self._channels[source].poll(timeout)
 
     def close(self) -> None:
-        for sender in self._senders.values():
-            sender.close()
+        for channel in self._channels.values():
+            channel.close()
 
 
 def _worker(rank, conns, result_conns, fn, args):
-    # Fork hands every rank a copy of every pipe end. A pipe reports EOF
+    # Fork hands every rank a copy of every socket end. A socket reads EOF
     # only once *all* holders of the far end are gone, so keep this rank's
     # own ends and close the rest: then a rank that exits is seen by its
     # peers (and the parent) at once, not when the last sibling exits.
@@ -169,11 +262,11 @@ def run_processes(
         raise ValueError(f"world size must be >= 1, got {world_size}")
     ctx = mp.get_context("fork")
 
-    # Pairwise full-duplex pipes: conns[i][j] is rank i's endpoint to rank j.
-    conns: list[dict[int, Any]] = [dict() for _ in range(world_size)]
+    # Pairwise full-duplex sockets: conns[i][j] is rank i's endpoint to rank j.
+    conns: list[dict[int, socket.socket]] = [dict() for _ in range(world_size)]
     for i in range(world_size):
         for j in range(i + 1, world_size):
-            end_i, end_j = ctx.Pipe(duplex=True)
+            end_i, end_j = socket.socketpair()
             conns[i][j] = end_i
             conns[j][i] = end_j
 

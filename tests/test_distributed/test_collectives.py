@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distributed import run_threaded
+from repro.distributed.collectives import _chunks
 from repro.distributed.comm import ReduceOp
 
 ALGORITHMS = ("ring", "rec_double", "naive")
@@ -90,6 +91,20 @@ class TestAllreduce:
         expect = data.sum(axis=0)
         for r in results:
             assert np.allclose(r, expect, atol=1e-10)
+
+
+class TestChunks:
+    def test_cached_slices_equal_the_linspace_split(self):
+        """The ring's chunk bounds (and with them every reduction order) are
+        the ``linspace`` split, asked for twice: once fresh, once cached."""
+        for n in (0, 1, 2, 3, 5, 17, 100, 1023, 11_158, 300_000):
+            for parts in (1, 2, 3, 4, 5, 7, 8, 16):
+                bounds = np.linspace(0, n, parts + 1).astype(int)
+                expect = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+                for _ in range(2):
+                    got = _chunks(n, parts)
+                    assert isinstance(got, tuple)
+                    assert list(got) == expect
 
 
 class TestOtherCollectives:
