@@ -25,6 +25,9 @@ the cost of missing exotic dispatch. Communicator collectives
 (``allreduce`` … ``split``) and point-to-point primitives are *never*
 resolved into, even though their implementations live in this repo: rules
 treat them as atomic protocol events, not user code.
+
+Each body is walked once, when the project is built, into a
+:class:`FunctionIndex`; the rules and the dataflow fixpoints read it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "P2P_PRIMITIVES",
     "FunctionNode",
     "CallSite",
+    "FunctionIndex",
     "Project",
     "body_nodes",
     "ordered_calls",
@@ -94,18 +98,17 @@ class CallSite:
 
 
 def body_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function (or module) body without descending into nested
-    function/class definitions — those are their own :class:`FunctionNode`\\ s
-    and their statements execute on *their* call, not here."""
+    """Walk a function (or module) body in source order without descending
+    into nested function/class definitions — those are their own
+    :class:`FunctionNode`\\ s and their statements execute on *their* call,
+    not here."""
     stmts = getattr(scope, "body", [])
-    stack: list[ast.AST] = [s for s in stmts if not isinstance(s, _SCOPE_NODES)]
+    stack: list[ast.AST] = list(reversed(stmts))
     while stack:
         node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _SCOPE_NODES):
-                continue
-            stack.append(child)
+        if not isinstance(node, _SCOPE_NODES):
+            yield node
+            stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
 def ordered_calls(scope: ast.AST) -> Iterator[ast.Call]:
@@ -124,6 +127,22 @@ def ordered_calls(scope: ast.AST) -> Iterator[ast.Call]:
         if isinstance(stmt, _SCOPE_NODES):
             continue
         yield from visit(stmt)
+
+
+@dataclass(frozen=True)
+class FunctionIndex:
+    """What :class:`Project` records of a function's body, once, in source
+    order."""
+
+    #: call expressions in execution order, with their resolved targets
+    sites: tuple[CallSite, ...]
+    #: ``(name, value)`` for every name an assignment, ``for`` or ``with``
+    #: binds (see :func:`_assignments`)
+    assigns: tuple[tuple[str, ast.AST], ...]
+    #: the expressions of the ``return`` statements
+    returns: tuple[ast.expr, ...]
+    #: the ``if`` and ``while`` statements, every ``elif`` included
+    branches: tuple[ast.If | ast.While, ...]
 
 
 @dataclass
@@ -157,8 +176,16 @@ class Project:
         self._modules: dict[str, _ModuleInfo] = {}
         for ctx in self.contexts:
             self._index_file(ctx)
-        self._call_cache: dict[str, tuple[CallSite, ...]] = {}
-        self._callers: dict[str, list[CallSite]] | None = None
+        #: qualname -> the function's :class:`FunctionIndex`
+        self.index: dict[str, FunctionIndex] = {}
+        self._callers: dict[str, list[CallSite]] = {}
+        self._targets: dict[ast.Call, tuple[FunctionNode, ...]] = {}
+        for qualname, fn in self.functions.items():
+            index = self.index[qualname] = self._index_function(fn)
+            for site in index.sites:
+                self._targets[site.call] = site.targets
+                for target in site.targets:
+                    self._callers.setdefault(target.qualname, []).append(site)
         self._dataflow = None
 
     @property
@@ -219,14 +246,30 @@ class Project:
                 elif isinstance(child, ast.ClassDef):
                     info.class_bases[child.name] = list(child.bases)
                     walk(child, f"{prefix}.{child.name}", child.name)
-                else:
+                elif not isinstance(child, ast.expr):  # no def is an expression
                     walk(child, prefix, class_name)
 
         walk(ctx.tree, module, None)
-        self._collect_imports(ctx.tree, info)
+        self._collect_imports(ctx.nodes, info)
 
-    def _collect_imports(self, tree: ast.AST, info: _ModuleInfo) -> None:
-        for node in ast.walk(tree):
+    def _index_function(self, fn: FunctionNode) -> FunctionIndex:
+        body = list(body_nodes(fn.node))
+        return FunctionIndex(
+            sites=tuple(
+                CallSite(caller=fn, call=call, targets=self.resolve_call(fn, call))
+                for call in ordered_calls(fn.node)
+            ),
+            assigns=tuple(pair for node in body for pair in _assignments(node)),
+            returns=tuple(
+                node.value
+                for node in body
+                if isinstance(node, ast.Return) and node.value is not None
+            ),
+            branches=tuple(n for n in body if isinstance(n, (ast.If, ast.While))),
+        )
+
+    def _collect_imports(self, nodes: Iterable[ast.AST], info: _ModuleInfo) -> None:
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".", 1)[0]
@@ -341,24 +384,31 @@ class Project:
     def call_sites(self, fn: FunctionNode) -> tuple[CallSite, ...]:
         """All call expressions in ``fn``'s body (nested defs excluded),
         in execution order, with resolved targets."""
-        cached = self._call_cache.get(fn.qualname)
-        if cached is not None:
-            return cached
-        sites = tuple(
-            CallSite(caller=fn, call=call, targets=self.resolve_call(fn, call))
-            for call in ordered_calls(fn.node)
+        return self.index[fn.qualname].sites
+
+    def arm_sites(
+        self, fn: FunctionNode, stmts: Sequence[ast.stmt]
+    ) -> tuple[CallSite, ...]:
+        """The call sites of ``fn`` that lie in ``stmts``, a run of
+        consecutive statements of its body (a branch arm)."""
+        if not stmts:
+            return ()
+        start = (stmts[0].lineno, stmts[0].col_offset)
+        end = (stmts[-1].end_lineno, stmts[-1].end_col_offset)
+        return tuple(
+            site
+            for site in self.index[fn.qualname].sites
+            if start <= (site.call.lineno, site.call.col_offset)
+            and (site.call.end_lineno, site.call.end_col_offset) <= end
         )
-        self._call_cache[fn.qualname] = sites
-        return sites
+
+    def targets_of(self, call: ast.Call) -> tuple[FunctionNode, ...]:
+        """The resolved targets of a call in some indexed body; ``()`` for
+        any other call."""
+        return self._targets.get(call, ())
 
     def callers_of(self, qualname: str) -> list[CallSite]:
         """All resolved call sites targeting ``qualname``."""
-        if self._callers is None:
-            self._callers = {}
-            for fn in list(self.functions.values()):
-                for site in self.call_sites(fn):
-                    for target in site.targets:
-                        self._callers.setdefault(target.qualname, []).append(site)
         return self._callers.get(qualname, [])
 
     def iter_functions(self) -> Iterable[FunctionNode]:
@@ -369,3 +419,36 @@ def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...
     args = node.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     return tuple(names)
+
+
+def _assignments(node: ast.AST) -> Iterator[tuple[str, ast.AST]]:
+    """Yield ``(target_name, value_expr)`` pairs for simple assignments.
+
+    Attribute targets are skipped (a value stored on an object does not
+    flow to later reads — matching the lexical rules' semantics); tuple
+    targets bind every name element to the whole value; a ``for`` loop
+    binds its names to the iterable (``for peer in range(rank)``).
+    """
+    if isinstance(node, ast.Assign):
+        pairs = [(target, node.value) for target in node.targets]
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+        pairs = [(node.target, node.value)] if node.value is not None else []
+    elif isinstance(node, (ast.For, ast.AsyncFor)):
+        pairs = [(node.target, node.iter)]
+    elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+        pairs = [(node.optional_vars, node.context_expr)]
+    else:
+        return
+    for target, value in pairs:
+        yield from _target_names(target, value)
+
+
+def _target_names(target: ast.AST, value: ast.AST) -> Iterator[tuple[str, ast.AST]]:
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _target_names(elt, value)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        # *x binds x, and so does x[i] = v: the container carries v
+        yield from _target_names(target.value, value)

@@ -17,26 +17,26 @@ their summaries are equal; the supervisor's ``if rank == leader`` blocks
 that broadcast on both arms stay clean, while ``if rank == 0:
 comm.allreduce(x)`` does not.
 
-Both analyses are fixpoints over the call graph, bounded and
-under-approximate in the same way resolution is: an unresolved call
-contributes nothing, so the rules built on top miss exotic dispatch
-rather than inventing findings.
+Both read the project's per-function index. Taint is a worklist
+fixpoint that only ever grows what it records. Summaries take one pass
+over the call graph's strongly connected components, callees first; a
+call back into a recursive component adds that component's *loop*
+fingerprint, the sorted collectives it issues. So neither the visiting
+order nor the declaration order changes the result. Both are
+under-approximate in the same way resolution is:
+an unresolved call contributes nothing, so the rules built on top miss
+exotic dispatch rather than inventing findings.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from collections import deque
+from typing import Collection, Iterable, Iterator
 
-from repro.analysis.callgraph import (
-    COLLECTIVES,
-    FunctionNode,
-    Project,
-    body_nodes,
-    ordered_calls,
-)
+from repro.analysis.callgraph import COLLECTIVES, CallSite, FunctionNode, Project
 
-__all__ = ["DataflowAnalysis", "CollectiveSite"]
+__all__ = ["DataflowAnalysis"]
 
 #: cap on summary length; protocol sequences longer than this compare
 #: by their first 64 events, which is ample for congruence checking.
@@ -47,21 +47,12 @@ _RANK_NAMES = frozenset({"rank"})
 _RANK_ATTRS = frozenset({"rank"})
 
 
-class CollectiveSite:
-    """One protocol event inside a branch arm: either a direct collective
-    call or a resolved call whose transitive summary issues collectives."""
-
-    __slots__ = ("node", "fn", "chain")
-
-    def __init__(self, node: ast.Call, fn: FunctionNode, chain: tuple[str, ...]):
-        self.node = node
-        self.fn = fn
-        #: human-readable witness path, e.g. ``("helper", "sync", ".allreduce")``
-        self.chain = chain
-
-    @property
-    def label(self) -> str:
-        return " -> ".join(self.chain)
+def _collective(call: ast.Call) -> str | None:
+    """The collective a call issues directly (``comm.allreduce(x)``), if any."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in COLLECTIVES:
+        return func.attr
+    return None
 
 
 class DataflowAnalysis:
@@ -70,102 +61,73 @@ class DataflowAnalysis:
     def __init__(self, project: Project):
         self.project = project
         #: qualname -> set of tainted parameter names
-        self.param_taint: dict[str, set[str]] = {}
+        self.param_taint: dict[str, set[str]] = {q: set() for q in project.functions}
         #: qualname -> does the function return a rank-tainted value
-        self.returns_taint: dict[str, bool] = {}
+        self.returns_taint: dict[str, bool] = dict.fromkeys(project.functions, False)
         #: qualname -> set of locally tainted names (incl. tainted params)
-        self.tainted_names: dict[str, set[str]] = {}
+        self.tainted_names: dict[str, set[str]] = {q: set() for q in project.functions}
         #: qualname -> transitive ordered collective summary
         self.summaries: dict[str, tuple[str, ...]] = {}
-        self._chain_cache: dict[str, tuple[str, ...] | None] = {}
-        #: qualname -> its ``(target, value)`` assignments and returned
-        #: expressions, in body order: read on every fixpoint pass, walked once
-        self._assigns: dict[str, list[tuple[str, ast.AST]]] = {}
-        self._returns: dict[str, list[ast.AST]] = {}
-        self._run_taint_fixpoint()
-        self._run_summary_fixpoint()
+        self._taint()
+        self._summarize()
 
     # -- taint ------------------------------------------------------------
 
-    def _run_taint_fixpoint(self) -> None:
-        fns = list(self.project.iter_functions())
-        for fn in fns:
-            self.param_taint[fn.qualname] = set()
-            self.returns_taint[fn.qualname] = False
-            self.tainted_names[fn.qualname] = set()
-            body = list(body_nodes(fn.node))
-            self._assigns[fn.qualname] = [
-                (name, value)
-                for node in body
-                for name, value in _assignments(node)
-                if value is not None
-            ]
-            self._returns[fn.qualname] = [
-                node.value
-                for node in body
-                if isinstance(node, ast.Return) and node.value is not None
-            ]
-        # Bounded: each pass can only grow param_taint/returns_taint, both
-        # finite; len(fns)+2 passes dominates any call-chain depth.
-        for _ in range(len(fns) + 2):
-            changed = False
-            for fn in fns:
-                changed |= self._taint_one(fn)
-            if not changed:
-                break
+    def _taint(self) -> None:
+        """Visit every function, then every function a visit names, until
+        none is named."""
+        queue = deque(self.project.functions)
+        queued = set(queue)
+        while queue:
+            qualname = queue.popleft()
+            queued.remove(qualname)
+            for name in self._taint_one(self.project.functions[qualname]):
+                if name not in queued:
+                    queued.add(name)
+                    queue.append(name)
 
-    def _taint_one(self, fn: FunctionNode) -> bool:
-        tainted = set(self.param_taint[fn.qualname])
-        # Local fixpoint: assignments propagate taint between names.
-        for _ in range(32):
-            grew = False
-            for target_name, value in self._assigns[fn.qualname]:
-                if self._expr_tainted_set(fn, value, tainted):
-                    if target_name not in tainted:
-                        tainted.add(target_name)
-                        grew = True
-            if not grew:
-                break
-        changed = tainted != self.tainted_names[fn.qualname]
-        self.tainted_names[fn.qualname] = tainted
-
-        # Returns.
-        if not self.returns_taint[fn.qualname]:
-            for value in self._returns[fn.qualname]:
-                if self._expr_tainted_set(fn, value, tainted):
-                    self.returns_taint[fn.qualname] = True
-                    changed = True
-                    break
-
-        # Push taint into callee parameters at resolved call sites.
-        for site in self.project.call_sites(fn):
+    def _taint_one(self, fn: FunctionNode) -> list[str]:
+        """Recompute ``fn``'s taint from its tainted parameters; return the
+        callers whose calls to it now return taint and the callees whose
+        parameter taint grew."""
+        index = self.project.index[fn.qualname]
+        tainted = self.tainted_names[fn.qualname] = self._local_taint(fn)
+        requeue: list[str] = []
+        if not self.returns_taint[fn.qualname] and any(
+            self._expr_tainted_set(value, tainted) for value in index.returns
+        ):
+            self.returns_taint[fn.qualname] = True
+            requeue += [site.caller.qualname for site in self.project.callers_of(fn.qualname)]
+        for site in index.sites:
             for target in site.targets:
-                params = list(target.params)
-                if target.class_name is not None and params[:1] in (
-                    ["self"],
-                    ["cls"],
-                ):
-                    params = params[1:]
                 callee_taint = self.param_taint[target.qualname]
-                for i, arg in enumerate(site.call.args):
-                    if isinstance(arg, ast.Starred) or i >= len(params):
-                        break
-                    if self._expr_tainted_set(fn, arg, tainted):
-                        if params[i] not in callee_taint:
-                            callee_taint.add(params[i])
-                            changed = True
-                for kw in site.call.keywords:
-                    if kw.arg is None or kw.arg not in target.params:
-                        continue
-                    if self._expr_tainted_set(fn, kw.value, tainted):
-                        if kw.arg not in callee_taint:
-                            callee_taint.add(kw.arg)
-                            changed = True
-        return changed
+                for param, arg in _bound_args(site, target):
+                    if param not in callee_taint and self._expr_tainted_set(arg, tainted):
+                        callee_taint.add(param)
+                        requeue.append(target.qualname)
+        return requeue
 
-    def _expr_tainted_set(
-        self, fn: FunctionNode, expr: ast.AST, tainted: set[str]
-    ) -> bool:
+    def _local_taint(self, fn: FunctionNode) -> set[str]:
+        """Names tainted in ``fn``: its tainted parameters plus every name
+        an assignment binds to a tainted value, however long the chain."""
+        grown = list(self.param_taint[fn.qualname])
+        # name -> the names bound to a value that reads it
+        readers: dict[str, list[str]] = {}
+        for name, value in self.project.index[fn.qualname].assigns:
+            if self._expr_tainted_set(value, set()):  # reads a rank source
+                grown.append(name)
+            for node in ast.walk(value):
+                if isinstance(node, ast.Name):
+                    readers.setdefault(node.id, []).append(name)
+        tainted: set[str] = set()
+        while grown:
+            name = grown.pop()
+            if name not in tainted:
+                tainted.add(name)
+                grown += readers.get(name, ())
+        return tainted
+
+    def _expr_tainted_set(self, expr: ast.AST, tainted: set[str]) -> bool:
         for node in ast.walk(expr):
             if isinstance(node, ast.Name) and (
                 node.id in tainted or node.id in _RANK_NAMES
@@ -174,141 +136,135 @@ class DataflowAnalysis:
             if isinstance(node, ast.Attribute) and node.attr in _RANK_ATTRS:
                 return True
             if isinstance(node, ast.Call):
-                for target in self.project.resolve_call(fn, node):
-                    if self.returns_taint.get(target.qualname):
+                for target in self.project.targets_of(node):
+                    if self.returns_taint[target.qualname]:
                         return True
         return False
 
     def expr_tainted(self, fn: FunctionNode, expr: ast.AST) -> bool:
         """Is ``expr`` rank-tainted in ``fn``'s scope (post-fixpoint)?"""
-        return self._expr_tainted_set(
-            fn, expr, self.tainted_names.get(fn.qualname, set())
-        )
+        return self._expr_tainted_set(expr, self.tainted_names[fn.qualname])
 
     # -- collective summaries ---------------------------------------------
 
-    def _run_summary_fixpoint(self) -> None:
-        fns = list(self.project.iter_functions())
-        for fn in fns:
-            self.summaries[fn.qualname] = ()
-        for _ in range(len(fns) + 2):
-            changed = False
-            for fn in fns:
-                seq = self._stmt_summary(fn, getattr(fn.node, "body", []))
-                if seq != self.summaries[fn.qualname]:
-                    self.summaries[fn.qualname] = seq
-                    changed = True
-            if not changed:
-                break
+    def _summarize(self) -> None:
+        """One pass over the call graph's strongly connected components,
+        callees first. Inside a component, a call to a member adds the
+        component's *loop* fingerprint: the sorted collectives its members
+        issue besides those calls (nothing when they issue none), so a
+        function's summary is empty exactly when it reaches no collective."""
+        for group in self._components():
+            members = set(group)
+            sites = [self.project.index[qualname].sites for qualname in group]
+            loop = tuple(sorted({e for s in sites for e in self._summary(s, members)}))
+            for qualname, fn_sites in zip(group, sites):
+                self.summaries[qualname] = self._summary(fn_sites, members, loop)
 
-    def _stmt_summary(
-        self, fn: FunctionNode, stmts: list[ast.stmt]
+    def _components(self) -> Iterator[list[str]]:
+        """Tarjan's strongly connected components of the resolved call
+        graph, each yielded after every component it calls into."""
+        order: dict[str, int] = {}
+        low: dict[str, int] = {}  # the functions on `stack`
+        stack: list[str] = []
+
+        def enter(qualname: str) -> tuple[str, Iterator[str]]:
+            order[qualname] = low[qualname] = len(order)
+            stack.append(qualname)
+            sites = self.project.index[qualname].sites
+            return qualname, (t.qualname for site in sites for t in site.targets)
+
+        for root in self.project.index:
+            work = [] if root in order else [enter(root)]
+            while work:
+                qualname, callees = work[-1]
+                for callee in callees:
+                    if callee not in order:
+                        work.append(enter(callee))
+                        break
+                    if callee in low:
+                        low[qualname] = min(low[qualname], order[callee])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[qualname])
+                    if low[qualname] == order[qualname]:
+                        group = stack[stack.index(qualname):]
+                        del stack[-len(group):]
+                        for member in group:
+                            del low[member]
+                        yield group
+
+    def _summary(
+        self,
+        sites: Iterable[CallSite],
+        members: Collection[str] = (),
+        loop: tuple[str, ...] = (),
     ) -> tuple[str, ...]:
-        """Transitive collective sequence of a statement list, in source
-        order; branch arms are concatenated (the summary is a congruence
-        *fingerprint*, not an execution trace)."""
+        """Transitive collective sequence of some call sites, in execution
+        order, a call into ``members`` adding ``loop``; branch arms are
+        concatenated (the summary is a congruence *fingerprint*, not an
+        execution trace)."""
         out: list[str] = []
-        holder = ast.Module(body=list(stmts), type_ignores=[])
-        for call in ordered_calls(holder):
+        for site in sites:
             if len(out) >= _MAX_SUMMARY:
                 break
-            func = call.func
-            if isinstance(func, ast.Attribute) and func.attr in COLLECTIVES:
-                out.append(func.attr)
-                continue
-            for target in self.project.resolve_call(fn, call):
-                out.extend(self.summaries[target.qualname])
+            name = _collective(site.call)
+            if name is not None:
+                out.append(name)
+            for target in site.targets:
+                qualname = target.qualname
+                out.extend(loop if qualname in members else self.summaries[qualname])
         return tuple(out[:_MAX_SUMMARY])
 
-    def arm_summary(
-        self, fn: FunctionNode, stmts: list[ast.stmt]
-    ) -> tuple[str, ...]:
-        """Public wrapper: transitive collective sequence of a branch arm."""
-        return self._stmt_summary(fn, stmts)
+    def arm_summary(self, fn: FunctionNode, stmts: list[ast.stmt]) -> tuple[str, ...]:
+        """Transitive collective sequence of a branch arm of ``fn``."""
+        return self._summary(self.project.arm_sites(fn, stmts))
 
     def collective_sites(
         self, fn: FunctionNode, stmts: list[ast.stmt]
-    ) -> Iterator[CollectiveSite]:
+    ) -> Iterator[tuple[ast.Call, tuple[str, ...]]]:
         """Protocol events anchored in ``stmts``: direct collectives plus
-        resolved calls whose summaries are non-empty, each with a witness
-        chain to its first collective."""
-        holder = ast.Module(body=list(stmts), type_ignores=[])
-        for call in ordered_calls(holder):
-            func = call.func
-            if isinstance(func, ast.Attribute) and func.attr in COLLECTIVES:
-                yield CollectiveSite(call, fn, (f".{func.attr}()",))
-                continue
-            for target in self.project.resolve_call(fn, call):
-                if self.summaries[target.qualname]:
-                    chain = self._chain_to_collective(target)
-                    if chain is not None:
-                        yield CollectiveSite(call, fn, (target.name,) + chain)
-                    break
-
-    def _chain_to_collective(
-        self, fn: FunctionNode, depth: int = 0
-    ) -> tuple[str, ...] | None:
-        """Shortest-ish witness: names of callees leading to the first
-        direct collective issued under ``fn``."""
-        cached = self._chain_cache.get(fn.qualname, "miss")
-        if cached != "miss":
-            return cached
-        if depth > 16:
-            return None
-        self._chain_cache[fn.qualname] = None  # cycle guard
-        result: tuple[str, ...] | None = None
-        for site in self.project.call_sites(fn):
-            func = site.call.func
-            if isinstance(func, ast.Attribute) and func.attr in COLLECTIVES:
-                result = (f".{func.attr}()",)
-                break
+        resolved calls whose summaries are non-empty, each with a witness —
+        a shortest call chain to a collective, e.g. ``("helper", "sync",
+        ".allreduce()")``."""
+        for site in self.project.arm_sites(fn, stmts):
+            name = _collective(site.call)
+            if name is not None:
+                yield site.call, (f".{name}()",)
             for target in site.targets:
                 if self.summaries[target.qualname]:
-                    sub = self._chain_to_collective(target, depth + 1)
-                    if sub is not None:
-                        result = (target.name,) + sub
-                        break
-            if result is not None:
-                break
-        self._chain_cache[fn.qualname] = result
-        return result
+                    yield site.call, self._witness(target)
+                    break
+
+    def _witness(self, fn: FunctionNode) -> tuple[str, ...]:
+        """Breadth-first over the call sites from ``fn``, which reaches a
+        collective: the first one found ends a shortest chain."""
+        chains = {fn.qualname: (fn.name,)}
+        queue = deque([fn])
+        while queue:
+            caller = queue.popleft()
+            chain = chains[caller.qualname]
+            for site in self.project.call_sites(caller):
+                name = _collective(site.call)
+                if name is not None:
+                    return (*chain, f".{name}()")
+                for target in site.targets:
+                    if target.qualname not in chains:
+                        chains[target.qualname] = (*chain, target.name)
+                        queue.append(target)
+        raise AssertionError(f"{fn.qualname} has a summary but reaches no collective")
 
 
-def _assignments(
-    node: ast.AST,
-) -> Iterator[tuple[str, ast.AST | None]]:
-    """Yield ``(target_name, value_expr)`` pairs for simple assignments.
-
-    Attribute targets are skipped (taint does not survive storage on an
-    object — matching the lexical rule's semantics); tuple targets taint
-    every name element; ``for`` loop variables over a tainted iterable
-    taint the loop name (``for peer in range(rank)``).
-    """
-    if isinstance(node, ast.Assign):
-        for target in node.targets:
-            yield from _target_names(target, node.value)
-    elif isinstance(node, ast.AnnAssign) and node.value is not None:
-        yield from _target_names(node.target, node.value)
-    elif isinstance(node, ast.AugAssign):
-        yield from _target_names(node.target, node.value)
-    elif isinstance(node, ast.NamedExpr):
-        yield from _target_names(node.target, node.value)
-    elif isinstance(node, (ast.For, ast.AsyncFor)):
-        yield from _target_names(node.target, node.iter)
-    elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-        yield from _target_names(node.optional_vars, node.context_expr)
-
-
-def _target_names(
-    target: ast.AST, value: ast.AST
-) -> Iterator[tuple[str, ast.AST]]:
-    if isinstance(target, ast.Name):
-        yield target.id, value
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for elt in target.elts:
-            yield from _target_names(elt, value)
-    elif isinstance(target, ast.Starred):
-        yield from _target_names(target.value, value)
-    elif isinstance(target, ast.Subscript):
-        # x[i] = tainted -> x becomes tainted (container carries taint)
-        yield from _target_names(target.value, value)
+def _bound_args(site: CallSite, target: FunctionNode) -> Iterator[tuple[str, ast.AST]]:
+    """``(parameter, argument)`` pairs of a resolved call, positional
+    arguments up to the first ``*args``, keywords by name."""
+    params = list(target.params)
+    if target.class_name is not None and params[:1] in (["self"], ["cls"]):
+        params = params[1:]
+    for param, arg in zip(params, site.call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        yield param, arg
+    for kw in site.call.keywords:
+        if kw.arg is not None and kw.arg in target.params:
+            yield kw.arg, kw.value

@@ -22,7 +22,7 @@ method yielding findings. Registration is declarative::
         description = "what it catches and why it matters"
 
         def check(self, ctx):
-            for node in ast.walk(ctx.tree):
+            for node in ctx.nodes:
                 ...
                 yield self.finding(ctx, node, "message")
 
@@ -67,6 +67,7 @@ import io
 import json
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -198,6 +199,12 @@ class LintContext:
     #: directory (``src/repro/optim/sgd.py`` -> ``repro.optim.sgd``), else
     #: ``None``; rules use it for module-scoped whitelists.
     module: str | None
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of ``tree`` in :func:`ast.walk` order, walked once and
+        shared by every rule that reads the file."""
+        return list(ast.walk(self.tree))
 
     def in_module(self, prefixes: Sequence[str]) -> bool:
         if self.module is None:

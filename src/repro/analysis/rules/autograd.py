@@ -46,7 +46,7 @@ class TensorBufferMutation(Rule):
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         if ctx.in_module(_MUTATION_WHITELIST):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.AugAssign):
                 target = node.target
                 buf = _buffer_attr(target)
@@ -110,7 +110,7 @@ class FloatEquality(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]

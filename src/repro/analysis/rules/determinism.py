@@ -60,7 +60,7 @@ class GlobalNumpyRandom(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Attribute):
                 chain = _attr_chain(node)
                 if (
@@ -99,7 +99,7 @@ class StdlibRandom(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "random" or alias.name.startswith("random."):
@@ -128,7 +128,7 @@ class UnseededDefaultRng(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = _attr_chain(node.func)
@@ -157,7 +157,7 @@ class WallClock(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = _attr_chain(node.func)

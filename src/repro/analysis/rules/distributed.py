@@ -214,15 +214,14 @@ class CtrlFrameWithoutEpoch(ProjectRule):
     )
 
     def check_project(self, project) -> Iterable[Finding]:
-        from repro.analysis.callgraph import ordered_calls
-
         # Pass 1: every send_ctrl site. Payloads that locally carry an
         # epoch are clean; payloads derived from a parameter defer the
         # judgement to the function's (resolved) call sites; anything else
         # is flagged where it stands.
         pending: list[tuple[object, str, tuple[str, ...]]] = []
         for fn in project.iter_functions():
-            for call in ordered_calls(fn.node):
+            for site in project.call_sites(fn):
+                call = site.call
                 func = call.func
                 if not (
                     isinstance(func, ast.Attribute) and func.attr == "send_ctrl"
@@ -286,7 +285,7 @@ class RecvWithoutTimeout(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -34,21 +34,17 @@ from repro.analysis.rules.distributed import _mentions_rank
 def _tainted_branches(
     df: DataflowAnalysis, fn: FunctionNode
 ) -> Iterator[ast.If | ast.While]:
-    from repro.analysis.callgraph import body_nodes
-
-    for node in body_nodes(fn.node):
-        if isinstance(node, (ast.If, ast.While)) and df.expr_tainted(
-            fn, node.test
-        ):
-            yield node
+    for branch in df.project.index[fn.qualname].branches:
+        if df.expr_tainted(fn, branch.test):
+            yield branch
 
 
-def _is_lexical_direct(site, branch: ast.If | ast.While) -> bool:
-    """True when the site is a *direct* collective call under a branch whose
-    test lexically mentions ``rank`` — exactly what the per-file
+def _is_lexical_direct(chain: tuple[str, ...], branch: ast.If | ast.While) -> bool:
+    """True when the witness is a *direct* collective call under a branch
+    whose test lexically mentions ``rank`` — exactly what the per-file
     ``dist-rank-collective`` rule already reports; re-flagging it here
     would double-count every existing finding and suppression."""
-    return len(site.chain) == 1 and _mentions_rank(branch.test)
+    return len(chain) == 1 and _mentions_rank(branch.test)
 
 
 @register
@@ -74,26 +70,25 @@ class RankDivergentCollective(ProjectRule):
                     # A rank-dependent iteration count diverges even when
                     # the body is "congruent": ranks run it different
                     # numbers of times.
-                    divergent_arms = [branch.body] if body_seq else []
+                    arm = branch.body
                 elif bool(body_seq) == bool(else_seq):
                     continue  # both empty, or both non-empty (-> order rule)
                 else:
-                    divergent_arms = [branch.body if body_seq else branch.orelse]
-                for arm in divergent_arms:
-                    for site in df.collective_sites(fn, arm):
-                        if id(site.node) in reported:
-                            continue
-                        if _is_lexical_direct(site, branch):
-                            continue  # dist-rank-collective's finding
-                        reported.add(id(site.node))
-                        yield self.finding_at(
-                            fn.path,
-                            site.node,
-                            f"collective reached via {site.label} only under "
-                            f"a rank-dependent branch (line {branch.lineno}); "
-                            "ranks on the other arm never issue it — the "
-                            "world deadlocks at the next collective",
-                        )
+                    arm = branch.body if body_seq else branch.orelse
+                for call, chain in df.collective_sites(fn, arm):
+                    if id(call) in reported:
+                        continue
+                    if _is_lexical_direct(chain, branch):
+                        continue  # dist-rank-collective's finding
+                    reported.add(id(call))
+                    yield self.finding_at(
+                        fn.path,
+                        call,
+                        f"collective reached via {' -> '.join(chain)} only under "
+                        f"a rank-dependent branch (line {branch.lineno}); "
+                        "ranks on the other arm never issue it — the "
+                        "world deadlocks at the next collective",
+                    )
 
 
 @register

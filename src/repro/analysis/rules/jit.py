@@ -75,7 +75,7 @@ class TapeUnsafeControlFlow(Rule):
     )
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        for cls in ast.walk(ctx.tree):
+        for cls in ctx.nodes:
             if not isinstance(cls, ast.ClassDef):
                 continue
             for fn in cls.body:

@@ -58,12 +58,12 @@ def _project_root(path: Path) -> Path | None:
     return None
 
 
-def _spelled_names(tree: ast.AST, foreign: set[str]) -> Counter:
+def _spelled_names(nodes: Iterable[ast.AST], foreign: set[str]) -> Counter:
     """How often each name is spelled as identifier, attribute, import or
-    ``getattr``-family string, not counting spellings through the
-    ``foreign`` bindings of :func:`_foreign_bindings`."""
+    ``getattr``-family string among ``nodes``, not counting spellings
+    through the ``foreign`` bindings of :func:`_foreign_bindings`."""
     names: Counter = Counter()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Name):
             if node.id not in foreign:
                 names[node.id] += 1
@@ -163,16 +163,17 @@ class UnreachableExport(ProjectRule):
             for top in _REACHER_TREES:
                 for path in _iter_python_files(root / top):
                     if path in parsed:
-                        tree = parsed[path].tree
+                        tree, nodes = parsed[path].tree, parsed[path].nodes
                     else:
                         try:
                             tree = ast.parse(path.read_text())
                         except SyntaxError:
                             continue  # a run that lints the file reports it
-                    names = _spelled_names(tree, _foreign_bindings(tree))
+                        nodes = list(ast.walk(tree))
+                    names = _spelled_names(nodes, _foreign_bindings(tree))
                     if path.name == "__init__.py" and top == "src":
                         package = ".".join(path.parent.relative_to(root / top).parts)
-                        for node in ast.walk(tree):
+                        for node in nodes:
                             if isinstance(node, ast.ImportFrom) and _is_project_import(node):
                                 for alias in node.names:
                                     names[alias.name] -= 1
@@ -187,7 +188,7 @@ class UnreachableExport(ProjectRule):
             # names it builds at run time
             scopes = [(None, ctx.tree.body)] + [
                 (cls.name, cls.body)
-                for cls in ast.walk(ctx.tree)
+                for cls in ctx.nodes
                 if isinstance(cls, ast.ClassDef)
                 and not any(_root_name(base) in foreign for base in cls.bases)
             ]
@@ -199,7 +200,7 @@ class UnreachableExport(ProjectRule):
                     # does unless it is in the name's own body
                     count = spelled[name]
                     here = local.get(ctx.path, Counter())[name]
-                    if count > here or count > _spelled_names(node, foreign)[name]:
+                    if count > here or count > _spelled_names(ast.walk(node), foreign)[name]:
                         continue
                     if owner is None and any(
                         not (ctx.module + ".").startswith(package + ".")
