@@ -63,8 +63,10 @@ def main() -> None:
         rbm = train_once(ham, "rbm", "mcmc", "adam", iterations, batch, seed=0)
         # Fig. 1's hardware-independent cost: forward passes per iteration
         # (n for the naive AUTO sampler; the incremental kernel the driver
-        # actually runs measures 0.5 pass-equivalents — ``samplers.pass_equiv``
-        # in benchmarks/step_profile).
+        # actually runs measures 0.5 pass-equivalents once its runs are one
+        # site long, more at small batches, where its fixed-point
+        # sweeps repeat the in-run GEMMs — ``samplers.pass_equiv`` in
+        # benchmarks/step_profile).
         auto_passes = n
         mcmc_passes = (3 * n + 100) + batch // 2 + 1
         rows.append([

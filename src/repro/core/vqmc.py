@@ -303,6 +303,7 @@ class VQMC:
                     span,
                     path=sampled.get("fast_path", ""),
                     pass_equiv=self.sampler.last_stats.pass_equivalents,
+                    sweeps=sampled.get("sweeps"),
                 )
             # No fast path falls back without leaving a counter behind.
             if sampled.get("fallback"):

@@ -201,14 +201,17 @@ class MADE(WaveFunction):
         Batched version of the paper's Algorithm 1. Two implementations:
 
         - ``method='incremental'`` (the ``'auto'`` default): the
-          :mod:`repro.perf.incremental` kernel — every hidden unit computed
-          once, when its last input is drawn, O(n·h) per batch row;
+          :mod:`repro.perf.incremental` kernel — per-block GEMMs over the
+          hidden units the masks prove final, each run of sites solved by
+          fixed-point sweeps, O(n·h) per batch row;
         - ``method='naive'``: the literal Algorithm 1, ``n`` full forward
           passes (O(n²·h) per row). Kept as the reference implementation
           the fast path is property-tested against.
 
-        Both consume the RNG stream identically, so for the same ``rng``
-        state they produce bit-identical samples.
+        Both consume the RNG stream identically and make the same
+        comparison (``u < σ(z)``, which the kernel evaluates as
+        ``z > log(u / (1 − u))``), so for the same ``rng`` state they
+        produce bit-identical samples.
 
         Parameters
         ----------
@@ -221,21 +224,15 @@ class MADE(WaveFunction):
             later conditionals still adapt but earlier ones cannot, so the
             result is the causal intervention, not the Bayesian posterior.
         """
+        from repro.perf.incremental import _validate_clamp, incremental_sample
+
         if method == "auto":
             method = "incremental"
         if method == "incremental":
-            from repro.perf.incremental import incremental_sample
-
             return incremental_sample(self, batch_size, rng, clamp=clamp).samples
         if method != "naive":
             raise ValueError(f"unknown sampling method {method!r}")
-        if clamp is not None:
-            clamp = np.asarray(clamp, dtype=np.float64)
-            if clamp.shape != (self.n,):
-                raise ValueError(f"clamp must have shape ({self.n},), got {clamp.shape}")
-            fixed = ~np.isnan(clamp)
-            if not np.all(np.isin(clamp[fixed], (0.0, 1.0))):
-                raise ValueError("clamped values must be 0 or 1")
+        clamp = _validate_clamp(clamp, self.n)
         x = np.zeros((batch_size, self.n))
         with no_grad():
             for i in range(self.n):

@@ -3,8 +3,9 @@
 This package holds the performance layer the rest of the stack opts into:
 
 - :mod:`repro.perf.incremental` — O(n·h) ancestral sampling for MADE:
-  every hidden unit computed once, from per-block GEMMs over the units the
-  masks prove final (vs the naive O(n²·h) of ``n`` full forward passes);
+  per-block GEMMs over the units the masks prove final, and each run of
+  sites inside a block solved by fixed-point sweeps (vs the naive O(n²·h)
+  of ``n`` full forward passes);
 - :mod:`repro.perf.flips` — fused single-flip ``log ψ`` delta kernel: all
   connected-row amplitude ratios from one cached forward pass, each flip's
   tail a product of Bernoulli odds over the outputs the masks let it move

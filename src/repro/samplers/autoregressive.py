@@ -3,19 +3,22 @@
 Two execution paths produce identical samples from identical RNG streams:
 
 - **incremental** (default for MADE): the :mod:`repro.perf.incremental`
-  kernel computes every hidden unit once, at the site where its last input
-  is drawn, from per-block GEMMs — O(n·h) work per batch row, exactly
-  *half* a full forward pass for the paper's architecture;
+  kernel computes the units the masks prove final from per-block GEMMs
+  and solves each run of sites by fixed-point sweeps — O(n·h) work per
+  batch row: *half* a full forward pass for the paper's architecture when
+  runs are one site long (large batches), more at small batches, where a
+  run's GEMMs repeat once per sweep;
 - **naive**: ``model.sample(method='naive')`` — ``n`` full forward passes
   per batch (each pass advances the whole batch one site). This is the
   burn-in-free cost Figure 1 annotates, and remains the path for
   non-MADE normalised models (mean-field, RNN).
 
 ``last_stats`` reports both the nominal pass count and the measured
-``forward_pass_equivalents`` so cost models see the true price, and
-``extras['fast_path']`` records which kernel ran. A MADE that cannot take
-the fast path (``method='auto'``) falls back loudly — ``warnings.warn``
-plus ``extras['fallback'] = True``, which ``VQMC.step`` turns into the
+``forward_pass_equivalents`` so cost models see the true price,
+``extras['fast_path']`` records which kernel ran, and ``extras['sweeps']``
+the kernel's mean sweeps per run. A MADE that cannot take the fast path
+(``method='auto'``) falls back loudly — ``warnings.warn`` plus
+``extras['fallback'] = True``, which ``VQMC.step`` turns into the
 ``sampler.naive_fallback`` counter — never silently.
 """
 
@@ -96,7 +99,11 @@ class AutoregressiveSampler(Sampler):
             self._stats = SamplerStats(
                 forward_passes=int(np.ceil(equiv)),
                 forward_pass_equivalents=equiv,
-                extras={"fast_path": "incremental", "macs": result.macs},
+                extras={
+                    "fast_path": "incremental",
+                    "macs": result.macs,
+                    "sweeps": float(np.mean(result.sweeps)),
+                },
             )
             return result.samples
 

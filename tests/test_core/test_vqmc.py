@@ -163,8 +163,14 @@ class TestStepMechanics:
                 vqmc.step(batch_size=16)
         spans = [e for e in tracer.events if e.name == "sample"]
         assert [e.attrs["path"] for e in spans] == [path] * 3
-        cost = 0.5 if path == "incremental" else float(model.n)
-        assert [e.attrs["pass_equiv"] for e in spans] == [cost] * 3
+        for e in spans:
+            if path == "incremental":
+                # One 6-site run, swept 1 to 6 times: at least the mask floor.
+                assert 1.0 <= e.attrs["sweeps"] <= model.n
+                assert e.attrs["pass_equiv"] >= 0.5
+            else:
+                assert e.attrs["sweeps"] is None
+                assert e.attrs["pass_equiv"] == float(model.n)
         counters = metrics.snapshot()["counters"]
         assert counters.get("sampler.naive_fallback", 0) == fallbacks
 

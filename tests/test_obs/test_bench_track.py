@@ -48,6 +48,10 @@ class TestMetricExtraction:
         assert m.extract({"results": [{"grad_speedup": 1.0},
                                       {"grad_speedup": 3.5}]}) == 3.5
 
+    def test_leading_index(self):
+        m = bench_track.Metric("x", "results[0].v", "lower", 0.1)
+        assert m.extract({"results": [{"v": 0.6}, {"v": 0.5}]}) == 0.6
+
     def test_band_and_direction(self):
         higher = bench_track.Metric("x", "v", "higher", 0.10)
         assert not higher.regressed(10.0, 9.5)   # within 10% band

@@ -61,13 +61,17 @@ class TestStats:
     def test_incremental_cost_independent_of_batch(self, made, rng):
         sampler = AutoregressiveSampler()
         sampler.sample(made, 1, rng)
-        small = sampler.last_stats.forward_pass_equivalents
+        small = sampler.last_stats
         sampler.sample(made, 4096, rng)
-        large = sampler.last_stats.forward_pass_equivalents
-        # One hidden layer: every unmasked weight once per sample, which is
-        # half a dense pass whatever the batch — a constant of the shape,
-        # not of the bits drawn.
-        assert small == large == 0.5
+        large = sampler.last_stats
+        # From B = 4096 a run is one site, swept once: every unmasked weight
+        # once per sample, half a dense pass — a constant of the shape.
+        assert large.extras["sweeps"] == 1.0
+        assert large.forward_pass_equivalents == 0.5
+        # At B = 1 the 4 sites are one run, swept 1 to 4 times, each sweep
+        # paying its in-run GEMMs again: at least the mask floor.
+        assert 1.0 <= small.extras["sweeps"] <= made.n
+        assert small.forward_pass_equivalents >= 0.5
 
 
 class TestValidation:

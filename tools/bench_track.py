@@ -53,7 +53,7 @@ class Metric:
         if direction not in ("higher", "lower"):
             raise ValueError(f"direction must be higher/lower, got {direction}")
         self.name = name
-        self.path = path  # dotted keys; [-1] = last list element
+        self.path = path  # dotted keys; [i] = list element i ([-1]: the last)
         self.direction = direction
         self.rel_tol = rel_tol
         self.abs_tol = abs_tol
@@ -61,14 +61,11 @@ class Metric:
     def extract(self, doc: dict):
         node = doc
         for part in self.path.split("."):
-            while part.endswith("[-1]"):
-                part = part[: -len("[-1]")]
-                if part:
-                    node = node[part]
-                    part = ""
-                node = node[-1]
-            if part:
-                node = node[part]
+            key, *indices = part.split("[")
+            if key:
+                node = node[key]
+            for index in indices:
+                node = node[int(index.rstrip("]"))]
         return float(node)
 
     def band(self, baseline: float) -> float:
@@ -114,8 +111,12 @@ HEADLINES: dict[str, list[Metric]] = {
         Metric("recovered_fraction", "straggler.recovered_fraction", "higher", 0.25),
     ],
     "fig1_sampling_cost": [
+        # bs = 4096: runs of one site, the mask floor
         Metric("auto_incremental_pass_equivalents",
                "results[-1].auto_incremental_pass_equivalents", "lower", DET),
+        # bs = 64: whole-block runs, so this gates what the sweeps cost
+        Metric("auto_incremental_pass_equivalents_bs64",
+               "results[0].auto_incremental_pass_equivalents", "lower", DET),
     ],
     "server_throughput": [
         Metric("throughput_ratio", "headline.throughput_ratio", "higher", TIME),
