@@ -144,9 +144,11 @@ def local_energies(
     Parameters
     ----------
     log_psi_x:
-        Optional precomputed ``log ψ(x)`` (shape ``(B,)``) — e.g. the value
-        ``log_psi_and_grads`` already returned to the training loop — so
-        amplitudes of ``x`` are never evaluated twice per step.
+        Optional precomputed ``log ψ(x)`` (shape ``(B,)``), e.g. the value the
+        gradient path already computed. Only the **dense** path reads it (so it
+        does not evaluate ``x`` a second time). The fused path ignores it: the
+        kernel needs every activation of ``x``, not just ``log ψ(x)``, so it
+        runs its own cached forward pass.
     fast:
         Force (True) or forbid (False) the fused kernel; ``None`` picks
         automatically. Forcing it on an unsupported model/Hamiltonian pair
@@ -200,7 +202,8 @@ def _local_energies(model, hamiltonian, x, log_psi_x, fast):
     if use_fused:
         if flips.k:
             deltas, _ = flip_log_ratios(model, flips.sites, x=x)
-            ratios = np.exp(np.clip(deltas, -MAX_LOG_RATIO, MAX_LOG_RATIO))
+            np.clip(deltas, -MAX_LOG_RATIO, MAX_LOG_RATIO, out=deltas)
+            ratios = np.exp(deltas, out=deltas)
             energies += ratios @ flips.amplitudes
     else:
         nbrs, amps = hamiltonian.connected(x)

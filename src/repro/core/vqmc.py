@@ -314,11 +314,12 @@ class VQMC:
             mode = self._gradient_mode()
             per_sample = mode == "per_sample"
             self.model.zero_grad()
-            # Evaluate the amplitudes ONCE: the gradient path computes
-            # log ψ(x) anyway (with a graph or alongside the O matrix), so
-            # the energy step reuses it instead of its own forward pass.
-            # Every per-row quantity is evaluated once per distinct row,
-            # grouped here once for the plan and the local energies.
+            # The gradient path computes log ψ(x) anyway (with a graph or
+            # alongside the O matrix) and hands it to the local energies. Only
+            # the dense path uses it; the fused path (the default for every
+            # TIM/ZZX run) needs the activations, so it runs its own cached
+            # forward pass. Every per-row quantity is evaluated once per
+            # distinct row, grouped here once for the plan and the local energies.
             with self._phase(phases, "gradient", mode=mode):
                 rows = distinct_rows(x == 1.0)
                 attrs = dict(phase="gradient", batch=bsz, rows=rows.count)

@@ -29,20 +29,40 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+        # Two scratch arrays the size of the largest parameter, viewed once per
+        # parameter: a step allocates nothing, so it faults in no fresh pages.
+        size = max(p.data.size for p in self.params)
+        a, b = np.empty(size), np.empty(size)
+        self._scratch = [
+            (a[: p.data.size].reshape(p.shape), b[: p.data.size].reshape(p.shape))
+            for p in self.params
+        ]
 
     def step(self) -> None:
         self._t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
+            g = p.grad
+            if g is None:
                 continue
+            # m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g²;
+            # θ −= lr·(m/bc1) / (√(v/bc2) + eps) — the same roundings, in place.
             m *= b1
-            m += (1.0 - b1) * p.grad
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
             v *= b2
-            v += (1.0 - b2) * p.grad**2
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.square(g, out=a)
+            a *= 1.0 - b2
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
             p.bump_version()
 
     def state_dict(self) -> dict:

@@ -14,17 +14,21 @@ flip barely perturbs a MADE:
   (rank-1), and only on the units whose mask degree is ≥ ``s+1``; deeper
   layers likewise, and only output rows ``i > s`` need recomputing.
 
-So the kernel runs ONE cached forward pass (its ``log ψ(x)`` goes back to the
-training loop through :func:`repro.core.energy.local_energies`), sorts each
-hidden layer's units by mask degree (so "the units a flip can move" is a
-contiguous slice), and walks the flip sites in ascending order in blocks of
-``S``. A block starting at ``s0`` forms the post-ReLU deltas ``Δh`` of its
-sites on the slice of degree ≥ ``s0+1`` only, pushes them through any deeper
-layers on their slices, and gets all its logit moves ``Δz_{>s0}`` from ONE
-matmul ``W_out[s0+1:, slice] @ Δh``: no work on units or outputs the masks
-prove untouched, a Python iteration per block. Arrays are unit-major, ``(units,
-B)`` per call and ``(S, units, B)`` per block, so every broadcast operand is a
-contiguous slab; ``S`` keeps a block's widest array at ``BLOCK_ELEMS`` float64.
+So the kernel runs ONE cached forward pass (it needs the activations, so a
+``log ψ(x)`` computed elsewhere is no use to it), sorts each hidden layer's
+units by mask degree (so "the units a flip can move" is a contiguous slice),
+and walks the flip sites in ascending order in blocks of ``S``. A block
+starting at ``s0`` forms the post-ReLU deltas ``Δh`` of its sites on the slice
+of degree ≥ ``s0+1`` only, pushes them through any deeper layers on their
+slices, and gets all its logit moves ``Δz_{>s0}`` from ONE product
+``W_out[s0+1:, slice] @ Δh``: no work on units or outputs the masks prove
+untouched, a Python iteration per block. Each product runs in panels of
+``PANEL`` rows that stop at the last unit their rows can read, so it skips the
+triangle of mask zeros the sort leaves above the diagonal — the same sums in
+the same order, bit for bit. Arrays are unit-major, ``(units, B)`` per call and
+``(S, units, B)`` per block, so every broadcast operand is a contiguous slab;
+``S`` keeps a block's widest array at ``BLOCK_ELEMS`` float64, and a block's
+arrays are views of buffers allocated once per call.
 
 A tail is a product of Bernoulli odds, not a difference of log-sigmoids: with
 ``p = σ(u)``, ``q = σ(−u)`` tabulated once per call (``u = (2x−1)·z``), moving
@@ -62,6 +66,11 @@ __all__ = [
 #: B=32) — smaller blocks pay Python iterations, larger ones loosen the slices.
 BLOCK_ELEMS = 32 * 1024
 
+#: Rows of a GEMM panel. A panel reads the units up to its last row's reach, so
+#: the mask zeros it still multiplies are a triangle of < PANEL rows; smaller
+#: panels pay more GEMM calls. Measured (docs/performance.md has the table).
+PANEL = 24
+
 #: A block's ``Σ log f`` is the log of products of ≤ CHUNK outputs; a block with
 #: one outside e^±667 (8× past ``MAX_LOG_RATIO``, NaN included) sums logs instead.
 CHUNK = 32
@@ -94,6 +103,36 @@ def log_bernoulli(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
     log_p = _log_sigmoid_inplace(np.array(logits, dtype=np.float64))
     log_q = log_p - logits  # log σ(-z) = log σ(z) - z, exactly
     return targets * log_p + (1.0 - targets) * log_q
+
+
+def _view(buf: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
+    """The leading ``a·b·c`` elements of a flat buffer, as an ``(a, b, c)`` array."""
+    return buf[: a * b * c].reshape(a, b, c)
+
+
+def _masked_matmul(w, ends, r0, c0, dh, out) -> None:
+    """``out = w[r0:, c0:] @ dh`` with row ``i`` summed only to column ``ends[i]``.
+
+    The columns past ``ends[i]`` of row ``i`` are exact zeros of the masks, and
+    ``ends`` never decreases, so the rows go in panels of ``PANEL`` that each
+    stop at their last row's end: the same sums, in the same order, with the
+    trailing zeros left out. A panel that reaches the widest end takes every
+    row after it, and so does one that would leave a single row behind. A
+    product with one row or one sample is a GEMV, which BLAS sums in an order
+    set by its length, so it keeps its whole rectangle.
+    """
+    stop = w.shape[0]
+    if stop - r0 == 1 or dh.shape[-1] == 1:
+        np.matmul(w[r0:, c0:], dh, out=out)
+        return
+    i = r0
+    while i < stop:
+        k = min(i + PANEL, stop)
+        if ends[k - 1] == ends[stop - 1] or stop - k == 1:
+            k = stop
+        c = ends[k - 1]
+        np.matmul(w[i:k, c0:c], dh[:, : c - c0], out=out[:, i - r0 : k - r0])
+        i = k
 
 
 @dataclass(frozen=True)
@@ -202,28 +241,48 @@ def flip_log_ratios(
     w_in = np.ascontiguousarray(weights[0].T)  # a site's column is one row
 
     # Ascending sites in blocks of S: one block shares its first site's
-    # slices and logit tail z_{>s0}, so its S tails come from ONE matmul.
+    # slices and logit tail z_{>s0}, so its S tails come from ONE GEMM a layer.
     # Sites from `horizon` on move no unit of some hidden layer (and the last
     # site has no tail): their own term, already in `deltas`, is all of it.
     by_site = np.argsort(sites, kind="stable")
     ascending = sites[by_site]
     horizon = min(n - 1, *(int(deg[-1]) for deg in degrees))
     live = int(np.searchsorted(ascending, horizon))
-    tails = np.empty((live, bsz))
+    blocks = []
+    need_h = need_f = need_g = 0  # largest S·B·width of a block's Δh, f, products
     j = 0
     while j < live:
         s0 = int(ascending[j])
         tail = n - s0 - 1
         los = [c[s0 + 1] for c in cut]
+        width = max(deg.size - lo for lo, deg in zip(los, degrees))
         # S sites a block, sized so its widest array is BLOCK_ELEMS.
-        widest = max(tail, *(deg.size - lo for lo, deg in zip(los, degrees)))
-        stop = min(live, j + max(1, BLOCK_ELEMS // (bsz * widest)))
+        stop = min(live, j + max(1, BLOCK_ELEMS // (bsz * max(tail, width))))
+        sb = (stop - j) * bsz
+        need_h, need_f = max(need_h, sb * width), max(need_f, sb * tail)
+        need_g = max(need_g, sb * -(-tail // CHUNK))
+        blocks.append((j, stop, s0, los))
+        j = stop
+    # A block's arrays are views of buffers allocated once, each sized to this
+    # call's largest block: fresh arrays would fault their pages in every block.
+    dh_bufs = [np.empty(need_h) for _ in degrees]
+    f_buf, prod_buf = np.empty(need_f), np.empty(need_g)
+    # Row i of a GEMM reads the units of the layer below up to ends[i] (units
+    # sorted by reach): a hidden unit those of reach ≤ its own, an output i
+    # those of reach ≤ i, which are cut[-1][i + 1].
+    ends = [np.searchsorted(deg, r, "right").tolist() for deg, r in zip(degrees, degrees[1:])]
+    ends.append(cut[-1][1:])
+    tails = np.empty((live, bsz))
+    for j, stop, s0, los in blocks:
+        size, tail = stop - j, n - s0 - 1
         blk = ascending[j:stop]
         # Rank-1 column updates of the block's sites, on the slice only.
-        dh = np.einsum("sk,sb->skb", w_in[blk, los[0] :], sign[blk])
+        dh = _view(dh_bufs[0], size, degrees[0].size - los[0], bsz)
+        np.einsum("sk,sb->skb", w_in[blk, los[0] :], sign[blk], out=dh)
         for l, lo in enumerate(los):
             if l:
-                dh = np.matmul(weights[l][lo:, los[l - 1] :], dh)
+                below, dh = dh, _view(dh_bufs[l], size, degrees[l].size - lo, bsz)
+                _masked_matmul(weights[l], ends[l - 1], lo, los[l - 1], below, dh)
             dh += pre[l][lo:]
             np.maximum(dh, 0.0, out=dh)
             dh -= hid[l][lo:]
@@ -232,19 +291,20 @@ def flip_log_ratios(
         # covers a block's corner of outputs s0 < i ≤ s without masking it out.
         # Σ log f = log of g interleaved (so contiguous) products. exp or a
         # product may overflow, underflow or meet 0·inf: the range check sees all.
-        f = np.matmul(weights[-1][s0 + 1 :, los[-1] :], dh)
+        f = _view(f_buf, size, tail, bsz)
+        _masked_matmul(weights[-1], ends[-1], s0 + 1, los[-1], dh, f)
         f *= sign[s0 + 1 :]
         g = -(-tail // CHUNK)
         m = tail - tail % g
+        prod = _view(prod_buf, size, g, bsz)
         with np.errstate(over="ignore", invalid="ignore"):
             np.exp(f, out=f)
             f *= q[s0 + 1 :]
             f += p[s0 + 1 :]
-            prod = f[:, :m].reshape(blk.size, m // g, g, bsz).prod(axis=1)
+            f[:, :m].reshape(size, m // g, g, bsz).prod(axis=1, out=prod)
             prod[:, : tail - m] *= f[:, m:]
         if not (prod.min() > PROD_MIN and prod.max() < PROD_MAX):
             prod = f
         np.log(prod, out=prod).sum(axis=1, out=tails[j:stop])
-        j = stop
     deltas[by_site[:live]] -= tails
     return np.multiply(deltas.T, 0.5, order="C"), cache

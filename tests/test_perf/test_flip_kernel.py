@@ -4,8 +4,9 @@ The blocked, mask-aware kernel's log-ratios ``log ψ(x^{(s)}) − log ψ(x)``
 must agree to 1e-10 with the per-site loop it replaced (kept in
 ``flip_oracle.py``) and with the from-scratch dense computation, across
 depths, widths on both sides of ``n−1``, both mask strategies, any list of
-sites and any block size; and ``local_energies`` must give identical
-answers on its fused and dense paths.
+sites, any block size and any panel height (to the bit with one hidden
+layer); its GEMMs must stay within 1.2× of the masks' MAC floor; and
+``local_energies`` must give identical answers on its fused and dense paths.
 
 The kernel evaluates a flip's tail as a product of Bernoulli odds,
 ``−Σ log(p + q·e^{−δ})`` (``TestOddsNumerics``). Mutations tried against
@@ -136,6 +137,53 @@ class TestRatioIdentity:
             with mock.patch.object(flips, "BLOCK_ELEMS", block_elems):
                 blocked, _ = flip_log_ratios(model, sites, x=x)
             assert np.allclose(blocked, whole, atol=1e-10)
+
+    @settings(**SETTINGS)
+    @given(
+        spec=made_specs(),
+        batch=st.integers(min_value=1, max_value=16),
+        data=st.data(),
+    )
+    def test_any_panel_height_gives_the_same_ratios(self, spec, batch, data):
+        """``PANEL`` only sets how many rows share a GEMM call: panels of 2 or
+        3 rows, the default, or one GEMM a layer."""
+        n, widths, seed, strategy = spec
+        model = _build(n, widths, seed, strategy)
+        x = (np.random.default_rng(seed + 6).random((batch, n)) < 0.5).astype(float)
+        sites = data.draw(any_sites(n), label="sites")
+        whole, _ = flip_log_ratios(model, sites, x=x)
+        for panel in (2, 3, 10**6):
+            with mock.patch.object(flips, "PANEL", panel):
+                paneled, _ = flip_log_ratios(model, sites, x=x)
+            assert np.allclose(paneled, whole, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["cycle", "random"])
+    @pytest.mark.parametrize("n, h", [(12, 9), (30, 20), (64, 86), (256, 154)])
+    def test_one_hidden_layer_panels_are_bit_identical(self, n, h, strategy):
+        """A panel leaves out only trailing mask zeros of each row's sum, so
+        with the paper's one hidden layer every panel height gives the same
+        ratios to the bit, at every batch width BLAS treats differently.
+        (A deep stack is held to roundoff above: there BLAS may order the
+        shortened sums of its hidden→hidden products differently.)"""
+        model = _build(n, [h], seed=n, strategy=strategy)
+        sites = np.arange(n)
+        for batch in (1, 2, 3, 4, 5, 9, 64):
+            x = (np.random.default_rng(batch).random((batch, n)) < 0.5).astype(float)
+            whole, _ = flip_log_ratios(model, sites, x=x)
+            for panel in (2, 3, 10**6):
+                with mock.patch.object(flips, "PANEL", panel):
+                    paneled, _ = flip_log_ratios(model, sites, x=x)
+                assert np.array_equal(paneled, whole)
+
+    def test_deep_wide_stack_matches_the_oracle(self):
+        """(64, (300, 300)): both hidden layers are wider than n, so the
+        hidden→hidden GEMM runs in many panels of repeated reaches."""
+        model = _build(64, [300, 300], seed=7)
+        x = (np.random.default_rng(8).random((5, 64)) < 0.5).astype(float)
+        sites = np.arange(64)
+        got, _ = flip_log_ratios(model, sites, x=x)
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
+        assert np.allclose(got, _dense_ratios(model, x, sites), atol=1e-10)
 
     @pytest.mark.parametrize("block_elems", [1, flips.BLOCK_ELEMS])
     def test_unmoved_logits_cancel_exactly(self, block_elems):
@@ -317,6 +365,41 @@ class TestWorkingSet:
         assert peaks[256] < 3 * peaks[64]
 
 
+class TestGemmCost:
+    @staticmethod
+    def _macs_per_sample(model, x):
+        """Multiply-accumulates of every ``np.matmul`` the kernel calls."""
+        total = 0
+        matmul = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            nonlocal total
+            stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+            total += int(np.prod(stack)) * a.shape[-2] * a.shape[-1] * b.shape[-1]
+            return matmul(a, b, *args, **kwargs)
+
+        with mock.patch.object(flips.np, "matmul", counting):
+            flip_log_ratios(model, np.arange(model.n), x=x)
+        return total / x.shape[0]
+
+    @pytest.mark.parametrize("strategy", ["cycle", "random"])
+    def test_within_a_fifth_of_the_mask_floor(self, strategy):
+        """Unit ``k`` of reach ``m_k`` is moved by ``m_k`` flips and read by
+        ``n − m_k`` outputs, so no kernel does fewer than ``Σ m_k (n − m_k)``
+        MACs a sample. One rectangle a block paid 1.35× that with 'cycle'
+        masks and 2.07× with 'random' ones (the spread degrees the masks get
+        once their degree hole is closed); panels stay within 1.2× of it."""
+        n, batch = 256, 64
+        model = MADE(n, rng=np.random.default_rng(0), mask_strategy=strategy)
+        assert model.hidden == 154
+        mask = model.fc_layers[0].mask
+        reach = np.where(mask != 0.0, np.arange(1, n + 1), 0).max(axis=1)
+        floor = float((reach * (n - reach)).sum())
+        x = (np.random.default_rng(1).random((batch, n)) < 0.5).astype(float)
+        macs = self._macs_per_sample(model, x)
+        assert floor <= macs <= 1.2 * floor
+
+
 class TestLocalEnergyPaths:
     @settings(**SETTINGS)
     @given(
@@ -362,6 +445,22 @@ class TestLocalEnergyPaths:
         x = (rng.random((4, 6)) < 0.5).astype(float)
         energies = local_energies(model, ham, x)
         assert np.all(np.isfinite(energies))
+
+    def test_only_the_dense_path_reads_log_psi_x(self, rng):
+        """The fused kernel needs the activations, so it runs its own forward
+        pass: a well-shaped but wrong ``log_psi_x`` cannot change its result,
+        while the dense path takes it as given."""
+        model = _build(6, [12], 9)
+        ham = TransverseFieldIsing.random(6, seed=9)
+        x = (rng.random((5, 6)) < 0.5).astype(float)
+        wrong = np.full(5, 3.0)
+        fused = local_energies(model, ham, x, fast=True)
+        assert np.array_equal(local_energies(model, ham, x, log_psi_x=wrong, fast=True), fused)
+        with no_grad():
+            right = model.log_psi(x).data
+        dense = local_energies(model, ham, x, fast=False)
+        assert np.array_equal(local_energies(model, ham, x, log_psi_x=right, fast=False), dense)
+        assert not np.allclose(local_energies(model, ham, x, log_psi_x=wrong, fast=False), dense)
 
     def test_fast_true_requires_support(self, rng):
         from repro.models import RBM
