@@ -25,19 +25,24 @@ cancelled or crashed job leaves a restorable checkpoint behind, and a
 later job with ``resume: true`` — or a restarted server — picks training
 up from the newest verifying one.
 
-The HTTP layer is a thin JSON veneer (stdlib ``http.server``); all
-behaviour is equally reachable in-process, which is how the tests and the
-throughput benchmark drive it.
+The HTTP layer is a thin JSON veneer: ``socketserver`` accepts connections
+and runs a thread per connection, and the handler frames HTTP/1.1 itself
+(request line, headers, ``Content-Length`` body; one write per reply),
+refusing what it does not speak with a JSON error. All behaviour is
+equally reachable in-process, which is how the tests and the throughput
+benchmark drive it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import socket
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 
 from repro.core.callbacks import Callback
@@ -46,6 +51,7 @@ from repro.core.vqmc import VQMC, StepDriver
 from repro.obs.flight import FlightRecorder
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import Metrics
+from repro.serve._framing import MAX_LINE, FramingError, read_headers, tokens
 from repro.serve.batcher import RequestBatcher
 from repro.serve.cache import WarmModelCache
 from repro.serve.jobqueue import AdmissionError, JobQueue
@@ -203,11 +209,11 @@ class VQMCServer:
         ]
         for t in self._workers:
             t.start()
-        self._http: ThreadingHTTPServer | None = None
+        self._http: _HTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         #: accepted sockets, so that shutdown can wake their idle handlers
         self._connections: set[socket.socket] = set()
-        #: guards ``_connections`` and the ``serve.http.*`` counters
+        #: guards ``_connections``
         self._http_lock = threading.Lock()
 
     # -- job API -------------------------------------------------------------------
@@ -438,9 +444,7 @@ class VQMCServer:
         """Start the HTTP front end; returns the bound port."""
         if self._http is not None:
             return self._http.server_address[1]
-        handler = _make_handler(self)
-        self._http = ThreadingHTTPServer((host, port), handler)
-        self._http.daemon_threads = True
+        self._http = _HTTPServer((host, port), _make_handler(self))
         self._http_thread = threading.Thread(
             target=self._http.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -476,14 +480,32 @@ class VQMCServer:
 
 # -- HTTP plumbing ---------------------------------------------------------------
 
+#: status code -> reason phrase, for the status line
+_REASONS = {s.value: s.phrase for s in HTTPStatus}
+#: ``HTTP/x.y``, each number at most 10 digits like ``http.server`` allows
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date() -> str:
+    """The current time as an RFC 9110 ``Date`` value (locale-free)."""
+    t = time.gmtime()
+    return (f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon]} "
+            f"{t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _HTTPServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
 
 def _make_handler(app: VQMCServer):
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-serve/1"
-        protocol_version = "HTTP/1.1"
-        # One segment per reply: headers and body leave in one buffered
-        # write, and Nagle never holds a segment back for a delayed ACK.
-        wbufsize = -1
+    class Handler(socketserver.StreamRequestHandler):
+        # One segment per reply: the unbuffered wfile sends headers and
+        # body in one write, and Nagle never holds a segment back for a
+        # delayed ACK; an interim ``100 Continue`` leaves at once.
         disable_nagle_algorithm = True
         timeout = IDLE_TIMEOUT_S
 
@@ -501,19 +523,76 @@ def _make_handler(app: VQMCServer):
                 app._connections.discard(self.connection)
             super().finish()
 
-        def log_message(self, fmt, *args):  # noqa: D102 — silence stderr chatter
-            del fmt, args
+        def handle(self) -> None:
+            self.close_connection = False
+            try:
+                while not self.close_connection:
+                    try:
+                        if not self._handle_one():
+                            return
+                    except FramingError as exc:
+                        # Never routed: where the next request starts is unknown.
+                        self.close_connection = True
+                        app.metrics.counter("serve.http.refused").inc()
+                        self._send(exc.status, {"error": str(exc)})
+            except (OSError, EOFError):
+                pass  # idle timeout, reset or hang-up: the connection is done
+
+        def _handle_one(self) -> bool:
+            """Read, route and answer one request; False at end of stream."""
+            line = self.rfile.readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                raise FramingError("request line too long", 414)
+            words = line.decode("iso-8859-1").split()
+            if not words:
+                return False  # end of stream, or a blank line for a request
+            if len(words) != 3:
+                raise FramingError(f"bad request line {line[:80]!r}")
+            method, path, version = words
+            number = _VERSION.fullmatch(version)
+            if number is None:
+                raise FramingError(f"bad HTTP version {version[:80]!r}")
+            if int(number[1]) >= 2:
+                raise FramingError(f"HTTP version {version} is not supported", 505)
+            http11 = (int(number[1]), int(number[2])) >= (1, 1)
+            headers = read_headers(self.rfile)
+            connection = tokens(headers.get("connection", ""))
+            self.close_connection = "close" in connection or (
+                not http11 and "keep-alive" not in connection
+            )
+            if method not in ("GET", "POST"):
+                raise FramingError(f"method {method} is not supported", 501)
+            if "transfer-encoding" in headers:
+                raise FramingError("Transfer-Encoding is not supported: "
+                                   "send the body with a Content-Length", 501)
+            length = headers.get("content-length", "0")
+            if not (length.isascii() and length.isdigit()):
+                raise FramingError(f"invalid Content-Length {length!r}")
+            expect = headers.get("expect")
+            if expect is not None and http11:
+                if expect.lower() != "100-continue":
+                    raise FramingError(f"unsupported expectation {expect!r}", 417)
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            # Drained whatever the route: on a persistent connection, bytes
+            # left unread would be parsed as the next request line.
+            body = self.rfile.read(int(length))
+            if len(body) < int(length):
+                return False  # the peer hung up mid-body
+            app.metrics.counter("serve.http.requests").inc()
+            self._route(method, path, body)
+            return True
 
         # -- helpers --------------------------------------------------------------
 
         def _send(self, code: int, payload: dict) -> None:
             body = json.dumps(payload).encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            self.wfile.flush()
+            head = (
+                f"HTTP/1.1 {code} {_REASONS.get(code, '')}\r\n"
+                f"Server: repro-serve/1\r\nDate: {_http_date()}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+                + ("Connection: close\r\n\r\n" if self.close_connection else "\r\n")
+            )
+            self.wfile.write(head.encode("latin-1") + body)
 
         @staticmethod
         def _parse_json(raw: bytes) -> dict:
@@ -527,18 +606,8 @@ def _make_handler(app: VQMCServer):
                 raise ProtocolError("request body must be a JSON object")
             return parsed
 
-        def _route(self, method: str) -> None:
-            parts = [p for p in self.path.split("?")[0].split("/") if p]
-            with app._http_lock:
-                app.metrics.counter("serve.http.requests").inc()
-            length = self.headers.get("Content-Length") or "0"
-            if not (length.isascii() and length.isdigit()):
-                self.close_connection = True  # where the next request starts is unknown
-                self._send(400, {"error": f"invalid Content-Length {length!r}"})
-                return
-            # Drained whatever the route: on a persistent connection, bytes
-            # left unread would be parsed as the next request line.
-            body = self.rfile.read(int(length))
+        def _route(self, method: str, path: str, body: bytes) -> None:
+            parts = [p for p in path.split("?")[0].split("/") if p]
             try:
                 self._dispatch(method, parts, body)
             except ProtocolError as exc:
@@ -594,10 +663,5 @@ def _make_handler(app: VQMCServer):
             else:
                 self._send(404, {"error": f"no route {method} /{'/'.join(parts)}"})
 
-        def do_GET(self) -> None:  # noqa: N802 — http.server API
-            self._route("GET")
-
-        def do_POST(self) -> None:  # noqa: N802
-            self._route("POST")
-
     return Handler
+

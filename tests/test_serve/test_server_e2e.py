@@ -1,14 +1,16 @@
 """End-to-end server tests: lifecycle, concurrency, cancel/resume, crashes.
 
 Everything runs against a real :class:`VQMCServer` (worker threads, warm
-cache, batcher); the HTTP tests additionally go through a real
-``ThreadingHTTPServer`` on an ephemeral port via :class:`ServeClient`.
+cache, batcher); the HTTP tests additionally go through the server's own
+HTTP/1.1 framing on an ephemeral port, via :class:`ServeClient`, a stock
+``http.client`` connection or a raw socket.
 Jobs are tiny (n=6, tens of iterations) so the whole module stays in the
 tier-1 budget.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import socket
@@ -310,6 +312,43 @@ class TestHTTP:
         )
 
 
+def read_reply(reader) -> tuple[int, dict, dict]:
+    """One reply off a raw socket: status, lower-cased headers, JSON body."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while line := reader.readline().strip():
+        name, _, value = line.decode().partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, json.loads(reader.read(int(headers["content-length"])))
+
+
+def canned_server(replies: list[bytes]):
+    """A raw server that answers each request, in order, with the next
+    canned reply, and hangs up after a reply without ``Content-Length`` or
+    with ``Connection: close``. Returns the listener, its thread and the
+    list of connections it accepted."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    accepted: list[int] = []
+
+    def serve() -> None:
+        pending = list(replies)
+        while pending:
+            conn, _ = listener.accept()
+            accepted.append(len(accepted))
+            with conn, conn.makefile("rb") as reader:
+                while pending:
+                    while reader.readline() not in (b"\r\n", b""):
+                        pass  # the client's GETs carry no body
+                    reply = pending.pop(0)
+                    conn.sendall(reply)
+                    if b"Content-Length" not in reply or b"close" in reply:
+                        break
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return listener, thread, accepted
+
+
 class TestConnections:
     """Persistent connections: reuse, the replay rule, bounded shutdown."""
 
@@ -462,3 +501,152 @@ class TestConnections:
                 assert client.healthz()["status"] == "ok"  # connection survives
         finally:
             srv.shutdown()
+
+    def test_stock_http_client_reuses_one_connection(self, server, url):
+        conn = http.client.HTTPConnection(url.removeprefix("http://"), timeout=30.0)
+        try:
+            conn.request("GET", "/healthz")
+            replies = [conn.getresponse()]
+            assert json.loads(replies[0].read())["status"] == "ok"
+            connections = counter(server, "serve.http.connections")
+            conn.request("POST", "/energy", json.dumps(self.QUERY),
+                         {"Content-Type": "application/json"})
+            replies.append(conn.getresponse())
+            assert json.loads(replies[1].read())["count"] == 3
+            conn.request("GET", "/jobs/job999999")
+            replies.append(conn.getresponse())
+            assert replies[2].status == 404
+            assert "job999999" in json.loads(replies[2].read())["error"]
+            assert all(r.getheader("Content-Type") == "application/json"
+                       for r in replies)
+            assert counter(server, "serve.http.connections") == connections
+        finally:
+            conn.close()
+
+    def test_http_10_request_is_answered_then_closed(self, url):
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            status, headers, doc = read_reply(reader)
+            assert (status, doc["status"]) == (200, "ok")
+            assert headers["connection"] == "close"
+            assert reader.read() == b""
+
+    def test_pipelined_requests_are_answered_in_order(self, url):
+        host, port = url.removeprefix("http://").split(":")
+        body = json.dumps(self.QUERY).encode()
+        with socket.create_connection((host, int(port)), timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"POST /sample HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                         + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, _, doc = read_reply(reader)
+            assert (status, len(doc["samples"])) == (200, 3)
+            status, _, doc = read_reply(reader)
+            assert (status, doc["status"]) == (200, "ok")
+
+    def test_client_reads_a_reply_without_length_to_the_end(self):
+        replies = [b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"
+                   b'{"status": "canned"}',
+                   b"HTTP/1.1 200\r\nContent-Length: 15\r\n\r\n"  # no reason
+                   b'{"again": true}']
+        listener, thread, accepted = canned_server(replies)
+        with listener:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            with ServeClient(url, timeout=30.0) as client:
+                assert client.healthz() == {"status": "canned"}
+                assert client.healthz() == {"again": True}
+            thread.join(30.0)
+        assert not thread.is_alive()
+        assert len(accepted) == 2  # the body ended with the connection
+
+    def test_client_honours_connection_close(self):
+        replies = [b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n"
+                   b'Connection: close\r\n\r\n{"n": 1}',
+                   b'HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n{"n": 2}',
+                   b'HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n{"n": 3}']
+        listener, thread, accepted = canned_server(replies)
+        with listener:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            with ServeClient(url, timeout=30.0) as client:
+                assert [client.healthz()["n"] for _ in range(3)] == [1, 2, 3]
+            thread.join(30.0)
+        assert not thread.is_alive()
+        assert len(accepted) == 2  # a new connection after the close, then reuse
+
+
+class TestFraming:
+    """What the server's HTTP/1.1 framing refuses, and how: a JSON reply
+    with ``Connection: close``, counted in ``serve.http.refused``, and the
+    request never routed."""
+
+    QUERY = TestConnections.QUERY
+
+    @pytest.fixture
+    def address(self, server):
+        return "127.0.0.1", server.start_http()
+
+    @staticmethod
+    def refused(server, address, request: bytes) -> tuple[int, dict]:
+        """Send one raw request the server must refuse: JSON, then EOF."""
+        refused = counter(server, "serve.http.refused")
+        requests = counter(server, "serve.http.requests")
+        with socket.create_connection(address, timeout=30.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(request)
+            status, headers, doc = read_reply(reader)
+            assert headers["content-type"] == "application/json"
+            assert headers["connection"] == "close"
+            assert reader.read() == b""
+        assert counter(server, "serve.http.refused") == refused + 1
+        assert counter(server, "serve.http.requests") == requests  # never routed
+        return status, doc
+
+    def test_chunked_body_is_refused_and_never_routed(self, server, address):
+        body = json.dumps(self.QUERY).encode()
+        request = (b"POST /energy HTTP/1.1\r\nHost: x\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n"
+                   + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body))
+        status, doc = self.refused(server, address, request)
+        assert status == 501 and "Content-Length" in doc["error"]
+        assert counter(server, "serve.queries.energy") == 0
+
+    def test_expect_100_continue_is_answered_before_the_body(self, address):
+        body = json.dumps(self.QUERY).encode()
+        with socket.create_connection(address, timeout=5.0) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"POST /energy HTTP/1.1\r\nHost: x\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _, doc = read_reply(reader)
+            assert (status, doc["count"]) == (200, 3)
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+        (b"GET /healthz HTTP/one\r\nHost: x\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n", 400),
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 65536 + b"\r\n\r\n", 431),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n", 431),
+        (b"DELETE /jobs HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+        (b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n", 505),
+        (b"POST /energy HTTP/1.1\r\nExpect: something-else\r\n"
+         b"Content-Length: 2\r\n\r\n{}", 417),
+    ], ids=["no-version", "four-words", "bad-version", "no-colon", "folded",
+            "long-line", "long-header", "101-headers", "method", "http2",
+            "expectation"])
+    def test_refusals_are_json(self, server, address, request_bytes, status):
+        got, doc = self.refused(server, address, request_bytes)
+        assert got == status and doc["error"]
+
+    def test_a_hundred_headers_are_within_the_limit(self, address):
+        with socket.create_connection(address, timeout=30.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 100 + b"\r\n")
+            status, _, doc = read_reply(sock.makefile("rb"))
+            assert (status, doc["status"]) == (200, "ok")

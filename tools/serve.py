@@ -22,9 +22,12 @@ trains a tiny job over HTTP, fires concurrent energy queries, and asserts
 the documented coalescing contract (one request departs alone, the
 ``B - 1`` queued behind it leave in ``ceil((B - 1)/window)`` forwards,
 counted via ``serve.batcher.forwards`` — never timing), cancel-and-resume
-behaviour, and that the client's connections were reused
-(``serve.http.requests / serve.http.connections > 1``). Exit codes: 0 ok,
-1 assertion failure, 2 usage error.
+behaviour, that the client's connections were reused
+(``serve.http.requests / serve.http.connections > 1``), and that the
+server's hand-written HTTP/1.1 framing still serves standard clients (one
+``/energy`` through the standard library's ``http.client``, one raw
+HTTP/1.0 ``/healthz``, both JSON). Exit codes: 0 ok, 1 assertion failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import json
 import math
 import pathlib
+import socket
 import sys
 import tempfile
 import threading
@@ -245,6 +249,33 @@ def cmd_smoke(args: argparse.Namespace) -> int:
         counters = client.metrics()["counters"]
         reuse = counters["serve.http.requests"] / counters["serve.http.connections"]
         check(reuse > 1, f"connections were reused ({reuse:.1f} requests each)")
+
+        # The server frames HTTP/1.1 itself: a standard client must still
+        # be served, with JSON.
+        import http.client
+
+        stock = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+        try:
+            stock.request("POST", "/energy",
+                          json.dumps({"job_id": job["id"], "batch_size": 16}),
+                          {"Content-Type": "application/json"})
+            reply = stock.getresponse()
+            doc = json.loads(reply.read())
+        finally:
+            stock.close()
+        check(reply.status == 200
+              and reply.getheader("Content-Type") == "application/json"
+              and doc.get("count") == 16,
+              f"http.client gets a JSON /energy reply (HTTP {reply.status})")
+        with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            with sock.makefile("rb") as reader:
+                raw = reader.read()  # HTTP/1.0: the server hangs up after it
+        head, _, body = raw.partition(b"\r\n\r\n")
+        check(head.startswith(b"HTTP/1.1 200 ")
+              and b"\r\nContent-Type: application/json" in head
+              and json.loads(body).get("status") == "ok",
+              "a raw HTTP/1.0 /healthz gets a JSON reply, then end of stream")
     finally:
         server.shutdown()
     print(f"[smoke] {'PASS' if not failures else 'FAIL'} "
