@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 from repro.models.base import WaveFunction, group_configurations
+from repro.models.made import MADE
 from repro.tensor.tensor import no_grad
 from repro.utils.rows import DistinctRows
 
@@ -99,11 +100,10 @@ class EnergyStats:
 
 def _fused_flips(model: WaveFunction, hamiltonian: Hamiltonian):
     """The Hamiltonian's structured flip list if the fused kernel serves this
-    (hamiltonian, model) pair, else ``None``."""
-    from repro.perf.flips import supports_flip_kernel
-
-    flips = hamiltonian.single_flips()
-    return flips if flips is not None and supports_flip_kernel(model) else None
+    (hamiltonian, model) pair — a MADE — else ``None``."""
+    if not isinstance(model, MADE):
+        return None
+    return hamiltonian.single_flips()
 
 
 def local_energy_path(model: WaveFunction, hamiltonian: Hamiltonian) -> str:
@@ -133,7 +133,7 @@ def local_energies(
     Two execution paths:
 
     - **fused** (default whenever ``hamiltonian.single_flips()`` is
-      structured and the model supports delta evaluation): the
+      structured and the model is a MADE): the
       :mod:`repro.perf.flips` kernel computes every log-ratio from one
       cached forward pass plus per-flip column deltas — no ``(B, K, n)``
       neighbour array, no ``B·K`` from-scratch forward passes;
@@ -186,8 +186,8 @@ def _local_energies(model, hamiltonian, x, log_psi_x, fast):
         use_fused = fused_ok
     elif fast and not fused_ok:
         raise ValueError(
-            "fast=True requires a single-flip Hamiltonian and a MADE-style "
-            f"model; got {type(hamiltonian).__name__} / {type(model).__name__}"
+            "fast=True requires a single-flip Hamiltonian and a MADE; "
+            f"got {type(hamiltonian).__name__} / {type(model).__name__}"
         )
     else:
         use_fused = fast
@@ -201,7 +201,7 @@ def _local_energies(model, hamiltonian, x, log_psi_x, fast):
     # would have saturated at e^88 anyway.)
     if use_fused:
         if flips.k:
-            deltas, _ = flip_log_ratios(model, flips.sites, x=x)
+            deltas = flip_log_ratios(model, flips.sites, x)
             np.clip(deltas, -MAX_LOG_RATIO, MAX_LOG_RATIO, out=deltas)
             ratios = np.exp(deltas, out=deltas)
             energies += ratios @ flips.amplitudes

@@ -176,8 +176,8 @@ class VQMC:
         Default: the shared disabled tracer — near-zero overhead.
     metrics:
         Optional :class:`repro.obs.Metrics` registry. Takes the driver's
-        path-taken counters (``energy.dense_fallback``,
-        ``sampler.naive_fallback``), the ``energy.distinct_rows`` gauge,
+        path-taken counter ``energy.dense_fallback``, the
+        ``energy.distinct_rows`` gauge,
         and is forwarded to the step compiler
         (``jit.*``) and to ``sr`` (per-solve ``sr.*`` counters: solves by
         path, dense Jacobians, collective bytes); snapshot it after
@@ -305,9 +305,6 @@ class VQMC:
                     pass_equiv=self.sampler.last_stats.pass_equivalents,
                     sweeps=sampled.get("sweeps"),
                 )
-            # No fast path falls back without leaving a counter behind.
-            if sampled.get("fallback"):
-                self._count("sampler.naive_fallback")
             energy_path = local_energy_path(self.model, self.hamiltonian)
             if energy_path == "dense":
                 self._count("energy.dense_fallback")

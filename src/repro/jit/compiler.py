@@ -60,8 +60,7 @@ class StepCompiler:
     Parameters
     ----------
     model:
-        The wavefunction (or any callable-owning module); the traced
-        function defaults to ``model.log_psi``.
+        The wavefunction; the traced function is ``model.log_psi``.
     metrics:
         Optional :class:`repro.obs.Metrics` registry for cache-hit /
         guard-miss / arena-size instrumentation.
@@ -70,19 +69,16 @@ class StepCompiler:
         verification run inside a ``jit.trace`` span.
     verify_replay:
         Compare every replay against a fresh interpreted run (slow).
-    fn:
-        Override the traced callable (signature ``fn(x) -> Tensor``).
 
     Not thread-safe: use one compiler per driver rank.
     """
 
-    def __init__(self, model, metrics=None, tracer=None, verify_replay=False,
-                 fn=None):
+    def __init__(self, model, metrics=None, tracer=None, verify_replay=False):
         self.model = model
         self.metrics = metrics
         self.tracer = tracer
         self.verify_replay = verify_replay
-        self._fn = fn if fn is not None else model.log_psi
+        self._fn = model.log_psi
         self._plan: CompiledPlan | None = None
         self._guard = None
         self._interpreted = InterpretedPlan(model)

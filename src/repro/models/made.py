@@ -194,13 +194,13 @@ class MADE(WaveFunction):
         batch_size: int,
         rng: np.random.Generator,
         clamp: np.ndarray | None = None,
-        method: str = "auto",
+        method: str = "incremental",
     ) -> np.ndarray:
         """Draw exact i.i.d. samples from πθ.
 
         Batched version of the paper's Algorithm 1. Two implementations:
 
-        - ``method='incremental'`` (the ``'auto'`` default): the
+        - ``method='incremental'`` (the default): the
           :mod:`repro.perf.incremental` kernel — per-block GEMMs over the
           hidden units the masks prove final, each run of sites solved by
           fixed-point sweeps, O(n·h) per batch row;
@@ -226,8 +226,6 @@ class MADE(WaveFunction):
         """
         from repro.perf.incremental import _validate_clamp, incremental_sample
 
-        if method == "auto":
-            method = "incremental"
         if method == "incremental":
             return incremental_sample(self, batch_size, rng, clamp=clamp).samples
         if method != "naive":

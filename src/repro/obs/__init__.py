@@ -27,7 +27,7 @@ emits ``step``/``sample``/``local_energy``/``gradient``/``sr_solve``/
 ``optimizer`` phase spans, every ``Communicator`` collective reports
 bytes + latency (all backends and wrappers — serial, threads, mp,
 resilient, fault-injected, sanitized — inherit the spans from the base
-class), ``AutoregressiveSampler`` records fast-path vs. fallback, and
+class), ``AutoregressiveSampler`` records which sampling kernel ran, and
 checkpoint save/restore is spanned. Summarise a trace with
 ``python tools/trace.py summary <dir>``; see ``docs/observability.md``.
 """

@@ -66,6 +66,9 @@ _SEVERITY = {OK: 0, WARN: 1, CRIT: 2}
 #: health-report schema identifier
 HEALTH_SCHEMA = "repro.health/1"
 
+#: verdict transitions a monitor keeps (the oldest drop out first)
+MAX_TRANSITIONS = 200
+
 
 def worst_verdict(verdicts) -> str:
     """The most severe of an iterable of OK/WARN/CRIT strings."""
@@ -369,14 +372,14 @@ class HealthMonitor:
     a restored run knows how healthy its source was.
     """
 
-    def __init__(self, rules=None, *, max_transitions: int = 200):
+    def __init__(self, rules=None):
         self.rules = list(rules) if rules is not None else default_rules()
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names: {names}")
         self._runtimes = [_RuleRuntime(r) for r in self.rules]
         #: bounded log of verdict transitions: {step, rule, from, to, detail}
-        self.transitions: deque = deque(maxlen=max_transitions)
+        self.transitions: deque = deque(maxlen=MAX_TRANSITIONS)
         self.steps_seen = 0
         self.last_step: int | None = None
         self._builder = StepFrameBuilder()

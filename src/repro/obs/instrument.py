@@ -57,8 +57,6 @@ class ObsCallback:  # repro-lint: disable=api-unreachable-export -- documented u
         Optional communicator; when given, ``on_run_end`` allgathers the
         per-phase totals and stores :func:`~repro.obs.export.skew_report`
         output in :attr:`skew`. Collective — pass it on every rank or none.
-    jsonl, chrome:
-        Disable either exporter (both on by default).
     metrics:
         Optional :class:`~repro.obs.metrics.Metrics` registry (typically
         the one handed to ``VQMC``); when given, ``on_run_end`` writes its
@@ -72,8 +70,6 @@ class ObsCallback:  # repro-lint: disable=api-unreachable-export -- documented u
         directory: str | Path,
         rank: int | None = None,
         comm=None,
-        jsonl: bool = True,
-        chrome: bool = True,
         metrics=None,
     ):
         self.tracer = tracer
@@ -81,8 +77,6 @@ class ObsCallback:  # repro-lint: disable=api-unreachable-export -- documented u
         self.directory.mkdir(parents=True, exist_ok=True)
         self.rank = tracer.rank if rank is None else int(rank)
         self.comm = comm
-        self.jsonl_enabled = jsonl
-        self.chrome_enabled = chrome
         self.metrics = metrics
         #: cross-rank skew report (populated at run end when ``comm`` given)
         self.skew: dict[str, dict[str, float]] | None = None
@@ -96,8 +90,6 @@ class ObsCallback:  # repro-lint: disable=api-unreachable-export -- documented u
 
     def on_run_begin(self, vqmc) -> None:
         self._event_idx = len(self.tracer.events)
-        if not self.jsonl_enabled:
-            return
         self.jsonl_path = self.directory / (trace_file_name(self.rank) + "l")
         self._fh = self.jsonl_path.open("a", encoding="utf-8")
         self._write(
@@ -143,12 +135,11 @@ class ObsCallback:  # repro-lint: disable=api-unreachable-export -- documented u
             os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None
-        if self.chrome_enabled:
-            self.chrome_path = write_chrome_trace(
-                self.tracer,
-                self.directory / trace_file_name(self.rank),
-                rank=self.rank,
-            )
+        self.chrome_path = write_chrome_trace(
+            self.tracer,
+            self.directory / trace_file_name(self.rank),
+            rank=self.rank,
+        )
         if self.metrics is not None:
             self.metrics_path = self.directory / metrics_file_name(self.rank)
             self.metrics_path.write_text(

@@ -1,6 +1,8 @@
 """Fast-path kernels exploiting autoregressive and single-flip structure.
 
-This package holds the performance layer the rest of the stack opts into:
+This package holds the kernels every MADE runs — ``AutoregressiveSampler``
+and ``local_energies`` pick them by ``isinstance(model, MADE)`` alone, and
+each kernel raises ``TypeError`` on any other model:
 
 - :mod:`repro.perf.incremental` — O(n·h) ancestral sampling for MADE:
   per-block GEMMs over the units the masks prove final, and each run of
@@ -16,17 +18,8 @@ flip kernel to roundoff while no single flip moves a logit by > 709) — see
 ``docs/performance.md`` for the complexity table and the dispatch rules.
 """
 
-from repro.perf.flips import (
-    MADEForwardCache,
-    flip_log_ratios,
-    forward_cache,
-    supports_flip_kernel,
-)
-from repro.perf.incremental import (
-    IncrementalSampleResult,
-    incremental_sample,
-    supports_incremental,
-)
+from repro.perf.flips import MADEForwardCache, flip_log_ratios, forward_cache
+from repro.perf.incremental import IncrementalSampleResult, incremental_sample
 
 __all__ = [
     "IncrementalSampleResult",
@@ -34,6 +27,4 @@ __all__ = [
     "flip_log_ratios",
     "forward_cache",
     "incremental_sample",
-    "supports_flip_kernel",
-    "supports_incremental",
 ]

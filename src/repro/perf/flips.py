@@ -45,15 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.models.base import validate_configurations
-from repro.perf.incremental import (
-    masked_weights,
-    sort_by_reach,
-    supports_incremental,
-)
+from repro.models.made import MADE
+from repro.perf.incremental import masked_weights, sort_by_reach
 
 __all__ = [
     "MADEForwardCache",
-    "supports_flip_kernel",
     "forward_cache",
     "flip_log_ratios",
     "log_bernoulli",
@@ -151,19 +147,6 @@ class MADEForwardCache:
     log_psi: np.ndarray  # (B,)
 
 
-def supports_flip_kernel(model) -> bool:
-    """The flip kernel understands exactly the layer stacks the incremental
-    sampler does (masked linear + ReLU, biases present)."""
-    return supports_incremental(model)
-
-
-def _require_support(model) -> None:
-    if not supports_flip_kernel(model):
-        raise TypeError(
-            f"flip kernel requires a MADE-style layer stack; got {type(model).__name__}"
-        )
-
-
 def _forward(x: np.ndarray, effs, biases) -> MADEForwardCache:
     pre_acts: list[np.ndarray] = []
     hiddens: list[np.ndarray] = []
@@ -187,35 +170,22 @@ def _forward(x: np.ndarray, effs, biases) -> MADEForwardCache:
 
 def forward_cache(model, x: np.ndarray) -> MADEForwardCache:  # repro-lint: disable=api-unreachable-export -- test oracle: tests/test_perf/flip_oracle.py builds its reference ratios from this cache
     """One batched forward pass of a MADE, retaining every intermediate."""
-    _require_support(model)
+    if not isinstance(model, MADE):
+        raise TypeError(f"forward_cache requires a MADE; got {type(model).__name__}")
     x = validate_configurations(x, model.n)
     return _forward(x, *masked_weights(model))
 
 
-def flip_log_ratios(
-    model,
-    sites: np.ndarray,
-    x: np.ndarray | None = None,
-    cache: MADEForwardCache | None = None,
-) -> tuple[np.ndarray, MADEForwardCache]:
+def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``log ψ(x^{(s)}) − log ψ(x)`` for every flip site — shape (B, K).
 
-    Parameters
-    ----------
-    sites:
-        (K,) integer site indices; ``x^{(s)}`` flips bit ``sites[k]``.
-    x, cache:
-        Pass either the configurations (a cache is built) or a prebuilt
-        :func:`forward_cache`. Passing both uses the cache.
-
-    Returns the ratio matrix and the cache (so callers reuse ``log_psi``).
+    ``sites`` holds the (K,) integer site indices: ``x^{(s)}`` flips bit
+    ``sites[k]`` of each row of the (B, n) configurations ``x``.
     """
-    if cache is None and x is None:
-        raise ValueError("need x or a forward cache")
-    _require_support(model)
+    if not isinstance(model, MADE):
+        raise TypeError(f"flip kernel requires a MADE; got {type(model).__name__}")
     effs, biases = masked_weights(model)
-    if cache is None:
-        cache = _forward(validate_configurations(x, model.n), effs, biases)
+    cache = _forward(validate_configurations(x, model.n), effs, biases)
     x = cache.x
     sites = np.asarray(sites, dtype=np.int64)
     if sites.ndim != 1:
@@ -307,4 +277,4 @@ def flip_log_ratios(
             prod = f
         np.log(prod, out=prod).sum(axis=1, out=tails[j:stop])
     deltas[by_site[:live]] -= tails
-    return np.multiply(deltas.T, 0.5, order="C"), cache
+    return np.multiply(deltas.T, 0.5, order="C")

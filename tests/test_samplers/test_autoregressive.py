@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.models import MADE
+from repro.core.energy import local_energy_path
+from repro.distributed.model_parallel import ShardedMADE
+from repro.distributed.serial import SerialCommunicator
+from repro.hamiltonians import TransverseFieldIsing
+from repro.models import MADE, MeanField, RNNWaveFunction
 from repro.samplers import AutoregressiveSampler
 from repro.samplers.diagnostics import total_variation_distance
+
+# Nothing in the sampler warns: a RuntimeWarning from it is a bug.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture
@@ -28,7 +35,7 @@ class TestExactness:
         assert tv < 0.03
 
     def test_incremental_matches_naive_bitwise(self, made):
-        fast = AutoregressiveSampler(method="incremental")
+        fast = AutoregressiveSampler()
         slow = AutoregressiveSampler(method="naive")
         x_fast = fast.sample(made, 256, np.random.default_rng(7))
         x_slow = slow.sample(made, 256, np.random.default_rng(7))
@@ -88,39 +95,45 @@ class TestValidation:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             AutoregressiveSampler(method="warp")
+        with pytest.raises(ValueError):  # the model's type picks the kernel
+            AutoregressiveSampler(method="incremental")
 
-    def test_incremental_method_requires_made(self, rng):
-        from repro.models import MeanField
 
-        with pytest.raises(TypeError):
-            AutoregressiveSampler(method="incremental").sample(
-                MeanField(4, rng=rng), 8, rng
-            )
+class TestDispatch:
+    """The model's type alone picks the kernels: every MADE takes them."""
+
+    @pytest.mark.parametrize("strategy", ["cycle", "random"])
+    @pytest.mark.parametrize("hidden", [None, 1, (4, 5), (2, 2, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 17])
+    def test_every_made_takes_the_kernels(self, n, hidden, strategy):
+        rng = np.random.default_rng(n)
+        model = MADE(n, hidden=hidden, rng=rng, mask_strategy=strategy)
+        sampler = AutoregressiveSampler()
+        x = sampler.sample(model, 8, rng)
+        assert x.shape == (8, n)
+        assert sampler.last_stats.extras["fast_path"] == "incremental"
+        tim = TransverseFieldIsing.random(n, seed=n)
+        assert local_energy_path(model, tim) == "fused"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: RNNWaveFunction(4, hidden=3, rng=rng),
+            lambda rng: ShardedMADE(4, 6, SerialCommunicator()),
+        ],
+        ids=["rnn", "sharded-made"],
+    )
+    def test_other_models_use_model_sample(self, build, rng):
+        model = build(rng)
+        sampler = AutoregressiveSampler()
+        x = sampler.sample(model, 16, rng)
+        assert x.shape == (16, 4)
+        assert sampler.last_stats.extras["fast_path"] == "naive"
 
 
 class TestFallback:
-    def test_non_made_models_use_model_sample_silently(self, rng, recwarn):
-        from repro.models import MeanField
-
+    def test_non_made_models_use_model_sample_silently(self, rng):
         sampler = AutoregressiveSampler()
         x = sampler.sample(MeanField(4, rng=rng), 16, rng)
         assert x.shape == (16, 4)
         assert sampler.last_stats.extras["fast_path"] == "naive"
-        assert not sampler.last_stats.extras["fallback"]  # naive is its path
-        assert not any(
-            isinstance(w.message, RuntimeWarning) for w in recwarn.list
-        )
-
-    def test_made_fallback_warns(self, made, rng, monkeypatch):
-        import repro.samplers.autoregressive as auto_mod
-
-        def broken(*args, **kwargs):
-            raise NotImplementedError("simulated unsupported stack")
-
-        monkeypatch.setattr(auto_mod, "incremental_sample", broken)
-        sampler = AutoregressiveSampler()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            x = sampler.sample(made, 16, rng)
-        assert x.shape == (16, 4)
-        assert sampler.last_stats.extras["fast_path"] == "naive"
-        assert sampler.last_stats.extras["fallback"]
