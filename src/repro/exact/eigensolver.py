@@ -1,11 +1,14 @@
-"""Ground-state computation via scipy's sparse Lanczos (``eigsh``)."""
+"""Ground-state computation via scipy's sparse Lanczos (``eigsh``).
+
+``scipy.sparse.linalg`` is imported by :func:`ground_state` when it runs,
+not with this module, so ``import repro`` does not load scipy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from repro.hamiltonians.base import Hamiltonian
 
@@ -36,6 +39,8 @@ def ground_state(hamiltonian: Hamiltonian, k: int = 1) -> ExactResult:
         mat = hamiltonian.to_dense()
         vals, vecs = np.linalg.eigh(mat)
         return ExactResult(energy=float(vals[0]), vector=vecs[:, 0])
+    import scipy.sparse.linalg
+
     mat = hamiltonian.to_sparse()
     vals, vecs = scipy.sparse.linalg.eigsh(mat, k=k, which="SA")
     order = np.argsort(vals)

@@ -24,13 +24,16 @@ directed coin flips landed heads (density ≈ 1/4; this matches the Table 2
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-import networkx as nx
+import numpy as np
 
 from repro.hamiltonians.base import bits_to_spins, quadratic_form
 from repro.hamiltonians.zzx import ZZXHamiltonian
 from repro.utils.rng import as_generator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["MaxCut", "bernoulli_adjacency"]
 

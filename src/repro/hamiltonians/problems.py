@@ -8,13 +8,16 @@ stack — and the exact brute-force validators — applies unchanged.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-import networkx as nx
+import numpy as np
 
 from repro.hamiltonians.qubo import IsingQUBO
 from repro.hamiltonians.zzx import ZZXHamiltonian
 from repro.utils.rng import as_generator
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "sherrington_kirkpatrick",

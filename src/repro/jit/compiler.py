@@ -105,10 +105,9 @@ class StepCompiler:
     def _guard_key(self, x: np.ndarray):
         return (
             x.shape,
-            str(x.dtype),
+            x.dtype,
             tuple(
-                (id(p), p.data.shape, str(p.data.dtype))
-                for p in self.model.parameters()
+                (id(p), p.data.shape, p.data.dtype) for p in self.model.parameters()
             ),
         )
 

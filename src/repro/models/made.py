@@ -110,9 +110,10 @@ class MADE(WaveFunction):
                 LinearFactor(layer.mask.shape, off, off + layer.mask.size, layer.mask)
             )
 
-    # Backwards-compatible aliases for the paper's 2-matrix architecture.
     @property
     def fc_layers(self) -> list[MaskedLinear]:
+        """The masked layers, input to output: every hidden layer, then the
+        output layer (two for the paper's one hidden layer)."""
         return list(self._layers)
 
     # -- forward ----------------------------------------------------------------

@@ -98,6 +98,10 @@ Every solve records an :class:`SRSolveInfo` in :attr:`last_solve`
 (resolved solver, how ``G`` was built, relative residual, collective
 payload bytes) and, when a :class:`~repro.obs.Metrics` registry is
 attached, bumps the ``sr.*`` counters.
+
+``scipy.linalg`` is imported by the two solves that call it — the dense
+``solve`` and the sample-space ``cho_factor``/``cho_solve`` — at the first
+solve, not with this module: a run without SR never loads scipy.
 """
 
 from __future__ import annotations
@@ -105,7 +109,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro.nn.factored import FactoredO
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -220,6 +223,8 @@ class StochasticReconfiguration:
     def _solve_dense(self, o, grad: np.ndarray, comm):
         """d×d: ``(S + λI) δ = F`` with S from the globally centred rows.
         Returns ``(δ, global N, residual)``."""
+        import scipy.linalg
+
         o = np.asarray(o, dtype=np.float64)
         total, sums = o.shape[0], o.sum(axis=0)
         if comm is not None:
@@ -267,6 +272,8 @@ class StochasticReconfiguration:
                 # guard skips the update and counts the step
                 return np.full(o.shape[1], np.nan), n, float("nan")
             if shift > 0.0:
+                import scipy.linalg
+
                 a[np.diag_indices_from(a)] += shift
                 try:
                     factor = scipy.linalg.cho_factor(a, check_finite=False)

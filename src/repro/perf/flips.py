@@ -205,6 +205,10 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Every hidden layer's units sorted by reach, so that the units a block of
     # flips can move are one contiguous slice [lo:], lo = cut[l][s0 + 1].
     orders, degrees, weights = sort_by_reach(model, effs)
+    # The layers above the first read column-major, as a gather by columns
+    # leaves them: BLAS then sums a panel's rows as it sums them in the whole
+    # product (row-major does not at every batch width).
+    weights[1:] = [np.asfortranarray(w) for w in weights[1:]]
     pre = [np.ascontiguousarray(a.T[order]) for a, order in zip(cache.pre_acts, orders)]
     hid = [np.ascontiguousarray(h.T[order]) for h, order in zip(cache.hiddens, orders)]
     cut = [np.searchsorted(deg, np.arange(n + 1)).tolist() for deg in degrees]

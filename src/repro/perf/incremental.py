@@ -132,18 +132,23 @@ def sort_by_reach(model, effs):
 
     Returns, per hidden layer, the stable argsort and the sorted reaches, and
     ``effs`` with every hidden layer's units in that order, so that "the units
-    of reach below (or from) a site" is a contiguous slice. Rebuilt per call:
-    the weights are updated in place between calls.
+    of reach below (or from) a site" is a contiguous slice. A layer already in
+    reach order (every ``'cycle'`` MADE with ``h < n − 1``) gets ``slice(None)``
+    for its order, so it and every gather by it are views, not copies. Rebuilt
+    per call: the weights are updated in place between calls.
     """
     orders, reaches, weights = [], [], list(effs)
     reach = np.arange(1, model.n + 1)
     for l, layer in enumerate(model.fc_layers[:-1]):
         reach = np.where(layer.mask != 0.0, reach, 0).max(axis=1)
-        order = np.argsort(reach, kind="stable")
+        if np.all(reach[:-1] <= reach[1:]):
+            order = slice(None)  # the stable argsort is the identity
+        else:
+            order = np.argsort(reach, kind="stable")
+            weights[l] = weights[l][order]  # the layer's units are its rows …
+            weights[l + 1] = weights[l + 1][:, order]  # … and the next one's columns
         orders.append(order)
         reaches.append(reach[order])
-        weights[l] = weights[l][order]  # the layer's units are its rows …
-        weights[l + 1] = weights[l + 1][:, order]  # … and the next one's columns
     return orders, reaches, weights
 
 

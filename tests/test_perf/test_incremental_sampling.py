@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import MADE
-from repro.perf import incremental, incremental_sample
+from repro.perf import flip_log_ratios, incremental, incremental_sample
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -237,6 +237,24 @@ def test_benchmark_shape_smoke():
     """One block-boundary-crossing run at the `maxcut256` shape, tier-1 sized."""
     model = _build_made(256, [154], seed=0, spread=0.05)
     _assert_matches_naive(model, 8, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n, h, in_order", [(256, 154, True), (30, 20, True), (64, 86, False), (16, 38, False)]
+)
+def test_a_layer_in_reach_order_is_not_gathered(n, h, in_order):
+    """A ``'cycle'`` MADE with h < n − 1 has its hidden units in reach order
+    already: ``sort_by_reach`` hands back the masked weights it was given,
+    uncopied. Neither kernel writes through them into a parameter."""
+    model = _build_made(n, [h], seed=0, spread=0.05)
+    effs = incremental.masked_weights(model)[0]
+    _, reaches, weights = incremental.sort_by_reach(model, effs)
+    assert np.all(np.diff(reaches[0]) >= 0)
+    assert all(w is e for w, e in zip(weights, effs)) == in_order
+    before = [p.data.copy() for p in model.parameters()]
+    x = incremental_sample(model, 8, np.random.default_rng(1)).samples
+    flip_log_ratios(model, np.arange(n), x)
+    assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
 
 
 def _unmasked_weights(model) -> int:
