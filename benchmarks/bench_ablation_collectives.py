@@ -24,7 +24,8 @@ from _harness import format_table, parse_args  # noqa: E402
 from repro.cluster.comm_model import allreduce_time  # noqa: E402
 from repro.distributed import run_processes, run_threaded  # noqa: E402
 
-#: 2-rank process payloads (floats): 24 B, 89 KB (dp2_sr64's gradient, d = 11 158)
+#: 2-rank process payloads (floats): 24 B, 89 KB (the paper's dense d = 11 158 at
+#: n = 64; dp2_sr64 allreduces the 5 654 its masks connect)
 #: and 2.4 MB (larger than the socket buffer, so sends spill)
 PROCESS_PAYLOADS = (3, 11_158, 300_000)
 

@@ -20,6 +20,7 @@ from repro.distributed import run_threaded
 from repro.distributed.model_parallel import ShardedMADE
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import MADE
+from repro.models.made import made_num_parameters
 from repro.optim import SGD
 from repro.samplers import AutoregressiveSampler
 
@@ -44,7 +45,9 @@ def worker(comm, rank):
 def main() -> None:
     ham = TransverseFieldIsing.random(N, seed=99)
     reference = MADE(N, hidden=HIDDEN, rng=np.random.default_rng(SEED))
-    total_params = reference.num_parameters()
+    # The shards store dense weight blocks; the reference stores only the
+    # weights its masks connect, so its row shows the dense count they split.
+    total_params = made_num_parameters(N, HIDDEN)
     vqmc_ref = VQMC(
         reference, ham, AutoregressiveSampler(),
         SGD(reference.parameters(), lr=0.1), seed=3,

@@ -21,6 +21,7 @@ from repro.core.callbacks import (
 from repro.core.checkpoint import (
     CheckpointCallback,
     CheckpointCorruptError,
+    CheckpointFormatError,
     load_checkpoint,
     restore_elastic,
     save_checkpoint,
@@ -43,6 +44,7 @@ __all__ = [
     "StopTraining",
     "CheckpointCallback",
     "CheckpointCorruptError",
+    "CheckpointFormatError",
     "save_checkpoint",
     "load_checkpoint",
     "verify_checkpoint",

@@ -21,6 +21,12 @@ Crash safety (a rank can die *while* checkpointing):
 
 Resume-exactness is tested: train k steps, checkpoint, train k more; vs
 restore and train the same k — identical parameters.
+
+Format v3 stores a masked layer's weight packed, its connected entries only
+(:class:`~repro.nn.linear.MaskedLinear`), and the optimizer moments in the
+same layout. A v2 file holds the dense matrices and dense moments:
+:func:`load_checkpoint` refuses it, and every other version it was not
+written for, with :class:`CheckpointFormatError`.
 """
 
 from __future__ import annotations
@@ -44,9 +50,10 @@ __all__ = [
     "restore_elastic",
     "CheckpointCallback",
     "CheckpointCorruptError",
+    "CheckpointFormatError",
 ]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -56,6 +63,20 @@ class CheckpointCorruptError(RuntimeError):
         self.path = Path(path)
         self.reason = reason
         super().__init__(f"corrupt checkpoint {path}: {reason}")
+
+
+class CheckpointFormatError(ValueError):
+    """The checkpoint verifies, but in a format version this code does not read.
+
+    v2 files hold dense masked-layer weights and optimizer moments."""
+
+    def __init__(self, path: Path | str, version):
+        self.path = Path(path)
+        self.version = version
+        super().__init__(
+            f"checkpoint {path} is format v{version}, not v{_FORMAT_VERSION}: "
+            "v3 stores masked layers' connected weights only"
+        )
 
 
 def _payload_crc(header_bytes: bytes, params: dict[str, np.ndarray]) -> int:
@@ -167,10 +188,7 @@ def load_checkpoint(vqmc: VQMC, path: str | Path) -> None:
     with tracer.span("checkpoint.restore", bytes=path.stat().st_size):
         header, params = _read_verified(path)
         if header["version"] != _FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint format v{header['version']} "
-                f"not supported (expected v{_FORMAT_VERSION})"
-            )
+            raise CheckpointFormatError(path, header["version"])
         if header["model_class"] != type(vqmc.model).__name__:
             raise TypeError(
                 f"checkpoint was written for {header['model_class']}, "

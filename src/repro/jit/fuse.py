@@ -1,18 +1,19 @@
 """Tape fusion: collapse linear-layer op chains into single fused nodes.
 
-The interpreter records a (masked) linear layer as four primitives::
+The interpreter records a masked linear layer as four primitives::
 
-    mul(W, M) -> transpose -> matmul(x, ·) -> add(·, b)
+    scatter(W, M) -> transpose -> matmul(x, ·) -> add(·, b)
 
-Replaying that literally wastes work: the mask product is re-derived in the
-backward (``g * M`` *and* the dead ``g * W`` branch), the transpose is a
-fresh view node, and the first layer computes an input gradient nobody
-reads. :func:`fuse_tape` pattern-matches the chain (mask and bias both
-optional, so plain ``Linear`` folds too) into one :class:`FusedLinear` node
-whose forward is a single BLAS call on the effective weight and whose
-backward is the closed-form ``(δᵀx)·M`` / ``Σδ`` / ``δ·W_eff`` family —
-and whose per-sample variant stops at ``(x, δ)``, the layer's factor of
-the O-matrix (:mod:`repro.nn.factored`).
+``W`` being the packed connected weights and ``M`` the mask's pattern.
+Replaying that literally wastes work: the transpose is a fresh view node,
+the backward builds the dense weight gradient in a fresh array before it
+gathers it, and the first layer computes an input gradient nobody reads.
+:func:`fuse_tape` pattern-matches the chain (scatter and bias both
+optional, so plain ``Linear`` folds too) into one :class:`FusedLinear`
+node whose forward is a scatter into a buffer allocated once and a single
+BLAS call on it, and whose backward is the closed-form ``(δᵀx)[M]`` /
+``Σδ`` / ``δ·W_eff`` family — and whose per-sample variant stops at
+``(x, δ)``, the layer's factor of the O-matrix (:mod:`repro.nn.factored`).
 
 Fusion only fires when the intermediate slots have no other consumer, so
 any program that *observes* an intermediate keeps interpreter semantics.
@@ -26,7 +27,10 @@ __all__ = ["FusedLinear", "fuse_tape"]
 
 
 class FusedLinear:
-    """``out = src @ (W · M)ᵀ + b`` folded into one node (M, b optional)."""
+    """``out = src @ scatter(W, M)ᵀ + b`` folded into one node.
+
+    ``M`` and ``b`` are optional: ``mask`` is the boolean pattern the packed
+    ``W`` fills, or None for a dense ``W``."""
 
     op = "linear"
 
@@ -46,7 +50,7 @@ class FusedLinear:
         self.ref = out_op.ref
         self.src_slot = src_slot
         self.w_slot = w_slot
-        self.mask = mask  # ndarray or None
+        self.mask = mask  # boolean pattern or None
         self.bias_slot = bias_slot
         self.attrs = {"masked": mask is not None, "bias": bias_slot is not None}
 
@@ -100,24 +104,13 @@ def fuse_tape(tape: StepTape):
         if param_slot(wsrc):
             w_slot = wsrc
         else:
-            m = op_of_slot.get(wsrc)
-            if m is None or m.op != "mul" or not single_use(m.slot):
+            sc = op_of_slot.get(wsrc)
+            if sc is None or sc.op != "scatter" or not single_use(sc.slot) \
+                    or not param_slot(sc.inputs[0]):
                 continue
-            a, b = m.inputs
-            if param_slot(a) and leaf_of_slot.get(b) is not None \
-                    and leaf_of_slot[b].kind == "const":
-                w_slot, m_slot = a, b
-            elif param_slot(b) and leaf_of_slot.get(a) is not None \
-                    and leaf_of_slot[a].kind == "const":
-                w_slot, m_slot = b, a
-            else:
-                continue
-            mask_leaf = leaf_of_slot[m_slot]
-            if mask_leaf.shape != leaf_of_slot[w_slot].shape:
-                continue  # broadcasting mul is not the mask pattern
-            mask = mask_leaf.array
-            folded.append(m.index)
-            folded_slots.append(m.slot)
+            w_slot, mask = sc.inputs[0], sc.attrs["pattern"]
+            folded.append(sc.index)
+            folded_slots.append(sc.slot)
 
         # Optionally fold the bias add that consumes the matmul result.
         out_op = op

@@ -9,10 +9,12 @@ straight-line NumPy with every buffer preallocated:
   zero per-step data allocation and — because no :class:`Tensor` is ever
   constructed — zero graph-node construction.
 - **Fused kernels** — elementwise chains run via ufunc ``out=`` into the
-  arena; fused linear layers are single BLAS calls on the effective weight;
-  dead branches the interpreter computes unconditionally (mask-side
-  gradients, first-layer input gradients, ``g * other`` products for
-  non-differentiable operands) are eliminated at build time.
+  arena; fused linear layers are single BLAS calls on the effective weight,
+  a masked layer's packed weights scattered into a buffer allocated once
+  and its weight gradient gathered back to the packed entries; dead
+  branches the interpreter computes unconditionally (first-layer input
+  gradients, ``g * other`` products for non-differentiable operands) are
+  eliminated at build time.
 - **Batched-adjoint backward** — :meth:`gradient` seeds the step's
   per-sample weights and accumulates straight into one flat ``(d,)``
   vector through parameter views (no per-parameter concatenation);
@@ -311,11 +313,14 @@ class CompiledPlan:
             src, w, b = node.src_slot, node.w_slot, node.bias_slot
             mask = node.mask
             if mask is not None:
+                # The entries off the pattern are zeroed once, here, and no
+                # replay writes them.
                 weff = self._alloc(mask.shape)
+                weff.fill(0.0)
                 self._aux[node.index] = {"weff": lambda: weff}
 
                 def step():
-                    np.multiply(vals[w], mask, out=weff)
+                    weff[mask] = vals[w]
                     np.matmul(vals[src], weff.T, out=vals[o])
                     if b is not None:
                         np.add(vals[o], vals[b], out=vals[o])
@@ -516,7 +521,11 @@ class CompiledPlan:
         if not per_sample:
             woff, wsize, wshape = self._offsets[id(self._leaves[w].param)]
             wview = self._grad_flat[woff:woff + wsize].reshape(wshape)
-            sw = self._alloc(wshape)
+            # The (out, in) weight gradient: the packed view itself for a
+            # dense weight's first write, else a scratch that a masked layer
+            # gathers from.
+            sw = self._alloc((self._shapes[o][1], in_dim))
+            live = None if mask is None else np.flatnonzero(mask)
             if b is not None:
                 boff, bsize, bshape = self._offsets[id(self._leaves[b].param)]
                 bview = self._grad_flat[boff:boff + bsize].reshape(bshape)
@@ -538,13 +547,13 @@ class CompiledPlan:
                         written[b] = True
                 if written[w]:
                     np.matmul(g.T, vals[src], out=sw)
-                    if mask is not None:
-                        np.multiply(sw, mask, out=sw)
-                    np.add(wview, sw, out=wview)
-                else:
+                    np.add(wview, sw if mask is None else sw[mask], out=wview)
+                elif mask is None:
                     np.matmul(g.T, vals[src], out=wview)
-                    if mask is not None:
-                        np.multiply(wview, mask, out=wview)
+                    written[w] = True
+                else:
+                    np.matmul(g.T, vals[src], out=sw)
+                    np.take(sw.reshape(-1), live, out=wview, mode="clip")
                     written[w] = True
                 if x_rec:
                     np.matmul(g, weff(), out=scr[sx])
@@ -556,7 +565,8 @@ class CompiledPlan:
         # inputs and output adjoints are its share of the factored O.
         woff = self._offsets[id(self._leaves[w].param)][0]
         boff = self._offsets[id(self._leaves[b].param)][0] if b is not None else None
-        self._ps_factors.append((LinearFactor(self._shapes[w], woff, boff, mask), src, o))
+        shape = (self._shapes[o][1], in_dim)
+        self._ps_factors.append((LinearFactor(shape, woff, boff, mask), src, o))
 
         def step():
             if not written[o]:

@@ -19,7 +19,11 @@ autoencoder of Germain et al. (an extension beyond the paper's 2-layer
 default; the masks guarantee the autoregressive property at any depth).
 
 Parameter count for the paper's single-hidden-layer case:
-``d = 2hn + h + n`` exactly as stated in §4.
+``d = 2hn + h + n`` exactly as stated in §4 (:func:`made_num_parameters`).
+The masks connect exactly half of the weights for any degree assignment
+(``Σₖ mₖ + Σₖ (n − mₖ) = h·n``), and the layers store only those, so
+``num_parameters()`` — the length of every flat vector: parameters,
+gradient, optimizer moments, the allreduce — is ``hn + h + n``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ def default_hidden_size(n: int) -> int:
 
 def made_num_parameters(n: int, hidden: int | None = None) -> int:
     """The paper's gradient length ``d = 2hn + h + n`` (§4) for one hidden
-    layer of width ``hidden`` (default: :func:`default_hidden_size`)."""
+    layer of width ``hidden`` (default: :func:`default_hidden_size`): the
+    dense count, masked-out weights included. A :class:`MADE` stores the
+    connected ``hn + h + n`` of them (``MADE.num_parameters()``)."""
     h = hidden if hidden is not None else default_hidden_size(n)
     return 2 * h * n + h + n
 
@@ -102,12 +108,12 @@ class MADE(WaveFunction):
             # in a deterministic order: fc1, fc2, ..., fc{L+1}.
             setattr(self, f"fc{i + 1}", layer)
             self._layers.append(layer)
-        # Each layer's slot in the flat parameter vector (weight, then bias).
+        # Each layer's slot in the flat parameter vector (packed weight, then bias).
         self._factors: list[LinearFactor] = []
         for layer in self._layers:
             off = self._factors[-1].b.stop if self._factors else 0
             self._factors.append(
-                LinearFactor(layer.mask.shape, off, off + layer.mask.size, layer.mask)
+                LinearFactor(layer.mask.shape, off, off + layer.weight.size, layer.mask)
             )
 
     @property

@@ -3,16 +3,19 @@
 For a stack of (masked) linear layers, row ``s`` of the per-sample
 log-derivative matrix ``O`` (N × d) restricted to layer ``l`` is
 
-    (δ_l[s] ⊗ a_l[s]) ∘ M_l      for the weight,      δ_l[s]  for the bias,
+    (δ_l[s] ⊗ a_l[s])[M_l]       for the weight,      δ_l[s]  for the bias,
 
-with ``a_l`` (N × in) the layer's inputs and ``δ_l`` (N × out) the
-ones-seeded per-sample adjoints of its outputs. :class:`FactoredO` keeps
+with ``a_l`` (N × in) the layer's inputs, ``δ_l`` (N × out) the
+ones-seeded per-sample adjoints of its outputs, and ``[M_l]`` the gather of
+the entries the mask connects, row-major — the packed weight a
+:class:`~repro.nn.linear.MaskedLinear` stores. :class:`FactoredO` keeps
 those two thin matrices per layer instead of the N × d array — at the
 paper's headline size (n = 10⁴, N = 64) that array alone would be 4.3 GB —
 and supplies what stochastic reconfiguration and the energy gradient need:
 
-- ``w @ O`` — one weighted backward, ``((δ_l ∘ w)ᵀ a_l) ∘ M_l`` per layer;
-- ``O @ v`` — one GEMM per layer, ``rowsum((a_l (M_l ∘ V_l)ᵀ) ∘ δ_l) + δ_l v_b``;
+- ``w @ O`` — one weighted backward, ``((δ_l ∘ w)ᵀ a_l)[M_l]`` per layer;
+- ``O @ v`` — one GEMM per layer, ``rowsum((a_l V_lᵀ) ∘ δ_l) + δ_l v_b``,
+  ``V_l`` the layer's packed entries of ``v`` scattered into their mask;
 - :meth:`FactoredO.gram` — ``O Oᵀ`` from layer statistics (below), built
   on the stored rows and scattered back;
 - :meth:`FactoredO.counted` — the stored rows as their own ``O`` and how
@@ -67,25 +70,30 @@ FEATURE_CHUNK = 256
 
 class LinearFactor:
     """Where one linear layer's parameters sit in the flat vector, its mask,
-    and (built once — masks never change) how its Gram term splits."""
+    and (built once — masks never change) how its Gram term splits.
+
+    A masked layer's weight slot holds its connected entries only, packed
+    row-major (``pattern``, the mask as booleans, picks them out of an
+    ``(out, in)`` matrix); an unmasked layer's holds the whole matrix."""
 
     def __init__(self, shape, w_offset: int, b_offset: int | None = None, mask=None):
         self.shape = out, in_ = tuple(int(s) for s in shape)
-        self.w = slice(w_offset, w_offset + out * in_)
-        self.b = None if b_offset is None else slice(b_offset, b_offset + out)
         if mask is not None and not np.isin(mask, (0.0, 1.0)).all():
             raise ValueError("per-sample factors need a 0/1 mask")
-        self.mask = mask
+        self.pattern = None if mask is None else np.asarray(mask) != 0
+        size = out * in_ if mask is None else int(np.count_nonzero(self.pattern))
+        self.w = slice(w_offset, w_offset + size)
+        self.b = None if b_offset is None else slice(b_offset, b_offset + out)
 
     @cached_property
     def gram_blocks(self):
         """``(hadamard, rows, cols)``: ``hadamard`` lists ``(J, K)`` index
         pairs with ``K`` the outputs connected to every input of ``J``;
         ``(rows[i], cols[i])`` are the live weights of the partial blocks."""
-        if self.mask is None:
+        if self.pattern is None:
             every = slice(None)
             return [(every, every)], np.empty(0, np.intp), np.empty(0, np.intp)
-        live = self.mask != 0
+        live = self.pattern
         order = np.argsort(-live.sum(axis=0), kind="stable")
         hadamard, rows, cols = [], [], []
         for start in range(0, order.size, GRAM_BLOCK):
@@ -130,10 +138,10 @@ class FactoredO:
         out = np.zeros(self.shape[1])
         for layer, a, delta in self.factors:
             weighted = delta * w[:, None]
-            block = out[layer.w].reshape(layer.shape)
-            np.matmul(weighted.T, a, out=block)
-            if layer.mask is not None:
-                block *= layer.mask
+            if layer.pattern is None:
+                np.matmul(weighted.T, a, out=out[layer.w].reshape(layer.shape))
+            else:
+                out[layer.w] = (weighted.T @ a)[layer.pattern]
             if layer.b is not None:
                 weighted.sum(axis=0, out=out[layer.b])
         return out
@@ -145,9 +153,11 @@ class FactoredO:
             raise ValueError(f"vector of shape {v.shape} against O of shape {self.shape}")
         out = np.zeros(len(self.factors[0][1]))
         for layer, a, delta in self.factors:
-            weight = v[layer.w].reshape(layer.shape)
-            if layer.mask is not None:
-                weight = weight * layer.mask
+            if layer.pattern is None:
+                weight = v[layer.w].reshape(layer.shape)
+            else:
+                weight = np.zeros(layer.shape)
+                weight[layer.pattern] = v[layer.w]
             out += np.einsum("so,so->s", a @ weight.T, delta)
             if layer.b is not None:
                 out += delta @ v[layer.b]
@@ -217,9 +227,9 @@ class FactoredO:
         dense = np.zeros((len(self.factors[0][1]), self.shape[1]), dtype=dtype or np.float64)
         for layer, a, delta in self.factors:
             block = delta[:, :, None] * a[:, None, :]
-            if layer.mask is not None:
-                block *= layer.mask
-            dense[:, layer.w] = block.reshape(len(a), -1)
+            dense[:, layer.w] = (
+                block.reshape(len(a), -1) if layer.pattern is None else block[:, layer.pattern]
+            )
             if layer.b is not None:
                 dense[:, layer.b] = delta
         return dense[self.rows.inverse]

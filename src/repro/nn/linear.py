@@ -60,9 +60,19 @@ class Linear(Module):
 class MaskedLinear(Linear):
     """Linear layer with a fixed binary connectivity mask (``MaskedFC``).
 
-    The mask is a constant buffer, not a parameter: masked-out weights never
-    receive gradient and never contribute to the forward pass, enforcing the
-    autoregressive property of MADE structurally.
+    The mask is a constant, not a parameter, and only the weights it
+    connects are stored: ``weight`` is the packed vector ``W[mask != 0]``,
+    row-major. The dense matrix is drawn as :class:`Linear` draws it and
+    then packed, so the initial values and the RNG stream are those of a
+    dense layer. Masked-out weights have no storage, no gradient and no
+    optimizer state; the masks of a one-hidden-layer MADE connect half of
+    its weights, for any degree assignment. The mask is read-only: the
+    packing is fixed at construction.
+
+    :meth:`effective_weight` scatters the packed weights into the dense
+    ``W∘M`` that the kernels multiply by, in a buffer the layer allocates
+    once; :meth:`forward` records the same scatter
+    (:func:`repro.tensor.functional.scatter`) on the tape.
     """
 
     def __init__(
@@ -74,23 +84,40 @@ class MaskedLinear(Linear):
         rng: np.random.Generator | None = None,
     ):
         super().__init__(in_features, out_features, bias=bias, rng=rng)
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.array(mask, dtype=np.float64)
         if mask.shape != (out_features, in_features):
             raise ValueError(
                 f"mask shape {mask.shape} != weight shape {(out_features, in_features)}"
             )
+        if not np.isin(mask, (0.0, 1.0)).all():
+            raise ValueError("a masked layer needs a 0/1 mask")
+        mask.flags.writeable = False
         self.mask = mask
+        self._pattern = mask != 0.0
+        self.weight = Parameter(self.weight.data[self._pattern], name="weight")
+        self._dense = np.zeros(mask.shape)
+        self._scattered: tuple[np.ndarray, int] | None = None  # (data, version) in _dense
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.masked_linear(x, self.weight, self.mask, self.bias)
+        return F.masked_linear(x, self.weight, self._pattern, self.bias)
 
     def effective_weight(self) -> np.ndarray:
-        """The masked weight matrix actually applied in the forward pass."""
-        return self.weight.data * self.mask
+        """The dense masked weight matrix ``W∘M`` the forward pass applies.
+
+        Read-only: the layer's own buffer, scattered again only when the
+        weights have moved (a new ``weight.data`` or ``weight.version``).
+        """
+        w = self.weight
+        if self._scattered is None or self._scattered[0] is not w.data \
+                or self._scattered[1] != w.version:
+            self._dense[self._pattern] = w.data
+            self._scattered = (w.data, w.version)
+        view = self._dense.view()
+        view.flags.writeable = False
+        return view
 
     def __repr__(self) -> str:
-        live = int(self.mask.sum())
         return (
             f"MaskedLinear({self.in_features}, {self.out_features}, "
-            f"live_weights={live}/{self.mask.size})"
+            f"live_weights={self.weight.size}/{self.mask.size})"
         )

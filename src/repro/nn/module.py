@@ -55,7 +55,12 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def num_parameters(self) -> int:
-        """Total number of scalar parameters (the paper's ``d = 2hn + h + n``)."""
+        """Number of stored scalar parameters: the flat vector's length.
+
+        A masked layer stores only the weights its mask connects, so for a
+        MADE this is the connected count, about half of the paper's dense
+        ``d = 2hn + h + n`` (:func:`repro.models.made.made_num_parameters`).
+        """
         return sum(p.size for p in self.parameters())
 
     def zero_grad(self) -> None:

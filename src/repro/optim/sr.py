@@ -21,8 +21,10 @@ One direct solver per regime
 is a d×d matrix of rank ``N`` plus a multiple of the identity, so it is
 solved in whichever space is smaller:
 
-- ``dense`` (``d ≤ N``): build S explicitly, ``scipy.linalg.solve``
-  (``assume_a='pos'``). Also the oracle the other path is tested against.
+- ``dense`` (``d ≤ N``): build S explicitly and solve by one Cholesky
+  factorisation (``cho_factor``/``cho_solve``); an ``S + λI`` that is not
+  numerically positive definite raises ``LinAlgError``. Also the oracle the
+  other path is tested against.
 - ``cg`` (``N < d``; the name is kept for its callers and now only means
   "never form the d×d matrix"): the **sample-space** solve, minSR (Chen &
   Heyl, arXiv:2302.01941). With the N×N Gram matrix ``G = O Oᵀ`` centred in
@@ -99,9 +101,9 @@ Every solve records an :class:`SRSolveInfo` in :attr:`last_solve`
 payload bytes) and, when a :class:`~repro.obs.Metrics` registry is
 attached, bumps the ``sr.*`` counters.
 
-``scipy.linalg`` is imported by the two solves that call it — the dense
-``solve`` and the sample-space ``cho_factor``/``cho_solve`` — at the first
-solve, not with this module: a run without SR never loads scipy.
+``scipy.linalg`` is imported by the two solves that call it — each a
+``cho_factor``/``cho_solve`` pair — at the first solve, not with this
+module: a run without SR never loads scipy.
 """
 
 from __future__ import annotations
@@ -237,7 +239,9 @@ class StochasticReconfiguration:
             s = comm.allreduce(s, op="sum")
         s /= total
         s[np.diag_indices_from(s)] += self.diag_shift
-        sol = scipy.linalg.solve(s, grad, assume_a="pos")
+        # check_finite only on the way in: NaN/inf in S raises ValueError
+        factor = scipy.linalg.cho_factor(s)
+        sol = scipy.linalg.cho_solve(factor, grad, check_finite=False)
         residual = np.linalg.norm(s @ sol - grad) / max(np.linalg.norm(grad), _TINY)
         return sol, total, float(residual)
 

@@ -15,8 +15,10 @@ flip barely perturbs a MADE:
   layers likewise, and only output rows ``i > s`` need recomputing.
 
 So the kernel runs ONE cached forward pass (it needs the activations, so a
-``log ψ(x)`` computed elsewhere is no use to it), sorts each hidden layer's
-units by mask degree (so "the units a flip can move" is a contiguous slice),
+``log ψ(x)`` computed elsewhere is no use to it), takes each hidden layer's
+units in order of mask degree (so "the units a flip can move" is a
+contiguous slice; the order, cuts and panel ends are the model's
+:func:`~repro.perf.incremental.reach_of`, computed once per model),
 and walks the flip sites in ascending order in blocks of ``S``. A block
 starting at ``s0`` forms the post-ReLU deltas ``Δh`` of its sites on the slice
 of degree ≥ ``s0+1`` only, pushes them through any deeper layers on their
@@ -46,7 +48,7 @@ import numpy as np
 
 from repro.models.base import validate_configurations
 from repro.models.made import MADE
-from repro.perf.incremental import masked_weights, sort_by_reach
+from repro.perf.incremental import masked_weights, reach_of
 
 __all__ = [
     "MADEForwardCache",
@@ -204,14 +206,15 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     # Every hidden layer's units sorted by reach, so that the units a block of
     # flips can move are one contiguous slice [lo:], lo = cut[l][s0 + 1].
-    orders, degrees, weights = sort_by_reach(model, effs)
+    reach = reach_of(model)
+    orders, degrees, cut = reach.orders, reach.reaches, reach.cuts[1:]
+    weights = reach.sort(effs)
     # The layers above the first read column-major, as a gather by columns
     # leaves them: BLAS then sums a panel's rows as it sums them in the whole
     # product (row-major does not at every batch width).
     weights[1:] = [np.asfortranarray(w) for w in weights[1:]]
     pre = [np.ascontiguousarray(a.T[order]) for a, order in zip(cache.pre_acts, orders)]
     hid = [np.ascontiguousarray(h.T[order]) for h, order in zip(cache.hiddens, orders)]
-    cut = [np.searchsorted(deg, np.arange(n + 1)).tolist() for deg in degrees]
     w_in = np.ascontiguousarray(weights[0].T)  # a site's column is one row
 
     # Ascending sites in blocks of S: one block shares its first site's
@@ -244,8 +247,7 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Row i of a GEMM reads the units of the layer below up to ends[i] (units
     # sorted by reach): a hidden unit those of reach ≤ its own, an output i
     # those of reach ≤ i, which are cut[-1][i + 1].
-    ends = [np.searchsorted(deg, r, "right").tolist() for deg, r in zip(degrees, degrees[1:])]
-    ends.append(cut[-1][1:])
+    ends = reach.ends
     tails = np.empty((live, bsz))
     for j, stop, s0, los in blocks:
         size, tail = stop - j, n - s0 - 1

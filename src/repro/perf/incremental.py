@@ -7,8 +7,8 @@ information. Conditional ``i`` needs only ``x_<i``, and the masks say more
 than that: a hidden unit whose *reach* (the largest 1-based input index with
 a path to it) is ``m`` is a function of ``x[:, :m]`` alone and is read only
 by outputs ``≥ m``. Each hidden layer's units are sorted by reach
-(:func:`sort_by_reach`, shared with the flip kernel), so "the units final
-before site ``i``" is a prefix.
+(:func:`reach_of` computes the orders once per model, shared with the flip
+kernel), so "the units final before site ``i``" is a prefix.
 
 The sites are walked in blocks of ``BLOCK``. Per block, ONE GEMM per hidden
 layer gives the base pre-activations of the block's own units from
@@ -59,12 +59,12 @@ perform in units of naive batched forward passes
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.models.made import MADE
-from repro.tensor.tensor import no_grad
 
 __all__ = [
     "IncrementalSampleResult",
@@ -112,44 +112,78 @@ class IncrementalSampleResult:
 
 
 def masked_weights(model) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per layer, the masked weight matrix and the bias the forward pass applies."""
-    with no_grad():
-        layers = model.fc_layers
-        return (
-            [layer.effective_weight() for layer in layers],
-            [layer.bias.data for layer in layers],
-        )
+    """Per layer, the masked weight matrix and the bias the forward pass
+    applies — the layers' own read-only buffers, not copies."""
+    layers = model.fc_layers
+    return (
+        [layer.effective_weight() for layer in layers],
+        [layer.bias.data for layer in layers],
+    )
 
 
-def sort_by_reach(model, effs):
-    """Sort every hidden layer's units by the reach the masks give them.
+@dataclass(frozen=True)
+class Reach:
+    """Every hidden layer's units sorted by the reach the masks give them.
 
-    A unit's reach is the largest 1-based input index with a path to it (0 if
-    none): the unit is a function of ``x[:, :reach]`` alone, and flipping
+    A unit's reach is the largest 1-based input index with a path to it (0
+    if none): the unit is a function of ``x[:, :reach]`` alone, and flipping
     input ``s`` can move it only if its reach is ≥ ``s+1``. Read off
     ``layer.mask`` — not the ``'cycle'`` formula — so ``'random'`` masks and
-    deep stacks are sliced by the connectivity they really have.
-
-    Returns, per hidden layer, the stable argsort and the sorted reaches, and
-    ``effs`` with every hidden layer's units in that order, so that "the units
-    of reach below (or from) a site" is a contiguous slice. A layer already in
-    reach order (every ``'cycle'`` MADE with ``h < n − 1``) gets ``slice(None)``
-    for its order, so it and every gather by it are views, not copies. Rebuilt
-    per call: the weights are updated in place between calls.
+    deep stacks are sliced by the connectivity they really have. Sorted, "the
+    units of reach below (or from) a site" is a contiguous slice.
     """
-    orders, reaches, weights = [], [], list(effs)
-    reach = np.arange(1, model.n + 1)
-    for l, layer in enumerate(model.fc_layers[:-1]):
+
+    #: per hidden layer, the stable argsort by reach — ``slice(None)`` for a
+    #: layer already in reach order (every ``'cycle'`` MADE with h < n − 1),
+    #: so it and every gather by it are views, not copies
+    orders: tuple
+    #: per hidden layer, the sorted reaches
+    reaches: tuple
+    #: per layer, the inputs first (input ``j`` has reach ``j + 1``):
+    #: ``cuts[l][i]`` counts the units of layer ``l`` with reach < ``i``
+    cuts: tuple
+    #: per weight above the first, input to output: row ``i`` of the (sorted)
+    #: weight reads the units of the layer below up to ``ends[l][i]`` — a
+    #: hidden unit those of reach ≤ its own, output ``i`` those of reach ≤ i
+    ends: tuple
+
+    def sort(self, effs: list[np.ndarray]) -> list[np.ndarray]:
+        """``effs`` with every hidden layer's units in reach order: its rows,
+        and the next layer's columns."""
+        weights = list(effs)
+        for l, order in enumerate(self.orders):
+            if not isinstance(order, slice):
+                weights[l] = weights[l][order]
+                weights[l + 1] = weights[l + 1][:, order]
+        return weights
+
+
+_REACH: "weakref.WeakKeyDictionary[MADE, Reach]" = weakref.WeakKeyDictionary()
+
+
+def reach_of(model) -> Reach:
+    """The model's :class:`Reach`, computed at its first call and kept for
+    the model's lifetime: a layer's mask is fixed at construction."""
+    known = _REACH.get(model)
+    if known is not None:
+        return known
+    n = model.n
+    orders, reaches = [], []
+    reach = np.arange(1, n + 1)
+    for layer in model.fc_layers[:-1]:
         reach = np.where(layer.mask != 0.0, reach, 0).max(axis=1)
         if np.all(reach[:-1] <= reach[1:]):
             order = slice(None)  # the stable argsort is the identity
         else:
             order = np.argsort(reach, kind="stable")
-            weights[l] = weights[l][order]  # the layer's units are its rows …
-            weights[l + 1] = weights[l + 1][:, order]  # … and the next one's columns
         orders.append(order)
         reaches.append(reach[order])
-    return orders, reaches, weights
+    sites = np.arange(n + 1)
+    cuts = [np.searchsorted(r, sites).tolist() for r in (sites[1:], *reaches)]
+    ends = [np.searchsorted(a, b, "right").tolist() for a, b in zip(reaches, reaches[1:])]
+    ends.append(cuts[-1][1:])
+    known = _REACH[model] = Reach(tuple(orders), tuple(reaches), tuple(cuts), tuple(ends))
+    return known
 
 
 def incremental_sample(
@@ -173,16 +207,15 @@ def incremental_sample(
     free = np.ones(n, dtype=bool) if clamp is None else np.isnan(clamp)
 
     effs, biases = masked_weights(model)
-    orders, reaches, weights = sort_by_reach(model, effs)
+    reach = reach_of(model)
     # Row slices of C-order weights are what the block GEMMs read fastest.
-    weights = [np.ascontiguousarray(w) for w in weights]
-    biases = [b[order] for b, order in zip(biases, orders)] + biases[-1:]
-    depth = len(orders)
+    weights = [np.ascontiguousarray(w) for w in reach.sort(effs)]
+    biases = [b[order] for b, order in zip(biases, reach.orders)] + biases[-1:]
+    depth = len(reach.orders)
     # The inputs are layer 0: x_j has reach j+1. A unit of reach r — input or
     # hidden — is readable from site r on, and cut[l][i] counts the units of
     # layer l with reach < i: a hidden unit is final once site reach-1 is.
-    reaches = [np.arange(1, n + 1), *reaches]
-    cut = [np.searchsorted(r, np.arange(n + 1)).tolist() for r in reaches]
+    cut = reach.cuts
     # Dense MAC count of one naive batched forward pass (`MADE.logits`).
     dims = [n, *(w.shape[0] for w in weights)]
     full_pass_macs = batch_size * sum(a * b for a, b in zip(dims[:-1], dims[1:]))

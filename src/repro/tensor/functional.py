@@ -1,7 +1,8 @@
 """Functional interface over :class:`repro.tensor.Tensor`.
 
 The layer-level primitives the paper's models are built from (§5.1): a
-linear layer, MADE's masked linear layer and the fused Bernoulli
+linear layer, MADE's masked linear layer (with :func:`scatter`, the packed
+weights placed into their fixed pattern) and the fused Bernoulli
 log-likelihood. Elementwise nonlinearities are :class:`Tensor` methods.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from repro.tensor.tensor import Tensor
 
-__all__ = ["linear", "masked_linear", "bernoulli_log_prob", "as_tensor"]
+__all__ = ["linear", "masked_linear", "scatter", "bernoulli_log_prob", "as_tensor"]
 
 
 def as_tensor(x, requires_grad: bool = False) -> Tensor:
@@ -27,17 +28,35 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
-def masked_linear(
-    x: Tensor, weight: Tensor, mask: np.ndarray, bias: Tensor | None = None
-) -> Tensor:
-    """Linear layer with a fixed binary connectivity mask on the weights.
+def scatter(values: Tensor, pattern: np.ndarray) -> Tensor:
+    """The dense array of ``pattern``'s shape holding ``values`` at its
+    ``True`` entries, in row-major order, and exact zeros elsewhere.
 
-    This is the ``MaskedFC`` of the paper's MADE: the mask is a constant, so
-    the gradient w.r.t. the weight is masked automatically by the product
-    rule — masked-out entries stay at exactly zero gradient.
+    ``pattern`` is a fixed boolean array (a MADE mask): the backward is the
+    gather ``g[pattern]``, so the entries off the pattern have no gradient
+    to carry and no storage.
     """
-    masked_w = weight * Tensor(mask)
-    out = x @ masked_w.T
+    out_data = np.zeros(pattern.shape)
+    out_data[pattern] = values.data
+
+    def bw(g: np.ndarray) -> None:
+        values._accum(g[pattern])
+
+    return Tensor._make(out_data, (values,), bw, "scatter", {"pattern": pattern})
+
+
+def masked_linear(
+    x: Tensor, weight: Tensor, pattern: np.ndarray, bias: Tensor | None = None
+) -> Tensor:
+    """Linear layer whose weight matrix is nonzero only on a fixed pattern.
+
+    This is the ``MaskedFC`` of the paper's MADE: ``weight`` holds the
+    connected weights only, packed in row-major order of the boolean
+    ``pattern`` (the mask), and :func:`scatter` places them into the
+    ``(out, in)`` matrix ``W∘M`` — masked-out entries are exact zeros with
+    no parameter behind them.
+    """
+    out = x @ scatter(weight, pattern).T
     if bias is not None:
         out = out + bias
     return out

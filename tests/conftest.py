@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.hamiltonians import MaxCut, TransverseFieldIsing
+from repro.models import made as made_module
 
 #: wall seconds a test not marked ``slow`` may spend in setup and call together
 TEST_BUDGET_S = 10.0
@@ -54,3 +57,12 @@ def enumerate_states(n: int) -> np.ndarray:
     return (
         (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     ).astype(np.float64)
+
+
+def made_with_masks(n: int, hidden, masks, rng: np.random.Generator) -> made_module.MADE:
+    """A MADE whose layers take ``masks`` in place of the ones its strategy
+    would draw. A masked layer packs its weights by its mask at
+    construction, so a mask cannot be rewritten afterwards; the weights are
+    drawn from ``rng`` as for any ``'cycle'`` MADE."""
+    with mock.patch.object(made_module, "made_masks_deep", lambda *a, **k: list(masks)):
+        return made_module.MADE(n, hidden=hidden, rng=rng)

@@ -9,6 +9,7 @@ from repro.core import (
     VQMC,
     CheckpointCallback,
     CheckpointCorruptError,
+    CheckpointFormatError,
     load_checkpoint,
     save_checkpoint,
     verify_checkpoint,
@@ -62,6 +63,58 @@ class TestSaveLoad:
         b = VQMC(rbm, small_tim, MetropolisSampler(), Adam(rbm.parameters()))
         with pytest.raises(TypeError):
             load_checkpoint(b, path)
+
+    def test_a_v2_checkpoint_of_dense_weights_is_refused(self, small_tim, tmp_path):
+        """Format v2 held every MADE weight as its dense matrix, and Adam's
+        moments alike. It verifies, but loading it raises a typed error and
+        leaves the trainer as it was."""
+        import io
+        import pickle
+
+        from repro.core import checkpoint
+
+        a = make_vqmc(small_tim)
+        a.run(2, batch_size=16)
+        params, m, v = {}, [], []
+        opt = a.optimizer.state_dict()
+        for layer, name in zip(a.model.fc_layers, ("fc1", "fc2")):
+            live = layer.mask != 0
+            for key, packed in (("weight", layer.weight.data), ("bias", layer.bias.data)):
+                pm, pv = opt["m"][len(m)], opt["v"][len(v)]
+                if key == "weight":
+                    packed, pm, pv = (self._dense(x, live) for x in (packed, pm, pv))
+                params[f"{name}.{key}"] = packed
+                m.append(pm)
+                v.append(pv)
+        header = {
+            "version": 2, "global_step": a.global_step,
+            "optimizer_state": {**opt, "m": m, "v": v},
+            "rng_state": a.rng.bit_generator.state, "model_class": "MADE",
+        }
+        buf = io.BytesIO()
+        pickle.dump(header, buf)
+        blob = buf.getvalue()
+        path = tmp_path / "v2.npz"
+        np.savez(
+            path,
+            __header__=np.frombuffer(blob, dtype=np.uint8),
+            __crc32__=np.array([checkpoint._payload_crc(blob, params)], dtype=np.uint32),
+            **{f"param/{k}": x for k, x in params.items()},
+        )
+        assert verify_checkpoint(path)["version"] == 2
+        b = make_vqmc(small_tim)
+        before = b.model.flat_parameters()
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(b, path)
+        assert err.value.version == 2 and isinstance(err.value, ValueError)
+        assert np.array_equal(b.model.flat_parameters(), before)
+        assert b.global_step == 0
+
+    @staticmethod
+    def _dense(packed, live):
+        dense = np.zeros(live.shape)
+        dense[live] = packed
+        return dense
 
     def test_optimizer_moments_roundtrip(self, small_tim, tmp_path):
         path = tmp_path / "ckpt.npz"

@@ -134,12 +134,13 @@ def _ungrouped_products(o, w, v):
     wo, ov = np.zeros(o.shape[1]), np.zeros(len(o.factors[0][1]))
     for layer, a, delta in o.factors:
         weighted = delta * w[:, None]
-        block = wo[layer.w].reshape(layer.shape)
-        np.matmul(weighted.T, a, out=block)
-        weight = v[layer.w].reshape(layer.shape)
-        if layer.mask is not None:
-            block *= layer.mask
-            weight = weight * layer.mask
+        if layer.pattern is None:
+            np.matmul(weighted.T, a, out=wo[layer.w].reshape(layer.shape))
+            weight = v[layer.w].reshape(layer.shape)
+        else:  # packed: the connected entries of each
+            wo[layer.w] = (weighted.T @ a)[layer.pattern]
+            weight = np.zeros(layer.shape)
+            weight[layer.pattern] = v[layer.w]
         ov += np.einsum("so,so->s", a @ weight.T, delta)
         if layer.b is not None:
             weighted.sum(axis=0, out=wo[layer.b])

@@ -18,6 +18,20 @@ def reference_made() -> MADE:
     return MADE(N, hidden=HIDDEN, rng=np.random.default_rng(SEED))
 
 
+def dense_o(ref: MADE, o: np.ndarray) -> np.ndarray:
+    """The reference's per-sample rows in the sharded model's dense layout
+    ``[W1 | b1 | W2 | b2]``: each packed weight block scattered into its
+    mask, zero where the mask is."""
+    parts, at = [], 0
+    for layer in ref.fc_layers:
+        live, size = layer.mask != 0, layer.weight.size
+        block = np.zeros((len(o), *live.shape))
+        block[:, live] = o[:, at:at + size]
+        parts += [block.reshape(len(o), -1), o[:, at + size:at + size + layer.bias.size]]
+        at += size + layer.bias.size
+    return np.concatenate(parts, axis=1)
+
+
 class TestShardBounds:
     def test_partition_covers_everything(self):
         bounds = shard_bounds(13, 4)
@@ -79,10 +93,11 @@ class TestEquivalence:
                 "b2": comm.allreduce(b2, op="sum"),
             }
 
+        # the reference stores the connected weights only
         for full in run_threaded(worker, 4):
-            assert np.allclose(full["w1"], ref.fc1.weight.data)
+            assert np.allclose(full["w1"][ref.fc1.mask != 0], ref.fc1.weight.data)
             assert np.allclose(full["b1"], ref.fc1.bias.data)
-            assert np.allclose(full["w2"], ref.fc2.weight.data)
+            assert np.allclose(full["w2"][ref.fc2.mask != 0], ref.fc2.weight.data)
             assert np.allclose(full["b2"], ref.fc2.bias.data)
 
     def test_per_sample_grads_concatenate_to_reference(self, rng):
@@ -90,7 +105,7 @@ class TestEquivalence:
         per-sample gradient of the reference model (up to reordering)."""
         ref = reference_made()
         x = (rng.random((5, N)) < 0.5).astype(float)
-        o_ref = np.asarray(ref.log_psi_and_grads(x)[1])
+        o_ref = dense_o(ref, np.asarray(ref.log_psi_and_grads(x)[1]))
         # Reference layout: [W1 (h,n) | b1 (h) | W2 (n,h) | b2 (n)].
         h, n = HIDDEN, N
         w1_ref = o_ref[:, : h * n].reshape(5, h, n)

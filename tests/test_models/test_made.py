@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.models import MADE
-from repro.models.made import default_hidden_size
+from repro.models.made import default_hidden_size, made_num_parameters
 from tests.conftest import enumerate_states
 
 
@@ -106,9 +106,12 @@ class TestConfig:
         assert default_hidden_size(100) == round(5 * np.log(100) ** 2)
 
     def test_parameter_count_matches_paper(self, rng):
+        """The paper's d counts every weight; the masks connect half of
+        them, and only those are stored."""
         n, h = 10, 17
         made = MADE(n, hidden=h, rng=rng)
-        assert made.num_parameters() == 2 * h * n + h + n
+        assert made_num_parameters(n, h) == 2 * h * n + h + n
+        assert made.num_parameters() == h * n + h + n
 
     def test_invalid_inputs_rejected(self, made):
         with pytest.raises(ValueError):

@@ -20,9 +20,12 @@ class TestFunctionalWrappers:
         b = rng.normal(size=2)
         out = F.linear(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.allclose(out, x @ w.T + b)
-        mask = np.zeros((2, 4))
-        masked = F.masked_linear(Tensor(x), Tensor(w), mask, Tensor(b)).data
+        nothing = np.zeros((2, 4), bool)
+        masked = F.masked_linear(Tensor(x), Tensor(np.empty(0)), nothing, Tensor(b)).data
         assert np.allclose(masked, np.broadcast_to(b, (3, 2)))
+        every = np.ones((2, 4), bool)
+        masked = F.masked_linear(Tensor(x), Tensor(w.ravel()), every, Tensor(b)).data
+        assert np.allclose(masked, out)
 
     def test_bernoulli_log_prob_sums_to_bernoulli(self, rng):
         logits = rng.normal(size=(5, 3))

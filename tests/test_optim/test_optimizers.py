@@ -154,13 +154,14 @@ class TestAdam:
 
     def test_steady_state_step_allocates_no_parameter_sized_array(self, rng):
         """Every temporary of a step lives in scratch allocated once: at the
-        paper's n = 256 MADE (d = 79 258) a step's peak allocation is below
-        the bytes of its smallest weight matrix."""
+        paper's n = 256 MADE (39 834 stored parameters, the connected half of
+        the paper's d = 79 258) a step's peak allocation is below the bytes of
+        its smallest packed weight."""
         from repro.models import MADE
 
         model = MADE(256, rng=np.random.default_rng(0))
         params = list(model.parameters())
-        assert sum(p.data.size for p in params) == 79_258
+        assert sum(p.data.size for p in params) == 39_834
         opt = Adam(params)
         for p in params:
             p.grad = rng.normal(size=p.shape)

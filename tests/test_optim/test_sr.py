@@ -74,6 +74,24 @@ class TestSolvers:
         delta = sr.natural_gradient(o, np.ones(6))
         assert np.all(np.isfinite(delta))
 
+    def test_dense_solve_is_one_cholesky(self, rng):
+        """``cho_factor``/``cho_solve`` gives the bits of the general
+        ``solve(assume_a='pos')`` it replaced (without its condition
+        estimate), and a singular S with λ = 0 still raises."""
+        import scipy.linalg
+
+        o, g = rng.normal(size=(64, 40)), rng.normal(size=40)
+        oc = o - o.sum(axis=0) / len(o)
+        s = oc.T @ oc
+        s /= len(o)
+        s[np.diag_indices_from(s)] += 1e-3
+        got = StochasticReconfiguration(diag_shift=1e-3, solver="dense").natural_gradient(o, g)
+        assert np.array_equal(got, scipy.linalg.solve(s, g, assume_a="pos"))
+        with pytest.raises(np.linalg.LinAlgError):
+            StochasticReconfiguration(diag_shift=0.0, solver="dense").natural_gradient(
+                rng.normal(size=(3, 6)), rng.normal(size=6)
+            )
+
     def test_validation(self, o_matrix):
         with pytest.raises(ValueError):
             StochasticReconfiguration(diag_shift=-1.0)

@@ -32,11 +32,13 @@ from repro.distributed import run_threaded
 from repro.hamiltonians import TransverseFieldIsing
 from repro.jit import StepCompiler
 from repro.models import MADE, RBM
+from repro.models.made import made_num_parameters
 from repro.models.rnn import RNNWaveFunction
 from repro.nn.factored import FactoredO
 from repro.obs import Metrics, Tracer
 from repro.optim import SGD, StochasticReconfiguration
 from repro.samplers import AutoregressiveSampler
+from tests.conftest import made_with_masks
 
 RTOL = 1e-12
 
@@ -51,17 +53,17 @@ def _close(got, want, rtol=RTOL):
 
 def _made(n, widths, masks, seed):
     """A MADE with weights away from the initialiser's scale; ``'spread'``
-    writes the degree assignment ``1 + ⌊k(n−1)/h⌋`` into ``layer.mask``."""
+    hands the layers the degree assignment ``1 + ⌊k(n−1)/h⌋``."""
     rng = np.random.default_rng(seed)
-    strategy = "random" if masks == "random" else "cycle"
-    model = MADE(n, hidden=list(widths), rng=rng, mask_strategy=strategy)
     if masks == "spread":
         degrees = [np.arange(1, n + 1)]
         degrees += [1 + (np.arange(h) * max(n - 1, 1)) // h for h in widths]
-        layers = model.fc_layers
-        for layer, prev, nxt in zip(layers[:-1], degrees[:-1], degrees[1:]):
-            layer.mask[...] = nxt[:, None] >= prev[None, :]
-        layers[-1].mask[...] = degrees[0][:, None] > degrees[-1][None, :]
+        spread = [nxt[:, None] >= prev[None, :] for prev, nxt in zip(degrees[:-1], degrees[1:])]
+        spread.append(degrees[0][:, None] > degrees[-1][None, :])
+        model = made_with_masks(n, list(widths), spread, rng)
+    else:
+        strategy = "random" if masks == "random" else "cycle"
+        model = MADE(n, hidden=list(widths), rng=rng, mask_strategy=strategy)
     for p in model.parameters():
         p.data += rng.normal(size=p.shape) * 0.5
     return model
@@ -69,7 +71,8 @@ def _made(n, widths, masks, seed):
 
 def _made_dense_o(model, x):
     """The dense per-sample matrix as ``MADE.log_psi_and_grads`` used to
-    build it: ``δ ⊗ a ∘ M`` per layer, concatenated."""
+    build it: ``δ ⊗ a`` per layer at the entries ``M`` connects,
+    concatenated."""
     layers = model.fc_layers
     inputs, pre = [x], []
     for layer in layers[:-1]:
@@ -79,8 +82,8 @@ def _made_dense_o(model, x):
     delta = x - 1.0 / (1.0 + np.exp(-z))
     blocks = []
     for idx in range(len(layers) - 1, -1, -1):
-        d_w = delta[:, :, None] * inputs[idx][:, None, :] * layers[idx].mask[None]
-        blocks[:0] = [d_w.reshape(len(x), -1), delta]
+        d_w = delta[:, :, None] * inputs[idx][:, None, :]
+        blocks[:0] = [d_w[:, layers[idx].mask != 0], delta]
         if idx:
             delta = (delta @ layers[idx].effective_weight()) * (pre[idx - 1] > 0.0)
     return 0.5 * np.concatenate(blocks, axis=1)
@@ -355,7 +358,8 @@ def _trainer(model, ham, batch, **kwargs):
 )
 def test_no_allocation_of_a_step_comes_near_the_o_matrix(n, batch, ceiling):
     """Peak traced memory over one steady-state ``VQMC.step`` with SR stays
-    below a quarter of ``N·d·8`` bytes (11.4 MB and 40.6 MB here)."""
+    below a quarter of ``N·d·8`` bytes, ``d`` the paper's dense count (11.4 MB
+    and 40.6 MB here; the stored O would be half that)."""
     model = MADE(n, rng=np.random.default_rng(0))
     vqmc = _trainer(model, TransverseFieldIsing.random(n, seed=3), batch)
     for _ in range(3):
@@ -366,7 +370,7 @@ def test_no_allocation_of_a_step_comes_near_the_o_matrix(n, batch, ceiling):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    o_bytes = batch * model.num_parameters() * 8
+    o_bytes = batch * made_num_parameters(n) * 8
     assert peak < (ceiling or o_bytes / 4), f"peak {peak / 1e6:.1f} MB, O {o_bytes / 1e6:.1f} MB"
     assert vqmc.sr.last_solve.gram == "layers"
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.models import MADE
 from repro.perf import flip_log_ratios, incremental, incremental_sample
+from tests.conftest import made_with_masks
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -121,15 +122,18 @@ class TestBitIdentical:
     def test_narrow_hidden_layer(self, masks):
         """h ≪ n. 'cycle' hands out degrees 1…h only, so sites > h finalise
         nothing; 'spread' is the degree assignment the ROADMAP's fix for that
-        hole will produce, written into ``layer.mask`` by hand."""
+        hole will produce, handed to the layers by hand."""
         n, h = 40, 6
-        model = _build_made(n, [h], seed=11, spread=0.8)
         if masks == "spread":
             sites = np.arange(1, n + 1)
             degrees = 1 + (np.arange(h) * (n - 1)) // h
-            first, last = model.fc_layers
-            first.mask[...] = degrees[:, None] >= sites[None, :]
-            last.mask[...] = sites[:, None] > degrees[None, :]
+            spread = [degrees[:, None] >= sites[None, :], sites[:, None] > degrees[None, :]]
+            rng = np.random.default_rng(11)
+            model = made_with_masks(n, h, spread, rng)
+            for p in model.parameters():
+                p.data += rng.normal(size=p.shape) * 0.8
+        else:
+            model = _build_made(n, [h], seed=11, spread=0.8)
         _assert_matches_naive(model, 16, seed=13)
 
     def test_saturated_conditionals(self):
@@ -148,12 +152,11 @@ def _copy_chain(n: int, gain: float = 50.0) -> MADE:
     unit j reads x_j alone (reach j+1), and output i reads unit i−1 alone,
     with logit ±gain. The guess a run starts from sees the bias −gain only,
     so in a row of ones every sweep fixes exactly one more site."""
-    model = MADE(n, hidden=n - 1, rng=np.random.default_rng(0))
+    masks = [np.eye(n - 1, n), np.eye(n, n - 1, k=-1)]
+    model = made_with_masks(n, n - 1, masks, np.random.default_rng(0))
     first, last = model.fc_layers
-    first.mask[...] = np.eye(n - 1, n)
     first.weight.data[...] = 1.0
     first.bias.data[...] = 0.0
-    last.mask[...] = np.eye(n, n - 1, k=-1)
     last.weight.data[...] = 2.0 * gain
     last.bias.data[...] = -gain
     last.bias.data[0] = 0.0
@@ -244,12 +247,13 @@ def test_benchmark_shape_smoke():
 )
 def test_a_layer_in_reach_order_is_not_gathered(n, h, in_order):
     """A ``'cycle'`` MADE with h < n − 1 has its hidden units in reach order
-    already: ``sort_by_reach`` hands back the masked weights it was given,
+    already: ``Reach.sort`` hands back the masked weights it was given,
     uncopied. Neither kernel writes through them into a parameter."""
     model = _build_made(n, [h], seed=0, spread=0.05)
     effs = incremental.masked_weights(model)[0]
-    _, reaches, weights = incremental.sort_by_reach(model, effs)
-    assert np.all(np.diff(reaches[0]) >= 0)
+    reach = incremental.reach_of(model)
+    weights = reach.sort(effs)
+    assert np.all(np.diff(reach.reaches[0]) >= 0)
     assert all(w is e for w, e in zip(weights, effs)) == in_order
     before = [p.data.copy() for p in model.parameters()]
     x = incremental_sample(model, 8, np.random.default_rng(1)).samples
@@ -280,7 +284,7 @@ def _gemm_macs(model, batch: int, clamp=None) -> tuple[int, list[int]]:
     the run's end, and computes a logit row for each free site only."""
     n, block = model.n, incremental.BLOCK
     free = np.ones(n, bool) if clamp is None else np.isnan(clamp)
-    _, reaches, _ = incremental.sort_by_reach(model, incremental.masked_weights(model)[0])
+    reaches = incremental.reach_of(model).reaches
     cut = [np.searchsorted(r, np.arange(n + 1)) for r in [np.arange(1, n + 1), *reaches]]
     runs = iter(np.cumsum([0, *_run_lengths(n, batch)]))
     prefix, per_sweep = 0, []
