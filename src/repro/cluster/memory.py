@@ -11,12 +11,6 @@ from 2¹⁹ at n = 20 to 2² at n = 10 000 (Table 7) while the model itself
 ``bytes_per_sample = overhead · 4 · (c_sq n² + n h)``; the framework
 ``overhead`` factor (autograd buffers, fragmentation, CUDA context) is
 calibrated so the predicted ladder matches the paper's.
-
-The model's share is ``4 · d`` bytes. ``d`` defaults to the paper's dense
-count (:func:`~repro.models.made.made_num_parameters`), which is what
-Table 7 and the planner are computed with; a caller holding a model passes
-the count it stores — ``MADE.num_parameters()``, the connected half — as
-``num_parameters``.
 """
 
 from __future__ import annotations
@@ -56,21 +50,12 @@ class MemoryModel:
         raw = self.bytes_per_float * (n * n + n * h)
         return self.overhead * raw
 
-    def model_bytes(
-        self, n: int, hidden: int | None = None, num_parameters: int | None = None
-    ) -> float:
-        """Bytes of ``num_parameters`` parameters (default: the paper's
-        dense ``d = 2hn + h + n``)."""
-        if num_parameters is None:
-            num_parameters = made_num_parameters(n, hidden)
-        return self.bytes_per_float * num_parameters
+    def model_bytes(self, n: int, hidden: int | None = None) -> float:
+        return self.bytes_per_float * made_num_parameters(n, hidden)
 
-    def max_mini_batch(
-        self, n: int, hidden: int | None = None, num_parameters: int | None = None
-    ) -> int:
-        """Largest power-of-two mbs with model + batch memory ≤ capacity
-        (``num_parameters`` as in :meth:`model_bytes`)."""
-        budget = self.device.mem_bytes - self.model_bytes(n, hidden, num_parameters)
+    def max_mini_batch(self, n: int, hidden: int | None = None) -> int:
+        """Largest power-of-two mbs with model + batch memory ≤ capacity."""
+        budget = self.device.mem_bytes - self.model_bytes(n, hidden)
         if budget <= 0:
             raise ValueError(f"model with n={n} does not fit on {self.device.name}")
         mbs = budget / self.bytes_per_sample(n, hidden)

@@ -113,7 +113,7 @@ class MADE(WaveFunction):
         for layer in self._layers:
             off = self._factors[-1].b.stop if self._factors else 0
             self._factors.append(
-                LinearFactor(layer.mask.shape, off, off + layer.weight.size, layer.mask)
+                LinearFactor(layer.mask.shape, off, off + layer.weight.size, layer.pattern)
             )
 
     @property

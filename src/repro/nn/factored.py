@@ -73,15 +73,15 @@ class LinearFactor:
     and (built once — masks never change) how its Gram term splits.
 
     A masked layer's weight slot holds its connected entries only, packed
-    row-major (``pattern``, the mask as booleans, picks them out of an
-    ``(out, in)`` matrix); an unmasked layer's holds the whole matrix."""
+    row-major: ``pattern``, the layer's boolean mask
+    (:attr:`~repro.nn.linear.MaskedLinear.pattern`, shared, not copied),
+    picks them out of an ``(out, in)`` matrix. An unmasked layer
+    (``pattern=None``) holds the whole matrix."""
 
-    def __init__(self, shape, w_offset: int, b_offset: int | None = None, mask=None):
+    def __init__(self, shape, w_offset: int, b_offset: int | None = None, pattern=None):
         self.shape = out, in_ = tuple(int(s) for s in shape)
-        if mask is not None and not np.isin(mask, (0.0, 1.0)).all():
-            raise ValueError("per-sample factors need a 0/1 mask")
-        self.pattern = None if mask is None else np.asarray(mask) != 0
-        size = out * in_ if mask is None else int(np.count_nonzero(self.pattern))
+        self.pattern = pattern
+        size = out * in_ if pattern is None else int(np.count_nonzero(pattern))
         self.w = slice(w_offset, w_offset + size)
         self.b = None if b_offset is None else slice(b_offset, b_offset + out)
 

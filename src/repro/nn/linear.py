@@ -69,6 +69,8 @@ class MaskedLinear(Linear):
     its weights, for any degree assignment. The mask is read-only: the
     packing is fixed at construction.
 
+    ``pattern`` is the mask as booleans, read-only; the per-sample factors
+    (:class:`~repro.nn.factored.LinearFactor`) share it.
     :meth:`effective_weight` scatters the packed weights into the dense
     ``W∘M`` that the kernels multiply by, in a buffer the layer allocates
     once; :meth:`forward` records the same scatter
@@ -93,25 +95,23 @@ class MaskedLinear(Linear):
             raise ValueError("a masked layer needs a 0/1 mask")
         mask.flags.writeable = False
         self.mask = mask
-        self._pattern = mask != 0.0
-        self.weight = Parameter(self.weight.data[self._pattern], name="weight")
+        self.pattern = mask != 0.0
+        self.pattern.flags.writeable = False
+        self.weight = Parameter(self.weight.data[self.pattern], name="weight")
         self._dense = np.zeros(mask.shape)
-        self._scattered: tuple[np.ndarray, int] | None = None  # (data, version) in _dense
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.masked_linear(x, self.weight, self._pattern, self.bias)
+        return F.masked_linear(x, self.weight, self.pattern, self.bias)
 
     def effective_weight(self) -> np.ndarray:
         """The dense masked weight matrix ``W∘M`` the forward pass applies.
 
-        Read-only: the layer's own buffer, scattered again only when the
-        weights have moved (a new ``weight.data`` or ``weight.version``).
+        A read-only view of the layer's own buffer, scattered from
+        ``weight.data`` on every call, so it holds the weights as they are
+        now however they were written. The view is overwritten by the next
+        call: copy it to keep it.
         """
-        w = self.weight
-        if self._scattered is None or self._scattered[0] is not w.data \
-                or self._scattered[1] != w.version:
-            self._dense[self._pattern] = w.data
-            self._scattered = (w.data, w.version)
+        self._dense[self.pattern] = self.weight.data
         view = self._dense.view()
         view.flags.writeable = False
         return view

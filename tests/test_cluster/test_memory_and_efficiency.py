@@ -45,23 +45,6 @@ class TestMemoryModel:
         n, h = 100, 33
         assert mm.model_bytes(n, h) == 4.0 * (2 * h * n + h + n)
 
-    def test_the_stored_count_is_an_input(self):
-        """A MADE stores the hn + h + n parameters its masks connect; the
-        paper's dense d stays the default, so Table 7 is unchanged."""
-        from repro.models import MADE
-
-        mm = MemoryModel()
-        n, h = 64, 33
-        stored = MADE(n, hidden=h, rng=np.random.default_rng(0)).num_parameters()
-        assert stored == h * n + h + n
-        assert mm.model_bytes(n, h, num_parameters=stored) == 4.0 * stored
-        # room for the stored model and one sample, short of the dense d's
-        room = 4.0 * stored + mm.bytes_per_sample(n, h) + 4.0 * h * n / 2
-        small = MemoryModel(device=DeviceSpec("small", 1e12, mem_bytes=room))
-        assert small.max_mini_batch(n, h, num_parameters=stored) == 1
-        with pytest.raises(ValueError, match="not even one sample"):
-            small.max_mini_batch(n, h)
-
 
 class TestEq14:
     def test_speedup_is_affine_in_L(self):

@@ -127,6 +127,36 @@ def test_the_flat_vector_round_trips_through_the_packed_layers(rng):
         at += layer.weight.size + layer.bias.size
 
 
+def test_every_kernel_reads_weights_written_in_place(rng):
+    """After the kernels have run once, ``p.data += ...`` with no version
+    bump is still what the sampler, the flip kernel and
+    ``log_psi_and_grads`` compute with: each agrees with a fresh model
+    holding the same weights."""
+    from repro.perf.flips import flip_log_ratios
+    from repro.perf.incremental import incremental_sample
+
+    model = MADE(9, hidden=[11, 7], rng=np.random.default_rng(3))
+    x = (rng.random((6, 9)) < 0.5).astype(float)
+    sites = np.arange(9)
+    incremental_sample(model, 4, np.random.default_rng(0))
+    flip_log_ratios(model, sites, x)
+    model.log_psi_and_grads(x)
+    for p in model.parameters():
+        p.data += rng.normal(size=p.shape)
+    fresh = MADE(9, hidden=[11, 7], rng=np.random.default_rng(3))
+    fresh.set_flat_parameters(model.flat_parameters())
+
+    got = incremental_sample(model, 32, np.random.default_rng(5)).samples
+    want = incremental_sample(fresh, 32, np.random.default_rng(5)).samples
+    assert np.array_equal(got, want)
+    assert np.array_equal(flip_log_ratios(model, sites, x), flip_log_ratios(fresh, sites, x))
+    log_psi, o = model.log_psi_and_grads(x)
+    fresh_log_psi, fresh_o = fresh.log_psi_and_grads(x)
+    assert np.array_equal(log_psi, fresh_log_psi)
+    assert np.array_equal(np.asarray(o), np.asarray(fresh_o))
+    assert np.allclose(log_psi, model.log_psi(x).data, rtol=0, atol=1e-12)
+
+
 def _dense_layout(model: MADE, flat: np.ndarray) -> np.ndarray:
     """``flat`` with every packed weight scattered into its dense matrix:
     the vector a MADE storing dense weights would hold, zeros included."""

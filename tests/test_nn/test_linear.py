@@ -93,17 +93,24 @@ class TestMaskedLinear:
         assert np.array_equal(layer.effective_weight(), np.diag(layer.weight.data))
         assert not layer.effective_weight().flags.writeable
 
-    def test_effective_weight_follows_tracked_updates(self, rng):
-        """One buffer, scattered again when the version or the array moves."""
+    def test_effective_weight_follows_every_write(self, rng):
+        """Scattered on every call: an in-place write with no version bump
+        and a new array are both read."""
         layer = MaskedLinear(3, 3, np.tril(np.ones((3, 3))), rng=rng)
         first = layer.effective_weight()
-        assert np.shares_memory(layer.effective_weight(), first)
         layer.weight.data += 1.0
-        layer.weight.bump_version()
+        assert np.array_equal(layer.effective_weight()[np.tril_indices(3)], layer.weight.data)
         assert np.shares_memory(layer.effective_weight(), first)
-        assert np.array_equal(first[np.tril_indices(3)], layer.weight.data)
         layer.weight.data = np.zeros(6)
         assert np.array_equal(layer.effective_weight(), np.zeros((3, 3)))
+
+    def test_pattern_is_the_mask_and_read_only(self, rng):
+        mask = np.tril(np.ones((3, 4)))
+        layer = MaskedLinear(4, 3, mask, rng=rng)
+        assert layer.pattern.dtype == bool
+        assert np.array_equal(layer.pattern, mask != 0)
+        with pytest.raises(ValueError):
+            layer.pattern[0, 3] = True
 
     def test_scatter_then_gather_is_the_identity(self, rng):
         mask = rng.random((5, 7)) < 0.4
