@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import WaveFunction, validate_configurations
-from repro.nn.masks import check_autoregressive, made_masks
+from repro.nn.masks import made_masks
 from repro.nn.module import Parameter
 from repro.nn import init as nn_init
 
@@ -81,8 +81,7 @@ class ShardedMADE(WaveFunction):
         self.hidden = hidden
         rng = np.random.default_rng(seed)
 
-        m1, m2 = made_masks(n, hidden)
-        check_autoregressive((m1, m2))
+        m1, m2 = made_masks(n, [hidden])
         w1 = nn_init.kaiming_uniform(rng, hidden, n)
         b1 = nn_init.uniform_bias(rng, hidden, n)
         w2 = nn_init.kaiming_uniform(rng, n, hidden)

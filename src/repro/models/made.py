@@ -16,7 +16,8 @@ are required (sampling).
 
 ``hidden`` may also be a sequence of layer widths, giving the deep masked
 autoencoder of Germain et al. (an extension beyond the paper's 2-layer
-default; the masks guarantee the autoregressive property at any depth).
+default; the degree rule of :mod:`repro.nn.masks` makes the masks
+autoregressive at any depth).
 
 Parameter count for the paper's single-hidden-layer case:
 ``d = 2hn + h + n`` exactly as stated in §4 (:func:`made_num_parameters`).
@@ -35,7 +36,7 @@ import numpy as np
 from repro.models.base import WaveFunction, validate_configurations
 from repro.nn.factored import FactoredO, LinearFactor
 from repro.nn.linear import MaskedLinear
-from repro.nn.masks import check_autoregressive_deep, made_masks_deep
+from repro.nn.masks import made_masks
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.rng import init_rng
@@ -98,8 +99,7 @@ class MADE(WaveFunction):
         self.hidden = widths[0] if len(widths) == 1 else widths
         self.widths = widths
 
-        masks = made_masks_deep(n, widths, rng=rng, strategy=mask_strategy)
-        check_autoregressive_deep(masks)
+        masks = made_masks(n, widths, rng=rng, strategy=mask_strategy)
         dims = (n, *widths, n)
         self._layers: list[MaskedLinear] = []
         for i, mask in enumerate(masks):
@@ -113,7 +113,7 @@ class MADE(WaveFunction):
         for layer in self._layers:
             off = self._factors[-1].b.stop if self._factors else 0
             self._factors.append(
-                LinearFactor(layer.mask.shape, off, off + layer.weight.size, layer.pattern)
+                LinearFactor(layer.pattern.shape, off, off + layer.weight.size, layer.pattern)
             )
 
     @property

@@ -9,7 +9,7 @@ log-derivatives of a stack of them kept as per-layer factors.
 from repro.nn.module import Module, Parameter
 from repro.nn.linear import Linear, MaskedLinear
 from repro.nn.factored import FactoredO
-from repro.nn.masks import made_masks, check_autoregressive
+from repro.nn.masks import made_masks
 from repro.nn import init
 
 __all__ = [
@@ -19,6 +19,5 @@ __all__ = [
     "MaskedLinear",
     "FactoredO",
     "made_masks",
-    "check_autoregressive",
     "init",
 ]

@@ -60,17 +60,16 @@ class Linear(Module):
 class MaskedLinear(Linear):
     """Linear layer with a fixed binary connectivity mask (``MaskedFC``).
 
-    The mask is a constant, not a parameter, and only the weights it
-    connects are stored: ``weight`` is the packed vector ``W[mask != 0]``,
+    The mask (any 0/1 array) is a constant, not a parameter, kept only as
+    ``pattern``: the mask as booleans, read-only. Only the weights it
+    connects are stored: ``weight`` is the packed vector ``W[pattern]``,
     row-major. The dense matrix is drawn as :class:`Linear` draws it and
     then packed, so the initial values and the RNG stream are those of a
     dense layer. Masked-out weights have no storage, no gradient and no
     optimizer state; the masks of a one-hidden-layer MADE connect half of
-    its weights, for any degree assignment. The mask is read-only: the
-    packing is fixed at construction.
-
-    ``pattern`` is the mask as booleans, read-only; the per-sample factors
-    (:class:`~repro.nn.factored.LinearFactor`) share it.
+    its weights, for any degree assignment. The packing is fixed at
+    construction; the per-sample factors
+    (:class:`~repro.nn.factored.LinearFactor`) share ``pattern``.
     :meth:`effective_weight` scatters the packed weights into the dense
     ``W∘M`` that the kernels multiply by, in a buffer the layer allocates
     once; :meth:`forward` records the same scatter
@@ -86,16 +85,14 @@ class MaskedLinear(Linear):
         rng: np.random.Generator | None = None,
     ):
         super().__init__(in_features, out_features, bias=bias, rng=rng)
-        mask = np.array(mask, dtype=np.float64)
+        mask = np.asarray(mask)
         if mask.shape != (out_features, in_features):
             raise ValueError(
                 f"mask shape {mask.shape} != weight shape {(out_features, in_features)}"
             )
-        if not np.isin(mask, (0.0, 1.0)).all():
+        self.pattern = mask != 0
+        if not np.array_equal(self.pattern, mask):
             raise ValueError("a masked layer needs a 0/1 mask")
-        mask.flags.writeable = False
-        self.mask = mask
-        self.pattern = mask != 0.0
         self.pattern.flags.writeable = False
         self.weight = Parameter(self.weight.data[self.pattern], name="weight")
         self._dense = np.zeros(mask.shape)
@@ -119,5 +116,5 @@ class MaskedLinear(Linear):
     def __repr__(self) -> str:
         return (
             f"MaskedLinear({self.in_features}, {self.out_features}, "
-            f"live_weights={self.weight.size}/{self.mask.size})"
+            f"live_weights={self.weight.size}/{self.pattern.size})"
         )

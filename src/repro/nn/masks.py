@@ -8,25 +8,22 @@ index strictly less than ``i``.
 Each input unit gets degree ``m(input_k) = k`` (1-based, natural ordering);
 each hidden unit gets a degree ``m(h) ∈ {1, …, n-1}``; connectivity rules:
 
-- input → hidden:  allowed iff ``m(hidden) >= m(input)``
+- input → hidden and hidden → hidden: allowed iff ``m(next) >= m(prev)``
 - hidden → output: allowed iff ``m(output) >  m(hidden)``
 
-Output unit ``i`` (degree ``i``) then sees exactly the inputs ``1..i-1``;
-in particular output 1 is connected to nothing and its conditional is a
-learnable constant (the bias), which is the correct ``p(x_1)``.
+Any mask stack built by this rule is autoregressive, whatever the degrees:
+a path from input ``j`` to output ``i`` runs through degrees
+``j ≤ m₁ ≤ … ≤ m_L < i``, so ``j < i``. Nothing has to be checked at
+construction. In particular output 1 is connected to nothing and its
+conditional is a learnable constant (the bias), which is the correct
+``p(x_1)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "made_masks",
-    "made_masks_deep",
-    "check_autoregressive",
-    "check_autoregressive_deep",
-    "hidden_degrees",
-]
+__all__ = ["made_masks", "hidden_degrees"]
 
 
 def hidden_degrees(
@@ -60,79 +57,21 @@ def hidden_degrees(
 
 def made_masks(
     n: int,
-    hidden: int,
-    rng: np.random.Generator | None = None,
-    strategy: str = "cycle",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build the (M1, M2) masks for a one-hidden-layer MADE.
-
-    Returns
-    -------
-    M1 : (hidden, n) input→hidden mask, ``M1[k, d] = 1 iff m_k >= d+1``.
-    M2 : (n, hidden) hidden→output mask, ``M2[d, k] = 1 iff d+1 > m_k``.
-    """
-    m_in = np.arange(1, n + 1)
-    m_hid = hidden_degrees(n, hidden, rng=rng, strategy=strategy)
-    m1 = (m_hid[:, None] >= m_in[None, :]).astype(np.float64)
-    m2 = (m_in[:, None] > m_hid[None, :]).astype(np.float64)
-    return m1, m2
-
-
-def made_masks_deep(
-    n: int,
-    hiddens: list[int] | tuple[int, ...],
+    widths: list[int] | tuple[int, ...],
     rng: np.random.Generator | None = None,
     strategy: str = "cycle",
 ) -> list[np.ndarray]:
-    """Masks for a MADE with any number of hidden layers.
+    """The masks of a MADE with hidden layers of the given ``widths``.
 
-    Generalises :func:`made_masks` (Germain et al. §4): every hidden unit in
-    every layer carries a degree ``m ∈ {1, …, n-1}``; connections between
-    consecutive hidden layers require ``m(next) >= m(prev)``, input→hidden
-    requires ``m(hidden) >= m(input)``, and hidden→output requires
-    ``m(output) > m(hidden)``.
-
-    Returns ``len(hiddens) + 1`` masks, one per weight matrix, each of
-    shape (fan_out, fan_in).
+    Returns ``len(widths) + 1`` read-only boolean masks, one per weight
+    matrix, each of shape (fan_out, fan_in): ``≥`` between the degrees of
+    consecutive layers, ``>`` into the outputs. Hidden degrees come from
+    :func:`hidden_degrees`, layer by layer, from ``rng``.
     """
-    if not hiddens:
-        raise ValueError("need at least one hidden layer")
-    degrees = [np.arange(1, n + 1)]
-    for h in hiddens:
-        degrees.append(hidden_degrees(n, h, rng=rng, strategy=strategy))
-    masks = []
-    for prev, nxt in zip(degrees[:-1], degrees[1:]):
-        masks.append((nxt[:, None] >= prev[None, :]).astype(np.float64))
-    out_deg = np.arange(1, n + 1)
-    masks.append((out_deg[:, None] > degrees[-1][None, :]).astype(np.float64))
+    sites = np.arange(1, n + 1)
+    degrees = [sites, *(hidden_degrees(n, w, rng=rng, strategy=strategy) for w in widths)]
+    masks = [nxt[:, None] >= prev[None, :] for prev, nxt in zip(degrees, degrees[1:])]
+    masks.append(sites[:, None] > degrees[-1][None, :])
+    for mask in masks:
+        mask.flags.writeable = False
     return masks
-
-
-def check_autoregressive_deep(masks: list[np.ndarray]) -> None:
-    """Composed connectivity of a deep mask stack must be strictly lower
-    triangular (output i reachable only from inputs j < i)."""
-    conn = masks[0]
-    for m in masks[1:]:
-        conn = m @ conn
-    conn = conn > 0
-    if np.any(np.triu(conn)):
-        i, j = np.argwhere(np.triu(conn))[0]
-        raise ValueError(f"autoregressive violation: output {i} depends on input {j}")
-
-
-def check_autoregressive(masks: tuple[np.ndarray, np.ndarray]) -> None:
-    """Verify the composed connectivity ``M2 @ M1`` is strictly lower triangular.
-
-    ``(M2 @ M1)[i, j] > 0`` means output ``i`` has a path from input ``j``;
-    the autoregressive property requires paths only for ``j < i``.
-    Raises ``ValueError`` on violation.
-    """
-    m1, m2 = masks
-    conn = (m2 @ m1) > 0
-    n = conn.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            if conn[i, j]:
-                raise ValueError(
-                    f"autoregressive violation: output {i} depends on input {j}"
-                )

@@ -128,8 +128,8 @@ class Reach:
     A unit's reach is the largest 1-based input index with a path to it (0
     if none): the unit is a function of ``x[:, :reach]`` alone, and flipping
     input ``s`` can move it only if its reach is ≥ ``s+1``. Read off
-    ``layer.mask`` — not the ``'cycle'`` formula — so ``'random'`` masks and
-    deep stacks are sliced by the connectivity they really have. Sorted, "the
+    ``layer.pattern`` — not the ``'cycle'`` formula — so ``'random'`` masks
+    and deep stacks are sliced by the connectivity they really have. Sorted, "the
     units of reach below (or from) a site" is a contiguous slice.
     """
 
@@ -171,7 +171,7 @@ def reach_of(model) -> Reach:
     orders, reaches = [], []
     reach = np.arange(1, n + 1)
     for layer in model.fc_layers[:-1]:
-        reach = np.where(layer.mask != 0.0, reach, 0).max(axis=1)
+        reach = np.where(layer.pattern, reach, 0).max(axis=1)
         if np.all(reach[:-1] <= reach[1:]):
             order = slice(None)  # the stable argsort is the identity
         else:

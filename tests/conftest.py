@@ -64,5 +64,5 @@ def made_with_masks(n: int, hidden, masks, rng: np.random.Generator) -> made_mod
     would draw. A masked layer packs its weights by its mask at
     construction, so a mask cannot be rewritten afterwards; the weights are
     drawn from ``rng`` as for any ``'cycle'`` MADE."""
-    with mock.patch.object(made_module, "made_masks_deep", lambda *a, **k: list(masks)):
+    with mock.patch.object(made_module, "made_masks", lambda *a, **k: list(masks)):
         return made_module.MADE(n, hidden=hidden, rng=rng)

@@ -78,7 +78,7 @@ class TestSaveLoad:
         params, m, v = {}, [], []
         opt = a.optimizer.state_dict()
         for layer, name in zip(a.model.fc_layers, ("fc1", "fc2")):
-            live = layer.mask != 0
+            live = layer.pattern
             for key, packed in (("weight", layer.weight.data), ("bias", layer.bias.data)):
                 pm, pv = opt["m"][len(m)], opt["v"][len(v)]
                 if key == "weight":

@@ -24,7 +24,7 @@ def dense_o(ref: MADE, o: np.ndarray) -> np.ndarray:
     mask, zero where the mask is."""
     parts, at = [], 0
     for layer in ref.fc_layers:
-        live, size = layer.mask != 0, layer.weight.size
+        live, size = layer.pattern, layer.weight.size
         block = np.zeros((len(o), *live.shape))
         block[:, live] = o[:, at:at + size]
         parts += [block.reshape(len(o), -1), o[:, at + size:at + size + layer.bias.size]]
@@ -95,9 +95,9 @@ class TestEquivalence:
 
         # the reference stores the connected weights only
         for full in run_threaded(worker, 4):
-            assert np.allclose(full["w1"][ref.fc1.mask != 0], ref.fc1.weight.data)
+            assert np.allclose(full["w1"][ref.fc1.pattern], ref.fc1.weight.data)
             assert np.allclose(full["b1"], ref.fc1.bias.data)
-            assert np.allclose(full["w2"][ref.fc2.mask != 0], ref.fc2.weight.data)
+            assert np.allclose(full["w2"][ref.fc2.pattern], ref.fc2.weight.data)
             assert np.allclose(full["b2"], ref.fc2.bias.data)
 
     def test_per_sample_grads_concatenate_to_reference(self, rng):

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.models import MADE
-from repro.nn.masks import check_autoregressive_deep, made_masks_deep
+from repro.nn.masks import hidden_degrees, made_masks
 from tests.conftest import enumerate_states
 
 
@@ -18,41 +17,22 @@ def deep_made(rng):
 
 
 class TestDeepMasks:
-    @pytest.mark.parametrize("widths", [[4], [8, 8], [10, 6, 12], [3, 3, 3, 3]])
-    def test_autoregressive_at_any_depth(self, widths):
-        masks = made_masks_deep(6, widths)
-        check_autoregressive_deep(masks)
-
     def test_mask_shapes_chain(self):
-        masks = made_masks_deep(5, [7, 11])
+        masks = made_masks(5, [7, 11])
         assert masks[0].shape == (7, 5)
         assert masks[1].shape == (11, 7)
         assert masks[2].shape == (5, 11)
 
     def test_single_layer_matches_shallow_construction(self):
-        from repro.nn.masks import made_masks
-
-        m1, m2 = made_masks(6, 10)
-        deep = made_masks_deep(6, [10])
-        assert np.array_equal(deep[0], m1)
-        assert np.array_equal(deep[1], m2)
+        """One hidden layer: ``M1[k, d] = m_k ≥ d+1`` and ``M2[d, k] = d+1 > m_k``."""
+        m1, m2 = made_masks(6, [10])
+        m_hid, m_in = hidden_degrees(6, 10), np.arange(1, 7)
+        assert np.array_equal(m1, m_hid[:, None] >= m_in[None, :])
+        assert np.array_equal(m2, m_in[:, None] > m_hid[None, :])
 
     def test_empty_widths_rejected(self):
         with pytest.raises(ValueError):
-            made_masks_deep(5, [])
-
-    def test_violation_detected(self):
-        masks = [np.ones((4, 5)), np.ones((5, 4))]
-        with pytest.raises(ValueError):
-            check_autoregressive_deep(masks)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        st.integers(2, 8),
-        st.lists(st.integers(2, 16), min_size=1, max_size=4),
-    )
-    def test_autoregressive_hypothesis(self, n, widths):
-        check_autoregressive_deep(made_masks_deep(n, widths))
+            MADE(5, hidden=[])
 
 
 class TestDeepModel:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.models import MADE
 from repro.models.made import default_hidden_size, made_num_parameters
+from repro.tensor import Tensor
 from tests.conftest import enumerate_states
 
 
@@ -122,3 +123,55 @@ class TestConfig:
     def test_n_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             MADE(0, rng=rng)
+
+
+def _held_bytes(model) -> int:
+    """Bytes of the arrays ``model`` holds, each buffer counted once (a view
+    counts its whole base), found through its attributes and the ``repro``
+    objects, containers and tensors they hold."""
+    seen, total, todo = set(), 0, [model]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                total += obj.nbytes
+        elif isinstance(obj, Tensor):  # slotted: no vars()
+            todo += [obj.data, obj.grad]
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif type(obj).__module__.startswith("repro.") and id(obj) not in seen:
+            seen.add(id(obj))
+            todo.extend(vars(obj).values())
+    return total
+
+
+class TestBuildMemory:
+    """Building a model allocates little beyond what it keeps: the masks
+    come from the degree rule, and nothing composes them into an n×n
+    connectivity matrix to check it."""
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["MADE", "ShardedMADE"])
+    def test_peak_stays_below_twice_what_the_model_holds(self, sharded):
+        import tracemalloc
+
+        from repro.distributed import SerialCommunicator
+        from repro.distributed.model_parallel import ShardedMADE
+
+        n = 4096
+        tracemalloc.start()
+        try:
+            if sharded:
+                model = ShardedMADE(n, default_hidden_size(n), SerialCommunicator())
+            else:
+                model = MADE(n, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = _held_bytes(model)
+        assert held > 2 * default_hidden_size(n) * n  # every weight's bytes at least
+        assert peak < 2 * held, f"peak {peak / 2**20:.1f} MiB, holds {held / 2**20:.1f} MiB"

@@ -51,14 +51,14 @@ def _dense_oracle(model: MADE, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
     biases = [Tensor(layer.bias.data.copy(), requires_grad=True) for layer in model.fc_layers]
     h = Tensor(x)
     for i, layer in enumerate(model.fc_layers):
-        h = h @ (weights[i] * Tensor(layer.mask)).T + biases[i]
+        h = h @ (weights[i] * Tensor(layer.pattern)).T + biases[i]
         if i < len(weights) - 1:
             h = h.relu()
     log_psi = F.bernoulli_log_prob(h, x).sum(axis=1) * 0.5
     (log_psi * Tensor(seed)).sum().backward()
     parts = []
     for w, b, layer in zip(weights, biases, model.fc_layers):
-        parts += [w.grad[layer.mask != 0], b.grad]
+        parts += [w.grad[layer.pattern], b.grad]
     return np.concatenate(parts)
 
 
@@ -102,7 +102,7 @@ def test_num_parameters_is_the_connected_count(n):
     h = default_hidden_size(n)
     for strategy in ("cycle", "random"):
         model = MADE(n, rng=np.random.default_rng(0), mask_strategy=strategy)
-        connected = sum(int(np.count_nonzero(layer.mask)) for layer in model.fc_layers)
+        connected = sum(int(np.count_nonzero(layer.pattern)) for layer in model.fc_layers)
         assert connected == h * n
         assert model.num_parameters() == h * n + h + n == model.flat_parameters().size
     assert made_num_parameters(n) == 2 * h * n + h + n
@@ -122,8 +122,8 @@ def test_the_flat_vector_round_trips_through_the_packed_layers(rng):
     at = 0
     for layer in model.fc_layers:
         eff = layer.effective_weight()
-        assert np.array_equal(eff[layer.mask != 0], flat[at:at + layer.weight.size])
-        assert not eff[layer.mask == 0].any()
+        assert np.array_equal(eff[layer.pattern], flat[at:at + layer.weight.size])
+        assert not eff[~layer.pattern].any()
         at += layer.weight.size + layer.bias.size
 
 
@@ -163,8 +163,8 @@ def _dense_layout(model: MADE, flat: np.ndarray) -> np.ndarray:
     parts, at = [], 0
     for layer in model.fc_layers:
         size = layer.weight.size
-        dense = np.zeros(layer.mask.shape)
-        dense[layer.mask != 0] = flat[at:at + size]
+        dense = np.zeros(layer.pattern.shape)
+        dense[layer.pattern] = flat[at:at + size]
         parts += [dense.ravel(), flat[at + size:at + size + layer.bias.size]]
         at += size + layer.bias.size
     return np.concatenate(parts)

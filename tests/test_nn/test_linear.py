@@ -84,8 +84,9 @@ class TestMaskedLinear:
         with pytest.raises(ValueError, match="0/1"):
             MaskedLinear(2, 2, np.full((2, 2), 0.5), rng=rng)
         layer = MaskedLinear(3, 3, np.eye(3), rng=rng)
+        assert not hasattr(layer, "mask")
         with pytest.raises(ValueError):
-            layer.mask[0, 1] = 1.0
+            layer.pattern[0, 1] = True
 
     def test_effective_weight(self, rng):
         mask = np.eye(3)

@@ -82,7 +82,7 @@ def _made_dense_o(model, x):
     blocks = []
     for idx in range(len(layers) - 1, -1, -1):
         d_w = delta[:, :, None] * inputs[idx][:, None, :]
-        blocks[:0] = [d_w[:, layers[idx].mask != 0], delta]
+        blocks[:0] = [d_w[:, layers[idx].pattern], delta]
         if idx:
             delta = (delta @ layers[idx].effective_weight()) * (pre[idx - 1] > 0.0)
     return 0.5 * np.concatenate(blocks, axis=1)

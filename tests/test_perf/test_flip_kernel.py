@@ -382,8 +382,8 @@ class TestGemmCost:
         n, batch = 256, 64
         model = MADE(n, rng=np.random.default_rng(0), mask_strategy=strategy)
         assert model.hidden == 154
-        mask = model.fc_layers[0].mask
-        reach = np.where(mask != 0.0, np.arange(1, n + 1), 0).max(axis=1)
+        mask = model.fc_layers[0].pattern
+        reach = np.where(mask, np.arange(1, n + 1), 0).max(axis=1)
         floor = float((reach * (n - reach)).sum())
         x = (np.random.default_rng(1).random((batch, n)) < 0.5).astype(float)
         macs = self._macs_per_sample(model, x)

@@ -262,7 +262,7 @@ def test_a_layer_in_reach_order_is_not_gathered(n, h, in_order):
 
 
 def _unmasked_weights(model) -> int:
-    return sum(int(np.count_nonzero(layer.mask)) for layer in model.fc_layers)
+    return sum(int(np.count_nonzero(layer.pattern)) for layer in model.fc_layers)
 
 
 def _run_lengths(n: int, batch: int) -> list[int]:
@@ -369,9 +369,9 @@ class TestCostAccounting:
                 name: incremental_sample(model, 5, rng, clamp=clamp).macs
                 for name, clamp in clamps
             }
-        assert cost["all"] == 5 * np.count_nonzero(first.mask)
-        assert cost["half"] == cost["all"] + 5 * np.count_nonzero(last.mask[1::2])
-        assert cost["free"] == cost["all"] + 5 * np.count_nonzero(last.mask)
+        assert cost["all"] == 5 * np.count_nonzero(first.pattern)
+        assert cost["half"] == cost["all"] + 5 * np.count_nonzero(last.pattern[1::2])
+        assert cost["free"] == cost["all"] + 5 * np.count_nonzero(last.pattern)
         # One 9-site run: priced by its sweeps, with logit rows for free sites
         # only; with none free, one sweep computes the units and nothing more.
         for name, clamp in clamps:
