@@ -52,6 +52,21 @@ def small_maxcut() -> MaxCut:
     return MaxCut.random(8, seed=7)
 
 
+def mask_connectivity(masks: list[np.ndarray]) -> np.ndarray:
+    """The dense oracle for a MADE mask stack: ``[i, j]`` is True iff output
+    ``i`` has a path from input ``j`` through the stack."""
+    conn = masks[0]
+    for mask in masks[1:]:
+        conn = mask @ conn  # boolean matmul: OR over the layer's units of AND
+    return conn
+
+
+def assert_autoregressive(masks: list[np.ndarray]) -> None:
+    """Output ``i`` must see only inputs ``j < i``: the composed connectivity
+    is strictly lower triangular."""
+    assert not np.triu(mask_connectivity(masks)).any()  # incl. the diagonal
+
+
 def enumerate_states(n: int) -> np.ndarray:
     """All 2^n bit configurations, big-endian, as a (2^n, n) float array."""
     return (

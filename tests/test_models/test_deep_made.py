@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models import MADE
 from repro.nn.masks import hidden_degrees, made_masks
-from tests.conftest import enumerate_states
+from tests.conftest import assert_autoregressive, enumerate_states
 
 
 @pytest.fixture
@@ -17,6 +18,10 @@ def deep_made(rng):
 
 
 class TestDeepMasks:
+    @pytest.mark.parametrize("widths", [[4], [8, 8], [10, 6, 12], [3, 3, 3, 3]])
+    def test_autoregressive_at_any_depth(self, widths):
+        assert_autoregressive(made_masks(6, widths))
+
     def test_mask_shapes_chain(self):
         masks = made_masks(5, [7, 11])
         assert masks[0].shape == (7, 5)
@@ -33,6 +38,14 @@ class TestDeepMasks:
     def test_empty_widths_rejected(self):
         with pytest.raises(ValueError):
             MADE(5, hidden=[])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.lists(st.integers(2, 16), min_size=1, max_size=4),
+    )
+    def test_autoregressive_hypothesis(self, n, widths):
+        assert_autoregressive(made_masks(n, widths))
 
 
 class TestDeepModel:

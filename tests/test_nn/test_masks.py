@@ -4,19 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.models import MADE
 from repro.nn.masks import hidden_degrees, made_masks
-
-
-def _connectivity(masks: list[np.ndarray]) -> np.ndarray:
-    """The dense oracle: ``[i, j]`` is True iff output ``i`` has a path from
-    input ``j`` through the mask stack."""
-    conn = masks[0]
-    for mask in masks[1:]:
-        conn = mask @ conn  # boolean matmul: OR over the layer's units of AND
-    return conn
+from tests.conftest import assert_autoregressive, mask_connectivity
 
 
 class TestDegrees:
@@ -39,10 +31,14 @@ class TestDegrees:
     def test_n_one_is_degenerate_but_valid(self):
         masks = made_masks(1, [4])
         # Output 1 must be connected to nothing.
-        assert not _connectivity(masks).any()
+        assert not mask_connectivity(masks).any()
 
 
 class TestMasks:
+    @pytest.mark.parametrize("n,h", [(2, 1), (3, 5), (8, 16), (20, 7), (50, 100)])
+    def test_autoregressive_property(self, n, h):
+        assert_autoregressive(made_masks(n, [h]))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 12),
@@ -50,31 +46,24 @@ class TestMasks:
         st.sampled_from(["cycle", "random"]),
         st.integers(0, 2**16),
     )
-    @example(2, [1], "cycle", 0)
-    @example(3, [5], "cycle", 0)
-    @example(8, [16], "cycle", 0)
-    @example(20, [7], "cycle", 0)
-    @example(50, [100], "cycle", 0)
-    @example(9, [30], "random", 0)
-    @example(6, [4], "cycle", 0)
-    @example(6, [8, 8], "cycle", 0)
-    @example(6, [10, 6, 12], "cycle", 0)
-    @example(6, [3, 3, 3, 3], "cycle", 0)
     def test_autoregressive_property_hypothesis(self, n, widths, strategy, seed):
         """Any stack the degree rule builds is strictly lower triangular
         once composed, and it is what a MADE's layers hold."""
         masks = made_masks(n, widths, rng=np.random.default_rng(seed), strategy=strategy)
         assert all(m.dtype == bool and not m.flags.writeable for m in masks)
-        assert not np.triu(_connectivity(masks)).any()  # incl. the diagonal
+        assert_autoregressive(masks)
         model = MADE(n, hidden=widths, rng=np.random.default_rng(seed), mask_strategy=strategy)
         for mask, layer in zip(masks, model.fc_layers, strict=True):
             assert np.array_equal(layer.pattern, mask)
 
     def test_first_output_disconnected(self):
-        conn = _connectivity(made_masks(6, [20]))
+        conn = mask_connectivity(made_masks(6, [20]))
         assert not conn[0].any()
 
     def test_last_output_sees_all_but_last_input(self):
-        conn = _connectivity(made_masks(6, [24]))
+        conn = mask_connectivity(made_masks(6, [24]))
         assert conn[5, :5].all()
         assert not conn[5, 5]
+
+    def test_random_strategy_also_autoregressive(self, rng):
+        assert_autoregressive(made_masks(9, [30], rng=rng, strategy="random"))
