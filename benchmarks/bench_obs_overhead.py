@@ -40,7 +40,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _harness import emit_json, format_table, parse_args  # noqa: E402
 
-from repro.core import VQMC, VQMCConfig  # noqa: E402
+from repro.core import VQMC  # noqa: E402
 from repro.hamiltonians import TransverseFieldIsing  # noqa: E402
 from repro.models import MADE  # noqa: E402
 from repro.obs import FlightRecorder, HealthMonitor, Metrics, Tracer  # noqa: E402
@@ -66,7 +66,6 @@ def _make_vqmc(tracer: Tracer | None, metrics: Metrics | None = None) -> VQMC:
         AutoregressiveSampler(),
         Adam(model.parameters(), lr=0.01),
         seed=7,
-        config=VQMCConfig(gradient_mode="per_sample"),
         tracer=tracer,
         metrics=metrics,
     )

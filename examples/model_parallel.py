@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import VQMC
-from repro.core.vqmc import VQMCConfig
 from repro.distributed import run_threaded
 from repro.distributed.model_parallel import ShardedMADE
 from repro.hamiltonians import TransverseFieldIsing
@@ -36,7 +35,6 @@ def worker(comm, rank):
         model, ham, AutoregressiveSampler(),
         SGD(model.parameters(), lr=0.1),
         seed=3,  # same stream on every rank: replicas must see the same batch
-        config=VQMCConfig(gradient_mode="per_sample"),
     )
     energies = [vqmc.step(batch_size=BATCH).stats.mean for _ in range(ITERS)]
     return local_params, energies
@@ -51,7 +49,6 @@ def main() -> None:
     vqmc_ref = VQMC(
         reference, ham, AutoregressiveSampler(),
         SGD(reference.parameters(), lr=0.1), seed=3,
-        config=VQMCConfig(gradient_mode="per_sample"),
     )
     ref_energies = [vqmc_ref.step(batch_size=BATCH).stats.mean for _ in range(ITERS)]
 

@@ -16,8 +16,6 @@ Split by invariant family:
   :mod:`repro.analysis.dataflow`).
 - :mod:`repro.analysis.rules.observability` — span hygiene for
   :mod:`repro.obs` (a leaked ``begin`` silently corrupts trace totals).
-- :mod:`repro.analysis.rules.jit` — tape safety for the step compiler
-  (data-dependent control flow on the traced forward surface).
 - :mod:`repro.analysis.rules.surface` — public surface is what something
   reaches: exports no module, benchmark, tool or example refers to.
 """
@@ -27,7 +25,6 @@ from repro.analysis.rules import (  # noqa: F401
     determinism,
     distributed,
     interprocedural,
-    jit,
     observability,
     surface,
 )

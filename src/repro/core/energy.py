@@ -17,19 +17,22 @@ Gradient (Eq. 5)::
 
     ∇L(θ) = 2 E[(l(x) − L) ∇θ log ψθ(x)] .
 
-Two equivalent estimators are provided:
+The step takes it from the per-sample log-derivative matrix ``O`` alone:
+:func:`per_sample_grads` runs the model's hand-vectorised
+``log_psi_and_grads`` once on the batch's distinct rows, ``w @ O`` is the
+plain gradient and ``O`` is what stochastic reconfiguration preconditions
+with. Two serial reference estimators are provided:
 
 - ``grad_via_autograd`` — builds the surrogate scalar
   ``2 · mean(stop_grad(l − l̄) · log ψ(x))`` and backpropagates; exercises
-  the tape engine exactly like the PyTorch original.
-- ``grad_from_per_sample`` — contracts the hand-vectorised per-sample
-  log-derivative matrix ``O`` (an array, or the layers' factors of one)
-  with the centred local energies; this path is shared with stochastic
-  reconfiguration which needs ``O`` anyway.
+  the tape engine exactly like the PyTorch original, and is the oracle
+  every closed form is tested against.
+- ``grad_from_per_sample`` — contracts ``O`` (an array, or the layers'
+  factors of one) with the centred local energies.
 
-Both are the serial reference forms. ``VQMC.step`` computes the same two
-estimators centred on the *global* mean (so they distribute) and is pinned
-to these bit-for-bit in ``tests/test_core/test_step_contract.py``.
+``VQMC.step`` computes the second centred on the *global* mean (so it
+distributes) and is pinned to both in
+``tests/test_core/test_step_contract.py``.
 
 The centring by ``l̄`` is the standard control variate: it leaves the
 expectation unchanged (``E[∇ log ψ] = ∇ Σπ/2 = 0`` for normalised models)
@@ -45,6 +48,7 @@ import numpy as np
 from repro.hamiltonians.base import Hamiltonian
 from repro.models.base import WaveFunction, group_configurations
 from repro.models.made import MADE
+from repro.nn.factored import FactoredO
 from repro.tensor.tensor import no_grad
 from repro.utils.rows import DistinctRows
 
@@ -52,6 +56,7 @@ __all__ = [
     "EnergyStats",
     "local_energies",
     "local_energy_path",
+    "per_sample_grads",
     "energy_statistics",
     "grad_via_autograd",
     "grad_from_per_sample",
@@ -220,6 +225,24 @@ def _local_energies(model, hamiltonian, x, log_psi_x, fast):
     return energies
 
 
+def per_sample_grads(
+    model: WaveFunction, x: np.ndarray, rows: DistinctRows | None = None
+):
+    """``(log ψ(x) (B,), O (B, d))`` from ``model.log_psi_and_grads`` run once
+    on the distinct rows of ``x`` — the step's only gradient path.
+
+    ``rows`` as in :func:`local_energies`. A factored ``O``
+    (:class:`~repro.nn.factored.FactoredO`) keeps the U distinct rows and
+    the grouping, so ``w @ O`` sums ``w`` over each row's copies first; an
+    array ``O`` is scattered back to one row per sample.
+    """
+    x, rows = group_configurations(x, model.n, rows)
+    log_psi, o = model.log_psi_and_grads(x[rows.first])
+    if isinstance(o, FactoredO):
+        return log_psi[rows.inverse], FactoredO(o.factors, o.shape[1], rows)
+    return log_psi[rows.inverse], np.asarray(o)[rows.inverse]
+
+
 def energy_statistics(local: np.ndarray) -> EnergyStats:
     """Mean/std/SEM of a local-energy batch.
 
@@ -236,7 +259,7 @@ def energy_statistics(local: np.ndarray) -> EnergyStats:
     return EnergyStats(mean=mean, std=std, sem=sem, count=count)
 
 
-def grad_via_autograd(  # repro-lint: disable=api-unreachable-export -- test oracle: the tape's REINFORCE gradient every plan's gradient is checked against
+def grad_via_autograd(  # repro-lint: disable=api-unreachable-export -- test oracle: the tape's REINFORCE gradient the step's closed form is checked against
     model: WaveFunction, x: np.ndarray, local: np.ndarray
 ) -> float:
     """Backpropagate the REINFORCE surrogate; leaves ∇L in ``p.grad``.

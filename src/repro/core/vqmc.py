@@ -33,9 +33,9 @@ from repro.core.energy import (
     energy_statistics,
     local_energies,
     local_energy_path,
+    per_sample_grads,
 )
 from repro.hamiltonians.base import Hamiltonian
-from repro.jit import StepCompiler
 from repro.models.base import WaveFunction
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -75,21 +75,6 @@ class VQMCConfig:
     batch_size:
         Samples per step *per rank* (the paper's ``mbs``; with L ranks the
         effective batch is ``L × batch_size``).
-    gradient_mode:
-        ``'autograd'`` (tape), ``'per_sample'`` (closed-form O matrix, in
-        factored form where the model supplies it), or
-        ``'auto'`` — per-sample whenever SR is active (it needs O anyway),
-        autograd otherwise. ``'autograd'`` together with ``sr`` is rejected
-        by :class:`VQMC`: the tape path never forms the O matrix SR
-        preconditions with.
-    compile:
-        ``'auto'`` (default) traces the gradient hot path once per
-        (shape, dtype, parameter-structure) guard key and replays it as a
-        fused :class:`repro.jit.CompiledPlan`, falling back to the
-        interpreter (counted as ``jit.fallback``) for models the tracer
-        cannot handle; ``'on'`` makes an untraceable step an error; ``'off'``
-        always interprets. The policy lives in
-        :meth:`repro.jit.StepCompiler.plan`.
     max_grad_norm:
         Optional global-norm gradient clipping (applied after SR). The
         paper clips nothing; this is the standard guard for the unstable
@@ -97,17 +82,11 @@ class VQMCConfig:
     """
 
     batch_size: int = 1024
-    gradient_mode: str = "auto"
-    compile: str = "auto"
     max_grad_norm: float | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.gradient_mode not in ("auto", "autograd", "per_sample"):
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
-        if self.compile not in ("auto", "on", "off"):
-            raise ValueError(f"unknown compile mode {self.compile!r}")
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
             raise ValueError(f"max_grad_norm must be > 0, got {self.max_grad_norm}")
 
@@ -146,9 +125,11 @@ class VQMC:
         The four interchangeable components; any model/sampler pairing that
         type-checks is allowed (MADE+AUTO, RBM+MCMC, and also MADE+MCMC for
         ablations).
+        ``model.has_per_sample_grads`` is required: every step's gradient
+        is the model's closed form ``log_psi_and_grads`` on the batch's
+        distinct rows (:func:`repro.core.energy.per_sample_grads`).
     sr:
-        Optional :class:`StochasticReconfiguration` preconditioner. Requires
-        ``model.has_per_sample_grads``.
+        Optional :class:`StochasticReconfiguration` preconditioner.
     comm:
         Optional communicator for data parallelism. When given, parameters
         are broadcast from rank 0 at construction and gradients/statistics
@@ -164,12 +145,9 @@ class VQMC:
         ``gradient`` / ``sr_solve`` / ``optimizer``; ``sample`` and
         ``local_energy`` carry the kernel that ran as ``path``,
         ``local_energy`` the distinct configurations it evaluated as
-        ``distinct``, ``sr_solve`` how the Gram matrix was built as
-        ``gram``, and each
-        plan stage inside ``gradient`` is a span the plan names —
-        ``jit.replay`` compiled, ``jit.interpret`` interpreted — with
-        ``phase`` / ``stage`` / ``batch`` and the distinct rows it ran on
-        as ``rows``) and the tracer is attached to
+        ``distinct``, ``gradient`` the distinct rows it ran on as ``rows``,
+        ``sr_solve`` how the Gram matrix was built as ``gram``) and the
+        tracer is attached to
         ``comm`` (collective spans), to the sampler (fast-path spans) and
         to ``sr`` (solve sub-spans) so one per-rank timeline covers the
         whole step.
@@ -178,8 +156,7 @@ class VQMC:
         Optional :class:`repro.obs.Metrics` registry. Takes the driver's
         path-taken counter ``energy.dense_fallback``, the
         ``energy.distinct_rows`` gauge,
-        and is forwarded to the step compiler
-        (``jit.*``) and to ``sr`` (per-solve ``sr.*`` counters: solves by
+        and is forwarded to ``sr`` (per-solve ``sr.*`` counters: solves by
         path, dense Jacobians, collective bytes); snapshot it after
         a run and merge across ranks with :func:`repro.obs.merge_snapshots`.
     """
@@ -201,10 +178,10 @@ class VQMC:
             raise ValueError(
                 f"model n={model.n} does not match Hamiltonian n={hamiltonian.n}"
             )
-        if sr is not None and not model.has_per_sample_grads:
+        if not model.has_per_sample_grads:
             raise TypeError(
-                f"SR requires per-sample gradients; {type(model).__name__} "
-                "does not provide them"
+                f"{type(model).__name__} has no per-sample gradient path "
+                "(log_psi_and_grads), which every step runs"
             )
         self.model = model
         self.hamiltonian = hamiltonian
@@ -218,18 +195,10 @@ class VQMC:
         #: resumed runs replay evaluation draws too.
         self.eval_rng = derive_eval_rng(self.rng)
         self.config = config or VQMCConfig()
-        if sr is not None and self.config.gradient_mode == "autograd":
-            raise ValueError(
-                "gradient_mode='autograd' never forms the O matrix, so sr "
-                "would be ignored; use 'auto' or 'per_sample' with SR"
-            )
         self.global_step = 0
         self.diverged_steps = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        #: picks the plan (compiled or interpreted) each step's gradient
-        #: phase runs; its ``stats`` / ``fallbacks`` say which and why.
-        self.compiler = StepCompiler(model, metrics=metrics, tracer=tracer)
         if tracer is not None:
             # One timeline per rank: collectives, sampler fast paths and
             # SR solve sub-spans nest inside the step's phase spans.
@@ -247,18 +216,6 @@ class VQMC:
             flat = self.model.flat_parameters()
             flat = comm.broadcast(flat, root=0)
             self.model.set_flat_parameters(flat)
-
-    # -- mode resolution ---------------------------------------------------------
-
-    def _gradient_mode(self) -> str:
-        mode = self.config.gradient_mode
-        if mode == "auto":
-            mode = "per_sample" if self.sr is not None else "autograd"
-        if mode == "per_sample" and not self.model.has_per_sample_grads:
-            raise TypeError(
-                f"{type(self.model).__name__} has no per-sample gradient path"
-            )
-        return mode
 
     # -- one optimisation step -------------------------------------------------------
 
@@ -283,17 +240,18 @@ class VQMC:
     ) -> StepResult:
         """Sample, estimate energy and gradient, update parameters.
 
-        ``compile`` overrides ``config.compile`` for this step;
-        :meth:`repro.jit.StepCompiler.plan` turns it into the plan (compiled
-        or interpreted) that runs the gradient phase. The phase spans under
-        ``step`` and the keys of ``phase_seconds`` share their names: ``sample``
-        / ``local_energy`` / ``gradient`` / ``sr_solve`` / ``optimizer``.
+        The phase spans under ``step`` and the keys of ``phase_seconds``
+        share their names: ``sample`` / ``local_energy`` / ``gradient`` /
+        ``sr_solve`` / ``optimizer``.
+
+        ``compile`` (``'auto'`` / ``'on'`` / ``'off'``) is checked and has no
+        effect: the step-profile benchmark's frozen mirror still passes it.
+        It goes when ROADMAP "Measure the program" deletes ``layer_step``.
         """
         t0 = time.perf_counter()
         bsz = self.config.batch_size if batch_size is None else batch_size
-        cmode = compile if compile is not None else self.config.compile
-        if cmode not in ("auto", "on", "off"):
-            raise ValueError(f"unknown compile mode {cmode!r}")
+        if compile not in (None, "auto", "on", "off"):
+            raise ValueError(f"unknown compile mode {compile!r}")
         phases: dict[str, float] = {}
         with self.tracer.span("step", step=self.global_step, batch=bsz):
             with self._phase(phases, "sample", batch=bsz) as span:
@@ -308,25 +266,19 @@ class VQMC:
             energy_path = local_energy_path(self.model, self.hamiltonian)
             if energy_path == "dense":
                 self._count("energy.dense_fallback")
-            mode = self._gradient_mode()
-            per_sample = mode == "per_sample"
+            # Drop the last step's gradients before this step's temporaries
+            # are allocated: the heap then reuses their blocks.
             self.model.zero_grad()
-            # The gradient path computes log ψ(x) anyway (with a graph or
-            # alongside the O matrix) and hands it to the local energies. Only
-            # the dense path uses it; the fused path (the default for every
-            # TIM/ZZX run) needs the activations, so it runs its own cached
-            # forward pass. Every per-row quantity is evaluated once per
-            # distinct row, grouped here once for the plan and the local energies.
-            with self._phase(phases, "gradient", mode=mode):
+            # The gradient path computes log ψ(x) alongside the O matrix and
+            # hands it to the local energies. Only the dense path uses it; the
+            # fused path (the default for every TIM/ZZX run) needs the
+            # activations, so it runs its own cached forward pass. Every
+            # per-row quantity is evaluated once per distinct row, grouped
+            # here once for O and the local energies.
+            with self._phase(phases, "gradient") as span:
                 rows = distinct_rows(x == 1.0)
-                attrs = dict(phase="gradient", batch=bsz, rows=rows.count)
-                plan = self.compiler.plan(x, per_sample, cmode)
-                if per_sample:
-                    with self.tracer.span(plan.span, stage="per_sample", **attrs):
-                        lp, o = plan.per_sample(x, rows)
-                else:
-                    with self.tracer.span(plan.span, stage="forward", **attrs):
-                        lp = plan.forward(x, rows)
+                lp, o = per_sample_grads(self.model, x, rows)
+                self.tracer.end(span, rows=rows.count)
             with self._phase(phases, "local_energy", path=energy_path) as span:
                 local = local_energies(
                     self.model, self.hamiltonian, x, log_psi_x=lp, rows=rows
@@ -338,19 +290,11 @@ class VQMC:
             # ∇L = 2⟨(l − L̄) O⟩, centred with the *global* mean and normalised
             # by the *global* count so distributed gradients average to the
             # exact big-batch estimator even with unequal per-rank batches.
-            with self._phase(phases, "gradient", mode=mode):
-                centred = local - stats.mean
-                if per_sample:
-                    grad = self._allreduce(2.0 * (centred @ o)) / stats.count
-                else:
-                    # the weights seed the adjoint sweep: by the chain rule
-                    # that is the surrogate loss (log_psi * weights).sum()
-                    weights = 2.0 * centred / stats.count
-                    with self.tracer.span(plan.span, stage="backward", **attrs):
-                        # copy: a compiled plan reuses its gradient buffer
-                        grad = plan.gradient(weights).copy()
-                    grad = self._allreduce(grad)
-            if per_sample and self.sr is not None:
+            with self._phase(phases, "gradient", rows=rows.count):
+                grad = (local - stats.mean) @ o
+                grad *= 2.0
+                grad = self._allreduce(grad) / stats.count
+            if self.sr is not None:
                 # Communicator-aware: every rank solves the identical global
                 # system, from one allgather of O's rows (or layer factors).
                 with self._phase(phases, "sr_solve") as span:

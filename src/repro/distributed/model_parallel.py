@@ -39,6 +39,7 @@ from repro.models.base import WaveFunction, validate_configurations
 from repro.nn.masks import made_masks
 from repro.nn.module import Parameter
 from repro.nn import init as nn_init
+from repro.tensor import functional as F
 
 __all__ = ["ShardedMADE", "shard_bounds"]
 
@@ -89,11 +90,13 @@ class ShardedMADE(WaveFunction):
 
         lo, hi = shard_bounds(hidden, comm.size)[comm.rank]
         self.shard = (lo, hi)
-        self.mask1 = m1[lo:hi]  # (h_r, n)
-        self.mask2 = m2[:, lo:hi]  # (n, h_r)
-        self.w1 = Parameter(w1[lo:hi], name="w1")
-        self.b1 = Parameter(b1[lo:hi], name="b1")
-        self.w2 = Parameter(w2[:, lo:hi], name="w2")
+        # A proper slice is copied: a view would keep the full arrays alive.
+        own = np.copy if hi - lo < hidden else np.asarray
+        self.mask1 = own(m1[lo:hi])  # (h_r, n)
+        self.mask2 = own(m2[:, lo:hi])  # (n, h_r)
+        self.w1 = Parameter(own(w1[lo:hi]), name="w1")
+        self.b1 = Parameter(own(b1[lo:hi]), name="b1")
+        self.w2 = Parameter(own(w2[:, lo:hi]), name="w2")
         # b2 lives on rank 0 only (added once in the allreduce sum).
         self.owns_output_bias = comm.rank == 0
         self.b2 = Parameter(b2 if self.owns_output_bias else np.zeros(n), name="b2")
@@ -120,13 +123,13 @@ class ShardedMADE(WaveFunction):
     def log_prob_array(self, x: np.ndarray) -> np.ndarray:
         x = validate_configurations(x, self.n)
         z = self.logits_array(x)
-        log_p = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_q = np.minimum(-z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        return (x * log_p + (1.0 - x) * log_q).sum(axis=1)
+        return F.bernoulli_log_terms(z, x)[0].sum(axis=1)
 
     def log_psi(self, x: np.ndarray):
-        """Tensor-wrapped for interface compatibility (constant w.r.t. the
-        autograd tape — sharded training uses the per-sample path)."""
+        """``log ψ(x)`` as a constant :class:`~repro.tensor.Tensor`: it
+        records no graph, so ``backward()`` through it is an error. Its
+        gradients come from :meth:`log_psi_and_grads`, the path every
+        ``VQMC`` step takes."""
         from repro.tensor.tensor import Tensor
 
         return Tensor(0.5 * self.log_prob_array(x))
@@ -165,9 +168,8 @@ class ShardedMADE(WaveFunction):
         a, _ = self._local_partial(x)
         z = self.logits_array(x)
 
-        log_p = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_q = np.minimum(-z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_prob = (x * log_p + (1.0 - x) * log_q).sum(axis=1)
+        terms, log_p = F.bernoulli_log_terms(z, x)
+        log_prob = terms.sum(axis=1)
         sig = np.exp(log_p)
 
         dz = x - sig  # (B, n)

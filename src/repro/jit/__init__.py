@@ -1,44 +1,48 @@
-"""Trace-and-fuse compiler for the VQMC step hot path.
-
-The interpreter in :mod:`repro.tensor` rebuilds and re-walks a Python
-autograd graph on every optimisation step. For a fixed model and batch
-shape that graph is the *same straight-line program* every time — so this
-package records it once and replays it as preallocated NumPy:
-
-- :mod:`repro.jit.tape` — capture the op sequence from ``Tensor._make``
-  into an immutable :class:`StepTape`;
-- :mod:`repro.jit.fuse` — collapse (masked) linear-layer chains into
-  single fused nodes with closed-form backwards;
-- :mod:`repro.jit.plan` — :class:`CompiledPlan`: buffer-arena replay,
-  flat-gradient adjoint sweep and the per-sample O-matrix in factored
-  form — and
-  :class:`InterpretedPlan`, the same three calls run by the interpreter;
-- :mod:`repro.jit.compiler` — :class:`StepCompiler`: guard keys
-  (shape/dtype/parameter structure), transparent re-trace on miss,
-  compiled-vs-interpreted verification, and the ``'auto'|'on'|'off'``
-  policy (:meth:`StepCompiler.plan`) that picks which plan a step runs.
-
-Drivers normally reach this through ``VQMC.step(compile='auto'|'on'|'off')``
-rather than using the compiler directly. See ``docs/performance.md``
-("Compiled step") for the tracing model and guard semantics.
+"""A shim over :func:`repro.core.energy.per_sample_grads`, kept for one
+caller: the step-profile benchmark's frozen mirror
+(``benchmarks/step_profile/workloads.py::layer_step``) still spells the
+removed compiled-plan API. Every call runs the model's closed form on the
+batch's distinct rows; nothing is traced or cached. The shim goes when
+ROADMAP "Measure the program" deletes ``layer_step``.
 """
 
-from repro.jit.compiler import StepCompiler
-from repro.jit.errors import TapeDivergenceError, TraceError
-from repro.jit.fuse import FusedLinear, fuse_tape
-from repro.jit.plan import CompiledPlan, InterpretedPlan
-from repro.jit.tape import StepTape, TapeOp, TapeRecorder, trace
+from __future__ import annotations
 
-__all__ = [
-    "CompiledPlan",
-    "FusedLinear",
-    "InterpretedPlan",
-    "StepCompiler",
-    "StepTape",
-    "TapeDivergenceError",
-    "TapeOp",
-    "TapeRecorder",
-    "TraceError",
-    "fuse_tape",
-    "trace",
-]
+from repro.core.energy import per_sample_grads
+
+__all__ = ["StepCompiler"]
+
+
+class _Plan:
+    """``forward`` / ``gradient`` / ``per_sample`` of one model."""
+
+    def __init__(self, model):
+        self.model = model
+        self._o = None  # O of the last forward()
+
+    def forward(self, x):
+        """``log ψ(x)``; the O matrix is kept for :meth:`gradient`."""
+        log_psi, self._o = per_sample_grads(self.model, x)
+        return log_psi
+
+    def gradient(self, seed):
+        """``seed @ O`` of the last :meth:`forward`: the flat gradient of
+        ``(log_psi * seed).sum()``."""
+        return seed @ self._o
+
+    def per_sample(self, x):
+        """``(log ψ(x), O)``."""
+        return per_sample_grads(self.model, x)
+
+
+class StepCompiler:
+    """Hands out the one plan of ``model`` for any batch."""
+
+    def __init__(self, model):
+        self._plan = _Plan(model)
+
+    def plan_for(self, x):
+        return self._plan
+
+    def per_sample_plan(self, x):
+        return self._plan

@@ -166,22 +166,22 @@ class MADE(WaveFunction):
         """
         x = validate_configurations(x, self.n)
 
-        # Forward, caching inputs to every layer.
+        # Forward, caching inputs to every layer and its dense weight (each
+        # layer's own buffer, which the backward reads again).
+        weights = [layer.effective_weight() for layer in self._layers]
         inputs = [x]
         pre_acts = []
         cur = x
-        for layer in self._layers[:-1]:
-            a = cur @ layer.effective_weight().T + layer.bias.data
+        for layer, weight in zip(self._layers[:-1], weights):
+            a = cur @ weight.T + layer.bias.data
             pre_acts.append(a)
             cur = np.maximum(a, 0.0)
             inputs.append(cur)
-        last = self._layers[-1]
-        z = cur @ last.effective_weight().T + last.bias.data
+        z = cur @ weights[-1].T + self._layers[-1].bias.data
 
         # Stable log π and σ(z).
-        log_p = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_q = np.minimum(-z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_prob = (x * log_p + (1.0 - x) * log_q).sum(axis=1)
+        terms, log_p = F.bernoulli_log_terms(z, x)
+        log_prob = terms.sum(axis=1)
         sig = np.exp(log_p)
 
         # Backward, batched per sample. log ψ = ½ log π  ⇒  O = ½ ∇ log π.
@@ -190,8 +190,8 @@ class MADE(WaveFunction):
         for idx in range(len(self._layers) - 1, -1, -1):
             factors.append((self._factors[idx], inputs[idx], delta))
             if idx > 0:
-                delta = delta @ self._layers[idx].effective_weight()
-                delta = delta * (pre_acts[idx - 1] > 0.0)
+                delta = delta @ weights[idx]
+                delta *= pre_acts[idx - 1] > 0.0
         return 0.5 * log_prob, FactoredO(factors[::-1], self._factors[-1].b.stop)
 
     # -- exact sampling (Algorithm 1, batched) ------------------------------------------

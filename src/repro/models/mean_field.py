@@ -74,9 +74,8 @@ class MeanField(WaveFunction):
         """O(x) = ½ (x − σ(θ)) — the classic Bernoulli score, halved for ψ."""
         x = validate_configurations(x, self.n)
         z = self.logits.data
-        log_p = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_q = np.minimum(-z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_prob = (x * log_p + (1.0 - x) * log_q).sum(axis=1)
+        terms, log_p = F.bernoulli_log_terms(z, x)
+        log_prob = terms.sum(axis=1)
         grads = 0.5 * (x - np.exp(log_p))
         return 0.5 * log_prob, grads
 

@@ -154,9 +154,8 @@ class RNNWaveFunction(WaveFunction):
         w, u, v = self.w.data, self.u.data, self.v.data
 
         h_states, pre_acts, z = self._forward_states(x)
-        log_p = np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_q = np.minimum(-z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-        log_prob = (x * log_p + (1.0 - x) * log_q).sum(axis=1)
+        terms, log_p = F.bernoulli_log_terms(z, x)
+        log_prob = terms.sum(axis=1)
         sig = np.exp(log_p)
         dz = x - sig  # (B, n) — ∂ log π / ∂ z_i
 

@@ -27,7 +27,8 @@ and supplies what stochastic reconfiguration and the energy gradient need:
 A batch's repeated configurations have identical rows of ``O``. A
 ``FactoredO`` therefore holds U stored rows together with the
 :class:`~repro.utils.rows.DistinctRows` grouping of the N samples onto
-them — the distinct rows, as the plans hand out, or every row its own
+them — the distinct rows, as :func:`repro.core.energy.per_sample_grads`
+hands out, or every row its own
 sample when built without a grouping: ``w @ O`` sums ``w`` over each row's
 copies first, ``O @ v`` scatters its U values back, and ``.shape``,
 ``gram()`` and ``np.asarray`` are those of the N-row matrix.
@@ -50,6 +51,7 @@ not.
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -84,6 +86,23 @@ class LinearFactor:
         size = out * in_ if pattern is None else int(np.count_nonzero(pattern))
         self.w = slice(w_offset, w_offset + size)
         self.b = None if b_offset is None else slice(b_offset, b_offset + out)
+        self._local = threading.local()
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """The flat row-major positions of the connected entries."""
+        return np.flatnonzero(self.pattern)
+
+    def gather_product(self, weighted: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
+        """``out[:] = (weightedᵀ a)[pattern]``, through one ``(out, in)``
+        scratch per thread: a fresh product and gather every step cost
+        more in allocator churn than in arithmetic. Per thread, because
+        ranks on threads may share one model."""
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = np.empty(self.shape)
+        np.matmul(weighted.T, a, out=scratch)
+        np.take(scratch, self._index, out=out, mode="clip")
 
     @cached_property
     def gram_blocks(self):
@@ -115,9 +134,8 @@ class FactoredO:
 
     The factors hold the *stored* rows, the U rows that ``rows`` maps the
     N samples onto — without ``rows``, each stored row is one sample. The
-    arrays are used as given (a compiled plan hands out views of its own
-    buffers, overwritten by its next replay). Coordinates no layer covers
-    are zero columns.
+    arrays are used as given, not copied. Coordinates no layer covers are
+    zero columns.
     """
 
     #: ``ndarray @ O`` must reach :meth:`__rmatmul__`, not broadcast over us
@@ -141,7 +159,7 @@ class FactoredO:
             if layer.pattern is None:
                 np.matmul(weighted.T, a, out=out[layer.w].reshape(layer.shape))
             else:
-                out[layer.w] = (weighted.T @ a)[layer.pattern]
+                layer.gather_product(weighted, a, out[layer.w])
             if layer.b is not None:
                 weighted.sum(axis=0, out=out[layer.b])
         return out

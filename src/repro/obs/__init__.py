@@ -18,7 +18,7 @@ them from real runs instead of ad-hoc ``time.perf_counter()`` pairs:
   ``flight.rankNNN.json`` black box on crash / rank failure / SIGTERM.
 - :mod:`repro.obs.health` — :class:`HealthMonitor`, a streaming rule
   engine (NaN energy, variance/acceptance collapse, SNR drop, CG stalls,
-  straggler drift, arena growth) yielding OK/WARN/CRIT verdicts with
+  straggler drift) yielding OK/WARN/CRIT verdicts with
   hysteresis; reports embed in checkpoints and flight dumps. Inspect
   either live streams or post-mortem dumps with ``tools/monitor.py``.
 

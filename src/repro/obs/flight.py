@@ -91,7 +91,7 @@ class StepFrameBuilder:
          "step_time", "distinct_rows", "phases": {...},
          "sr": {"solver", "residual"},   # if SR ran
          "metric_deltas": {...},   # counter movement since the last frame
-         "gauges": {...},          # absolute gauge levels (jit.arena_bytes, ...)
+         "gauges": {...},          # absolute gauge levels (energy.distinct_rows, ...)
          "comm_deltas": {...},     # CommStats movement since the last frame
          "world_size": int}        # if a communicator is attached
 

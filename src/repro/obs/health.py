@@ -22,7 +22,6 @@ Rule catalogue (defaults chosen so a clean run never reaches CRIT):
 ``snr_drop``           energy |mean|/sem dropped far below its rolling baseline
 ``straggler_drift``    step time beyond the trace CLI's straggler threshold
                        (1.25×) of its rolling median
-``arena_growth``       ``jit.arena_bytes`` gauge growing every step (leak-like)
 =====================  ========================================================
 
 Rolling baselines freeze while a rule is bad — an anomaly must not be
@@ -53,7 +52,6 @@ __all__ = [
     "AcceptanceCollapseRule",
     "SNRDropRule",
     "StragglerDriftRule",
-    "ArenaGrowthRule",
     "HealthMonitor",
     "default_rules",
     "replay_frames",
@@ -277,30 +275,6 @@ class StragglerDriftRule(HealthRule):
         return None
 
 
-class ArenaGrowthRule(HealthRule):
-    """The jit arena (``jit.arena_bytes`` gauge) grew on every recent
-    step. One growth is a legitimate recompile; monotone growth means
-    guard misses are recompiling every step — a compile-cache leak."""
-
-    name = "arena_growth"
-    trip_after = 5
-
-    def __init__(self) -> None:
-        self._prev: float | None = None
-
-    def check(self, frame: dict) -> str | None:
-        arena = frame.get("gauges", {}).get("jit.arena_bytes")
-        if not _finite(arena):
-            return None
-        prev, self._prev = self._prev, arena
-        if prev is not None and arena > prev:
-            return (
-                f"jit.arena_bytes grew {prev:.0f} -> {arena:.0f} "
-                "(sustained growth = recompilation leak)"
-            )
-        return None
-
-
 def default_rules() -> list[HealthRule]:
     """Fresh instances of the full rule catalogue."""
     return [
@@ -309,7 +283,6 @@ def default_rules() -> list[HealthRule]:
         AcceptanceCollapseRule(),
         SNRDropRule(),
         StragglerDriftRule(),
-        ArenaGrowthRule(),
     ]
 
 

@@ -60,8 +60,8 @@ for bit.
 
 ``O`` may be a plain (N, d) array (``G`` is then ``O Oᵀ``, counted as
 ``sr.dense_jacobian``) or the layers' factors of one
-(:class:`~repro.nn.factored.FactoredO`, what MADE, deep MADE, RBM and the
-compiled plans return): ``G`` is then built from layer statistics and no
+(:class:`~repro.nn.factored.FactoredO`, what MADE, deep MADE and RBM
+return): ``G`` is then built from layer statistics and no
 N×d object exists at any point of the solve.
 
 With ``λ = 0`` and ``N ≤ d`` the centred system is singular: the sample-

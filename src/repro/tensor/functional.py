@@ -12,7 +12,14 @@ import numpy as np
 
 from repro.tensor.tensor import Tensor
 
-__all__ = ["linear", "masked_linear", "scatter", "bernoulli_log_prob", "as_tensor"]
+__all__ = [
+    "linear",
+    "masked_linear",
+    "scatter",
+    "bernoulli_log_prob",
+    "bernoulli_log_terms",
+    "as_tensor",
+]
 
 
 def as_tensor(x, requires_grad: bool = False) -> Tensor:
@@ -42,7 +49,7 @@ def scatter(values: Tensor, pattern: np.ndarray) -> Tensor:
     def bw(g: np.ndarray) -> None:
         values._accum(g[pattern])
 
-    return Tensor._make(out_data, (values,), bw, "scatter", {"pattern": pattern})
+    return Tensor._make(out_data, (values,), bw)
 
 
 def masked_linear(
@@ -62,6 +69,31 @@ def masked_linear(
     return out
 
 
+def bernoulli_log_terms(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(t log σ(z) + (1-t) log σ(-z), log σ(z))``, elementwise, on arrays.
+
+    Both stable closed forms ``log σ(±z) = min(±z, 0) − log1p(e^{−|z|})``
+    share one ``log1p`` term; ``targets`` broadcasts against ``z``. Every
+    hand-vectorised ``log_psi_and_grads`` and :func:`bernoulli_log_prob`
+    take their log-likelihood from here; ``exp`` of the second result is
+    ``σ(z)``, whose difference from the targets is the logit gradient.
+    """
+    log1p_term = np.abs(z)
+    np.negative(log1p_term, out=log1p_term)
+    np.exp(log1p_term, out=log1p_term)
+    np.log1p(log1p_term, out=log1p_term)
+    log_p = np.minimum(z, 0.0)
+    log_p -= log1p_term
+    log_q = np.negative(z)
+    np.minimum(log_q, 0.0, out=log_q)
+    log_q -= log1p_term
+    terms = targets * log_p
+    complement = 1.0 - targets
+    complement *= log_q
+    terms += complement
+    return terms, log_p
+
+
 def bernoulli_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Log-probability of binary ``targets`` under independent Bernoullis.
 
@@ -73,21 +105,16 @@ def bernoulli_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
     forms (``log σ(±z) = min(±z, 0) − log1p(e^{−|z|})``, sharing the
     ``log1p`` term) and the backward is the classic logit gradient
     ``∂/∂z = t − σ(z)`` — one elementwise family instead of the eight-node
-    subgraph the previous composition recorded, which both speeds the
-    interpreter and keeps the :mod:`repro.jit` tape short. Gradients flow
+    subgraph the previous composition recorded. Gradients flow
     into ``logits`` only; targets are binary configurations and are never
     differentiated.
     """
     targets = np.asarray(targets, dtype=np.float64)
     t = Tensor(targets)
-    z = logits.data
-    log1p_term = np.log1p(np.exp(-np.abs(z)))
-    log_p = np.minimum(z, 0.0) - log1p_term
-    log_q = np.minimum(-z, 0.0) - log1p_term
-    out_data = targets * log_p + (1.0 - targets) * log_q
+    out_data, log_p = bernoulli_log_terms(logits.data, targets)
     sig = np.exp(log_p)
 
     def bw(g: np.ndarray) -> None:
         logits._accum(g * (targets - sig))
 
-    return Tensor._make(out_data, (logits, t), bw, "bernoulli_log_prob")
+    return Tensor._make(out_data, (logits, t), bw)

@@ -28,8 +28,6 @@ __all__ = [
     "NonFiniteError",
     "graph_sanitizer_state",
     "set_graph_sanitizer",
-    "tape_recorder_state",
-    "set_tape_recorder",
 ]
 
 # Thread-local: the thread-backed distributed runtime runs one rank per
@@ -73,26 +71,6 @@ def graph_sanitizer_state():
 def set_graph_sanitizer(state) -> None:
     """Install (or clear, with None) the thread's sanitizer state."""
     _SANITIZER.state = state
-
-
-# The active tape recorder, per thread. The trace-and-fuse compiler
-# (:mod:`repro.jit`) installs a recorder for ONE interpreted step; the
-# engine duck-calls ``state.on_op(out, parents, op, attrs, recorded)`` for
-# every node built by :meth:`Tensor._make`, which is exactly the
-# information needed to snapshot the step's op sequence into a
-# :class:`repro.jit.StepTape`. Like the sanitizer, the state object lives
-# outside the engine so ``repro.tensor`` stays import-free.
-_RECORDER = threading.local()
-
-
-def tape_recorder_state():
-    """The thread's active tape recorder, or None."""
-    return getattr(_RECORDER, "state", None)
-
-
-def set_tape_recorder(state) -> None:
-    """Install (or clear, with None) the thread's tape recorder."""
-    _RECORDER.state = state
 
 
 @contextlib.contextmanager
@@ -200,17 +178,8 @@ class Tensor:
         data: np.ndarray,
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
-        op: str = "",
-        attrs: dict | None = None,
     ) -> "Tensor":
-        """Build an op output node; record graph only if grad is enabled.
-
-        ``op`` names the primitive (``"add"``, ``"matmul"``, ...) and
-        ``attrs`` carries its non-tensor arguments (axes, shapes). Both are
-        only observed by an installed tape recorder (:func:`set_tape_recorder`)
-        — the interpreted path never reads them, so the metadata costs
-        nothing when no trace is running.
-        """
+        """Build an op output node; record graph only if grad is enabled."""
         needs = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs)
         if needs:
@@ -224,9 +193,6 @@ class Tensor:
         state = graph_sanitizer_state()
         if state is not None:
             state.on_node(out, parents, recorded=needs)
-        recorder = tape_recorder_state()
-        if recorder is not None:
-            recorder.on_op(out, parents, op, attrs, recorded=needs)
         return out
 
     def _accum(self, grad: np.ndarray) -> None:
@@ -343,7 +309,7 @@ class Tensor:
             self._accum(_unbroadcast(g, self.shape))
             other._accum(_unbroadcast(g, other.shape))
 
-        return Tensor._make(out_data, (self, other), bw, "add")
+        return Tensor._make(out_data, (self, other), bw)
 
     __radd__ = __add__
 
@@ -355,7 +321,7 @@ class Tensor:
             self._accum(_unbroadcast(g * other.data, self.shape))
             other._accum(_unbroadcast(g * self.data, other.shape))
 
-        return Tensor._make(out_data, (self, other), bw, "mul")
+        return Tensor._make(out_data, (self, other), bw)
 
     __rmul__ = __mul__
 
@@ -374,7 +340,7 @@ class Tensor:
             self._accum(_unbroadcast(ga, self.shape))
             other._accum(_unbroadcast(gb, other.shape))
 
-        return Tensor._make(out_data, (self, other), bw, "matmul")
+        return Tensor._make(out_data, (self, other), bw)
 
     # -- elementwise nonlinearities ------------------------------------------------
 
@@ -384,7 +350,7 @@ class Tensor:
         def bw(g: np.ndarray) -> None:
             self._accum(g * (1.0 - out_data**2))
 
-        return Tensor._make(out_data, (self,), bw, "tanh")
+        return Tensor._make(out_data, (self,), bw)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -393,7 +359,7 @@ class Tensor:
         def bw(g: np.ndarray) -> None:
             self._accum(g * mask)
 
-        return Tensor._make(out_data, (self,), bw, "relu")
+        return Tensor._make(out_data, (self,), bw)
 
     def sigmoid(self) -> "Tensor":
         # Numerically stable split over sign.
@@ -407,7 +373,7 @@ class Tensor:
         def bw(g: np.ndarray) -> None:
             self._accum(g * out_data * (1.0 - out_data))
 
-        return Tensor._make(out_data, (self,), bw, "sigmoid")
+        return Tensor._make(out_data, (self,), bw)
 
     def log_cosh(self) -> "Tensor":
         """Stable ``log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log 2``.
@@ -422,7 +388,7 @@ class Tensor:
         def bw(g: np.ndarray) -> None:
             self._accum(g * th)
 
-        return Tensor._make(out_data, (self,), bw, "log_cosh")
+        return Tensor._make(out_data, (self,), bw)
 
     # -- reductions ------------------------------------------------------------------
 
@@ -435,9 +401,7 @@ class Tensor:
                 gg = np.expand_dims(gg, axis)
             self._accum(np.broadcast_to(gg, self.shape).copy())
 
-        return Tensor._make(
-            out_data, (self,), bw, "sum", {"axis": axis, "keepdims": keepdims}
-        )
+        return Tensor._make(out_data, (self,), bw)
 
     # -- shape manipulation --------------------------------------------------------------
 
@@ -450,7 +414,7 @@ class Tensor:
         def bw(g: np.ndarray) -> None:
             self._accum(g.reshape(orig))
 
-        return Tensor._make(out_data, (self,), bw, "reshape", {"shape": shape})
+        return Tensor._make(out_data, (self,), bw)
 
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
         out_data = self.data.transpose(axes)
@@ -462,7 +426,7 @@ class Tensor:
         def bw(g: np.ndarray) -> None:
             self._accum(g.transpose(inv))
 
-        return Tensor._make(out_data, (self,), bw, "transpose", {"axes": axes})
+        return Tensor._make(out_data, (self,), bw)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -478,4 +442,4 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             sl[axis] = slice(lo, hi)
             t._accum(g[tuple(sl)])
 
-    return Tensor._make(out_data, ts, bw, "concatenate", {"axis": axis})
+    return Tensor._make(out_data, ts, bw)

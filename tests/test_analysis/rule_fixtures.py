@@ -112,16 +112,6 @@ FIXTURES: dict[str, tuple[Fixture, Fixture]] = {
         "def pull(comm):\n    return comm.recv(0)\n",
         "def pull(comm):\n    return comm.recv(0, timeout=5.0)\n",
     ),
-    "jit-tape-unsafe": (
-        "class Model:\n"
-        "    def forward(self, x):\n"
-        "        if x > 0:\n"
-        "            return x\n"
-        "        return -x\n",
-        "class Model:\n"
-        "    def forward(self, x):\n"
-        "        return x * 2\n",
-    ),
     "obs-span-leak": (
         "def timed(tracer, work):\n"
         "    span = tracer.begin('phase')\n"

@@ -9,8 +9,8 @@ built from distinct rows repeated with random multiplicities and shuffled:
   evaluation to 1e-13;
 - ``O.gram()`` ≡ ``np.asarray(O) @ np.asarray(O).T`` to 1e-12;
 - a batch without repeats groups as every row its own, and the grouped
-  energies, plans, products of ``O`` and SR solve are exactly the
-  computation without grouping;
+  energies, ``log ψ`` and ``O``, products of ``O`` and SR solve are exactly
+  the computation without grouping;
 - a non-0/1 row raises before anything is grouped;
 - rows are one group exactly when their bytes are, hash collisions or not,
   and groups come in order of first occurrence.
@@ -23,10 +23,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.energy import MAX_LOG_RATIO, local_energies, local_energy_path
+from repro.core.energy import (
+    MAX_LOG_RATIO,
+    local_energies,
+    local_energy_path,
+    per_sample_grads,
+)
 from repro.hamiltonians import TransverseFieldIsing
-from repro.jit import StepCompiler
-from repro.jit.plan import InterpretedPlan
 from repro.models import MADE, RBM
 from repro.models import base as models_base
 from repro.nn.factored import FactoredO
@@ -103,11 +106,11 @@ def test_local_energies_of_repeated_rows_are_per_row(kind, fast, case):
 @given(case=repeated_batches())
 def test_gram_of_repeated_rows_is_the_dense_product(kind, case):
     """On the rows as given (every row its own) and on the distinct rows
-    with the grouping the plans hand out."""
+    with the grouping the step's gradient path hands out."""
     n, x, count, seed = case
     model = _model(kind, n, seed)
     _, o = model.log_psi_and_grads(x)
-    _, grouped = InterpretedPlan(model).per_sample(x)
+    _, grouped = per_sample_grads(model, x)
     assert isinstance(o, FactoredO) and o.rows.count == len(x)
     assert grouped.rows.count == len(grouped.factors[0][1]) == count
     dense = np.asarray(o)
@@ -148,39 +151,12 @@ def _ungrouped_products(o, w, v):
     return wo, ov
 
 
-def _compiled_ungrouped(plan, x, w):
-    """The compiled replay, adjoint sweep and per-sample sweep on the batch
-    as given, with the raw seeds."""
-    lp = plan._replay(x).copy()
-    plan._seed_backward(w)
-    for step in plan._bsteps:
-        step()
-    grad = plan._grad_flat.copy()
-    lp_o = plan._replay(x).copy()
-    plan._seed_backward(plan._ps_ones)
-    for step in plan._ps_steps:
-        step()
-    vals, grads = plan._vals, plan._grads
-    factors = [(layer, vals[s].copy(), grads[o].copy()) for layer, s, o in plan._ps_factors]
-    return lp, grad, lp_o, FactoredO(factors[::-1], plan.n_params)
-
-
-def _interpreted_ungrouped(model, x, w):
-    """The interpreter on the batch as given."""
-    model.zero_grad()
-    log_psi = model.log_psi(x)
-    (log_psi * w).sum().backward(free_graph=True)
-    grad = model.flat_grad()
-    model.zero_grad()
-    return (log_psi.data, grad, *model.log_psi_and_grads(x))
-
-
 def test_a_batch_without_repeats_is_not_grouped():
     """A batch without repeats groups as every row its own, and is bit for
     bit the ungrouped computation: the flip kernel on the batch as given,
-    the Gram matrix of the factors as given, and the compiled and
-    interpreted plans' ``forward``, ``gradient`` and ``per_sample`` with
-    ``w @ O``, ``O @ v`` and the SR solve on what they return."""
+    the Gram matrix of the factors as given, and the step's ``log ψ`` and
+    ``O`` (``per_sample_grads``) with ``w @ O``, ``O @ v`` and the SR solve
+    on what they return."""
     n = 8
     model = _model("made", n, 3)
     ham = TransverseFieldIsing.random(n, seed=3)
@@ -202,22 +178,12 @@ def test_a_batch_without_repeats_is_not_grouped():
     rng = np.random.default_rng(4)
     w, v = rng.normal(size=len(x)), rng.normal(size=o.shape[1])
     sr = StochasticReconfiguration(diag_shift=1e-3, solver="cg")
-    compiled = StepCompiler(model).per_sample_plan(x)
-    for plan in (compiled, InterpretedPlan(model)):
-        model.zero_grad()
-        lp = plan.forward(x)
-        grad = plan.gradient(w).copy()
-        lp_o, o = plan.per_sample(x)
-        got = (lp, grad, lp_o, np.asarray(o), w @ o, o @ v, sr.natural_gradient(o, v))
-        if plan is compiled:
-            want = _compiled_ungrouped(plan, x, w)
-        else:
-            want = _interpreted_ungrouped(model, x, w)
-        o = want[3]
-        want = (*want[:3], np.asarray(o), *_ungrouped_products(o, w, v),
-                _uncounted_solve(o, v, 1e-3))
-        for g, r in zip(got, want):
-            np.testing.assert_array_equal(g, r)
+    lp, o = per_sample_grads(model, x)
+    got = (lp, np.asarray(o), w @ o, o @ v, sr.natural_gradient(o, v))
+    lp, o = model.log_psi_and_grads(x)
+    want = (lp, np.asarray(o), *_ungrouped_products(o, w, v), _uncounted_solve(o, v, 1e-3))
+    for g, r in zip(got, want):
+        np.testing.assert_array_equal(g, r)
 
 
 @pytest.mark.parametrize("collide", [False, True])

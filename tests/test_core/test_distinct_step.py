@@ -1,21 +1,19 @@
 """The rest of the step on distinct rows: counts, not copies.
 
-The plans' forward, adjoint sweep and per-sample ``O``, the algebra of a
-grouped :class:`FactoredO` and the sample-space SR solve all run on a
-batch's U distinct rows, with every batch sum weighted by the rows'
-counts. Over batches of distinct 0/1 rows repeated with random
-multiplicities and shuffled (MADE, deep MADE, RBM):
+The step's gradient path (``log ψ`` and the per-sample ``O`` from
+:func:`~repro.core.energy.per_sample_grads`), the algebra of a grouped
+:class:`FactoredO` and the sample-space SR solve all run on a batch's U
+distinct rows, with every batch sum weighted by the rows' counts. Over
+batches of distinct 0/1 rows repeated with random multiplicities and
+shuffled (MADE, deep MADE, RBM):
 
-- compiled replay on a row prefix of the arena ≡ interpreted plan ≡ the
-  interpreter on every row, to 1e-10, for ``forward``, ``gradient`` and
-  ``per_sample`` — whether the plan was traced on a batch with repeats or
-  without;
+- ``per_sample_grads`` ≡ the interpreter on every row, to 1e-10, for
+  ``log ψ``, ``w @ O`` against the autograd gradient, and ``O``;
 - ``w @ O``, ``O @ v``, ``O.gram()`` and ``np.asarray(O)`` ≡ the dense
   N-row forms;
 - the U×U count-weighted solve ≡ the dense d×d solve, also at λ = 0
   (there against the minimum-norm solution);
-- 2 ranks whose rows repeat within and across ranks ≡ one big batch;
-- the plan's arena and trace count do not move as U varies.
+- 2 ranks whose rows repeat within and across ranks ≡ one big batch.
 """
 
 from __future__ import annotations
@@ -25,12 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.energy import per_sample_grads
 from repro.distributed.threads import run_threaded
-from repro.jit import StepCompiler
-from repro.jit.plan import InterpretedPlan
 from repro.models import MADE, RBM
 from repro.nn.factored import FactoredO
-from repro.obs import Metrics
 from repro.optim import StochasticReconfiguration
 from repro.tensor import no_grad
 
@@ -81,31 +77,22 @@ def _every_row(model, x, seed):
     return lp, grad, np.asarray(model.log_psi_and_grads(x)[1])
 
 
-def _plans(model, x, traced_on):
-    compiled = StepCompiler(model).per_sample_plan(traced_on)
-    return {"compiled": compiled, "interpreted": InterpretedPlan(model)}
-
-
 @pytest.mark.parametrize("kind", list(MODELS))
 @settings(max_examples=20, deadline=None)
-@given(case=repeated_batches(), trace_repeats=st.booleans())
-def test_plans_on_distinct_rows_are_every_row(kind, case, trace_repeats):
+@given(case=repeated_batches())
+def test_plans_on_distinct_rows_are_every_row(kind, case):
+    """The step's gradient path on the distinct rows is the interpreter on
+    every row."""
     n, x, count, seed = case
     model = _model(kind, n, seed)
-    rng = np.random.default_rng(seed + 2)
-    w = rng.normal(size=len(x))
+    w = np.random.default_rng(seed + 2).normal(size=len(x))
     want_lp, want_grad, want_o = _every_row(model, x, w)
-    traced_on = x if trace_repeats else rng.integers(0, 2, size=x.shape).astype(float)
-    for name, plan in _plans(model, x, traced_on).items():
-        _close(plan.forward(x), want_lp)
-        model.zero_grad()
-        _close(plan.gradient(w), want_grad)
-        model.zero_grad()
-        lp, o = plan.per_sample(x)
-        _close(lp, want_lp)
-        assert isinstance(o, FactoredO) and o.shape == want_o.shape
-        assert o.rows.count == len(o.factors[0][1]) == count, name
-        _close(np.asarray(o), want_o)
+    lp, o = per_sample_grads(model, x)
+    _close(lp, want_lp)
+    _close(w @ o, want_grad)
+    assert isinstance(o, FactoredO) and o.shape == want_o.shape
+    assert o.rows.count == len(o.factors[0][1]) == count
+    _close(np.asarray(o), want_o)
 
 
 @pytest.mark.parametrize("kind", list(MODELS))
@@ -114,7 +101,7 @@ def test_plans_on_distinct_rows_are_every_row(kind, case, trace_repeats):
 def test_a_grouped_o_is_the_dense_n_row_matrix(kind, case):
     n, x, _, seed = case
     model = _model(kind, n, seed)
-    _, o = InterpretedPlan(model).per_sample(x)
+    _, o = per_sample_grads(model, x)
     dense = np.asarray(model.log_psi_and_grads(x)[1])
     rng = np.random.default_rng(seed)
     w, v = rng.normal(size=len(x)), rng.normal(size=dense.shape[1])
@@ -135,7 +122,7 @@ def _min_norm(dense, f):
 def test_the_count_weighted_solve_is_the_dense_solve(kind, case, shift):
     n, x, count, seed = case
     model = _model(kind, n, seed)
-    _, o = StepCompiler(model).per_sample_plan(x).per_sample(x)
+    _, o = per_sample_grads(model, x)
     dense = np.asarray(model.log_psi_and_grads(x)[1])
     rng = np.random.default_rng(seed)
     # a gradient in the row space of the centred O, as the energy gradient is
@@ -170,32 +157,10 @@ def test_two_ranks_repeating_rows_across_ranks_are_one_big_batch(case, shift):
 
     def worker(comm, rank):
         shard = x[:half] if rank == 0 else x[half:]
-        _, o = InterpretedPlan(model).per_sample(shard)
+        _, o = per_sample_grads(model, shard)
         sr = StochasticReconfiguration(diag_shift=shift, solver="cg")
         return sr.natural_gradient(o, f, comm=comm), sr.last_solve
 
     for got, info in run_threaded(worker, 2):
         assert info.samples == len(x)
         _close(got, want, 1e-8)
-
-
-def test_the_arena_and_the_trace_count_do_not_move_with_u():
-    n, batch = 8, 48
-    model = MADE(n, hidden=12, rng=np.random.default_rng(0))
-    metrics = Metrics()
-    compiler = StepCompiler(model, metrics=metrics)
-    rng = np.random.default_rng(1)
-    arena = gauge = None
-    for count in (batch, 20, 7, 1):
-        rows = rng.integers(0, 2, size=(count, n)).astype(float)
-        x = rows[rng.integers(0, count, size=batch)]
-        plan = compiler.per_sample_plan(x)
-        plan.forward(x)
-        plan.gradient(np.ones(batch))
-        plan.per_sample(x)
-        snap = metrics.snapshot()
-        if arena is None:
-            arena, gauge = plan.arena_bytes, snap["gauges"]["jit.arena_bytes"]
-        assert plan.arena_bytes == arena
-        assert snap["gauges"]["jit.arena_bytes"] == gauge
-        assert snap["counters"]["jit.trace"] == 1

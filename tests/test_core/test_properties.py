@@ -10,10 +10,15 @@ from repro.core.energy import (
     energy_statistics,
     grad_from_per_sample,
     local_energies,
+    per_sample_grads,
 )
+from repro.distributed import SerialCommunicator
+from repro.distributed.model_parallel import ShardedMADE
 from repro.hamiltonians import TransverseFieldIsing
 from repro.hamiltonians.base import index_to_bits
-from repro.models import MADE
+from repro.models import MADE, RBM, MeanField, RNNWaveFunction
+from repro.tensor import Tensor
+from repro.tensor import functional as F
 from repro.tensor.tensor import no_grad
 
 
@@ -86,14 +91,62 @@ def test_made_normalisation_is_universal(n, seed, hidden):
     assert model.exact_distribution().sum() == pytest.approx(1.0, abs=1e-9)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(2, 5), st.integers(0, 10**6))
-def test_per_sample_grads_consistent_with_autograd_property(n, seed):
+def _sharded_log_psi(model: ShardedMADE, x: np.ndarray) -> Tensor:
+    """A one-rank ShardedMADE's ``log ψ`` on the tape, from its own
+    parameters (its ``log_psi`` records no graph)."""
+    mask1, mask2 = Tensor(model.mask1.astype(float)), Tensor(model.mask2.astype(float))
+    hidden = (Tensor(x) @ (model.w1 * mask1).T + model.b1).relu()
+    logits = hidden @ (model.w2 * mask2).T + model.b2
+    return F.bernoulli_log_prob(logits, x).sum(axis=1) * 0.5
+
+
+@st.composite
+def models_and_batches(draw):
+    """A model of every kind the step can train, and a batch whose rows
+    repeat (each of up to four rows one to three times, shuffled)."""
+    kind = draw(st.sampled_from(["made", "rbm", "rnn", "mean_field", "sharded_made"]))
+    n = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 10**6))
     rng = np.random.default_rng(seed)
-    model = MADE(n, hidden=6, rng=rng)
-    x = (rng.random((3, n)) < 0.5).astype(float)
-    _, o = model.log_psi_and_grads(x)
-    for b in range(x.shape[0]):
+    if kind == "made":
+        widths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        strategy = draw(st.sampled_from(["cycle", "random"]))
+        model = MADE(n, hidden=widths, rng=rng, mask_strategy=strategy)
+    elif kind == "rbm":
+        model = RBM(n, hidden=draw(st.integers(1, 8)), rng=rng, init_std=0.5)
+    elif kind == "rnn":
+        model = RNNWaveFunction(n, hidden=draw(st.integers(1, 5)), rng=rng)
+    elif kind == "mean_field":
+        model = MeanField(n, rng=rng)
+    else:
+        model = ShardedMADE(n, draw(st.integers(1, 8)), SerialCommunicator(), seed=seed)
+    for p in model.parameters():  # away from the initialiser's scale
+        p.data += rng.normal(size=p.shape) * 0.3
+    rows = (rng.random((draw(st.integers(1, 4)), n)) < 0.5).astype(float)
+    times = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    x = np.repeat(rows, times, axis=0)
+    return model, x[rng.permutation(len(x))], rng.normal(size=len(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(models_and_batches())
+def test_per_sample_grads_consistent_with_autograd_property(case):
+    """The step's gradient path — the model's closed form on the distinct
+    rows — is the autograd tape's, row by row: ``np.asarray(O)`` and
+    ``w @ O`` to 1e-10."""
+    model, x, w = case
+    log_psi = (
+        (lambda b: _sharded_log_psi(model, b))
+        if isinstance(model, ShardedMADE)
+        else model.log_psi
+    )
+    rows = []
+    for b in range(len(x)):
         model.zero_grad()
-        model.log_psi(x[b : b + 1]).sum().backward()
-        assert np.allclose(np.asarray(o)[b], model.flat_grad(), atol=1e-9)
+        log_psi(x[b : b + 1]).sum().backward()
+        rows.append(model.flat_grad())
+    want = np.array(rows)
+    _, o = per_sample_grads(model, x)
+    assert o.shape == want.shape
+    np.testing.assert_allclose(np.asarray(o), want, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(w @ o, w @ want, rtol=0.0, atol=1e-10)

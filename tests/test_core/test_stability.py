@@ -92,9 +92,6 @@ class TestDivergenceGuard:
             return lp, o
 
         model.log_psi_and_grads = poisoned
-        from repro.core.vqmc import VQMCConfig
-
-        vqmc.config = VQMCConfig(gradient_mode="per_sample")
         vqmc.step(batch_size=16)
         assert np.array_equal(model.flat_parameters(), before)
         assert vqmc.diverged_steps == 1

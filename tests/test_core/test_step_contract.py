@@ -1,31 +1,33 @@
 """The contract of ``VQMC.step``, as one table.
 
-Every way the step can run — gradient path × plan × world — is held to a
-reference step assembled from the kept oracles (``grad_via_autograd``,
-``grad_from_per_sample``, ``StochasticReconfiguration.natural_gradient``),
-none of which the driver calls:
+Every way the step can run — plain or SR × distinct or collapsed batch ×
+world — is held to a reference step assembled from the kept oracles
+(``grad_from_per_sample`` on every row's ``log_psi_and_grads``,
+``StochasticReconfiguration.natural_gradient``), none of which the driver
+calls:
 
-- serial + interpreted plan on a batch of distinct rows: bit-equal
-  parameters;
-- compiled plan: ≤ 1e-10 (fusion may reorder float ops);
+- serial, on a batch of distinct rows: bit-equal parameters;
 - 2 thread ranks: the reference is the big-batch oracle on the union of the
   ranks' samples (N-rank ≡ big-batch), equal up to summation order, so those
-  rows are held to 1e-10 as well.
+  rows are held to 1e-10.
 
-The ``per_sample+sr`` rows are held to the same bounds as the others: the
+A plain row is also held to 1e-10 against ``grad_via_autograd``, the tape's
+REINFORCE gradient: the closed form and the autograd engine are two
+derivations of one gradient.
+
+The ``sr`` rows are held to the same bounds as the others: the
 natural-gradient solve is direct (``O`` in factored form, an exact
 sample-space system; on 2 ranks one allgather of layer factors), so SR
 amplifies roundoff by the system's condition number and by nothing else.
-The ``+collapsed`` rows run on a model that draws at most eight distinct
-configurations, so the step evaluates every per-row quantity — the plan's
-forward and adjoint sweep, the local energies, ``O`` and the SR system —
-once per distinct row, and every batch sum becomes a count-weighted sum
-(on 2 ranks: rows grouped across both ranks after the allgather). The
-oracle evaluates every row, and a grouped sum adds in another order, so
-the collapsed rows are held to 1e-10 against it on every plan; the other
-rows draw no repeats at this size, which each step checks, and stay
-bit-equal. The step's ``distinct`` / ``rows`` span attributes must report
-the distinct rows, on the plan stages too.
+The ``collapsed`` rows run on a model that draws at most eight distinct
+configurations, so the step evaluates every per-row quantity — ``log ψ``
+and ``O``, the local energies and the SR system — once per distinct row,
+and every batch sum becomes a count-weighted sum (on 2 ranks: rows grouped
+across both ranks after the allgather). The oracle evaluates every row,
+and a grouped sum adds in another order, so the collapsed rows are held to
+1e-10 against it; the other rows draw no repeats at this size, which each
+step checks, and stay bit-equal. The step's ``distinct`` / ``rows`` span
+attributes must report the distinct rows, on the gradient phase too.
 
 The same rows pin the timer contract: the keys of ``phase_seconds`` are the
 step's depth-1 span names, and the phases fit inside ``step_time``.
@@ -50,18 +52,6 @@ N, BATCH, STEPS, SEED = 20, 32, 3, 5
 #: sites a collapsed model leaves random: at most 2**3 distinct configurations
 FREE_SITES = 3
 
-#: row name -> (config.gradient_mode, SR on, collapsed model)
-PATHS = {
-    "autograd": ("autograd", False, False),
-    "autograd+collapsed": ("autograd", False, True),
-    "per_sample": ("per_sample", False, False),
-    "per_sample+sr": ("per_sample", True, False),
-    # Samples of this size do not repeat a row; a collapsed model repeats
-    # most of them, so the step runs on the distinct rows.
-    "per_sample+sr+collapsed": ("per_sample", True, True),
-}
-
-
 def _parts(sr_on: bool, collapsed: bool = False):
     model = MADE(N, hidden=8, rng=np.random.default_rng(7))
     if collapsed:  # σ(30) rounds to 1 in sampling: sites ≥ FREE_SITES are 1
@@ -71,9 +61,9 @@ def _parts(sr_on: bool, collapsed: bool = False):
     return model, ham, sr, SGD(model.parameters(), lr=0.01)
 
 
-def _reference(path: str, world: int) -> np.ndarray:
-    """``STEPS`` big-batch oracle steps over the ranks' sampling streams."""
-    mode, sr_on, collapsed = PATHS[path]
+def _reference(sr_on: bool, collapsed: bool, world: int, autograd: bool = False):
+    """``STEPS`` big-batch oracle steps over the ranks' sampling streams;
+    ``autograd`` takes the plain gradient from the tape instead of ``O``."""
     model, ham, sr, opt = _parts(sr_on, collapsed)
     sampler = AutoregressiveSampler()
     streams = spawn_generators(SEED, world)
@@ -81,7 +71,7 @@ def _reference(path: str, world: int) -> np.ndarray:
         x = np.concatenate([sampler.sample(model, BATCH, g) for g in streams])
         local = local_energies(model, ham, x)
         model.zero_grad()
-        if mode == "autograd":
+        if autograd:
             grad_via_autograd(model, x, local)
             grad = model.flat_grad()
         else:
@@ -94,17 +84,16 @@ def _reference(path: str, world: int) -> np.ndarray:
     return model.flat_parameters()
 
 
-def _drive(comm, rank, path: str, compile_mode: str, world: int):
+def _drive(comm, rank, sr_on: bool, collapsed: bool, world: int):
     """``STEPS`` driver steps on one rank: final parameters, plus per step
     (phase_seconds, step_time, that step's depth-1 span names, the rows
     its local energies and its Gram matrix were evaluated on)."""
-    mode, sr_on, collapsed = PATHS[path]
     model, ham, sr, opt = _parts(sr_on, collapsed)
     tracer = Tracer(rank=rank)
     vq = VQMC(
         model, ham, AutoregressiveSampler(), opt, sr=sr, comm=comm,
         seed=spawn_generators(SEED, world)[rank],
-        config=VQMCConfig(batch_size=BATCH, gradient_mode=mode, compile=compile_mode),
+        config=VQMCConfig(batch_size=BATCH),
         tracer=tracer,
     )
     steps = []
@@ -115,8 +104,8 @@ def _drive(comm, rank, path: str, compile_mode: str, world: int):
         attrs = {e.name: e.attrs for e in tracer.events}
         rows = (attrs["local_energy"]["distinct"], attrs.get("sr.gram", {}).get("rows"))
         assert rows[0] == result.distinct_rows
-        stages = [e.attrs["rows"] for e in tracer.events if e.name in ("jit.replay", "jit.interpret")]
-        assert stages and set(stages) == {rows[0]}
+        gradient = [e.attrs["rows"] for e in tracer.events if e.name == "gradient"]
+        assert gradient == [rows[0], rows[0]]
         if not collapsed:
             assert rows[0] == BATCH  # what keeps the bit-equal rows bit-equal
         steps.append((result.phase_seconds, result.step_time, names, rows))
@@ -124,30 +113,33 @@ def _drive(comm, rank, path: str, compile_mode: str, world: int):
 
 
 @pytest.mark.parametrize("world", [1, 2], ids=["serial", "threads2"])
-@pytest.mark.parametrize("compile_mode", ["on", "off"])
-@pytest.mark.parametrize("path", list(PATHS))
-def test_step_matches_the_oracle_step(path, compile_mode, world):
-    want = _reference(path, world)
-    args = (path, compile_mode, world)
+@pytest.mark.parametrize("collapsed", [False, True], ids=["distinct", "collapsed"])
+@pytest.mark.parametrize("sr_on", [False, True], ids=["plain", "sr"])
+def test_step_matches_the_oracle_step(sr_on, collapsed, world):
+    want = _reference(sr_on, collapsed, world)
+    args = (sr_on, collapsed, world)
     if world == 1:
         ranks = [_drive(None, 0, *args)]
     else:
         ranks = run_threaded(_drive, world, args=args)
+    tape = None if sr_on else _reference(False, collapsed, world, autograd=True)
     for got, steps in ranks:
-        if world == 1 and compile_mode == "off" and not PATHS[path][2]:
+        if world == 1 and not collapsed:
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        if tape is not None:
+            np.testing.assert_allclose(got, tape, rtol=0.0, atol=1e-10)
         for phase_seconds, step_time, span_names, (distinct, gram_rows) in steps:
             expected = {"sample", "gradient", "local_energy", "optimizer"}
-            if PATHS[path][1]:
+            if sr_on:
                 expected.add("sr_solve")
             assert set(phase_seconds) == span_names == expected
             assert sum(phase_seconds.values()) <= step_time
-            if PATHS[path][2]:
+            if collapsed:
                 assert distinct <= 2**FREE_SITES
                 # every SR row reports the rows its Gram matrix was built on
-                assert gram_rows <= 2**FREE_SITES if PATHS[path][1] else gram_rows is None
+                assert gram_rows <= 2**FREE_SITES if sr_on else gram_rows is None
 
 
 @pytest.mark.parametrize("bad", [0, -3])

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import History, HittingTime, ProgressPrinter, VQMC, VQMCConfig
 from repro.core.callbacks import StopTraining
+from repro.core.energy import grad_via_autograd, local_energies
 from repro.exact import brute_force_max_cut, ground_state
 from repro.hamiltonians import MaxCut, TransverseFieldIsing
 from repro.models import MADE, RBM
@@ -78,20 +79,21 @@ class TestConvergence:
 
 
 class TestStepMechanics:
-    def test_gradient_modes_agree(self, small_tim):
-        """'autograd' and 'per_sample' must produce the same update."""
-
-        def one_step(mode):
-            model = MADE(6, hidden=8, rng=np.random.default_rng(9))
-            vqmc = VQMC(
-                model, small_tim, AutoregressiveSampler(),
-                SGD(model.parameters(), lr=0.1), seed=7,
-                config=VQMCConfig(batch_size=128, gradient_mode=mode),
-            )
-            vqmc.step()
-            return model.flat_parameters()
-
-        assert np.allclose(one_step("autograd"), one_step("per_sample"), atol=1e-10)
+    def test_closed_form_step_equals_the_tape_step(self, small_tim):
+        """The step's closed-form update equals the autograd tape's on the
+        same batch: two derivations of one gradient."""
+        model = MADE(6, hidden=8, rng=np.random.default_rng(9))
+        vqmc = VQMC(
+            model, small_tim, AutoregressiveSampler(),
+            SGD(model.parameters(), lr=0.1), seed=7,
+            config=VQMCConfig(batch_size=128),
+        )
+        tape = MADE(6, hidden=8, rng=np.random.default_rng(9))
+        x = AutoregressiveSampler().sample(tape, 128, np.random.default_rng(7))
+        grad_via_autograd(tape, x, local_energies(tape, small_tim, x))
+        SGD(tape.parameters(), lr=0.1).step()
+        vqmc.step()
+        assert np.allclose(model.flat_parameters(), tape.flat_parameters(), atol=1e-10)
 
     def test_step_result_fields(self, small_tim, rng):
         model = MADE(6, rng=rng)
@@ -110,7 +112,7 @@ class TestStepMechanics:
     @pytest.mark.parametrize("ansatz,path", [("made", "fused"), ("rbm", "dense")])
     def test_local_energy_path_is_reported(self, small_tim, rng, ansatz, path):
         """Which local-energy kernel ran is on the span, the step result and —
-        for the dense fallback — a counter, like ``jit.fallback``."""
+        for the dense fallback — a counter."""
         from repro.obs import Metrics, Tracer
 
         if ansatz == "made":
@@ -164,33 +166,23 @@ class TestStepMechanics:
             VQMC(model, small_tim, AutoregressiveSampler(), Adam(model.parameters()))
 
     def test_sr_requires_per_sample_grads(self, small_tim, rng):
+        """Every step runs the closed form, with SR or without."""
         class NoGrads(MADE):
             has_per_sample_grads = False
 
         model = NoGrads(6, rng=rng)
-        with pytest.raises(TypeError):
-            VQMC(
-                model, small_tim, AutoregressiveSampler(),
-                SGD(model.parameters(), lr=0.1),
-                sr=StochasticReconfiguration(),
-            )
+        for sr in (StochasticReconfiguration(), None):
+            with pytest.raises(TypeError, match="per-sample"):
+                VQMC(
+                    model, small_tim, AutoregressiveSampler(),
+                    SGD(model.parameters(), lr=0.1), sr=sr,
+                )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             VQMCConfig(batch_size=0)
         with pytest.raises(ValueError):
-            VQMCConfig(gradient_mode="magic")
-
-    def test_autograd_mode_with_sr_is_rejected(self, small_tim, rng):
-        """The tape path never forms O, so SR used to be skipped silently."""
-        model = MADE(6, rng=rng)
-        with pytest.raises(ValueError, match="autograd"):
-            VQMC(
-                model, small_tim, AutoregressiveSampler(),
-                SGD(model.parameters(), lr=0.1),
-                sr=StochasticReconfiguration(),
-                config=VQMCConfig(gradient_mode="autograd"),
-            )
+            VQMCConfig(max_grad_norm=0.0)
 
 
 class TestCallbacks:

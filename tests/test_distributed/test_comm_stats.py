@@ -47,7 +47,7 @@ class TestVQMCCommVolume:
     def test_per_step_traffic_scales_with_gradient_length(self):
         """The paper's §4 claim: each data-parallel step communicates O(d)
         floats, d = 2hn + h + n — independent of the batch size."""
-        from repro.core.vqmc import VQMC, VQMCConfig
+        from repro.core.vqmc import VQMC
         from repro.hamiltonians import TransverseFieldIsing
         from repro.models import MADE
         from repro.optim import SGD
@@ -60,7 +60,6 @@ class TestVQMCCommVolume:
                 vqmc = VQMC(
                     model, ham, AutoregressiveSampler(),
                     SGD(model.parameters(), lr=0.1), comm=comm, seed=rank,
-                    config=VQMCConfig(gradient_mode="per_sample"),
                 )
                 comm.stats.reset()  # drop the init broadcast
                 vqmc.step(batch_size=mbs)

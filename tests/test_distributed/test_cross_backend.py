@@ -18,7 +18,7 @@ def _sharded_forward(comm, rank):
 
 
 def _dp_training(comm, rank):
-    from repro.core.vqmc import VQMC, VQMCConfig
+    from repro.core.vqmc import VQMC
     from repro.hamiltonians import TransverseFieldIsing
     from repro.models import MADE
     from repro.optim import SGD
@@ -31,7 +31,6 @@ def _dp_training(comm, rank):
         model, ham, AutoregressiveSampler(),
         SGD(model.parameters(), lr=0.1),
         comm=comm, seed=spawn_generators(9, comm.size)[rank],
-        config=VQMCConfig(gradient_mode="per_sample"),
     )
     vqmc.run(3, batch_size=16)
     return model.flat_parameters()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.vqmc import VQMC, VQMCConfig
+from repro.core.vqmc import VQMC
 from repro.distributed import run_threaded
 from repro.distributed.data_parallel import run_data_parallel
 from repro.distributed.mp import run_processes
@@ -98,7 +98,6 @@ class TestGradientExactness:
         ref = VQMC(
             ref_model, ham, FixedSampler(full_x),
             SGD(ref_model.parameters(), lr=0.1), seed=0,
-            config=VQMCConfig(gradient_mode="per_sample"),
         )
         ref.step(batch_size=total)
         expect = ref_model.flat_parameters()
@@ -109,7 +108,6 @@ class TestGradientExactness:
             vqmc = VQMC(
                 model, ham, FixedSampler(shard),
                 SGD(model.parameters(), lr=0.1), comm=comm, seed=0,
-                config=VQMCConfig(gradient_mode="per_sample"),
             )
             vqmc.step(batch_size=mbs)
             return model.flat_parameters()
@@ -118,56 +116,11 @@ class TestGradientExactness:
         for r in results:
             assert np.allclose(r, expect, atol=1e-12)
 
-    def test_autograd_mode_also_exact(self, small_tim):
-        """The autograd path centres with the global mean too."""
-        n, total, L = 6, 32, 2
-        mbs = total // L
-        master = MADE(n, hidden=8, rng=np.random.default_rng(3))
-        full_x = master.sample(total, np.random.default_rng(5))
-
-        class FixedSampler:
-            exact = True
-
-            def __init__(self, x):
-                self.x = x
-
-            def sample(self, model, batch_size, rng):
-                return self.x
-
-            @property
-            def last_stats(self):
-                from repro.samplers.base import SamplerStats
-
-                return SamplerStats()
-
-        ref_model = MADE(n, hidden=8, rng=np.random.default_rng(3))
-        ref = VQMC(
-            ref_model, small_tim, FixedSampler(full_x),
-            SGD(ref_model.parameters(), lr=0.1), seed=0,
-            config=VQMCConfig(gradient_mode="autograd"),
-        )
-        ref.step(batch_size=total)
-        expect = ref_model.flat_parameters()
-
-        def worker(comm, rank):
-            model = MADE(n, hidden=8, rng=np.random.default_rng(3))
-            shard = full_x[rank * mbs : (rank + 1) * mbs]
-            vqmc = VQMC(
-                model, small_tim, FixedSampler(shard),
-                SGD(model.parameters(), lr=0.1), comm=comm, seed=0,
-                config=VQMCConfig(gradient_mode="autograd"),
-            )
-            vqmc.step(batch_size=mbs)
-            return model.flat_parameters()
-
-        for r in run_threaded(worker, L):
-            assert np.allclose(r, expect, atol=1e-12)
-
     def test_autograd_exact_with_unequal_rank_batches(self, small_tim):
-        """Regression: the autograd path normalised by `bsz × world_size`,
-        i.e. it assumed equal per-rank batches — unequal shards (the
-        elastic-shrink shape) gave a biased gradient. It must use the
-        global sample count, like the per-sample path always did."""
+        """Regression: the removed autograd path normalised by `bsz ×
+        world_size`, i.e. it assumed equal per-rank batches — unequal shards
+        (the elastic-shrink shape) gave a biased gradient. The step must use
+        the global sample count."""
         n, total, L = 6, 48, 2
         splits = [30, 18]  # deliberately unequal
         master = MADE(n, hidden=8, rng=np.random.default_rng(3))
@@ -192,7 +145,6 @@ class TestGradientExactness:
         ref = VQMC(
             ref_model, small_tim, FixedSampler(full_x),
             SGD(ref_model.parameters(), lr=0.1), seed=0,
-            config=VQMCConfig(gradient_mode="autograd"),
         )
         ref.step(batch_size=total)
         expect = ref_model.flat_parameters()
@@ -205,7 +157,6 @@ class TestGradientExactness:
             vqmc = VQMC(
                 model, small_tim, FixedSampler(shard),
                 SGD(model.parameters(), lr=0.1), comm=comm, seed=0,
-                config=VQMCConfig(gradient_mode="autograd"),
             )
             vqmc.step(batch_size=splits[rank])
             return model.flat_parameters()

@@ -138,7 +138,7 @@ class TestTraining:
     def test_model_parallel_vqmc_matches_single_process(self):
         """Full VQMC training with a sharded model must track the reference
         run step for step (same samples, same updates)."""
-        from repro.core.vqmc import VQMC, VQMCConfig
+        from repro.core.vqmc import VQMC
         from repro.hamiltonians import TransverseFieldIsing
         from repro.optim import SGD
         from repro.samplers import AutoregressiveSampler
@@ -149,7 +149,7 @@ class TestTraining:
         ref = reference_made()
         vqmc_ref = VQMC(
             ref, ham, AutoregressiveSampler(), SGD(ref.parameters(), lr=0.1),
-            seed=9, config=VQMCConfig(gradient_mode="per_sample"),
+            seed=9,
         )
         ref_energies = [vqmc_ref.step(batch_size=bs).stats.mean for _ in range(iters)]
 
@@ -158,12 +158,56 @@ class TestTraining:
             vqmc = VQMC(
                 model, ham, AutoregressiveSampler(),
                 SGD(model.parameters(), lr=0.1),
-                seed=9, config=VQMCConfig(gradient_mode="per_sample"),
+                seed=9,
             )
             return [vqmc.step(batch_size=bs).stats.mean for _ in range(iters)]
 
         for energies in run_threaded(worker, 3):
             assert np.allclose(energies, ref_energies, atol=1e-9)
+
+    def test_default_config_trains_with_adam(self):
+        """Adam, no SR, the default config: the step takes the closed form
+        (``log_psi`` records no graph, so a tape backward through it could
+        not run), moves the parameters, and matches the per-sample oracle
+        step on the same batch."""
+        from repro.core.energy import grad_from_per_sample, local_energies
+        from repro.core.vqmc import VQMC
+        from repro.hamiltonians import TransverseFieldIsing
+        from repro.optim import Adam
+        from repro.samplers import AutoregressiveSampler
+
+        n, hidden, bs = 12, 20, 64
+        ham = TransverseFieldIsing.random(n, seed=4)
+        model = ShardedMADE(n, hidden, SerialCommunicator(), seed=1)
+        before = model.flat_parameters()
+        vqmc = VQMC(model, ham, AutoregressiveSampler(), Adam(model.parameters()), seed=2)
+        vqmc.step(batch_size=bs)
+        assert not np.allclose(model.flat_parameters(), before)
+
+        oracle = ShardedMADE(n, hidden, SerialCommunicator(), seed=1)
+        x = AutoregressiveSampler().sample(oracle, bs, np.random.default_rng(2))
+        _, o = oracle.log_psi_and_grads(x)
+        oracle.set_flat_grad(grad_from_per_sample(o, local_energies(oracle, ham, x)))
+        Adam(oracle.parameters()).step()
+        np.testing.assert_allclose(model.flat_parameters(), oracle.flat_parameters(),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    def test_each_rank_holds_only_its_shard(self, world):
+        """Counting the arrays a view keeps alive (``.base``), the ranks
+        together hold one copy of the weights and masks plus one output
+        bias each — no rank keeps the full matrices its shard was cut from."""
+        n, hidden = 16, 40
+
+        def held(comm, rank):
+            model = ShardedMADE(n, hidden, comm, seed=0)
+            arrays = [model.mask1, model.mask2, *(p.data for p in model.parameters())]
+            return sum((a if a.base is None else a.base).nbytes for a in arrays)
+
+        ranks = run_threaded(held, world)
+        floats = 2 * hidden * n + hidden  # w1, w2, b1 split; b2 on every rank
+        masks = 2 * hidden * n  # one byte a flag
+        assert sum(ranks) == 8 * (floats + world * n) + masks
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@
 
 Every gradient path hands out the packed gradient — the dense gradient at
 the connected entries, row-major — and each agrees with a test-local dense
-oracle that multiplies ``x @ (W∘M)ᵀ`` with ``W`` a dense leaf: the compiled
-plan, the interpreter, and ``log_psi_and_grads`` (through the weighted
-backward of its factored ``O`` and through the dense ``np.asarray(O)``).
+oracle that multiplies ``x @ (W∘M)ᵀ`` with ``W`` a dense leaf: the autograd
+tape through ``log_psi``, and ``log_psi_and_grads`` on every row and on the
+distinct rows (``per_sample_grads``) — each through the weighted backward
+of its factored ``O`` and through the dense ``np.asarray(O)``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jit import StepCompiler
-from repro.jit.plan import InterpretedPlan
+from repro.core.energy import per_sample_grads
 from repro.models import MADE
 from repro.models.made import default_hidden_size, made_num_parameters
 from repro.tensor import Tensor
@@ -79,19 +79,12 @@ def test_every_gradient_path_is_the_dense_gradient_at_the_connected_entries(case
         assert got.shape == (d,)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
-    interpreted = InterpretedPlan(model)
     model.zero_grad()
-    interpreted.forward(x)
-    close(interpreted.gradient(w))
-    compiled = StepCompiler(model).plan(x, per_sample=False, mode="on")
-    compiled.forward(x)
-    close(compiled.gradient(w))
-    _, o = model.log_psi_and_grads(x)
-    close(w @ o)
-    close(w @ np.asarray(o))
-    _, o = StepCompiler(model).plan(x, per_sample=True, mode="on").per_sample(x)
-    close(w @ o)
-    close(w @ np.asarray(o))
+    (model.log_psi(x) * Tensor(w)).sum().backward()
+    close(model.flat_grad())
+    for _, o in (model.log_psi_and_grads(x), per_sample_grads(model, x)):
+        close(w @ o)
+        close(w @ np.asarray(o))
 
 
 @pytest.mark.parametrize("n", [10, 16, 64, 256])

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import VQMC, VQMCConfig
+from repro.core import VQMC
 from repro.distributed import run_threaded
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import MADE
@@ -58,7 +58,6 @@ def _worker(comm, rank, outdir):
         sr=StochasticReconfiguration(),
         comm=comm,
         seed=100 + rank,
-        config=VQMCConfig(gradient_mode="per_sample"),
         tracer=tracer,
         metrics=metrics,
     )

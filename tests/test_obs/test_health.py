@@ -24,7 +24,6 @@ import pytest
 from repro.obs import CRIT, OK, WARN, HealthMonitor, replay_frames, worst_verdict
 from repro.obs.health import (
     AcceptanceCollapseRule,
-    ArenaGrowthRule,
     EnergyVarianceRule,
     NonFiniteEnergyRule,
     SNRDropRule,
@@ -48,7 +47,6 @@ def clean_frame(step, rng):
         "step_time": 0.01 + 0.0005 * rng.standard_normal(),
         "acceptance": 0.45 + 0.02 * rng.standard_normal(),
         "sr": {"solver": "cg", "residual": 1e-8},
-        "gauges": {"jit.arena_bytes": 32768.0},
     }
 
 
@@ -97,9 +95,6 @@ ANOMALIES = {
     "acceptance_collapse": lambda f: f.update(acceptance=0.001),
     "snr_drop": lambda f: f.update(sem=50.0),
     "straggler_drift": lambda f: f.update(step_time=0.05),
-    "arena_growth": lambda f: f["gauges"].update(
-        {"jit.arena_bytes": 32768.0 * (1 + f["step"])}
-    ),
 }
 
 
@@ -176,7 +171,7 @@ class TestRuleUnits:
         rules = [
             NonFiniteEnergyRule(), EnergyVarianceRule(),
             AcceptanceCollapseRule(), SNRDropRule(),
-            StragglerDriftRule(), ArenaGrowthRule(),
+            StragglerDriftRule(),
         ]
         for rule in rules:
             assert rule.check({"step": 1}) is None, rule.name
@@ -186,13 +181,6 @@ class TestRuleUnits:
         assert rule.check({"acceptance": float("nan")}) is None
         assert rule.check({"acceptance": 1.0}) is None
         assert rule.check({"acceptance": 0.01}) is not None
-
-    def test_arena_single_recompile_is_fine(self):
-        rule = ArenaGrowthRule()
-        assert rule.check({"gauges": {"jit.arena_bytes": 100.0}}) is None
-        assert rule.check({"gauges": {"jit.arena_bytes": 200.0}}) is not None
-        # plateau: growth stopped, no further complaints
-        assert rule.check({"gauges": {"jit.arena_bytes": 200.0}}) is None
 
     def test_duplicate_rule_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate rule names"):

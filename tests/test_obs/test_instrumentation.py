@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import VQMC, VQMCConfig
+from repro.core import VQMC
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.distributed import (
     FaultEvent,
@@ -36,7 +36,7 @@ from repro.utils.runlog import RunLogger
 pytestmark = pytest.mark.obs
 
 
-def _make_vqmc(tracer=None, sr=False, mode="per_sample", n=6, comm=None, seed=7):
+def _make_vqmc(tracer=None, sr=False, n=6, comm=None, seed=7):
     model = MADE(n, hidden=12, rng=np.random.default_rng(3))
     return VQMC(
         model,
@@ -46,7 +46,6 @@ def _make_vqmc(tracer=None, sr=False, mode="per_sample", n=6, comm=None, seed=7)
         sr=StochasticReconfiguration() if sr else None,
         comm=comm,
         seed=seed,
-        config=VQMCConfig(gradient_mode=mode),
         tracer=tracer,
     )
 
@@ -64,8 +63,9 @@ class TestVQMCPhases:
         assert len(tracer._stack()) == 0
 
     def test_autograd_phases_present(self):
+        """A plain step (no SR): the gradient phase, no ``sr_solve``."""
         tracer = Tracer()
-        _make_vqmc(tracer, mode="autograd").run(2, batch_size=64)
+        _make_vqmc(tracer).run(2, batch_size=64)
         phases = tracer.totals(depth=1)
         assert set(phases) == {"sample", "local_energy", "gradient", "optimizer"}
 

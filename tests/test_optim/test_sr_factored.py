@@ -7,7 +7,8 @@ consumes it, each against an oracle that builds the dense (N, d) matrix:
   a layer, as the oracle), and ``O.gram()`` / ``w @ O`` / ``O @ v`` ≡ the
   same products of that matrix — MADE at any depth, width (``h ≪ n``
   included) and degree assignment, and RBM;
-- compiled ≡ interpreted factors;
+- the step's factors (built on the distinct rows, then grouped) ≡ those of
+  every row;
 - natural gradient ≡ the dense d×d solve, and ≡ conjugate gradients run to
   convergence at the benchmark's shape; at unit counts (an ``O`` without a
   grouping, factored or array) ≡ the uncounted N×N solve bit for bit;
@@ -28,9 +29,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import CommSanitizer
 from repro.core import VQMC, VQMCConfig
+from repro.core.energy import per_sample_grads
 from repro.distributed import run_threaded
 from repro.hamiltonians import TransverseFieldIsing
-from repro.jit import StepCompiler
 from repro.models import MADE, RBM
 from repro.models.rnn import RNNWaveFunction
 from repro.nn.factored import FactoredO
@@ -142,10 +143,12 @@ class TestFactorsAreTheDenseMatrix:
     @settings(max_examples=25, deadline=None)
     @given(case=made_cases())
     def test_compiled_factors_are_the_interpreted_ones(self, case):
+        """The step's factors, built on the distinct rows and grouped, are
+        those of every row."""
         n, widths, masks, batch, seed = case
         model = _made(n, widths, masks, seed)
         x = _batch(n, batch, seed)
-        log_psi, o = StepCompiler(model).per_sample_plan(x).per_sample(x)
+        log_psi, o = per_sample_grads(model, x)
         want_log_psi, want = model.log_psi_and_grads(x)
         _close(log_psi, want_log_psi, rtol=1e-10)
         _close(np.asarray(o), np.asarray(want))
@@ -377,8 +380,7 @@ def test_no_allocation_of_a_step_comes_near_the_o_matrix(n, batch, ceiling):
     assert vqmc.sr.last_solve.gram == "layers"
 
 
-@pytest.mark.parametrize("compile_mode", ["auto", "off"])
-def test_every_path_leaves_a_counter(compile_mode, small_tim):
+def test_every_path_leaves_a_counter(small_tim):
     """An array ``O`` (the RNN shares weights across sites, so it has no
     per-layer factors) is counted once a step and named on the span; MADE's
     factors are not."""
@@ -390,7 +392,7 @@ def test_every_path_leaves_a_counter(compile_mode, small_tim):
         tracer, metrics = Tracer(), Metrics()
         vqmc = _trainer(model, small_tim, 16, tracer=tracer, metrics=metrics)
         for _ in range(3):
-            vqmc.step(compile=compile_mode)
+            vqmc.step()
         counters = metrics.snapshot()["counters"]
         grams = {e.attrs["gram"] for e in tracer.events if e.name == "sr_solve"}
         counts[name] = (counters.get("sr.dense_jacobian", 0), grams)

@@ -90,24 +90,24 @@ class TestLogPsiReuse:
 
     def test_vqmc_evaluates_amplitudes_once_per_step(self, rng):
         """The driver passes the gradient path's log ψ into the energy
-        estimator: in autograd mode `model.log_psi` runs exactly once, on
-        the batch's distinct rows."""
+        estimator: `model.log_psi_and_grads` runs exactly once, on the
+        batch's distinct rows, and `model.log_psi` not at all."""
         n = 6
         model = MADE(n, rng=rng)
         ham = TransverseFieldIsing.random(n, seed=1)
-        from repro.core.vqmc import VQMCConfig
-
         vqmc = VQMC(
-            model, ham, AutoregressiveSampler(), Adam(model.parameters()),
-            seed=2, config=VQMCConfig(gradient_mode="autograd"),
+            model, ham, AutoregressiveSampler(), Adam(model.parameters()), seed=2
         )
         calls = []
-        original = model.log_psi
+        closed_form, log_psi = model.log_psi_and_grads, model.log_psi
 
         def counting(batch):
             calls.append(np.asarray(batch).shape[0])
-            return original(batch)
+            return closed_form(batch)
 
-        model.log_psi = counting
+        def forbidden(batch):
+            raise AssertionError("the step evaluated log_psi")
+
+        model.log_psi_and_grads, model.log_psi = counting, forbidden
         result = vqmc.step(batch_size=32)
         assert calls == [result.distinct_rows]

@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.samplers",
     "repro.optim",
     "repro.core",
-    "repro.jit",
     "repro.distributed",
     "repro.cluster",
     "repro.exact",

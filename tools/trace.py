@@ -71,26 +71,6 @@ def _load_spans(paths: list[pathlib.Path]) -> list[dict]:
     return spans
 
 
-def _span_name(ev: dict) -> str:
-    """Summary row for a span; compiled-step replay spans are attributed to
-    the interpreted phase they replace.
-
-    ``VQMC.step`` nests one span per executed plan stage — ``jit.replay``
-    for a compiled plan, ``jit.interpret`` for the interpreter, each with a
-    ``phase`` argument — inside the usual phase spans, so a run's
-    ``gradient`` total already *contains* that time. Qualifying the row as
-    ``<phase>/jit.replay`` keeps the phase tables of compiled and
-    interpreted runs directly comparable while still exposing how much of
-    the phase ran compiled.
-    """
-    name = ev["name"]
-    if name in ("jit.replay", "jit.interpret", "jit.trace"):
-        phase = ev.get("args", {}).get("phase")
-        if phase:
-            return f"{phase}/{name}"
-    return name
-
-
 def _totals(spans: list[dict]) -> tuple[dict[str, dict[int, float]], list[int]]:
     """``{name: {rank: total_ms}}`` plus the sorted rank list."""
     table: dict[str, dict[int, float]] = {}
@@ -98,7 +78,7 @@ def _totals(spans: list[dict]) -> tuple[dict[str, dict[int, float]], list[int]]:
     for ev in spans:
         rank = int(ev.get("pid", 0))
         ranks.add(rank)
-        per_rank = table.setdefault(_span_name(ev), {})
+        per_rank = table.setdefault(ev["name"], {})
         per_rank[rank] = per_rank.get(rank, 0.0) + ev.get("dur", 0.0) / 1e3
     return table, sorted(ranks)
 
@@ -171,7 +151,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
     stragglers: list[str] = []
     counts: dict[str, int] = {}
     for ev in spans:
-        name = _span_name(ev)
+        name = ev["name"]
         counts[name] = counts.get(name, 0) + 1
     for name in sorted(table):
         info = skew[name]
