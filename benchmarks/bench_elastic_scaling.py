@@ -172,9 +172,9 @@ class _SlowSampler(AutoregressiveSampler):
         super().__init__()
         self._per_sample_s = per_sample_s
 
-    def sample(self, model, batch_size, rng):
+    def draw(self, model, batch_size, rng):
         time.sleep(self._per_sample_s * batch_size)
-        return super().sample(model, batch_size, rng)
+        return super().draw(model, batch_size, rng)
 
 
 def _builder_with_straggler(straggler_factor):

@@ -43,7 +43,6 @@ from repro.optim.base import Optimizer
 from repro.optim.sr import StochasticReconfiguration
 from repro.samplers.base import Sampler
 from repro.utils.rng import as_generator
-from repro.utils.rows import distinct_rows
 
 __all__ = ["VQMC", "VQMCConfig", "StepResult", "StepDriver"]
 
@@ -143,7 +142,8 @@ class VQMC:
         Optional :class:`repro.obs.Tracer`. When given, every step emits
         nested phase spans (``step`` > ``sample`` / ``local_energy`` /
         ``gradient`` / ``sr_solve`` / ``optimizer``; ``sample`` and
-        ``local_energy`` carry the kernel that ran as ``path``,
+        ``local_energy`` carry the kernel that ran as ``path``, ``sample``
+        the rows the sampler retraced from its memory as ``retraced``,
         ``local_energy`` the distinct configurations it evaluated as
         ``distinct``, ``gradient`` the distinct rows it ran on as ``rows``,
         ``sr_solve`` how the Gram matrix was built as ``gram``) and the
@@ -254,14 +254,17 @@ class VQMC:
             raise ValueError(f"unknown compile mode {compile!r}")
         phases: dict[str, float] = {}
         with self.tracer.span("step", step=self.global_step, batch=bsz):
+            # The sampler groups its batch as it draws it: every per-row
+            # quantity below is evaluated once per distinct row.
             with self._phase(phases, "sample", batch=bsz) as span:
-                x = self.sampler.sample(self.model, bsz, self.rng)
+                x, rows = self.sampler.draw(self.model, bsz, self.rng)
                 sampled = self.sampler.last_stats.extras
                 self.tracer.end(
                     span,
                     path=sampled.get("fast_path", ""),
                     pass_equiv=self.sampler.last_stats.pass_equivalents,
                     sweeps=sampled.get("sweeps"),
+                    retraced=sampled.get("retraced"),
                 )
             energy_path = local_energy_path(self.model, self.hamiltonian)
             if energy_path == "dense":
@@ -272,11 +275,8 @@ class VQMC:
             # The gradient path computes log ψ(x) alongside the O matrix and
             # hands it to the local energies. Only the dense path uses it; the
             # fused path (the default for every TIM/ZZX run) needs the
-            # activations, so it runs its own cached forward pass. Every
-            # per-row quantity is evaluated once per distinct row, grouped
-            # here once for O and the local energies.
+            # activations, so it runs its own cached forward pass.
             with self._phase(phases, "gradient") as span:
-                rows = distinct_rows(x == 1.0)
                 lp, o = per_sample_grads(self.model, x, rows)
                 self.tracer.end(span, rows=rows.count)
             with self._phase(phases, "local_energy", path=energy_path) as span:
@@ -403,8 +403,8 @@ class VQMC:
         evaluate from a caller-owned stream instead.
         """
         gen = rng if rng is not None else self.eval_rng
-        x = self.sampler.sample(self.model, batch_size, gen)
-        local = local_energies(self.model, self.hamiltonian, x)
+        x, rows = self.sampler.draw(self.model, batch_size, gen)
+        local = local_energies(self.model, self.hamiltonian, x, rows=rows)
         return self._combine_stats(local)
 
 

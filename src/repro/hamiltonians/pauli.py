@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,7 +128,12 @@ class PauliStringHamiltonian(Hamiltonian):
     def single_flips(self):
         """Structured single-flip rows when every off-diagonal term is a bare
         single-site X (no Z factors — those make amplitudes state-dependent).
-        Coefficients of repeated sites merge; returns ``None`` otherwise."""
+        Coefficients of repeated sites merge; returns ``None`` otherwise.
+        Built at the first call and kept: the terms are fixed."""
+        return self._single_flips
+
+    @cached_property
+    def _single_flips(self):
         from repro.hamiltonians.base import SingleFlipRows
 
         amplitudes: dict[int, float] = {}

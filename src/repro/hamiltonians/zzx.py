@@ -74,12 +74,14 @@ class ZZXHamiltonian(Hamiltonian):
         self.couplings = couplings
         self.offset = float(offset)
         # Only sites with a non-zero transverse field generate off-diagonal
-        # entries; Max-Cut (alpha = 0) is purely diagonal.
-        self._flip_sites = np.nonzero(alpha != 0.0)[0]
+        # entries; Max-Cut (alpha = 0) is purely diagonal. Built once: a
+        # Hamiltonian keeps its α (annealing builds new ones).
+        sites = np.nonzero(alpha != 0.0)[0]
+        self._flips = SingleFlipRows(sites=sites, amplitudes=-alpha[sites])
 
     @property
     def sparsity(self) -> int:
-        return int(self._flip_sites.size)
+        return self._flips.k
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         x = self._check_batch(x)
@@ -92,8 +94,7 @@ class ZZXHamiltonian(Hamiltonian):
     def single_flips(self) -> SingleFlipRows:
         """Every X_i term flips bit ``i`` with constant amplitude ``-α_i`` —
         the structured form the fused local-energy kernel consumes."""
-        sites = self._flip_sites
-        return SingleFlipRows(sites=sites, amplitudes=-self.alpha[sites])
+        return self._flips
 
     def connected(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = self._check_batch(x)

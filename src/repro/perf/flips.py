@@ -30,7 +30,8 @@ triangle of mask zeros the sort leaves above the diagonal — the same sums in
 the same order, bit for bit. Arrays are unit-major, ``(units, B)`` per call and
 ``(S, units, B)`` per block, so every broadcast operand is a contiguous slab;
 ``S`` keeps a block's widest array at ``BLOCK_ELEMS`` float64, and a block's
-arrays are views of buffers allocated once per call.
+arrays — like the sorted and transposed weight tables — are views of buffers
+the kernel keeps per thread, grown to its largest call.
 
 A tail is a product of Bernoulli odds, not a difference of log-sigmoids: with
 ``p = σ(u)``, ``q = σ(−u)`` tabulated once per call (``u = (2x−1)·z``), moving
@@ -42,6 +43,8 @@ moves ONE logit by > 709): a finite ratio may then read ±inf, never NaN.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +104,23 @@ def log_bernoulli(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
     log_p = _log_sigmoid_inplace(np.array(logits, dtype=np.float64))
     log_q = log_p - logits  # log σ(-z) = log σ(z) - z, exactly
     return targets * log_p + (1.0 - targets) * log_q
+
+
+_KEPT = threading.local()
+
+
+def _kept(slot, shape: tuple, order: str = "C") -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` in this thread's kept
+    buffer ``slot``, grown to the largest call so far. Fresh tables every
+    call would fault their pages in again, at a cost set by which blocks
+    glibc happens to keep. Per thread, because ranks on threads may share a
+    model; a call holds its arrays only until it returns."""
+    kept = _KEPT.__dict__  # this thread's
+    size = math.prod(shape)
+    buf = kept.get(slot)
+    if buf is None or buf.size < size:
+        buf = kept[slot] = np.empty(size)
+    return buf[:size].reshape(shape, order=order)
 
 
 def _view(buf: np.ndarray, a: int, b: int, c: int) -> np.ndarray:
@@ -212,10 +232,14 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
     # The layers above the first read column-major, as a gather by columns
     # leaves them: BLAS then sums a panel's rows as it sums them in the whole
     # product (row-major does not at every batch width).
-    weights[1:] = [np.asfortranarray(w) for w in weights[1:]]
+    for l in range(1, len(weights)):
+        kept = _kept(("w", l), weights[l].shape, "F")
+        np.copyto(kept, weights[l])
+        weights[l] = kept
     pre = [np.ascontiguousarray(a.T[order]) for a, order in zip(cache.pre_acts, orders)]
     hid = [np.ascontiguousarray(h.T[order]) for h, order in zip(cache.hiddens, orders)]
-    w_in = np.ascontiguousarray(weights[0].T)  # a site's column is one row
+    w_in = _kept("w_in", weights[0].shape[::-1])  # a site's column is one row
+    np.copyto(w_in, weights[0].T)
 
     # Ascending sites in blocks of S: one block shares its first site's
     # slices and logit tail z_{>s0}, so its S tails come from ONE GEMM a layer.
@@ -240,15 +264,15 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
         need_g = max(need_g, sb * -(-tail // CHUNK))
         blocks.append((j, stop, s0, los))
         j = stop
-    # A block's arrays are views of buffers allocated once, each sized to this
+    # A block's arrays are views of the kept buffers, each at least this
     # call's largest block: fresh arrays would fault their pages in every block.
-    dh_bufs = [np.empty(need_h) for _ in degrees]
-    f_buf, prod_buf = np.empty(need_f), np.empty(need_g)
+    dh_bufs = [_kept(("dh", l), (need_h,)) for l in range(len(degrees))]
+    f_buf, prod_buf = _kept("f", (need_f,)), _kept("prod", (need_g,))
     # Row i of a GEMM reads the units of the layer below up to ends[i] (units
     # sorted by reach): a hidden unit those of reach ≤ its own, an output i
     # those of reach ≤ i, which are cut[-1][i + 1].
     ends = reach.ends
-    tails = np.empty((live, bsz))
+    tails = _kept("tails", (live, bsz))
     for j, stop, s0, los in blocks:
         size, tail = stop - j, n - s0 - 1
         blk = ascending[j:stop]

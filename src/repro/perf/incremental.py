@@ -13,8 +13,8 @@ kernel), so "the units final before site ``i``" is a prefix.
 The sites are walked in blocks of ``BLOCK``. Per block, ONE GEMM per hidden
 layer gives the base pre-activations of the block's own units from
 everything final before the block, ONE GEMM gives the block's base logits,
-and ONE call draws the block's uniforms. Inside the block, runs of sites are
-solved as fixed points instead of site by site. Under fixed uniforms a
+and the block's uniforms become its thresholds. Inside the block, runs of
+sites are solved as fixed points instead of site by site. Under fixed uniforms a
 run's bits satisfy ``x = F(x)``, where ``F_i`` reads only ``x_<i`` — the
 weights past a unit's reach are exact zeros — so the system is triangular
 and Jacobi sweeps solve it exactly:
@@ -42,19 +42,31 @@ has ``m`` input and ``n − m`` output connections), where Algorithm 1 pays
 zeros included — once per sweep: more multiply-accumulates, far fewer
 numpy calls.
 
-The kernel draws from the RNG in exactly the same order — one uniform per
-unclamped site per row, a block's worth per call, which is the same stream
-as one call per site — and ``u < σ(z)`` becomes ``z > log(u / (1 − u))``,
-with ``u = 0`` drawing a 1 exactly when ``σ(z)`` does not underflow. So the
-0/1 samples are bit-identical to ``MADE.sample(method='naive')`` under the
-same stream: the logits and thresholds may differ from the naive ones by a
-few ULP, because sums and the sigmoid are rounded differently, and a sample
-bit could only flip if a uniform draw landed inside that ~1e-15 window.
+:func:`incremental_sample` draws from the RNG in exactly the same order —
+one uniform per unclamped site per row, all of them in one ``(free sites,
+B)`` call, which is the same stream as one call per site — and hands them to
+the kernel, where ``u < σ(z)`` becomes ``z > log(u / (1 − u))``, with ``u =
+0`` drawing a 1 exactly when ``σ(z)`` does not underflow. So the 0/1 samples
+are bit-identical to ``MADE.sample(method='naive')`` under the same stream:
+the logits and thresholds may differ from the naive ones by a few ULP,
+because sums and the sigmoid are rounded differently, and a sample bit could
+only flip if a uniform draw landed inside that ~1e-15 window.
+
+Retracing: conditional ``i`` reads the prefix alone, so a row whose uniforms
+make a known configuration's choice at every site *is* that configuration.
+Given a ``memory`` of configurations, one forward pass over them gives
+their conditionals, each row is checked against them in u-space (Algorithm
+1's own ``u < σ(z)``), and only the rows that retrace none go through the
+kernel, with their own uniforms. The output is the same, and the memory
+moves a sample bit only where the kernel already may: a uniform inside the
+window between two roundings of one conditional. A concentrated MADE (Max-
+Cut's) draws most of a batch as copies of two or three configurations, and
+the kernel then runs on a few rows or on none.
 
 Cost accounting: the kernel reports the multiply-accumulates its GEMMs
-perform in units of naive batched forward passes
-(``forward_pass_equivalents``) and the sweeps of each run, which is what
-:class:`repro.samplers.base.SamplerStats` surfaces.
+perform, plus the forward pass over the memory, in units of naive batched
+forward passes (``forward_pass_equivalents``) and the sweeps of each run,
+which is what :class:`repro.samplers.base.SamplerStats` surfaces.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.models.base import validate_configurations
 from repro.models.made import MADE
 
 __all__ = [
@@ -98,17 +111,26 @@ class IncrementalSampleResult:
     is the dense cost of ONE naive batched forward pass, so
     ``forward_pass_equivalents`` is directly comparable to the naive
     sampler's pass count of ``n``. ``sweeps`` holds each run's sweep count,
-    in site order.
+    in site order (none when every row retraced a remembered configuration).
+    Given a memory, ``followed[b]`` is the configuration of it row ``b``
+    retraced, −1 for a row the kernel drew (``None`` without a memory), and
+    ``macs`` also counts the forward pass over the memory.
     """
 
     samples: np.ndarray
     macs: int
     full_pass_macs: int
     sweeps: tuple[int, ...]
+    followed: np.ndarray | None = None
 
     @property
     def forward_pass_equivalents(self) -> float:
         return self.macs / max(1, self.full_pass_macs)
+
+    @property
+    def retraced(self) -> int:
+        """Rows copied from the memory instead of drawn."""
+        return 0 if self.followed is None else int(np.count_nonzero(self.followed >= 0))
 
 
 def masked_weights(model) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -191,34 +213,116 @@ def incremental_sample(
     batch_size: int,
     rng: np.random.Generator,
     clamp: np.ndarray | None = None,
+    memory: np.ndarray | None = None,
 ) -> IncrementalSampleResult:
     """Draw exact i.i.d. samples from a MADE by sweeps over runs of sites.
 
     Semantics (including ``clamp`` handling and RNG consumption order) match
     ``MADE.sample`` exactly; see :mod:`repro.perf.incremental` for the
     complexity and exactness arguments.
+
+    ``memory`` holds (K, n) 0/1 configurations to retrace, without a
+    ``clamp``: a row whose uniforms make configuration k's choice at every
+    site *is* configuration k (conditional i reads the prefix alone), so it
+    is copied instead of drawn, and ``followed`` records k. Any
+    configurations are a valid memory; they change only which rows the
+    kernel draws.
     """
     if not isinstance(model, MADE):
         raise TypeError(f"incremental sampling requires a MADE; got {type(model).__name__}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
+    if clamp is not None and memory is not None:
+        raise ValueError("a memory retraces unclamped draws only")
     n = model.n
     clamp = _validate_clamp(clamp, n)
     free = np.ones(n, dtype=bool) if clamp is None else np.isnan(clamp)
+    # One call is the same stream as one per drawn site: site-major, B
+    # uniforms for each free site.
+    uniforms = rng.random((int(np.count_nonzero(free)), batch_size))
 
     effs, biases = masked_weights(model)
     reach = reach_of(model)
     # Row slices of C-order weights are what the block GEMMs read fastest.
     weights = [np.ascontiguousarray(w) for w in reach.sort(effs)]
     biases = [b[order] for b, order in zip(biases, reach.orders)] + biases[-1:]
+    # Dense MAC count of one row's naive forward pass (`MADE.logits`).
+    dims = [n, *(w.shape[0] for w in weights)]
+    row_macs = sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+
+    followed, drawn, macs = None, batch_size, 0
+    if memory is not None and len(memory):
+        memory = validate_configurations(memory, n)
+        followed = _follow(weights, biases, memory, uniforms)
+        drawn = np.flatnonzero(followed < 0)
+        macs = len(memory) * row_macs
+    if followed is None or drawn.size == batch_size:
+        samples, kernel_macs, sweeps = _kernel(reach, weights, biases, uniforms, free, clamp)
+    else:
+        samples = memory[np.maximum(followed, 0)]
+        kernel_macs, sweeps = 0, ()
+        if drawn.size:
+            x, kernel_macs, sweeps = _kernel(
+                reach, weights, biases, uniforms[:, drawn], free, clamp
+            )
+            samples[drawn] = x
+    return IncrementalSampleResult(
+        samples=samples,
+        macs=macs + kernel_macs,
+        full_pass_macs=batch_size * row_macs,
+        sweeps=sweeps,
+        followed=followed,
+    )
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """``σ(z)`` as ``Tensor.sigmoid`` (the naive sampler's) computes it:
+    ``1 / (1 + e^{−z})`` for z ≥ 0, ``e^z / (1 + e^z)`` below."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _follow(weights, biases, memory, uniforms) -> np.ndarray:
+    """(B,) the configuration of ``memory`` each row's uniforms retrace, −1
+    for a row that retraces none.
+
+    One forward pass over the configurations gives every conditional of each,
+    and a row follows configuration k when ``u < σ(z_i)`` draws its bit at
+    every site — Algorithm 1's own comparison. The configurations are
+    tried in order on the rows still unmatched, so the first of two equal
+    ones takes the rows.
+    """
+    h = memory
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    p = _sigmoid(h @ weights[-1].T + biases[-1])
+    bits = memory == 1.0
+    followed = np.full(uniforms.shape[1], -1)
+    left = np.arange(uniforms.shape[1])
+    for k in range(len(memory)):
+        miss = np.less(uniforms, p[k, :, None])
+        np.not_equal(miss, bits[k, :, None], out=miss)
+        miss = miss.any(axis=0)
+        if miss.all():
+            continue
+        followed[left[~miss]] = k
+        left = left[miss]
+        if not left.size:
+            break
+        uniforms = uniforms[:, miss]
+    return followed
+
+
+def _kernel(reach: Reach, weights, biases, uniforms, free, clamp):
+    """``(samples (B, n), macs, sweeps)`` of the sweeps over runs of sites,
+    drawing with the given ``(free sites, B)`` uniforms."""
+    n, batch_size = free.size, uniforms.shape[1]
     depth = len(reach.orders)
     # The inputs are layer 0: x_j has reach j+1. A unit of reach r — input or
     # hidden — is readable from site r on, and cut[l][i] counts the units of
     # layer l with reach < i: a hidden unit is final once site reach-1 is.
     cut = reach.cuts
-    # Dense MAC count of one naive batched forward pass (`MADE.logits`).
     dims = [n, *(w.shape[0] for w in weights)]
-    full_pass_macs = batch_size * sum(a * b for a, b in zip(dims[:-1], dims[1:]))
     run = max(1, min(BLOCK, SWEEP_ELEMS // batch_size))
 
     # Unit-major: a unit's activations over the batch are one contiguous row,
@@ -227,9 +331,9 @@ def incremental_sample(
     w_out, b_out = weights[-1], biases[-1]
     # ahead[i]: free sites before site i, so a run's logit rows are a slice.
     ahead = np.concatenate([[0], np.cumsum(free)]).tolist()
-    # A block's uniforms and margins, allocated once: at large B a fresh
+    # A block's margins and logit scratch, allocated once: at large B a fresh
     # (BLOCK, B) array per block costs its page faults again.
-    uniforms, margins = np.empty((2, BLOCK, batch_size))
+    margins, logits = np.empty((2, BLOCK, batch_size))
     macs, sweeps = 0, []
     with np.errstate(divide="ignore"):  # u = 0: log 0 = -inf, floored below
         for s0 in range(0, n, BLOCK):
@@ -248,17 +352,16 @@ def incremental_sample(
             if k < s1 - s0:
                 fixed = s0 + np.flatnonzero(~free[s0:s1])
                 hid[0][fixed] = clamp[fixed, None]
-            # One call per block is the same stream as one per drawn site.
             # u < σ(z) ⟺ z > log(u / (1 − u)), 1 − u being exact for every u
             # the generator returns (a multiple of 2⁻⁵³ in [0, 1)); the margin
             # is that threshold less the block's base logit z₀, so a site is
             # drawn iff its in-block logit part z − z₀ exceeds it.
-            u = rng.random(out=uniforms[:k])
+            u = uniforms[ahead[s0] : ahead[s1]]
             margin = np.subtract(1.0, u, out=margins[:k])
             np.divide(u, margin, out=margin)
             np.log(margin, out=margin)
             np.maximum(margin, _LOGIT_OF_ZERO, out=margin)
-            margin -= np.matmul(w_out[draw, : lo[-1]], hid[-1][: lo[-1]], out=u)
+            margin -= np.matmul(w_out[draw, : lo[-1]], hid[-1][: lo[-1]], out=logits[:k])
             margin -= b_out[draw, None]
             macs += k * lo[-1]
             for r0 in range(s0, s1, run):
@@ -297,12 +400,7 @@ def incremental_sample(
                     bits = new
                 sweeps.append(sweep)
                 macs += sweep * (sum(w.size for w, *_ in units) + w_run.size)
-    return IncrementalSampleResult(
-        samples=np.ascontiguousarray(hid[0].T),
-        macs=batch_size * macs,
-        full_pass_macs=full_pass_macs,
-        sweeps=tuple(sweeps),
-    )
+    return np.ascontiguousarray(hid[0].T), batch_size * macs, tuple(sweeps)
 
 
 def _validate_clamp(clamp: np.ndarray | None, n: int) -> np.ndarray | None:

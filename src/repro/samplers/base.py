@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.base import WaveFunction
+from repro.utils.rows import DistinctRows, distinct_rows
 
 __all__ = ["Sampler", "SamplerStats"]
 
@@ -55,6 +56,18 @@ class Sampler:
     ) -> np.ndarray:
         """Return an ``(batch_size, n)`` array of configurations."""
         raise NotImplementedError
+
+    def draw(
+        self, model: WaveFunction, batch_size: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, DistinctRows]:
+        """``(x, distinct_rows(x == 1))``: a batch and its distinct rows.
+
+        ``VQMC.step`` draws through this alone and evaluates every per-row
+        quantity on the grouping. The default groups :meth:`sample`'s
+        output; a sampler that knows which of its rows are copies overrides
+        it to group without hashing them."""
+        x = self.sample(model, batch_size, rng)
+        return x, distinct_rows(x == 1.0)
 
     @property
     def last_stats(self) -> SamplerStats:

@@ -156,8 +156,10 @@ class TestStepMechanics:
                 # One 6-site run, swept 1 to 6 times: at least the mask floor.
                 assert 1.0 <= e.attrs["sweeps"] <= model.n
                 assert e.attrs["pass_equiv"] >= 0.5
+                assert 0 <= e.attrs["retraced"] < 16
             else:
                 assert e.attrs["sweeps"] is None
+                assert e.attrs["retraced"] is None
                 assert e.attrs["pass_equiv"] == float(model.n)
 
     def test_mismatched_sizes_rejected(self, small_tim, rng):

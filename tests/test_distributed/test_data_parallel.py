@@ -13,7 +13,7 @@ from repro.distributed.serial import SerialCommunicator
 from repro.hamiltonians import TransverseFieldIsing
 from repro.models import MADE
 from repro.optim import SGD, Adam, StochasticReconfiguration
-from repro.samplers import AutoregressiveSampler
+from repro.samplers import AutoregressiveSampler, Sampler
 from repro.utils.rng import spawn_generators
 
 
@@ -77,7 +77,7 @@ class TestGradientExactness:
         ham = small_tim
         full_x = master.sample(total, np.random.default_rng(5))
 
-        class FixedSampler:
+        class FixedSampler(Sampler):
             exact = True
 
             def __init__(self, x):
@@ -126,7 +126,7 @@ class TestGradientExactness:
         master = MADE(n, hidden=8, rng=np.random.default_rng(3))
         full_x = master.sample(total, np.random.default_rng(5))
 
-        class FixedSampler:
+        class FixedSampler(Sampler):
             exact = True
 
             def __init__(self, x):
@@ -174,7 +174,7 @@ class TestGradientExactness:
         master = MADE(n, hidden=8, rng=np.random.default_rng(3))
         full_x = master.sample(total, np.random.default_rng(5))
 
-        class FixedSampler:
+        class FixedSampler(Sampler):
             exact = True
 
             def __init__(self, x):

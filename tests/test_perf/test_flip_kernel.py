@@ -24,6 +24,7 @@ scoped too narrowly cannot hide.
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -331,6 +332,25 @@ class TestOddsNumerics:
         assert np.allclose(forced, normal, rtol=1e-12, atol=1e-12)
 
 
+def _peak_bytes(model, sites, x) -> int:
+    """Peak traced allocation of one call on a fresh thread: the buffers the
+    kernel keeps per thread are allocated, and counted, by that call."""
+    peak = []
+
+    def call():
+        tracemalloc.start()
+        try:
+            flip_log_ratios(model, sites, x)
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join()
+    return peak[0]
+
+
 class TestWorkingSet:
     def test_peak_allocation_is_bounded_by_the_block_not_the_problem(self):
         """One call at ``tim256``'s shape stays under 6 MB (the dense path's
@@ -345,14 +365,29 @@ class TestWorkingSet:
         for batch in (64, 256):
             x = _configurations(model, "model", batch, seed=1)
             flip_log_ratios(model, sites, x)
-            tracemalloc.start()
-            try:
-                flip_log_ratios(model, sites, x)
-                peaks[batch] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[batch] = _peak_bytes(model, sites, x)
         assert peaks[64] < 6e6
         assert peaks[256] < 3 * peaks[64]
+
+    def test_a_repeated_call_reuses_the_kept_tables(self):
+        """The weight tables and block buffers are the thread's, grown to its
+        largest call: a second call at a smaller batch allocates none of them,
+        and the ratios do not depend on what the buffers held before."""
+        n = 256
+        model = MADE(n, rng=np.random.default_rng(0))
+        sites = np.arange(n)
+        x = _configurations(model, "model", 64, seed=1)
+        first = flip_log_ratios(model, sites, x)
+        flip_log_ratios(model, sites, _configurations(model, "model", 256, seed=2))
+        tracemalloc.start()
+        try:
+            again = flip_log_ratios(model, sites, x)
+            warm = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again, first)
+        # The two weight tables alone are 2·n·h float64 (631 KB).
+        assert warm < _peak_bytes(model, sites, x) - 2 * n * model.hidden * 8
 
 
 class TestGemmCost:
