@@ -37,6 +37,7 @@ from repro.core.energy import (
 )
 from repro.hamiltonians.base import Hamiltonian
 from repro.models.base import WaveFunction
+from repro.nn.linear import weights_held
 from repro.obs.metrics import Metrics
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optim.base import Optimizer
@@ -143,7 +144,8 @@ class VQMC:
         nested phase spans (``step`` > ``sample`` / ``local_energy`` /
         ``gradient`` / ``sr_solve`` / ``optimizer``; ``sample`` and
         ``local_energy`` carry the kernel that ran as ``path``, ``sample``
-        the rows the sampler retraced from its memory as ``retraced``,
+        the rows the sampler retraced from its memory as ``retraced`` and
+        those it settled by whole-row sweeps as ``settled``,
         ``local_energy`` the distinct configurations it evaluated as
         ``distinct``, ``gradient`` the distinct rows it ran on as ``rows``,
         ``sr_solve`` how the Gram matrix was built as ``gram``) and the
@@ -254,39 +256,43 @@ class VQMC:
             raise ValueError(f"unknown compile mode {compile!r}")
         phases: dict[str, float] = {}
         with self.tracer.span("step", step=self.global_step, batch=bsz):
-            # The sampler groups its batch as it draws it: every per-row
-            # quantity below is evaluated once per distinct row.
-            with self._phase(phases, "sample", batch=bsz) as span:
-                x, rows = self.sampler.draw(self.model, bsz, self.rng)
-                sampled = self.sampler.last_stats.extras
-                self.tracer.end(
-                    span,
-                    path=sampled.get("fast_path", ""),
-                    pass_equiv=self.sampler.last_stats.pass_equivalents,
-                    sweeps=sampled.get("sweeps"),
-                    retraced=sampled.get("retraced"),
-                )
-            energy_path = local_energy_path(self.model, self.hamiltonian)
-            if energy_path == "dense":
-                self._count("energy.dense_fallback")
-            # Drop the last step's gradients before this step's temporaries
-            # are allocated: the heap then reuses their blocks.
-            self.model.zero_grad()
-            # The gradient path computes log ψ(x) alongside the O matrix and
-            # hands it to the local energies. Only the dense path uses it; the
-            # fused path (the default for every TIM/ZZX run) needs the
-            # activations, so it runs its own cached forward pass.
-            with self._phase(phases, "gradient") as span:
-                lp, o = per_sample_grads(self.model, x, rows)
-                self.tracer.end(span, rows=rows.count)
-            with self._phase(phases, "local_energy", path=energy_path) as span:
-                local = local_energies(
-                    self.model, self.hamiltonian, x, log_psi_x=lp, rows=rows
-                )
-                stats = self._combine_stats(local)
-                self.tracer.end(span, distinct=rows.count)
-            if self.metrics is not None:
-                self.metrics.set("energy.distinct_rows", rows.count)
+            # The weights are written only by the optimizer: the sampler, the
+            # gradient and the flip kernel read one scatter of each W∘M.
+            with weights_held(self.model):
+                # The sampler groups its batch as it draws it: every per-row
+                # quantity below is evaluated once per distinct row.
+                with self._phase(phases, "sample", batch=bsz) as span:
+                    x, rows = self.sampler.draw(self.model, bsz, self.rng)
+                    sampled = self.sampler.last_stats.extras
+                    self.tracer.end(
+                        span,
+                        path=sampled.get("fast_path", ""),
+                        pass_equiv=self.sampler.last_stats.pass_equivalents,
+                        sweeps=sampled.get("sweeps"),
+                        retraced=sampled.get("retraced"),
+                        settled=sampled.get("settled"),
+                    )
+                energy_path = local_energy_path(self.model, self.hamiltonian)
+                if energy_path == "dense":
+                    self._count("energy.dense_fallback")
+                # Drop the last step's gradients before this step's
+                # temporaries are allocated: the heap then reuses their blocks.
+                self.model.zero_grad()
+                # The gradient path computes log ψ(x) alongside the O matrix
+                # and hands it to the local energies. Only the dense path uses
+                # it; the fused path (the default for every TIM/ZZX run) needs
+                # the activations, so it runs its own cached forward pass.
+                with self._phase(phases, "gradient") as span:
+                    lp, o = per_sample_grads(self.model, x, rows)
+                    self.tracer.end(span, rows=rows.count)
+                with self._phase(phases, "local_energy", path=energy_path) as span:
+                    local = local_energies(
+                        self.model, self.hamiltonian, x, log_psi_x=lp, rows=rows
+                    )
+                    stats = self._combine_stats(local)
+                    self.tracer.end(span, distinct=rows.count)
+                if self.metrics is not None:
+                    self.metrics.set("energy.distinct_rows", rows.count)
             # ∇L = 2⟨(l − L̄) O⟩, centred with the *global* mean and normalised
             # by the *global* count so distributed gradients average to the
             # exact big-batch estimator even with unequal per-rank batches.

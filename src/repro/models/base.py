@@ -28,14 +28,23 @@ __all__ = ["WaveFunction", "group_configurations", "validate_configurations"]
 
 def validate_configurations(x: np.ndarray, n: int) -> np.ndarray:
     """Check/coerce a batch of configurations to an ``(B, n)`` float array of {0,1}."""
+    x = _as_batch(x, n)
+    _check_binary(x)
+    return x
+
+
+def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"expected configurations of shape (B, {n}), got {x.shape}")
+    return x
+
+
+def _check_binary(x: np.ndarray) -> None:
     if not np.all((x == 0.0) | (x == 1.0)):
         raise ValueError("configurations must be binary (entries in {0, 1})")
-    return x
 
 
 def group_configurations(
@@ -44,12 +53,19 @@ def group_configurations(
     """:func:`validate_configurations` of ``x`` with its distinct rows:
     ``rows`` when the caller has grouped the batch (``distinct_rows(x ==
     1)``), checked against its length, else grouped here by bits — exact
-    because the entries are 0/1."""
-    x = validate_configurations(x, n)
+    because the entries are 0/1.
+
+    Given ``rows``, only the rows it evaluates, ``x[rows.first]``, are
+    checked to be 0/1: every per-row quantity is computed on those and
+    handed to their copies, and the caller's grouping vouches that each
+    other row equals its first."""
+    x = _as_batch(x, n)
     if rows is None:
+        _check_binary(x)
         return x, distinct_rows(x == 1.0)
     if rows.inverse.shape != (len(x),):
         raise ValueError(f"rows group {rows.inverse.size} rows, x has {len(x)}")
+    _check_binary(x if rows.count == len(x) else x[rows.first])
     return x, rows
 
 

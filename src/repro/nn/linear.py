@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 from repro.nn import init
@@ -10,7 +13,7 @@ from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.utils.rng import init_rng
 
-__all__ = ["Linear", "MaskedLinear"]
+__all__ = ["Linear", "MaskedLinear", "weights_held"]
 
 
 class Linear(Module):
@@ -73,7 +76,8 @@ class MaskedLinear(Linear):
     :meth:`effective_weight` scatters the packed weights into the dense
     ``W∘M`` that the kernels multiply by, in a buffer the layer allocates
     once; :meth:`forward` records the same scatter
-    (:func:`repro.tensor.functional.scatter`) on the tape.
+    (:func:`repro.tensor.functional.scatter`) on the tape. Inside
+    :func:`weights_held` it scatters once and hands back that scatter.
     """
 
     def __init__(
@@ -96,6 +100,9 @@ class MaskedLinear(Linear):
         self.pattern.flags.writeable = False
         self.weight = Parameter(self.weight.data[self.pattern], name="weight")
         self._dense = np.zeros(mask.shape)
+        #: inside :func:`weights_held`: the scatter to hand back, once made
+        self._hold = False
+        self._held: np.ndarray | None = None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.masked_linear(x, self.weight, self.pattern, self.bias)
@@ -105,12 +112,18 @@ class MaskedLinear(Linear):
 
         A read-only view of the layer's own buffer, scattered from
         ``weight.data`` on every call, so it holds the weights as they are
-        now however they were written. The view is overwritten by the next
-        call: copy it to keep it.
+        now however they were written — except inside
+        :func:`weights_held`, where the first call's scatter is handed back
+        until the block ends. The view is overwritten by the next scatter:
+        copy it to keep it.
         """
+        if self._held is not None:
+            return self._held
         self._dense[self.pattern] = self.weight.data
         view = self._dense.view()
         view.flags.writeable = False
+        if self._hold:
+            self._held = view
         return view
 
     def __repr__(self) -> str:
@@ -118,3 +131,32 @@ class MaskedLinear(Linear):
             f"MaskedLinear({self.in_features}, {self.out_features}, "
             f"live_weights={self.weight.size}/{self.pattern.size})"
         )
+
+
+def _masked_layers(module: Module) -> Iterator[MaskedLinear]:
+    if isinstance(module, MaskedLinear):
+        yield module
+    for child in module._modules.values():
+        yield from _masked_layers(child)
+
+
+@contextmanager
+def weights_held(module: Module) -> Iterator[None]:
+    """Within the block, every masked layer of ``module`` scatters ``W∘M``
+    at its first :meth:`~MaskedLinear.effective_weight` call and hands that
+    scatter back at every later one.
+
+    For a span in which nothing writes the weights: ``VQMC.step`` holds
+    them from the draw through the local energies, where the sampler, the
+    gradient and the flip kernel each read them, and lets go before the
+    optimizer writes. A nested hold keeps the outer one's scatter, and the
+    block's end, by exception too, lets go of what it held and nothing else.
+    """
+    layers = [layer for layer in _masked_layers(module) if not layer._hold]
+    try:
+        for layer in layers:
+            layer._hold = True
+        yield
+    finally:
+        for layer in layers:
+            layer._hold, layer._held = False, None

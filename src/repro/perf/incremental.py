@@ -55,18 +55,28 @@ only flip if a uniform draw landed inside that ~1e-15 window.
 Retracing: conditional ``i`` reads the prefix alone, so a row whose uniforms
 make a known configuration's choice at every site *is* that configuration.
 Given a ``memory`` of configurations, one forward pass over them gives
-their conditionals, each row is checked against them in u-space (Algorithm
-1's own ``u < σ(z)``), and only the rows that retrace none go through the
-kernel, with their own uniforms. The output is the same, and the memory
+their conditionals, and each row is checked against them in u-space
+(Algorithm 1's own ``u < σ(z)``). The output is the same, and the memory
 moves a sample bit only where the kernel already may: a uniform inside the
 window between two roundings of one conditional. A concentrated MADE (Max-
-Cut's) draws most of a batch as copies of two or three configurations, and
-the kernel then runs on a few rows or on none.
+Cut's) draws most of a batch as copies of two or three configurations.
+
+Settling: a row that retraces none is solved as a whole. Under its
+uniforms its bits satisfy ``x = F(x)``, ``F_i`` reading ``x_<i`` alone, so
+the system is triangular and has one solution, Algorithm 1's draw. The
+first guess is the bits its uniforms draw under the conditionals of the
+remembered configuration it follows longest (the latest first miss): right
+up to and including that site. Each sweep is one dense forward pass over
+the guesses; a row whose recomputed bits equal its guess is a fixed point
+and so the draw, and any other takes them as its next guess. Only the rows
+still unsettled after ``SETTLE_SWEEPS`` sweeps go through the kernel, with
+their own uniforms.
 
 Cost accounting: the kernel reports the multiply-accumulates its GEMMs
-perform, plus the forward pass over the memory, in units of naive batched
-forward passes (``forward_pass_equivalents``) and the sweeps of each run,
-which is what :class:`repro.samplers.base.SamplerStats` surfaces.
+perform, plus the forward passes over the memory and the settling sweeps,
+in units of naive batched forward passes (``forward_pass_equivalents``)
+and the sweeps of each run, which is what
+:class:`repro.samplers.base.SamplerStats` surfaces.
 """
 
 from __future__ import annotations
@@ -97,6 +107,14 @@ BLOCK = 16
 #: the numpy calls it saves. Measured (docs/performance.md has the table).
 SWEEP_ELEMS = 6144
 
+#: Whole-row sweeps a row that retraces no remembered configuration gets
+#: before the kernel draws it. Measured (docs/performance.md has the table):
+#: on a collapsed Max-Cut MADE one sweep settles nearly every such row and
+#: a second the rest, while a sweep is one dense forward pass over the rows
+#: still unsettled, ~0.08 ms on a few rows at n = 256 against the kernel's
+#: ~0.5 ms floor.
+SETTLE_SWEEPS = 3
+
 #: The threshold u = 0 gets: below it e^z, and so σ(z), rounds to exactly 0
 #: (e^z < 2⁻¹⁰⁷⁵), and the naive sampler's ``0 < σ(z)`` draws a 0.
 _LOGIT_OF_ZERO = -1075 * np.log(2.0)
@@ -113,8 +131,10 @@ class IncrementalSampleResult:
     sampler's pass count of ``n``. ``sweeps`` holds each run's sweep count,
     in site order (none when every row retraced a remembered configuration).
     Given a memory, ``followed[b]`` is the configuration of it row ``b``
-    retraced, −1 for a row the kernel drew (``None`` without a memory), and
-    ``macs`` also counts the forward pass over the memory.
+    retraced, −1 for a row it did not (``None`` without a memory);
+    ``settled`` counts the rows of those that whole-row sweeps solved, the
+    rest being the kernel's; and ``macs`` also counts the forward passes
+    over the memory and over the rows the sweeps tried.
     """
 
     samples: np.ndarray
@@ -122,6 +142,7 @@ class IncrementalSampleResult:
     full_pass_macs: int
     sweeps: tuple[int, ...]
     followed: np.ndarray | None = None
+    settled: int = 0
 
     @property
     def forward_pass_equivalents(self) -> float:
@@ -224,7 +245,8 @@ def incremental_sample(
     ``memory`` holds (K, n) 0/1 configurations to retrace, without a
     ``clamp``: a row whose uniforms make configuration k's choice at every
     site *is* configuration k (conditional i reads the prefix alone), so it
-    is copied instead of drawn, and ``followed`` records k. Any
+    is copied instead of drawn, and ``followed`` records k. A row that
+    retraces none is settled by whole-row sweeps where they converge. Any
     configurations are a valid memory; they change only which rows the
     kernel draws.
     """
@@ -250,21 +272,27 @@ def incremental_sample(
     dims = [n, *(w.shape[0] for w in weights)]
     row_macs = sum(a * b for a, b in zip(dims[:-1], dims[1:]))
 
-    followed, drawn, macs = None, batch_size, 0
+    followed, macs, settled = None, 0, 0
     if memory is not None and len(memory):
         memory = validate_configurations(memory, n)
-        followed = _follow(weights, biases, memory, uniforms)
-        drawn = np.flatnonzero(followed < 0)
+        followed, p = _follow(weights, biases, memory, uniforms)
         macs = len(memory) * row_macs
-    if followed is None or drawn.size == batch_size:
+    if followed is None:
         samples, kernel_macs, sweeps = _kernel(reach, weights, biases, uniforms, free, clamp)
     else:
         samples = memory[np.maximum(followed, 0)]
         kernel_macs, sweeps = 0, ()
+        drawn = np.flatnonzero(followed < 0)
         if drawn.size:
-            x, kernel_macs, sweeps = _kernel(
-                reach, weights, biases, uniforms[:, drawn], free, clamp
-            )
+            u = uniforms[:, drawn]
+            x, left, passes = _settle(weights, biases, memory, p, u)
+            macs += passes * row_macs
+            settled = drawn.size - left.size
+            if left.size:
+                rest, kernel_macs, sweeps = _kernel(
+                    reach, weights, biases, u[:, left], free, clamp
+                )
+                x[left] = rest
             samples[drawn] = x
     return IncrementalSampleResult(
         samples=samples,
@@ -272,6 +300,7 @@ def incremental_sample(
         full_pass_macs=batch_size * row_macs,
         sweeps=sweeps,
         followed=followed,
+        settled=settled,
     )
 
 
@@ -282,9 +311,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _follow(weights, biases, memory, uniforms) -> np.ndarray:
-    """(B,) the configuration of ``memory`` each row's uniforms retrace, −1
-    for a row that retraces none.
+def _conditionals(weights, biases, x) -> np.ndarray:
+    """(rows, n) ``σ(z)`` of the rows of ``x``: one dense forward pass."""
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    return _sigmoid(h @ weights[-1].T + biases[-1])
+
+
+def _follow(weights, biases, memory, uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """``(followed (B,), p (K, n))``: the configuration of ``memory`` each
+    row's uniforms retrace, −1 for a row that retraces none, and the
+    configurations' conditionals.
 
     One forward pass over the configurations gives every conditional of each,
     and a row follows configuration k when ``u < σ(z_i)`` draws its bit at
@@ -292,10 +330,7 @@ def _follow(weights, biases, memory, uniforms) -> np.ndarray:
     tried in order on the rows still unmatched, so the first of two equal
     ones takes the rows.
     """
-    h = memory
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
-    p = _sigmoid(h @ weights[-1].T + biases[-1])
+    p = _conditionals(weights, biases, memory)
     bits = memory == 1.0
     followed = np.full(uniforms.shape[1], -1)
     left = np.arange(uniforms.shape[1])
@@ -310,7 +345,39 @@ def _follow(weights, biases, memory, uniforms) -> np.ndarray:
         if not left.size:
             break
         uniforms = uniforms[:, miss]
-    return followed
+    return followed, p
+
+
+def _settle(weights, biases, memory, p, uniforms):
+    """``(x (r, n), left, passes)``: the rows of the ``(n, r)`` uniforms,
+    none of which retraces a configuration of ``memory``, drawn by whole-row
+    Jacobi sweeps; ``left`` indexes the rows still unsettled after
+    ``SETTLE_SWEEPS`` (their ``x`` rows are unwritten), and ``passes``
+    counts the rows the sweeps' forward passes ran on.
+
+    ``p`` holds the configurations' conditionals. A row's first guess is
+    the bits its uniforms draw under those of the configuration it follows
+    longest — the latest first miss; every row misses each somewhere. A
+    sweep recomputes the guesses' conditionals in one forward pass, and a
+    row whose bits ``u < σ(z)`` reproduce its guess is a fixed point of the
+    triangular ``x = F(x)``: Algorithm 1's draw.
+    """
+    u = uniforms.T
+    draws = u[None] < p[:, None, :]  # (K, r, n)
+    first = np.not_equal(draws, (memory == 1.0)[:, None, :]).argmax(axis=2)
+    rows = np.arange(u.shape[0])
+    guess = draws[first.argmax(axis=0), rows]
+    x = np.empty(u.shape)
+    passes = 0
+    for _ in range(SETTLE_SWEEPS):
+        new = u[rows] < _conditionals(weights, biases, guess.astype(np.float64))
+        passes += rows.size
+        same = (new == guess).all(axis=1)
+        x[rows[same]] = guess[same]
+        rows, guess = rows[~same], new[~same]
+        if not rows.size:
+            break
+    return x, rows, passes
 
 
 def _kernel(reach: Reach, weights, biases, uniforms, free, clamp):

@@ -23,13 +23,15 @@ frequent configurations of its last batch that drew at least twice, when
 together they drew at least ``COVERAGE`` of it, and on the next call the
 kernel copies every row whose uniforms retrace one of them instead of
 drawing it (:func:`~repro.perf.incremental.incremental_sample`'s
-``memory``). Conditional i reads the prefix alone, so a row whose uniforms
-make a configuration's choice at every site *is* that configuration: the
-samples are Algorithm 1's, and the memory moves them only where the kernel
-already may — a uniform inside the ~1e-16 window between two roundings of
-one logit. The memory is a hint, not state: any configurations of length n
-are a valid memory, so it is neither checkpointed nor tied to one model, and
-a call reads it once, so a sampler shared across threads or models stays
+``memory``), and settles most of the others by whole-row fixed-point
+sweeps started from the configuration each follows longest. Conditional i
+reads the prefix alone, so a row whose uniforms make a configuration's
+choice at every site *is* that configuration: the samples are Algorithm
+1's, and the memory moves them only where the kernel already may — a
+uniform inside the ~1e-16 window between two roundings of one logit. The
+memory is a hint, not state: any configurations of length n are a valid
+memory, so it is neither checkpointed nor tied to one model, and a call
+reads it once, so a sampler shared across threads or models stays
 correct. :meth:`AutoregressiveSampler.draw` hands the batch's grouping to
 ``VQMC.step``: retraced rows are grouped by the configuration they
 retraced, and only the drawn rows are hashed. That grouping is what
@@ -37,11 +39,13 @@ refreshes the memory; :meth:`~AutoregressiveSampler.sample` retraces it
 too but, grouping nothing, leaves it as it is.
 
 ``last_stats`` reports both the nominal pass count and the measured
-``forward_pass_equivalents`` (the kernel's GEMMs plus the forward pass over
-the memory) so cost models see the true price; ``extras['fast_path']``
-records which kernel ran, ``extras['sweeps']`` the kernel's mean sweeps per
-run (0 when it did not run) and ``extras['retraced']`` the rows copied from
-the memory.
+``forward_pass_equivalents`` (the kernel's GEMMs plus the forward passes
+over the memory and the settling sweeps) so cost models see the true
+price; ``extras['fast_path']`` records which kernel ran,
+``extras['sweeps']`` the kernel's mean sweeps per run (0 when it did not
+run), ``extras['retraced']`` the rows copied from the memory and
+``extras['settled']`` the rows that whole-row sweeps drew (the kernel drew
+the rest).
 """
 
 from __future__ import annotations
@@ -156,6 +160,7 @@ class AutoregressiveSampler(Sampler):
                 "macs": result.macs,
                 "sweeps": sum(result.sweeps) / max(1, len(result.sweeps)),
                 "retraced": result.retraced,
+                "settled": result.settled,
             },
         )
         return result

@@ -11,7 +11,8 @@ built from distinct rows repeated with random multiplicities and shuffled:
 - a batch without repeats groups as every row its own, and the grouped
   energies, ``log ψ`` and ``O``, products of ``O`` and SR solve are exactly
   the computation without grouping;
-- a non-0/1 row raises before anything is grouped;
+- a non-0/1 row raises before anything is grouped, and one that a given
+  grouping evaluates raises too;
 - rows are one group exactly when their bytes are, hash collisions or not,
   and groups come in order of first occurrence.
 """
@@ -243,6 +244,30 @@ def test_a_non_binary_row_raises_before_grouping(monkeypatch, bad):
     x[2, 1] = bad
     with pytest.raises(ValueError, match="binary"):
         local_energies(model, ham, x)
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, 2.0])
+def test_a_non_binary_row_the_grouping_evaluates_raises(monkeypatch, bad):
+    """Given ``rows``, the rows it evaluates are the ones checked, before
+    anything is evaluated: a bad entry in a first occurrence raises from
+    the gradient and the energies."""
+    from repro.core import energy as energy_module
+
+    def never(*args):
+        raise AssertionError("evaluated before validating")
+
+    n = 5
+    model, ham = _model("made", n, 0), TransverseFieldIsing.random(n, seed=0)
+    monkeypatch.setattr(model, "log_psi_and_grads", never)
+    monkeypatch.setattr(energy_module, "_local_energies", never)
+    x = np.zeros((4, n))
+    x[[1, 3], 0] = 1.0
+    rows = distinct_rows(x == 1.0)
+    x[rows.first[1], 2] = bad
+    with pytest.raises(ValueError, match="binary"):
+        per_sample_grads(model, x, rows)
+    with pytest.raises(ValueError, match="binary"):
+        local_energies(model, ham, x, rows=rows)
 
 
 def test_a_grouping_of_another_batch_is_refused():

@@ -157,9 +157,11 @@ class TestStepMechanics:
                 assert 1.0 <= e.attrs["sweeps"] <= model.n
                 assert e.attrs["pass_equiv"] >= 0.5
                 assert 0 <= e.attrs["retraced"] < 16
+                assert 0 <= e.attrs["settled"] <= 16 - e.attrs["retraced"]
             else:
                 assert e.attrs["sweeps"] is None
                 assert e.attrs["retraced"] is None
+                assert e.attrs["settled"] is None
                 assert e.attrs["pass_equiv"] == float(model.n)
 
     def test_mismatched_sizes_rejected(self, small_tim, rng):

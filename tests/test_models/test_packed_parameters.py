@@ -5,7 +5,9 @@ the connected entries, row-major — and each agrees with a test-local dense
 oracle that multiplies ``x @ (W∘M)ᵀ`` with ``W`` a dense leaf: the autograd
 tape through ``log_psi``, and ``log_psi_and_grads`` on every row and on the
 distinct rows (``per_sample_grads``) — each through the weighted backward
-of its factored ``O`` and through the dense ``np.asarray(O)``.
+of its factored ``O`` and through the dense ``np.asarray(O)``. The dense
+``W∘M`` is scattered on every read, except inside a step, which scatters
+each layer once and lets go of it before the optimizer writes.
 """
 
 from __future__ import annotations
@@ -148,6 +150,73 @@ def test_every_kernel_reads_weights_written_in_place(rng):
     assert np.array_equal(log_psi, fresh_log_psi)
     assert np.array_equal(np.asarray(o), np.asarray(fresh_o))
     assert np.allclose(log_psi, model.log_psi(x).data, rtol=0, atol=1e-12)
+
+
+def _scatters(monkeypatch) -> list:
+    """Record the layer of every ``effective_weight`` call that scatters."""
+    from repro.nn.linear import MaskedLinear
+
+    calls, read = [], MaskedLinear.effective_weight
+
+    def counting(layer):
+        if layer._held is None:
+            calls.append(layer)
+        return read(layer)
+
+    monkeypatch.setattr(MaskedLinear, "effective_weight", counting)
+    return calls
+
+
+def test_a_step_scatters_each_layer_once(monkeypatch, small_tim):
+    """The sampler, the gradient and the flip kernel of one step read one
+    scatter of each ``W∘M``, and the optimizer's write is read after it."""
+    from repro.core import VQMC
+    from repro.optim import Adam
+    from repro.samplers import AutoregressiveSampler
+
+    model = MADE(6, hidden=[12, 9], rng=np.random.default_rng(0))
+    vqmc = VQMC(model, small_tim, AutoregressiveSampler(), Adam(model.parameters()), seed=1)
+    calls = _scatters(monkeypatch)
+    for _ in range(3):
+        calls.clear()
+        vqmc.step(batch_size=32)
+        assert calls == model.fc_layers
+        for layer in model.fc_layers:
+            assert np.array_equal(layer.effective_weight()[layer.pattern], layer.weight.data)
+
+
+def test_a_step_that_raises_leaves_nothing_held(monkeypatch, small_tim):
+    from repro.core import VQMC
+    from repro.core import vqmc as vqmc_module
+    from repro.optim import Adam
+    from repro.samplers import AutoregressiveSampler
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("local energies failed")
+
+    model = MADE(6, hidden=12, rng=np.random.default_rng(0))
+    vqmc = VQMC(model, small_tim, AutoregressiveSampler(), Adam(model.parameters()), seed=1)
+    monkeypatch.setattr(vqmc_module, "local_energies", failing)
+    with pytest.raises(RuntimeError, match="local energies failed"):
+        vqmc.step(batch_size=32)
+    for layer in model.fc_layers:
+        assert layer._held is None and not layer._hold
+        layer.weight.data += 1.0
+        assert np.array_equal(layer.effective_weight()[layer.pattern], layer.weight.data)
+
+
+def test_a_nested_hold_keeps_the_outer_scatter():
+    from repro.nn.linear import weights_held
+
+    model = MADE(5, hidden=7, rng=np.random.default_rng(2))
+    layer = model.fc_layers[0]
+    with weights_held(model):
+        held = layer.effective_weight().copy()
+        with weights_held(model):
+            layer.weight.data += 1.0
+            assert np.array_equal(layer.effective_weight(), held)
+        assert np.array_equal(layer.effective_weight(), held)
+    assert np.array_equal(layer.effective_weight()[layer.pattern], layer.weight.data)
 
 
 def _dense_layout(model: MADE, flat: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """The sampler's memory: rows that retrace a remembered configuration.
 
 A row whose uniforms make a configuration's choice at every site is that
-configuration, so copying it instead of drawing it changes no sample: with
+configuration, so copying it instead of drawing it changes no sample; a row
+that leaves every remembered configuration is settled by whole-row
+fixed-point sweeps, or drawn by the kernel when they do not converge. With
 any memory at all, the sampler's output is Algorithm 1's bit for bit, the
 stream ends where Algorithm 1 leaves it, and the grouping it hands the step
 is ``distinct_rows(x == 1)``.
@@ -23,6 +25,7 @@ from repro.hamiltonians import MaxCut
 from repro.models import MADE
 from repro.models import base as models_base
 from repro.optim import Adam
+from repro.perf import incremental as incremental_module
 from repro.perf import incremental_sample
 from repro.samplers import AutoregressiveSampler
 from repro.samplers import autoregressive as autoregressive_module
@@ -54,7 +57,9 @@ def cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     spread = draw(st.floats(min_value=0.0, max_value=4.0))
     batch = draw(st.integers(min_value=1, max_value=48))
-    kind = draw(st.sampled_from(["random", "own", "duplicates", "other", "empty"]))
+    kind = draw(st.sampled_from(
+        ["random", "own", "duplicates", "other", "neighbours", "complement", "empty"]
+    ))
     return n, widths, strategy, seed, spread, batch, kind
 
 
@@ -70,6 +75,13 @@ def _memory(kind: str, model: MADE, batch: int, seed: int, naive: np.ndarray) ->
     if kind == "other":  # a different MADE's draws: valid, if unlikely to match
         other = MADE(n, hidden=5, rng=rng)
         return other.sample(4, rng, method="naive")
+    if kind == "neighbours":  # the batch's own rows, one bit flipped: rows leave them
+        near = naive[rng.permutation(batch)[:3]].copy()
+        sites = rng.integers(n, size=len(near))
+        near[np.arange(len(near)), sites] = 1.0 - near[np.arange(len(near)), sites]
+        return near
+    if kind == "complement":  # the other side of a Max-Cut: every row leaves at once
+        return 1.0 - naive[:1]
     return np.zeros((0, n))
 
 
@@ -105,8 +117,66 @@ def test_any_memory_draws_the_naive_samples_and_groups_them(case):
     # A row retraces exactly when it is one of the remembered configurations.
     known = (x[:, None, :] == memory[None, :, :]).all(axis=2).any(axis=1)
     assert stats.extras["retraced"] == int(known.sum())
+    assert 0 <= stats.extras["settled"] <= batch - stats.extras["retraced"]
     if known.all():
+        assert stats.extras["settled"] == 0
+    if stats.extras["retraced"] + stats.extras["settled"] == batch:
         assert stats.extras["sweeps"] == 0.0  # the kernel did not run
+
+
+def _collapsed(n: int, seed: int) -> MADE:
+    """Weak weights under strong output biases: nearly every row draws the
+    biases' configuration, and the rows that leave it barely move the
+    conditionals of the sites after."""
+    rng = np.random.default_rng(seed)
+    model = MADE(n, hidden=30, rng=rng)
+    for p in model.parameters():
+        p.data *= 0.5
+    model.fc_layers[-1].bias.data[:] = np.where(rng.random(n) < 0.5, 3.0, -3.0)
+    return model
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_collapsed_made_settles_every_row_that_leaves(monkeypatch, seed):
+    """Rows leaving the remembered mode are settled by whole-row sweeps: the
+    kernel is never called, and the draw is still Algorithm 1's."""
+    model = _collapsed(24, seed)
+    mode = (model.fc_layers[-1].bias.data > 0.0).astype(float)[None]
+
+    def never(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(incremental_module, "_kernel", never)
+    x, stats = _assert_equals_the_naive(model, 64, seed, mode)
+    assert stats.extras["settled"] > 0
+    assert stats.extras["retraced"] + stats.extras["settled"] == 64
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rows_the_sweeps_leave_unsettled_fall_back_to_the_kernel(monkeypatch, seed):
+    """A random memory of a spread-out MADE at n = 40: ``SETTLE_SWEEPS``
+    whole-row sweeps settle some rows, the kernel draws the rest, and the
+    sweeps' forward passes are counted."""
+    model = _made(40, [60], seed, 2.0, "cycle")
+    memory = (np.random.default_rng(seed + 1).random((3, 40)) < 0.5).astype(float)
+    kernel_rows = []
+    kernel = incremental_module._kernel
+
+    def counting(reach, weights, biases, uniforms, free, clamp):
+        kernel_rows.append(uniforms.shape[1])
+        return kernel(reach, weights, biases, uniforms, free, clamp)
+
+    monkeypatch.setattr(incremental_module, "_kernel", counting)
+    x, stats = _assert_equals_the_naive(model, 48, seed, memory)
+    settled = stats.extras["settled"]
+    assert kernel_rows[0] == 48 - settled > 0 and settled > 0
+    result = incremental_sample(model, 48, np.random.default_rng(seed), memory=memory)
+    assert result.settled == settled and np.array_equal(result.samples, x)
+    row_macs = 40 * 60 + 60 * 40
+    # The memory's pass, at least one sweep over all 48 rows and
+    # SETTLE_SWEEPS over the rows the kernel drew, then the kernel's GEMMs.
+    swept = 48 + (incremental_module.SETTLE_SWEEPS - 1) * (48 - settled)
+    assert result.macs > (3 + swept) * row_macs
 
 
 def test_a_memory_does_not_take_a_clamp():
