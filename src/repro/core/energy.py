@@ -8,10 +8,10 @@ The sum runs over the ``connected`` configurations of the Hamiltonian row —
 ``O(s)`` terms per sample (Definition 2.1). For Hamiltonians exposing a
 structured single-flip row description (Eq. 11 family) the log-ratios are
 delta-evaluated by the fused kernel in :mod:`repro.perf.flips` from ONE
-cached forward pass; otherwise they fall back to one batched forward pass
-over all ``B × K`` dense neighbours — either way the measurement pattern
-the paper's complexity analysis in §4 counts as "a fixed number of forward
-passes".
+forward pass (in a step, the gradient's); otherwise they fall back to one
+batched forward pass over all ``B × K`` dense neighbours — either way the
+measurement pattern the paper's complexity analysis in §4 counts as "a
+fixed number of forward passes".
 
 Gradient (Eq. 5)::
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.hamiltonians.base import Hamiltonian
 from repro.models.base import WaveFunction, group_configurations
-from repro.models.made import MADE
+from repro.models.made import MADE, MADEForwardCache
 from repro.nn.factored import FactoredO
 from repro.tensor.tensor import no_grad
 from repro.utils.rows import DistinctRows
@@ -126,6 +126,7 @@ def local_energies(
     log_psi_x: np.ndarray | None = None,
     fast: bool | None = None,
     rows: DistinctRows | None = None,
+    forward: MADEForwardCache | None = None,
 ) -> np.ndarray:
     """Evaluate ``l(x)`` for a batch — shape (B,). No autograd graph is built.
 
@@ -140,7 +141,7 @@ def local_energies(
     - **fused** (default whenever ``hamiltonian.single_flips()`` is
       structured and the model is a MADE): the
       :mod:`repro.perf.flips` kernel computes every log-ratio from one
-      cached forward pass plus per-flip column deltas — no ``(B, K, n)``
+      forward pass plus per-flip column deltas — no ``(B, K, n)``
       neighbour array, no ``B·K`` from-scratch forward passes;
     - **dense**: the generic ``connected()`` path, one batched forward pass
       over all neighbours. Used for MCMC-only models (RBM) and
@@ -152,8 +153,8 @@ def local_energies(
         Optional precomputed ``log ψ(x)`` (shape ``(B,)``), e.g. the value the
         gradient path already computed. Only the **dense** path reads it (so it
         does not evaluate ``x`` a second time). The fused path ignores it: the
-        kernel needs every activation of ``x``, not just ``log ψ(x)``, so it
-        runs its own cached forward pass.
+        kernel needs every activation of ``x``, not just ``log ψ(x)``, which
+        ``forward`` hands it.
     fast:
         Force (True) or forbid (False) the fused kernel; ``None`` picks
         automatically. Forcing it on an unsupported model/Hamiltonian pair
@@ -161,6 +162,13 @@ def local_energies(
     rows:
         ``distinct_rows(x == 1)`` when the caller has already grouped the
         batch (``VQMC.step`` reports the count); computed here otherwise.
+    forward:
+        The activations of the distinct rows ``x[rows.first]`` from the
+        gradient's forward pass, as :func:`per_sample_grads` returns them
+        with ``rows`` (``VQMC.step`` passes both). Given it, those rows,
+        which that pass checked, are not checked again, and the fused path
+        runs no forward pass of its own; without it, the kernel runs its
+        own, which computes the same bits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != hamiltonian.n:
@@ -173,15 +181,18 @@ def local_energies(
             raise ValueError(
                 f"log_psi_x must have shape ({x.shape[0]},), got {log_psi_x.shape}"
             )
-    x, rows = group_configurations(x, hamiltonian.n, rows)
+    if forward is not None and rows is None:
+        raise ValueError("a forward pass is of distinct rows: pass their rows= too")
+    # The gradient's pass checked the rows it computed on.
+    x, rows = group_configurations(x, hamiltonian.n, rows, checked=forward is not None)
 
     def run(batch, log_psi):
-        return _local_energies(model, hamiltonian, batch, log_psi, fast)
+        return _local_energies(model, hamiltonian, batch, log_psi, fast, forward)
 
     return rows.apply(run, x, log_psi_x)
 
 
-def _local_energies(model, hamiltonian, x, log_psi_x, fast):
+def _local_energies(model, hamiltonian, x, log_psi_x, fast, forward):
     """:func:`local_energies` of a batch as given, repeats and all."""
     from repro.perf.flips import flip_log_ratios
 
@@ -206,7 +217,7 @@ def _local_energies(model, hamiltonian, x, log_psi_x, fast):
     # would have saturated at e^88 anyway.)
     if use_fused:
         if flips.k:
-            deltas = flip_log_ratios(model, flips.sites, x)
+            deltas = flip_log_ratios(model, flips.sites, x, forward)
             np.clip(deltas, -MAX_LOG_RATIO, MAX_LOG_RATIO, out=deltas)
             ratios = np.exp(deltas, out=deltas)
             energies += ratios @ flips.amplitudes
@@ -228,19 +239,27 @@ def _local_energies(model, hamiltonian, x, log_psi_x, fast):
 def per_sample_grads(
     model: WaveFunction, x: np.ndarray, rows: DistinctRows | None = None
 ):
-    """``(log ψ(x) (B,), O (B, d))`` from ``model.log_psi_and_grads`` run once
-    on the distinct rows of ``x`` — the step's only gradient path.
+    """``(log ψ(x) (B,), O (B, d), forward)`` from the model's closed form
+    run once on the distinct rows of ``x`` — the step's only gradient path.
 
     ``rows`` as in :func:`local_energies`. A factored ``O``
     (:class:`~repro.nn.factored.FactoredO`) keeps the U distinct rows and
     the grouping, so ``w @ O`` sums ``w`` over each row's copies first; an
-    array ``O`` is scattered back to one row per sample.
+    array ``O`` is scattered back to one row per sample. ``forward`` is, for
+    a MADE, the activations of the distinct rows that its closed form
+    computed (:meth:`~repro.models.made.MADE.grads_and_activations`), for
+    :func:`local_energies` to hand to the flip kernel; ``None`` for any
+    other model.
     """
-    x, rows = group_configurations(x, model.n, rows)
-    log_psi, o = model.log_psi_and_grads(x[rows.first])
+    # Every closed form checks the rows it evaluates, x[rows.first].
+    x, rows = group_configurations(x, model.n, rows, checked=True)
+    if isinstance(model, MADE):
+        log_psi, o, forward = model.grads_and_activations(x[rows.first])
+    else:
+        (log_psi, o), forward = model.log_psi_and_grads(x[rows.first]), None
     if isinstance(o, FactoredO):
-        return log_psi[rows.inverse], FactoredO(o.factors, o.shape[1], rows)
-    return log_psi[rows.inverse], np.asarray(o)[rows.inverse]
+        return log_psi[rows.inverse], FactoredO(o.factors, o.shape[1], rows), forward
+    return log_psi[rows.inverse], np.asarray(o)[rows.inverse], forward
 
 
 def energy_statistics(local: np.ndarray) -> EnergyStats:

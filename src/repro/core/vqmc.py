@@ -42,6 +42,7 @@ from repro.obs.metrics import Metrics
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optim.base import Optimizer
 from repro.optim.sr import StochasticReconfiguration
+from repro.perf.flips import fallback_blocks
 from repro.samplers.base import Sampler
 from repro.utils.rng import as_generator
 
@@ -147,8 +148,10 @@ class VQMC:
         the rows the sampler retraced from its memory as ``retraced`` and
         those it settled by whole-row sweeps as ``settled``,
         ``local_energy`` the distinct configurations it evaluated as
-        ``distinct``, ``gradient`` the distinct rows it ran on as ``rows``,
-        ``sr_solve`` how the Gram matrix was built as ``gram``) and the
+        ``distinct``, whose forward pass the flip kernel read as ``forward``
+        (``'gradient'`` or ``'own'``) and how many of its blocks left the
+        odds products' range as ``fallbacks``, ``gradient`` the distinct
+        rows it ran on as ``rows``, ``sr_solve`` how the Gram matrix was built as ``gram``) and the
         tracer is attached to
         ``comm`` (collective spans), to the sampler (fast-path spans) and
         to ``sr`` (solve sub-spans) so one per-rank timeline covers the
@@ -156,8 +159,8 @@ class VQMC:
         Default: the shared disabled tracer — near-zero overhead.
     metrics:
         Optional :class:`repro.obs.Metrics` registry. Takes the driver's
-        path-taken counter ``energy.dense_fallback``, the
-        ``energy.distinct_rows`` gauge,
+        path-taken counters ``energy.dense_fallback`` and
+        ``energy.flip_fallback_blocks``, the ``energy.distinct_rows`` gauge,
         and is forwarded to ``sr`` (per-solve ``sr.*`` counters: solves by
         path, dense Jacobians, collective bytes); snapshot it after
         a run and merge across ranks with :func:`repro.obs.merge_snapshots`.
@@ -278,21 +281,30 @@ class VQMC:
                 # Drop the last step's gradients before this step's
                 # temporaries are allocated: the heap then reuses their blocks.
                 self.model.zero_grad()
-                # The gradient path computes log ψ(x) alongside the O matrix
-                # and hands it to the local energies. Only the dense path uses
-                # it; the fused path (the default for every TIM/ZZX run) needs
-                # the activations, so it runs its own cached forward pass.
+                # The gradient path's one forward pass feeds the local
+                # energies: log ψ(x) the dense path, and a MADE's activations
+                # the fused kernel (the default for every TIM/ZZX run).
                 with self._phase(phases, "gradient") as span:
-                    lp, o = per_sample_grads(self.model, x, rows)
+                    lp, o, forward = per_sample_grads(self.model, x, rows)
                     self.tracer.end(span, rows=rows.count)
                 with self._phase(phases, "local_energy", path=energy_path) as span:
+                    fell = fallback_blocks()
                     local = local_energies(
-                        self.model, self.hamiltonian, x, log_psi_x=lp, rows=rows
+                        self.model, self.hamiltonian, x, log_psi_x=lp, rows=rows,
+                        forward=forward,
                     )
+                    fell = fallback_blocks() - fell
                     stats = self._combine_stats(local)
-                    self.tracer.end(span, distinct=rows.count)
+                    self.tracer.end(
+                        span,
+                        distinct=rows.count,
+                        forward="own" if forward is None else "gradient",
+                        fallbacks=fell,
+                    )
                 if self.metrics is not None:
                     self.metrics.set("energy.distinct_rows", rows.count)
+                    if fell:
+                        self.metrics.inc("energy.flip_fallback_blocks", fell)
             # ∇L = 2⟨(l − L̄) O⟩, centred with the *global* mean and normalised
             # by the *global* count so distributed gradients average to the
             # exact big-batch estimator even with unequal per-rank batches.

@@ -22,7 +22,7 @@ class _Plan:
 
     def forward(self, x):
         """``log ψ(x)``; the O matrix is kept for :meth:`gradient`."""
-        log_psi, self._o = per_sample_grads(self.model, x)
+        log_psi, self._o, _ = per_sample_grads(self.model, x)
         return log_psi
 
     def gradient(self, seed):
@@ -32,7 +32,7 @@ class _Plan:
 
     def per_sample(self, x):
         """``(log ψ(x), O)``."""
-        return per_sample_grads(self.model, x)
+        return per_sample_grads(self.model, x)[:2]
 
 
 class StepCompiler:

@@ -48,7 +48,7 @@ def _check_binary(x: np.ndarray) -> None:
 
 
 def group_configurations(
-    x: np.ndarray, n: int, rows: DistinctRows | None = None
+    x: np.ndarray, n: int, rows: DistinctRows | None = None, checked: bool = False
 ) -> tuple[np.ndarray, DistinctRows]:
     """:func:`validate_configurations` of ``x`` with its distinct rows:
     ``rows`` when the caller has grouped the batch (``distinct_rows(x ==
@@ -58,14 +58,17 @@ def group_configurations(
     Given ``rows``, only the rows it evaluates, ``x[rows.first]``, are
     checked to be 0/1: every per-row quantity is computed on those and
     handed to their copies, and the caller's grouping vouches that each
-    other row equals its first."""
+    other row equals its first. ``checked`` says that the pass computing
+    on those rows checks (or checked) them itself, so they are not
+    checked here."""
     x = _as_batch(x, n)
     if rows is None:
         _check_binary(x)
         return x, distinct_rows(x == 1.0)
     if rows.inverse.shape != (len(x),):
         raise ValueError(f"rows group {rows.inverse.size} rows, x has {len(x)}")
-    _check_binary(x if rows.count == len(x) else x[rows.first])
+    if not checked:
+        _check_binary(x if rows.count == len(x) else x[rows.first])
     return x, rows
 
 

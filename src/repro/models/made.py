@@ -29,6 +29,7 @@ gradient, optimizer moments, the allreduce — is ``hn + h + n``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.rng import init_rng
 
-__all__ = ["MADE", "default_hidden_size", "made_num_parameters"]
+__all__ = ["MADE", "MADEForwardCache", "default_hidden_size", "made_num_parameters"]
 
 
 def default_hidden_size(n: int) -> int:
@@ -56,6 +57,19 @@ def made_num_parameters(n: int, hidden: int | None = None) -> int:
     connected ``hn + h + n`` of them (``MADE.num_parameters()``)."""
     h = hidden if hidden is not None else default_hidden_size(n)
     return 2 * h * n + h + n
+
+
+@dataclass(frozen=True)
+class MADEForwardCache:
+    """The activations of one forward pass of a batch, and the weights.
+
+    What the closed-form backward and the single-flip kernel
+    (:mod:`repro.perf.flips`) read."""
+
+    weights: tuple[np.ndarray, ...]  # per layer, the W∘M it multiplied by
+    pre_acts: tuple[np.ndarray, ...]  # per hidden layer, (B, h_l)
+    hiddens: tuple[np.ndarray, ...]  # post-ReLU activations, (B, h_l)
+    logits: np.ndarray  # (B, n)
 
 
 class MADE(WaveFunction):
@@ -153,6 +167,22 @@ class MADE(WaveFunction):
 
     # -- per-sample gradients (manual vectorised backprop) ----------------------------
 
+    def activations(self, x: np.ndarray) -> MADEForwardCache:
+        """Every activation of a checked (B, n) float batch, in one pass.
+
+        The one forward :meth:`grads_and_activations` and the flip kernel
+        share, so the two read the same bits."""
+        weights = tuple(layer.effective_weight() for layer in self._layers)
+        pre_acts, hiddens = [], []
+        cur = x
+        for layer, weight in zip(self._layers[:-1], weights):
+            a = cur @ weight.T + layer.bias.data
+            pre_acts.append(a)
+            cur = np.maximum(a, 0.0)
+            hiddens.append(cur)
+        logits = cur @ weights[-1].T + self._layers[-1].bias.data
+        return MADEForwardCache(weights, tuple(pre_acts), tuple(hiddens), logits)
+
     def log_psi_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, FactoredO]:
         """Per-sample ``O(x) = ∇θ log ψθ(x)`` without building a graph.
 
@@ -164,35 +194,35 @@ class MADE(WaveFunction):
         dense matrix) — parameters flattened in ``named_parameters`` order
         (fc1.weight, fc1.bias, fc2.weight, ...).
         """
-        x = validate_configurations(x, self.n)
+        log_psi, o, _ = self.grads_and_activations(x)
+        return log_psi, o
 
-        # Forward, caching inputs to every layer and its dense weight (each
-        # layer's own buffer, which the backward reads again).
-        weights = [layer.effective_weight() for layer in self._layers]
-        inputs = [x]
-        pre_acts = []
-        cur = x
-        for layer, weight in zip(self._layers[:-1], weights):
-            a = cur @ weight.T + layer.bias.data
-            pre_acts.append(a)
-            cur = np.maximum(a, 0.0)
-            inputs.append(cur)
-        z = cur @ weights[-1].T + self._layers[-1].bias.data
+    def grads_and_activations(
+        self, x: np.ndarray
+    ) -> tuple[np.ndarray, FactoredO, MADEForwardCache]:
+        """:meth:`log_psi_and_grads` and the activations of its forward pass.
+
+        The step hands those activations to the flip kernel, which then
+        runs no forward of its own."""
+        x = validate_configurations(x, self.n)
+        forward = self.activations(x)
 
         # Stable log π and σ(z).
-        terms, log_p = F.bernoulli_log_terms(z, x)
+        terms, log_p = F.bernoulli_log_terms(forward.logits, x)
         log_prob = terms.sum(axis=1)
         sig = np.exp(log_p)
 
         # Backward, batched per sample. log ψ = ½ log π  ⇒  O = ½ ∇ log π.
+        inputs = (x, *forward.hiddens)
         delta = 0.5 * (x - sig)  # adjoint of the logits (B, n)
         factors = []
         for idx in range(len(self._layers) - 1, -1, -1):
             factors.append((self._factors[idx], inputs[idx], delta))
             if idx > 0:
-                delta = delta @ weights[idx]
-                delta *= pre_acts[idx - 1] > 0.0
-        return 0.5 * log_prob, FactoredO(factors[::-1], self._factors[-1].b.stop)
+                delta = delta @ forward.weights[idx]
+                delta *= forward.pre_acts[idx - 1] > 0.0
+        o = FactoredO(factors[::-1], self._factors[-1].b.stop)
+        return 0.5 * log_prob, o, forward
 
     # -- exact sampling (Algorithm 1, batched) ------------------------------------------
 

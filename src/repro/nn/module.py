@@ -8,13 +8,13 @@ same order for allreduce to average corresponding entries.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.tensor.tensor import Tensor
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "joined", "pack"]
 
 
 class Parameter(Tensor):
@@ -22,6 +22,49 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str = ""):
         super().__init__(data, requires_grad=True, name=name)
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def joined(arrays: Sequence[np.ndarray | None]) -> np.ndarray | None:
+    """The one flat float64 vector that ``arrays`` are consecutive
+    C-contiguous views of, in order (a view of their common base), or
+    ``None`` when they are not."""
+    first = arrays[0]
+    if first is None:
+        return None
+    owner = first if first.base is None else first.base
+    if not (isinstance(owner, np.ndarray) and owner.flags.c_contiguous
+            and first.dtype == owner.dtype == np.float64 and first.flags.c_contiguous):
+        return None
+    start = _address(first)
+    addr = start + first.nbytes
+    for a in arrays[1:]:
+        if (a is None or a.base is not owner or a.dtype != np.float64
+                or not a.flags.c_contiguous or _address(a) != addr):
+            return None
+        addr += a.nbytes
+    at = (start - _address(owner)) // 8
+    flat = owner.reshape(-1)[at : at + (addr - start) // 8]
+    return flat if flat.nbytes == addr - start else None
+
+
+def pack(params: Sequence[Parameter]) -> np.ndarray:
+    """The contiguous float64 vector whose consecutive views are the
+    parameters' ``data``, in order. If they are not views of one already,
+    their values are copied into a new vector and every ``data`` is rebound
+    to its view; if they are (a second optimizer over one model's
+    parameters), that vector is returned and nothing moves."""
+    flat = joined([p.data for p in params])
+    if flat is None:
+        flat = np.concatenate([np.asarray(p.data, np.float64).ravel() for p in params])
+        offset = 0
+        for p in params:
+            p.data = flat[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
+    return flat
 
 
 class Module:
@@ -118,13 +161,18 @@ class Module:
         return np.concatenate(parts)
 
     def set_flat_grad(self, vec: np.ndarray) -> None:
+        """Bind each parameter's ``grad`` to its slice of ``vec``, copying nothing.
+
+        The grads are views, so an optimizer reads ``vec`` itself: write
+        nothing into ``vec`` before the optimizer has stepped."""
+        params = self.parameters()
+        needed = sum(p.size for p in params)
+        if needed != vec.size:
+            raise ValueError(f"flat vector has {vec.size} entries, model needs {needed}")
         offset = 0
-        for p in self.parameters():
-            n = p.size
-            p.grad = vec[offset : offset + n].reshape(p.shape).copy()
-            offset += n
-        if offset != vec.size:
-            raise ValueError(f"flat vector has {vec.size} entries, model needs {offset}")
+        for p in params:
+            p.grad = vec[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
 
     # -- call protocol -------------------------------------------------------------
 

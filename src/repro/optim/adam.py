@@ -26,27 +26,23 @@ class Adam(Optimizer):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.betas = (b1, b2)
         self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # The moments and two scratch vectors in the parameters' flat layout:
+        # a step allocates nothing, so it faults in no fresh pages.
+        self._m = np.zeros(self._size)
+        self._v = np.zeros(self._size)
+        self._scratch = np.empty((2, self._size))
         self._t = 0
-        # Two scratch arrays the size of the largest parameter, viewed once per
-        # parameter: a step allocates nothing, so it faults in no fresh pages.
-        size = max(p.data.size for p in self.params)
-        a, b = np.empty(size), np.empty(size)
-        self._scratch = [
-            (a[: p.data.size].reshape(p.shape), b[: p.data.size].reshape(p.shape))
-            for p in self.params
-        ]
 
     def step(self) -> None:
         self._t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t
-        for p, m, v, (a, b) in zip(self.params, self._m, self._v, self._scratch):
-            g = p.grad
-            if g is None:
-                continue
+        theta = self._parameters()
+        grad, runs = self._gradient()
+        for run in runs:  # one, over every entry, unless a grad is None
+            g, m, v = grad[run], self._m[run], self._v[run]
+            a, b = self._scratch[:, run]
             # m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g²;
             # θ −= lr·(m/bc1) / (√(v/bc2) + eps) — the same roundings, in place.
             m *= b1
@@ -62,16 +58,16 @@ class Adam(Optimizer):
             np.sqrt(b, out=b)
             b += self.eps
             a /= b
-            p.data -= a
-            p.bump_version()
+            theta[run] -= a
+        self._stepped()
 
     def state_dict(self) -> dict:
         return {
             "lr": self.lr,
             "betas": self.betas,
             "eps": self.eps,
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
+            "m": self._split(self._m),
+            "v": self._split(self._v),
             "t": self._t,
         }
 
@@ -79,6 +75,6 @@ class Adam(Optimizer):
         self.lr = state["lr"]
         self.betas = state["betas"]
         self.eps = state["eps"]
-        self._m = [m.copy() for m in state["m"]]
-        self._v = [v.copy() for v in state["v"]]
+        self._join(state["m"], self._m)
+        self._join(state["v"], self._v)
         self._t = state["t"]

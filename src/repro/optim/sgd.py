@@ -22,37 +22,39 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
-        self._velocity: list[np.ndarray] | None = None
+        #: in the parameters' flat layout, from the first momentum step on
+        self._velocity: np.ndarray | None = None
+        self._scratch = np.empty(self._size)
 
     def step(self) -> None:
-        if self.momentum == 0.0:
-            for p in self.params:
-                if p.grad is not None:
-                    p.data -= self.lr * p.grad
-                    p.bump_version()
-            return
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v += p.grad
-            p.data -= self.lr * v
-            p.bump_version()
+        if self.momentum != 0.0 and self._velocity is None:
+            self._velocity = np.zeros(self._size)
+        theta = self._parameters()
+        grad, runs = self._gradient()
+        for run in runs:  # one, over every entry, unless a grad is None
+            direction = grad[run]
+            if self.momentum != 0.0:
+                direction = self._velocity[run]
+                direction *= self.momentum
+                direction += grad[run]
+            scaled = self._scratch[run]
+            np.multiply(self.lr, direction, out=scaled)
+            theta[run] -= scaled
+        self._stepped()
 
     def state_dict(self) -> dict:
         return {
             "lr": self.lr,
             "momentum": self.momentum,
-            "velocity": None
-            if self._velocity is None
-            else [v.copy() for v in self._velocity],
+            "velocity": None if self._velocity is None else self._split(self._velocity),
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.lr = state["lr"]
         self.momentum = state["momentum"]
-        self._velocity = (
-            None if state["velocity"] is None else [v.copy() for v in state["velocity"]]
-        )
+        if state["velocity"] is None:
+            self._velocity = None
+        else:
+            if self._velocity is None:
+                self._velocity = np.zeros(self._size)
+            self._join(state["velocity"], self._velocity)

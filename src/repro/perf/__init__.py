@@ -9,7 +9,7 @@ each kernel raises ``TypeError`` on any other model:
   sites inside a block solved by fixed-point sweeps (vs the naive O(n²·h)
   of ``n`` full forward passes);
 - :mod:`repro.perf.flips` — fused single-flip ``log ψ`` delta kernel: all
-  connected-row amplitude ratios from one cached forward pass, each flip's
+  connected-row amplitude ratios from one forward pass, each flip's
   tail a product of Bernoulli odds over the outputs the masks let it move
   (used by ``local_energies`` for Hamiltonians with a structured flip list).
 

@@ -14,12 +14,14 @@ flip barely perturbs a MADE:
   (rank-1), and only on the units whose mask degree is ≥ ``s+1``; deeper
   layers likewise, and only output rows ``i > s`` need recomputing.
 
-So the kernel runs ONE cached forward pass (it needs the activations, so a
-``log ψ(x)`` computed elsewhere is no use to it), takes each hidden layer's
-units in order of mask degree (so "the units a flip can move" is a
-contiguous slice; the order, cuts and panel ends are the model's
-:func:`~repro.perf.incremental.reach_of`, computed once per model),
-and walks the flip sites in ascending order in blocks of ``S``. A block
+So the kernel reads ONE forward pass of ``x``, every activation and not
+just ``log ψ(x)``: the gradient's (``VQMC.step`` hands over the pass
+:meth:`~repro.models.made.MADE.grads_and_activations` ran), or else its own
+(:meth:`~repro.models.made.MADE.activations`, the same computation). It
+takes each hidden layer's units in order of mask degree (so "the units a
+flip can move" is a contiguous slice; the order, cuts and panel ends are
+the model's :func:`~repro.perf.incremental.reach_of`, computed once per
+model), and walks the flip sites in ascending order in blocks of ``S``. A block
 starting at ``s0`` forms the post-ReLU deltas ``Δh`` of its sites on the slice
 of degree ≥ ``s0+1`` only, pushes them through any deeper layers on their
 slices, and gets all its logit moves ``Δz_{>s0}`` from ONE product
@@ -45,19 +47,20 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.models.base import validate_configurations
-from repro.models.made import MADE
-from repro.perf.incremental import masked_weights, reach_of
+from repro.models.made import MADE, MADEForwardCache
+from repro.perf.incremental import reach_of
+from repro.tensor import functional as F
 
 __all__ = [
     "MADEForwardCache",
+    "fallback_blocks",
     "forward_cache",
     "flip_log_ratios",
-    "log_bernoulli",
 ]
 
 
@@ -78,17 +81,6 @@ CHUNK = 32
 PROD_MIN, PROD_MAX = 1e-290, 1e290
 
 
-def _log_sigmoid_inplace(u: np.ndarray) -> np.ndarray:
-    """``log σ(u) = min(u, 0) − log1p(exp(−|u|))``, overwriting ``u``."""
-    e = np.abs(u)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.log1p(e, out=e)
-    np.minimum(u, 0.0, out=u)
-    u -= e
-    return u
-
-
 def _bernoulli_odds(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``p = σ(u)``, ``q = σ(−u)``, each accurate and ``p + q == 1.0`` to the bit:
     the smaller directly, the larger as its complement (``q = 1 − p`` loses
@@ -99,14 +91,14 @@ def _bernoulli_odds(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(u >= 0.0, big, small), np.where(u >= 0.0, small, big)
 
 
-def log_bernoulli(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """Elementwise ``log Bern(t; σ(z)) = t·logσ(z) + (1-t)·logσ(-z)``, stable."""
-    log_p = _log_sigmoid_inplace(np.array(logits, dtype=np.float64))
-    log_q = log_p - logits  # log σ(-z) = log σ(z) - z, exactly
-    return targets * log_p + (1.0 - targets) * log_q
-
-
 _KEPT = threading.local()
+
+
+class _Fallbacks(threading.local):
+    blocks = 0
+
+
+_FELL = _Fallbacks()
 
 
 def _kept(slot, shape: tuple, order: str = "C") -> np.ndarray:
@@ -153,62 +145,57 @@ def _masked_matmul(w, ends, r0, c0, dh, out) -> None:
         i = k
 
 
-@dataclass(frozen=True)
-class MADEForwardCache:
-    """Everything one forward pass knows, kept for delta evaluation.
-
-    ``site_terms[b, i]`` is the per-site Bernoulli log-likelihood
-    ``log Bern(x_i; σ(z_i))``, so ``log_psi = ½ · site_terms.sum(axis=1)``.
-    """
-
-    x: np.ndarray  # (B, n) configurations
-    pre_acts: tuple[np.ndarray, ...]  # per hidden layer, (B, h_l)
-    hiddens: tuple[np.ndarray, ...]  # post-ReLU activations, (B, h_l)
-    logits: np.ndarray  # (B, n)
-    site_terms: np.ndarray  # (B, n)
-    log_psi: np.ndarray  # (B,)
+def _forward(model, x: np.ndarray) -> tuple[np.ndarray, MADEForwardCache]:
+    """The kernel's own forward pass, for a caller without the gradient's
+    (evaluation, serving): ``x`` checked, and its activations."""
+    x = validate_configurations(x, model.n)
+    return x, model.activations(x)
 
 
-def _forward(x: np.ndarray, effs, biases) -> MADEForwardCache:
-    pre_acts: list[np.ndarray] = []
-    hiddens: list[np.ndarray] = []
-    cur = x
-    for eff, bias in zip(effs[:-1], biases[:-1]):
-        a = cur @ eff.T + bias
-        pre_acts.append(a)
-        cur = np.maximum(a, 0.0)
-        hiddens.append(cur)
-    logits = cur @ effs[-1].T + biases[-1]
-    terms = log_bernoulli(x, logits)
-    return MADEForwardCache(
+def forward_cache(model, x: np.ndarray) -> SimpleNamespace:  # repro-lint: disable=api-unreachable-export -- test oracle: tests/test_perf/flip_oracle.py builds its reference ratios from this cache
+    """One forward pass of a MADE, with the terms the test oracle reads.
+
+    Besides the activations: ``x``, ``site_terms[b, i] = log Bern(x_i;
+    σ(z_i))`` and ``log_psi = ½ · site_terms.sum(axis=1)``."""
+    if not isinstance(model, MADE):
+        raise TypeError(f"forward_cache requires a MADE; got {type(model).__name__}")
+    x, forward = _forward(model, x)
+    terms = F.bernoulli_log_terms(forward.logits, x)[0]
+    return SimpleNamespace(
         x=x,
-        pre_acts=tuple(pre_acts),
-        hiddens=tuple(hiddens),
-        logits=logits,
+        pre_acts=forward.pre_acts,
+        hiddens=forward.hiddens,
+        logits=forward.logits,
         site_terms=terms,
         log_psi=0.5 * terms.sum(axis=1),
     )
 
 
-def forward_cache(model, x: np.ndarray) -> MADEForwardCache:  # repro-lint: disable=api-unreachable-export -- test oracle: tests/test_perf/flip_oracle.py builds its reference ratios from this cache
-    """One batched forward pass of a MADE, retaining every intermediate."""
-    if not isinstance(model, MADE):
-        raise TypeError(f"forward_cache requires a MADE; got {type(model).__name__}")
-    x = validate_configurations(x, model.n)
-    return _forward(x, *masked_weights(model))
+def fallback_blocks() -> int:
+    """Blocks whose odds products left ``[PROD_MIN, PROD_MAX]``, so that the
+    kernel summed the log of every factor instead, on this thread so far: a
+    caller reads it before and after a call for that call's count."""
+    return _FELL.blocks
 
 
-def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
+def flip_log_ratios(
+    model, sites: np.ndarray, x: np.ndarray, forward: MADEForwardCache | None = None
+) -> np.ndarray:
     """``log ψ(x^{(s)}) − log ψ(x)`` for every flip site — shape (B, K).
 
     ``sites`` holds the (K,) integer site indices: ``x^{(s)}`` flips bit
     ``sites[k]`` of each row of the (B, n) configurations ``x``.
+    ``forward`` is the activations of ``x`` from the gradient's forward pass
+    (:meth:`~repro.models.made.MADE.grads_and_activations`, whose ``x`` it
+    checked): given it, the kernel runs no forward pass of its own.
     """
     if not isinstance(model, MADE):
         raise TypeError(f"flip kernel requires a MADE; got {type(model).__name__}")
-    effs, biases = masked_weights(model)
-    cache = _forward(validate_configurations(x, model.n), effs, biases)
-    x = cache.x
+    if forward is None:
+        x, forward = _forward(model, x)
+    x = np.asarray(x, dtype=np.float64)
+    if forward.logits.shape != x.shape:
+        raise ValueError(f"a forward of shape {forward.logits.shape} against x of {x.shape}")
     sites = np.asarray(sites, dtype=np.int64)
     if sites.ndim != 1:
         raise ValueError(f"sites must be 1-D, got shape {sites.shape}")
@@ -220,7 +207,7 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
     # target bit: log Bern(1−x_s; z_s) − log Bern(x_s; z_s) = (1−2x_s)·z_s.
     # Every other site's term is log σ(u), u = (2x−1)·z = −own.
     sign = np.ascontiguousarray((1.0 - 2.0 * x).T)  # bit 0 → +W1[:, s], 1 → −
-    own = sign * cache.logits.T
+    own = sign * forward.logits.T
     deltas = own[sites]
     q, p = _bernoulli_odds(own)
 
@@ -228,7 +215,7 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
     # flips can move are one contiguous slice [lo:], lo = cut[l][s0 + 1].
     reach = reach_of(model)
     orders, degrees, cut = reach.orders, reach.reaches, reach.cuts[1:]
-    weights = reach.sort(effs)
+    weights = reach.sort(forward.weights)
     # The layers above the first read column-major, as a gather by columns
     # leaves them: BLAS then sums a panel's rows as it sums them in the whole
     # product (row-major does not at every batch width).
@@ -236,8 +223,8 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
         kept = _kept(("w", l), weights[l].shape, "F")
         np.copyto(kept, weights[l])
         weights[l] = kept
-    pre = [np.ascontiguousarray(a.T[order]) for a, order in zip(cache.pre_acts, orders)]
-    hid = [np.ascontiguousarray(h.T[order]) for h, order in zip(cache.hiddens, orders)]
+    pre = [np.ascontiguousarray(a.T[order]) for a, order in zip(forward.pre_acts, orders)]
+    hid = [np.ascontiguousarray(h.T[order]) for h, order in zip(forward.hiddens, orders)]
     w_in = _kept("w_in", weights[0].shape[::-1])  # a site's column is one row
     np.copyto(w_in, weights[0].T)
 
@@ -304,6 +291,7 @@ def flip_log_ratios(model, sites: np.ndarray, x: np.ndarray) -> np.ndarray:
             f[:, :m].reshape(size, m // g, g, bsz).prod(axis=1, out=prod)
             prod[:, : tail - m] *= f[:, m:]
         if not (prod.min() > PROD_MIN and prod.max() < PROD_MAX):
+            _FELL.blocks += 1
             prod = f
         np.log(prod, out=prod).sum(axis=1, out=tails[j:stop])
     deltas[by_site[:live]] -= tails

@@ -74,6 +74,9 @@ def distinct_rows(rows: np.ndarray) -> DistinctRows:
     falls back to sorting the rows' bytes. Sorting alone is what that
     fallback costs every time — on the Gram matrix's wide factor rows,
     whose repeats compare equal over their whole length, 2–2.5× the hash.
+    A row of one word (``n ≤ 64`` packed flags) has the word times an odd
+    number for its key, a bijection mod 2⁶⁴: it cannot collide, so it is not
+    compared.
     """
     rows = np.asarray(rows)
     if rows.dtype == bool:
@@ -85,9 +88,12 @@ def distinct_rows(rows: np.ndarray) -> DistinctRows:
         padded[:, : raw.shape[1]] = raw
         raw = padded
     words = raw.view(np.uint64)
-    keys = (words * _multipliers(words.shape[1])).sum(axis=1)
+    weights = _multipliers(words.shape[1])
+    keys = (words * weights).sum(axis=1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if first.size < len(words) and not np.array_equal(words[first][inverse], words):
+    bijective = weights.size == 1 and weights[0] % 2 == 1
+    repeats = first.size < len(words)
+    if repeats and not bijective and not np.array_equal(words[first][inverse], words):
         keys = raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # np.unique's groups, by first occurrence

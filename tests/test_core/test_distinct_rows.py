@@ -111,7 +111,7 @@ def test_gram_of_repeated_rows_is_the_dense_product(kind, case):
     n, x, count, seed = case
     model = _model(kind, n, seed)
     _, o = model.log_psi_and_grads(x)
-    _, grouped = per_sample_grads(model, x)
+    _, grouped, _ = per_sample_grads(model, x)
     assert isinstance(o, FactoredO) and o.rows.count == len(x)
     assert grouped.rows.count == len(grouped.factors[0][1]) == count
     dense = np.asarray(o)
@@ -179,7 +179,7 @@ def test_a_batch_without_repeats_is_not_grouped():
     rng = np.random.default_rng(4)
     w, v = rng.normal(size=len(x)), rng.normal(size=o.shape[1])
     sr = StochasticReconfiguration(diag_shift=1e-3, solver="cg")
-    lp, o = per_sample_grads(model, x)
+    lp, o, _ = per_sample_grads(model, x)
     got = (lp, np.asarray(o), w @ o, o @ v, sr.natural_gradient(o, v))
     lp, o = model.log_psi_and_grads(x)
     want = (lp, np.asarray(o), *_ungrouped_products(o, w, v), _uncounted_solve(o, v, 1e-3))
@@ -276,3 +276,29 @@ def test_a_grouping_of_another_batch_is_refused():
     x = np.zeros((4, n))
     with pytest.raises(ValueError, match="rows group 3 rows"):
         local_energies(model, ham, x, rows=distinct_rows(x[:3] == 1.0))
+
+
+def _byte_sort_grouping(rows):
+    """The reference: ``np.unique`` over each row's bytes, groups by first
+    occurrence."""
+    raw = np.ascontiguousarray(rows)
+    keys = raw.view(np.dtype((np.void, raw.shape[1] * raw.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), distinct=st.integers(1, 12))
+def test_one_word_rows_group_as_their_bytes_without_the_check(n, seed, distinct):
+    """Packed rows of ≤ 64 flags are one word, whose hash cannot collide,
+    so the word comparison is skipped; the grouping is still the byte
+    sort's, on both sides of one word."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((distinct, n)) < 0.5
+    x = x[rng.integers(0, distinct, size=3 * distinct)]  # repeats, shuffled
+    want_first, want_inverse = _byte_sort_grouping(np.packbits(x, axis=1))
+    got = distinct_rows(x)
+    np.testing.assert_array_equal(got.first, want_first)
+    np.testing.assert_array_equal(got.inverse, want_inverse)

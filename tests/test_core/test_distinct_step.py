@@ -87,7 +87,7 @@ def test_plans_on_distinct_rows_are_every_row(kind, case):
     model = _model(kind, n, seed)
     w = np.random.default_rng(seed + 2).normal(size=len(x))
     want_lp, want_grad, want_o = _every_row(model, x, w)
-    lp, o = per_sample_grads(model, x)
+    lp, o, _ = per_sample_grads(model, x)
     _close(lp, want_lp)
     _close(w @ o, want_grad)
     assert isinstance(o, FactoredO) and o.shape == want_o.shape
@@ -101,7 +101,7 @@ def test_plans_on_distinct_rows_are_every_row(kind, case):
 def test_a_grouped_o_is_the_dense_n_row_matrix(kind, case):
     n, x, _, seed = case
     model = _model(kind, n, seed)
-    _, o = per_sample_grads(model, x)
+    _, o, _ = per_sample_grads(model, x)
     dense = np.asarray(model.log_psi_and_grads(x)[1])
     rng = np.random.default_rng(seed)
     w, v = rng.normal(size=len(x)), rng.normal(size=dense.shape[1])
@@ -122,7 +122,7 @@ def _min_norm(dense, f):
 def test_the_count_weighted_solve_is_the_dense_solve(kind, case, shift):
     n, x, count, seed = case
     model = _model(kind, n, seed)
-    _, o = per_sample_grads(model, x)
+    _, o, _ = per_sample_grads(model, x)
     dense = np.asarray(model.log_psi_and_grads(x)[1])
     rng = np.random.default_rng(seed)
     # a gradient in the row space of the centred O, as the energy gradient is
@@ -157,7 +157,7 @@ def test_two_ranks_repeating_rows_across_ranks_are_one_big_batch(case, shift):
 
     def worker(comm, rank):
         shard = x[:half] if rank == 0 else x[half:]
-        _, o = per_sample_grads(model, shard)
+        _, o, _ = per_sample_grads(model, shard)
         sr = StochasticReconfiguration(diag_shift=shift, solver="cg")
         return sr.natural_gradient(o, f, comm=comm), sr.last_solve
 

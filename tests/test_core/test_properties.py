@@ -146,7 +146,7 @@ def test_per_sample_grads_consistent_with_autograd_property(case):
         log_psi(x[b : b + 1]).sum().backward()
         rows.append(model.flat_grad())
     want = np.array(rows)
-    _, o = per_sample_grads(model, x)
+    _, o, _ = per_sample_grads(model, x)
     assert o.shape == want.shape
     np.testing.assert_allclose(np.asarray(o), want, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(w @ o, w @ want, rtol=0.0, atol=1e-10)

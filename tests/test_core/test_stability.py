@@ -83,15 +83,15 @@ class TestDivergenceGuard:
         before = model.flat_parameters()
 
         # Monkeypatch the gradient path to return NaN once.
-        original = model.log_psi_and_grads
+        original = model.grads_and_activations
 
         def poisoned(x):
-            lp, o = original(x)
+            lp, o, forward = original(x)
             o = np.array(o)  # the dense matrix: a plain array O is accepted too
             o[0, 0] = np.nan
-            return lp, o
+            return lp, o, forward
 
-        model.log_psi_and_grads = poisoned
+        model.grads_and_activations = poisoned
         vqmc.step(batch_size=16)
         assert np.array_equal(model.flat_parameters(), before)
         assert vqmc.diverged_steps == 1

@@ -148,7 +148,7 @@ class TestFactorsAreTheDenseMatrix:
         n, widths, masks, batch, seed = case
         model = _made(n, widths, masks, seed)
         x = _batch(n, batch, seed)
-        log_psi, o = per_sample_grads(model, x)
+        log_psi, o, _ = per_sample_grads(model, x)
         want_log_psi, want = model.log_psi_and_grads(x)
         _close(log_psi, want_log_psi, rtol=1e-10)
         _close(np.asarray(o), np.asarray(want))

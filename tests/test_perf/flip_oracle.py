@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perf.flips import MADEForwardCache, forward_cache, log_bernoulli
+from repro.perf.flips import forward_cache
+from repro.tensor.functional import bernoulli_log_terms
 from repro.tensor.tensor import no_grad
 
 
-def per_site_flip_log_ratios(
-    model,
-    sites: np.ndarray,
-    x: np.ndarray | None = None,
-    cache: MADEForwardCache | None = None,
-) -> tuple[np.ndarray, MADEForwardCache]:
+def log_bernoulli(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """Elementwise ``log Bern(t; σ(z))``, stable."""
+    return bernoulli_log_terms(np.asarray(logits, dtype=np.float64), targets)[0]
+
+
+def per_site_flip_log_ratios(model, sites: np.ndarray, x: np.ndarray | None = None, cache=None):
+    """``(log-ratios (B, K), the forward_cache they were computed from)``."""
     if cache is None:
         if x is None:
             raise ValueError("need x or a forward cache")

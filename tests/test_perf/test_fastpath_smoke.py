@@ -89,9 +89,10 @@ class TestLogPsiReuse:
             local_energies(model, small_tim, x, log_psi_x=np.zeros(5))
 
     def test_vqmc_evaluates_amplitudes_once_per_step(self, rng):
-        """The driver passes the gradient path's log ψ into the energy
-        estimator: `model.log_psi_and_grads` runs exactly once, on the
-        batch's distinct rows, and `model.log_psi` not at all."""
+        """The driver passes the gradient path's forward into the energy
+        estimator: the closed form (`model.grads_and_activations`) runs
+        exactly once, on the batch's distinct rows, and `model.log_psi` not
+        at all."""
         n = 6
         model = MADE(n, rng=rng)
         ham = TransverseFieldIsing.random(n, seed=1)
@@ -99,7 +100,7 @@ class TestLogPsiReuse:
             model, ham, AutoregressiveSampler(), Adam(model.parameters()), seed=2
         )
         calls = []
-        closed_form, log_psi = model.log_psi_and_grads, model.log_psi
+        closed_form, log_psi = model.grads_and_activations, model.log_psi
 
         def counting(batch):
             calls.append(np.asarray(batch).shape[0])
@@ -108,6 +109,6 @@ class TestLogPsiReuse:
         def forbidden(batch):
             raise AssertionError("the step evaluated log_psi")
 
-        model.log_psi_and_grads, model.log_psi = counting, forbidden
+        model.grads_and_activations, model.log_psi = counting, forbidden
         result = vqmc.step(batch_size=32)
         assert calls == [result.distinct_rows]
