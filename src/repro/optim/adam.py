@@ -59,6 +59,7 @@ class Adam(Optimizer):
             b += self.eps
             a /= b
             theta[run] -= a
+            self._flush_subnormal(m, a)
         self._stepped()
 
     def state_dict(self) -> dict:

@@ -10,6 +10,9 @@ from repro.nn.module import Parameter, joined, pack
 
 __all__ = ["Optimizer"]
 
+#: The smallest normal float64: a state entry below it is subnormal (or 0).
+_TINY = np.finfo(np.float64).tiny
+
 
 class Optimizer:
     """Base class over a flat list of parameters.
@@ -86,6 +89,18 @@ class Optimizer:
         """Write per-parameter state arrays into the flat vector ``out``."""
         for part, slot in zip(parts, self._slots):
             out[slot] = np.ravel(part)
+
+    @staticmethod
+    def _flush_subnormal(state: np.ndarray, scratch: np.ndarray) -> None:
+        """Set the entries of a decaying state vector below the smallest
+        normal float to 0, with ``scratch`` (same length) as work space.
+
+        Under a zero gradient (every sample the same) a momentum decays
+        geometrically into the subnormal range, where arithmetic is many
+        times slower; an update from an entry that small cannot move a
+        parameter of normal size."""
+        np.abs(state, out=scratch)
+        np.copyto(state, 0.0, where=scratch < _TINY)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -40,6 +40,8 @@ class SGD(Optimizer):
             scaled = self._scratch[run]
             np.multiply(self.lr, direction, out=scaled)
             theta[run] -= scaled
+            if self.momentum != 0.0:
+                self._flush_subnormal(direction, scaled)
         self._stepped()
 
     def state_dict(self) -> dict:

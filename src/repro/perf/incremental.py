@@ -42,35 +42,39 @@ has ``m`` input and ``n − m`` output connections), where Algorithm 1 pays
 zeros included — once per sweep: more multiply-accumulates, far fewer
 numpy calls.
 
-:func:`incremental_sample` draws from the RNG in exactly the same order —
-one uniform per unclamped site per row, all of them in one ``(free sites,
-B)`` call, which is the same stream as one call per site — and hands them to
-the kernel, where ``u < σ(z)`` becomes ``z > log(u / (1 − u))``, with ``u =
-0`` drawing a 1 exactly when ``σ(z)`` does not underflow. So the 0/1 samples
-are bit-identical to ``MADE.sample(method='naive')`` under the same stream:
-the logits and thresholds may differ from the naive ones by a few ULP,
-because sums and the sigmoid are rounded differently, and a sample bit could
-only flip if a uniform draw landed inside that ~1e-15 window.
+Without a memory, :func:`incremental_sample` draws from the RNG in exactly
+the same order as ``MADE.sample(method='naive')`` — one uniform per
+unclamped site per row, all of them in one ``(free sites, B)`` call, which
+is the same stream as one call per site — and turns them into thresholds,
+where ``u < σ(z)`` becomes ``z > log(u / (1 − u))``, with ``u = 0`` drawing
+a 1 exactly when ``σ(z)`` does not underflow. So the 0/1 samples are
+bit-identical to the naive sampler's under the same stream: the logits and
+thresholds may differ from the naive ones by a few ULP, because sums and
+the sigmoid are rounded differently, and a sample bit could only flip if a
+uniform draw landed inside that ~1e-15 window.
 
-Retracing: conditional ``i`` reads the prefix alone, so a row whose uniforms
-make a known configuration's choice at every site *is* that configuration.
-Given a ``memory`` of configurations, one forward pass over them gives
-their conditionals, and each row is checked against them in u-space
-(Algorithm 1's own ``u < σ(z)``). The output is the same, and the memory
-moves a sample bit only where the kernel already may: a uniform inside the
-window between two roundings of one conditional. A concentrated MADE (Max-
-Cut's) draws most of a batch as copies of two or three configurations.
-
-Settling: a row that retraces none is solved as a whole. Under its
-uniforms its bits satisfy ``x = F(x)``, ``F_i`` reading ``x_<i`` alone, so
-the system is triangular and has one solution, Algorithm 1's draw. The
-first guess is the bits its uniforms draw under the conditionals of the
-remembered configuration it follows longest (the latest first miss): right
-up to and including that site. Each sweep is one dense forward pass over
-the guesses; a row whose recomputed bits equal its guess is a fixed point
-and so the draw, and any other takes them as its next guess. Only the rows
-still unsettled after ``SETTLE_SWEEPS`` sweeps go through the kernel, with
-their own uniforms.
+Retracing: given a ``memory`` of K configurations, the draw is exact in
+distribution instead, and draws counts rather than rows. Conditional ``i``
+reads the prefix alone, so one forward pass over the configurations gives
+every conditional along their prefix trie. A sample either ends at a
+remembered configuration (a leaf) or leaves the trie at ``(k, i)``: it
+follows configuration k's prefix ``M_k[:i]`` and takes the other bit at
+site i, where no configuration continues. Those outcomes are disjoint and
+their probabilities, products of the conditionals along the path, sum to
+1, so one multinomial over them says how many of the ``B`` samples end at
+each leaf and how many leave (a draw among the exits then says where). A
+sample that leaves gets its own uniforms: its prefix and flipped bit are
+forced through the thresholds (``∓∞``), and the rest is drawn by
+whole-row sweeps from a guess under configuration k's conditionals
+(settling) or, for the rows still unsettled after ``SETTLE_SWEEPS``, by the
+kernel. Settling: under fixed thresholds a row's bits satisfy the
+triangular ``x = F(x)``, ``F_i`` reading ``x_<i`` alone, whose one solution
+is Algorithm 1's draw; a sweep is one dense forward pass over the guesses,
+and a row whose recomputed bits equal its guess is that solution. The
+leaves and the distinct rows that left are the batch's groups, and one
+random permutation of the labels makes the batch exchangeable row by row.
+A concentrated MADE (Max-Cut's) draws most of a batch as copies of two or
+three configurations, and then no ``(n, B)`` uniform array is drawn.
 
 Cost accounting: the kernel reports the multiply-accumulates its GEMMs
 perform, plus the forward passes over the memory and the settling sweeps,
@@ -88,6 +92,7 @@ import numpy as np
 
 from repro.models.base import validate_configurations
 from repro.models.made import MADE
+from repro.utils.rows import DistinctRows, distinct_rows, every_row
 
 __all__ = [
     "IncrementalSampleResult",
@@ -107,12 +112,12 @@ BLOCK = 16
 #: the numpy calls it saves. Measured (docs/performance.md has the table).
 SWEEP_ELEMS = 6144
 
-#: Whole-row sweeps a row that retraces no remembered configuration gets
-#: before the kernel draws it. Measured (docs/performance.md has the table):
-#: on a collapsed Max-Cut MADE one sweep settles nearly every such row and
-#: a second the rest, while a sweep is one dense forward pass over the rows
-#: still unsettled, ~0.08 ms on a few rows at n = 256 against the kernel's
-#: ~0.5 ms floor.
+#: Whole-row sweeps a row that leaves the remembered configurations gets
+#: before the kernel draws it. Measured (docs/performance.md, "Retracing
+#: remembered configurations"): on a collapsed Max-Cut MADE one sweep
+#: settles nearly every such row and a second the rest, while a sweep is
+#: one dense forward pass over the rows still unsettled, ~0.08 ms on a few
+#: rows at n = 256 against the kernel's ~0.5 ms floor.
 SETTLE_SWEEPS = 3
 
 #: The threshold u = 0 gets: below it e^z, and so σ(z), rounds to exactly 0
@@ -129,29 +134,26 @@ class IncrementalSampleResult:
     is the dense cost of ONE naive batched forward pass, so
     ``forward_pass_equivalents`` is directly comparable to the naive
     sampler's pass count of ``n``. ``sweeps`` holds each run's sweep count,
-    in site order (none when every row retraced a remembered configuration).
-    Given a memory, ``followed[b]`` is the configuration of it row ``b``
-    retraced, −1 for a row it did not (``None`` without a memory);
-    ``settled`` counts the rows of those that whole-row sweeps solved, the
-    rest being the kernel's; and ``macs`` also counts the forward passes
-    over the memory and over the rows the sweeps tried.
+    in site order (none when the kernel did not run). Given a memory,
+    ``rows`` groups the batch (the remembered configurations and the
+    distinct rows that left them), ``retraced`` counts the samples that
+    ended at a remembered configuration, ``settled`` those of the others
+    that whole-row sweeps drew, the rest being the kernel's; and ``macs``
+    also counts the forward passes over the memory and over the rows the
+    sweeps tried.
     """
 
     samples: np.ndarray
     macs: int
     full_pass_macs: int
     sweeps: tuple[int, ...]
-    followed: np.ndarray | None = None
+    rows: DistinctRows | None = None
+    retraced: int = 0
     settled: int = 0
 
     @property
     def forward_pass_equivalents(self) -> float:
         return self.macs / max(1, self.full_pass_macs)
-
-    @property
-    def retraced(self) -> int:
-        """Rows copied from the memory instead of drawn."""
-        return 0 if self.followed is None else int(np.count_nonzero(self.followed >= 0))
 
 
 def masked_weights(model) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -238,17 +240,17 @@ def incremental_sample(
 ) -> IncrementalSampleResult:
     """Draw exact i.i.d. samples from a MADE by sweeps over runs of sites.
 
-    Semantics (including ``clamp`` handling and RNG consumption order) match
-    ``MADE.sample`` exactly; see :mod:`repro.perf.incremental` for the
-    complexity and exactness arguments.
+    Without a memory, semantics (including ``clamp`` handling and RNG
+    consumption order) match ``MADE.sample`` exactly; see
+    :mod:`repro.perf.incremental` for the complexity and exactness
+    arguments.
 
     ``memory`` holds (K, n) 0/1 configurations to retrace, without a
-    ``clamp``: a row whose uniforms make configuration k's choice at every
-    site *is* configuration k (conditional i reads the prefix alone), so it
-    is copied instead of drawn, and ``followed`` records k. A row that
-    retraces none is settled by whole-row sweeps where they converge. Any
-    configurations are a valid memory; they change only which rows the
-    kernel draws.
+    ``clamp``: the samples that end at one of them are counted, not drawn,
+    and only those that leave them get uniforms. The batch is then exact in
+    distribution, not bit for bit, and ``rows`` holds its grouping. Any
+    configurations are a valid memory; they change only how the batch is
+    drawn.
     """
     if not isinstance(model, MADE):
         raise TypeError(f"incremental sampling requires a MADE; got {type(model).__name__}")
@@ -258,11 +260,6 @@ def incremental_sample(
         raise ValueError("a memory retraces unclamped draws only")
     n = model.n
     clamp = _validate_clamp(clamp, n)
-    free = np.ones(n, dtype=bool) if clamp is None else np.isnan(clamp)
-    # One call is the same stream as one per drawn site: site-major, B
-    # uniforms for each free site.
-    uniforms = rng.random((int(np.count_nonzero(free)), batch_size))
-
     effs, biases = masked_weights(model)
     reach = reach_of(model)
     # Row slices of C-order weights are what the block GEMMs read fastest.
@@ -271,106 +268,151 @@ def incremental_sample(
     # Dense MAC count of one row's naive forward pass (`MADE.logits`).
     dims = [n, *(w.shape[0] for w in weights)]
     row_macs = sum(a * b for a, b in zip(dims[:-1], dims[1:]))
-
-    followed, macs, settled = None, 0, 0
     if memory is not None and len(memory):
         memory = validate_configurations(memory, n)
-        followed, p = _follow(weights, biases, memory, uniforms)
-        macs = len(memory) * row_macs
-    if followed is None:
-        samples, kernel_macs, sweeps = _kernel(reach, weights, biases, uniforms, free, clamp)
-    else:
-        samples = memory[np.maximum(followed, 0)]
-        kernel_macs, sweeps = 0, ()
-        drawn = np.flatnonzero(followed < 0)
-        if drawn.size:
-            u = uniforms[:, drawn]
-            x, left, passes = _settle(weights, biases, memory, p, u)
-            macs += passes * row_macs
-            settled = drawn.size - left.size
-            if left.size:
-                rest, kernel_macs, sweeps = _kernel(
-                    reach, weights, biases, u[:, left], free, clamp
-                )
-                x[left] = rest
-            samples[drawn] = x
+        return _retrace(reach, weights, biases, memory, batch_size, rng, row_macs)
+    free = np.ones(n, dtype=bool) if clamp is None else np.isnan(clamp)
+    # One call is the same stream as one per drawn site: site-major, B
+    # uniforms for each free site.
+    thresholds = _log_odds(rng.random((int(np.count_nonzero(free)), batch_size)))
+    samples, macs, sweeps = _kernel(reach, weights, biases, thresholds, free, clamp)
+    return IncrementalSampleResult(samples, macs, batch_size * row_macs, sweeps)
+
+
+def _log_odds(u: np.ndarray) -> np.ndarray:
+    """``log(u / (1 − u))`` of the uniforms, in place: ``u < σ(z)`` ⟺ ``z >``
+    it. ``1 − u`` is exact for every u the generator returns (a multiple of
+    2⁻⁵³ in [0, 1)); u = 0 gets ``_LOGIT_OF_ZERO``, not −∞."""
+    with np.errstate(divide="ignore"):  # u = 0: log 0 = -inf, floored below
+        np.divide(u, np.subtract(1.0, u), out=u)
+        np.log(u, out=u)
+    return np.maximum(u, _LOGIT_OF_ZERO, out=u)
+
+
+def _logits(weights, biases, x) -> np.ndarray:
+    """(rows, n) logits of the rows of ``x``: one dense forward pass."""
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    return h @ weights[-1].T + biases[-1]
+
+
+def _outcomes(memory: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(leaf (K,), away (K, n))``: the log-probabilities of one sample's
+    outcomes against the prefix trie of the (K, n) configurations
+    ``memory``, whose logits are ``z``.
+
+    ``leaf[k]`` is that of retracing configuration k (−∞ for a repeat of an
+    earlier one). ``away[k, i]`` is that of following ``M_k[:i]`` and taking
+    the other bit at site i, an outcome (else −∞) when k is the first
+    configuration with that prefix and none continues it with that bit.
+    Everything is in log space, from the logits: at a collapsed site
+    ``σ(z)`` is 1 − 1e-13, and ``1 − σ(z)`` has no digits left.
+    """
+    n = memory.shape[1]
+    bits = memory == 1.0
+    # With s = ±1 the configuration's bit, log σ(s·z) = −logaddexp(0, −s·z),
+    # and the other bit's log σ(−s·z) is that less s·z: the path up to and
+    # including site i, less s·z_i, is the exit at site i.
+    away = np.where(bits, -z, z)  # −s·z
+    path = np.cumsum(np.logaddexp(0.0, away), axis=1)  # −log P(M_k[:i+1])
+    np.subtract(away, path, out=away)
+    leaf = -path[:, -1]
+    # The trie, from the configurations as integers: two first differ at
+    # their XOR's leading bit (``width`` and more where they are equal).
+    width = 8 * -(-n // 8)
+    keys = [int.from_bytes(row.tobytes(), "big") for row in np.packbits(bits, axis=1)]
+    forks = []
+    for k, key in enumerate(keys):
+        differ = [width - (key ^ other).bit_length() for other in keys]
+        # k owns the prefixes longer than any an earlier configuration
+        # shares, less the sites where another continues with the other bit.
+        shared = max(differ[:k], default=-1)
+        if shared >= n:  # a repeat of an earlier configuration
+            leaf[k] = -np.inf
+        if shared >= 0:
+            away[k, : shared + 1] = -np.inf
+        forks += [(k, i) for i in differ if i < n]
+    if forks:
+        away[tuple(zip(*forks))] = -np.inf
+    return leaf, away
+
+
+def _retrace(reach, weights, biases, memory, batch_size, rng, row_macs):
+    """The draw given a memory: counts over its prefix trie, uniforms only
+    for the samples that leave it (see the module doc)."""
+    k_count, n = memory.shape
+    z = _logits(weights, biases, memory)
+    leaf, away = _outcomes(memory, z)
+    stay, cdf = np.exp(leaf), np.cumsum(np.exp(away))
+    # One multinomial over the leaves and the exits' total. That total is
+    # summed from its parts and drawn first, as one binomial: no difference
+    # of near-equal numbers decides it.
+    p = np.concatenate([cdf[-1:], stay])
+    counts = rng.multinomial(batch_size, p / p.sum())
+    left, counts = int(counts[0]), counts[1:]
+    macs, settled, sweeps = k_count * row_macs, 0, ()
+    kept = np.flatnonzero(counts)
+    heads, sizes = memory[kept], counts[kept]
+    if left:
+        cdf /= cdf[-1]  # exactly 1 at the end, so every uniform lands
+        k, i = np.divmod(np.searchsorted(cdf, rng.random(left), side="right"), n)
+        # The exits' own uniforms; the prefix and the other bit at the exit
+        # site are forced through the thresholds, which no uniform can do
+        # where σ(z) rounds to 1.
+        force = np.where(memory[k].T == 1.0, -np.inf, np.inf)
+        force[i, np.arange(left)] *= -1.0
+        t = _log_odds(rng.random((n, left)))
+        t = np.where(np.arange(n)[:, None] <= i, force, t)
+        x, rest, passes = _settle(weights, biases, t, z[k] > t.T)
+        macs += passes * row_macs
+        settled = left - rest.size
+        if rest.size:
+            free = np.ones(n, dtype=bool)
+            x[rest], kernel_macs, sweeps = _kernel(reach, weights, biases, t[:, rest], free, None)
+            macs += kernel_macs
+        # A row that left differs from every leaf at its exit site: only
+        # these rows need grouping.
+        own = distinct_rows(x == 1.0) if left > 1 else every_row(1)
+        heads = np.concatenate([heads, x[own.first]])
+        sizes = np.concatenate([sizes, own.counts])
+    # The samples, group by group, are sent to uniformly random places: a
+    # batch in trie order is not exchangeable row by row.
+    place = rng.permutation(batch_size)
+    first = np.minimum.reduceat(place, np.cumsum(sizes) - sizes)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    inverse = np.empty(batch_size, dtype=np.intp)
+    inverse[place] = np.repeat(rank, sizes)
     return IncrementalSampleResult(
-        samples=samples,
-        macs=macs + kernel_macs,
+        samples=heads[order][inverse],
+        macs=macs,
         full_pass_macs=batch_size * row_macs,
         sweeps=sweeps,
-        followed=followed,
+        rows=DistinctRows(first[order], inverse),
+        retraced=batch_size - left,
         settled=settled,
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """``σ(z)`` as ``Tensor.sigmoid`` (the naive sampler's) computes it:
-    ``1 / (1 + e^{−z})`` for z ≥ 0, ``e^z / (1 + e^z)`` below."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _settle(weights, biases, thresholds, guess):
+    """``(x (r, n), left, passes)``: the rows of the ``(n, r)`` thresholds
+    drawn by whole-row Jacobi sweeps from the (r, n) bool ``guess``;
+    ``left`` indexes the rows still unsettled after ``SETTLE_SWEEPS`` (their
+    ``x`` rows are unwritten), and ``passes`` counts the rows the sweeps'
+    forward passes ran on.
 
-
-def _conditionals(weights, biases, x) -> np.ndarray:
-    """(rows, n) ``σ(z)`` of the rows of ``x``: one dense forward pass."""
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
-    return _sigmoid(h @ weights[-1].T + biases[-1])
-
-
-def _follow(weights, biases, memory, uniforms) -> tuple[np.ndarray, np.ndarray]:
-    """``(followed (B,), p (K, n))``: the configuration of ``memory`` each
-    row's uniforms retrace, −1 for a row that retraces none, and the
-    configurations' conditionals.
-
-    One forward pass over the configurations gives every conditional of each,
-    and a row follows configuration k when ``u < σ(z_i)`` draws its bit at
-    every site — Algorithm 1's own comparison. The configurations are
-    tried in order on the rows still unmatched, so the first of two equal
-    ones takes the rows.
+    A sweep recomputes the guesses' logits in one forward pass, and a row
+    whose bits ``z > t`` reproduce its guess is a fixed point of the
+    triangular ``x = F(x)``: Algorithm 1's draw under those thresholds.
     """
-    p = _conditionals(weights, biases, memory)
-    bits = memory == 1.0
-    followed = np.full(uniforms.shape[1], -1)
-    left = np.arange(uniforms.shape[1])
-    for k in range(len(memory)):
-        miss = np.less(uniforms, p[k, :, None])
-        np.not_equal(miss, bits[k, :, None], out=miss)
-        miss = miss.any(axis=0)
-        if miss.all():
-            continue
-        followed[left[~miss]] = k
-        left = left[miss]
-        if not left.size:
-            break
-        uniforms = uniforms[:, miss]
-    return followed, p
-
-
-def _settle(weights, biases, memory, p, uniforms):
-    """``(x (r, n), left, passes)``: the rows of the ``(n, r)`` uniforms,
-    none of which retraces a configuration of ``memory``, drawn by whole-row
-    Jacobi sweeps; ``left`` indexes the rows still unsettled after
-    ``SETTLE_SWEEPS`` (their ``x`` rows are unwritten), and ``passes``
-    counts the rows the sweeps' forward passes ran on.
-
-    ``p`` holds the configurations' conditionals. A row's first guess is
-    the bits its uniforms draw under those of the configuration it follows
-    longest — the latest first miss; every row misses each somewhere. A
-    sweep recomputes the guesses' conditionals in one forward pass, and a
-    row whose bits ``u < σ(z)`` reproduce its guess is a fixed point of the
-    triangular ``x = F(x)``: Algorithm 1's draw.
-    """
-    u = uniforms.T
-    draws = u[None] < p[:, None, :]  # (K, r, n)
-    first = np.not_equal(draws, (memory == 1.0)[:, None, :]).argmax(axis=2)
-    rows = np.arange(u.shape[0])
-    guess = draws[first.argmax(axis=0), rows]
-    x = np.empty(u.shape)
+    t = thresholds.T
+    x = np.empty(guess.shape)
+    rows = np.arange(len(guess))
     passes = 0
     for _ in range(SETTLE_SWEEPS):
-        new = u[rows] < _conditionals(weights, biases, guess.astype(np.float64))
+        new = _logits(weights, biases, guess.astype(np.float64)) > t[rows]
         passes += rows.size
         same = (new == guess).all(axis=1)
         x[rows[same]] = guess[same]
@@ -380,10 +422,11 @@ def _settle(weights, biases, memory, p, uniforms):
     return x, rows, passes
 
 
-def _kernel(reach: Reach, weights, biases, uniforms, free, clamp):
+def _kernel(reach: Reach, weights, biases, thresholds, free, clamp):
     """``(samples (B, n), macs, sweeps)`` of the sweeps over runs of sites,
-    drawing with the given ``(free sites, B)`` uniforms."""
-    n, batch_size = free.size, uniforms.shape[1]
+    drawing site i's bit as ``z > t`` with the given ``(free sites, B)``
+    thresholds (``_log_odds`` of uniforms; ``∓∞`` forces a bit)."""
+    n, batch_size = free.size, thresholds.shape[1]
     depth = len(reach.orders)
     # The inputs are layer 0: x_j has reach j+1. A unit of reach r — input or
     # hidden — is readable from site r on, and cut[l][i] counts the units of
@@ -402,71 +445,67 @@ def _kernel(reach: Reach, weights, biases, uniforms, free, clamp):
     # (BLOCK, B) array per block costs its page faults again.
     margins, logits = np.empty((2, BLOCK, batch_size))
     macs, sweeps = 0, []
-    with np.errstate(divide="ignore"):  # u = 0: log 0 = -inf, floored below
-        for s0 in range(0, n, BLOCK):
-            s1 = min(s0 + BLOCK, n)
-            # Everything final before the block enters through one GEMM per
-            # layer: the block's own units' pre-activations, and its logits.
-            lo = [done[s0] for done in cut]
-            base = [None] * (depth + 1)
+    for s0 in range(0, n, BLOCK):
+        s1 = min(s0 + BLOCK, n)
+        # Everything final before the block enters through one GEMM per
+        # layer: the block's own units' pre-activations, and its logits.
+        lo = [done[s0] for done in cut]
+        base = [None] * (depth + 1)
+        for l in range(1, depth + 1):
+            a, c, p = lo[l], cut[l][s1], lo[l - 1]
+            base[l] = weights[l - 1][a:c, :p] @ hid[l - 1][:p]
+            base[l] += biases[l - 1][a:c, None]
+            macs += (c - a) * p
+        k = ahead[s1] - ahead[s0]
+        draw = slice(s0, s1) if k == s1 - s0 else s0 + np.flatnonzero(free[s0:s1])
+        if k < s1 - s0:
+            fixed = s0 + np.flatnonzero(~free[s0:s1])
+            hid[0][fixed] = clamp[fixed, None]
+        # The margin is the threshold less the block's base logit z₀, so
+        # a site is drawn iff its in-block logit part z − z₀ exceeds it.
+        margin = np.subtract(
+            thresholds[ahead[s0] : ahead[s1]],
+            np.matmul(w_out[draw, : lo[-1]], hid[-1][: lo[-1]], out=logits[:k]),
+            out=margins[:k],
+        )
+        margin -= b_out[draw, None]
+        macs += k * lo[-1]
+        for r0 in range(s0, s1, run):
+            r1 = min(r0 + run, s1)
+            k0, k1 = ahead[r0] - ahead[s0], ahead[r1] - ahead[s0]
+            sites = slice(r0, r1) if k1 - k0 == r1 - r0 else draw[k0:k1]
+            # The run's units, read from the block's start: the columns
+            # past a unit's reach are exact zeros, whatever they hold.
+            units = []
             for l in range(1, depth + 1):
-                a, c, p = lo[l], cut[l][s1], lo[l - 1]
-                base[l] = weights[l - 1][a:c, :p] @ hid[l - 1][:p]
-                base[l] += biases[l - 1][a:c, None]
-                macs += (c - a) * p
-            k = ahead[s1] - ahead[s0]
-            draw = slice(s0, s1) if k == s1 - s0 else s0 + np.flatnonzero(free[s0:s1])
-            if k < s1 - s0:
-                fixed = s0 + np.flatnonzero(~free[s0:s1])
-                hid[0][fixed] = clamp[fixed, None]
-            # u < σ(z) ⟺ z > log(u / (1 − u)), 1 − u being exact for every u
-            # the generator returns (a multiple of 2⁻⁵³ in [0, 1)); the margin
-            # is that threshold less the block's base logit z₀, so a site is
-            # drawn iff its in-block logit part z − z₀ exceeds it.
-            u = uniforms[ahead[s0] : ahead[s1]]
-            margin = np.subtract(1.0, u, out=margins[:k])
-            np.divide(u, margin, out=margin)
-            np.log(margin, out=margin)
-            np.maximum(margin, _LOGIT_OF_ZERO, out=margin)
-            margin -= np.matmul(w_out[draw, : lo[-1]], hid[-1][: lo[-1]], out=logits[:k])
-            margin -= b_out[draw, None]
-            macs += k * lo[-1]
-            for r0 in range(s0, s1, run):
-                r1 = min(r0 + run, s1)
-                k0, k1 = ahead[r0] - ahead[s0], ahead[r1] - ahead[s0]
-                sites = slice(r0, r1) if k1 - k0 == r1 - r0 else draw[k0:k1]
-                # The run's units, read from the block's start: the columns
-                # past a unit's reach are exact zeros, whatever they hold.
-                units = []
-                for l in range(1, depth + 1):
-                    a, c, p, r = cut[l][r0], cut[l][r1], lo[l - 1], cut[l - 1][r1]
-                    if c > a:
-                        w, b = weights[l - 1][a:c, p:r], base[l][a - lo[l] : c - lo[l]]
-                        units.append((w, hid[l - 1][p:r], b, hid[l][a:c]))
-                w_run = w_out[sites, lo[-1] : cut[-1][r1]]
-                h_run = hid[-1][lo[-1] : cut[-1][r1]]
-                m_run = margin[k0:k1]
-                m = r1 - r0
-                if m > 1:  # the guess: the prefix's logits alone
-                    bits = m_run < 0.0
-                    hid[0][sites] = bits
-                # Sweep t fixes site t, so m sweeps give Algorithm 1's bits
-                # and the units (which never read the run's last site).
-                for sweep in range(1, m + 1):
-                    for w, h, b, out in units:
-                        pre = w @ h
-                        pre += b
-                        np.maximum(pre, 0.0, out=out)
-                    if k1 == k0:  # all clamped: the units were all to do
-                        break
-                    new = w_run @ h_run > m_run
-                    hid[0][sites] = new
-                    # Equal bytes of two C-order bool arrays: a fixed point.
-                    if sweep == m or new.tobytes() == bits.tobytes():
-                        break
-                    bits = new
-                sweeps.append(sweep)
-                macs += sweep * (sum(w.size for w, *_ in units) + w_run.size)
+                a, c, p, r = cut[l][r0], cut[l][r1], lo[l - 1], cut[l - 1][r1]
+                if c > a:
+                    w, b = weights[l - 1][a:c, p:r], base[l][a - lo[l] : c - lo[l]]
+                    units.append((w, hid[l - 1][p:r], b, hid[l][a:c]))
+            w_run = w_out[sites, lo[-1] : cut[-1][r1]]
+            h_run = hid[-1][lo[-1] : cut[-1][r1]]
+            m_run = margin[k0:k1]
+            m = r1 - r0
+            if m > 1:  # the guess: the prefix's logits alone
+                bits = m_run < 0.0
+                hid[0][sites] = bits
+            # Sweep t fixes site t, so m sweeps give Algorithm 1's bits
+            # and the units (which never read the run's last site).
+            for sweep in range(1, m + 1):
+                for w, h, b, out in units:
+                    pre = w @ h
+                    pre += b
+                    np.maximum(pre, 0.0, out=out)
+                if k1 == k0:  # all clamped: the units were all to do
+                    break
+                new = w_run @ h_run > m_run
+                hid[0][sites] = new
+                # Equal bytes of two C-order bool arrays: a fixed point.
+                if sweep == m or new.tobytes() == bits.tobytes():
+                    break
+                bits = new
+            sweeps.append(sweep)
+            macs += sweep * (sum(w.size for w, *_ in units) + w_run.size)
     return np.ascontiguousarray(hid[0].T), batch_size * macs, tuple(sweeps)
 
 

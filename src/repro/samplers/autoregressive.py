@@ -1,6 +1,8 @@
 """Exact autoregressive sampling (paper Algorithm 1, batched).
 
-Two execution paths produce identical samples from identical RNG streams:
+Two execution paths produce identical samples from identical RNG streams
+while the sampler remembers nothing (with a memory, below, the incremental
+path is exact in distribution instead):
 
 - **incremental** (default for MADE): the :mod:`repro.perf.incremental`
   kernel computes the units the masks prove final from per-block GEMMs
@@ -20,32 +22,31 @@ the reference, and every other model runs its own ``model.sample``.
 **Retracing.** Once a MADE concentrates (Max-Cut does), most of a batch is
 copies of a few configurations. The sampler remembers the ``MEMORY`` most
 frequent configurations of its last batch that drew at least twice, when
-together they drew at least ``COVERAGE`` of it, and on the next call the
-kernel copies every row whose uniforms retrace one of them instead of
-drawing it (:func:`~repro.perf.incremental.incremental_sample`'s
-``memory``), and settles most of the others by whole-row fixed-point
-sweeps started from the configuration each follows longest. Conditional i
-reads the prefix alone, so a row whose uniforms make a configuration's
-choice at every site *is* that configuration: the samples are Algorithm
-1's, and the memory moves them only where the kernel already may — a
-uniform inside the ~1e-16 window between two roundings of one logit. The
+together they drew at least ``COVERAGE`` of it, and on the next call
+:func:`~repro.perf.incremental.incremental_sample`'s ``memory`` draws the
+batch as counts: one multinomial over the memory's prefix trie says how
+many samples end at each remembered configuration and how many leave it,
+and where; only those that leave get uniforms, settled by whole-row
+fixed-point sweeps or drawn by the kernel. The batch is exact in
+distribution (not bit for bit: the RNG stream differs), and one random
+permutation places its samples, so any slice of it is a sample too. The
 memory is a hint, not state: any configurations of length n are a valid
 memory, so it is neither checkpointed nor tied to one model, and a call
 reads it once, so a sampler shared across threads or models stays
 correct. :meth:`AutoregressiveSampler.draw` hands the batch's grouping to
-``VQMC.step``: retraced rows are grouped by the configuration they
-retraced, and only the drawn rows are hashed. That grouping is what
-refreshes the memory; :meth:`~AutoregressiveSampler.sample` retraces it
-too but, grouping nothing, leaves it as it is.
+``VQMC.step``: the counts are the grouping, and only the rows that left
+the memory are hashed. That grouping is what refreshes the memory;
+:meth:`~AutoregressiveSampler.sample` draws from it too but leaves it as
+it is.
 
 ``last_stats`` reports both the nominal pass count and the measured
 ``forward_pass_equivalents`` (the kernel's GEMMs plus the forward passes
 over the memory and the settling sweeps) so cost models see the true
 price; ``extras['fast_path']`` records which kernel ran,
 ``extras['sweeps']`` the kernel's mean sweeps per run (0 when it did not
-run), ``extras['retraced']`` the rows copied from the memory and
-``extras['settled']`` the rows that whole-row sweeps drew (the kernel drew
-the rest).
+run), ``extras['retraced']`` the samples that ended at a remembered
+configuration and ``extras['settled']`` the rows that whole-row sweeps drew
+(the kernel drew the rest).
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ from repro.utils.rows import DistinctRows, distinct_rows
 __all__ = ["AutoregressiveSampler"]
 
 #: Configurations remembered from a batch for the next to retrace, the most
-#: frequent first. Measured (docs/performance.md has the table): each one
-#: costs a pass over the next batch's uniforms for the rows still unmatched,
-#: and 8 retraces the most rows on Max-Cut at no cost elsewhere.
+#: frequent first. Measured (docs/performance.md, "Retracing remembered
+#: configurations"): 8 retraced the most rows on Max-Cut at no cost elsewhere.
 MEMORY = 8
 
 #: The share of a batch its remembered configurations must have drawn (each
@@ -110,8 +110,8 @@ class AutoregressiveSampler(Sampler):
     def sample(
         self, model: WaveFunction, batch_size: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Configurations only: a MADE's draw retraces the memory, but with no
-        grouping made the memory is left as it is (see :meth:`draw`)."""
+        """Configurations only: a MADE's draw retraces the memory, but the
+        memory is left as it is (see :meth:`draw`)."""
         self._check(model, batch_size)
         if isinstance(model, MADE) and self.method == "auto":
             return self._incremental(model, batch_size, rng).samples
@@ -132,16 +132,17 @@ class AutoregressiveSampler(Sampler):
     ) -> tuple[np.ndarray, DistinctRows]:
         """``(x, distinct_rows(x == 1))``, retracing the memory on a MADE.
 
-        The rows that retraced a remembered configuration are grouped by it;
-        only the rows the kernel drew are hashed. The batch's most frequent
-        configurations become the memory for the next call.
+        With a memory the grouping is the draw's counts: only the rows that
+        left the remembered configurations are hashed. The batch's most
+        frequent configurations become the memory for the next call.
         """
         self._check(model, batch_size)
         if not (isinstance(model, MADE) and self.method == "auto"):
             return super().draw(model, batch_size, rng)
         result = self._incremental(model, batch_size, rng)
-        x = result.samples
-        rows = _group(x, result.followed)
+        x, rows = result.samples, result.rows
+        if rows is None:
+            rows = distinct_rows(x == 1.0)
         self.memory = _remember(x, rows)
         return x, rows
 
@@ -164,35 +165,6 @@ class AutoregressiveSampler(Sampler):
             },
         )
         return result
-
-
-def _group(x: np.ndarray, followed: np.ndarray | None) -> DistinctRows:
-    """``distinct_rows(x == 1)``, hashing only the rows the kernel drew: a
-    retraced row is grouped with the others that retraced its configuration.
-    """
-    drawn = None if followed is None else np.flatnonzero(followed < 0)
-    if drawn is None or drawn.size == len(x):
-        return distinct_rows(x == 1.0)
-    # Each retraced configuration is a group, first seen at its first row.
-    labels, first = np.unique(followed, return_index=True)
-    if labels[0] < 0:
-        labels, first = labels[1:], first[1:]
-    # Group g of the drawn rows is group len(labels) + g of the batch.
-    group = np.searchsorted(labels, followed)
-    if drawn.size:
-        own = distinct_rows(x[drawn] == 1.0)
-        heads = drawn[own.first]
-        # A drawn row equal to a retraced one (a uniform inside a rounding
-        # window) is the same row: group the batch from scratch.
-        if (x[heads] == x[first][:, None]).all(axis=2).any():
-            return distinct_rows(x == 1.0)
-        group[drawn] = labels.size + own.inverse
-        first = np.concatenate([first, heads])
-    # First occurrence order, as distinct_rows gives it.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return DistinctRows(first[order], rank[group])
 
 
 def _remember(x: np.ndarray, rows: DistinctRows) -> np.ndarray:

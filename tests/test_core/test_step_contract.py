@@ -26,7 +26,10 @@ and every batch sum becomes a count-weighted sum (on 2 ranks: rows grouped
 across both ranks after the allgather). The oracle evaluates every row,
 and a grouped sum adds in another order, so the collapsed rows are held to
 1e-10 against it; the other rows draw no repeats at this size, which each
-step checks, and stay bit-equal. The step's ``distinct`` / ``rows`` span
+step checks, and stay bit-equal. The oracle steps on the driver's batches:
+on distinct rows they must be the oracle sampler's own draws bit for bit,
+while a collapsed model's are drawn from the sampler's memory as counts,
+exact in distribution but on another stream. The step's ``distinct`` / ``rows`` span
 attributes must report the distinct rows, on the gradient phase too.
 
 The same rows pin the timer contract: the keys of ``phase_seconds`` are the
@@ -61,14 +64,24 @@ def _parts(sr_on: bool, collapsed: bool = False):
     return model, ham, sr, SGD(model.parameters(), lr=0.01)
 
 
-def _reference(sr_on: bool, collapsed: bool, world: int, autograd: bool = False):
-    """``STEPS`` big-batch oracle steps over the ranks' sampling streams;
-    ``autograd`` takes the plain gradient from the tape instead of ``O``."""
+def _reference(sr_on: bool, collapsed: bool, world: int, batches, autograd: bool = False):
+    """Big-batch oracle steps over the driver's ``batches`` (per step, the
+    ranks' batches in rank order); ``autograd`` takes the plain gradient
+    from the tape instead of ``O``.
+
+    On distinct rows each batch must be the oracle sampler's own draw from
+    the ranks' streams, bit for bit. A collapsed model's batches repeat, so
+    from its second step the driver's sampler draws them as counts over its
+    memory: exact in distribution (``tests/test_samplers/test_counts.py``),
+    on another stream, and the oracle steps on the driver's batches."""
     model, ham, sr, opt = _parts(sr_on, collapsed)
     sampler = AutoregressiveSampler()
     streams = spawn_generators(SEED, world)
-    for _ in range(STEPS):
-        x = np.concatenate([sampler.sample(model, BATCH, g) for g in streams])
+    for drawn in batches:
+        x = np.concatenate(drawn)
+        if not collapsed:
+            own = [sampler.sample(model, BATCH, g) for g in streams]
+            assert np.array_equal(x, np.concatenate(own))
         local = local_energies(model, ham, x)
         model.zero_grad()
         if autograd:
@@ -87,11 +100,20 @@ def _reference(sr_on: bool, collapsed: bool, world: int, autograd: bool = False)
 def _drive(comm, rank, sr_on: bool, collapsed: bool, world: int):
     """``STEPS`` driver steps on one rank: final parameters, plus per step
     (phase_seconds, step_time, that step's depth-1 span names, the rows
-    its local energies and its Gram matrix were evaluated on)."""
+    its local energies and its Gram matrix were evaluated on, its batch)."""
     model, ham, sr, opt = _parts(sr_on, collapsed)
     tracer = Tracer(rank=rank)
+    sampler = AutoregressiveSampler()
+    draw, batches = sampler.draw, []
+
+    def recording(*args):
+        x, rows = draw(*args)
+        batches.append(x.copy())
+        return x, rows
+
+    sampler.draw = recording
     vq = VQMC(
-        model, ham, AutoregressiveSampler(), opt, sr=sr, comm=comm,
+        model, ham, sampler, opt, sr=sr, comm=comm,
         seed=spawn_generators(SEED, world)[rank],
         config=VQMCConfig(batch_size=BATCH),
         tracer=tracer,
@@ -108,7 +130,7 @@ def _drive(comm, rank, sr_on: bool, collapsed: bool, world: int):
         assert gradient == [rows[0], rows[0]]
         if not collapsed:
             assert rows[0] == BATCH  # what keeps the bit-equal rows bit-equal
-        steps.append((result.phase_seconds, result.step_time, names, rows))
+        steps.append((result.phase_seconds, result.step_time, names, rows, batches[-1]))
     return model.flat_parameters(), steps
 
 
@@ -116,13 +138,14 @@ def _drive(comm, rank, sr_on: bool, collapsed: bool, world: int):
 @pytest.mark.parametrize("collapsed", [False, True], ids=["distinct", "collapsed"])
 @pytest.mark.parametrize("sr_on", [False, True], ids=["plain", "sr"])
 def test_step_matches_the_oracle_step(sr_on, collapsed, world):
-    want = _reference(sr_on, collapsed, world)
     args = (sr_on, collapsed, world)
     if world == 1:
         ranks = [_drive(None, 0, *args)]
     else:
         ranks = run_threaded(_drive, world, args=args)
-    tape = None if sr_on else _reference(False, collapsed, world, autograd=True)
+    batches = [[steps[k][-1] for _, steps in ranks] for k in range(STEPS)]
+    want = _reference(sr_on, collapsed, world, batches)
+    tape = None if sr_on else _reference(False, collapsed, world, batches, autograd=True)
     for got, steps in ranks:
         if world == 1 and not collapsed:
             np.testing.assert_array_equal(got, want)
@@ -130,7 +153,7 @@ def test_step_matches_the_oracle_step(sr_on, collapsed, world):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
         if tape is not None:
             np.testing.assert_allclose(got, tape, rtol=0.0, atol=1e-10)
-        for phase_seconds, step_time, span_names, (distinct, gram_rows) in steps:
+        for phase_seconds, step_time, span_names, (distinct, gram_rows), _ in steps:
             expected = {"sample", "gradient", "local_energy", "optimizer"}
             if sr_on:
                 expected.add("sr_solve")

@@ -1,17 +1,15 @@
-"""The sampler's memory: rows that retrace a remembered configuration.
+"""The sampler's memory: batches drawn as counts over remembered configurations.
 
-A row whose uniforms make a configuration's choice at every site is that
-configuration, so copying it instead of drawing it changes no sample; a row
-that leaves every remembered configuration is settled by whole-row
-fixed-point sweeps, or drawn by the kernel when they do not converge. With
-any memory at all, the sampler's output is Algorithm 1's bit for bit, the
-stream ends where Algorithm 1 leaves it, and the grouping it hands the step
-is ``distinct_rows(x == 1)``.
+Given a memory, the samples that end at a remembered configuration are
+counted, not drawn; a sample that leaves them is settled by whole-row
+fixed-point sweeps, or drawn by the kernel when they do not converge. The
+batch is exact in distribution (``test_counts.py`` holds it to the
+enumerated ``|ψ|²``); here, over any memory, it is a batch of 0/1 rows whose
+grouping is ``distinct_rows(x == 1)``, and the counters say which path drew
+which rows. With no memory it is Algorithm 1's bit for bit.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -32,6 +30,8 @@ from repro.samplers import autoregressive as autoregressive_module
 from repro.samplers import base as samplers_base
 from repro.utils import rows as rows_module
 from repro.utils.rows import distinct_rows
+
+from tests.test_samplers.test_counts import CountingGenerator
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -85,22 +85,27 @@ def _memory(kind: str, model: MADE, batch: int, seed: int, naive: np.ndarray) ->
     return np.zeros((0, n))
 
 
-def _assert_equals_the_naive(model, batch, seed, memory):
-    slow = np.random.default_rng(seed)
-    naive = model.sample(batch, slow, method="naive")
+def _assert_a_grouped_draw(model, batch, seed, memory):
+    """Draw with ``memory``: a batch of 0/1 rows grouped as ``distinct_rows``
+    groups it, in which the rows equal to a remembered configuration are
+    exactly the ones counted as retraced; ``sample()`` on the same stream
+    draws the same rows and leaves the memory as it is."""
     sampler = AutoregressiveSampler()
     sampler.memory = memory
-    fast = np.random.default_rng(seed)
-    x, rows = sampler.draw(model, batch, fast)
-    assert np.array_equal(x, naive)
-    assert fast.random() == slow.random()  # the stream is where Algorithm 1 left it
+    x, rows = sampler.draw(model, batch, np.random.default_rng(seed))
+    assert x.shape == (batch, model.n) and np.all((x == 0.0) | (x == 1.0))
     expect = distinct_rows(x == 1.0)
     assert np.array_equal(rows.first, expect.first)
     assert np.array_equal(rows.inverse, expect.inverse)
+    assert rows.counts.sum() == batch
     stats = sampler.last_stats
-    # sample() retraces the same memory, and leaves it as it is.
+    known = (x[:, None, :] == memory[None, :, :]).all(axis=2).any(axis=1)
+    assert stats.extras["retraced"] == int(known.sum())
+    if not len(memory):
+        naive = model.sample(batch, np.random.default_rng(seed), method="naive")
+        assert np.array_equal(x, naive)
     sampler.memory = memory
-    assert np.array_equal(sampler.sample(model, batch, np.random.default_rng(seed)), naive)
+    assert np.array_equal(sampler.sample(model, batch, np.random.default_rng(seed)), x)
     assert sampler.memory is memory
     assert sampler.last_stats.extras["retraced"] == stats.extras["retraced"]
     return x, stats
@@ -108,19 +113,15 @@ def _assert_equals_the_naive(model, batch, seed, memory):
 
 @settings(**SETTINGS)
 @given(case=cases())
-def test_any_memory_draws_the_naive_samples_and_groups_them(case):
+def test_any_memory_draws_a_batch_its_counts_group(case):
     n, widths, strategy, seed, spread, batch, kind = case
     model = _made(n, widths, seed, spread, strategy)
     naive = model.sample(batch, np.random.default_rng(seed), method="naive")
     memory = _memory(kind, model, batch, seed, naive)
-    x, stats = _assert_equals_the_naive(model, batch, seed, memory)
-    # A row retraces exactly when it is one of the remembered configurations.
-    known = (x[:, None, :] == memory[None, :, :]).all(axis=2).any(axis=1)
-    assert stats.extras["retraced"] == int(known.sum())
-    assert 0 <= stats.extras["settled"] <= batch - stats.extras["retraced"]
-    if known.all():
-        assert stats.extras["settled"] == 0
-    if stats.extras["retraced"] + stats.extras["settled"] == batch:
+    x, stats = _assert_a_grouped_draw(model, batch, seed, memory)
+    retraced, settled = stats.extras["retraced"], stats.extras["settled"]
+    assert 0 <= settled <= batch - retraced
+    if retraced + settled == batch:
         assert stats.extras["sweeps"] == 0.0  # the kernel did not run
 
 
@@ -139,7 +140,7 @@ def _collapsed(n: int, seed: int) -> MADE:
 @pytest.mark.parametrize("seed", range(4))
 def test_a_collapsed_made_settles_every_row_that_leaves(monkeypatch, seed):
     """Rows leaving the remembered mode are settled by whole-row sweeps: the
-    kernel is never called, and the draw is still Algorithm 1's."""
+    kernel is never called."""
     model = _collapsed(24, seed)
     mode = (model.fc_layers[-1].bias.data > 0.0).astype(float)[None]
 
@@ -147,35 +148,36 @@ def test_a_collapsed_made_settles_every_row_that_leaves(monkeypatch, seed):
         raise AssertionError("the kernel ran")
 
     monkeypatch.setattr(incremental_module, "_kernel", never)
-    x, stats = _assert_equals_the_naive(model, 64, seed, mode)
+    x, stats = _assert_a_grouped_draw(model, 64, seed, mode)
     assert stats.extras["settled"] > 0
     assert stats.extras["retraced"] + stats.extras["settled"] == 64
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_rows_the_sweeps_leave_unsettled_fall_back_to_the_kernel(monkeypatch, seed):
-    """A random memory of a spread-out MADE at n = 40: ``SETTLE_SWEEPS``
-    whole-row sweeps settle some rows, the kernel draws the rest, and the
-    sweeps' forward passes are counted."""
+    """A random memory of a spread-out MADE at n = 40: nearly every row
+    leaves it, ``SETTLE_SWEEPS`` whole-row sweeps settle some, the kernel
+    draws the rest, and the sweeps' forward passes are counted."""
     model = _made(40, [60], seed, 2.0, "cycle")
     memory = (np.random.default_rng(seed + 1).random((3, 40)) < 0.5).astype(float)
     kernel_rows = []
     kernel = incremental_module._kernel
 
-    def counting(reach, weights, biases, uniforms, free, clamp):
-        kernel_rows.append(uniforms.shape[1])
-        return kernel(reach, weights, biases, uniforms, free, clamp)
+    def counting(reach, weights, biases, thresholds, free, clamp):
+        kernel_rows.append(thresholds.shape[1])
+        return kernel(reach, weights, biases, thresholds, free, clamp)
 
     monkeypatch.setattr(incremental_module, "_kernel", counting)
-    x, stats = _assert_equals_the_naive(model, 48, seed, memory)
+    x, stats = _assert_a_grouped_draw(model, 48, seed, memory)
+    left = 48 - stats.extras["retraced"]
     settled = stats.extras["settled"]
-    assert kernel_rows[0] == 48 - settled > 0 and settled > 0
+    assert kernel_rows[0] == left - settled > 0 and settled > 0
     result = incremental_sample(model, 48, np.random.default_rng(seed), memory=memory)
     assert result.settled == settled and np.array_equal(result.samples, x)
     row_macs = 40 * 60 + 60 * 40
-    # The memory's pass, at least one sweep over all 48 rows and
+    # The memory's pass, at least one sweep over the rows that left and
     # SETTLE_SWEEPS over the rows the kernel drew, then the kernel's GEMMs.
-    swept = 48 + (incremental_module.SETTLE_SWEEPS - 1) * (48 - settled)
+    swept = left + (incremental_module.SETTLE_SWEEPS - 1) * (left - settled)
     assert result.macs > (3 + swept) * row_macs
 
 
@@ -187,27 +189,25 @@ def test_a_memory_does_not_take_a_clamp():
 
 
 def test_a_remembered_batch_retraces_whole():
-    """A concentrated MADE: the second call copies every row it can, pays a
-    forward pass per remembered row, and reports no sweeps when the kernel
-    does not run."""
+    """A concentrated MADE: the second call counts every row it can, pays a
+    forward pass per remembered row, draws no ``(n, B)`` uniforms, and
+    reports no sweeps when the kernel does not run."""
     model = _made(24, [30], seed=4, spread=6.0, strategy="cycle")
     sampler = AutoregressiveSampler()
-    rng = np.random.default_rng(5)
+    rng = CountingGenerator(np.random.default_rng(5))
     sampler.draw(model, 64, rng)
+    assert rng.shapes == [(24, 64)]  # no memory: the kernel's uniforms
     assert 1 <= len(sampler.memory) <= autoregressive_module.MEMORY
     before = sampler.memory
-    seed_state = rng.bit_generator.state
     x, rows = sampler.draw(model, 64, rng)
     stats = sampler.last_stats
     retraced = stats.extras["retraced"]
     assert retraced >= 64 * autoregressive_module.COVERAGE
+    assert (24, 64) not in rng.shapes[1:]
     row_macs = 24 * 30 + 30 * 24
     if retraced == 64:
         assert stats.extras["sweeps"] == 0.0
         assert stats.extras["macs"] == len(before) * row_macs
-    # The same uniforms through the kernel alone give the same rows.
-    rng.bit_generator.state = seed_state
-    assert np.array_equal(incremental_sample(model, 64, rng).samples, x)
     assert rows.count == distinct_rows(x == 1.0).count
 
 
@@ -244,39 +244,29 @@ def test_the_memory_keeps_the_most_frequent_rows_that_cover_the_batch():
     assert autoregressive_module._remember(spread, distinct_rows(spread == 1.0)).shape == (0, 4)
 
 
-def test_a_drawn_row_equal_to_a_retraced_one_is_grouped_with_it():
-    """Inside a rounding window the kernel may draw a remembered row; the
-    grouping is still ``distinct_rows``'s."""
-    x = np.array([[1, 0], [0, 0], [1, 0], [0, 1], [0, 0]], dtype=float)
-    followed = np.array([0, -1, -1, -1, 1])
-    rows = autoregressive_module._group(x, followed)
-    expect = distinct_rows(x == 1.0)
-    assert np.array_equal(rows.first, expect.first)
-    assert np.array_equal(rows.inverse, expect.inverse)
-
-
-def _collapsing_run(sampler, steps: int = 80):
+def test_a_collapsing_run_counts_its_batches():
+    """Max-Cut at n = 16 collapses within 300 steps: from then on the
+    sampler counts nearly every row from its memory and draws no ``(16,
+    64)`` uniform array."""
     ham = MaxCut.random(16, seed=3)
     model = MADE(16, rng=np.random.default_rng(0))
+    sampler = AutoregressiveSampler()
     vqmc = VQMC(model, ham, sampler, Adam(model.parameters(), lr=0.05), seed=1)
-    retraced = []
-    for _ in range(steps):
+    vqmc.rng = rng = CountingGenerator(vqmc.rng)
+    retraced, wide = [], []
+    for _ in range(300):
+        del rng.shapes[:]
         vqmc.step(batch_size=64)
-        retraced.append(sampler.last_stats.extras.get("retraced", 0))
-    digest = hashlib.sha256(model.flat_parameters().tobytes()).hexdigest()
-    return digest, retraced
-
-
-def test_a_collapsing_run_ends_where_the_naive_sampler_takes_it():
-    fast, retraced = _collapsing_run(AutoregressiveSampler())
-    naive, _ = _collapsing_run(AutoregressiveSampler("naive"))
-    assert fast == naive
-    assert max(retraced) > 0
+        retraced.append(sampler.last_stats.extras["retraced"])
+        wide.append((16, 64) in rng.shapes)
+    assert sum(retraced[-100:]) >= 0.9 * 100 * 64
+    assert not any(wide[-100:])
 
 
 def test_the_step_groups_nothing_outside_the_sampler(monkeypatch):
     """The sampler's draw is where a batch is grouped: no layer of the step
-    hashes it again, and a batch that retraces whole is hashed by no one."""
+    hashes it again, and a batch counted whole from the memory is hashed by
+    no one."""
     calls = {"draw": 0, "step": 0}
     inside = []
 
@@ -285,7 +275,7 @@ def test_the_step_groups_nothing_outside_the_sampler(monkeypatch):
         return distinct_rows(rows)
 
     for module in (rows_module, models_base, energy_module, vqmc_module,
-                   samplers_base, autoregressive_module):
+                   samplers_base, autoregressive_module, incremental_module):
         if hasattr(module, "distinct_rows"):
             monkeypatch.setattr(module, "distinct_rows", counting)
     sampler = AutoregressiveSampler()
