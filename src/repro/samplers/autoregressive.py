@@ -35,9 +35,10 @@ memory, so it is neither checkpointed nor tied to one model, and a call
 reads it once, so a sampler shared across threads or models stays
 correct. :meth:`AutoregressiveSampler.draw` hands the batch's grouping to
 ``VQMC.step``: the counts are the grouping, and only the rows that left
-the memory are hashed. That grouping is what refreshes the memory;
-:meth:`~AutoregressiveSampler.sample` draws from it too but leaves it as
-it is.
+the memory are hashed. That grouping is what refreshes the memory, on
+:meth:`~AutoregressiveSampler.sample` too (it returns ``draw(...)[0]``),
+so a caller that keeps only the configurations walks the same stream as
+``VQMC.step``.
 
 ``last_stats`` reports both the nominal pass count and the measured
 ``forward_pass_equivalents`` (the kernel's GEMMs plus the forward passes
@@ -110,11 +111,11 @@ class AutoregressiveSampler(Sampler):
     def sample(
         self, model: WaveFunction, batch_size: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Configurations only: a MADE's draw retraces the memory, but the
-        memory is left as it is (see :meth:`draw`)."""
-        self._check(model, batch_size)
+        """Configurations only: ``draw(...)[0]``, so a MADE's batch also
+        refreshes the memory."""
         if isinstance(model, MADE) and self.method == "auto":
-            return self._incremental(model, batch_size, rng).samples
+            return self.draw(model, batch_size, rng)[0]
+        self._check(model, batch_size)
         with self.tracer.span("sample.naive", batch=batch_size, n=model.n):
             if isinstance(model, MADE):
                 x = model.sample(batch_size, rng, method="naive")
@@ -136,17 +137,9 @@ class AutoregressiveSampler(Sampler):
         left the remembered configurations are hashed. The batch's most
         frequent configurations become the memory for the next call.
         """
-        self._check(model, batch_size)
         if not (isinstance(model, MADE) and self.method == "auto"):
             return super().draw(model, batch_size, rng)
-        result = self._incremental(model, batch_size, rng)
-        x, rows = result.samples, result.rows
-        if rows is None:
-            rows = distinct_rows(x == 1.0)
-        self.memory = _remember(x, rows)
-        return x, rows
-
-    def _incremental(self, model: MADE, batch_size: int, rng: np.random.Generator):
+        self._check(model, batch_size)
         memory = self.memory  # once: another thread may replace it meanwhile
         if memory.shape[1] != model.n:
             memory = None
@@ -164,7 +157,11 @@ class AutoregressiveSampler(Sampler):
                 "settled": result.settled,
             },
         )
-        return result
+        x, rows = result.samples, result.rows
+        if rows is None:
+            rows = distinct_rows(x == 1.0)
+        self.memory = _remember(x, rows)
+        return x, rows
 
 
 def _remember(x: np.ndarray, rows: DistinctRows) -> np.ndarray:

@@ -24,7 +24,8 @@ Batching-window semantics (documented contract, asserted by tests):
 One coalesced forward draws ``sum(batch_size)`` samples from the entry's
 dedicated ``query_rng`` (never a training stream — the RNG-sharing fix in
 ``repro.core.vqmc`` applies server-side too) and, when any request in the
-group wants energies, evaluates local energies once over the union batch.
+group wants energies, evaluates local energies once over the union batch,
+grouped as the sampler's draw grouped it.
 Per-request energy statistics are computed on the request's own slice, so
 every client sees statistics over exactly the samples it paid for.
 """
@@ -178,10 +179,10 @@ class RequestBatcher:
         try:
             with entry.lock:
                 vqmc = entry.vqmc
-                x = vqmc.sampler.sample(vqmc.model, total, entry.query_rng)
+                x, rows = vqmc.sampler.draw(vqmc.model, total, entry.query_rng)
                 local = None
                 if any(q.spec.kind == "energy" for q in group):
-                    local = local_energies(vqmc.model, vqmc.hamiltonian, x)
+                    local = local_energies(vqmc.model, vqmc.hamiltonian, x, rows=rows)
         except Exception as exc:  # noqa: BLE001 — forwarded to every waiter
             for q in group:
                 q.reject(exc)

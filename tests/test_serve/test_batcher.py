@@ -148,7 +148,7 @@ def test_forward_failure_rejects_the_whole_group(entry):
 
         class sampler:  # noqa: N801 — minimal stub
             @staticmethod
-            def sample(model, n, rng):
+            def draw(model, n, rng):
                 raise RuntimeError("sampler exploded")
 
     broken = CacheEntry(bad_spec.model_key(), Broken())
